@@ -12,8 +12,9 @@ actions like ``s_i s_{i+1} ... s_{j-2}`` are applied to the point left to
 right (s_i first), matching the combinatorial convention on tensors.
 
 Evaluation helpers (eval_loop_e, eval_loop_h, eval_tau, eval_sigma) compute
-the symmetric-function families directly at a point by dynamic programming;
-they are cross-checked against the symbolic expansions in the test suite.
+the symmetric-function families directly at a point: e, h and tau by one
+memoized dynamic program over bounded multisets, sigma from tau.  The test
+suite checks them against the combinatorial expansions of krenergy.lsym.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+
+from ._strict import json_decimal, json_int
 
 
 class RationalPoint:
@@ -67,8 +70,12 @@ class RationalPoint:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> RationalPoint:
-        m, n = int(data["m"]), int(data["n"])
-        flat = [Fraction(int(num), int(den)) for num, den in data["values"]]
+        """Inverse of ``to_jsonable``; values must be decimal strings."""
+        m, n = json_int(data["m"], "m"), json_int(data["n"], "n")
+        flat = [
+            Fraction(json_decimal(num, "numerator"), json_decimal(den, "denominator"))
+            for num, den in data["values"]
+        ]
         if len(flat) != m * n:
             raise ValueError(f"expected {m * n} values, got {len(flat)}")
         rows = [flat[i * n : (i + 1) * n] for i in range(m)]
@@ -148,85 +155,56 @@ def rational_energy_global(p: RationalPoint) -> Fraction:
     return total
 
 
-def eval_loop_e(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
-    """e_k^{(r)} on the given variable indices, evaluated at ``p``."""
+def _eval_loop_family(
+    k: int, r: int, cap: int, step: int, indices: Sequence[int], p: RationalPoint
+) -> Fraction:
+    """The bounded-multiset family of ``krenergy.lsym`` evaluated at ``p``.
+
+    The state is the position, the degree still to place, the next color
+    and how often the current index was taken; each step moves on or takes
+    the index once more, at one multiplication.  When ``cap >= k`` the cap
+    cannot bind and the count drops out of the state.
+    """
     idx = tuple(indices)
-    if k < 0 or k > len(idx):
+    if k < 0 or k > cap * len(idx):
         return Fraction(0)
     n = p.n
-    memo: dict[tuple[int, int, int], Fraction] = {}
+    limit = cap if cap < k else 0  # 0: no cap, and ``used`` stays 0
+    one, zero = Fraction(1), Fraction(0)
+    memo: dict[tuple[int, int, int, int], Fraction] = {}
 
-    def rec(pos: int, need: int, color: int) -> Fraction:
+    def rec(pos: int, need: int, color: int, used: int) -> Fraction:
         if need == 0:
-            return Fraction(1)
-        if len(idx) - pos < need:
-            return Fraction(0)
-        key = (pos, need, color)
+            return one
+        if pos == len(idx):
+            return zero
+        key = (pos, need, color, used)
         if key in memo:
             return memo[key]
-        skip = rec(pos + 1, need, color)
-        take = p.value(idx[pos], color) * rec(pos + 1, need - 1, (color + 1) % n)
-        memo[key] = skip + take
+        after = (color + step) % n
+        if used + 1 == limit:
+            rest = rec(pos + 1, need - 1, after, 0)
+        else:
+            rest = rec(pos, need - 1, after, used + 1 if limit else 0)
+        memo[key] = rec(pos + 1, need, color, 0) + p.value(idx[pos], color) * rest
         return memo[key]
 
-    return rec(0, k, r % n)
+    return rec(0, k, r % n, 0)
+
+
+def eval_loop_e(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
+    """e_k^{(r)} on the given variable indices, evaluated at ``p``."""
+    return _eval_loop_family(k, r, 1, 1, indices, p)
 
 
 def eval_loop_h(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
     """h_k^{(r)} on the given variable indices, evaluated at ``p``."""
-    idx = tuple(indices)
-    if k < 0:
-        return Fraction(0)
-    if k == 0:
-        return Fraction(1)
-    n = p.n
-    memo: dict[tuple[int, int, int], Fraction] = {}
-
-    def rec(pos: int, need: int, color: int) -> Fraction:
-        # weakly increasing choices starting at position >= pos
-        if need == 0:
-            return Fraction(1)
-        if pos == len(idx):
-            return Fraction(0)
-        key = (pos, need, color)
-        if key in memo:
-            return memo[key]
-        skip = rec(pos + 1, need, color)
-        take = p.value(idx[pos], color) * rec(pos, need - 1, (color - 1) % n)
-        memo[key] = skip + take
-        return memo[key]
-
-    return rec(0, k, r % n)
+    return _eval_loop_family(k, r, max(k, 0), -1, indices, p)
 
 
 def eval_tau(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
     """tau_k^{(r)} (multiplicities at most n - 1) evaluated at ``p``."""
-    idx = tuple(indices)
-    n = p.n
-    if k < 0 or k > (n - 1) * len(idx):
-        return Fraction(0)
-    if k == 0:
-        return Fraction(1)
-    memo: dict[tuple[int, int, int], Fraction] = {}
-
-    def rec(pos: int, need: int, color: int) -> Fraction:
-        if need == 0:
-            return Fraction(1)
-        if pos == len(idx):
-            return Fraction(0)
-        key = (pos, need, color)
-        if key in memo:
-            return memo[key]
-        total = Fraction(0)
-        prod = Fraction(1)
-        for cnt in range(min(n - 1, need) + 1):
-            if cnt:
-                prod *= p.value(idx[pos], color - cnt + 1)
-            total += prod * rec(pos + 1, need - cnt, (color - cnt) % n)
-        memo[key] = total
-        return total
-
-    return rec(0, k, r % n)
+    return _eval_loop_family(k, r, p.n - 1, -1, indices, p)
 
 
 def eval_sigma(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:

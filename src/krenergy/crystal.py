@@ -32,6 +32,7 @@ try:
 except ImportError:  # pragma: no cover - numpy is a declared dependency
     _np = None
 
+from ._strict import json_int
 from .tableaux import EnumerationGuardError, Shape, SkewShape, Ssyt, enumerate_ssyt, rectify, staircase
 
 # Keep the numpy fast path well inside int64 range; beyond this bound the
@@ -134,14 +135,16 @@ class TensorElement:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> TensorElement:
-        if not isinstance(data, dict) or "n" not in data:
-            raise ValueError("tensor JSON must be an object with an 'n' field")
-        n = int(data["n"])
-        if "factors" in data:
-            return cls.from_counts(n, data["factors"])
+        """Parse ``{"n", "factors"}`` or ``{"n", "rows"}``; counts and n must be
+        JSON integers."""
+        if not isinstance(data, dict) or set(data) not in ({"n", "factors"}, {"n", "rows"}):
+            raise ValueError(
+                "tensor JSON must be an object with 'n' and one of 'factors' or 'rows'"
+            )
+        n = json_int(data["n"], "n")
         if "rows" in data:
             return cls.from_rows(n, data["rows"])
-        raise ValueError("tensor JSON needs a 'factors' or 'rows' field")
+        return cls.from_counts(n, ([json_int(c, "count") for c in row] for row in data["factors"]))
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -1,12 +1,20 @@
 """The loop-symmetric-function identity suite.
 
-Each identity is checked either *symbolically* (both sides expanded in the
-exact polynomial ring and compared term by term) or *randomized* (both
-sides evaluated at seeded strictly positive rational points; exact equality
-of fractions).  A nonzero polynomial vanishes at a random positive rational
-point with negligible probability, and the arithmetic is exact, so a
-randomized pass at many points is strong evidence while a randomized fail
-is a counterexample with a witness point.
+Every identity is stated once, in ``_instances``, over an evaluator of the
+families (loop e, h, tau, sigma, the classical e of the full-color
+products, determinants and the tableau-sum loop Schur function).  The mode
+picks the evaluator and little else:
+
+* *symbolic* evaluates over exact polynomials (``krenergy.lsym``): both
+  sides are expanded and compared term by term, every instance is
+  recorded, and two polynomial-only families run as well
+  (``staircase_jacobi_trudi`` and ``column_translation``);
+* *randomized* evaluates at seeded strictly positive rational points
+  (``krenergy.birational``): a nonzero polynomial vanishes at such a point
+  with negligible probability and the arithmetic is exact, so a pass at
+  many points is strong evidence while a fail is a counterexample.  Each
+  failure is recorded with its witness point, then one passing summary per
+  family that never failed.
 
 Families covered (names as reported):
 
@@ -17,15 +25,18 @@ Families covered (names as reported):
                              does not divide k; for n | k the sharp value is
                              the signed classical e_{k/n} of the products,
                              checked as tau_recursion_residual
-    staircase_factorization  staircase loop Schur = sigma product
     jacobi_trudi             determinant formula = tableau sum (box shapes)
+    staircase_factorization  det A = sigma product
+    staircase_jacobi_trudi   det A = staircase loop Schur (symbolic only)
+    column_translation       columns of A and B repeat, shifted down
+                             (symbolic only)
     tau_vector_annihilation  the banded B matrix kills the tau vector
     minor_tau_factorization  maximal minors of B = tau * det(A)
-    column_translation       columns of A and B repeat, shifted down
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,16 +53,16 @@ from .birational import (
 )
 from .lsym import (
     ColoredPoly,
-    build_A,
-    build_B,
+    PolyMatrix,
+    jacobi_trudi_indices,
     loop_e,
     loop_h,
-    loop_schur_jt,
     loop_schur_tableaux,
     sigma,
-    staircase_matrix_size,
+    staircase_a_indices,
+    staircase_b_indices,
     tau,
-    tau_vector,
+    tau_vector_indices,
 )
 from .tableaux import Shape, SkewShape, enumerate_ssyt, staircase
 
@@ -97,13 +108,7 @@ def box_skew_shapes(rows: int, cols: int) -> list[SkewShape]:
                 shapes.append(SkewShape(outer, inner))
         shapes.append(SkewShape(outer, Shape(())))
     # drop duplicates such as empty/empty appearing twice
-    seen: set[SkewShape] = set()
-    unique = []
-    for s in shapes:
-        if s not in seen:
-            seen.add(s)
-            unique.append(s)
-    return unique
+    return list(dict.fromkeys(shapes))
 
 
 def classical_e_of_products(i: int, *, n: int, m: int) -> ColoredPoly:
@@ -119,269 +124,166 @@ def classical_e_of_products(i: int, *, n: int, m: int) -> ColoredPoly:
 
 
 def eval_classical_e_of_products(i: int, p: RationalPoint) -> Fraction:
-    prods = [_prod(p.value(j, r) for r in range(p.n)) for j in range(1, p.m + 1)]
     es = [Fraction(1)] + [Fraction(0)] * p.m
-    for value in prods:
+    for value in map(math.prod, p.values):
         for t in range(p.m, 0, -1):
             es[t] += es[t - 1] * value
     return es[i] if 0 <= i <= p.m else Fraction(0)
 
 
-def _prod(values) -> Fraction:
-    out = Fraction(1)
-    for v in values:
-        out *= v
-    return out
+class _PolyEvaluator:
+    """The families as polynomials in the m x n colored variables."""
+
+    def __init__(self, n: int, m: int):
+        self.n, self.m = n, m
+        self.zero = ColoredPoly.zero(m, n)
+
+    def e(self, k: int, r: int) -> ColoredPoly:
+        return loop_e(k, r, n=self.n, m=self.m)
+
+    def h(self, k: int, r: int) -> ColoredPoly:
+        return loop_h(k, r, n=self.n, m=self.m)
+
+    def tau(self, k: int, r: int) -> ColoredPoly:
+        return tau(k, r, n=self.n, m=self.m)
+
+    def sigma(self, k: int, r: int, indices: range) -> ColoredPoly:
+        return sigma(k, r, n=self.n, m=self.m, indices=indices)
+
+    def classical_e(self, i: int) -> ColoredPoly:
+        return classical_e_of_products(i, n=self.n, m=self.m)
+
+    def det(self, rows: list[list[ColoredPoly]]) -> ColoredPoly:
+        return PolyMatrix(self.m, self.n, rows).det()
+
+    def schur(self, shape: SkewShape | Shape, r: int) -> ColoredPoly:
+        return loop_schur_tableaux(shape, r, self.m, n=self.n)
 
 
-def _drop_column(rows: list[list[Fraction]], j: int) -> list[list[Fraction]]:
-    return [row[: j - 1] + row[j:] for row in rows]
+class _PointEvaluator:
+    """The families evaluated exactly at one positive rational point."""
+
+    def __init__(self, p: RationalPoint):
+        self.p = p
+        self.full = tuple(range(1, p.m + 1))
+        self.zero = Fraction(0)
+
+    def e(self, k: int, r: int) -> Fraction:
+        return eval_loop_e(k, r, self.full, self.p)
+
+    def h(self, k: int, r: int) -> Fraction:
+        return eval_loop_h(k, r, self.full, self.p)
+
+    def tau(self, k: int, r: int) -> Fraction:
+        return eval_tau(k, r, self.full, self.p)
+
+    def sigma(self, k: int, r: int, indices: range) -> Fraction:
+        return eval_sigma(k, r, indices, self.p)
+
+    def classical_e(self, i: int) -> Fraction:
+        return eval_classical_e_of_products(i, self.p)
+
+    def det(self, rows: list[list[Fraction]]) -> Fraction:
+        return fraction_det(rows)
+
+    def schur(self, shape: SkewShape | Shape, r: int) -> Fraction:
+        total = Fraction(0)
+        for t in enumerate_ssyt(shape, self.p.m):
+            term = Fraction(1)
+            for (i, j) in t.shape.cells():
+                term *= self.p.value(t.entry(i, j), i - j + r)
+            total += term
+        return total
 
 
-class _Recorder:
-    def __init__(self) -> None:
-        self.checks: list[IdentityCheck] = []
+def _instances(ev, n: int, m: int, symbolic: bool):
+    """Yield ``(identity, params, passed)`` for every instance at (n, m).
 
-    def add(self, identity: str, params: dict, passed: bool, witness: dict | None = None):
-        self.checks.append(IdentityCheck(identity, params, bool(passed), witness))
+    ``ev`` evaluates the families either as polynomials or at a point.
+    ``symbolic`` adds the two polynomial-only families: column translation
+    is a property of the matrix entries as polynomials, and the staircase
+    tableau sum is too large to evaluate at every point.
+    """
 
+    def alternating(terms):
+        acc = ev.zero
+        for i, term in enumerate(terms):
+            acc = acc + term if i % 2 == 0 else acc - term
+        return acc
 
-def _symbolic_checks(n: int, m: int, rec: _Recorder) -> None:
+    def loop_e_values(indices):
+        return [[ev.e(k, c) for k, c in row] for row in indices]
+
     for r in range(n):
         for k in range(1, 2 * (n - 1) * m + 1):
-            acc = ColoredPoly.zero(m, n)
-            for i in range(0, min(m, k) + 1):
-                term = loop_e(i, r - i, n=n, m=m) * loop_h(k - i, r - i - 1, n=n, m=m)
-                acc = acc + term if i % 2 == 0 else acc - term
-            rec.add("eh_alternating_sum", {"n": n, "m": m, "r": r, "k": k}, acc.is_zero)
+            acc = alternating(
+                ev.e(i, r - i) * ev.h(k - i, r - i - 1) for i in range(min(m, k) + 1)
+            )
+            yield "eh_alternating_sum", {"n": n, "m": m, "r": r, "k": k}, acc == ev.zero
 
     for r in range(n):
         for k in range(0, (n - 1) * m + n + 1):
-            lhs = tau(k, r, n=n, m=m)
-            rhs = ColoredPoly.zero(m, n)
-            i = 0
-            while i * n <= k and i <= m:
-                term = loop_h(k - i * n, r, n=n, m=m) * classical_e_of_products(i, n=n, m=m)
-                rhs = rhs + term if i % 2 == 0 else rhs - term
-                i += 1
-            rec.add("tau_via_products", {"n": n, "m": m, "r": r, "k": k}, lhs == rhs)
+            rhs = alternating(
+                ev.h(k - i * n, r) * ev.classical_e(i) for i in range(min(m, k // n) + 1)
+            )
+            yield "tau_via_products", {"n": n, "m": m, "r": r, "k": k}, ev.tau(k, r) == rhs
 
     # The alternating e * tau convolution vanishes for n not dividing k;
     # for n | k it telescopes (through the eh and tau-via-products sums
     # above) to the signed classical e_{k/n} of the full-color products.
     for r in range(n):
         for k in range(1, (n - 1) * m + n + 1):
-            acc = ColoredPoly.zero(m, n)
-            for i in range(0, min(m, k) + 1):
-                term = loop_e(i, r - i, n=n, m=m) * tau(k - i, r - i - 1, n=n, m=m)
-                acc = acc + term if i % 2 == 0 else acc - term
+            acc = alternating(
+                ev.e(i, r - i) * ev.tau(k - i, r - i - 1) for i in range(min(m, k) + 1)
+            )
+            params = {"n": n, "m": m, "r": r, "k": k}
             if k % n:
-                rec.add("tau_recursion", {"n": n, "m": m, "r": r, "k": k}, acc.is_zero)
+                yield "tau_recursion", params, acc == ev.zero
             else:
-                expected = classical_e_of_products(k // n, n=n, m=m)
-                if (k // n) % 2:
-                    expected = -expected
-                rec.add(
-                    "tau_recursion_residual",
-                    {"n": n, "m": m, "r": r, "k": k},
-                    acc == expected,
-                )
-
-    if m >= 2:
-        shape = staircase(m - 1, n - 1)
-        for r in range(n):
-            lhs = loop_schur_tableaux(shape, r, m, n=n)
-            rhs = ColoredPoly.one(m, n)
-            for i in range(1, m):
-                rhs = rhs * sigma(
-                    (n - 1) * (m - i), r + i - 1, n=n, m=m, indices=range(i, m + 1)
-                )
-            rec.add("staircase_factorization", {"n": n, "m": m, "r": r}, lhs == rhs)
-            det_a = build_A(m, n=n, r=r).det()
-            rec.add("staircase_jacobi_trudi", {"n": n, "m": m, "r": r}, det_a == lhs)
+                expected = (-1) ** (k // n) * ev.classical_e(k // n)
+                yield "tau_recursion_residual", params, acc == expected
 
     for skew in box_skew_shapes(3, 3):
         for r in range(n):
-            lhs = loop_schur_tableaux(skew, r, m, n=n)
-            rhs = loop_schur_jt(skew, r, n=n, m=m)
-            rec.add(
-                "jacobi_trudi",
-                {
-                    "n": n,
-                    "m": m,
-                    "r": r,
-                    "outer": list(skew.outer.parts),
-                    "inner": list(skew.inner.parts),
-                },
-                lhs == rhs,
-            )
+            params = {
+                "n": n,
+                "m": m,
+                "r": r,
+                "outer": list(skew.outer.parts),
+                "inner": list(skew.inner.parts),
+            }
+            jt = ev.det(loop_e_values(jacobi_trudi_indices(skew, r)))
+            yield "jacobi_trudi", params, ev.schur(skew, r) == jt
 
-    if m >= 2:
-        for r in range(n):
-            mat_a = build_A(m, n=n, r=r)
-            mat_b = build_B(m, n=n, r=r)
+    if m < 2:
+        return
+    for r in range(n):
+        params = {"n": n, "m": m, "r": r}
+        mat_a = loop_e_values(staircase_a_indices(m, n=n, r=r))
+        mat_b = loop_e_values(staircase_b_indices(m, n=n, r=r))
+        det_a = ev.det(mat_a)
+        product = math.prod(
+            ev.sigma((n - 1) * (m - i), r + i - 1, range(i, m + 1)) for i in range(1, m)
+        )
+        yield "staircase_factorization", params, det_a == product
+        if symbolic:
+            yield "staircase_jacobi_trudi", params, det_a == ev.schur(staircase(m - 1, n - 1), r)
             for mat, name in ((mat_a, "A"), (mat_b, "B")):
-                passed = True
-                for j in range(n + 1, mat.ncols + 1):
-                    for k in range(1, mat.nrows + 1):
-                        shifted = (
-                            mat.entry(k - (n - 1), j - n)
-                            if k - (n - 1) >= 1
-                            else ColoredPoly.zero(m, n)
-                        )
-                        if mat.entry(k, j) != shifted:
-                            passed = False
-                rec.add("column_translation", {"n": n, "m": m, "r": r, "matrix": name}, passed)
+                passed = all(
+                    mat[k][j] == (mat[k - (n - 1)][j - n] if k >= n - 1 else ev.zero)
+                    for j in range(n, len(mat[0]))
+                    for k in range(len(mat))
+                )
+                yield "column_translation", {**params, "matrix": name}, passed
 
-            tvec = tau_vector(m, n=n, r=r)
-            product = mat_b.matvec(tvec)
-            rec.add(
-                "tau_vector_annihilation",
-                {"n": n, "m": m, "r": r},
-                all(entry.is_zero for entry in product),
-            )
-
-            det_a = mat_a.det()
-            a, _ = staircase_matrix_size(m, n)
-            for i in range(1, n * (a + 1) + 1):
-                lhs = mat_b.drop_column(i).det()
-                rhs = tau((n - 1) * m - i + 1, r - i, n=n, m=m) * det_a
-                rec.add("minor_tau_factorization", {"n": n, "m": m, "r": r, "i": i}, lhs == rhs)
-
-
-def _randomized_checks(
-    n: int, m: int, rec: _Recorder, points: list[RationalPoint]
-) -> None:
-    full = tuple(range(1, m + 1))
-
-    for pt_index, p in enumerate(points):
-        witness = {"point_index": pt_index, "point": p.to_jsonable()}
-
-        for r in range(n):
-            for k in range(1, 2 * (n - 1) * m + 1):
-                acc = Fraction(0)
-                for i in range(0, min(m, k) + 1):
-                    term = eval_loop_e(i, r - i, full, p) * eval_loop_h(k - i, r - i - 1, full, p)
-                    acc += term if i % 2 == 0 else -term
-                if acc != 0:
-                    rec.add("eh_alternating_sum", {"n": n, "m": m, "r": r, "k": k}, False, witness)
-
-            for k in range(0, (n - 1) * m + n + 1):
-                lhs = eval_tau(k, r, full, p)
-                rhs = Fraction(0)
-                i = 0
-                while i * n <= k and i <= m:
-                    term = eval_loop_h(k - i * n, r, full, p) * eval_classical_e_of_products(i, p)
-                    rhs += term if i % 2 == 0 else -term
-                    i += 1
-                if lhs != rhs:
-                    rec.add("tau_via_products", {"n": n, "m": m, "r": r, "k": k}, False, witness)
-
-            for k in range(1, (n - 1) * m + n + 1):
-                acc = Fraction(0)
-                for i in range(0, min(m, k) + 1):
-                    term = eval_loop_e(i, r - i, full, p) * eval_tau(k - i, r - i - 1, full, p)
-                    acc += term if i % 2 == 0 else -term
-                if k % n:
-                    expected = Fraction(0)
-                    name = "tau_recursion"
-                else:
-                    sign = -1 if (k // n) % 2 else 1
-                    expected = sign * eval_classical_e_of_products(k // n, p)
-                    name = "tau_recursion_residual"
-                if acc != expected:
-                    rec.add(name, {"n": n, "m": m, "r": r, "k": k}, False, witness)
-
-        if m >= 2:
-            a, size = staircase_matrix_size(m, n)
-            lam = staircase(m - 1, n - 1).conjugate()
-            lam_b = staircase(m, n - 1).conjugate()
-            for r in range(n):
-                a_vals = [
-                    [
-                        eval_loop_e(lam.part(k) - k + j, r - j + 1, full, p)
-                        for j in range(1, size + 1)
-                    ]
-                    for k in range(1, size + 1)
-                ]
-                det_a = fraction_det(a_vals)
-                prod = Fraction(1)
-                for i in range(1, m):
-                    prod *= eval_sigma((n - 1) * (m - i), r + i - 1, range(i, m + 1), p)
-                if det_a != prod:
-                    rec.add("staircase_factorization", {"n": n, "m": m, "r": r}, False, witness)
-
-                nrows, ncols = n * (a + 1) - 1, n * (a + 1)
-                b_vals = [
-                    [
-                        eval_loop_e(lam_b.part(k) - k + j - 1, r - j + 1, full, p)
-                        for j in range(1, ncols + 1)
-                    ]
-                    for k in range(1, nrows + 1)
-                ]
-                tau_vals = [
-                    (1 if j % 2 == 1 else -1) * eval_tau((n - 1) * m - j + 1, r - j, full, p)
-                    for j in range(1, ncols + 1)
-                ]
-                for k in range(nrows):
-                    dot = sum((b_vals[k][j] * tau_vals[j] for j in range(ncols)), Fraction(0))
-                    if dot != 0:
-                        rec.add(
-                            "tau_vector_annihilation", {"n": n, "m": m, "r": r, "row": k + 1}, False, witness
-                        )
-                for i in range(1, ncols + 1):
-                    lhs = fraction_det(_drop_column(b_vals, i))
-                    rhs = eval_tau((n - 1) * m - i + 1, r - i, full, p) * det_a
-                    if lhs != rhs:
-                        rec.add(
-                            "minor_tau_factorization", {"n": n, "m": m, "r": r, "i": i}, False, witness
-                        )
-
-        for skew in box_skew_shapes(3, 3):
-            if skew.size == 0:
-                continue
-            for r in range(n):
-                total = Fraction(0)
-                for t in enumerate_ssyt(skew, m):
-                    term = Fraction(1)
-                    for (i, j) in t.shape.cells():
-                        term *= p.value(t.entry(i, j), i - j + r)
-                    total += term
-                lam = skew.outer.conjugate()
-                mu = skew.inner.conjugate()
-                size = len(lam)
-                vals = [
-                    [
-                        eval_loop_e(
-                            lam.part(k) - mu.part(j) - k + j, r - j + 1 + mu.part(j), full, p
-                        )
-                        for j in range(1, size + 1)
-                    ]
-                    for k in range(1, size + 1)
-                ]
-                det = fraction_det(vals) if size else Fraction(1)
-                if det != total:
-                    rec.add(
-                        "jacobi_trudi",
-                        {
-                            "n": n,
-                            "m": m,
-                            "r": r,
-                            "outer": list(skew.outer.parts),
-                            "inner": list(skew.inner.parts),
-                        },
-                        False,
-                        witness,
-                    )
-
-    # summary pass entries so a clean run reports one line per family
-    failed = {c.identity for c in rec.checks if not c.passed}
-    families = ["eh_alternating_sum", "tau_via_products", "tau_recursion", "tau_recursion_residual", "jacobi_trudi"]
-    if m >= 2:
-        families += ["staircase_factorization", "tau_vector_annihilation", "minor_tau_factorization"]
-    for name in families:
-        if name not in failed:
-            rec.add(name, {"n": n, "m": m, "points": len(points)}, True)
+        spec = tau_vector_indices(m, n=n, r=r)
+        taus = [ev.tau(k, c) for _, k, c in spec]
+        vec = [sign * t for (sign, _, _), t in zip(spec, taus)]
+        products = [sum((b * t for b, t in zip(row, vec)), ev.zero) for row in mat_b]
+        yield "tau_vector_annihilation", params, all(v == ev.zero for v in products)
+        for i in range(1, len(spec) + 1):
+            minor = ev.det([row[: i - 1] + row[i:] for row in mat_b])
+            yield "minor_tau_factorization", {**params, "i": i}, minor == taus[i - 1] * det_a
 
 
 def identity_suite(
@@ -394,24 +296,38 @@ def identity_suite(
     """Run every identity family at the given size.
 
     ``mode="symbolic"`` expands both sides exactly (bounded to n <= 3,
-    m <= 4); ``mode="randomized"`` compares exact evaluations at ``trials``
-    seeded positive rational points.
+    m <= 4) and records every instance; ``mode="randomized"`` compares
+    exact evaluations at ``trials`` seeded positive rational points and
+    records each failure with its point, then one passing summary per
+    family that never failed.
     """
     if n < 2 or m < 1:
         raise ValueError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
-    rec = _Recorder()
     if mode == "symbolic":
         if n > SYMBOLIC_N_MAX or m > SYMBOLIC_M_MAX:
             raise ValueError(
                 f"symbolic mode is bounded to n <= {SYMBOLIC_N_MAX}, m <= {SYMBOLIC_M_MAX}"
             )
-        _symbolic_checks(n, m, rec)
-    elif mode == "randomized":
-        if trials < 1:
-            raise ValueError(f"trials must be positive, got {trials}")
-        rng = random.Random(f"identities:{seed}:{n}:{m}")
-        points = [random_point(m, n, rng) for _ in range(trials)]
-        _randomized_checks(n, m, rec, points)
-    else:
+        return [
+            IdentityCheck(name, params, bool(passed))
+            for name, params, passed in _instances(_PolyEvaluator(n, m), n, m, symbolic=True)
+        ]
+    if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
-    return rec.checks
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    rng = random.Random(f"identities:{seed}:{n}:{m}")
+    points = [random_point(m, n, rng) for _ in range(trials)]
+    checks: list[IdentityCheck] = []
+    families: dict[str, None] = {}
+    for pt_index, p in enumerate(points):
+        witness = {"point_index": pt_index, "point": p.to_jsonable()}
+        for name, params, passed in _instances(_PointEvaluator(p), n, m, symbolic=False):
+            families[name] = None
+            if not passed:
+                checks.append(IdentityCheck(name, params, False, witness))
+    failed = {c.identity for c in checks}
+    for name in families:
+        if name not in failed:
+            checks.append(IdentityCheck(name, {"n": n, "m": m, "points": len(points)}, True))
+    return checks

@@ -14,19 +14,23 @@ The generating families:
     sigma(k, r):   sum_i (prefix of the first variable, colors r, r-1, ...)
                    times tau(k-i, r-i) of the remaining variables
 
+loop_e, loop_h and tau are one enumeration of bounded multisets of indices
+(multiplicity cap 1, k and n-1; color step +1, -1 and -1).
+
 ``loop_schur_tableaux`` sums the color-shifted content weights of the
 semistandard tableaux of a skew shape; ``loop_schur_jt`` computes the same
 polynomial as a determinant of loop elementary functions.  ``build_A`` and
 ``build_B`` assemble the banded dilated-staircase matrices used by the
 closing identities, and ``trop_eval`` is the (min, +) shadow of a
-subtraction-free polynomial.
+subtraction-free polynomial.  The ``*_indices`` functions give the entries
+of those matrices and of the tau vector as ``(degree, color)`` pairs, for
+the polynomials here and for point evaluation alike.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 try:
@@ -34,6 +38,7 @@ try:
 except ImportError:  # pragma: no cover - numpy is a declared dependency
     _np = None
 
+from ._strict import json_decimal, json_int
 from .tableaux import Shape, SkewShape, enumerate_ssyt, staircase
 
 Mono = tuple[tuple[tuple[int, int], int], ...]
@@ -217,11 +222,15 @@ class ColoredPoly:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> ColoredPoly:
-        m, n = int(data["m"]), int(data["n"])
+        """Inverse of ``to_jsonable``; coefficients must be decimal strings."""
+        m, n = json_int(data["m"], "m"), json_int(data["n"], "n")
         terms: dict[Mono, int] = {}
         for item in data["terms"]:
-            mono = _mono_from_dict({(int(i), int(r)): int(e) for i, r, e in item["exps"]})
-            terms[mono] = terms.get(mono, 0) + int(item["coef"])
+            mono = _mono_from_dict(
+                {(json_int(i, "index"), json_int(r, "color")): json_int(e, "exponent")
+                 for i, r, e in item["exps"]}
+            )
+            terms[mono] = terms.get(mono, 0) + json_decimal(item["coef"], "coefficient")
         return cls(m, n, terms)
 
     def __repr__(self) -> str:
@@ -246,74 +255,50 @@ def _normalize_indices(indices: Sequence[int] | None, m: int) -> tuple[int, ...]
     return out
 
 
+def _loop_family(
+    k: int, r: int, cap: int, step: int, n: int, m: int, indices: Sequence[int] | None
+) -> ColoredPoly:
+    """Sum over weakly increasing ``i_1 <= ... <= i_k`` from ``indices``, no
+    index taken more than ``cap`` times, of ``prod_t x_{i_t}^{(r + step*(t-1))}``.
+
+    Each such multiset of indices gives its own monomial, so every
+    coefficient is 1.
+    """
+    idx = _normalize_indices(indices, m)
+    terms: dict[Mono, int] = {}
+
+    def rec(pos: int, placed: int, exps: dict[tuple[int, int], int]) -> None:
+        # ``placed`` factors so far, all on indices before idx[pos]
+        if placed == k:
+            terms[_mono_from_dict(exps)] = 1
+            return
+        if k - placed > cap * (len(idx) - pos):
+            return
+        rec(pos + 1, placed, exps)
+        exps = dict(exps)
+        for t in range(placed, min(placed + cap, k)):
+            key = (idx[pos], (r + step * t) % n)
+            exps[key] = exps.get(key, 0) + 1
+            rec(pos + 1, t + 1, exps)
+
+    if k >= 0:
+        rec(0, 0, {})
+    return ColoredPoly._raw(m, n, terms)
+
+
 def loop_e(k: int, r: int, *, n: int, m: int, indices: Sequence[int] | None = None) -> ColoredPoly:
     """Loop elementary symmetric function e_k^{(r)} on the given variables."""
-    idx = _normalize_indices(indices, m)
-    if k < 0 or k > len(idx):
-        return ColoredPoly.zero(m, n)
-    if k == 0:
-        return ColoredPoly.one(m, n)
-    terms: dict[Mono, int] = {}
-    for combo in itertools.combinations(idx, k):
-        mono = tuple(((i, (r + t) % n), 1) for t, i in enumerate(combo))
-        terms[mono] = terms.get(mono, 0) + 1
-    return ColoredPoly._raw(m, n, terms)
+    return _loop_family(k, r, 1, 1, n, m, indices)
 
 
 def loop_h(k: int, r: int, *, n: int, m: int, indices: Sequence[int] | None = None) -> ColoredPoly:
     """Loop complete homogeneous symmetric function h_k^{(r)}."""
-    idx = _normalize_indices(indices, m)
-    if k < 0:
-        return ColoredPoly.zero(m, n)
-    if k == 0:
-        return ColoredPoly.one(m, n)
-    if not idx:
-        return ColoredPoly.zero(m, n)
-    terms: dict[Mono, int] = {}
-    for combo in itertools.combinations_with_replacement(idx, k):
-        d: dict[tuple[int, int], int] = {}
-        for t, i in enumerate(combo):
-            key = (i, (r - t) % n)
-            d[key] = d.get(key, 0) + 1
-        mono = _mono_from_dict(d)
-        terms[mono] = terms.get(mono, 0) + 1
-    return ColoredPoly._raw(m, n, terms)
-
-
-def _bounded_multisets(idx: tuple[int, ...], k: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """Weakly increasing k-tuples from idx, no value repeated more than cap times."""
-
-    def rec(pos: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        if pos == len(idx):
-            return
-        most = min(cap, remaining)
-        for cnt in range(most + 1):
-            head = (idx[pos],) * cnt
-            for rest in rec(pos + 1, remaining - cnt):
-                yield head + rest
-
-    yield from rec(0, k)
+    return _loop_family(k, r, max(k, 0), -1, n, m, indices)
 
 
 def tau(k: int, r: int, *, n: int, m: int, indices: Sequence[int] | None = None) -> ColoredPoly:
     """The tau family: loop_h restricted to multiplicities at most n - 1."""
-    idx = _normalize_indices(indices, m)
-    if k < 0 or k > (n - 1) * len(idx):
-        return ColoredPoly.zero(m, n)
-    if k == 0:
-        return ColoredPoly.one(m, n)
-    terms: dict[Mono, int] = {}
-    for combo in _bounded_multisets(idx, k, n - 1):
-        d: dict[tuple[int, int], int] = {}
-        for t, i in enumerate(combo):
-            key = (i, (r - t) % n)
-            d[key] = d.get(key, 0) + 1
-        mono = _mono_from_dict(d)
-        terms[mono] = terms.get(mono, 0) + 1
-    return ColoredPoly._raw(m, n, terms)
+    return _loop_family(k, r, n - 1, -1, n, m, indices)
 
 
 def sigma(k: int, r: int, *, n: int, m: int, indices: Sequence[int] | None = None) -> ColoredPoly:
@@ -358,6 +343,31 @@ def loop_schur_tableaux(
     return ColoredPoly._raw(m, n, terms)
 
 
+def jacobi_trudi_indices(
+    shape: SkewShape | Shape | Iterable[int], r: int, size: int | None = None
+) -> list[list[tuple[int, int]]]:
+    """``(degree, color)`` of each loop e entry of the Jacobi-Trudi matrix.
+
+    With ``lam``/``mu`` the conjugates of the outer/inner shape, the entry
+    at (i, j) is ``e_{lam_i - mu_j - i + j}`` with color ``r - j + 1 + mu_j``;
+    the top-left entries of the dilated staircase matrix below pin this
+    convention.  ``size`` pads the matrix past ``len(lam)``.
+    """
+    skew = SkewShape.of(shape)
+    lam = skew.outer.conjugate()
+    mu = skew.inner.conjugate()
+    size = len(lam) if size is None else size
+    return [
+        [(lam.part(i) - mu.part(j) - i + j, r - j + 1 + mu.part(j)) for j in range(1, size + 1)]
+        for i in range(1, size + 1)
+    ]
+
+
+def _loop_e_matrix(indices: list[list[tuple[int, int]]], *, n: int, m: int) -> PolyMatrix:
+    """The matrix of loop e functions at the given ``(degree, color)`` pairs."""
+    return PolyMatrix(m, n, [[loop_e(k, c, n=n, m=m) for k, c in row] for row in indices])
+
+
 def loop_schur_jt(
     shape: SkewShape | Shape | Iterable[int],
     r: int,
@@ -365,27 +375,8 @@ def loop_schur_jt(
     n: int,
     m: int,
 ) -> ColoredPoly:
-    """Loop Schur function of ``shape`` by the Jacobi-Trudi determinant.
-
-    With ``lam``/``mu`` the conjugates of the outer/inner shape, the matrix
-    entry at (i, j) is ``e_{lam_i - mu_j - i + j}`` with color
-    ``r - j + 1 + mu_j``; the top-left entries of the dilated staircase
-    matrix below pin this convention.
-    """
-    skew = SkewShape.of(shape)
-    lam = skew.outer.conjugate()
-    mu = skew.inner.conjugate()
-    size = len(lam)
-    if size == 0:
-        return ColoredPoly.one(m, n)
-    entries = [
-        [
-            loop_e(lam.part(i) - mu.part(j) - i + j, r - j + 1 + mu.part(j), n=n, m=m)
-            for j in range(1, size + 1)
-        ]
-        for i in range(1, size + 1)
-    ]
-    return PolyMatrix(m, n, entries).det()
+    """Loop Schur function of ``shape`` by the Jacobi-Trudi determinant."""
+    return _loop_e_matrix(jacobi_trudi_indices(shape, r), n=n, m=m).det()
 
 
 class PolyMatrix:
@@ -417,23 +408,6 @@ class PolyMatrix:
     def entry(self, k: int, j: int) -> ColoredPoly:
         """Entry at row k, column j (1-based)."""
         return self.entries[k - 1][j - 1]
-
-    def drop_column(self, j: int) -> PolyMatrix:
-        return PolyMatrix(
-            self.m, self.n, [row[: j - 1] + row[j:] for row in self.entries]
-        )
-
-    def matvec(self, vec: Sequence[ColoredPoly]) -> list[ColoredPoly]:
-        if len(vec) != self.ncols:
-            raise ValueError(f"vector length {len(vec)} != {self.ncols} columns")
-        out = []
-        for row in self.entries:
-            acc = ColoredPoly.zero(self.m, self.n)
-            for p, v in zip(row, vec):
-                if not p.is_zero and not v.is_zero:
-                    acc = acc + p * v
-            out.append(acc)
-        return out
 
     def det(self) -> ColoredPoly:
         """Division-free determinant by memoized Laplace expansion along rows.
@@ -481,59 +455,63 @@ class PolyMatrix:
 
 def staircase_matrix_size(m: int, n: int) -> tuple[int, int]:
     """(a, n*a) with a = ceil((n-1)(m-1) / n), the padded Jacobi-Trudi size."""
+    if m < 2:
+        raise ValueError(f"the staircase matrices need m >= 2, got {m}")
     deg = (n - 1) * (m - 1)
     a = -(-deg // n)
     return a, n * a
 
 
-def build_A(m: int, *, n: int, r: int = 0) -> PolyMatrix:
-    """The na x na Jacobi-Trudi matrix of the dilated staircase, zero-padded.
+def staircase_a_indices(m: int, *, n: int, r: int = 0) -> list[list[tuple[int, int]]]:
+    """``(degree, color)`` entries of the na x na staircase matrix A: the
+    Jacobi-Trudi matrix of the staircase ``(n-1) * delta_{m-1}``, padded.
 
     Row k, column j holds ``e_{lam_k - k + j}`` with color ``r - j + 1``,
-    where lam is the conjugate of the staircase ``(n-1) * delta_{m-1}``.
+    where lam is the conjugate of the staircase.
     """
-    if m < 2:
-        raise ValueError(f"the staircase matrices need m >= 2, got {m}")
     _, size = staircase_matrix_size(m, n)
-    lam = staircase(m - 1, n - 1).conjugate()
-    entries = [
-        [loop_e(lam.part(k) - k + j, r - j + 1, n=n, m=m) for j in range(1, size + 1)]
-        for k in range(1, size + 1)
-    ]
-    return PolyMatrix(m, n, entries)
+    return jacobi_trudi_indices(staircase(m - 1, n - 1), r, size)
 
 
-def build_B(m: int, *, n: int, r: int = 0) -> PolyMatrix:
-    """The (n(a+1) - 1) x n(a+1) extension of build_A by n extra columns,
-    keeping the column-translation structure (each column repeats the one
-    n to its left, shifted down by n - 1)."""
-    if m < 2:
-        raise ValueError(f"the staircase matrices need m >= 2, got {m}")
+def staircase_b_indices(m: int, *, n: int, r: int = 0) -> list[list[tuple[int, int]]]:
+    """``(degree, color)`` entries of the (n(a+1) - 1) x n(a+1) matrix B.
+
+    B extends A by n extra columns, keeping the column-translation
+    structure (each column repeats the one n to its left, shifted down by
+    n - 1): row k, column j holds ``e_{lam_k - k + j - 1}`` with color
+    ``r - j + 1``, where lam is the conjugate of ``(n-1) * delta_m``.
+    """
     a, _ = staircase_matrix_size(m, n)
-    nrows = n * (a + 1) - 1
-    ncols = n * (a + 1)
     lam = staircase(m, n - 1).conjugate()
-    entries = [
-        [loop_e(lam.part(k) - k + j - 1, r - j + 1, n=n, m=m) for j in range(1, ncols + 1)]
-        for k in range(1, nrows + 1)
+    return [
+        [(lam.part(k) - k + j - 1, r - j + 1) for j in range(1, n * (a + 1) + 1)]
+        for k in range(1, n * (a + 1))
     ]
-    return PolyMatrix(m, n, entries)
 
 
-def tau_vector(m: int, *, n: int, r: int = 0) -> list[ColoredPoly]:
-    """The alternating tau column vector annihilated by build_B.
+def tau_vector_indices(m: int, *, n: int, r: int = 0) -> list[tuple[int, int, int]]:
+    """``(sign, degree, color)`` of each component of the tau vector.
 
     Component j (1-based) is ``(-1)^(j-1) tau_{(n-1)m - j + 1}`` with color
     ``r - j``; components with negative subscript vanish.
     """
-    if m < 2:
-        raise ValueError(f"the staircase matrices need m >= 2, got {m}")
     a, _ = staircase_matrix_size(m, n)
-    out = []
-    for j in range(1, n * (a + 1) + 1):
-        p = tau((n - 1) * m - j + 1, r - j, n=n, m=m)
-        out.append(p if j % 2 == 1 else -p)
-    return out
+    return [(1 if j % 2 else -1, (n - 1) * m - j + 1, r - j) for j in range(1, n * (a + 1) + 1)]
+
+
+def build_A(m: int, *, n: int, r: int = 0) -> PolyMatrix:
+    """The na x na Jacobi-Trudi matrix of the dilated staircase, zero-padded."""
+    return _loop_e_matrix(staircase_a_indices(m, n=n, r=r), n=n, m=m)
+
+
+def build_B(m: int, *, n: int, r: int = 0) -> PolyMatrix:
+    """The extension of build_A by n extra columns, as in staircase_b_indices."""
+    return _loop_e_matrix(staircase_b_indices(m, n=n, r=r), n=n, m=m)
+
+
+def tau_vector(m: int, *, n: int, r: int = 0) -> list[ColoredPoly]:
+    """The alternating tau column vector annihilated by build_B."""
+    return [sign * tau(k, c, n=n, m=m) for sign, k, c in tau_vector_indices(m, n=n, r=r)]
 
 
 def trop_eval(p: ColoredPoly, grid) -> int | float:

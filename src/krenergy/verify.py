@@ -6,6 +6,11 @@ randomness is drawn from ``random.Random`` seeded per (suite, n, m) cell,
 so a fixed seed reproduces the exact same report; the canonical JSON report
 carries no timing data (timings go to the human summary) and is therefore
 byte-identical across runs.
+
+The crystal suites share two runners, one over pairs of elements and one
+over tensors.  The identity suites ``lsym-identities`` and ``section4``
+share one ``identity_suite`` run per (n, m, mode) cell and split its checks
+by family.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .birational import (
     RationalPoint,
@@ -38,7 +43,7 @@ from .crystal import (
     r_matrix,
     r_matrix_oracle,
 )
-from .identities import identity_suite
+from .identities import SYMBOLIC_M_MAX, SYMBOLIC_N_MAX, identity_suite
 from .lsym import ColoredPoly, loop_schur_tableaux, sigma, trop_eval
 from .tableaux import Shape, count_ssyt, staircase
 
@@ -80,6 +85,8 @@ class VerifyConfig:
                 raise ConfigError(f"unknown suite {s!r}; choose from {SUITE_NAMES}")
         if not self.suites:
             raise ConfigError("at least one suite is required")
+        if len(set(self.suites)) != len(self.suites):
+            raise ConfigError(f"each suite may be listed once, got {self.suites}")
         n_lo, n_hi = self.n_range
         m_lo, m_hi = self.m_range
         if not (2 <= n_lo <= n_hi <= 6):
@@ -397,121 +404,99 @@ def _pair_stream(config: VerifyConfig, suite: str, n: int):
             )
 
 
-def _run_rmatrix(config: VerifyConfig, result: SuiteResult) -> None:
-    n_lo, n_hi = config.n_range
-    for n in range(max(2, n_lo), n_hi + 1):
-        for b1, b2 in _pair_stream(config, "rmatrix", n):
-            problems = check_rmatrix_pair(b1, b2)
+def _cells(config: VerifyConfig, m_min: int) -> list[tuple[int, int]]:
+    """The (n, m) cells of the configured ranges that have m >= m_min."""
+    (n_lo, n_hi), (m_lo, m_hi) = config.n_range, config.m_range
+    return [(n, m) for n in range(n_lo, n_hi + 1) for m in range(max(m_min, m_lo), m_hi + 1)]
+
+
+def _run_pairs(config: VerifyConfig, result: SuiteResult, check, label: str) -> None:
+    for n in range(config.n_range[0], config.n_range[1] + 1):
+        for b1, b2 in _pair_stream(config, label, n):
+            problems = check(b1, b2)
             result.record(not problems, problems[0] if problems else None)
 
 
-def _run_coenergy(config: VerifyConfig, result: SuiteResult) -> None:
-    n_lo, n_hi = config.n_range
-    for n in range(max(2, n_lo), n_hi + 1):
-        for b1, b2 in _pair_stream(config, "coenergy", n):
-            problems = check_coenergy_pair(b1, b2)
+def _run_tensors(
+    config: VerifyConfig, result: SuiteResult, check, label: str, m_min: int
+) -> None:
+    for n, m in _cells(config, m_min):
+        rng = _cfg_rng(config, label, n, m)
+        for t in _tensor_stream(n, m, config.capacity_cap, config.trials, rng, config.mode):
+            problems = check(t)
             result.record(not problems, problems[0] if problems else None)
 
 
-def _run_energy_equivalence(config: VerifyConfig, result: SuiteResult) -> None:
-    n_lo, n_hi = config.n_range
-    m_lo, m_hi = config.m_range
-    for n in range(max(2, n_lo), n_hi + 1):
-        for m in range(m_lo, m_hi + 1):
-            rng = _cfg_rng(config, "energy", n, m)
-            for t in _tensor_stream(n, m, config.capacity_cap, config.trials, rng, config.mode):
-                problems = check_energy_tensor(t) + check_tropical_bridge_tensor(t)
-                result.record(not problems, problems[0] if problems else None)
+def _check_energy_and_bridge(t: TensorElement) -> list[str]:
+    return check_energy_tensor(t) + check_tropical_bridge_tensor(t)
 
 
-def _run_braid(config: VerifyConfig, result: SuiteResult) -> None:
-    n_lo, n_hi = config.n_range
-    m_lo, m_hi = config.m_range
-    for n in range(max(2, n_lo), n_hi + 1):
-        for m in range(max(2, m_lo), m_hi + 1):
-            rng = _cfg_rng(config, "braid", n, m)
-            for t in _tensor_stream(n, m, config.capacity_cap, config.trials, rng, config.mode):
-                problems = check_braid_tensor(t)
-                result.record(not problems, problems[0] if problems else None)
+# The families of the section4 suite; every other family of the identity
+# suite belongs to lsym-identities.  All of them need m >= 2.
+SECTION4_FAMILIES = frozenset(
+    {"column_translation", "tau_vector_annihilation", "minor_tau_factorization"}
+)
+IDENTITY_SUITES = ("lsym-identities", "section4")
 
 
-def _run_lsym_identities(config: VerifyConfig, result: SuiteResult) -> None:
-    from .identities import SYMBOLIC_M_MAX, SYMBOLIC_N_MAX
-
-    n_lo, n_hi = config.n_range
-    m_lo, m_hi = config.m_range
-    families = {"eh_alternating_sum", "tau_via_products", "tau_recursion", "tau_recursion_residual",
-                "staircase_factorization", "jacobi_trudi", "staircase_jacobi_trudi"}
-    for n in range(max(2, n_lo), n_hi + 1):
-        for m in range(m_lo, m_hi + 1):
-            modes = []
-            if config.mode in ("exhaustive", "both") and n <= SYMBOLIC_N_MAX and m <= SYMBOLIC_M_MAX:
-                modes.append("symbolic")
-            if config.mode in ("randomized", "both"):
-                modes.append("randomized")
-            for mode in modes:
-                for check in identity_suite(n, m, mode=mode, seed=config.seed, trials=config.trials):
-                    if check.identity in families:
-                        witness = json.dumps(
-                            check.to_jsonable(), sort_keys=True, separators=(",", ":")
-                        )
-                        result.record(check.passed, None if check.passed else witness)
-
-
-def _run_section4(config: VerifyConfig, result: SuiteResult) -> None:
-    from .identities import SYMBOLIC_M_MAX, SYMBOLIC_N_MAX
-
-    n_lo, n_hi = config.n_range
-    m_lo, m_hi = config.m_range
-    families = {"column_translation", "tau_vector_annihilation", "minor_tau_factorization"}
-    for n in range(max(2, n_lo), n_hi + 1):
-        for m in range(max(2, m_lo), m_hi + 1):
-            modes = []
-            if config.mode in ("exhaustive", "both") and n <= SYMBOLIC_N_MAX and m <= SYMBOLIC_M_MAX:
-                modes.append("symbolic")
-            if config.mode in ("randomized", "both"):
-                modes.append("randomized")
-            for mode in modes:
-                for check in identity_suite(n, m, mode=mode, seed=config.seed, trials=config.trials):
-                    if check.identity in families:
-                        witness = json.dumps(
-                            check.to_jsonable(), sort_keys=True, separators=(",", ":")
-                        )
-                        result.record(check.passed, None if check.passed else witness)
+def _run_identities(config: VerifyConfig, results: dict[str, SuiteResult]) -> None:
+    """Fill the selected identity suites from one identity_suite run per
+    (n, m, mode) cell, routing each check to its family's suite."""
+    for n, m in _cells(config, 1 if "lsym-identities" in results else 2):
+        modes = []
+        if config.mode in ("exhaustive", "both") and n <= SYMBOLIC_N_MAX and m <= SYMBOLIC_M_MAX:
+            modes.append("symbolic")
+        if config.mode in ("randomized", "both"):
+            modes.append("randomized")
+        for mode in modes:
+            for check in identity_suite(n, m, mode=mode, seed=config.seed, trials=config.trials):
+                suite = "section4" if check.identity in SECTION4_FAMILIES else "lsym-identities"
+                if suite in results:
+                    witness = json.dumps(
+                        check.to_jsonable(), sort_keys=True, separators=(",", ":")
+                    )
+                    results[suite].record(check.passed, None if check.passed else witness)
 
 
 def _run_birational(config: VerifyConfig, result: SuiteResult) -> None:
-    n_lo, n_hi = config.n_range
-    m_lo, m_hi = config.m_range
-    for n in range(max(2, n_lo), n_hi + 1):
-        for m in range(max(2, m_lo), m_hi + 1):
-            rng = _cfg_rng(config, "birational", n, m)
-            ones_problems = check_all_ones_count(n, m)
-            result.record(not ones_problems, ones_problems[0] if ones_problems else None)
-            for _ in range(config.trials):
-                p = random_point(m, n, rng)
-                problems = check_birational_point(p)
-                result.record(not problems, problems[0] if problems else None)
+    for n, m in _cells(config, 2):
+        rng = _cfg_rng(config, "birational", n, m)
+        ones_problems = check_all_ones_count(n, m)
+        result.record(not ones_problems, ones_problems[0] if ones_problems else None)
+        for _ in range(config.trials):
+            p = random_point(m, n, rng)
+            problems = check_birational_point(p)
+            result.record(not problems, problems[0] if problems else None)
 
 
+# Each crystal suite walks its own stream; the label seeds its RNG.
 SUITE_RUNNERS = {
-    "rmatrix": _run_rmatrix,
-    "coenergy": _run_coenergy,
-    "energy-equivalence": _run_energy_equivalence,
-    "braid": _run_braid,
-    "lsym-identities": _run_lsym_identities,
+    "rmatrix": partial(_run_pairs, check=check_rmatrix_pair, label="rmatrix"),
+    "coenergy": partial(_run_pairs, check=check_coenergy_pair, label="coenergy"),
+    "energy-equivalence": partial(
+        _run_tensors, check=_check_energy_and_bridge, label="energy", m_min=1
+    ),
+    "braid": partial(_run_tensors, check=check_braid_tensor, label="braid", m_min=2),
     "birational": _run_birational,
-    "section4": _run_section4,
 }
 
 
 def run_verify(config: VerifyConfig) -> RunReport:
-    """Run the selected suites and return the aggregated report."""
-    suites: dict[str, SuiteResult] = {}
-    for name in config.suites:
-        result = SuiteResult()
+    """Run the selected suites and return the aggregated report.
+
+    lsym-identities and section4 are filled by one shared run, whose time
+    each of them reports.
+    """
+    suites = {name: SuiteResult() for name in config.suites}
+    for name, result in suites.items():
+        if name in SUITE_RUNNERS:
+            start = time.perf_counter()
+            SUITE_RUNNERS[name](config, result)
+            result.seconds = time.perf_counter() - start
+    identity = {name: res for name, res in suites.items() if name in IDENTITY_SUITES}
+    if identity:
         start = time.perf_counter()
-        SUITE_RUNNERS[name](config, result)
-        result.seconds = time.perf_counter() - start
-        suites[name] = result
+        _run_identities(config, identity)
+        for result in identity.values():
+            result.seconds = time.perf_counter() - start
     return RunReport(config, suites)

@@ -3,7 +3,12 @@
 import io
 import json
 
+import pytest
+
+from krenergy.birational import RationalPoint
 from krenergy.cli import main
+from krenergy.crystal import TensorElement
+from krenergy.lsym import ColoredPoly
 
 
 def run_cli(argv, stdin_text="", capsys=None, monkeypatch=None):
@@ -160,3 +165,37 @@ def test_verify_rejects_bad_range(capsys):
     code = main(["verify", "--n", "2:3:4"])
     _, err = capsys.readouterr()
     assert code == 2
+
+
+def test_verify_rejects_duplicate_suite(capsys):
+    code = main(["verify", "--suites", "rmatrix,rmatrix", "--n", "2", "--m", "1"])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert "config error" in err
+
+
+@pytest.mark.parametrize(
+    "cls, doc",
+    [
+        (TensorElement, {"n": 4, "factors": [[1.7, 0, 0, 0], [1, 0, 0, 0]]}),
+        (TensorElement, {"n": "4", "rows": ["13"]}),
+        (TensorElement, {"n": 2, "factors": [[1e30, 0]]}),
+        (TensorElement, {"n": 2, "factors": [[True, 0]]}),
+        (TensorElement, {"n": 2, "factors": [[1, 0]], "rows": ["1"]}),
+        (TensorElement, {"n": 2, "rows": ["1"], "extra": 0}),
+        (ColoredPoly, {"m": 1, "n": 2.9, "terms": []}),
+        (ColoredPoly, {"m": 1, "n": 2, "terms": [{"coef": "1", "exps": [[1, 0, 1.7]]}]}),
+        (ColoredPoly, {"m": 1, "n": 2, "terms": [{"coef": 1.7, "exps": [[1, 0, 1]]}]}),
+        (RationalPoint, {"m": 1, "n": 2, "values": [[1.5, "1"], ["1", "1"]]}),
+        (RationalPoint, {"m": 1, "n": 2, "values": [[True, "1"], ["1", "1"]]}),
+        (RationalPoint, {"m": True, "n": 2, "values": [["1", "1"], ["1", "1"]]}),
+    ],
+)
+def test_json_input_is_strict(cls, doc, capsys, monkeypatch):
+    """Floats, bools, numeric strings and extra keys are rejected, not
+    truncated; the energy command exits 2 on such a tensor."""
+    with pytest.raises(ValueError):
+        cls.from_jsonable(doc)
+    if cls is TensorElement:
+        code, out, _ = run_cli(["energy"], json.dumps(doc), capsys, monkeypatch)
+        assert (code, out) == (2, "")

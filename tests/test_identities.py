@@ -6,10 +6,12 @@ positive rational points must not produce false passes.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from krenergy import verify
 from krenergy.birational import eval_loop_e, eval_loop_h, random_point
 from krenergy.identities import (
     box_skew_shapes,
@@ -36,11 +38,64 @@ def test_randomized_suite_small_sizes():
         assert not failures(identity_suite(n, m, mode="randomized", seed=4, trials=3))
 
 
+RANDOMIZED_FAMILIES_M1 = {
+    "eh_alternating_sum",
+    "tau_via_products",
+    "tau_recursion",
+    "tau_recursion_residual",
+    "jacobi_trudi",
+}
+RANDOMIZED_FAMILIES = RANDOMIZED_FAMILIES_M1 | {
+    "staircase_factorization",
+    "tau_vector_annihilation",
+    "minor_tau_factorization",
+}
+
+
 def test_randomized_reports_family_summaries():
-    checks = identity_suite(2, 2, mode="randomized", seed=0, trials=2)
-    names = {c.identity for c in checks}
-    assert {"eh_alternating_sum", "tau_via_products", "tau_recursion", "staircase_factorization", "tau_vector_annihilation",
-            "minor_tau_factorization", "jacobi_trudi"} <= names
+    # a clean randomized run reports exactly one passing summary per family
+    for n, m, families in [(2, 2, RANDOMIZED_FAMILIES), (3, 1, RANDOMIZED_FAMILIES_M1)]:
+        checks = identity_suite(n, m, mode="randomized", seed=0, trials=2)
+        assert sorted(c.identity for c in checks) == sorted(families)
+        assert all(c.passed and c.params == {"n": n, "m": m, "points": 2} for c in checks)
+
+
+@pytest.mark.parametrize(
+    "n, m, counts",
+    [
+        (2, 3, {"eh_alternating_sum": 12, "tau_via_products": 12, "tau_recursion": 6,
+                "tau_recursion_residual": 4, "jacobi_trudi": 312, "staircase_factorization": 2,
+                "staircase_jacobi_trudi": 2, "column_translation": 4,
+                "tau_vector_annihilation": 2, "minor_tau_factorization": 8}),
+        (3, 2, {"eh_alternating_sum": 24, "tau_via_products": 24, "tau_recursion": 15,
+                "tau_recursion_residual": 6, "jacobi_trudi": 468, "staircase_factorization": 3,
+                "staircase_jacobi_trudi": 3, "column_translation": 6,
+                "tau_vector_annihilation": 3, "minor_tau_factorization": 18}),
+    ],
+)
+def test_symbolic_check_counts_per_family(n, m, counts):
+    assert Counter(c.identity for c in identity_suite(n, m, mode="symbolic")) == counts
+
+
+def test_verify_runs_identity_suite_once_per_cell(monkeypatch):
+    """Both identity suites come from one identity_suite run per cell, and
+    each gets the same report entry as when it runs alone."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return identity_suite(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "identity_suite", counting)
+    settings = dict(n_range=(2, 2), m_range=(1, 3), trials=2, mode="both")
+    both = verify.run_verify(
+        verify.VerifyConfig(suites=("lsym-identities", "section4"), **settings)
+    ).to_jsonable()["suites"]
+    assert len(calls) == 3 * 2  # m = 1..3, symbolic and randomized
+    for name in ("lsym-identities", "section4"):
+        alone = verify.run_verify(verify.VerifyConfig(suites=(name,), **settings))
+        assert alone.to_jsonable()["suites"][name] == both[name]
+        assert both[name]["checks"] > 0
 
 
 def test_symbolic_bounds_enforced():
