@@ -70,12 +70,15 @@ class RationalPoint:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> RationalPoint:
-        """Inverse of ``to_jsonable``; values must be decimal strings."""
+        """Inverse of ``to_jsonable``; values must be decimal strings with a
+        nonzero denominator."""
         m, n = json_int(data["m"], "m"), json_int(data["n"], "n")
-        flat = [
-            Fraction(json_decimal(num, "numerator"), json_decimal(den, "denominator"))
-            for num, den in data["values"]
-        ]
+        flat = []
+        for num, den in data["values"]:
+            den = json_decimal(den, "denominator")
+            if den == 0:
+                raise ValueError("denominator must be nonzero")
+            flat.append(Fraction(json_decimal(num, "numerator"), den))
         if len(flat) != m * n:
             raise ValueError(f"expected {m * n} values, got {len(flat)}")
         rows = [flat[i * n : (i + 1) * n] for i in range(m)]

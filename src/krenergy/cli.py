@@ -11,7 +11,8 @@ fails (which would indicate a bug, since the verified theorems are exact),
     krenergy emit-formula --n 2 --m 3      the tropical staircase objective
 
 The KR_ENERGY_GUARD environment variable overrides the default tableau
-enumeration guard (10**7).
+enumeration guard (10**7).  A staircase over the guard is refused up
+front, from its closed-form tableau count, with exit code 2.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .crystal import (
     r_matrix,
     r_matrix_oracle,
 )
-from .tableaux import EnumerationGuardError, Shape, enumerate_ssyt, staircase
+from .tableaux import EnumerationGuardError, energy_staircase_shape, enumerate_ssyt
 from .verify import ConfigError, SUITE_NAMES, VerifyConfig, run_verify
 
 EXIT_OK = 0
@@ -139,23 +140,23 @@ def _cmd_emit_formula(args) -> int:
     if n < 2 or m < 1:
         print(f"error: need n >= 2 and m >= 1, got n={n}, m={m}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    shape = Shape(()) if m == 1 else staircase(m - 1, n - 1)
-    terms = []
     try:
-        for t in enumerate_ssyt(shape, m):
-            exps: dict[tuple[int, int], int] = {}
-            for (i, j) in t.shape.cells():
-                key = (t.entry(i, j), (i - j) % n)
-                exps[key] = exps.get(key, 0) + 1
-            terms.append(
-                {
-                    "tableau": [list(row) for row in t.rows],
-                    "monomial": [[i, r, e] for (i, r), e in sorted(exps.items())],
-                }
-            )
+        shape = energy_staircase_shape(n, m)
     except EnumerationGuardError as exc:
         print(f"error: {exc}; raise KR_ENERGY_GUARD for very large sizes", file=sys.stderr)
         return EXIT_BAD_INPUT
+    terms = []
+    for t in enumerate_ssyt(shape, m):
+        exps: dict[tuple[int, int], int] = {}
+        for (i, j) in t.shape.cells():
+            key = (t.entry(i, j), (i - j) % n)
+            exps[key] = exps.get(key, 0) + 1
+        terms.append(
+            {
+                "tableau": [list(row) for row in t.rows],
+                "monomial": [[i, r, e] for (i, r), e in sorted(exps.items())],
+            }
+        )
     _emit({"n": n, "m": m, "shape": list(shape.parts), "terms": terms})
     return EXIT_OK
 

@@ -20,25 +20,17 @@ coenergy) used as independent cross-checks.
 over semistandard tableaux of the dilated staircase shape, with entries in
 ``1..m``, of the sum of grid values ``x_{T(i,j)}^{(i-j)}``.  The grid is the
 change of variables ``x_i^{(r)} = z_i^{(r+1-i)}`` applied to letter counts.
+That minimum is ``lsym.trop_eval`` of the cached staircase loop Schur
+polynomial ``lsym.staircase_loop_schur``, the one tropical evaluation path.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
 
 from ._strict import json_int
-from .tableaux import EnumerationGuardError, Shape, SkewShape, Ssyt, enumerate_ssyt, rectify, staircase
-
-# Keep the numpy fast path well inside int64 range; beyond this bound the
-# pure-Python big-int path is used so overflow can never wrap silently.
-_NUMPY_VALUE_BOUND = 1 << 40
-_NUMPY_MIN_TERMS = 256
+from .lsym import staircase_loop_schur, trop_eval
+from .tableaux import EnumerationGuardError, Shape, SkewShape, Ssyt, rectify
 
 
 class CrystalElement:
@@ -136,14 +128,17 @@ class TensorElement:
     @classmethod
     def from_jsonable(cls, data: dict) -> TensorElement:
         """Parse ``{"n", "factors"}`` or ``{"n", "rows"}``; counts and n must be
-        JSON integers."""
+        JSON integers, rows a list of strings."""
         if not isinstance(data, dict) or set(data) not in ({"n", "factors"}, {"n", "rows"}):
             raise ValueError(
                 "tensor JSON must be an object with 'n' and one of 'factors' or 'rows'"
             )
         n = json_int(data["n"], "n")
         if "rows" in data:
-            return cls.from_rows(n, data["rows"])
+            rows = data["rows"]
+            if not isinstance(rows, list) or not all(isinstance(w, str) for w in rows):
+                raise ValueError(f"rows must be a list of strings, got {rows!r}")
+            return cls.from_rows(n, rows)
         return cls.from_counts(n, ([json_int(c, "count") for c in row] for row in data["factors"]))
 
     def __eq__(self, other: object) -> bool:
@@ -379,54 +374,13 @@ def grid_to_counts(grid: TropicalGrid) -> TensorElement:
     return TensorElement(grid.n, factors)
 
 
-@lru_cache(maxsize=None)
-def _staircase_terms(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """Flattened (i, r) variable indices of each tableau term of the
-    staircase objective for alphabet n and m factors."""
-    shape: Shape | SkewShape = Shape(()) if m == 1 else staircase(m - 1, n - 1)
-    terms = []
-    for t in enumerate_ssyt(shape, m):
-        idx = tuple(
-            (t.entry(i, j) - 1) * n + (i - j) % n for (i, j) in t.shape.cells()
-        )
-        terms.append(idx)
-    return tuple(terms)
-
-
-@lru_cache(maxsize=None)
-def _staircase_matrix(n: int, m: int):
-    terms = _staircase_terms(n, m)
-    if _np is None or len(terms) < _NUMPY_MIN_TERMS:
-        return None
-    mat = _np.zeros((len(terms), m * n), dtype=_np.int64)
-    for t, idx in enumerate(terms):
-        for k in idx:
-            mat[t, k] += 1
-    return mat
-
-
-def energy_staircase(t: TensorElement, guard: int | None = None) -> int:
+def energy_staircase(t: TensorElement) -> int:
     """Tropical staircase energy: the minimum over semistandard tableaux of
     shape ``(n-1) * staircase(m-1)`` with entries in 1..m of the sum of
     ``x_{T(i,j)}^{(i-j)}`` over cells, evaluated on :func:`counts_to_grid`.
 
-    Returns 0 for a single factor (empty shape, empty sum).
+    Returns 0 for a single factor (empty shape, empty sum).  Raises
+    ``EnumerationGuardError`` before any work when the staircase has more
+    tableaux than the guard allows.
     """
-    n, m = t.n, t.m
-    if guard is not None:
-        # honor an explicit guard by forcing a fresh enumeration
-        shape: Shape | SkewShape = Shape(()) if m == 1 else staircase(m - 1, n - 1)
-        grid = counts_to_grid(t)
-        best: int | None = None
-        for tab in enumerate_ssyt(shape, m, guard=guard):
-            val = sum(grid.value(tab.entry(i, j), i - j) for (i, j) in tab.shape.cells())
-            if best is None or val < best:
-                best = val
-        assert best is not None
-        return best
-    flat = counts_to_grid(t).flat()
-    mat = _staircase_matrix(n, m)
-    if mat is not None and max(abs(v) for v in flat) < _NUMPY_VALUE_BOUND:
-        return int((mat @ _np.asarray(flat, dtype=_np.int64)).min())
-    terms = _staircase_terms(n, m)
-    return min(sum(flat[k] for k in idx) for idx in terms)
+    return trop_eval(staircase_loop_schur(t.n, t.m), counts_to_grid(t))

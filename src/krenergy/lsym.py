@@ -25,6 +25,12 @@ closing identities, and ``trop_eval`` is the (min, +) shadow of a
 subtraction-free polynomial.  The ``*_indices`` functions give the entries
 of those matrices and of the tau vector as ``(degree, color)`` pairs, for
 the polynomials here and for point evaluation alike.
+
+``staircase_loop_schur`` caches the loop Schur polynomial of the energy's
+staircase per (n, m); ``trop_eval`` of it is the package's one tropical
+staircase energy (``crystal.energy_staircase``).  ``trop_eval`` caches an
+int64 exponent matrix on each large polynomial and falls back to exact
+big-int sums when a grid value reaches 2^40.
 """
 
 from __future__ import annotations
@@ -32,17 +38,18 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import lru_cache
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+import numpy as np
 
 from ._strict import json_decimal, json_int
-from .tableaux import Shape, SkewShape, enumerate_ssyt, staircase
+from .tableaux import Shape, SkewShape, energy_staircase_shape, enumerate_ssyt, staircase
 
 Mono = tuple[tuple[tuple[int, int], int], ...]
 
+# trop_eval takes the int64 matmul for polynomials of at least this many
+# terms; grid values stay below the bound so no sum can overflow, and
+# larger values take the exact big-int loop.
 _NUMPY_VALUE_BOUND = 1 << 40
 _NUMPY_MIN_TERMS = 64
 
@@ -331,16 +338,29 @@ def loop_schur_tableaux(
     ``x_{T(i,j)}^{(i - j + r)}`` per cell; the ambient variable count is
     ``max_entry``.
     """
-    m = max_entry
+    skew = SkewShape.of(shape)
+    # row-major, the order of Ssyt.row_word
+    colors = [(i - j + r) % n for (i, j) in skew.cells()]
+    # one shared tuple per ((i, r), e) factor keeps large term maps small
+    factors: dict[tuple[tuple[int, int], int], tuple[tuple[int, int], int]] = {}
     terms: dict[Mono, int] = {}
-    for t in enumerate_ssyt(shape, max_entry, guard=guard):
+    for t in enumerate_ssyt(skew, max_entry, guard=guard):
         d: dict[tuple[int, int], int] = {}
-        for (i, j) in t.shape.cells():
-            key = (t.entry(i, j), (i - j + r) % n)
+        for key in zip(t.row_word(), colors):
             d[key] = d.get(key, 0) + 1
-        mono = _mono_from_dict(d)
+        mono = tuple(sorted(factors.setdefault(item, item) for item in d.items()))
         terms[mono] = terms.get(mono, 0) + 1
-    return ColoredPoly._raw(m, n, terms)
+    return ColoredPoly._raw(max_entry, n, terms)
+
+
+@lru_cache(maxsize=None)
+def staircase_loop_schur(n: int, m: int) -> ColoredPoly:
+    """Loop Schur polynomial of the energy's staircase at color 0 in m
+    variable rows; its tropicalization at the count grid of a tensor is the
+    energy.  Cached per (n, m); raises ``EnumerationGuardError`` up front
+    when the staircase has more tableaux than the guard allows.
+    """
+    return loop_schur_tableaux(energy_staircase_shape(n, m), 0, m, n=n)
 
 
 def jacobi_trudi_indices(
@@ -520,28 +540,27 @@ def trop_eval(p: ColoredPoly, grid) -> int | float:
     ``grid`` must expose ``m``, ``n`` and ``flat()`` like
     :class:`krenergy.crystal.TropicalGrid`.  Returns ``math.inf`` for the
     zero polynomial and rejects polynomials with a negative coefficient.
+    A polynomial of at least ``_NUMPY_MIN_TERMS`` terms is checked once,
+    when its exponent matrix is built and cached on it.
     """
     if (grid.m, grid.n) != (p.m, p.n):
         raise ValueError(f"grid ({grid.m}, {grid.n}) does not match poly ({p.m}, {p.n})")
     if not p.terms:
         return math.inf
-    if any(c < 0 for c in p.terms.values()):
-        raise ValueError("tropical evaluation needs a subtraction-free polynomial")
-    flat = grid.flat()
     n = p.n
-    if (
-        _np is not None
-        and len(p.terms) >= _NUMPY_MIN_TERMS
-        and max(abs(v) for v in flat) < _NUMPY_VALUE_BOUND
-    ):
-        mat = p._trop_matrix
-        if mat is None:
-            mat = _np.zeros((len(p.terms), p.m * p.n), dtype=_np.int64)
+    mat = p._trop_matrix
+    if mat is None:
+        if any(c < 0 for c in p.terms.values()):
+            raise ValueError("tropical evaluation needs a subtraction-free polynomial")
+        if len(p.terms) >= _NUMPY_MIN_TERMS:
+            mat = np.zeros((len(p.terms), p.m * n), dtype=np.int64)
             for t, mono in enumerate(p.terms):
                 for (i, r), e in mono:
                     mat[t, (i - 1) * n + r] = e
             p._trop_matrix = mat
-        return int((mat @ _np.asarray(flat, dtype=_np.int64)).min())
+    flat = grid.flat()
+    if mat is not None and max(abs(v) for v in flat) < _NUMPY_VALUE_BOUND:
+        return int((mat @ np.asarray(flat, dtype=np.int64)).min())
     best: int | None = None
     for mono in p.terms:
         s = 0

@@ -10,6 +10,8 @@ The enumeration of semistandard fillings is a row-major backtracking search
 that yields tableaux in lexicographic order of the row-reading word, which
 keeps golden tests stable.  ``jdt_slide`` performs a single jeu-de-taquin
 slide and ``rectify`` iterates slides until the shape is straight.
+``energy_staircase_shape`` gives the staircase of the energy formula and
+refuses it up front when its closed-form tableau count exceeds the guard.
 """
 
 from __future__ import annotations
@@ -98,6 +100,29 @@ def staircase(t: int, scale: int = 1) -> Shape:
     if scale < 1:
         raise ValueError(f"staircase scale must be >= 1, got {scale}")
     return Shape(scale * k for k in range(t, 0, -1))
+
+
+def energy_staircase_count(n: int, m: int) -> int:
+    """Number of semistandard tableaux of :func:`energy_staircase_shape`
+    with entries in 1..m: ``n^(m(m-1)/2)``."""
+    return n ** (m * (m - 1) // 2)
+
+
+def energy_staircase_shape(n: int, m: int) -> Shape:
+    """The energy's staircase ``(n-1) * staircase(m-1)``, empty when m = 1.
+
+    Raises :class:`EnumerationGuardError` before any enumeration when its
+    tableaux with entries in 1..m (see :func:`energy_staircase_count`)
+    outnumber the resolved guard (``KR_ENERGY_GUARD``), the condition under
+    which :func:`enumerate_ssyt` would fail after yielding ``guard`` of them.
+    """
+    count = energy_staircase_count(n, m)
+    guard = _resolve_guard(None)
+    if count > guard:
+        raise EnumerationGuardError(
+            f"the energy staircase for n={n}, m={m} has {count} tableaux, over the guard {guard}"
+        )
+    return Shape(()) if m == 1 else staircase(m - 1, n - 1)
 
 
 class SkewShape:

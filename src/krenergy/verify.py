@@ -8,7 +8,8 @@ carries no timing data (timings go to the human summary) and is therefore
 byte-identical across runs.
 
 The crystal suites share two runners, one over pairs of elements and one
-over tensors.  The identity suites ``lsym-identities`` and ``section4``
+over tensors; pairs are drawn as two-factor tensors, so both obey the same
+cell limit.  The identity suites ``lsym-identities`` and ``section4``
 share one ``identity_suite`` run per (n, m, mode) cell and split its checks
 by family.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -44,8 +46,8 @@ from .crystal import (
     r_matrix_oracle,
 )
 from .identities import SYMBOLIC_M_MAX, SYMBOLIC_N_MAX, identity_suite
-from .lsym import ColoredPoly, loop_schur_tableaux, sigma, trop_eval
-from .tableaux import Shape, count_ssyt, staircase
+from .lsym import ColoredPoly, sigma, trop_eval
+from .tableaux import count_ssyt, energy_staircase_shape
 
 SUITE_NAMES = (
     "rmatrix",
@@ -206,7 +208,8 @@ def iter_tensors(n: int, m: int, cap: int):
 
 
 def tensor_space_size(n: int, m: int, cap: int) -> int:
-    return len(elements_up_to(n, cap)) ** m
+    """Number of tensors :func:`iter_tensors` yields, without building them."""
+    return math.comb(cap + n, n) ** m
 
 
 def random_element(n: int, cap: int, rng: random.Random) -> CrystalElement:
@@ -297,29 +300,16 @@ def sigma_product_polys(n: int, m: int) -> tuple[ColoredPoly, ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def staircase_schur_poly(n: int, m: int) -> ColoredPoly:
-    shape = Shape(()) if m == 1 else staircase(m - 1, n - 1)
-    return loop_schur_tableaux(shape, 0, m, n=n)
-
-
 def check_tropical_bridge_tensor(t: TensorElement) -> list[str]:
-    """Tropicalizations of the sigma product and of the staircase loop Schur
-    both equal the intrinsic energy."""
-    problems = []
+    """The tropicalized sigma product equals the intrinsic energy.  (The
+    tropicalized staircase loop Schur is ``energy_staircase``, which
+    :func:`check_energy_tensor` compares.)"""
     grid = counts_to_grid(t)
     d = intrinsic_energy(t)
     sigma_trop = sum(trop_eval(p, grid) for p in sigma_product_polys(t.n, t.m))
     if sigma_trop != d:
-        problems.append(
-            _witness("trop-sigma-product", tensor=t.to_jsonable(), got=sigma_trop, want=d)
-        )
-    schur_trop = trop_eval(staircase_schur_poly(t.n, t.m), grid)
-    if schur_trop != d:
-        problems.append(
-            _witness("trop-loop-schur", tensor=t.to_jsonable(), got=schur_trop, want=d)
-        )
-    return problems
+        return [_witness("trop-sigma-product", tensor=t.to_jsonable(), got=sigma_trop, want=d)]
+    return []
 
 
 def check_braid_tensor(t: TensorElement) -> list[str]:
@@ -376,8 +366,8 @@ def check_all_ones_count(n: int, m: int) -> list[str]:
     """The rational energy at the all-ones point counts staircase tableaux."""
     if m < 2:
         return []
+    expected = count_ssyt(energy_staircase_shape(n, m), m)
     value = rational_energy_product(RationalPoint.all_ones(m, n))
-    expected = count_ssyt(staircase(m - 1, n - 1), m)
     if value != Fraction(expected):
         return [_witness("all-ones-count", n=n, m=m, got=str(value), want=expected)]
     return []
@@ -391,19 +381,6 @@ def _cfg_rng(config: VerifyConfig, suite: str, n: int, m: int) -> random.Random:
     return random.Random(f"{config.seed}:{suite}:{n}:{m}")
 
 
-def _pair_stream(config: VerifyConfig, suite: str, n: int):
-    if config.mode in ("exhaustive", "both"):
-        elements = elements_up_to(n, config.capacity_cap)
-        yield from itertools.product(elements, repeat=2)
-    if config.mode in ("randomized", "both"):
-        rng = _cfg_rng(config, suite, n, 2)
-        for _ in range(config.trials):
-            yield (
-                random_element(n, config.capacity_cap, rng),
-                random_element(n, config.capacity_cap, rng),
-            )
-
-
 def _cells(config: VerifyConfig, m_min: int) -> list[tuple[int, int]]:
     """The (n, m) cells of the configured ranges that have m >= m_min."""
     (n_lo, n_hi), (m_lo, m_hi) = config.n_range, config.m_range
@@ -412,8 +389,9 @@ def _cells(config: VerifyConfig, m_min: int) -> list[tuple[int, int]]:
 
 def _run_pairs(config: VerifyConfig, result: SuiteResult, check, label: str) -> None:
     for n in range(config.n_range[0], config.n_range[1] + 1):
-        for b1, b2 in _pair_stream(config, label, n):
-            problems = check(b1, b2)
+        rng = _cfg_rng(config, label, n, 2)
+        for t in _tensor_stream(n, 2, config.capacity_cap, config.trials, rng, config.mode):
+            problems = check(*t.factors)
             result.record(not problems, problems[0] if problems else None)
 
 

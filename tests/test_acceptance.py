@@ -33,14 +33,13 @@ from krenergy.crystal import (
     r_matrix_oracle,
 )
 from krenergy.identities import identity_suite
-from krenergy.lsym import ColoredPoly, build_A, build_B, loop_e, trop_eval
+from krenergy.lsym import ColoredPoly, build_A, build_B, loop_e, staircase_loop_schur, trop_eval
 from krenergy.tableaux import count_ssyt, staircase
 from krenergy.verify import (
     elements_up_to,
     iter_tensors,
     random_tensor,
     sigma_product_polys,
-    staircase_schur_poly,
 )
 
 from test_lsym import GOLD_A4, GOLD_B4
@@ -77,24 +76,19 @@ def test_criterion_1_worked_examples():
                 assert mat.entry(k, j) == want, (k, j)
                 checks += 1
 
-    # the n=2, m=3 tropical objective: exactly the eight displayed tableaux
-    from krenergy.crystal import _staircase_terms
-
-    terms = _staircase_terms(2, 3)
-    assert len(terms) == 8
-    expected = sorted(
-        [
-            (0, 1, 3),  # x1^(0) x1^(1) x2^(1)
-            (0, 3, 3),  # x1^(0) x2^(1) x2^(1)
-            (0, 3, 5),  # x1^(0) x2^(1) x3^(1)  (appears twice)
-            (0, 1, 5),  # x1^(0) x1^(1) x3^(1)
-            (0, 3, 5),
-            (0, 5, 5),  # x1^(0) x3^(1) x3^(1)
-            (2, 3, 5),  # x2^(0) x2^(1) x3^(1)
-            (2, 5, 5),  # x2^(0) x3^(1) x3^(1)
-        ]
-    )
-    assert sorted(tuple(sorted(t)) for t in terms) == expected
+    # the n=2, m=3 tropical objective: the eight displayed tableaux, two of
+    # which give x1^(0) x2^(1) x3^(1)
+    objective = staircase_loop_schur(2, 3)
+    assert sum(objective.terms.values()) == 8
+    assert objective.terms == {
+        (((1, 0), 1), ((1, 1), 1), ((2, 1), 1)): 1,
+        (((1, 0), 1), ((2, 1), 2)): 1,
+        (((1, 0), 1), ((2, 1), 1), ((3, 1), 1)): 2,
+        (((1, 0), 1), ((1, 1), 1), ((3, 1), 1)): 1,
+        (((1, 0), 1), ((3, 1), 2)): 1,
+        (((2, 0), 1), ((2, 1), 1), ((3, 1), 1)): 1,
+        (((2, 0), 1), ((3, 1), 2)): 1,
+    }
     checks += 1
 
     report(1, "worked-example regression", checks, t0)
@@ -221,7 +215,7 @@ def test_criterion_8_tropical_bridge():
         grid = counts_to_grid(t)
         d = intrinsic_energy(t)
         assert sum(trop_eval(q, grid) for q in sigma_product_polys(t.n, t.m)) == d, t
-        assert trop_eval(staircase_schur_poly(t.n, t.m), grid) == d, t
+        assert trop_eval(staircase_loop_schur(t.n, t.m), grid) == d, t
 
     for n in (2, 3):
         for m in (2, 3):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -122,6 +123,53 @@ def test_emit_formula_single_factor(capsys):
     assert data["terms"][0]["monomial"] == []
 
 
+def _forbid_enumeration(monkeypatch):
+    """Make every krenergy namespace's enumerate_ssyt fail if called."""
+    monkeypatch.delenv("KR_ENERGY_GUARD", raising=False)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a staircase over the guard was enumerated")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("krenergy") and hasattr(module, "enumerate_ssyt"):
+            monkeypatch.setattr(module, "enumerate_ssyt", refuse)
+
+
+def test_energy_over_guard_refused_up_front(capsys, monkeypatch):
+    # n=3, m=6: 3^15 > 10^7 staircase tableaux
+    payload = json.dumps({"n": 3, "rows": ["1", "2", "3", "12", "23", "11"]})
+    _forbid_enumeration(monkeypatch)
+    code, out, err = run_cli(["energy"], payload, capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert "KR_ENERGY_GUARD" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["emit-formula", "--n", "3", "--m", "6"],
+        ["verify", "--suites", "birational", "--n", "3", "--m", "6", "--trials", "1"],
+    ],
+)
+def test_staircase_over_guard_refused_up_front(argv, capsys, monkeypatch):
+    _forbid_enumeration(monkeypatch)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "KR_ENERGY_GUARD" in err
+
+
+def test_verify_samples_large_pair_space(capsys):
+    # 18,564^2 = C(18, 6)^2 pairs at n=6, capacity cap 12: above the cell limit, so sampled
+    code = main([
+        "verify", "--suites", "rmatrix", "--n", "6", "--m", "2", "--capacity-cap", "12",
+        "--mode", "exhaustive", "--trials", "3", "--json",
+    ])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)["suites"]["rmatrix"]["checks"] == 3
+
+
 def test_verify_small_run_and_determinism(capsys):
     argv = [
         "verify", "--suites", "rmatrix,coenergy", "--n", "2", "--m", "2",
@@ -189,11 +237,15 @@ def test_verify_rejects_duplicate_suite(capsys):
         (RationalPoint, {"m": 1, "n": 2, "values": [[1.5, "1"], ["1", "1"]]}),
         (RationalPoint, {"m": 1, "n": 2, "values": [[True, "1"], ["1", "1"]]}),
         (RationalPoint, {"m": True, "n": 2, "values": [["1", "1"], ["1", "1"]]}),
+        (TensorElement, {"n": 3, "rows": "13"}),
+        (TensorElement, {"n": 3, "rows": ["1", 3]}),
+        (RationalPoint, {"m": 1, "n": 2, "values": [["1", "0"], ["1", "1"]]}),
     ],
 )
 def test_json_input_is_strict(cls, doc, capsys, monkeypatch):
-    """Floats, bools, numeric strings and extra keys are rejected, not
-    truncated; the energy command exits 2 on such a tensor."""
+    """Floats, bools, numeric strings, extra keys, rows given as a string
+    and zero denominators are rejected, not truncated; the energy command
+    exits 2 on such a tensor."""
     with pytest.raises(ValueError):
         cls.from_jsonable(doc)
     if cls is TensorElement:

@@ -26,6 +26,7 @@ from krenergy.crystal import (
     r_matrix,
     r_matrix_oracle,
 )
+from krenergy.tableaux import Shape, enumerate_ssyt, staircase
 from krenergy.verify import elements_up_to, iter_tensors, random_tensor
 
 
@@ -255,34 +256,36 @@ def test_energy_staircase_worked_example():
     assert energy_staircase(t) == 5
 
 
-def test_energy_staircase_guard_path_agrees():
-    t = TensorElement.from_rows(4, ["13", "1224", "123"])
-    assert energy_staircase(t, guard=10_000) == 5
-
-
-def test_staircase_objective_eight_term_minimum():
-    """For n=2, m=3 the objective has the eight reference terms."""
-    from krenergy.crystal import _staircase_terms
-
-    terms = _staircase_terms(2, 3)
-    assert len(terms) == 8
-    # (i, r) flat index = (i-1)*2 + r; terms as sorted multisets
-    def var(i, r):
-        return (i - 1) * 2 + r
-
-    expected = sorted(
-        [
-            tuple(sorted((var(1, 0), var(1, 1), var(2, 1)))),
-            tuple(sorted((var(1, 0), var(2, 1), var(2, 1)))),
-            tuple(sorted((var(1, 0), var(3, 1), var(2, 1)))),
-            tuple(sorted((var(1, 0), var(1, 1), var(3, 1)))),
-            tuple(sorted((var(1, 0), var(2, 1), var(3, 1)))),
-            tuple(sorted((var(1, 0), var(3, 1), var(3, 1)))),
-            tuple(sorted((var(2, 0), var(2, 1), var(3, 1)))),
-            tuple(sorted((var(2, 0), var(3, 1), var(3, 1)))),
-        ]
+def _staircase_minimum_oracle(t):
+    """The staircase energy as a plain minimum over enumerated tableaux."""
+    n, m = t.n, t.m
+    shape = Shape(()) if m == 1 else staircase(m - 1, n - 1)
+    grid = counts_to_grid(t)
+    return min(
+        sum(grid.value(tab.entry(i, j), i - j) for (i, j) in tab.shape.cells())
+        for tab in enumerate_ssyt(shape, m)
     )
-    assert sorted(tuple(sorted(t)) for t in terms) == expected
+
+
+def test_energy_staircase_matches_tableau_minimum_oracle():
+    rng = random.Random(41)
+    for n in (2, 3, 4):
+        for m in (1, 2, 3, 4):
+            for _ in range(3):
+                t = random_tensor(n, m, 5, rng)
+                assert energy_staircase(t) == _staircase_minimum_oracle(t), t
+
+
+@pytest.mark.parametrize("n, m", [(4, 4), (3, 5)])
+def test_energy_staircase_big_counts_take_exact_path(n, m):
+    """A count above 2**40 leaves the int64 matmul for exact big-int sums."""
+    rng = random.Random(n * 10 + m)
+    for _ in range(3):
+        t = random_tensor(n, m, 4, rng)
+        counts = [list(b.counts) for b in t.factors]
+        counts[rng.randrange(m)][rng.randrange(n)] = (1 << 40) + rng.randint(1, 1 << 20)
+        t = TensorElement.from_counts(n, counts)
+        assert energy_staircase(t) == intrinsic_energy(t)
 
 
 def test_energy_equivalence_exhaustive_n2_m2():

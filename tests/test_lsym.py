@@ -464,6 +464,11 @@ def test_trop_eval_rejects_negative_coefficients():
     p = var(1, 0, m, n) - var(1, 1, m, n)
     with pytest.raises(ValueError):
         trop_eval(p, TropicalGrid(1, 2, [[1, 2]]))
+    # a polynomial large enough for the cached matrix is checked as it is built
+    big = loop_schur_tableaux(staircase(3, 2), 0, 4, n=3) - var(1, 1, 4, 3)
+    assert len(big.terms) >= 64
+    with pytest.raises(ValueError):
+        trop_eval(big, TropicalGrid(4, 3, [[1, 2, 3]] * 4))
 
 
 def test_trop_eval_rejects_mismatched_grid():

@@ -15,6 +15,8 @@ from krenergy.tableaux import (
     SkewShape,
     Ssyt,
     count_ssyt,
+    energy_staircase_count,
+    energy_staircase_shape,
     enumerate_ssyt,
     inner_corners,
     jdt_slide,
@@ -176,6 +178,23 @@ def test_guard_env_override(monkeypatch):
         list(enumerate_ssyt(Shape((2, 1)), 3))
     # an explicit guard wins over the environment
     assert count_ssyt(Shape((2, 1)), 3, guard=100) == 8
+
+
+def test_energy_staircase_count_is_closed_form():
+    for n in (2, 3, 4):
+        for m in (1, 2, 3, 4):
+            shape = energy_staircase_shape(n, m)
+            assert shape == (Shape(()) if m == 1 else staircase(m - 1, n - 1))
+            assert energy_staircase_count(n, m) == count_ssyt(shape, m), (n, m)
+
+
+def test_energy_staircase_shape_refuses_over_guard(monkeypatch):
+    # 2^3 = 8 tableaux at n=2, m=3: refused at guard 7, as enumerate_ssyt would be
+    monkeypatch.setenv("KR_ENERGY_GUARD", "7")
+    with pytest.raises(EnumerationGuardError):
+        energy_staircase_shape(2, 3)
+    monkeypatch.setenv("KR_ENERGY_GUARD", "8")
+    assert energy_staircase_shape(2, 3) == Shape((2, 1))
 
 
 # ---------------------------------------------------------------------------
