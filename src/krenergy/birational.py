@@ -11,19 +11,26 @@ is everywhere defined and lands on positive points again.  Composite
 actions like ``s_i s_{i+1} ... s_{j-2}`` are applied to the point left to
 right (s_i first), matching the combinatorial convention on tensors.
 
-Evaluation helpers (eval_loop_e, eval_loop_h, eval_tau, eval_sigma) compute
-the symmetric-function families directly at a point: e, h and tau by one
-memoized dynamic program over bounded multisets, sigma from tau.  The test
+Evaluation helpers (eval_loop_e, eval_loop_h, eval_tau, eval_sigma,
+eval_loop_schur) compute the symmetric-function families directly at a
+point: e, h and tau by one memoized dynamic program over bounded
+multisets, sigma from tau, and the loop skew Schur function by a dynamic
+program over horizontal strips whose steps are cached per shape.  The test
 suite checks them against the combinatorial expansions of krenergy.lsym.
+``fraction_det`` is fraction-free Bareiss elimination over the integers.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 from ._strict import json_decimal, json_int
+from .tableaux import Shape, SkewShape
 
 
 class RationalPoint:
@@ -226,6 +233,81 @@ def eval_sigma(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Frac
     return total
 
 
+@lru_cache(maxsize=None)
+def _strip_chains(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The horizontal-strip steps of the skew shape ``outer / inner``.
+
+    The partitions nu with inner <= nu <= outer are listed by size, so
+    inner comes first and outer last.  Returns the distinct content tuples
+    of the nonempty strips and, per partition, its strip predecessors as
+    ``(index of kappa, index of the contents of nu / kappa)``.
+    """
+    nrows = len(outer)
+    inner = inner + (0,) * (nrows - len(inner))
+    parts = [
+        nu
+        for nu in product(*(range(lo, hi + 1) for lo, hi in zip(inner, outer)))
+        if all(a >= b for a, b in zip(nu, nu[1:]))
+    ]
+    parts.sort(key=sum)
+    index = {nu: k for k, nu in enumerate(parts)}
+    contents: dict[tuple[int, ...], int] = {}
+    preds = []
+    for nu in parts:
+        below = nu[1:] + (0,)
+        steps = []
+        for kappa in product(*(range(max(lo, b), a + 1) for lo, a, b in zip(inner, nu, below))):
+            if kappa == nu:
+                continue
+            cells = tuple(
+                a - b
+                for a, (start, end) in enumerate(zip(kappa, nu), start=1)
+                for b in range(start + 1, end + 1)
+            )
+            steps.append((index[kappa], contents.setdefault(cells, len(contents))))
+        preds.append(tuple(steps))
+    return tuple(contents), tuple(preds)
+
+
+def eval_loop_schur(shape: SkewShape | Shape | Iterable[int], r: int, p: RationalPoint) -> Fraction:
+    """Loop skew Schur function of color ``r`` evaluated at ``p``.
+
+    A semistandard tableau with entries 1..m is a chain of partitions from
+    the inner to the outer shape in which entry i fills a horizontal strip;
+    a cell (a, b) with entry i contributes ``x_i^{(a - b + r)}`` (the
+    content convention of ``krenergy.tableaux``).  The DP keeps one exact
+    value per intermediate partition and adds the strips of one entry at a
+    time.  The values are integers over one common denominator: every
+    chain spends the shape's N cells, so entry i's strip of s cells is
+    weighted by its numerators times ``d_i^(N - s)``, where ``d_i`` clears
+    the denominators of ``x_i``, and the sum is divided by the product of
+    the ``d_i^N`` at the end.
+    """
+    skew = SkewShape.of(shape)
+    strips, preds = _strip_chains(skew.outer.parts, skew.inner.parts)
+    n, size = p.n, skew.size
+    f = [1] + [0] * (len(preds) - 1)
+    denominator = 1
+    for row in p.values:
+        d = math.lcm(*(v.denominator for v in row))
+        nums = [v.numerator * (d // v.denominator) for v in row]
+        powers = [d**k for k in range(size + 1)]
+        denominator *= powers[size]
+        weights = [
+            math.prod(nums[(c + r) % n] for c in cells) * powers[size - len(cells)]
+            for cells in strips
+        ]
+        # strips only grow partitions, so a descending sweep reads the
+        # previous entry's values
+        for nu in range(len(preds) - 1, -1, -1):
+            total = f[nu] * powers[size]
+            for kappa, w in preds[nu]:
+                if f[kappa]:
+                    total += f[kappa] * weights[w]
+            f[nu] = total
+    return Fraction(f[-1], denominator)
+
+
 def rational_energy_product(p: RationalPoint) -> Fraction:
     """Rational intrinsic energy by the sigma product formula:
     the product over i of sigma_{(n-1)(m-i)}^{(i-1)} on variables i..m."""
@@ -237,28 +319,37 @@ def rational_energy_product(p: RationalPoint) -> Fraction:
 
 
 def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by Gaussian elimination with column pivot search."""
+    """Exact determinant by fraction-free Bareiss elimination (1968).
+
+    Each row is scaled to integers by the lcm of its denominators; the
+    integer determinant, divided by the product of the row scales, is the
+    answer.  A zero pivot is swapped with the first nonzero entry below it.
+    """
     size = len(rows)
-    mat = [[Fraction(v) for v in row] for row in rows]
-    if any(len(row) != size for row in mat):
+    fracs = [[Fraction(v) for v in row] for row in rows]
+    if any(len(row) != size for row in fracs):
         raise ValueError("determinant of a non-square matrix")
-    det = Fraction(1)
-    for c in range(size):
-        piv = next((k for k in range(c, size) if mat[k][c] != 0), None)
+    scale = 1
+    mat = []
+    for row in fracs:
+        lcm = math.lcm(*(v.denominator for v in row)) if row else 1
+        scale *= lcm
+        mat.append([v.numerator * (lcm // v.denominator) for v in row])
+    sign, prev = 1, 1
+    for c in range(size - 1):
+        piv = next((k for k in range(c, size) if mat[k][c]), None)
         if piv is None:
             return Fraction(0)
         if piv != c:
             mat[c], mat[piv] = mat[piv], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = 1 / mat[c][c]
+            sign = -sign
+        pivot, top = mat[c][c], mat[c]
         for k in range(c + 1, size):
-            if mat[k][c] == 0:
-                continue
-            factor = mat[k][c] * inv
-            for col in range(c, size):
-                mat[k][col] -= factor * mat[c][col]
-    return det
+            row, lead = mat[k], mat[k][c]
+            for col in range(c + 1, size):
+                row[col] = (row[col] * pivot - lead * top[col]) // prev
+        prev = pivot
+    return Fraction(sign * mat[-1][-1] if size else 1, scale)
 
 
 class TactCheck:

@@ -14,7 +14,13 @@ picks the evaluator and little else:
   with negligible probability and the arithmetic is exact, so a pass at
   many points is strong evidence while a fail is a counterexample.  Each
   failure is recorded with its witness point, then one passing summary per
-  family that never failed.
+  family that never failed.  The tableau-sum side of ``jacobi_trudi`` is
+  evaluated by the horizontal-strip DP ``eval_loop_schur``, so no tableau
+  is enumerated at a point.  ``staircase_jacobi_trudi`` stays
+  symbolic-only, which keeps the set of randomized families fixed.
+
+Both evaluators compute each loop e, h and tau, and each classical e of
+the products, once per ``(family, k, r mod n)``.
 
 Families covered (names as reported):
 
@@ -46,6 +52,7 @@ from .birational import (
     RationalPoint,
     eval_loop_e,
     eval_loop_h,
+    eval_loop_schur,
     eval_sigma,
     eval_tau,
     fraction_det,
@@ -64,7 +71,7 @@ from .lsym import (
     tau,
     tau_vector_indices,
 )
-from .tableaux import Shape, SkewShape, enumerate_ssyt, staircase
+from .tableaux import Shape, SkewShape, staircase
 
 SYMBOLIC_N_MAX = 3
 SYMBOLIC_M_MAX = 4
@@ -131,26 +138,59 @@ def eval_classical_e_of_products(i: int, p: RationalPoint) -> Fraction:
     return es[i] if 0 <= i <= p.m else Fraction(0)
 
 
-class _PolyEvaluator:
+class _Evaluator:
+    """Loop e, h, tau and the classical e of the products, each computed
+    once per ``(family, k, r mod n)``.
+
+    Subclasses give the uncached families as ``_e``, ``_h``, ``_tau`` and
+    ``_classical_e``; every family is periodic in the color with period n,
+    and the classical e has no color (it is cached under color 0).
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._memo: dict[tuple[str, int, int], object] = {}
+
+    def _cached(self, family: str, k: int, r: int = 0):
+        key = (family, k, r % self.n)
+        if key not in self._memo:
+            self._memo[key] = getattr(self, "_" + family)(k, key[2])
+        return self._memo[key]
+
+    def e(self, k: int, r: int):
+        return self._cached("e", k, r)
+
+    def h(self, k: int, r: int):
+        return self._cached("h", k, r)
+
+    def tau(self, k: int, r: int):
+        return self._cached("tau", k, r)
+
+    def classical_e(self, i: int):
+        return self._cached("classical_e", i)
+
+
+class _PolyEvaluator(_Evaluator):
     """The families as polynomials in the m x n colored variables."""
 
     def __init__(self, n: int, m: int):
-        self.n, self.m = n, m
+        super().__init__(n)
+        self.m = m
         self.zero = ColoredPoly.zero(m, n)
 
-    def e(self, k: int, r: int) -> ColoredPoly:
+    def _e(self, k: int, r: int) -> ColoredPoly:
         return loop_e(k, r, n=self.n, m=self.m)
 
-    def h(self, k: int, r: int) -> ColoredPoly:
+    def _h(self, k: int, r: int) -> ColoredPoly:
         return loop_h(k, r, n=self.n, m=self.m)
 
-    def tau(self, k: int, r: int) -> ColoredPoly:
+    def _tau(self, k: int, r: int) -> ColoredPoly:
         return tau(k, r, n=self.n, m=self.m)
 
     def sigma(self, k: int, r: int, indices: range) -> ColoredPoly:
         return sigma(k, r, n=self.n, m=self.m, indices=indices)
 
-    def classical_e(self, i: int) -> ColoredPoly:
+    def _classical_e(self, i: int, _r: int) -> ColoredPoly:
         return classical_e_of_products(i, n=self.n, m=self.m)
 
     def det(self, rows: list[list[ColoredPoly]]) -> ColoredPoly:
@@ -160,40 +200,35 @@ class _PolyEvaluator:
         return loop_schur_tableaux(shape, r, self.m, n=self.n)
 
 
-class _PointEvaluator:
+class _PointEvaluator(_Evaluator):
     """The families evaluated exactly at one positive rational point."""
 
     def __init__(self, p: RationalPoint):
+        super().__init__(p.n)
         self.p = p
         self.full = tuple(range(1, p.m + 1))
         self.zero = Fraction(0)
 
-    def e(self, k: int, r: int) -> Fraction:
+    def _e(self, k: int, r: int) -> Fraction:
         return eval_loop_e(k, r, self.full, self.p)
 
-    def h(self, k: int, r: int) -> Fraction:
+    def _h(self, k: int, r: int) -> Fraction:
         return eval_loop_h(k, r, self.full, self.p)
 
-    def tau(self, k: int, r: int) -> Fraction:
+    def _tau(self, k: int, r: int) -> Fraction:
         return eval_tau(k, r, self.full, self.p)
 
     def sigma(self, k: int, r: int, indices: range) -> Fraction:
         return eval_sigma(k, r, indices, self.p)
 
-    def classical_e(self, i: int) -> Fraction:
+    def _classical_e(self, i: int, _r: int) -> Fraction:
         return eval_classical_e_of_products(i, self.p)
 
     def det(self, rows: list[list[Fraction]]) -> Fraction:
         return fraction_det(rows)
 
     def schur(self, shape: SkewShape | Shape, r: int) -> Fraction:
-        total = Fraction(0)
-        for t in enumerate_ssyt(shape, self.p.m):
-            term = Fraction(1)
-            for (i, j) in t.shape.cells():
-                term *= self.p.value(t.entry(i, j), i - j + r)
-            total += term
-        return total
+        return eval_loop_schur(shape, r, self.p)
 
 
 def _instances(ev, n: int, m: int, symbolic: bool):
@@ -201,8 +236,9 @@ def _instances(ev, n: int, m: int, symbolic: bool):
 
     ``ev`` evaluates the families either as polynomials or at a point.
     ``symbolic`` adds the two polynomial-only families: column translation
-    is a property of the matrix entries as polynomials, and the staircase
-    tableau sum is too large to evaluate at every point.
+    is a property of the matrix entries as polynomials, and
+    ``staircase_jacobi_trudi`` is kept out of randomized mode so that its
+    family set stays fixed.
     """
 
     def alternating(terms):

@@ -266,21 +266,15 @@ class Ssyt:
         return "Ssyt:\n" + "\n".join(lines)
 
 
-def enumerate_ssyt(
-    shape: SkewShape | Shape | Iterable[int],
-    max_entry: int,
-    guard: int | None = None,
-) -> Iterator[Ssyt]:
-    """Yield every semistandard filling of ``shape`` with entries in 1..max_entry.
+def _fillings(skew: SkewShape, max_entry: int, guard: int | None) -> Iterator[list[int]]:
+    """Row-major backtracking over the semistandard fillings of ``skew``.
 
-    Tableaux come out in lexicographic order of the row-reading word.  The
-    empty shape yields exactly one empty tableau.  Raises
-    :class:`EnumerationGuardError` when more than ``guard`` tableaux would be
-    produced (default 10**7, overridable via the KR_ENERGY_GUARD env var).
+    Yields the one shared list of entries, in row-reading order, once per
+    filling, in lexicographic order of that word; raises
+    :class:`EnumerationGuardError` at filling number ``guard + 1``.
     """
     if max_entry < 1:
         raise ValueError(f"max_entry must be positive, got {max_entry}")
-    skew = SkewShape.of(shape)
     guard = _resolve_guard(guard)
     cells = list(skew.cells())
     ncells = len(cells)
@@ -305,16 +299,7 @@ def enumerate_ssyt(
     entries = [0] * ncells
     produced = 0
 
-    def build() -> Ssyt:
-        rows = []
-        pos = 0
-        for i in range(1, nrows + 1):
-            lo, hi = skew.row_bounds(i)
-            rows.append(tuple(entries[pos : pos + hi - lo]))
-            pos += hi - lo
-        return Ssyt(skew, rows, max_entry)
-
-    def rec(pos: int) -> Iterator[Ssyt]:
+    def rec(pos: int) -> Iterator[list[int]]:
         nonlocal produced
         if pos == ncells:
             produced += 1
@@ -322,7 +307,7 @@ def enumerate_ssyt(
                 raise EnumerationGuardError(
                     f"enumeration of {skew} with max entry {max_entry} exceeded guard {guard}"
                 )
-            yield build()
+            yield entries
             return
         lo = 1
         if left[pos] >= 0:
@@ -337,16 +322,36 @@ def enumerate_ssyt(
     yield from rec(0)
 
 
+def enumerate_ssyt(
+    shape: SkewShape | Shape | Iterable[int],
+    max_entry: int,
+    guard: int | None = None,
+) -> Iterator[Ssyt]:
+    """Yield every semistandard filling of ``shape`` with entries in 1..max_entry.
+
+    Tableaux come out in lexicographic order of the row-reading word.  The
+    empty shape yields exactly one empty tableau.  Raises
+    :class:`EnumerationGuardError` when more than ``guard`` tableaux would be
+    produced (default 10**7, overridable via the KR_ENERGY_GUARD env var).
+    """
+    skew = SkewShape.of(shape)
+    widths = [hi - lo for lo, hi in map(skew.row_bounds, range(1, len(skew.outer) + 1))]
+    for entries in _fillings(skew, max_entry, guard):
+        rows = []
+        pos = 0
+        for width in widths:
+            rows.append(tuple(entries[pos : pos + width]))
+            pos += width
+        yield Ssyt(skew, rows, max_entry)
+
+
 def count_ssyt(
     shape: SkewShape | Shape | Iterable[int],
     max_entry: int,
     guard: int | None = None,
 ) -> int:
-    """Number of semistandard fillings, without materializing the stream."""
-    total = 0
-    for _ in enumerate_ssyt(shape, max_entry, guard=guard):
-        total += 1
-    return total
+    """Number of semistandard fillings, without building any tableau."""
+    return sum(1 for _ in _fillings(SkewShape.of(shape), max_entry, guard))
 
 
 def inner_corners(shape: SkewShape) -> list[tuple[int, int]]:

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from krenergy.birational import (
     RationalPoint,
@@ -16,6 +17,7 @@ from krenergy.birational import (
     check_lem_tact,
     eval_loop_e,
     eval_loop_h,
+    eval_loop_schur,
     eval_sigma,
     eval_tau,
     fraction_det,
@@ -26,8 +28,9 @@ from krenergy.birational import (
     s_action,
 )
 from krenergy.crystal import counts_to_grid, intrinsic_energy, ok
-from krenergy.lsym import loop_e, loop_h, sigma, tau
-from krenergy.tableaux import count_ssyt, staircase
+from krenergy.identities import box_skew_shapes
+from krenergy.lsym import loop_e, loop_h, loop_schur_tableaux, sigma, tau
+from krenergy.tableaux import Shape, SkewShape, count_ssyt, staircase
 from krenergy.verify import random_tensor
 
 
@@ -146,11 +149,77 @@ def test_evaluators_on_subranges():
         ).eval_rational(p.value)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_eval_loop_schur_matches_tableau_sum(n):
+    """The strip DP against the plain tableau sum on every skew shape in a
+    3 x 3 box, every color and m = 1..5."""
+    shapes = box_skew_shapes(3, 3)
+    for m in range(1, 6):
+        p = random_point(m, n, random.Random(f"loop-schur:{n}:{m}"))
+        for shape in shapes:
+            for r in range(n):
+                expected = loop_schur_tableaux(shape, r, m, n=n).eval_rational(p.value)
+                assert eval_loop_schur(shape, r, p) == expected, (shape, r, m)
+
+
+def test_eval_loop_schur_edge_cases():
+    p = random_point(2, 3, random.Random(11))
+    assert eval_loop_schur(Shape(()), 0, p) == 1
+    assert eval_loop_schur(SkewShape((2, 1), (2, 1)), 2, p) == 1
+    # a column of three cells needs three distinct entries
+    assert eval_loop_schur((1, 1, 1), 0, p) == 0
+    assert eval_loop_schur(SkewShape((2, 2, 2), (1,)), 1, p) == 0
+    # the one cell (1, 1) has content 0, and color 4 is color 1 mod 3
+    assert eval_loop_schur((1,), 4, p) == p.value(1, 1) + p.value(2, 1)
+
+
 def test_fraction_det_small_cases():
     assert fraction_det([[Fraction(2)]]) == 2
     assert fraction_det([[1, 2], [3, 4]]) == -2
     assert fraction_det([[1, 2], [2, 4]]) == 0
     assert fraction_det([[0, 1], [1, 0]]) == -1
+    assert fraction_det([]) == 1
+    with pytest.raises(ValueError):
+        fraction_det([[1, 2]])
+    with pytest.raises(ValueError):
+        fraction_det([[1, 2], [3]])
+
+
+def _sympy_det(rows):
+    size = len(rows)
+    mat = sympy.Matrix(size, size, [sympy.Rational(v.numerator, v.denominator)
+                                    for row in rows for v in row])
+    det = mat.det()
+    return Fraction(int(det.p), int(det.q))
+
+
+def test_fraction_det_matches_sympy():
+    """Bareiss elimination against sympy on seeded random rational matrices
+    of size 0..6, a third of them singular and a third with a zero first
+    pivot, plus a matrix whose second pivot vanishes during elimination."""
+    rng = random.Random("fraction-det")
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    matrices = [[[Fraction(v) for v in row] for row in ((1, 2, 3), (2, 4, 5), (1, 1, 1))]]
+    for size in range(7):
+        for trial in range(12):
+            rows = [[entry() for _ in range(size)] for _ in range(size)]
+            if size >= 2 and trial % 3 == 1:
+                # the last row a combination of the first two (of the first
+                # alone when size = 2)
+                s, t = entry(), entry()
+                rows[-1] = [s * u + t * v for u, v in zip(rows[0], rows[min(1, size - 2)])]
+                assert fraction_det(rows) == 0
+            if size >= 1 and trial % 3 == 2:
+                rows[0][0] = Fraction(0)
+                if size >= 2:
+                    rows[1][0] = Fraction(0)
+            matrices.append(rows)
+    for rows in matrices:
+        assert fraction_det(rows) == _sympy_det(rows), rows
+    assert fraction_det(matrices[0]) == -1
 
 
 # ---------------------------------------------------------------------------

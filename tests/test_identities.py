@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from krenergy import verify
+from krenergy import birational, identities, verify
 from krenergy.birational import eval_loop_e, eval_loop_h, random_point
 from krenergy.identities import (
     box_skew_shapes,
@@ -186,3 +186,54 @@ def test_symbolic_and_randomized_agree_where_both_run():
         sym = failures(identity_suite(n, m, mode="symbolic"))
         rand = failures(identity_suite(n, m, mode="randomized", seed=7, trials=3))
         assert sym == [] and rand == []
+
+
+def test_memo_does_not_hide_a_failure(monkeypatch):
+    """h off by one at a single (k, r mod n) is caught at every point: the
+    memo serves the wrong value wherever h_2^(1) is used, it never masks it."""
+
+    def broken_h(k, r, indices, p):
+        value = eval_loop_h(k, r, indices, p)
+        return value + 1 if (k, r % p.n) == (2, 1) else value
+
+    monkeypatch.setattr(identities, "eval_loop_h", broken_h)
+    checks = identity_suite(3, 3, mode="randomized", seed=0, trials=2)
+    bad = [c for c in checks if not c.passed and c.identity == "eh_alternating_sum"]
+    assert bad
+    assert {c.witness["point_index"] for c in bad} == {0, 1}
+    assert all(c.witness["point"]["n"] == 3 for c in bad)
+
+
+def test_point_evaluator_computes_each_family_once(monkeypatch):
+    """At one point every (family, k, r mod n) reaches the DP at most once."""
+    n, m = 3, 3
+    p = random_point(m, n, random.Random(5))
+    full = tuple(range(1, m + 1))
+    calls = []
+    real = birational._eval_loop_family
+
+    def counting(k, r, cap, step, indices, point):
+        if tuple(indices) == full:
+            calls.append((k, r, cap, step))
+        return real(k, r, cap, step, indices, point)
+
+    monkeypatch.setattr(birational, "_eval_loop_family", counting)
+    requested = set()
+
+    class Recording(identities._PointEvaluator):
+        def _cached(self, family, k, r=0):
+            if family in ("e", "h", "tau"):
+                requested.add((family, k, r % self.n))
+            return super()._cached(family, k, r)
+
+    ev = Recording(p)
+    results = list(identities._instances(ev, n, m, symbolic=False))
+    assert results and all(passed for _, _, passed in results)
+    assert 0 < len(calls) <= len(requested)
+    pairs = [(k, r) for k in range(0, 2 * m + 1) for r in range(-n, n)]
+    shifted = [(ev.e(k, r), ev.e(k, r + n), ev.h(k, r), ev.h(k, r + n)) for k, r in pairs]
+    assert len(calls) <= len(requested)
+    monkeypatch.undo()
+    for (k, r), (e, e_shift, h, h_shift) in zip(pairs, shifted):
+        assert e == e_shift == eval_loop_e(k, r, full, p)
+        assert h == h_shift == eval_loop_h(k, r, full, p)

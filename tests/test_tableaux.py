@@ -172,6 +172,25 @@ def test_guard_trips():
     assert count_ssyt(Shape((2, 1)), 3, guard=8) == 8
 
 
+def test_count_ssyt_matches_enumeration():
+    from krenergy.identities import box_skew_shapes
+
+    for shape in box_skew_shapes(3, 3):
+        for m in range(1, 5):
+            assert count_ssyt(shape, m) == sum(1 for _ in enumerate_ssyt(shape, m)), (shape, m)
+
+
+def test_count_ssyt_builds_no_tableaux(monkeypatch):
+    from krenergy import tableaux
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("count_ssyt built a tableau")
+
+    expected = sum(1 for _ in enumerate_ssyt(Shape((3, 2)), 4))
+    monkeypatch.setattr(tableaux.Ssyt, "__init__", refuse)
+    assert count_ssyt(Shape((3, 2)), 4) == expected == 60
+
+
 def test_guard_env_override(monkeypatch):
     monkeypatch.setenv("KR_ENERGY_GUARD", "3")
     with pytest.raises(EnumerationGuardError):
