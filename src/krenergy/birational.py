@@ -13,10 +13,11 @@ right (s_i first), matching the combinatorial convention on tensors.
 
 Evaluation helpers (eval_loop_e, eval_loop_h, eval_tau, eval_sigma,
 eval_loop_schur) compute the symmetric-function families directly at a
-point: e, h and tau by one memoized dynamic program over bounded
-multisets, sigma from tau, and the loop skew Schur function by a dynamic
-program over horizontal strips whose steps are cached per shape.  The test
-suite checks them against the combinatorial expansions of krenergy.lsym.
+point: e, h, tau and sigma by ``krenergy.lsym.loop_family`` in the ring of
+the point's values (``point_ring``), the same code that expands them as
+polynomials, and the loop skew Schur function by a dynamic program over
+horizontal strips whose steps are cached per shape.  The test suite checks
+them against brute-force enumerations and the tableau sum.
 ``fraction_det`` is fraction-free Bareiss elimination over the integers.
 """
 
@@ -30,6 +31,7 @@ from functools import lru_cache
 from itertools import product
 
 from ._strict import json_decimal, json_int
+from .lsym import Ring, loop_family, sigma_product_indices
 from .tableaux import Shape, SkewShape
 
 
@@ -165,72 +167,29 @@ def rational_energy_global(p: RationalPoint) -> Fraction:
     return total
 
 
-def _eval_loop_family(
-    k: int, r: int, cap: int, step: int, indices: Sequence[int], p: RationalPoint
-) -> Fraction:
-    """The bounded-multiset family of ``krenergy.lsym`` evaluated at ``p``.
-
-    The state is the position, the degree still to place, the next color
-    and how often the current index was taken; each step moves on or takes
-    the index once more, at one multiplication.  When ``cap >= k`` the cap
-    cannot bind and the count drops out of the state.
-    """
-    idx = tuple(indices)
-    if k < 0 or k > cap * len(idx):
-        return Fraction(0)
-    n = p.n
-    limit = cap if cap < k else 0  # 0: no cap, and ``used`` stays 0
-    one, zero = Fraction(1), Fraction(0)
-    memo: dict[tuple[int, int, int, int], Fraction] = {}
-
-    def rec(pos: int, need: int, color: int, used: int) -> Fraction:
-        if need == 0:
-            return one
-        if pos == len(idx):
-            return zero
-        key = (pos, need, color, used)
-        if key in memo:
-            return memo[key]
-        after = (color + step) % n
-        if used + 1 == limit:
-            rest = rec(pos + 1, need - 1, after, 0)
-        else:
-            rest = rec(pos, need - 1, after, used + 1 if limit else 0)
-        memo[key] = rec(pos + 1, need, color, 0) + p.value(idx[pos], color) * rest
-        return memo[key]
-
-    return rec(0, k, r % n, 0)
+def point_ring(p: RationalPoint) -> Ring:
+    """The colored variables as their exact values at ``p``."""
+    return Ring(p.m, p.n, p.value, Fraction(0), Fraction(1))
 
 
 def eval_loop_e(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
     """e_k^{(r)} on the given variable indices, evaluated at ``p``."""
-    return _eval_loop_family(k, r, 1, 1, indices, p)
+    return loop_family("e", k, r, tuple(indices), point_ring(p))
 
 
 def eval_loop_h(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
     """h_k^{(r)} on the given variable indices, evaluated at ``p``."""
-    return _eval_loop_family(k, r, max(k, 0), -1, indices, p)
+    return loop_family("h", k, r, tuple(indices), point_ring(p))
 
 
 def eval_tau(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
     """tau_k^{(r)} (multiplicities at most n - 1) evaluated at ``p``."""
-    return _eval_loop_family(k, r, p.n - 1, -1, indices, p)
+    return loop_family("tau", k, r, tuple(indices), point_ring(p))
 
 
 def eval_sigma(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
     """sigma_k^{(r)} evaluated at ``p``; the first index carries the prefix."""
-    idx = tuple(indices)
-    if not idx:
-        raise ValueError("sigma needs a nonempty variable range")
-    if k < 0:
-        return Fraction(0)
-    first, rest = idx[0], idx[1:]
-    total = Fraction(0)
-    prefix = Fraction(1)
-    for i in range(k + 1):
-        total += prefix * eval_tau(k - i, r - i, rest, p)
-        prefix *= p.value(first, r - i)
-    return total
+    return loop_family("sigma", k, r, tuple(indices), point_ring(p))
 
 
 @lru_cache(maxsize=None)
@@ -311,11 +270,8 @@ def eval_loop_schur(shape: SkewShape | Shape | Iterable[int], r: int, p: Rationa
 def rational_energy_product(p: RationalPoint) -> Fraction:
     """Rational intrinsic energy by the sigma product formula:
     the product over i of sigma_{(n-1)(m-i)}^{(i-1)} on variables i..m."""
-    m, n = p.m, p.n
-    total = Fraction(1)
-    for i in range(1, m):
-        total *= eval_sigma((n - 1) * (m - i), i - 1, range(i, m + 1), p)
-    return total
+    factors = sigma_product_indices(p.m, n=p.n)
+    return math.prod((eval_sigma(k, c, idx, p) for k, c, idx in factors), start=Fraction(1))
 
 
 def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -19,8 +19,11 @@ picks the evaluator and little else:
   is enumerated at a point.  ``staircase_jacobi_trudi`` stays
   symbolic-only, which keeps the set of randomized families fixed.
 
-Both evaluators compute each loop e, h and tau, and each classical e of
-the products, once per ``(family, k, r mod n)``.
+The evaluators differ only in the public functions they call for the
+loop families (``krenergy.lsym`` or ``krenergy.birational``, which run the
+same ring-generic kernel), in ``det`` and in ``schur``.  Both compute each
+loop e, h and tau, and each classical e of the products (written once,
+over any ring), once per ``(family, k, r mod n)``.
 
 Families covered (names as reported):
 
@@ -46,7 +49,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .birational import (
     RationalPoint,
@@ -56,16 +58,20 @@ from .birational import (
     eval_sigma,
     eval_tau,
     fraction_det,
+    point_ring,
     random_point,
 )
 from .lsym import (
     ColoredPoly,
     PolyMatrix,
+    Ring,
     jacobi_trudi_indices,
     loop_e,
     loop_h,
     loop_schur_tableaux,
+    poly_ring,
     sigma,
+    sigma_product_indices,
     staircase_a_indices,
     staircase_b_indices,
     tau,
@@ -118,43 +124,42 @@ def box_skew_shapes(rows: int, cols: int) -> list[SkewShape]:
     return list(dict.fromkeys(shapes))
 
 
-def classical_e_of_products(i: int, *, n: int, m: int) -> ColoredPoly:
+def classical_e_of_products(i: int, ring: Ring):
     """The ordinary elementary symmetric e_i in the m full-color products
-    ``prod_r x_j^{(r)}``, expanded as a colored polynomial."""
-    if i < 0 or i > m:
-        return ColoredPoly.zero(m, n)
-    terms = {}
-    for combo in combinations(range(1, m + 1), i):
-        mono = tuple(((j, r), 1) for j in combo for r in range(n))
-        terms[tuple(sorted(mono))] = 1
-    return ColoredPoly._raw(m, n, terms)
-
-
-def eval_classical_e_of_products(i: int, p: RationalPoint) -> Fraction:
-    es = [Fraction(1)] + [Fraction(0)] * p.m
-    for value in map(math.prod, p.values):
-        for t in range(p.m, 0, -1):
-            es[t] += es[t - 1] * value
-    return es[i] if 0 <= i <= p.m else Fraction(0)
+    ``prod_r x_j^{(r)}``, computed in ``ring``."""
+    es = [ring.one] + [ring.zero] * ring.m
+    for j in range(1, ring.m + 1):
+        value = math.prod((ring.x(j, c) for c in range(ring.n)), start=ring.one)
+        for t in range(ring.m, 0, -1):
+            es[t] = es[t] + es[t - 1] * value
+    return es[i] if 0 <= i <= ring.m else ring.zero
 
 
 class _Evaluator:
-    """Loop e, h, tau and the classical e of the products, each computed
-    once per ``(family, k, r mod n)``.
+    """The families in one ring.  Loop e, h, tau and the classical e of
+    the products are computed once per ``(family, k, r mod n)``: every
+    family is periodic in the color with period n, and the classical e has
+    no color (it is cached under color 0).
 
-    Subclasses give the uncached families as ``_e``, ``_h``, ``_tau`` and
-    ``_classical_e``; every family is periodic in the color with period n,
-    and the classical e has no color (it is cached under color 0).
+    Subclasses give ``_family``, which calls the package's public function
+    of a loop family in their ring (looked up at call time), and ``det``
+    and ``schur``.
     """
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, ring: Ring):
+        self.ring = ring
+        self.n = ring.n
+        self.zero = ring.zero
+        self.full = tuple(range(1, ring.m + 1))
         self._memo: dict[tuple[str, int, int], object] = {}
 
     def _cached(self, family: str, k: int, r: int = 0):
         key = (family, k, r % self.n)
         if key not in self._memo:
-            self._memo[key] = getattr(self, "_" + family)(k, key[2])
+            if family == "classical_e":
+                self._memo[key] = classical_e_of_products(k, self.ring)
+            else:
+                self._memo[key] = self._family(family, k, key[2], self.full)
         return self._memo[key]
 
     def e(self, k: int, r: int):
@@ -169,29 +174,20 @@ class _Evaluator:
     def classical_e(self, i: int):
         return self._cached("classical_e", i)
 
+    def sigma(self, k: int, r: int, indices: range):
+        return self._family("sigma", k, r, indices)
+
 
 class _PolyEvaluator(_Evaluator):
     """The families as polynomials in the m x n colored variables."""
 
     def __init__(self, n: int, m: int):
-        super().__init__(n)
+        super().__init__(poly_ring(m, n))
         self.m = m
-        self.zero = ColoredPoly.zero(m, n)
 
-    def _e(self, k: int, r: int) -> ColoredPoly:
-        return loop_e(k, r, n=self.n, m=self.m)
-
-    def _h(self, k: int, r: int) -> ColoredPoly:
-        return loop_h(k, r, n=self.n, m=self.m)
-
-    def _tau(self, k: int, r: int) -> ColoredPoly:
-        return tau(k, r, n=self.n, m=self.m)
-
-    def sigma(self, k: int, r: int, indices: range) -> ColoredPoly:
-        return sigma(k, r, n=self.n, m=self.m, indices=indices)
-
-    def _classical_e(self, i: int, _r: int) -> ColoredPoly:
-        return classical_e_of_products(i, n=self.n, m=self.m)
+    def _family(self, family: str, k: int, r: int, indices) -> ColoredPoly:
+        fn = {"e": loop_e, "h": loop_h, "tau": tau, "sigma": sigma}[family]
+        return fn(k, r, n=self.n, m=self.m, indices=indices)
 
     def det(self, rows: list[list[ColoredPoly]]) -> ColoredPoly:
         return PolyMatrix(self.m, self.n, rows).det()
@@ -204,25 +200,12 @@ class _PointEvaluator(_Evaluator):
     """The families evaluated exactly at one positive rational point."""
 
     def __init__(self, p: RationalPoint):
-        super().__init__(p.n)
+        super().__init__(point_ring(p))
         self.p = p
-        self.full = tuple(range(1, p.m + 1))
-        self.zero = Fraction(0)
 
-    def _e(self, k: int, r: int) -> Fraction:
-        return eval_loop_e(k, r, self.full, self.p)
-
-    def _h(self, k: int, r: int) -> Fraction:
-        return eval_loop_h(k, r, self.full, self.p)
-
-    def _tau(self, k: int, r: int) -> Fraction:
-        return eval_tau(k, r, self.full, self.p)
-
-    def sigma(self, k: int, r: int, indices: range) -> Fraction:
-        return eval_sigma(k, r, indices, self.p)
-
-    def _classical_e(self, i: int, _r: int) -> Fraction:
-        return eval_classical_e_of_products(i, self.p)
+    def _family(self, family: str, k: int, r: int, indices) -> Fraction:
+        fn = {"e": eval_loop_e, "h": eval_loop_h, "tau": eval_tau, "sigma": eval_sigma}[family]
+        return fn(k, r, indices, self.p)
 
     def det(self, rows: list[list[Fraction]]) -> Fraction:
         return fraction_det(rows)
@@ -298,9 +281,8 @@ def _instances(ev, n: int, m: int, symbolic: bool):
         mat_a = loop_e_values(staircase_a_indices(m, n=n, r=r))
         mat_b = loop_e_values(staircase_b_indices(m, n=n, r=r))
         det_a = ev.det(mat_a)
-        product = math.prod(
-            ev.sigma((n - 1) * (m - i), r + i - 1, range(i, m + 1)) for i in range(1, m)
-        )
+        factors = sigma_product_indices(m, n=n, r=r)
+        product = math.prod(ev.sigma(k, c, idx) for k, c, idx in factors)
         yield "staircase_factorization", params, det_a == product
         if symbolic:
             yield "staircase_jacobi_trudi", params, det_a == ev.schur(staircase(m - 1, n - 1), r)

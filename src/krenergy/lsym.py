@@ -14,8 +14,13 @@ The generating families:
     sigma(k, r):   sum_i (prefix of the first variable, colors r, r-1, ...)
                    times tau(k-i, r-i) of the remaining variables
 
-loop_e, loop_h and tau are one enumeration of bounded multisets of indices
-(multiplicity cap 1, k and n-1; color step +1, -1 and -1).
+All four are one function, ``loop_family``, over any commutative ``Ring``
+(the value of each variable, zero and one): loop_e, loop_h and tau are one
+memoized dynamic program over bounded multisets of indices (multiplicity
+cap 1, k and n-1; color step +1, -1 and -1), and sigma sums prefixes times
+tau.  ``loop_e``, ``loop_h``, ``tau`` and ``sigma`` compute it over the
+polynomials (``poly_ring``); ``krenergy.birational`` computes it at exact
+rational points.
 
 ``loop_schur_tableaux`` sums the color-shifted content weights of the
 semistandard tableaux of a skew shape; ``loop_schur_jt`` computes the same
@@ -23,7 +28,8 @@ polynomial as a determinant of loop elementary functions.  ``build_A`` and
 ``build_B`` assemble the banded dilated-staircase matrices used by the
 closing identities, and ``trop_eval`` is the (min, +) shadow of a
 subtraction-free polynomial.  The ``*_indices`` functions give the entries
-of those matrices and of the tau vector as ``(degree, color)`` pairs, for
+of those matrices and of the tau vector as ``(degree, color)`` pairs, and
+``sigma_product_indices`` the sigma factors of the energy's product, for
 the polynomials here and for point evaluation alike.
 
 ``staircase_loop_schur`` caches the loop Schur polynomial of the energy's
@@ -36,9 +42,10 @@ big-int sums when a grid value reaches 2^40.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -262,66 +269,104 @@ def _normalize_indices(indices: Sequence[int] | None, m: int) -> tuple[int, ...]
     return out
 
 
-def _loop_family(
-    k: int, r: int, cap: int, step: int, n: int, m: int, indices: Sequence[int] | None
-) -> ColoredPoly:
-    """Sum over weakly increasing ``i_1 <= ... <= i_k`` from ``indices``, no
-    index taken more than ``cap`` times, of ``prod_t x_{i_t}^{(r + step*(t-1))}``.
+class Ring(NamedTuple):
+    """The m x n colored variables in a commutative ring: ``x(i, c)`` is
+    the value of ``x_i^{(c)}`` for 1 <= i <= m and 0 <= c < n."""
 
-    Each such multiset of indices gives its own monomial, so every
-    coefficient is 1.
+    m: int
+    n: int
+    x: Callable[[int, int], Any]
+    zero: Any
+    one: Any
+
+
+@lru_cache(maxsize=None)
+def poly_ring(m: int, n: int) -> Ring:
+    """The colored variables as polynomials."""
+
+    def x(i: int, c: int) -> ColoredPoly:
+        return ColoredPoly._raw(m, n, {(((i, c), 1),): 1})
+
+    return Ring(m, n, x, ColoredPoly.zero(m, n), ColoredPoly.one(m, n))
+
+
+def loop_family(family: str, k: int, r: int, indices: Sequence[int], ring: Ring):
+    """Loop ``e``, ``h``, ``tau`` or ``sigma`` of degree k and color r on
+    the variables ``indices`` (strictly increasing), computed in ``ring``.
+
+    e, h and tau sum ``prod_t x_{i_t}^{(r + step*(t-1))}`` over the weakly
+    increasing ``i_1 <= ... <= i_k`` from ``indices`` that take no index
+    more than ``cap`` times (cap 1, k, n - 1; step +1, -1, -1).  sigma sums
+    the prefixes ``x_f^{(r)} x_f^{(r-1)} ... x_f^{(r-i+1)}`` of the first
+    index f times ``tau_{k-i}^{(r-i)}`` of the remaining indices.
     """
-    idx = _normalize_indices(indices, m)
-    terms: dict[Mono, int] = {}
+    if family == "sigma":
+        if not indices:
+            raise ValueError("sigma needs a nonempty variable range")
+        total = ring.zero
+        if k < 0:
+            return total
+        first, rest = indices[0], indices[1:]
+        prefix = ring.one
+        for i in range(k + 1):
+            total = total + prefix * loop_family("tau", k - i, r - i, rest, ring)
+            prefix = prefix * ring.x(first, (r - i) % ring.n)
+        return total
+    cap, step = {"e": (1, 1), "h": (max(k, 0), -1), "tau": (ring.n - 1, -1)}[family]
+    if k < 0 or k > cap * len(indices):
+        return ring.zero
+    n, x, zero, one, end = ring.n, ring.x, ring.zero, ring.one, len(indices)
+    limit = cap if cap < k else 0  # 0: the cap cannot bind, and ``used`` stays 0
+    memo: dict[tuple[int, int, int], Any] = {}
 
-    def rec(pos: int, placed: int, exps: dict[tuple[int, int], int]) -> None:
-        # ``placed`` factors so far, all on indices before idx[pos]
-        if placed == k:
-            terms[_mono_from_dict(exps)] = 1
-            return
-        if k - placed > cap * (len(idx) - pos):
-            return
-        rec(pos + 1, placed, exps)
-        exps = dict(exps)
-        for t in range(placed, min(placed + cap, k)):
-            key = (idx[pos], (r + step * t) % n)
-            exps[key] = exps.get(key, 0) + 1
-            rec(pos + 1, t + 1, exps)
+    def rec(pos: int, need: int, color: int, used: int):
+        # ``need`` factors left, the next one on indices[pos] or later, with
+        # indices[pos] taken ``used`` times; the color is r + step*(k - need)
+        if need == 0:
+            return one
+        if pos == end:
+            return zero
+        key = (pos, need, used)
+        if key in memo:
+            return memo[key]
+        after = (color + step) % n
+        if used + 1 == limit:
+            rest = rec(pos + 1, need - 1, after, 0)
+        else:
+            rest = rec(pos, need - 1, after, used + 1 if limit else 0)
+        memo[key] = rec(pos + 1, need, color, 0) + x(indices[pos], color) * rest
+        return memo[key]
 
-    if k >= 0:
-        rec(0, 0, {})
-    return ColoredPoly._raw(m, n, terms)
+    try:
+        return rec(0, k, r % n, 0)
+    finally:
+        del rec  # it refers to itself; breaking the cycle frees the memo now
 
 
 def loop_e(k: int, r: int, *, n: int, m: int, indices: Sequence[int] | None = None) -> ColoredPoly:
     """Loop elementary symmetric function e_k^{(r)} on the given variables."""
-    return _loop_family(k, r, 1, 1, n, m, indices)
+    return loop_family("e", k, r, _normalize_indices(indices, m), poly_ring(m, n))
 
 
 def loop_h(k: int, r: int, *, n: int, m: int, indices: Sequence[int] | None = None) -> ColoredPoly:
     """Loop complete homogeneous symmetric function h_k^{(r)}."""
-    return _loop_family(k, r, max(k, 0), -1, n, m, indices)
+    return loop_family("h", k, r, _normalize_indices(indices, m), poly_ring(m, n))
 
 
 def tau(k: int, r: int, *, n: int, m: int, indices: Sequence[int] | None = None) -> ColoredPoly:
     """The tau family: loop_h restricted to multiplicities at most n - 1."""
-    return _loop_family(k, r, n - 1, -1, n, m, indices)
+    return loop_family("tau", k, r, _normalize_indices(indices, m), poly_ring(m, n))
 
 
 def sigma(k: int, r: int, *, n: int, m: int, indices: Sequence[int] | None = None) -> ColoredPoly:
     """sigma_k^{(r)}: prefix powers of the first variable times tau of the rest."""
-    idx = _normalize_indices(indices, m)
-    if not idx:
-        raise ValueError("sigma needs a nonempty variable range")
-    if k < 0:
-        return ColoredPoly.zero(m, n)
-    first, rest = idx[0], idx[1:]
-    total = ColoredPoly.zero(m, n)
-    prefix = ColoredPoly.one(m, n)
-    for i in range(k + 1):
-        total = total + prefix * tau(k - i, r - i, n=n, m=m, indices=rest)
-        prefix = prefix * ColoredPoly.variable(first, (r - i) % n, m=m, n=n)
-    return total
+    return loop_family("sigma", k, r, _normalize_indices(indices, m), poly_ring(m, n))
+
+
+def sigma_product_indices(m: int, *, n: int, r: int = 0) -> list[tuple[int, int, range]]:
+    """``(degree, color, indices)`` of each sigma factor of the energy's
+    product: ``sigma_{(n-1)(m-i)}^{(r+i-1)}`` on variables i..m, i < m."""
+    return [((n - 1) * (m - i), r + i - 1, range(i, m + 1)) for i in range(1, m)]
 
 
 def loop_schur_tableaux(
@@ -330,7 +375,6 @@ def loop_schur_tableaux(
     max_entry: int,
     *,
     n: int,
-    guard: int | None = None,
 ) -> ColoredPoly:
     """Loop (skew) Schur function as a sum over semistandard tableaux.
 
@@ -344,7 +388,7 @@ def loop_schur_tableaux(
     # one shared tuple per ((i, r), e) factor keeps large term maps small
     factors: dict[tuple[tuple[int, int], int], tuple[tuple[int, int], int]] = {}
     terms: dict[Mono, int] = {}
-    for t in enumerate_ssyt(skew, max_entry, guard=guard):
+    for t in enumerate_ssyt(skew, max_entry):
         d: dict[tuple[int, int], int] = {}
         for key in zip(t.row_word(), colors):
             d[key] = d.get(key, 0) + 1

@@ -46,7 +46,7 @@ from .crystal import (
     r_matrix_oracle,
 )
 from .identities import SYMBOLIC_M_MAX, SYMBOLIC_N_MAX, identity_suite
-from .lsym import ColoredPoly, sigma, trop_eval
+from .lsym import ColoredPoly, sigma, sigma_product_indices, trop_eval
 from .tableaux import count_ssyt, energy_staircase_shape
 
 SUITE_NAMES = (
@@ -295,8 +295,7 @@ def check_energy_tensor(t: TensorElement) -> list[str]:
 def sigma_product_polys(n: int, m: int) -> tuple[ColoredPoly, ...]:
     """The sigma factors of the rational energy product at color offset 0."""
     return tuple(
-        sigma((n - 1) * (m - i), i - 1, n=n, m=m, indices=range(i, m + 1))
-        for i in range(1, m)
+        sigma(k, c, n=n, m=m, indices=idx) for k, c, idx in sigma_product_indices(m, n=n)
     )
 
 

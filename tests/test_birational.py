@@ -1,8 +1,10 @@
 """Exact rational kappa, the birational R-action, and the energy product.
 
-The DP evaluators are cross-checked against the symbolic polynomial
-expansions at random points, so the two routes to every sigma value are
-independent.
+The point evaluators run the same ring-generic kernel as the polynomial
+families; both rings are checked against a brute-force enumeration in
+test_lsym.  The product formula for rational energy is checked against the
+independent global formula, and ``eval_loop_schur`` against the tableau
+sum.
 """
 
 import random

@@ -5,6 +5,7 @@ identity and checks it is rejected at every point: randomized testing at
 positive rational points must not produce false passes.
 """
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -12,15 +13,14 @@ from fractions import Fraction
 import pytest
 
 from krenergy import birational, identities, verify
-from krenergy.birational import eval_loop_e, eval_loop_h, random_point
+from krenergy.birational import eval_loop_e, eval_loop_h, point_ring, random_point
 from krenergy.identities import (
     box_skew_shapes,
     classical_e_of_products,
-    eval_classical_e_of_products,
     identity_suite,
     partitions_in_box,
 )
-from krenergy.lsym import ColoredPoly, sigma
+from krenergy.lsym import ColoredPoly, poly_ring, sigma
 from krenergy.tableaux import Shape
 
 
@@ -137,13 +137,22 @@ def test_box_skew_shapes_contains_skews():
     assert ((2, 2), (2, 1)) in outers
 
 
-def test_classical_e_of_products_matches_eval():
+def test_classical_e_of_products_matches_combinations():
+    """The classical e of the full-color products, over polynomials and at
+    a point, against the direct sum over index subsets."""
     rng = random.Random(1)
-    for n, m in [(2, 3), (3, 2)]:
+    for n, m in [(2, 1), (2, 3), (3, 2), (4, 4)]:
         p = random_point(m, n, rng, bound=10)
-        for i in range(0, m + 1):
-            sym = classical_e_of_products(i, n=n, m=m).eval_rational(p.value)
-            assert sym == eval_classical_e_of_products(i, p)
+        for i in range(-1, m + 2):
+            want = ColoredPoly.zero(m, n)
+            for combo in itertools.combinations(range(1, m + 1), i) if i >= 0 else ():
+                mono = ColoredPoly.one(m, n)
+                for j in combo:
+                    for r in range(n):
+                        mono = mono * ColoredPoly.variable(j, r, m=m, n=n)
+                want = want + mono
+            assert classical_e_of_products(i, poly_ring(m, n)) == want, (n, m, i)
+            assert classical_e_of_products(i, point_ring(p)) == want.eval_rational(p.value)
 
 
 def test_randomized_testing_has_no_false_passes():
@@ -210,14 +219,14 @@ def test_point_evaluator_computes_each_family_once(monkeypatch):
     p = random_point(m, n, random.Random(5))
     full = tuple(range(1, m + 1))
     calls = []
-    real = birational._eval_loop_family
+    real = birational.loop_family
 
-    def counting(k, r, cap, step, indices, point):
-        if tuple(indices) == full:
-            calls.append((k, r, cap, step))
-        return real(k, r, cap, step, indices, point)
+    def counting(family, k, r, indices, ring):
+        if family in ("e", "h", "tau") and tuple(indices) == full:
+            calls.append((family, k, r))
+        return real(family, k, r, indices, ring)
 
-    monkeypatch.setattr(birational, "_eval_loop_family", counting)
+    monkeypatch.setattr(birational, "loop_family", counting)
     requested = set()
 
     class Recording(identities._PointEvaluator):

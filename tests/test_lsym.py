@@ -1,20 +1,25 @@
 """Colored polynomial algebra and the loop symmetric function families.
 
-Independent oracles used here: a brute-force classical e/h enumerator for
-the color-collapse checks, a Leibniz-formula determinant for PolyMatrix,
-and hand-expanded small cases frozen as literals.
+Independent oracles used here: a brute-force enumeration of the loop
+families (bounded multisets of indices, each its own monomial) for the
+ring-generic kernel in both of its rings, a brute-force classical e/h
+enumerator for the color-collapse checks, a Leibniz-formula determinant
+for PolyMatrix, and hand-expanded small cases frozen as literals.
 """
 
+import gc
 import itertools
 import math
 import random
 
 import pytest
 
+from krenergy.birational import eval_loop_e, eval_loop_h, eval_sigma, eval_tau, random_point
 from krenergy.crystal import TropicalGrid
 from krenergy.lsym import (
     ColoredPoly,
     PolyMatrix,
+    _mono_from_dict,
     build_A,
     build_B,
     loop_e,
@@ -22,6 +27,7 @@ from krenergy.lsym import (
     loop_schur_jt,
     loop_schur_tableaux,
     sigma,
+    sigma_product_indices,
     staircase_matrix_size,
     tau,
     tau_vector,
@@ -226,6 +232,106 @@ def test_families_are_homogeneous():
                     sigma(k, 1, n=n, m=m),
                 ):
                     assert p.is_homogeneous(k) or p.is_zero
+
+
+# ---------------------------------------------------------------------------
+# the ring-generic kernel against the enumeration oracle
+
+
+def enumerated_family(k, r, cap, step, n, m, indices):
+    """Sum over weakly increasing ``i_1 <= ... <= i_k`` from ``indices``, no
+    index taken more than ``cap`` times, of ``prod_t x_{i_t}^{(r + step*(t-1))}``.
+
+    Each such multiset of indices gives its own monomial, so every
+    coefficient is 1.
+    """
+    terms = {}
+    if k >= 0:
+        for combo in itertools.combinations_with_replacement(indices, k):
+            if all(combo.count(i) <= cap for i in combo):
+                exps = {}
+                for t, i in enumerate(combo):
+                    key = (i, (r + step * t) % n)
+                    exps[key] = exps.get(key, 0) + 1
+                terms[_mono_from_dict(exps)] = 1
+    return ColoredPoly(m, n, terms)
+
+
+def enumerated_sigma(k, r, n, m, indices):
+    """sum_i x_f^(r) x_f^(r-1) ... x_f^(r-i+1) * tau_{k-i}^{(r-i)}(rest)."""
+    first, rest = indices[0], indices[1:]
+    total = ColoredPoly.zero(m, n)
+    for i in range(k + 1):
+        prefix = ColoredPoly.one(m, n)
+        for t in range(i):
+            prefix = prefix * var(first, r - t, m, n)
+        total = total + prefix * enumerated_family(k - i, r - i, n - 1, -1, n, m, rest)
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_families_match_enumeration_in_both_rings(n):
+    """e, h, tau and sigma over polynomials and at a rational point against
+    the enumeration: every m <= 4, every r mod n, degrees -1 up to one past
+    the cap times the number of indices, on the full index range and on
+    every range i..m that sigma and its tau use."""
+    for m in range(1, 5):
+        p = random_point(m, n, random.Random(f"oracle:{n}:{m}"), bound=30)
+        for start in range(1, m + 2):
+            idx = tuple(range(start, m + 1))
+            top = (n - 1) * len(idx) + 1
+            for r in range(n):
+                for k in range(-1, top + 1):
+                    cases = [(loop_e, eval_loop_e, 1, 1), (loop_h, eval_loop_h, max(k, 0), -1),
+                             (tau, eval_tau, n - 1, -1)]
+                    for poly_fn, point_fn, cap, step in cases:
+                        if poly_fn is loop_e and k > len(idx) + 1:
+                            continue
+                        want = enumerated_family(k, r, cap, step, n, m, idx)
+                        assert poly_fn(k, r, n=n, m=m, indices=idx) == want, (poly_fn, k, r, idx)
+                        assert point_fn(k, r, idx, p) == want.eval_rational(p.value)
+                    if idx and k >= 0:
+                        want = enumerated_sigma(k, r, n, m, idx)
+                        assert sigma(k, r, n=n, m=m, indices=idx) == want, (k, r, idx)
+                        assert eval_sigma(k, r, idx, p) == want.eval_rational(p.value)
+                    elif idx:
+                        assert sigma(k, r, n=n, m=m, indices=idx).is_zero
+                        assert eval_sigma(k, r, idx, p) == 0
+
+
+def test_sigma_needs_indices_in_both_rings():
+    p = random_point(2, 2, random.Random(0))
+    with pytest.raises(ValueError):
+        sigma(1, 0, n=2, m=2, indices=())
+    with pytest.raises(ValueError):
+        eval_sigma(1, 0, (), p)
+
+
+def test_kernel_frees_its_memo_on_return():
+    """The DP's table is freed when a call returns, not when the cyclic
+    garbage collector next runs."""
+    p = random_point(5, 4, random.Random(3))
+    full = tuple(range(1, 6))
+    loop_h(1, 0, n=4, m=5)  # builds the cached polynomial ring
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for k in range(60):
+            eval_loop_h(k % 12, k, full, p)
+            eval_tau(k % 16, k, full, p)
+        for k in range(20):
+            loop_h(k % 6, k, n=4, m=5)
+            tau(k % 8, k, n=4, m=5)
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert grown < 50, grown
+
+
+def test_sigma_product_indices():
+    assert sigma_product_indices(1, n=3) == []
+    assert sigma_product_indices(3, n=3, r=1) == [(4, 1, range(1, 4)), (2, 2, range(2, 4))]
 
 
 # ---------------------------------------------------------------------------
