@@ -29,10 +29,11 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from ._strict import json_decimal, json_int
 from .lsym import Ring, loop_family, sigma_product_indices
-from .tableaux import Shape, SkewShape
+from .tableaux import Shape, SkewShape, partitions_between
 
 
 class RationalPoint:
@@ -201,14 +202,8 @@ def _strip_chains(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[tuple
     of the nonempty strips and, per partition, its strip predecessors as
     ``(index of kappa, index of the contents of nu / kappa)``.
     """
-    nrows = len(outer)
-    inner = inner + (0,) * (nrows - len(inner))
-    parts = [
-        nu
-        for nu in product(*(range(lo, hi + 1) for lo, hi in zip(inner, outer)))
-        if all(a >= b for a, b in zip(nu, nu[1:]))
-    ]
-    parts.sort(key=sum)
+    parts = sorted(partitions_between(outer, inner), key=sum)
+    inner = inner + (0,) * (len(outer) - len(inner))
     index = {nu: k for k, nu in enumerate(parts)}
     contents: dict[tuple[int, ...], int] = {}
     preds = []
@@ -308,30 +303,20 @@ def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(sign * mat[-1][-1] if size else 1, scale)
 
 
-class TactCheck:
+class TactCheck(NamedTuple):
     """Outcome of the three displayed identities relating kappa, the chain
     action, and sigma ratios for a pair 1 <= i < j <= m."""
 
-    __slots__ = ("i", "j", "r", "kappa_ratio", "chain_first_form", "chain_second_form")
-
-    def __init__(self, i: int, j: int, r: int, a: bool, b: bool, c: bool):
-        self.i = i
-        self.j = j
-        self.r = r
-        self.kappa_ratio = a
-        self.chain_first_form = b
-        self.chain_second_form = c
+    i: int
+    j: int
+    r: int
+    kappa_ratio: bool
+    chain_first_form: bool
+    chain_second_form: bool
 
     @property
     def passed(self) -> bool:
         return self.kappa_ratio and self.chain_first_form and self.chain_second_form
-
-    def __repr__(self) -> str:
-        return (
-            f"TactCheck(i={self.i}, j={self.j}, r={self.r}, "
-            f"kappa_ratio={self.kappa_ratio}, chain_first_form={self.chain_first_form}, "
-            f"chain_second_form={self.chain_second_form})"
-        )
 
 
 def check_lem_tact(i: int, j: int, r: int, p: RationalPoint) -> TactCheck:

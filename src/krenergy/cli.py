@@ -28,7 +28,8 @@ from .crystal import (
     r_matrix,
     r_matrix_oracle,
 )
-from .tableaux import EnumerationGuardError, energy_staircase_shape, enumerate_ssyt
+from .lsym import tableau_monomials
+from .tableaux import EnumerationGuardError, energy_staircase_shape
 from .verify import ConfigError, SUITE_NAMES, VerifyConfig, run_verify
 
 EXIT_OK = 0
@@ -145,18 +146,10 @@ def _cmd_emit_formula(args) -> int:
     except EnumerationGuardError as exc:
         print(f"error: {exc}; raise KR_ENERGY_GUARD for very large sizes", file=sys.stderr)
         return EXIT_BAD_INPUT
-    terms = []
-    for t in enumerate_ssyt(shape, m):
-        exps: dict[tuple[int, int], int] = {}
-        for (i, j) in t.shape.cells():
-            key = (t.entry(i, j), (i - j) % n)
-            exps[key] = exps.get(key, 0) + 1
-        terms.append(
-            {
-                "tableau": [list(row) for row in t.rows],
-                "monomial": [[i, r, e] for (i, r), e in sorted(exps.items())],
-            }
-        )
+    terms = [
+        {"tableau": [list(row) for row in t.rows], "monomial": [[i, r, e] for (i, r), e in mono]}
+        for t, mono in tableau_monomials(shape, 0, m, n=n)
+    ]
     _emit({"n": n, "m": m, "shape": list(shape.parts), "terms": terms})
     return EXIT_OK
 

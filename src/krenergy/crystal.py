@@ -215,6 +215,10 @@ def rectified_pair(b1: CrystalElement, b2: CrystalElement) -> Ssyt:
     return rectify(two_row_tableau(b1, b2))
 
 
+# the most candidate pairs r_matrix_oracle searches
+ORACLE_GUARD = 1_000_000
+
+
 def _compositions(total: list[int], size: int) -> Iterator[tuple[int, ...]]:
     """All count vectors c with 0 <= c <= total componentwise and sum(c) == size."""
     n = len(total)
@@ -236,14 +240,15 @@ def _compositions(total: list[int], size: int) -> Iterator[tuple[int, ...]]:
 
 
 def r_matrix_oracle(
-    b1: CrystalElement, b2: CrystalElement, guard: int = 1_000_000
+    b1: CrystalElement, b2: CrystalElement
 ) -> tuple[CrystalElement, CrystalElement]:
     """The R-matrix by brute force over jeu-de-taquin rectifications.
 
     Searches every pair ``(c1, c2)`` with swapped capacities and the same
     total color content for the one whose two-row rectification matches that
     of ``(b1, b2)``.  Raises if the match is not unique (that would signal a
-    bug, since the crystal isomorphism is unique).
+    bug, since the crystal isomorphism is unique), and raises
+    :class:`EnumerationGuardError` past ``ORACLE_GUARD`` candidates.
     """
     n = _check_pair(b1, b2)
     target = rectified_pair(b1, b2)
@@ -252,8 +257,8 @@ def r_matrix_oracle(
     seen = 0
     for c1_counts in _compositions(total, b2.capacity):
         seen += 1
-        if seen > guard:
-            raise EnumerationGuardError(f"R-matrix oracle exceeded guard {guard}")
+        if seen > ORACLE_GUARD:
+            raise EnumerationGuardError(f"R-matrix oracle exceeded guard {ORACLE_GUARD}")
         c1 = CrystalElement(n, c1_counts)
         c2 = CrystalElement(n, tuple(t - v for t, v in zip(total, c1_counts)))
         if rectified_pair(c1, c2) == target:

@@ -77,7 +77,7 @@ from .lsym import (
     tau,
     tau_vector_indices,
 )
-from .tableaux import Shape, SkewShape, staircase
+from .tableaux import Shape, SkewShape, partitions_between, staircase
 
 SYMBOLIC_N_MAX = 3
 SYMBOLIC_M_MAX = 4
@@ -97,31 +97,16 @@ class IdentityCheck:
         return out
 
 
-def partitions_in_box(rows: int, cols: int) -> list[Shape]:
-    """All partitions with at most ``rows`` parts, each at most ``cols``."""
-    out: list[Shape] = []
-
-    def rec(prefix: list[int], limit: int) -> None:
-        out.append(Shape(prefix))
-        if len(prefix) == rows:
-            return
-        for p in range(limit, 0, -1):
-            rec(prefix + [p], p)
-
-    rec([], cols)
-    return out
-
-
 def box_skew_shapes(rows: int, cols: int) -> list[SkewShape]:
-    """Every skew shape with outer inside a rows x cols box."""
-    shapes = []
-    for outer in partitions_in_box(rows, cols):
-        for inner in partitions_in_box(rows, cols):
-            if outer.contains(inner) and inner != outer:
-                shapes.append(SkewShape(outer, inner))
-        shapes.append(SkewShape(outer, Shape(())))
-    # drop duplicates such as empty/empty appearing twice
-    return list(dict.fromkeys(shapes))
+    """Every skew shape outer / inner with outer inside a rows x cols box:
+    the empty shape once, then the nonempty ones."""
+    box = [Shape(nu) for nu in partitions_between((cols,) * rows)]
+    return [SkewShape(())] + [
+        SkewShape(outer, inner)
+        for outer in box
+        for inner in box
+        if inner != outer and outer.contains(inner)
+    ]
 
 
 def classical_e_of_products(i: int, ring: Ring):

@@ -22,8 +22,10 @@ tau.  ``loop_e``, ``loop_h``, ``tau`` and ``sigma`` compute it over the
 polynomials (``poly_ring``); ``krenergy.birational`` computes it at exact
 rational points.
 
-``loop_schur_tableaux`` sums the color-shifted content weights of the
-semistandard tableaux of a skew shape; ``loop_schur_jt`` computes the same
+``tableau_monomials`` yields each semistandard tableau of a skew shape
+with its color-shifted content monomial, the one statement of that rule
+(``krenergy emit-formula`` prints its pairs), and ``loop_schur_tableaux``
+sums the monomials; ``loop_schur_jt`` computes the same
 polynomial as a determinant of loop elementary functions.  ``build_A`` and
 ``build_B`` assemble the banded dilated-staircase matrices used by the
 closing identities, and ``trop_eval`` is the (min, +) shadow of a
@@ -34,15 +36,15 @@ the polynomials here and for point evaluation alike.
 
 ``staircase_loop_schur`` caches the loop Schur polynomial of the energy's
 staircase per (n, m); ``trop_eval`` of it is the package's one tropical
-staircase energy (``crystal.energy_staircase``).  ``trop_eval`` caches an
-int64 exponent matrix on each large polynomial and falls back to exact
-big-int sums when a grid value reaches 2^40.
+staircase energy (``crystal.energy_staircase``).  ``trop_eval`` caches the
+exponent matrix on each polynomial and multiplies it by the grid, in exact
+Python ints when a grid value reaches 2^40.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, NamedTuple
@@ -50,15 +52,20 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from ._strict import json_decimal, json_int
-from .tableaux import Shape, SkewShape, energy_staircase_shape, enumerate_ssyt, staircase
+from .tableaux import (
+    Shape,
+    SkewShape,
+    Ssyt,
+    energy_staircase_shape,
+    enumerate_ssyt,
+    staircase,
+)
 
 Mono = tuple[tuple[tuple[int, int], int], ...]
 
-# trop_eval takes the int64 matmul for polynomials of at least this many
-# terms; grid values stay below the bound so no sum can overflow, and
-# larger values take the exact big-int loop.
+# trop_eval multiplies in int64 while every grid value is below this bound,
+# so no sum of a polynomial of degree below 2^23 can overflow
 _NUMPY_VALUE_BOUND = 1 << 40
-_NUMPY_MIN_TERMS = 64
 
 
 def _mono_from_dict(d: dict[tuple[int, int], int]) -> Mono:
@@ -136,12 +143,6 @@ class ColoredPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(_mono_degree(mono) for mono in self.terms)
-
     def is_homogeneous(self, k: int) -> bool:
         return all(_mono_degree(mono) == k for mono in self.terms)
 
@@ -197,18 +198,6 @@ class ColoredPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> ColoredPoly:
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        result = ColoredPoly.one(self.m, self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ColoredPoly)
@@ -236,14 +225,20 @@ class ColoredPoly:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> ColoredPoly:
-        """Inverse of ``to_jsonable``; coefficients must be decimal strings."""
+        """Inverse of ``to_jsonable``; coefficients must be decimal strings,
+        and each monomial lists distinct variables with positive exponents."""
         m, n = json_int(data["m"], "m"), json_int(data["n"], "n")
         terms: dict[Mono, int] = {}
         for item in data["terms"]:
-            mono = _mono_from_dict(
-                {(json_int(i, "index"), json_int(r, "color")): json_int(e, "exponent")
-                 for i, r, e in item["exps"]}
-            )
+            exps: dict[tuple[int, int], int] = {}
+            for i, r, e in item["exps"]:
+                var = (json_int(i, "index"), json_int(r, "color"))
+                if var in exps:
+                    raise ValueError(f"variable {var} listed twice in one monomial")
+                exps[var] = json_int(e, "exponent")
+                if exps[var] < 1:
+                    raise ValueError(f"exponent of {var} must be positive, got {exps[var]}")
+            mono = _mono_from_dict(exps)
             terms[mono] = terms.get(mono, 0) + json_decimal(item["coef"], "coefficient")
         return cls(m, n, terms)
 
@@ -369,6 +364,28 @@ def sigma_product_indices(m: int, *, n: int, r: int = 0) -> list[tuple[int, int,
     return [((n - 1) * (m - i), r + i - 1, range(i, m + 1)) for i in range(1, m)]
 
 
+def tableau_monomials(
+    shape: SkewShape | Shape | Iterable[int],
+    r: int,
+    max_entry: int,
+    *,
+    n: int,
+) -> Iterator[tuple[Ssyt, Mono]]:
+    """Each semistandard tableau T of ``shape`` with entries in 1..max_entry,
+    in the order of ``enumerate_ssyt``, with its monomial: one factor
+    ``x_{T(i,j)}^{(i - j + r)}`` per cell."""
+    skew = SkewShape.of(shape)
+    # row-major, the order of Ssyt.row_word
+    colors = [(i - j + r) % n for (i, j) in skew.cells()]
+    # one shared tuple per ((i, r), e) factor keeps large term maps small
+    factors: dict[tuple[tuple[int, int], int], tuple[tuple[int, int], int]] = {}
+    for t in enumerate_ssyt(skew, max_entry):
+        d: dict[tuple[int, int], int] = {}
+        for key in zip(t.row_word(), colors):
+            d[key] = d.get(key, 0) + 1
+        yield t, tuple(sorted(factors.setdefault(item, item) for item in d.items()))
+
+
 def loop_schur_tableaux(
     shape: SkewShape | Shape | Iterable[int],
     r: int,
@@ -376,23 +393,10 @@ def loop_schur_tableaux(
     *,
     n: int,
 ) -> ColoredPoly:
-    """Loop (skew) Schur function as a sum over semistandard tableaux.
-
-    Each tableau contributes the monomial with one factor
-    ``x_{T(i,j)}^{(i - j + r)}`` per cell; the ambient variable count is
-    ``max_entry``.
-    """
-    skew = SkewShape.of(shape)
-    # row-major, the order of Ssyt.row_word
-    colors = [(i - j + r) % n for (i, j) in skew.cells()]
-    # one shared tuple per ((i, r), e) factor keeps large term maps small
-    factors: dict[tuple[tuple[int, int], int], tuple[tuple[int, int], int]] = {}
+    """Loop (skew) Schur function as the sum of ``tableau_monomials``; the
+    ambient variable count is ``max_entry``."""
     terms: dict[Mono, int] = {}
-    for t in enumerate_ssyt(skew, max_entry):
-        d: dict[tuple[int, int], int] = {}
-        for key in zip(t.row_word(), colors):
-            d[key] = d.get(key, 0) + 1
-        mono = tuple(sorted(factors.setdefault(item, item) for item in d.items()))
+    for _, mono in tableau_monomials(shape, r, max_entry, n=n):
         terms[mono] = terms.get(mono, 0) + 1
     return ColoredPoly._raw(max_entry, n, terms)
 
@@ -584,33 +588,26 @@ def trop_eval(p: ColoredPoly, grid) -> int | float:
     ``grid`` must expose ``m``, ``n`` and ``flat()`` like
     :class:`krenergy.crystal.TropicalGrid`.  Returns ``math.inf`` for the
     zero polynomial and rejects polynomials with a negative coefficient.
-    A polynomial of at least ``_NUMPY_MIN_TERMS`` terms is checked once,
-    when its exponent matrix is built and cached on it.
+    The value is the least entry of the polynomial's exponent matrix times
+    the grid; the matrix is checked and built once and cached on the
+    polynomial.  The product runs in int64 while every grid value is below
+    ``_NUMPY_VALUE_BOUND``, and in exact Python ints otherwise.
     """
     if (grid.m, grid.n) != (p.m, p.n):
         raise ValueError(f"grid ({grid.m}, {grid.n}) does not match poly ({p.m}, {p.n})")
     if not p.terms:
         return math.inf
-    n = p.n
     mat = p._trop_matrix
     if mat is None:
         if any(c < 0 for c in p.terms.values()):
             raise ValueError("tropical evaluation needs a subtraction-free polynomial")
-        if len(p.terms) >= _NUMPY_MIN_TERMS:
-            mat = np.zeros((len(p.terms), p.m * n), dtype=np.int64)
-            for t, mono in enumerate(p.terms):
-                for (i, r), e in mono:
-                    mat[t, (i - 1) * n + r] = e
-            p._trop_matrix = mat
+        # an int64 sum stays exact while degree * value bound < 2^63
+        wide = max(map(_mono_degree, p.terms)) * _NUMPY_VALUE_BOUND >= 1 << 63
+        mat = np.zeros((len(p.terms), p.m * p.n), dtype=object if wide else np.int64)
+        for t, mono in enumerate(p.terms):
+            for (i, r), e in mono:
+                mat[t, (i - 1) * p.n + r] = e
+        p._trop_matrix = mat
     flat = grid.flat()
-    if mat is not None and max(abs(v) for v in flat) < _NUMPY_VALUE_BOUND:
-        return int((mat @ np.asarray(flat, dtype=np.int64)).min())
-    best: int | None = None
-    for mono in p.terms:
-        s = 0
-        for (i, r), e in mono:
-            s += e * flat[(i - 1) * n + r]
-        if best is None or s < best:
-            best = s
-    assert best is not None
-    return best
+    exact = max(abs(v) for v in flat) >= _NUMPY_VALUE_BOUND
+    return int((mat @ np.asarray(flat, dtype=object if exact else np.int64)).min())

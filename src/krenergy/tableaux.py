@@ -8,8 +8,11 @@ convention and is the one used throughout this package.
 
 The enumeration of semistandard fillings is a row-major backtracking search
 that yields tableaux in lexicographic order of the row-reading word, which
-keeps golden tests stable.  ``jdt_slide`` performs a single jeu-de-taquin
-slide and ``rectify`` iterates slides until the shape is straight.
+keeps golden tests stable; it builds them without re-running the checks of
+``Ssyt``, which every other tableau passes.  ``partitions_between`` lists
+the partitions between two nested shapes.  ``jdt_slide`` performs a single
+jeu-de-taquin slide and ``rectify`` iterates slides until the shape is
+straight.
 ``energy_staircase_shape`` gives the staircase of the energy formula and
 refuses it up front when its closed-form tableau count exceeds the guard.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Iterator
+from itertools import product
 
 DEFAULT_GUARD = 10_000_000
 GUARD_ENV_VAR = "KR_ENERGY_GUARD"
@@ -27,10 +31,10 @@ class EnumerationGuardError(RuntimeError):
     """Raised when a tableau enumeration would exceed its guard."""
 
 
-def _resolve_guard(guard: int | None) -> int:
-    if guard is None:
-        env = os.environ.get(GUARD_ENV_VAR, "")
-        guard = int(env) if env else DEFAULT_GUARD
+def _resolve_guard() -> int:
+    """``KR_ENERGY_GUARD`` when set, else the default 10**7."""
+    env = os.environ.get(GUARD_ENV_VAR, "")
+    guard = int(env) if env else DEFAULT_GUARD
     if guard < 1:
         raise ValueError(f"guard must be a positive integer, got {guard}")
     return guard
@@ -117,7 +121,7 @@ def energy_staircase_shape(n: int, m: int) -> Shape:
     which :func:`enumerate_ssyt` would fail after yielding ``guard`` of them.
     """
     count = energy_staircase_count(n, m)
-    guard = _resolve_guard(None)
+    guard = _resolve_guard()
     if count > guard:
         raise EnumerationGuardError(
             f"the energy staircase for n={n}, m={m} has {count} tableaux, over the guard {guard}"
@@ -221,6 +225,17 @@ class Ssyt:
                         f"column {j} not strictly increasing between rows {i - 1} and {i}"
                     )
 
+    @classmethod
+    def _trusted(
+        cls, shape: SkewShape, rows: tuple[tuple[int, ...], ...], max_entry: int
+    ) -> Ssyt:
+        """A tableau already known to be semistandard, built without the checks."""
+        self = object.__new__(cls)
+        self.shape = shape
+        self.rows = rows
+        self.max_entry = max_entry
+        return self
+
     def entry(self, i: int, j: int) -> int:
         """Entry at cell ``(i, j)``, absolute 1-based coordinates."""
         lo, hi = self.shape.row_bounds(i)
@@ -231,13 +246,6 @@ class Ssyt:
     def row_word(self) -> tuple[int, ...]:
         """Entries read row by row, top to bottom, left to right."""
         return tuple(v for row in self.rows for v in row)
-
-    def weight(self) -> tuple[int, ...]:
-        counts = [0] * self.max_entry
-        for row in self.rows:
-            for v in row:
-                counts[v - 1] += 1
-        return tuple(counts)
 
     def to_jsonable(self) -> list[list[int | None]]:
         """Rows as arrays, with ``null`` padding for inner (absent) cells."""
@@ -266,7 +274,7 @@ class Ssyt:
         return "Ssyt:\n" + "\n".join(lines)
 
 
-def _fillings(skew: SkewShape, max_entry: int, guard: int | None) -> Iterator[list[int]]:
+def _fillings(skew: SkewShape, max_entry: int) -> Iterator[list[int]]:
     """Row-major backtracking over the semistandard fillings of ``skew``.
 
     Yields the one shared list of entries, in row-reading order, once per
@@ -275,7 +283,7 @@ def _fillings(skew: SkewShape, max_entry: int, guard: int | None) -> Iterator[li
     """
     if max_entry < 1:
         raise ValueError(f"max_entry must be positive, got {max_entry}")
-    guard = _resolve_guard(guard)
+    guard = _resolve_guard()
     cells = list(skew.cells())
     ncells = len(cells)
     row_start: dict[int, int] = {}
@@ -322,36 +330,42 @@ def _fillings(skew: SkewShape, max_entry: int, guard: int | None) -> Iterator[li
     yield from rec(0)
 
 
-def enumerate_ssyt(
-    shape: SkewShape | Shape | Iterable[int],
-    max_entry: int,
-    guard: int | None = None,
-) -> Iterator[Ssyt]:
+def enumerate_ssyt(shape: SkewShape | Shape | Iterable[int], max_entry: int) -> Iterator[Ssyt]:
     """Yield every semistandard filling of ``shape`` with entries in 1..max_entry.
 
     Tableaux come out in lexicographic order of the row-reading word.  The
     empty shape yields exactly one empty tableau.  Raises
-    :class:`EnumerationGuardError` when more than ``guard`` tableaux would be
-    produced (default 10**7, overridable via the KR_ENERGY_GUARD env var).
+    :class:`EnumerationGuardError` when more tableaux than the guard would
+    be produced (default 10**7, overridable via the KR_ENERGY_GUARD env
+    var).  The fillings are semistandard by construction, so the tableaux
+    are built without re-running the checks of ``Ssyt``.
     """
     skew = SkewShape.of(shape)
-    widths = [hi - lo for lo, hi in map(skew.row_bounds, range(1, len(skew.outer) + 1))]
-    for entries in _fillings(skew, max_entry, guard):
-        rows = []
-        pos = 0
-        for width in widths:
-            rows.append(tuple(entries[pos : pos + width]))
-            pos += width
-        yield Ssyt(skew, rows, max_entry)
+    spans = []
+    pos = 0
+    for i in range(1, len(skew.outer) + 1):
+        lo, hi = skew.row_bounds(i)
+        spans.append((pos, pos + hi - lo))
+        pos += hi - lo
+    trusted = Ssyt._trusted
+    for entries in _fillings(skew, max_entry):
+        yield trusted(skew, tuple(tuple(entries[a:b]) for a, b in spans), max_entry)
 
 
-def count_ssyt(
-    shape: SkewShape | Shape | Iterable[int],
-    max_entry: int,
-    guard: int | None = None,
-) -> int:
+def count_ssyt(shape: SkewShape | Shape | Iterable[int], max_entry: int) -> int:
     """Number of semistandard fillings, without building any tableau."""
-    return sum(1 for _ in _fillings(SkewShape.of(shape), max_entry, guard))
+    return sum(1 for _ in _fillings(SkewShape.of(shape), max_entry))
+
+
+def partitions_between(
+    outer: Shape | Iterable[int], inner: Shape | Iterable[int] = ()
+) -> list[tuple[int, ...]]:
+    """Every partition nu with inner <= nu <= outer, in lexicographic order,
+    each as a tuple of ``len(outer)`` parts (trailing zeros included)."""
+    outer = tuple(outer)
+    skew = SkewShape(outer, inner)
+    rows = (range(lo, hi + 1) for lo, hi in map(skew.row_bounds, range(1, len(outer) + 1)))
+    return [nu for nu in product(*rows) if all(a >= b for a, b in zip(nu, nu[1:]))]
 
 
 def inner_corners(shape: SkewShape) -> list[tuple[int, int]]:

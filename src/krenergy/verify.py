@@ -36,6 +36,7 @@ from .birational import (
 from .crystal import (
     CrystalElement,
     TensorElement,
+    _compositions,
     apply_s,
     coenergy,
     coenergy_sliding_oracle,
@@ -184,20 +185,11 @@ def _witness(kind: str, **data) -> str:
 
 def elements_up_to(n: int, cap: int) -> list[CrystalElement]:
     """All single-row elements with capacity at most ``cap``."""
-    out = []
-    for total in range(cap + 1):
-        for counts in _count_vectors(n, total):
-            out.append(CrystalElement(n, counts))
-    return out
-
-
-def _count_vectors(n: int, total: int):
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _count_vectors(n - 1, total - first):
-            yield (first,) + rest
+    return [
+        CrystalElement(n, counts)
+        for total in range(cap + 1)
+        for counts in _compositions([total] * n, total)
+    ]
 
 
 def iter_tensors(n: int, m: int, cap: int):

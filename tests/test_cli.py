@@ -159,6 +159,27 @@ def test_staircase_over_guard_refused_up_front(argv, capsys, monkeypatch):
     assert "KR_ENERGY_GUARD" in err
 
 
+def test_tableau_sums_skip_the_ssyt_checks(capsys, monkeypatch):
+    """The tableau sums and emit-formula read enumerate_ssyt's tableaux,
+    which are semistandard by construction, without the checks of Ssyt."""
+    from krenergy import lsym, tableaux
+
+    box = lsym.loop_schur_tableaux((3, 3), 1, 4, n=3)
+    stair = lsym.staircase_loop_schur(3, 3)
+    assert main(["emit-formula", "--n", "2", "--m", "3"]) == 0
+    emitted, _ = capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an enumerated tableau was checked again")
+
+    monkeypatch.setattr(tableaux.Ssyt, "__init__", refuse)
+    lsym.staircase_loop_schur.cache_clear()
+    assert lsym.loop_schur_tableaux((3, 3), 1, 4, n=3) == box
+    assert lsym.staircase_loop_schur(3, 3) == stair
+    assert main(["emit-formula", "--n", "2", "--m", "3"]) == 0
+    assert capsys.readouterr()[0] == emitted
+
+
 def test_verify_samples_large_pair_space(capsys):
     # 18,564^2 = C(18, 6)^2 pairs at n=6, capacity cap 12: above the cell limit, so sampled
     code = main([
@@ -240,11 +261,14 @@ def test_verify_rejects_duplicate_suite(capsys):
         (TensorElement, {"n": 3, "rows": "13"}),
         (TensorElement, {"n": 3, "rows": ["1", 3]}),
         (RationalPoint, {"m": 1, "n": 2, "values": [["1", "0"], ["1", "1"]]}),
+        (ColoredPoly, {"m": 1, "n": 2, "terms": [{"coef": "1", "exps": [[1, 0, 1], [1, 0, 2]]}]}),
+        (ColoredPoly, {"m": 1, "n": 2, "terms": [{"coef": "1", "exps": [[1, 0, 0]]}]}),
     ],
 )
 def test_json_input_is_strict(cls, doc, capsys, monkeypatch):
-    """Floats, bools, numeric strings, extra keys, rows given as a string
-    and zero denominators are rejected, not truncated; the energy command
+    """Floats, bools, numeric strings, extra keys, rows given as a string,
+    zero denominators, a variable listed twice in one monomial and a zero
+    exponent are rejected, not truncated or merged; the energy command
     exits 2 on such a tensor."""
     with pytest.raises(ValueError):
         cls.from_jsonable(doc)

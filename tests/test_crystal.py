@@ -83,6 +83,18 @@ def test_r_matrix_capacity_swap_and_content():
             assert b1.counts[c] + b2.counts[c] == c1.counts[c] + c2.counts[c]
 
 
+def test_elements_up_to_lists_each_element_once_by_capacity():
+    """Capacity by capacity, each in lexicographic order of its counts:
+    the order the exhaustive suites and their byte-identical reports use."""
+    for n in (2, 3, 4):
+        for cap in (0, 1, 3):
+            want = sorted(
+                (c for c in itertools.product(range(cap + 1), repeat=n) if sum(c) <= cap),
+                key=lambda c: (sum(c), c),
+            )
+            assert [b.counts for b in elements_up_to(n, cap)] == want, (n, cap)
+
+
 def test_r_matrix_identity_on_equal_factors():
     for n, cap in [(2, 3), (3, 2)]:
         for b in elements_up_to(n, cap):

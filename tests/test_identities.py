@@ -18,7 +18,6 @@ from krenergy.identities import (
     box_skew_shapes,
     classical_e_of_products,
     identity_suite,
-    partitions_in_box,
 )
 from krenergy.lsym import ColoredPoly, poly_ring, sigma
 from krenergy.tableaux import Shape
@@ -122,12 +121,6 @@ def test_staircase_factorization_base_case_polynomial():
     rhs = sigma(1, 0, n=2, m=2)
     want = ColoredPoly.variable(1, 0, m=2, n=2) + ColoredPoly.variable(2, 0, m=2, n=2)
     assert lhs == rhs == want
-
-
-def test_partitions_in_box():
-    parts = partitions_in_box(2, 2)
-    assert Shape(()) in parts and Shape((2, 2)) in parts and Shape((2, 1)) in parts
-    assert len(parts) == 6  # (), (1), (2), (1,1), (2,1), (2,2)
 
 
 def test_box_skew_shapes_contains_skews():

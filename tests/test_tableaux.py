@@ -20,6 +20,7 @@ from krenergy.tableaux import (
     enumerate_ssyt,
     inner_corners,
     jdt_slide,
+    partitions_between,
     rectify,
     staircase,
 )
@@ -161,15 +162,38 @@ def test_enumerate_lex_order_of_row_words():
 
 
 def test_enumerate_yields_valid_tableaux():
-    for t in enumerate_ssyt(SkewShape((3, 2, 1), (1,)), 3):
-        # the constructor revalidates; this just exercises it explicitly
-        Ssyt(t.shape, t.rows, t.max_entry)
+    """enumerate_ssyt builds its tableaux without the checks of Ssyt; the
+    checking constructor accepts every one of them and builds an equal
+    tableau, on every skew shape in a 3 x 3 box with max entry <= 4 and
+    on the energy staircases up to (n, m) = (3, 4)."""
+    from krenergy.identities import box_skew_shapes
+
+    cases = [(shape, k) for shape in box_skew_shapes(3, 3) for k in range(1, 5)]
+    cases += [(energy_staircase_shape(n, m), m) for n in (2, 3) for m in (1, 2, 3, 4)]
+    for shape, max_entry in cases:
+        for t in enumerate_ssyt(shape, max_entry):
+            assert Ssyt(t.shape, t.rows, t.max_entry) == t, (shape, max_entry)
 
 
-def test_guard_trips():
+def test_partitions_between_in_box():
+    assert partitions_between((2, 2)) == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+    assert partitions_between(Shape((3, 2, 1)), (2, 2)) == [
+        (2, 2, 0), (2, 2, 1), (3, 2, 0), (3, 2, 1)
+    ]
+    # trailing zero rows of outer are kept as rows
+    assert partitions_between((1, 0), (1,)) == [(1, 0)]
+    assert partitions_between(()) == [()]
+    with pytest.raises(ValueError):
+        partitions_between((1,), (2,))
+
+
+def test_guard_trips(monkeypatch):
+    monkeypatch.setenv("KR_ENERGY_GUARD", "7")
     with pytest.raises(EnumerationGuardError):
-        list(enumerate_ssyt(Shape((2, 1)), 3, guard=7))
-    assert count_ssyt(Shape((2, 1)), 3, guard=8) == 8
+        list(enumerate_ssyt(Shape((2, 1)), 3))
+    monkeypatch.setenv("KR_ENERGY_GUARD", "8")
+    assert count_ssyt(Shape((2, 1)), 3) == 8
+    assert len(list(enumerate_ssyt(Shape((2, 1)), 3))) == 8
 
 
 def test_count_ssyt_matches_enumeration():
@@ -195,8 +219,11 @@ def test_guard_env_override(monkeypatch):
     monkeypatch.setenv("KR_ENERGY_GUARD", "3")
     with pytest.raises(EnumerationGuardError):
         list(enumerate_ssyt(Shape((2, 1)), 3))
-    # an explicit guard wins over the environment
-    assert count_ssyt(Shape((2, 1)), 3, guard=100) == 8
+    with pytest.raises(EnumerationGuardError):
+        count_ssyt(Shape((2, 1)), 3)
+    monkeypatch.setenv("KR_ENERGY_GUARD", "0")
+    with pytest.raises(ValueError):
+        count_ssyt(Shape((2, 1)), 3)
 
 
 def test_energy_staircase_count_is_closed_form():
