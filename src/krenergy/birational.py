@@ -13,12 +13,16 @@ right (s_i first), matching the combinatorial convention on tensors.
 
 Evaluation helpers (eval_loop_e, eval_loop_h, eval_tau, eval_sigma,
 eval_loop_schur) compute the symmetric-function families directly at a
-point: e, h, tau and sigma by ``krenergy.lsym.loop_family`` in the ring of
-the point's values (``point_ring``), the same code that expands them as
-polynomials, and the loop skew Schur function by a dynamic program over
-horizontal strips whose steps are cached per shape.  The test suite checks
-them against brute-force enumerations and the tableau sum.
-``fraction_det`` is fraction-free Bareiss elimination over the integers.
+point: e, h, tau and sigma by ``krenergy.lsym.loop_family``, the same code
+that expands them as polynomials, run in plain ints at the point with its
+denominators cleared (the families are homogeneous, so one power of the
+common denominator restores the value), and the loop skew Schur function
+by a dynamic program over horizontal strips whose steps are cached per
+shape.  The test suite checks them against the kernel in the ring of the
+point's exact values (``point_ring``), brute-force enumerations and the
+tableau sum.  ``fraction_det`` is fraction-free Bareiss elimination over
+the integers, and ``maximal_minors`` gets every maximal minor of an
+r x (r + 1) matrix from one such elimination.
 """
 
 from __future__ import annotations
@@ -173,24 +177,36 @@ def point_ring(p: RationalPoint) -> Ring:
     return Ring(p.m, p.n, p.value, Fraction(0), Fraction(1))
 
 
+def _eval_family(family: str, k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
+    """``loop_family`` at ``p`` in plain ints: with D the lcm of all the
+    denominators of ``p``, each ``x_i^(c)`` is the integer ``D * p_i^(c)``,
+    and since the family is homogeneous of degree k its value at ``p`` is
+    the integer result over ``D**k``."""
+    scale = math.lcm(*(v.denominator for row in p.values for v in row))
+    ints = [[v.numerator * (scale // v.denominator) for v in row] for row in p.values]
+    ring = Ring(p.m, p.n, lambda i, c: ints[i - 1][c], 0, 1)
+    value = loop_family(family, k, r, tuple(indices), ring)
+    return Fraction(value, scale**k) if value else Fraction(0)
+
+
 def eval_loop_e(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
     """e_k^{(r)} on the given variable indices, evaluated at ``p``."""
-    return loop_family("e", k, r, tuple(indices), point_ring(p))
+    return _eval_family("e", k, r, indices, p)
 
 
 def eval_loop_h(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
     """h_k^{(r)} on the given variable indices, evaluated at ``p``."""
-    return loop_family("h", k, r, tuple(indices), point_ring(p))
+    return _eval_family("h", k, r, indices, p)
 
 
 def eval_tau(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
     """tau_k^{(r)} (multiplicities at most n - 1) evaluated at ``p``."""
-    return loop_family("tau", k, r, tuple(indices), point_ring(p))
+    return _eval_family("tau", k, r, indices, p)
 
 
 def eval_sigma(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
     """sigma_k^{(r)} evaluated at ``p``; the first index carries the prefix."""
-    return loop_family("sigma", k, r, tuple(indices), point_ring(p))
+    return _eval_family("sigma", k, r, indices, p)
 
 
 @lru_cache(maxsize=None)
@@ -269,6 +285,19 @@ def rational_energy_product(p: RationalPoint) -> Fraction:
     return math.prod((eval_sigma(k, c, idx, p) for k, c, idx in factors), start=Fraction(1))
 
 
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of
+    those lcms."""
+    scale = 1
+    mat = []
+    for row in rows:
+        fracs = [Fraction(v) for v in row]
+        lcm = math.lcm(*(v.denominator for v in fracs)) if fracs else 1
+        scale *= lcm
+        mat.append([v.numerator * (lcm // v.denominator) for v in fracs])
+    return mat, scale
+
+
 def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant by fraction-free Bareiss elimination (1968).
 
@@ -277,15 +306,9 @@ def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     answer.  A zero pivot is swapped with the first nonzero entry below it.
     """
     size = len(rows)
-    fracs = [[Fraction(v) for v in row] for row in rows]
-    if any(len(row) != size for row in fracs):
+    mat, scale = _integer_rows(rows)
+    if any(len(row) != size for row in mat):
         raise ValueError("determinant of a non-square matrix")
-    scale = 1
-    mat = []
-    for row in fracs:
-        lcm = math.lcm(*(v.denominator for v in row)) if row else 1
-        scale *= lcm
-        mat.append([v.numerator * (lcm // v.denominator) for v in row])
     sign, prev = 1, 1
     for c in range(size - 1):
         piv = next((k for k in range(c, size) if mat[k][c]), None)
@@ -301,6 +324,48 @@ def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
                 row[col] = (row[col] * pivot - lead * top[col]) // prev
         prev = pivot
     return Fraction(sign * mat[-1][-1] if size else 1, scale)
+
+
+def maximal_minors(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+    """The r + 1 maximal minors of an r x (r + 1) matrix, minor j deleting
+    column j, from one Bareiss elimination.
+
+    The elimination pivots on rows and may leave one column f without a
+    pivot; a second such column means rank below r, and every minor is 0.
+    Otherwise the eliminated rows hold the Bareiss elimination of the
+    matrix without column f, so the last pivot is +-M_f.  The kernel vector
+    ``((-1)^j M_j)_j`` (Cramer's rule) scaled to ``y_f = M_f`` is integral,
+    so back substitution in integers gives every ``M_j = (-1)^(j+f) y_j``.
+    """
+    size = len(rows)
+    mat, scale = _integer_rows(rows)
+    if any(len(row) != size + 1 for row in mat):
+        raise ValueError("maximal minors need an r x (r + 1) matrix")
+    free, pivots, sign, prev = None, [], 1, 1
+    for c in range(size + 1):
+        t = len(pivots)
+        piv = next((k for k in range(t, size) if mat[k][c]), None)
+        if piv is None:
+            if free is not None:
+                return [Fraction(0)] * (size + 1)
+            free = c
+            continue
+        if piv != t:
+            mat[t], mat[piv] = mat[piv], mat[t]
+            sign = -sign
+        pivot, top = mat[t][c], mat[t]
+        for k in range(t + 1, size):
+            row, lead = mat[k], mat[k][c]
+            for col in range(c + 1, size + 1):
+                row[col] = (row[col] * pivot - lead * top[col]) // prev
+        prev = pivot
+        pivots.append(c)
+    y = [0] * (size + 1)
+    y[free] = sign * prev
+    for t in range(size - 1, -1, -1):
+        c, row = pivots[t], mat[t]
+        y[c] = -sum(row[j] * y[j] for j in range(c + 1, size + 1)) // row[c]
+    return [Fraction(v if (j + free) % 2 == 0 else -v, scale) for j, v in enumerate(y)]
 
 
 class TactCheck(NamedTuple):

@@ -16,14 +16,16 @@ picks the evaluator and little else:
   failure is recorded with its witness point, then one passing summary per
   family that never failed.  The tableau-sum side of ``jacobi_trudi`` is
   evaluated by the horizontal-strip DP ``eval_loop_schur``, so no tableau
-  is enumerated at a point.  ``staircase_jacobi_trudi`` stays
+  is enumerated at a point, and the maximal minors of B all come from one
+  elimination (``maximal_minors``).  ``staircase_jacobi_trudi`` stays
   symbolic-only, which keeps the set of randomized families fixed.
 
 The evaluators differ only in the public functions they call for the
 loop families (``krenergy.lsym`` or ``krenergy.birational``, which run the
-same ring-generic kernel), in ``det`` and in ``schur``.  Both compute each
-loop e, h and tau, and each classical e of the products (written once,
-over any ring), once per ``(family, k, r mod n)``.
+same ring-generic kernel), in ``det``, ``minors`` (one ``det`` per
+deleted column for polynomials) and ``schur``.  Both compute each loop e,
+h and tau, and each classical e of the products (written once, over any
+ring), once per ``(family, k, r mod n)``.
 
 Families covered (names as reported):
 
@@ -58,6 +60,7 @@ from .birational import (
     eval_sigma,
     eval_tau,
     fraction_det,
+    maximal_minors,
     point_ring,
     random_point,
 )
@@ -128,7 +131,8 @@ class _Evaluator:
 
     Subclasses give ``_family``, which calls the package's public function
     of a loop family in their ring (looked up at call time), and ``det``
-    and ``schur``.
+    and ``schur``; ``minors`` takes one ``det`` per deleted column unless
+    a subclass has a cheaper way.
     """
 
     def __init__(self, ring: Ring):
@@ -162,6 +166,11 @@ class _Evaluator:
     def sigma(self, k: int, r: int, indices: range):
         return self._family("sigma", k, r, indices)
 
+    def minors(self, rows: list[list]) -> list:
+        """The maximal minors of an r x (r + 1) matrix, minor j deleting
+        column j."""
+        return [self.det([row[:j] + row[j + 1 :] for row in rows]) for j in range(len(rows) + 1)]
+
 
 class _PolyEvaluator(_Evaluator):
     """The families as polynomials in the m x n colored variables."""
@@ -194,6 +203,9 @@ class _PointEvaluator(_Evaluator):
 
     def det(self, rows: list[list[Fraction]]) -> Fraction:
         return fraction_det(rows)
+
+    def minors(self, rows: list[list[Fraction]]) -> list[Fraction]:
+        return maximal_minors(rows)
 
     def schur(self, shape: SkewShape | Shape, r: int) -> Fraction:
         return eval_loop_schur(shape, r, self.p)
@@ -284,9 +296,8 @@ def _instances(ev, n: int, m: int, symbolic: bool):
         vec = [sign * t for (sign, _, _), t in zip(spec, taus)]
         products = [sum((b * t for b, t in zip(row, vec)), ev.zero) for row in mat_b]
         yield "tau_vector_annihilation", params, all(v == ev.zero for v in products)
-        for i in range(1, len(spec) + 1):
-            minor = ev.det([row[: i - 1] + row[i:] for row in mat_b])
-            yield "minor_tau_factorization", {**params, "i": i}, minor == taus[i - 1] * det_a
+        for i, (minor, t) in enumerate(zip(ev.minors(mat_b), taus, strict=True), start=1):
+            yield "minor_tau_factorization", {**params, "i": i}, minor == t * det_a
 
 
 def identity_suite(
@@ -304,6 +315,9 @@ def identity_suite(
     records each failure with its point, then one passing summary per
     family that never failed.
     """
+    for name, value in (("n", n), ("m", m), ("seed", seed), ("trials", trials)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n < 2 or m < 1:
         raise ValueError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
     if mode == "symbolic":

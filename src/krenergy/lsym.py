@@ -591,7 +591,9 @@ def trop_eval(p: ColoredPoly, grid) -> int | float:
     The value is the least entry of the polynomial's exponent matrix times
     the grid; the matrix is checked and built once and cached on the
     polynomial.  The product runs in int64 while every grid value is below
-    ``_NUMPY_VALUE_BOUND``, and in exact Python ints otherwise.
+    ``_NUMPY_VALUE_BOUND``.  Otherwise the columns below the bound still
+    run in int64, and the others add their exact Python-int part once per
+    distinct exponent pattern on them.
     """
     if (grid.m, grid.n) != (p.m, p.n):
         raise ValueError(f"grid ({grid.m}, {grid.n}) does not match poly ({p.m}, {p.n})")
@@ -609,5 +611,21 @@ def trop_eval(p: ColoredPoly, grid) -> int | float:
                 mat[t, (i - 1) * p.n + r] = e
         p._trop_matrix = mat
     flat = grid.flat()
-    exact = max(abs(v) for v in flat) >= _NUMPY_VALUE_BOUND
-    return int((mat @ np.asarray(flat, dtype=object if exact else np.int64)).min())
+    big = [c for c, v in enumerate(flat) if abs(v) >= _NUMPY_VALUE_BOUND]
+    if not big or mat.dtype == object:
+        return int((mat @ np.asarray(flat, dtype=object if big else np.int64)).min())
+    # The small columns' part stays exact in int64.  Terms with the same
+    # exponents on the big columns share their exact big part, so each
+    # group of them, adjacent once sorted, needs only its least small part.
+    small = [c for c, v in enumerate(flat) if abs(v) < _NUMPY_VALUE_BOUND]
+    low = mat[:, small] @ np.asarray([flat[c] for c in small], dtype=np.int64)
+    exps = mat[:, big]
+    order = np.lexsort(exps.T)
+    exps = exps[order]
+    starts = np.flatnonzero(np.r_[True, (exps[1:] != exps[:-1]).any(axis=1)])
+    least = np.minimum.reduceat(low[order], starts)
+    values = [flat[c] for c in big]
+    return min(
+        lo + sum(e * v for e, v in zip(row, values))
+        for lo, row in zip(least.tolist(), exps[starts].tolist())
+    )

@@ -90,6 +90,14 @@ class VerifyConfig:
             raise ConfigError("at least one suite is required")
         if len(set(self.suites)) != len(self.suites):
             raise ConfigError(f"each suite may be listed once, got {self.suites}")
+        for name in ("n_range", "m_range"):
+            bounds = getattr(self, name)
+            ints = type(bounds) is tuple and all(type(v) is int for v in bounds)
+            if not (ints and len(bounds) == 2):
+                raise ConfigError(f"{name} must be a (lo, hi) tuple of integers, got {bounds!r}")
+        for name in ("capacity_cap", "trials", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         n_lo, n_hi = self.n_range
         m_lo, m_hi = self.m_range
         if not (2 <= n_lo <= n_hi <= 6):

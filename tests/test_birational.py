@@ -24,6 +24,8 @@ from krenergy.birational import (
     eval_tau,
     fraction_det,
     kappa,
+    maximal_minors,
+    point_ring,
     random_point,
     rational_energy_global,
     rational_energy_product,
@@ -31,7 +33,7 @@ from krenergy.birational import (
 )
 from krenergy.crystal import counts_to_grid, intrinsic_energy, ok
 from krenergy.identities import box_skew_shapes
-from krenergy.lsym import loop_e, loop_h, loop_schur_tableaux, sigma, tau
+from krenergy.lsym import loop_e, loop_family, loop_h, loop_schur_tableaux, sigma, tau
 from krenergy.tableaux import Shape, SkewShape, count_ssyt, staircase
 from krenergy.verify import random_tensor
 
@@ -151,6 +153,24 @@ def test_evaluators_on_subranges():
         ).eval_rational(p.value)
 
 
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 4), (4, 5)])
+def test_integer_point_families_match_the_rational_ring(n, m):
+    """The families computed in ints at the cleared-denominator point equal
+    the kernel run over ``Fraction`` (``point_ring``), for every degree
+    from -1 to one past the cap on every index range (a contiguous range
+    and the odd indices)."""
+    p = random_point(m, n, random.Random(f"int-point:{n}:{m}"))
+    ranges = [tuple(range(i, j + 1)) for i in range(1, m + 1) for j in range(i, m + 1)]
+    ranges.append(tuple(range(1, m + 1, 2)))
+    evals = {"e": eval_loop_e, "h": eval_loop_h, "tau": eval_tau, "sigma": eval_sigma}
+    for idx in ranges:
+        for family, fn in evals.items():
+            for k in range(-1, (n - 1) * len(idx) + 2):
+                for r in (-1, 0, n):
+                    want = loop_family(family, k, r, idx, point_ring(p))
+                    assert fn(k, r, idx, p) == want, (family, k, r, idx)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_eval_loop_schur_matches_tableau_sum(n):
     """The strip DP against the plain tableau sum on every skew shape in a
@@ -185,6 +205,20 @@ def test_fraction_det_small_cases():
         fraction_det([[1, 2]])
     with pytest.raises(ValueError):
         fraction_det([[1, 2], [3]])
+
+
+def test_maximal_minors_small_cases():
+    # minor j deletes column j
+    assert maximal_minors([[1, 2, 3], [4, 5, 6]]) == [-3, -6, -3]
+    assert maximal_minors([[Fraction(1, 2), 0]]) == [0, Fraction(1, 2)]
+    assert maximal_minors([[0, 0, 1], [0, 0, 2]]) == [0, 0, 0]
+    assert maximal_minors([[0, 1, 0], [0, 0, 1]]) == [1, 0, 0]
+    assert maximal_minors([[0, 1, 0], [1, 0, 0]]) == [0, 0, -1]  # a row swap
+    assert maximal_minors([]) == [1]
+    with pytest.raises(ValueError):
+        maximal_minors([[1, 2]] * 2)
+    with pytest.raises(ValueError):
+        maximal_minors([[1, 2, 3], [1, 2]])
 
 
 def _sympy_det(rows):

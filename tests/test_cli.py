@@ -10,6 +10,7 @@ from krenergy.birational import RationalPoint
 from krenergy.cli import main
 from krenergy.crystal import TensorElement
 from krenergy.lsym import ColoredPoly
+from krenergy.verify import ConfigError, VerifyConfig
 
 
 def run_cli(argv, stdin_text="", capsys=None, monkeypatch=None):
@@ -234,6 +235,30 @@ def test_verify_rejects_bad_range(capsys):
     code = main(["verify", "--n", "2:3:4"])
     _, err = capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"trials": True},
+        {"trials": 2.5},
+        {"capacity_cap": True},
+        {"capacity_cap": 2.0},
+        {"seed": "3"},
+        {"seed": False},
+        {"n_range": (2.0, 2)},
+        {"n_range": (2, True)},
+        {"m_range": (1, 1.5)},
+        {"m_range": ("1", 2)},
+        {"m_range": (1, 2, 3)},
+        {"n_range": [2, 3]},
+    ],
+)
+def test_verify_config_takes_only_integers(kwargs):
+    """A bool, float or string where an integer belongs is refused up front;
+    these used to run to completion, or raise TypeError mid-run."""
+    with pytest.raises(ConfigError):
+        VerifyConfig(suites=("rmatrix",), **kwargs)
 
 
 def test_verify_rejects_duplicate_suite(capsys):

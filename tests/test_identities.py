@@ -13,13 +13,19 @@ from fractions import Fraction
 import pytest
 
 from krenergy import birational, identities, verify
-from krenergy.birational import eval_loop_e, eval_loop_h, point_ring, random_point
+from krenergy.birational import (
+    eval_loop_e,
+    eval_loop_h,
+    fraction_det,
+    point_ring,
+    random_point,
+)
 from krenergy.identities import (
     box_skew_shapes,
     classical_e_of_products,
     identity_suite,
 )
-from krenergy.lsym import ColoredPoly, poly_ring, sigma
+from krenergy.lsym import ColoredPoly, poly_ring, sigma, staircase_b_indices
 from krenergy.tableaux import Shape
 
 
@@ -111,6 +117,27 @@ def test_mode_and_trials_validation():
         identity_suite(2, 2, mode="randomized", trials=0)
     with pytest.raises(ValueError):
         identity_suite(1, 2)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n": 2.0, "m": 2},
+        {"n": True, "m": 2},
+        {"n": 2, "m": 2.0},
+        {"n": 2, "m": "2"},
+        {"n": 2, "m": 2, "mode": "randomized", "seed": "3"},
+        {"n": 2, "m": 2, "mode": "randomized", "seed": 1.0},
+        {"n": 2, "m": 2, "mode": "randomized", "trials": True},
+        {"n": 2, "m": 2, "mode": "randomized", "trials": 2.5},
+        {"n": 2, "m": 2, "mode": "symbolic", "trials": 2.5},
+    ],
+)
+def test_identity_suite_takes_only_integers(kwargs):
+    """A bool, float or string where an integer belongs is refused up
+    front, in either mode (``seed="3"`` used to seed the same points as 3)."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        identity_suite(**kwargs)
 
 
 def test_staircase_factorization_base_case_polynomial():
@@ -239,3 +266,37 @@ def test_point_evaluator_computes_each_family_once(monkeypatch):
     for (k, r), (e, e_shift, h, h_shift) in zip(pairs, shifted):
         assert e == e_shift == eval_loop_e(k, r, full, p)
         assert h == h_shift == eval_loop_h(k, r, full, p)
+
+
+def test_point_minors_match_per_column_determinants():
+    """One elimination gives the 16 maximal minors of the 15 x 16 matrix B
+    that 16 separate determinants give, for every color at three n=4, m=5
+    points."""
+    n, m = 4, 5
+    rng = random.Random("minors")
+    for _ in range(3):
+        ev = identities._PointEvaluator(random_point(m, n, rng))
+        for r in range(n):
+            mat_b = [[ev.e(k, c) for k, c in row] for row in staircase_b_indices(m, n=n, r=r)]
+            per_column = [
+                fraction_det([row[:j] + row[j + 1 :] for row in mat_b])
+                for j in range(len(mat_b) + 1)
+            ]
+            assert ev.minors(mat_b) == per_column
+            assert identities._Evaluator.minors(ev, mat_b) == per_column
+
+
+def test_corrupted_b_entry_fails_at_every_point(monkeypatch):
+    """e_16^(0) is zero and at n=4, m=5 only B uses it; set to 1, the B
+    families fail at every point while the families without B pass."""
+
+    def broken_e(k, r, indices, p):
+        value = eval_loop_e(k, r, indices, p)
+        return value + 1 if (k, r % p.n) == (16, 0) else value
+
+    monkeypatch.setattr(identities, "eval_loop_e", broken_e)
+    checks = identity_suite(4, 5, mode="randomized", seed=0, trials=3)
+    b_families = {"minor_tau_factorization", "tau_vector_annihilation"}
+    bad = [c for c in checks if not c.passed]
+    assert {c.identity for c in bad} <= b_families
+    assert {c.witness["point_index"] for c in bad} == {0, 1, 2}

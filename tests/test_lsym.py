@@ -604,6 +604,23 @@ def test_trop_eval_is_exact_past_int64():
     assert trop_eval(q, TropicalGrid(1, 2, [[1 << 62, 3 << 61]])) == 1 << 62
 
 
+@pytest.mark.parametrize("big", [(5,), (0, 7), tuple(range(12))])
+def test_trop_eval_big_columns_match_the_term_minimum(big):
+    """Grid values of 2^62 and more on some columns, or on every column,
+    against a pure-Python minimum over the terms."""
+    n, m = 3, 4
+    p = loop_schur_tableaux(staircase(3, 2), 0, 4, n=n)
+    rng = random.Random(f"trop-big:{big}")
+    for _ in range(5):
+        flat = [
+            rng.randint(1 << 62, 1 << 64) if c in big else rng.randint(0, 9)
+            for c in range(m * n)
+        ]
+        g = TropicalGrid(m, n, [flat[i * n : (i + 1) * n] for i in range(m)])
+        slow = min(sum(e * g.value(i, r) for (i, r), e in mono) for mono in p.terms)
+        assert trop_eval(p, g) == slow
+
+
 def test_trop_eval_matrix_path_matches_scalar_path():
     # the cached matrix product against a direct pure-Python minimum over
     # the same terms

@@ -1,13 +1,16 @@
-"""Property tests of the enumeration path over random small skew shapes.
+"""Property tests of the enumeration path over random small skew shapes,
+and of the one-elimination maximal minors.
 
 hypothesis draws a skew shape inside a 4 x 4 box and a max entry.  The
 oracles are the checking ``Ssyt`` constructor, ``count_ssyt``, the
 coefficient sum of ``loop_schur_tableaux`` and, for ``partitions_between``,
-a filter over every tuple in the box.  The runs are derandomized, so a
-failure reproduces, and keep no example database.
+a filter over every tuple in the box.  ``maximal_minors`` is checked
+against one ``fraction_det`` per deleted column.  The runs are
+derandomized, so a failure reproduces, and keep no example database.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +18,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from krenergy.birational import fraction_det, maximal_minors  # noqa: E402
 from krenergy.lsym import loop_schur_tableaux  # noqa: E402
 from krenergy.tableaux import (  # noqa: E402
     SkewShape,
@@ -66,3 +70,39 @@ def test_partitions_between_matches_filter(shapes):
         and all(lo <= v <= hi for lo, v, hi in zip(padded, nu, outer))
     ]
     assert partitions_between(outer, inner) == want
+
+
+@st.composite
+def wide_matrices(draw):
+    """An r x (r + 1) rational matrix, r <= 6, with no defect, a zero
+    first pivot (a row swap), a zero column, a repeated row, or rank r - 1
+    or r - 2 (the last one or two rows combinations of the others)."""
+    r = draw(st.integers(0, 6))
+    entry = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    rows = [[draw(entry) for _ in range(r + 1)] for _ in range(r)]
+    defects = ["none", "zero pivot", "zero column", "repeated row", "rank-1", "rank-2"]
+    defect = draw(st.sampled_from(defects))
+    if defect == "zero pivot" and r:
+        rows[0][0] = Fraction(0)
+    elif defect == "zero column" and r:
+        col = draw(st.integers(0, r))
+        for row in rows:
+            row[col] = Fraction(0)
+    elif defect == "repeated row" and r >= 2:
+        rows[-1] = list(rows[draw(st.integers(0, r - 2))])
+    elif defect in ("rank-1", "rank-2"):
+        drop = 1 if defect == "rank-1" else 2
+        for t in range(max(r - drop, 0), r):
+            coeffs = [draw(entry) for _ in range(r - drop)]
+            rows[t] = [sum((c * rows[s][j] for s, c in enumerate(coeffs)), Fraction(0))
+                       for j in range(r + 1)]
+    return rows
+
+
+@PROPERTY_SETTINGS
+@given(wide_matrices())
+def test_maximal_minors_match_per_column_determinants(rows):
+    per_column = [
+        fraction_det([row[:j] + row[j + 1 :] for row in rows]) for j in range(len(rows) + 1)
+    ]
+    assert maximal_minors(rows) == per_column
