@@ -12,17 +12,17 @@ actions like ``s_i s_{i+1} ... s_{j-2}`` are applied to the point left to
 right (s_i first), matching the combinatorial convention on tensors.
 
 Evaluation helpers (eval_loop_e, eval_loop_h, eval_tau, eval_sigma,
-eval_loop_schur) compute the symmetric-function families directly at a
+eval_loop_schurs) compute the symmetric-function families directly at a
 point: e, h, tau and sigma by ``krenergy.lsym.loop_family``, the same code
 that expands them as polynomials, run in plain ints at the point with its
-denominators cleared (the families are homogeneous, so one power of the
-common denominator restores the value), and the loop skew Schur function
-by a dynamic program over horizontal strips whose steps are cached per
-shape.  The test suite checks them against the kernel in the ring of the
-point's exact values (``point_ring``), brute-force enumerations and the
-tableau sum.  ``fraction_det`` is fraction-free Bareiss elimination over
-the integers, and ``maximal_minors`` gets every maximal minor of an
-r x (r + 1) matrix from one such elimination.
+denominators cleared (one power of the common denominator restores a
+homogeneous value), and the loop skew Schur functions of every nu / inner
+up to an outer shape by one dynamic program over horizontal strips, whose
+steps are cached per pair.  Tests check them against the kernel in the
+ring of the point's values (``point_ring``), enumerations and the tableau
+sum.  ``fraction_det`` (Bareiss elimination over the integers) and
+``maximal_minors`` (every maximal minor of an r x (r + 1) matrix from one
+such elimination) take int and Fraction entries only.
 """
 
 from __future__ import annotations
@@ -210,13 +210,13 @@ def eval_sigma(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Frac
 
 
 @lru_cache(maxsize=None)
-def _strip_chains(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[tuple, tuple]:
+def _strip_chains(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
     """The horizontal-strip steps of the skew shape ``outer / inner``.
 
-    The partitions nu with inner <= nu <= outer are listed by size, so
-    inner comes first and outer last.  Returns the distinct content tuples
-    of the nonempty strips and, per partition, its strip predecessors as
-    ``(index of kappa, index of the contents of nu / kappa)``.
+    Returns the partitions nu with inner <= nu <= outer (``len(outer)``
+    parts each) by size, so inner comes first and outer last; the distinct
+    content tuples of the nonempty strips; and, per partition, its strip
+    predecessors as ``(index of kappa, index of the contents of nu / kappa)``.
     """
     parts = sorted(partitions_between(outer, inner), key=sum)
     inner = inner + (0,) * (len(outer) - len(inner))
@@ -236,26 +236,27 @@ def _strip_chains(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[tuple
             )
             steps.append((index[kappa], contents.setdefault(cells, len(contents))))
         preds.append(tuple(steps))
-    return tuple(contents), tuple(preds)
+    return tuple(parts), tuple(contents), tuple(preds)
 
 
-def eval_loop_schur(shape: SkewShape | Shape | Iterable[int], r: int, p: RationalPoint) -> Fraction:
-    """Loop skew Schur function of color ``r`` evaluated at ``p``.
+def eval_loop_schurs(outer: tuple, inner: tuple, r: int, p: RationalPoint) -> dict:
+    """Loop skew Schur functions of color ``r`` of every nu / inner with
+    inner <= nu <= outer (partitions as tuples) at ``p``, keyed by nu with
+    ``len(outer)`` parts.
 
     A semistandard tableau with entries 1..m is a chain of partitions from
     the inner to the outer shape in which entry i fills a horizontal strip;
     a cell (a, b) with entry i contributes ``x_i^{(a - b + r)}`` (the
-    content convention of ``krenergy.tableaux``).  The DP keeps one exact
-    value per intermediate partition and adds the strips of one entry at a
-    time.  The values are integers over one common denominator: every
-    chain spends the shape's N cells, so entry i's strip of s cells is
-    weighted by its numerators times ``d_i^(N - s)``, where ``d_i`` clears
-    the denominators of ``x_i``, and the sum is divided by the product of
-    the ``d_i^N`` at the end.
+    content convention of ``krenergy.tableaux``).  The DP adds the strips
+    of one entry at a time to one exact value per partition nu, which ends
+    as the function of nu / inner.  The values are integers over one common
+    denominator: with N the size of outer / inner and ``d_i`` clearing the
+    denominators of ``x_i``, entry i's strip of s cells is weighted by its
+    numerators times ``d_i^(N - s)``, ``d_i^N`` times its value, and every
+    value is divided by the product of the ``d_i^N`` at the end.
     """
-    skew = SkewShape.of(shape)
-    strips, preds = _strip_chains(skew.outer.parts, skew.inner.parts)
-    n, size = p.n, skew.size
+    parts, strips, preds = _strip_chains(outer, inner)
+    n, size = p.n, sum(outer) - sum(inner)
     f = [1] + [0] * (len(preds) - 1)
     denominator = 1
     for row in p.values:
@@ -275,7 +276,14 @@ def eval_loop_schur(shape: SkewShape | Shape | Iterable[int], r: int, p: Rationa
                 if f[kappa]:
                     total += f[kappa] * weights[w]
             f[nu] = total
-    return Fraction(f[-1], denominator)
+    return {nu: Fraction(v, denominator) for nu, v in zip(parts, f)}
+
+
+def eval_loop_schur(shape: SkewShape | Shape | Iterable[int], r: int, p: RationalPoint) -> Fraction:
+    """Loop skew Schur function of color ``r`` at ``p``: the outer entry of
+    ``eval_loop_schurs``."""
+    skew = SkewShape.of(shape)
+    return eval_loop_schurs(skew.outer.parts, skew.inner.parts, r, p)[skew.outer.parts]
 
 
 def rational_energy_product(p: RationalPoint) -> Fraction:
@@ -285,16 +293,18 @@ def rational_energy_product(p: RationalPoint) -> Fraction:
     return math.prod((eval_sigma(k, c, idx, p) for k, c, idx in factors), start=Fraction(1))
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+def _integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], int]:
     """Each row times the lcm of its denominators, and the product of
-    those lcms."""
+    those lcms.  Entries must be ints or Fractions: anything else, bools
+    included, raises ``TypeError``."""
     scale = 1
     mat = []
     for row in rows:
-        fracs = [Fraction(v) for v in row]
-        lcm = math.lcm(*(v.denominator for v in fracs)) if fracs else 1
+        if not all(type(v) is int or type(v) is Fraction for v in row):
+            raise TypeError(f"matrix entries must be ints or Fractions, got the row {row!r}")
+        lcm = math.lcm(*(v.denominator for v in row))
         scale *= lcm
-        mat.append([v.numerator * (lcm // v.denominator) for v in fracs])
+        mat.append([v.numerator * (lcm // v.denominator) for v in row])
     return mat, scale
 
 

@@ -15,10 +15,11 @@ picks the evaluator and little else:
   many points is strong evidence while a fail is a counterexample.  Each
   failure is recorded with its witness point, then one passing summary per
   family that never failed.  The tableau-sum side of ``jacobi_trudi`` is
-  evaluated by the horizontal-strip DP ``eval_loop_schur``, so no tableau
-  is enumerated at a point, and the maximal minors of B all come from one
-  elimination (``maximal_minors``).  ``staircase_jacobi_trudi`` stays
-  symbolic-only, which keeps the set of randomized families fixed.
+  read from one horizontal-strip DP table per (inner shape, color mod n)
+  (``eval_loop_schurs``), so no tableau is enumerated at a point, and the
+  maximal minors of B all come from one elimination (``maximal_minors``).
+  ``staircase_jacobi_trudi`` stays symbolic-only, which keeps the set of
+  randomized families fixed.
 
 The evaluators differ only in the public functions they call for the
 loop families (``krenergy.lsym`` or ``krenergy.birational``, which run the
@@ -56,7 +57,7 @@ from .birational import (
     RationalPoint,
     eval_loop_e,
     eval_loop_h,
-    eval_loop_schur,
+    eval_loop_schurs,
     eval_sigma,
     eval_tau,
     fraction_det,
@@ -84,6 +85,7 @@ from .tableaux import Shape, SkewShape, partitions_between, staircase
 
 SYMBOLIC_N_MAX = 3
 SYMBOLIC_M_MAX = 4
+JT_BOX = (3, 3, 3)  # the outer shape bounding the skew shapes of jacobi_trudi
 
 
 @dataclass
@@ -196,6 +198,7 @@ class _PointEvaluator(_Evaluator):
     def __init__(self, p: RationalPoint):
         super().__init__(point_ring(p))
         self.p = p
+        self._schurs: dict[tuple[tuple[int, ...], int], dict] = {}
 
     def _family(self, family: str, k: int, r: int, indices) -> Fraction:
         fn = {"e": eval_loop_e, "h": eval_loop_h, "tau": eval_tau, "sigma": eval_sigma}[family]
@@ -207,8 +210,13 @@ class _PointEvaluator(_Evaluator):
     def minors(self, rows: list[list[Fraction]]) -> list[Fraction]:
         return maximal_minors(rows)
 
-    def schur(self, shape: SkewShape | Shape, r: int) -> Fraction:
-        return eval_loop_schur(shape, r, self.p)
+    def schur(self, shape: SkewShape, r: int) -> Fraction:
+        """A skew shape inside ``JT_BOX``, read from one strip-DP table per
+        (inner shape, r mod n)."""
+        key = (shape.inner.parts, r % self.n)
+        if key not in self._schurs:
+            self._schurs[key] = eval_loop_schurs(JT_BOX, *key, self.p)
+        return self._schurs[key][(shape.outer.parts + (0,) * len(JT_BOX))[: len(JT_BOX)]]
 
 
 def _instances(ev, n: int, m: int, symbolic: bool):
@@ -259,7 +267,7 @@ def _instances(ev, n: int, m: int, symbolic: bool):
                 expected = (-1) ** (k // n) * ev.classical_e(k // n)
                 yield "tau_recursion_residual", params, acc == expected
 
-    for skew in box_skew_shapes(3, 3):
+    for skew in box_skew_shapes(len(JT_BOX), JT_BOX[0]):
         for r in range(n):
             params = {
                 "n": n,

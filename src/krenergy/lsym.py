@@ -422,13 +422,10 @@ def jacobi_trudi_indices(
     convention.  ``size`` pads the matrix past ``len(lam)``.
     """
     skew = SkewShape.of(shape)
-    lam = skew.outer.conjugate()
-    mu = skew.inner.conjugate()
-    size = len(lam) if size is None else size
-    return [
-        [(lam.part(i) - mu.part(j) - i + j, r - j + 1 + mu.part(j)) for j in range(1, size + 1)]
-        for i in range(1, size + 1)
-    ]
+    size = max(skew.outer.parts, default=0) if size is None else size
+    # conjugate part c + 1 of a partition counts its parts above c
+    lam, mu = ([sum(p > c for p in s.parts) for c in range(size)] for s in (skew.outer, skew.inner))
+    return [[(lam[i] - mu[j] - i + j, r - j + mu[j]) for j in range(size)] for i in range(size)]
 
 
 def _loop_e_matrix(indices: list[list[tuple[int, int]]], *, n: int, m: int) -> PolyMatrix:

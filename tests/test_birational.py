@@ -20,6 +20,7 @@ from krenergy.birational import (
     eval_loop_e,
     eval_loop_h,
     eval_loop_schur,
+    eval_loop_schurs,
     eval_sigma,
     eval_tau,
     fraction_det,
@@ -32,9 +33,8 @@ from krenergy.birational import (
     s_action,
 )
 from krenergy.crystal import counts_to_grid, intrinsic_energy, ok
-from krenergy.identities import box_skew_shapes
 from krenergy.lsym import loop_e, loop_family, loop_h, loop_schur_tableaux, sigma, tau
-from krenergy.tableaux import Shape, SkewShape, count_ssyt, staircase
+from krenergy.tableaux import Shape, SkewShape, count_ssyt, partitions_between, staircase
 from krenergy.verify import random_tensor
 
 
@@ -173,15 +173,24 @@ def test_integer_point_families_match_the_rational_ring(n, m):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_eval_loop_schur_matches_tableau_sum(n):
-    """The strip DP against the plain tableau sum on every skew shape in a
-    3 x 3 box, every color and m = 1..5."""
-    shapes = box_skew_shapes(3, 3)
+    """The strip DP's table for each inner shape of the 3 x 3 box against
+    the plain tableau sum and the one-shape ``eval_loop_schur`` on every nu
+    between the inner shape and the box (nu = inner included), every
+    color and m = 1..5."""
+    box = (3, 3, 3)
     for m in range(1, 6):
         p = random_point(m, n, random.Random(f"loop-schur:{n}:{m}"))
-        for shape in shapes:
+        for inner in partitions_between(box):
+            inner = Shape(inner).parts
             for r in range(n):
-                expected = loop_schur_tableaux(shape, r, m, n=n).eval_rational(p.value)
-                assert eval_loop_schur(shape, r, p) == expected, (shape, r, m)
+                table = eval_loop_schurs(box, inner, r, p)
+                assert sorted(table) == partitions_between(box, inner)
+                assert table[inner + (0,) * (3 - len(inner))] == 1
+                for nu, value in table.items():
+                    shape = SkewShape(nu, inner)
+                    expected = loop_schur_tableaux(shape, r, m, n=n).eval_rational(p.value)
+                    assert value == expected, (shape, r, m)
+                    assert eval_loop_schur(shape, r, p) == expected, (shape, r, m)
 
 
 def test_eval_loop_schur_edge_cases():
@@ -205,6 +214,22 @@ def test_fraction_det_small_cases():
         fraction_det([[1, 2]])
     with pytest.raises(ValueError):
         fraction_det([[1, 2], [3]])
+
+
+def test_matrix_entries_may_mix_ints_and_fractions():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert fraction_det([[1, half], [Fraction(2, 3), 3]]) == Fraction(8, 3)
+    assert maximal_minors([[1, half, 0], [0, 2, third]]) == [Fraction(1, 6), third, 2]
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2", True], ids=["float", "string", "bool"])
+def test_matrix_entries_must_be_ints_or_fractions(bad):
+    """Raised before any elimination: each matrix is singular in its first
+    column, which ends the elimination before the bad entry is read."""
+    with pytest.raises(TypeError):
+        fraction_det([[0, 1], [0, bad]])
+    with pytest.raises(TypeError):
+        maximal_minors([[0, 0, 1], [0, 0, bad]])
 
 
 def test_maximal_minors_small_cases():

@@ -233,6 +233,29 @@ def test_memo_does_not_hide_a_failure(monkeypatch):
     assert all(c.witness["point"]["n"] == 3 for c in bad)
 
 
+def test_schur_table_does_not_hide_a_failure(monkeypatch):
+    """One wrong entry of the per-point strip-DP table, s_{(3,2)/(1)} at
+    color 1, fails exactly that jacobi_trudi instance at every point, with
+    a witness, and nothing else."""
+    real = identities.eval_loop_schurs
+
+    def broken(outer, inner, r, p):
+        table = real(outer, inner, r, p)
+        if (inner, r % p.n) == ((1,), 1):
+            table[(3, 2, 0)] += 1
+        return table
+
+    monkeypatch.setattr(identities, "eval_loop_schurs", broken)
+    checks = identity_suite(3, 3, mode="randomized", seed=0, trials=3)
+    bad = failures(checks)
+    assert {c.identity for c in bad} == {"jacobi_trudi"}
+    assert all((c.params["outer"], c.params["inner"], c.params["r"]) == ([3, 2], [1], 1) for c in bad)
+    assert sorted(c.witness["point_index"] for c in bad) == [0, 1, 2]
+    assert all(c.witness["point"]["n"] == 3 for c in bad)
+    passed = {c.identity for c in checks if c.passed}
+    assert passed == RANDOMIZED_FAMILIES - {"jacobi_trudi"}
+
+
 def test_point_evaluator_computes_each_family_once(monkeypatch):
     """At one point every (family, k, r mod n) reaches the DP at most once."""
     n, m = 3, 3

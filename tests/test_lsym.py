@@ -22,12 +22,14 @@ from krenergy.lsym import (
     _mono_from_dict,
     build_A,
     build_B,
+    jacobi_trudi_indices,
     loop_e,
     loop_h,
     loop_schur_jt,
     loop_schur_tableaux,
     sigma,
     sigma_product_indices,
+    staircase_a_indices,
     staircase_matrix_size,
     tau,
     tau_vector,
@@ -401,6 +403,34 @@ def test_jt_single_column_is_loop_e():
     for n in (2, 3):
         for k in (1, 2, 3):
             assert loop_schur_jt(Shape([1] * k), 0, n=n, m=3) == loop_e(k, 0, n=n, m=3)
+
+
+def shape_jacobi_trudi_indices(shape, r, size=None):
+    """The Jacobi-Trudi ``(degree, color)`` entries read off the conjugate
+    ``Shape``s, 1-based as the formula is written: the reference for
+    ``jacobi_trudi_indices``."""
+    skew = SkewShape.of(shape)
+    lam = skew.outer.conjugate()
+    mu = skew.inner.conjugate()
+    size = len(lam) if size is None else size
+    return [
+        [(lam.part(i) - mu.part(j) - i + j, r - j + 1 + mu.part(j)) for j in range(1, size + 1)]
+        for i in range(1, size + 1)
+    ]
+
+
+def test_jacobi_trudi_indices_match_the_shape_reference():
+    from krenergy.identities import box_skew_shapes
+
+    shapes = box_skew_shapes(3, 3)
+    for n in (2, 3, 4):
+        for r in range(-n, 2 * n + 1):
+            for skew in shapes:
+                assert jacobi_trudi_indices(skew, r) == shape_jacobi_trudi_indices(skew, r)
+            for m in range(2, 6):
+                _, size = staircase_matrix_size(m, n)
+                want = shape_jacobi_trudi_indices(staircase(m - 1, n - 1), r, size)
+                assert staircase_a_indices(m, n=n, r=r) == want, (n, m, r)
 
 
 def test_jt_matches_tableaux_on_box_shapes():
