@@ -12,17 +12,14 @@ actions like ``s_i s_{i+1} ... s_{j-2}`` are applied to the point left to
 right (s_i first), matching the combinatorial convention on tensors.
 
 Evaluation helpers (eval_loop_e, eval_loop_h, eval_tau, eval_sigma,
-eval_loop_schurs) compute the symmetric-function families directly at a
-point: e, h, tau and sigma by ``krenergy.lsym.loop_family``, the same code
-that expands them as polynomials, run in plain ints at the point with its
-denominators cleared (one power of the common denominator restores a
-homogeneous value), and the loop skew Schur functions of every nu / inner
-up to an outer shape by one dynamic program over horizontal strips, whose
-steps are cached per pair.  Tests check them against the kernel in the
-ring of the point's values (``point_ring``), enumerations and the tableau
-sum.  ``fraction_det`` (Bareiss elimination over the integers) and
-``maximal_minors`` (every maximal minor of an r x (r + 1) matrix from one
-such elimination) take int and Fraction entries only.
+eval_loop_schurs) run the code that expands the families as polynomials,
+``krenergy.lsym.loop_family`` and ``loop_schurs``, in one ring of plain
+ints: the point's values with their denominators cleared
+(``_cleared_ring``); one power of the common denominator restores each
+homogeneous value.  Tests check them against the kernels in the ring of
+the point's values (``point_ring``), enumerations and the tableau sum.
+``fraction_det`` and ``maximal_minors`` (every maximal minor of an
+r x (r + 1) matrix) share one Bareiss elimination over the integers.
 """
 
 from __future__ import annotations
@@ -31,13 +28,10 @@ import math
 import random
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
 from typing import NamedTuple
 
 from ._strict import json_decimal, json_int
-from .lsym import Ring, loop_family, sigma_product_indices
-from .tableaux import Shape, SkewShape, partitions_between
+from .lsym import Ring, loop_family, loop_schurs, sigma_product_indices
 
 
 class RationalPoint:
@@ -45,17 +39,19 @@ class RationalPoint:
 
     __slots__ = ("m", "n", "values")
 
-    def __init__(self, m: int, n: int, values: Iterable[Iterable[Fraction]]):
-        values = tuple(tuple(Fraction(v) for v in row) for row in values)
+    def __init__(self, m: int, n: int, values: Iterable[Iterable[Fraction | int]]):
+        values = tuple(tuple(row) for row in values)
         if len(values) != m or any(len(row) != n for row in values):
             raise ValueError(f"expected a {m} x {n} array of values")
         for row in values:
             for v in row:
+                if type(v) is not int and type(v) is not Fraction:
+                    raise TypeError(f"point values must be ints or Fractions, got {v!r}")
                 if v <= 0:
                     raise ValueError(f"point values must be strictly positive, got {v}")
         self.m = m
         self.n = n
-        self.values = values
+        self.values = tuple(tuple(map(Fraction, row)) for row in values)
 
     def value(self, i: int, r: int) -> Fraction:
         """Value of ``x_i^{(r)}``; the color is reduced mod n."""
@@ -177,14 +173,18 @@ def point_ring(p: RationalPoint) -> Ring:
     return Ring(p.m, p.n, p.value, Fraction(0), Fraction(1))
 
 
-def _eval_family(family: str, k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
-    """``loop_family`` at ``p`` in plain ints: with D the lcm of all the
-    denominators of ``p``, each ``x_i^(c)`` is the integer ``D * p_i^(c)``,
-    and since the family is homogeneous of degree k its value at ``p`` is
-    the integer result over ``D**k``."""
+def _cleared_ring(p: RationalPoint) -> tuple[Ring, int]:
+    """The colored variables as the integers ``D * p_i^(c)``, with D the
+    lcm of all the denominators of ``p``, and D.  A value homogeneous of
+    degree k computed in this ring is D**k times its value at ``p``."""
     scale = math.lcm(*(v.denominator for row in p.values for v in row))
     ints = [[v.numerator * (scale // v.denominator) for v in row] for row in p.values]
-    ring = Ring(p.m, p.n, lambda i, c: ints[i - 1][c], 0, 1)
+    return Ring(p.m, p.n, lambda i, c: ints[i - 1][c], 0, 1), scale
+
+
+def _eval_family(family: str, k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
+    """``loop_family`` at ``p``, run in ints in ``_cleared_ring(p)``."""
+    ring, scale = _cleared_ring(p)
     value = loop_family(family, k, r, tuple(indices), ring)
     return Fraction(value, scale**k) if value else Fraction(0)
 
@@ -209,81 +209,15 @@ def eval_sigma(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Frac
     return _eval_family("sigma", k, r, indices, p)
 
 
-@lru_cache(maxsize=None)
-def _strip_chains(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
-    """The horizontal-strip steps of the skew shape ``outer / inner``.
-
-    Returns the partitions nu with inner <= nu <= outer (``len(outer)``
-    parts each) by size, so inner comes first and outer last; the distinct
-    content tuples of the nonempty strips; and, per partition, its strip
-    predecessors as ``(index of kappa, index of the contents of nu / kappa)``.
-    """
-    parts = sorted(partitions_between(outer, inner), key=sum)
-    inner = inner + (0,) * (len(outer) - len(inner))
-    index = {nu: k for k, nu in enumerate(parts)}
-    contents: dict[tuple[int, ...], int] = {}
-    preds = []
-    for nu in parts:
-        below = nu[1:] + (0,)
-        steps = []
-        for kappa in product(*(range(max(lo, b), a + 1) for lo, a, b in zip(inner, nu, below))):
-            if kappa == nu:
-                continue
-            cells = tuple(
-                a - b
-                for a, (start, end) in enumerate(zip(kappa, nu), start=1)
-                for b in range(start + 1, end + 1)
-            )
-            steps.append((index[kappa], contents.setdefault(cells, len(contents))))
-        preds.append(tuple(steps))
-    return tuple(parts), tuple(contents), tuple(preds)
-
-
 def eval_loop_schurs(outer: tuple, inner: tuple, r: int, p: RationalPoint) -> dict:
-    """Loop skew Schur functions of color ``r`` of every nu / inner with
-    inner <= nu <= outer (partitions as tuples) at ``p``, keyed by nu with
-    ``len(outer)`` parts.
-
-    A semistandard tableau with entries 1..m is a chain of partitions from
-    the inner to the outer shape in which entry i fills a horizontal strip;
-    a cell (a, b) with entry i contributes ``x_i^{(a - b + r)}`` (the
-    content convention of ``krenergy.tableaux``).  The DP adds the strips
-    of one entry at a time to one exact value per partition nu, which ends
-    as the function of nu / inner.  The values are integers over one common
-    denominator: with N the size of outer / inner and ``d_i`` clearing the
-    denominators of ``x_i``, entry i's strip of s cells is weighted by its
-    numerators times ``d_i^(N - s)``, ``d_i^N`` times its value, and every
-    value is divided by the product of the ``d_i^N`` at the end.
-    """
-    parts, strips, preds = _strip_chains(outer, inner)
-    n, size = p.n, sum(outer) - sum(inner)
-    f = [1] + [0] * (len(preds) - 1)
-    denominator = 1
-    for row in p.values:
-        d = math.lcm(*(v.denominator for v in row))
-        nums = [v.numerator * (d // v.denominator) for v in row]
-        powers = [d**k for k in range(size + 1)]
-        denominator *= powers[size]
-        weights = [
-            math.prod(nums[(c + r) % n] for c in cells) * powers[size - len(cells)]
-            for cells in strips
-        ]
-        # strips only grow partitions, so a descending sweep reads the
-        # previous entry's values
-        for nu in range(len(preds) - 1, -1, -1):
-            total = f[nu] * powers[size]
-            for kappa, w in preds[nu]:
-                if f[kappa]:
-                    total += f[kappa] * weights[w]
-            f[nu] = total
-    return {nu: Fraction(v, denominator) for nu, v in zip(parts, f)}
-
-
-def eval_loop_schur(shape: SkewShape | Shape | Iterable[int], r: int, p: RationalPoint) -> Fraction:
-    """Loop skew Schur function of color ``r`` at ``p``: the outer entry of
-    ``eval_loop_schurs``."""
-    skew = SkewShape.of(shape)
-    return eval_loop_schurs(skew.outer.parts, skew.inner.parts, r, p)[skew.outer.parts]
+    """``loop_schurs`` at ``p``, run in ints in ``_cleared_ring(p)``:
+    entry nu is divided by D to the degree |nu| - |inner|."""
+    ring, scale = _cleared_ring(p)
+    size = sum(inner)
+    return {
+        nu: Fraction(v, scale ** (sum(nu) - size)) if v else Fraction(0)
+        for nu, v in loop_schurs(outer, inner, r, ring).items()
+    }
 
 
 def rational_energy_product(p: RationalPoint) -> Fraction:
@@ -293,72 +227,31 @@ def rational_energy_product(p: RationalPoint) -> Fraction:
     return math.prod((eval_sigma(k, c, idx, p) for k, c, idx in factors), start=Fraction(1))
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], int]:
-    """Each row times the lcm of its denominators, and the product of
-    those lcms.  Entries must be ints or Fractions: anything else, bools
-    included, raises ``TypeError``."""
-    scale = 1
-    mat = []
+def _eliminate(rows: Sequence[Sequence[Fraction | int]], width: int):
+    """Fraction-free Bareiss elimination (1968) with row pivoting, column
+    by column, of the rows each times the lcm of its denominators.  Entries
+    must be ints or Fractions: anything else, bools included, raises
+    ``TypeError``.  Returns the eliminated rows, the pivot columns, the
+    sign of the row swaps, the last pivot and the product of the row lcms;
+    stops once more than ``width - len(rows)`` columns lack a pivot.
+    """
+    size, scale, mat = len(rows), 1, []
     for row in rows:
         if not all(type(v) is int or type(v) is Fraction for v in row):
             raise TypeError(f"matrix entries must be ints or Fractions, got the row {row!r}")
         lcm = math.lcm(*(v.denominator for v in row))
         scale *= lcm
         mat.append([v.numerator * (lcm // v.denominator) for v in row])
-    return mat, scale
-
-
-def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free Bareiss elimination (1968).
-
-    Each row is scaled to integers by the lcm of its denominators; the
-    integer determinant, divided by the product of the row scales, is the
-    answer.  A zero pivot is swapped with the first nonzero entry below it.
-    """
-    size = len(rows)
-    mat, scale = _integer_rows(rows)
-    if any(len(row) != size for row in mat):
-        raise ValueError("determinant of a non-square matrix")
+    if any(len(row) != width for row in mat):
+        raise ValueError(f"expected a {size} x {width} matrix")
+    pivots: list[int] = []
     sign, prev = 1, 1
-    for c in range(size - 1):
-        piv = next((k for k in range(c, size) if mat[k][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            sign = -sign
-        pivot, top = mat[c][c], mat[c]
-        for k in range(c + 1, size):
-            row, lead = mat[k], mat[k][c]
-            for col in range(c + 1, size):
-                row[col] = (row[col] * pivot - lead * top[col]) // prev
-        prev = pivot
-    return Fraction(sign * mat[-1][-1] if size else 1, scale)
-
-
-def maximal_minors(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """The r + 1 maximal minors of an r x (r + 1) matrix, minor j deleting
-    column j, from one Bareiss elimination.
-
-    The elimination pivots on rows and may leave one column f without a
-    pivot; a second such column means rank below r, and every minor is 0.
-    Otherwise the eliminated rows hold the Bareiss elimination of the
-    matrix without column f, so the last pivot is +-M_f.  The kernel vector
-    ``((-1)^j M_j)_j`` (Cramer's rule) scaled to ``y_f = M_f`` is integral,
-    so back substitution in integers gives every ``M_j = (-1)^(j+f) y_j``.
-    """
-    size = len(rows)
-    mat, scale = _integer_rows(rows)
-    if any(len(row) != size + 1 for row in mat):
-        raise ValueError("maximal minors need an r x (r + 1) matrix")
-    free, pivots, sign, prev = None, [], 1, 1
-    for c in range(size + 1):
+    for c in range(width):
         t = len(pivots)
         piv = next((k for k in range(t, size) if mat[k][c]), None)
         if piv is None:
-            if free is not None:
-                return [Fraction(0)] * (size + 1)
-            free = c
+            if c + 1 - t > width - size:
+                break
             continue
         if piv != t:
             mat[t], mat[piv] = mat[piv], mat[t]
@@ -366,10 +259,35 @@ def maximal_minors(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
         pivot, top = mat[t][c], mat[t]
         for k in range(t + 1, size):
             row, lead = mat[k], mat[k][c]
-            for col in range(c + 1, size + 1):
+            for col in range(c + 1, width):
                 row[col] = (row[col] * pivot - lead * top[col]) // prev
         prev = pivot
         pivots.append(c)
+    return mat, pivots, sign, prev, scale
+
+
+def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Exact determinant: at full rank the last pivot of ``_eliminate``,
+    signed by the row swaps and divided by the row scales; 0 otherwise."""
+    _, pivots, sign, prev, scale = _eliminate(rows, len(rows))
+    return Fraction(sign * prev, scale) if len(pivots) == len(rows) else Fraction(0)
+
+
+def maximal_minors(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+    """The r + 1 maximal minors of an r x (r + 1) matrix, minor j deleting
+    column j, from one ``_eliminate``.
+
+    At rank r exactly one column f has no pivot (below r every minor is 0),
+    and the eliminated rows hold the Bareiss elimination of the matrix
+    without column f, so the last pivot is +-M_f.  The kernel vector
+    ``((-1)^j M_j)_j`` (Cramer's rule) scaled to ``y_f = M_f`` is integral,
+    so back substitution in integers gives every ``M_j = (-1)^(j+f) y_j``.
+    """
+    size = len(rows)
+    mat, pivots, sign, prev, scale = _eliminate(rows, size + 1)
+    if len(pivots) < size:
+        return [Fraction(0)] * (size + 1)
+    (free,) = set(range(size + 1)) - set(pivots)
     y = [0] * (size + 1)
     y[free] = sign * prev
     for t in range(size - 1, -1, -1):

@@ -41,7 +41,9 @@ class CrystalElement:
     def __init__(self, n: int, counts: Iterable[int]):
         if n < 2:
             raise ValueError(f"alphabet size must be at least 2, got {n}")
-        counts = tuple(int(c) for c in counts)
+        counts = tuple(counts)
+        if any(type(c) is not int for c in counts):
+            raise TypeError(f"counts must be ints (not bools), got {counts!r}")
         if len(counts) != n:
             raise ValueError(f"expected {n} counts, got {len(counts)}")
         if any(c < 0 for c in counts):
@@ -328,7 +330,9 @@ class TropicalGrid:
     __slots__ = ("m", "n", "values")
 
     def __init__(self, m: int, n: int, values: Iterable[Iterable[int]]):
-        values = tuple(tuple(int(v) for v in row) for row in values)
+        values = tuple(tuple(row) for row in values)
+        if any(type(v) is not int for row in values for v in row):
+            raise TypeError(f"grid values must be ints (not bools), got {values!r}")
         if len(values) != m or any(len(row) != n for row in values):
             raise ValueError(f"expected a {m} x {n} grid")
         self.m = m

@@ -2,7 +2,7 @@
 
 Every identity is stated once, in ``_instances``, over an evaluator of the
 families (loop e, h, tau, sigma, the classical e of the full-color
-products, determinants and the tableau-sum loop Schur function).  The mode
+products, determinants and the loop Schur functions).  The mode
 picks the evaluator and little else:
 
 * *symbolic* evaluates over exact polynomials (``krenergy.lsym``): both
@@ -14,19 +14,20 @@ picks the evaluator and little else:
   with negligible probability and the arithmetic is exact, so a pass at
   many points is strong evidence while a fail is a counterexample.  Each
   failure is recorded with its witness point, then one passing summary per
-  family that never failed.  The tableau-sum side of ``jacobi_trudi`` is
-  read from one horizontal-strip DP table per (inner shape, color mod n)
-  (``eval_loop_schurs``), so no tableau is enumerated at a point, and the
-  maximal minors of B all come from one elimination (``maximal_minors``).
-  ``staircase_jacobi_trudi`` stays symbolic-only, which keeps the set of
-  randomized families fixed.
+  family that never failed.  The maximal minors of B all come from one
+  elimination (``maximal_minors``).  ``staircase_jacobi_trudi`` stays
+  symbolic-only, which keeps the set of randomized families fixed.
 
 The evaluators differ only in the public functions they call for the
-loop families (``krenergy.lsym`` or ``krenergy.birational``, which run the
-same ring-generic kernel), in ``det``, ``minors`` (one ``det`` per
-deleted column for polynomials) and ``schur``.  Both compute each loop e,
-h and tau, and each classical e of the products (written once, over any
-ring), once per ``(family, k, r mod n)``.
+loop families and the loop Schur tables (``krenergy.lsym`` or
+``krenergy.birational``, which run the same ring-generic kernels), in
+``det`` and ``minors`` (one ``det`` per deleted column for polynomials).
+Both compute each loop e, h and tau, and each classical e of the products
+(written once, over any ring), once per ``(family, k, r mod n)``.  The
+loop Schur side of ``jacobi_trudi`` walks the inner shapes of the 3 x 3
+box and the colors, and reads every outer shape from one horizontal-strip
+DP table (``schurs``), dropped before the next; no tableau is enumerated
+in either mode.
 
 Families covered (names as reported):
 
@@ -37,7 +38,7 @@ Families covered (names as reported):
                              does not divide k; for n | k the sharp value is
                              the signed classical e_{k/n} of the products,
                              checked as tau_recursion_residual
-    jacobi_trudi             determinant formula = tableau sum (box shapes)
+    jacobi_trudi             determinant formula = loop Schur (box shapes)
     staircase_factorization  det A = sigma product
     staircase_jacobi_trudi   det A = staircase loop Schur (symbolic only)
     column_translation       columns of A and B repeat, shifted down
@@ -72,7 +73,7 @@ from .lsym import (
     jacobi_trudi_indices,
     loop_e,
     loop_h,
-    loop_schur_tableaux,
+    loop_schurs,
     poly_ring,
     sigma,
     sigma_product_indices,
@@ -131,10 +132,10 @@ class _Evaluator:
     family is periodic in the color with period n, and the classical e has
     no color (it is cached under color 0).
 
-    Subclasses give ``_family``, which calls the package's public function
-    of a loop family in their ring (looked up at call time), and ``det``
-    and ``schur``; ``minors`` takes one ``det`` per deleted column unless
-    a subclass has a cheaper way.
+    Subclasses give ``_family`` and ``schurs``, which call the package's
+    public function of a loop family and of the loop Schur table in their
+    ring (looked up at call time), and ``det``; ``minors`` takes one
+    ``det`` per deleted column unless a subclass has a cheaper way.
     """
 
     def __init__(self, ring: Ring):
@@ -188,8 +189,8 @@ class _PolyEvaluator(_Evaluator):
     def det(self, rows: list[list[ColoredPoly]]) -> ColoredPoly:
         return PolyMatrix(self.m, self.n, rows).det()
 
-    def schur(self, shape: SkewShape | Shape, r: int) -> ColoredPoly:
-        return loop_schur_tableaux(shape, r, self.m, n=self.n)
+    def schurs(self, outer: tuple, inner: tuple, r: int) -> dict:
+        return loop_schurs(outer, inner, r, self.ring)
 
 
 class _PointEvaluator(_Evaluator):
@@ -198,7 +199,6 @@ class _PointEvaluator(_Evaluator):
     def __init__(self, p: RationalPoint):
         super().__init__(point_ring(p))
         self.p = p
-        self._schurs: dict[tuple[tuple[int, ...], int], dict] = {}
 
     def _family(self, family: str, k: int, r: int, indices) -> Fraction:
         fn = {"e": eval_loop_e, "h": eval_loop_h, "tau": eval_tau, "sigma": eval_sigma}[family]
@@ -210,13 +210,8 @@ class _PointEvaluator(_Evaluator):
     def minors(self, rows: list[list[Fraction]]) -> list[Fraction]:
         return maximal_minors(rows)
 
-    def schur(self, shape: SkewShape, r: int) -> Fraction:
-        """A skew shape inside ``JT_BOX``, read from one strip-DP table per
-        (inner shape, r mod n)."""
-        key = (shape.inner.parts, r % self.n)
-        if key not in self._schurs:
-            self._schurs[key] = eval_loop_schurs(JT_BOX, *key, self.p)
-        return self._schurs[key][(shape.outer.parts + (0,) * len(JT_BOX))[: len(JT_BOX)]]
+    def schurs(self, outer: tuple, inner: tuple, r: int) -> dict:
+        return eval_loop_schurs(outer, inner, r, self.p)
 
 
 def _instances(ev, n: int, m: int, symbolic: bool):
@@ -267,17 +262,20 @@ def _instances(ev, n: int, m: int, symbolic: bool):
                 expected = (-1) ** (k // n) * ev.classical_e(k // n)
                 yield "tau_recursion_residual", params, acc == expected
 
-    for skew in box_skew_shapes(len(JT_BOX), JT_BOX[0]):
+    # one loop Schur table per (inner shape, color) holds the tableau side
+    # of every outer shape in the box; the box as the inner shape leaves
+    # only the empty shape, which is checked once, at inner = ()
+    for inner in (Shape(nu).parts for nu in partitions_between(JT_BOX) if nu != JT_BOX):
+        skews = {nu: SkewShape(nu, inner) for nu in partitions_between(JT_BOX, inner)}
         for r in range(n):
-            params = {
-                "n": n,
-                "m": m,
-                "r": r,
-                "outer": list(skew.outer.parts),
-                "inner": list(skew.inner.parts),
-            }
-            jt = ev.det(loop_e_values(jacobi_trudi_indices(skew, r)))
-            yield "jacobi_trudi", params, ev.schur(skew, r) == jt
+            for nu, schur in ev.schurs(JT_BOX, inner, r).items():
+                skew = skews[nu]
+                if inner and not skew.size:
+                    continue
+                params = {"n": n, "m": m, "r": r, "outer": list(skew.outer.parts),
+                          "inner": list(inner)}
+                jt = ev.det(loop_e_values(jacobi_trudi_indices(skew, r)))
+                yield "jacobi_trudi", params, schur == jt
 
     if m < 2:
         return
@@ -290,7 +288,8 @@ def _instances(ev, n: int, m: int, symbolic: bool):
         product = math.prod(ev.sigma(k, c, idx) for k, c, idx in factors)
         yield "staircase_factorization", params, det_a == product
         if symbolic:
-            yield "staircase_jacobi_trudi", params, det_a == ev.schur(staircase(m - 1, n - 1), r)
+            stair = staircase(m - 1, n - 1).parts
+            yield "staircase_jacobi_trudi", params, det_a == ev.schurs(stair, (), r)[stair]
             for mat, name in ((mat_a, "A"), (mat_b, "B")):
                 passed = all(
                     mat[k][j] == (mat[k - (n - 1)][j - n] if k >= n - 1 else ev.zero)

@@ -16,17 +16,20 @@ The generating families:
 
 All four are one function, ``loop_family``, over any commutative ``Ring``
 (the value of each variable, zero and one): loop_e, loop_h and tau are one
-memoized dynamic program over bounded multisets of indices (multiplicity
-cap 1, k and n-1; color step +1, -1 and -1), and sigma sums prefixes times
-tau.  ``loop_e``, ``loop_h``, ``tau`` and ``sigma`` compute it over the
-polynomials (``poly_ring``); ``krenergy.birational`` computes it at exact
-rational points.
+bottom-up table over the indices, indexed by degree, of the sums over
+bounded multisets (multiplicity cap 1, k and n-1; color step +1, -1 and
+-1), and sigma sums prefixes times tau.  ``loop_e``, ``loop_h``, ``tau``
+and ``sigma`` compute it over the polynomials (``poly_ring``);
+``krenergy.birational`` computes it at exact rational points.
 
 ``tableau_monomials`` yields each semistandard tableau of a skew shape
 with its color-shifted content monomial, the one statement of that rule
 (``krenergy emit-formula`` prints its pairs), and ``loop_schur_tableaux``
 sums the monomials; ``loop_schur_jt`` computes the same
-polynomial as a determinant of loop elementary functions.  ``build_A`` and
+polynomial as a determinant of loop elementary functions, and
+``loop_schurs`` the loop skew Schur functions of every nu / inner up to an
+outer shape at once, over any ``Ring``, by one dynamic program over
+horizontal strips.  ``build_A`` and
 ``build_B`` assemble the banded dilated-staircase matrices used by the
 closing identities, and ``trop_eval`` is the (min, +) shadow of a
 subtraction-free polynomial.  The ``*_indices`` functions give the entries
@@ -47,6 +50,7 @@ import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -58,6 +62,7 @@ from .tableaux import (
     Ssyt,
     energy_staircase_shape,
     enumerate_ssyt,
+    partitions_between,
     staircase,
 )
 
@@ -308,34 +313,29 @@ def loop_family(family: str, k: int, r: int, indices: Sequence[int], ring: Ring)
             prefix = prefix * ring.x(first, (r - i) % ring.n)
         return total
     cap, step = {"e": (1, 1), "h": (max(k, 0), -1), "tau": (ring.n - 1, -1)}[family]
-    if k < 0 or k > cap * len(indices):
+    end = len(indices)
+    if k < 0 or k > cap * end:
         return ring.zero
-    n, x, zero, one, end = ring.n, ring.x, ring.zero, ring.one, len(indices)
-    limit = cap if cap < k else 0  # 0: the cap cannot bind, and ``used`` stays 0
-    memo: dict[tuple[int, int, int], Any] = {}
-
-    def rec(pos: int, need: int, color: int, used: int):
-        # ``need`` factors left, the next one on indices[pos] or later, with
-        # indices[pos] taken ``used`` times; the color is r + step*(k - need)
-        if need == 0:
-            return one
-        if pos == end:
-            return zero
-        key = (pos, need, used)
-        if key in memo:
-            return memo[key]
-        after = (color + step) % n
-        if used + 1 == limit:
-            rest = rec(pos + 1, need - 1, after, 0)
-        else:
-            rest = rec(pos, need - 1, after, used + 1 if limit else 0)
-        memo[key] = rec(pos + 1, need, color, 0) + x(indices[pos], color) * rest
-        return memo[key]
-
-    try:
-        return rec(0, k, r % n, 0)
-    finally:
-        del rec  # it refers to itself; breaking the cycle frees the memo now
+    n, x = ring.n, ring.x
+    colors = [(r + step * t) % n for t in range(k)]  # the color of factor t + 1
+    # row[t]: the t-factor sum over the indices seen so far
+    row = [ring.one] + [ring.zero] * k
+    for pos, i in enumerate(indices):
+        xs = [x(i, c) for c in colors]
+        if family == "h":
+            # ascending, so row[t - 1] already holds copies of i
+            for t in range(1, k + 1):
+                row[t] = row[t] + row[t - 1] * xs[t - 1]
+            continue
+        # descending over the t that the indices after pos can still
+        # complete to k, adding u <= cap copies of i as factors t-u+1..t
+        for t in range(min(k, cap * (pos + 1)), max(1, k - cap * (end - pos - 1)) - 1, -1):
+            total, prod = row[t], ring.one
+            for u in range(1, min(cap, t) + 1):
+                prod = prod * xs[t - u]
+                total = total + row[t - u] * prod
+            row[t] = total
+    return row[k]
 
 
 def loop_e(k: int, r: int, *, n: int, m: int, indices: Sequence[int] | None = None) -> ColoredPoly:
@@ -399,6 +399,63 @@ def loop_schur_tableaux(
     for _, mono in tableau_monomials(shape, r, max_entry, n=n):
         terms[mono] = terms.get(mono, 0) + 1
     return ColoredPoly._raw(max_entry, n, terms)
+
+
+@lru_cache(maxsize=None)
+def _strip_chains(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
+    """The horizontal-strip steps of the skew shape ``outer / inner``.
+
+    Returns the partitions nu with inner <= nu <= outer (``len(outer)``
+    parts each) by size, so inner comes first and outer last; the distinct
+    content tuples of the nonempty strips; and, per partition, its strip
+    predecessors as ``(index of kappa, index of the contents of nu / kappa)``.
+    """
+    parts = sorted(partitions_between(outer, inner), key=sum)
+    inner = inner + (0,) * (len(outer) - len(inner))
+    index = {nu: k for k, nu in enumerate(parts)}
+    contents: dict[tuple[int, ...], int] = {}
+    preds = []
+    for nu in parts:
+        below = nu[1:] + (0,)
+        steps = []
+        for kappa in product(*(range(max(lo, b), a + 1) for lo, a, b in zip(inner, nu, below))):
+            if kappa == nu:
+                continue
+            cells = tuple(
+                a - b
+                for a, (start, end) in enumerate(zip(kappa, nu), start=1)
+                for b in range(start + 1, end + 1)
+            )
+            steps.append((index[kappa], contents.setdefault(cells, len(contents))))
+        preds.append(tuple(steps))
+    return tuple(parts), tuple(contents), tuple(preds)
+
+
+def loop_schurs(outer: tuple[int, ...], inner: tuple[int, ...], r: int, ring: Ring) -> dict:
+    """Loop skew Schur functions of color ``r`` of every nu / inner with
+    inner <= nu <= outer (partitions as tuples), computed in ``ring`` and
+    keyed by nu with ``len(outer)`` parts.
+
+    A semistandard tableau with entries 1..m is a chain of partitions from
+    the inner to the outer shape in which entry i fills a horizontal strip;
+    a cell (a, b) with entry i contributes ``x_i^{(a - b + r)}`` (the
+    content convention of ``tableau_monomials``).  The DP adds the strips
+    of one entry at a time to one value per partition nu, which ends as
+    the function of nu / inner.
+    """
+    parts, strips, preds = _strip_chains(outer, inner)
+    n, x, one = ring.n, ring.x, ring.one
+    f = [one] + [ring.zero] * (len(parts) - 1)
+    for i in range(1, ring.m + 1):
+        weights = [math.prod((x(i, (c + r) % n) for c in cells), start=one) for cells in strips]
+        # strips only grow partitions, so a descending sweep reads the
+        # previous entry's values
+        for nu in range(len(preds) - 1, -1, -1):
+            total = f[nu]
+            for kappa, w in preds[nu]:
+                total = total + f[kappa] * weights[w]
+            f[nu] = total
+    return dict(zip(parts, f))
 
 
 @lru_cache(maxsize=None)

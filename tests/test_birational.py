@@ -3,7 +3,7 @@
 The point evaluators run the same ring-generic kernel as the polynomial
 families; both rings are checked against a brute-force enumeration in
 test_lsym.  The product formula for rational energy is checked against the
-independent global formula, and ``eval_loop_schur`` against the tableau
+independent global formula, and ``eval_loop_schurs`` against the tableau
 sum.
 """
 
@@ -19,7 +19,6 @@ from krenergy.birational import (
     check_lem_tact,
     eval_loop_e,
     eval_loop_h,
-    eval_loop_schur,
     eval_loop_schurs,
     eval_sigma,
     eval_tau,
@@ -43,6 +42,18 @@ def test_point_validation():
         RationalPoint(1, 2, [[Fraction(1), Fraction(0)]])
     with pytest.raises(ValueError):
         RationalPoint(2, 2, [[Fraction(1), Fraction(1)]])
+
+
+def test_point_values_may_be_ints_or_fractions():
+    p = RationalPoint(1, 2, [[2, Fraction(1, 3)]])
+    assert p.values == ((Fraction(2), Fraction(1, 3)),)
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1/3"], ids=["float", "bool", "string"])
+def test_point_takes_only_ints_and_fractions(bad):
+    """A value that is not an int or a Fraction is refused, not converted."""
+    with pytest.raises(TypeError):
+        RationalPoint(1, 2, [[Fraction(1, 2), bad]])
 
 
 def test_point_json_round_trip():
@@ -174,9 +185,8 @@ def test_integer_point_families_match_the_rational_ring(n, m):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_eval_loop_schur_matches_tableau_sum(n):
     """The strip DP's table for each inner shape of the 3 x 3 box against
-    the plain tableau sum and the one-shape ``eval_loop_schur`` on every nu
-    between the inner shape and the box (nu = inner included), every
-    color and m = 1..5."""
+    the plain tableau sum on every nu between the inner shape and the box
+    (nu = inner included), every color and m = 1..5."""
     box = (3, 3, 3)
     for m in range(1, 6):
         p = random_point(m, n, random.Random(f"loop-schur:{n}:{m}"))
@@ -190,18 +200,25 @@ def test_eval_loop_schur_matches_tableau_sum(n):
                     shape = SkewShape(nu, inner)
                     expected = loop_schur_tableaux(shape, r, m, n=n).eval_rational(p.value)
                     assert value == expected, (shape, r, m)
-                    assert eval_loop_schur(shape, r, p) == expected, (shape, r, m)
 
 
 def test_eval_loop_schur_edge_cases():
+    """The outer entry of a table on its own: the one-shape evaluations
+    the removed ``eval_loop_schur`` gave."""
     p = random_point(2, 3, random.Random(11))
-    assert eval_loop_schur(Shape(()), 0, p) == 1
-    assert eval_loop_schur(SkewShape((2, 1), (2, 1)), 2, p) == 1
+    assert eval_loop_schurs((), (), 0, p) == {(): 1}
+    assert eval_loop_schurs((2, 1), (2, 1), 2, p)[(2, 1)] == 1
     # a column of three cells needs three distinct entries
-    assert eval_loop_schur((1, 1, 1), 0, p) == 0
-    assert eval_loop_schur(SkewShape((2, 2, 2), (1,)), 1, p) == 0
+    assert eval_loop_schurs((1, 1, 1), (), 0, p)[(1, 1, 1)] == 0
+    assert eval_loop_schurs((2, 2, 2), (1,), 1, p)[(2, 2, 2)] == 0
     # the one cell (1, 1) has content 0, and color 4 is color 1 mod 3
-    assert eval_loop_schur((1,), 4, p) == p.value(1, 1) + p.value(2, 1)
+    assert eval_loop_schurs((1,), (), 4, p)[(1,)] == p.value(1, 1) + p.value(2, 1)
+    # a skew shape whose table spans several sizes: each entry nu carries
+    # its own power of the common denominator
+    table = eval_loop_schurs((2, 2), (1,), 1, p)
+    for nu, value in table.items():
+        want = loop_schur_tableaux(SkewShape(nu, (1,)), 1, 2, n=3).eval_rational(p.value)
+        assert value == want, nu
 
 
 def test_fraction_det_small_cases():

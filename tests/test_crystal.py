@@ -320,6 +320,22 @@ def test_crystal_element_validation():
         CrystalElement.from_letters(3, [4])
 
 
+STRICT_BAD = pytest.mark.parametrize("bad", [1.0, True, "1"], ids=["float", "bool", "string"])
+
+
+@STRICT_BAD
+def test_crystal_element_takes_only_ints(bad):
+    """A count that is not an int is refused, not truncated or parsed."""
+    with pytest.raises(TypeError):
+        CrystalElement(3, (0, bad, 2))
+
+
+@STRICT_BAD
+def test_tropical_grid_takes_only_ints(bad):
+    with pytest.raises(TypeError):
+        TropicalGrid(1, 2, [[3, bad]])
+
+
 def test_row_word_parse_requires_small_alphabet():
     with pytest.raises(ValueError):
         CrystalElement.from_row(10, "1")

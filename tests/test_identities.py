@@ -26,7 +26,7 @@ from krenergy.identities import (
     identity_suite,
 )
 from krenergy.lsym import ColoredPoly, poly_ring, sigma, staircase_b_indices
-from krenergy.tableaux import Shape
+from krenergy.tableaux import Shape, staircase
 
 
 def failures(checks):
@@ -254,6 +254,44 @@ def test_schur_table_does_not_hide_a_failure(monkeypatch):
     assert all(c.witness["point"]["n"] == 3 for c in bad)
     passed = {c.identity for c in checks if c.passed}
     assert passed == RANDOMIZED_FAMILIES - {"jacobi_trudi"}
+
+
+@pytest.mark.parametrize("symbolic", [True, False], ids=["symbolic", "point"])
+def test_jacobi_trudi_walk_reads_one_table_per_inner_shape(monkeypatch, symbolic):
+    """At (3, 3) the jacobi_trudi instances are exactly the box skew shapes
+    times the colors, each once (the empty shape too), and the loop Schur
+    table function runs once per (inner shape, color): for the box, and
+    in symbolic mode once more per color for the staircase."""
+    n, m = 3, 3
+    calls = []
+    name = "loop_schurs" if symbolic else "eval_loop_schurs"
+    real = getattr(identities, name)
+
+    def counting(outer, inner, r, ring_or_point):
+        calls.append((outer, inner, r % n))
+        return real(outer, inner, r, ring_or_point)
+
+    monkeypatch.setattr(identities, name, counting)
+    if symbolic:
+        ev = identities._PolyEvaluator(n, m)
+    else:
+        ev = identities._PointEvaluator(random_point(m, n, random.Random("walk")))
+    results = list(identities._instances(ev, n, m, symbolic=symbolic))
+    assert all(passed for _, _, passed in results)
+    seen = Counter(
+        (tuple(params["outer"]), tuple(params["inner"]), params["r"])
+        for family, params, _ in results
+        if family == "jacobi_trudi"
+    )
+    shapes = box_skew_shapes(3, 3)
+    assert seen == Counter(
+        (s.outer.parts, s.inner.parts, r) for s in shapes for r in range(n)
+    )
+    inners = {s.inner.parts for s in shapes}
+    want = Counter((identities.JT_BOX, inner, r) for inner in inners for r in range(n))
+    if symbolic:
+        want.update((staircase(m - 1, n - 1).parts, (), r) for r in range(n))
+    assert Counter(calls) == want
 
 
 def test_point_evaluator_computes_each_family_once(monkeypatch):

@@ -27,6 +27,8 @@ from krenergy.lsym import (
     loop_h,
     loop_schur_jt,
     loop_schur_tableaux,
+    loop_schurs,
+    poly_ring,
     sigma,
     sigma_product_indices,
     staircase_a_indices,
@@ -35,7 +37,7 @@ from krenergy.lsym import (
     tau_vector,
     trop_eval,
 )
-from krenergy.tableaux import Shape, SkewShape, Ssyt, staircase
+from krenergy.tableaux import Shape, SkewShape, Ssyt, partitions_between, staircase
 
 
 def var(i, r, m, n):
@@ -431,6 +433,28 @@ def test_jacobi_trudi_indices_match_the_shape_reference():
                 _, size = staircase_matrix_size(m, n)
                 want = shape_jacobi_trudi_indices(staircase(m - 1, n - 1), r, size)
                 assert staircase_a_indices(m, n=n, r=r) == want, (n, m, r)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_loop_schurs_match_tableaux_as_polynomials(n):
+    """The ring-generic strip DP over polynomials against the tableau sum:
+    every nu / inner in the 3 x 3 box, every color, m = 1..4; and the
+    energy's staircases up to (n, m) = (3, 4) at every color."""
+    box = (3, 3, 3)
+    for m in range(1, 5):
+        ring = poly_ring(m, n)
+        for inner in partitions_between(box):
+            inner = Shape(inner).parts
+            for r in range(n):
+                table = loop_schurs(box, inner, r, ring)
+                assert sorted(table) == partitions_between(box, inner)
+                for nu, value in table.items():
+                    assert value == loop_schur_tableaux(SkewShape(nu, inner), r, m, n=n), (nu, inner)
+        if m >= 2:
+            stair = staircase(m - 1, n - 1).parts
+            for r in range(n):
+                want = loop_schur_tableaux(stair, r, m, n=n)
+                assert loop_schurs(stair, (), r, ring)[stair] == want, (m, r)
 
 
 def test_jt_matches_tableaux_on_box_shapes():
