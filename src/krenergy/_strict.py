@@ -1,5 +1,6 @@
-"""Strict readers for the integers of the JSON formats: a float or a bool
-is rejected, never truncated, so no floating point value gets in."""
+"""Strict readers for integers, from the JSON formats and from the public
+constructors: a float, a bool or a string is rejected, never truncated or
+parsed, so no floating point value gets in."""
 
 from __future__ import annotations
 
@@ -16,3 +17,12 @@ def json_decimal(value, what: str) -> int:
     if type(value) is not str:
         raise ValueError(f"{what} must be a decimal string, got {value!r}")
     return int(value)
+
+
+def ints(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple; anything but an int, bools included, raises
+    ``TypeError``."""
+    values = tuple(values)
+    if any(type(v) is not int for v in values):
+        raise TypeError(f"{what} must be ints, got {values!r}")
+    return values

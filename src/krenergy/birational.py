@@ -11,13 +11,13 @@ is everywhere defined and lands on positive points again.  Composite
 actions like ``s_i s_{i+1} ... s_{j-2}`` are applied to the point left to
 right (s_i first), matching the combinatorial convention on tensors.
 
-Evaluation helpers (eval_loop_e, eval_loop_h, eval_tau, eval_sigma,
-eval_loop_schurs) run the code that expands the families as polynomials,
-``krenergy.lsym.loop_family`` and ``loop_schurs``, in one ring of plain
-ints: the point's values with their denominators cleared
-(``_cleared_ring``); one power of the common denominator restores each
-homogeneous value.  Tests check them against the kernels in the ring of
-the point's values (``point_ring``), enumerations and the tableau sum.
+``cleared_ring`` is a point's values with their denominators cleared, a
+ring of plain ints, and the one power of the common denominator that
+restores each homogeneous value.  The evaluation helpers (eval_loop_e,
+eval_loop_h, eval_tau, eval_sigma) and the identity suite's point
+evaluator run the polynomial families' code (``krenergy.lsym``) in it.
+Tests check them against the kernels in the ring of the point's values
+(``point_ring``), enumerations and the tableau sum.
 ``fraction_det`` and ``maximal_minors`` (every maximal minor of an
 r x (r + 1) matrix) share one Bareiss elimination over the integers.
 """
@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
 from ._strict import json_decimal, json_int
-from .lsym import Ring, loop_family, loop_schurs, sigma_product_indices
+from .lsym import Ring, loop_family, sigma_product_indices
 
 
 class RationalPoint:
@@ -173,20 +173,21 @@ def point_ring(p: RationalPoint) -> Ring:
     return Ring(p.m, p.n, p.value, Fraction(0), Fraction(1))
 
 
-def _cleared_ring(p: RationalPoint) -> tuple[Ring, int]:
+def cleared_ring(p: RationalPoint) -> tuple[Ring, Callable[[int, int], Fraction]]:
     """The colored variables as the integers ``D * p_i^(c)``, with D the
-    lcm of all the denominators of ``p``, and D.  A value homogeneous of
-    degree k computed in this ring is D**k times its value at ``p``."""
+    lcm of all the denominators of ``p``, and the map ``value(v, d)`` that
+    takes a value v homogeneous of degree d computed in this ring (D**d
+    times its value at ``p``) to its value at ``p``."""
     scale = math.lcm(*(v.denominator for row in p.values for v in row))
     ints = [[v.numerator * (scale // v.denominator) for v in row] for row in p.values]
-    return Ring(p.m, p.n, lambda i, c: ints[i - 1][c], 0, 1), scale
+    ring = Ring(p.m, p.n, lambda i, c: ints[i - 1][c], 0, 1)
+    return ring, lambda v, d: Fraction(v, scale**d) if v else Fraction(0)
 
 
 def _eval_family(family: str, k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
-    """``loop_family`` at ``p``, run in ints in ``_cleared_ring(p)``."""
-    ring, scale = _cleared_ring(p)
-    value = loop_family(family, k, r, tuple(indices), ring)
-    return Fraction(value, scale**k) if value else Fraction(0)
+    """``loop_family`` at ``p``, run in ints in ``cleared_ring(p)``."""
+    ring, value = cleared_ring(p)
+    return value(loop_family(family, k, r, tuple(indices), ring), k)
 
 
 def eval_loop_e(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
@@ -207,17 +208,6 @@ def eval_tau(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fracti
 def eval_sigma(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
     """sigma_k^{(r)} evaluated at ``p``; the first index carries the prefix."""
     return _eval_family("sigma", k, r, indices, p)
-
-
-def eval_loop_schurs(outer: tuple, inner: tuple, r: int, p: RationalPoint) -> dict:
-    """``loop_schurs`` at ``p``, run in ints in ``_cleared_ring(p)``:
-    entry nu is divided by D to the degree |nu| - |inner|."""
-    ring, scale = _cleared_ring(p)
-    size = sum(inner)
-    return {
-        nu: Fraction(v, scale ** (sum(nu) - size)) if v else Fraction(0)
-        for nu, v in loop_schurs(outer, inner, r, ring).items()
-    }
 
 
 def rational_energy_product(p: RationalPoint) -> Fraction:

@@ -11,7 +11,8 @@ fails (which would indicate a bug, since the verified theorems are exact),
     krenergy emit-formula --n 2 --m 3      the tropical staircase objective
 
 The KR_ENERGY_GUARD environment variable overrides the default tableau
-enumeration guard (10**7).  A staircase over the guard is refused up
+enumeration guard (10**7); a value that is not a positive integer is
+refused with exit code 2.  A staircase over the guard is refused up
 front, from its closed-form tableau count, with exit code 2.
 """
 
@@ -29,7 +30,7 @@ from .crystal import (
     r_matrix_oracle,
 )
 from .lsym import tableau_monomials
-from .tableaux import EnumerationGuardError, energy_staircase_shape
+from .tableaux import EnumerationGuardError, energy_staircase_shape, resolve_guard
 from .verify import ConfigError, SUITE_NAMES, VerifyConfig, run_verify
 
 EXIT_OK = 0
@@ -211,6 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        resolve_guard()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     return args.func(args)
 
 

@@ -18,16 +18,16 @@ picks the evaluator and little else:
   elimination (``maximal_minors``).  ``staircase_jacobi_trudi`` stays
   symbolic-only, which keeps the set of randomized families fixed.
 
-The evaluators differ only in the public functions they call for the
-loop families and the loop Schur tables (``krenergy.lsym`` or
-``krenergy.birational``, which run the same ring-generic kernels), in
-``det`` and ``minors`` (one ``det`` per deleted column for polynomials).
-Both compute each loop e, h and tau, and each classical e of the products
-(written once, over any ring), once per ``(family, k, r mod n)``.  The
-loop Schur side of ``jacobi_trudi`` walks the inner shapes of the 3 x 3
-box and the colors, and reads every outer shape from one horizontal-strip
-DP table (``schurs``), dropped before the next; no tableau is enumerated
-in either mode.
+One evaluator runs the ring-generic kernels (``loop_family``,
+``loop_schurs``, ``classical_e_of_products``) in its ring and maps each
+result of degree d through ``value(v, d)``: the identity on polynomials,
+the point's ``birational.cleared_ring`` (built once per point) at a point.
+``det`` and ``minors`` (one ``det`` per deleted column for polynomials)
+are the only other difference.  Each loop e, h and tau, and each classical
+e, is computed once per ``(family, k, r mod n)``.  The loop Schur side of
+``jacobi_trudi`` walks the inner shapes of the 3 x 3 box and the colors,
+and reads every outer shape from one horizontal-strip DP table
+(``schurs``), dropped before the next; no tableau is enumerated.
 
 Families covered (names as reported):
 
@@ -52,34 +52,18 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .birational import (
-    RationalPoint,
-    eval_loop_e,
-    eval_loop_h,
-    eval_loop_schurs,
-    eval_sigma,
-    eval_tau,
-    fraction_det,
-    maximal_minors,
-    point_ring,
-    random_point,
-)
+from .birational import RationalPoint, cleared_ring, fraction_det, maximal_minors, random_point
 from .lsym import (
-    ColoredPoly,
     PolyMatrix,
     Ring,
     jacobi_trudi_indices,
-    loop_e,
-    loop_h,
+    loop_family,
     loop_schurs,
     poly_ring,
-    sigma,
     sigma_product_indices,
     staircase_a_indices,
     staircase_b_indices,
-    tau,
     tau_vector_indices,
 )
 from .tableaux import Shape, SkewShape, partitions_between, staircase
@@ -127,21 +111,26 @@ def classical_e_of_products(i: int, ring: Ring):
 
 
 class _Evaluator:
-    """The families in one ring.  Loop e, h, tau and the classical e of
+    """The families in one ring, each homogeneous result of degree d
+    passed through ``value(v, d)``.  Loop e, h, tau and the classical e of
     the products are computed once per ``(family, k, r mod n)``: every
     family is periodic in the color with period n, and the classical e has
     no color (it is cached under color 0).
 
-    Subclasses give ``_family`` and ``schurs``, which call the package's
-    public function of a loop family and of the loop Schur table in their
-    ring (looked up at call time), and ``det``; ``minors`` takes one
-    ``det`` per deleted column unless a subclass has a cheaper way.
+    ``det`` takes a square matrix of values; ``minors`` the maximal minors
+    of an r x (r + 1) matrix, minor j deleting column j, by default one
+    ``det`` per deleted column.  The kernels are looked up as module
+    globals at call time.
     """
 
-    def __init__(self, ring: Ring):
+    def __init__(self, ring: Ring, value, det, minors=None):
         self.ring = ring
         self.n = ring.n
-        self.zero = ring.zero
+        self.value = value
+        self.det = det
+        if minors is not None:
+            self.minors = minors
+        self.zero = value(ring.zero, 0)
         self.full = tuple(range(1, ring.m + 1))
         self._memo: dict[tuple[str, int, int], object] = {}
 
@@ -149,9 +138,10 @@ class _Evaluator:
         key = (family, k, r % self.n)
         if key not in self._memo:
             if family == "classical_e":
-                self._memo[key] = classical_e_of_products(k, self.ring)
+                v, degree = classical_e_of_products(k, self.ring), self.n * k
             else:
-                self._memo[key] = self._family(family, k, key[2], self.full)
+                v, degree = loop_family(family, k, key[2], self.full, self.ring), k
+            self._memo[key] = self.value(v, degree)
         return self._memo[key]
 
     def e(self, k: int, r: int):
@@ -167,51 +157,28 @@ class _Evaluator:
         return self._cached("classical_e", i)
 
     def sigma(self, k: int, r: int, indices: range):
-        return self._family("sigma", k, r, indices)
+        return self.value(loop_family("sigma", k, r, indices, self.ring), k)
+
+    def schurs(self, outer: tuple, inner: tuple, r: int) -> dict:
+        """``loop_schurs``, entry nu of degree |nu| - |inner|."""
+        size = sum(inner)
+        return {
+            nu: self.value(v, sum(nu) - size)
+            for nu, v in loop_schurs(outer, inner, r, self.ring).items()
+        }
 
     def minors(self, rows: list[list]) -> list:
-        """The maximal minors of an r x (r + 1) matrix, minor j deleting
-        column j."""
         return [self.det([row[:j] + row[j + 1 :] for row in rows]) for j in range(len(rows) + 1)]
 
 
-class _PolyEvaluator(_Evaluator):
+def _poly_evaluator(n: int, m: int) -> _Evaluator:
     """The families as polynomials in the m x n colored variables."""
-
-    def __init__(self, n: int, m: int):
-        super().__init__(poly_ring(m, n))
-        self.m = m
-
-    def _family(self, family: str, k: int, r: int, indices) -> ColoredPoly:
-        fn = {"e": loop_e, "h": loop_h, "tau": tau, "sigma": sigma}[family]
-        return fn(k, r, n=self.n, m=self.m, indices=indices)
-
-    def det(self, rows: list[list[ColoredPoly]]) -> ColoredPoly:
-        return PolyMatrix(self.m, self.n, rows).det()
-
-    def schurs(self, outer: tuple, inner: tuple, r: int) -> dict:
-        return loop_schurs(outer, inner, r, self.ring)
+    return _Evaluator(poly_ring(m, n), lambda v, _: v, lambda rows: PolyMatrix(m, n, rows).det())
 
 
-class _PointEvaluator(_Evaluator):
+def _point_evaluator(p: RationalPoint) -> _Evaluator:
     """The families evaluated exactly at one positive rational point."""
-
-    def __init__(self, p: RationalPoint):
-        super().__init__(point_ring(p))
-        self.p = p
-
-    def _family(self, family: str, k: int, r: int, indices) -> Fraction:
-        fn = {"e": eval_loop_e, "h": eval_loop_h, "tau": eval_tau, "sigma": eval_sigma}[family]
-        return fn(k, r, indices, self.p)
-
-    def det(self, rows: list[list[Fraction]]) -> Fraction:
-        return fraction_det(rows)
-
-    def minors(self, rows: list[list[Fraction]]) -> list[Fraction]:
-        return maximal_minors(rows)
-
-    def schurs(self, outer: tuple, inner: tuple, r: int) -> dict:
-        return eval_loop_schurs(outer, inner, r, self.p)
+    return _Evaluator(*cleared_ring(p), fraction_det, maximal_minors)
 
 
 def _instances(ev, n: int, m: int, symbolic: bool):
@@ -334,7 +301,7 @@ def identity_suite(
             )
         return [
             IdentityCheck(name, params, bool(passed))
-            for name, params, passed in _instances(_PolyEvaluator(n, m), n, m, symbolic=True)
+            for name, params, passed in _instances(_poly_evaluator(n, m), n, m, symbolic=True)
         ]
     if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
@@ -346,7 +313,7 @@ def identity_suite(
     families: dict[str, None] = {}
     for pt_index, p in enumerate(points):
         witness = {"point_index": pt_index, "point": p.to_jsonable()}
-        for name, params, passed in _instances(_PointEvaluator(p), n, m, symbolic=False):
+        for name, params, passed in _instances(_point_evaluator(p), n, m, symbolic=False):
             families[name] = None
             if not passed:
                 checks.append(IdentityCheck(name, params, False, witness))

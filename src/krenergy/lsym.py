@@ -55,7 +55,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from ._strict import json_decimal, json_int
+from ._strict import ints, json_decimal, json_int
 from .tableaux import (
     Shape,
     SkewShape,
@@ -102,12 +102,14 @@ class ColoredPoly:
             raise ValueError(f"ambient sizes must satisfy m >= 1, n >= 2, got ({m}, {n})")
         clean: dict[Mono, int] = {}
         for mono, coef in (terms or {}).items():
+            values = (coef, *(v for (i, r), e in mono for v in (i, r, e)))
+            ints(values, "a term's coefficient, indices, colors and exponents")
             if not coef:
                 continue
             for (i, r), e in mono:
                 if not (1 <= i <= m and 0 <= r < n and e > 0):
                     raise ValueError(f"bad variable ({i}, {r})^{e} for ambient ({m}, {n})")
-            clean[mono] = int(coef)
+            clean[mono] = coef
         self.m = m
         self.n = n
         self.terms = clean
@@ -261,7 +263,7 @@ class ColoredPoly:
 def _normalize_indices(indices: Sequence[int] | None, m: int) -> tuple[int, ...]:
     if indices is None:
         return tuple(range(1, m + 1))
-    out = tuple(int(i) for i in indices)
+    out = ints(indices, "indices")
     if any(not 1 <= i <= m for i in out):
         raise ValueError(f"indices {out} out of range 1..{m}")
     if any(a >= b for a, b in zip(out, out[1:])):

@@ -23,6 +23,8 @@ import os
 from collections.abc import Iterable, Iterator
 from itertools import product
 
+from ._strict import ints
+
 DEFAULT_GUARD = 10_000_000
 GUARD_ENV_VAR = "KR_ENERGY_GUARD"
 
@@ -31,13 +33,13 @@ class EnumerationGuardError(RuntimeError):
     """Raised when a tableau enumeration would exceed its guard."""
 
 
-def _resolve_guard() -> int:
-    """``KR_ENERGY_GUARD`` when set, else the default 10**7."""
-    env = os.environ.get(GUARD_ENV_VAR, "")
-    guard = int(env) if env else DEFAULT_GUARD
-    if guard < 1:
-        raise ValueError(f"guard must be a positive integer, got {guard}")
-    return guard
+def resolve_guard() -> int:
+    """``KR_ENERGY_GUARD`` when set, else the default 10**7; a value that
+    is not a positive decimal integer raises ``ValueError``."""
+    env = os.environ.get(GUARD_ENV_VAR) or str(DEFAULT_GUARD)
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"{GUARD_ENV_VAR} must be a positive integer, got {env!r}")
+    return int(env)
 
 
 class Shape:
@@ -50,7 +52,7 @@ class Shape:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        parts = ints(parts, "parts")
         if parts and parts[-1] < 0:
             raise ValueError(f"parts must be nonnegative: {parts}")
         for a, b in zip(parts, parts[1:]):
@@ -121,7 +123,7 @@ def energy_staircase_shape(n: int, m: int) -> Shape:
     which :func:`enumerate_ssyt` would fail after yielding ``guard`` of them.
     """
     count = energy_staircase_count(n, m)
-    guard = _resolve_guard()
+    guard = resolve_guard()
     if count > guard:
         raise EnumerationGuardError(
             f"the energy staircase for n={n}, m={m} has {count} tableaux, over the guard {guard}"
@@ -196,7 +198,7 @@ class Ssyt:
         max_entry: int,
     ):
         shape = SkewShape.of(shape)
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(ints(row, "entries") for row in rows)
         if max_entry < 1:
             raise ValueError(f"max_entry must be positive, got {max_entry}")
         if len(rows) != len(shape.outer):
@@ -283,7 +285,7 @@ def _fillings(skew: SkewShape, max_entry: int) -> Iterator[list[int]]:
     """
     if max_entry < 1:
         raise ValueError(f"max_entry must be positive, got {max_entry}")
-    guard = _resolve_guard()
+    guard = resolve_guard()
     cells = list(skew.cells())
     ncells = len(cells)
     row_start: dict[int, int] = {}

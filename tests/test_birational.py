@@ -3,8 +3,8 @@
 The point evaluators run the same ring-generic kernel as the polynomial
 families; both rings are checked against a brute-force enumeration in
 test_lsym.  The product formula for rational energy is checked against the
-independent global formula, and ``eval_loop_schurs`` against the tableau
-sum.
+independent global formula, and the identity suite's point evaluator's
+loop Schur tables against the tableau sum.
 """
 
 import random
@@ -19,7 +19,6 @@ from krenergy.birational import (
     check_lem_tact,
     eval_loop_e,
     eval_loop_h,
-    eval_loop_schurs,
     eval_sigma,
     eval_tau,
     fraction_det,
@@ -32,6 +31,7 @@ from krenergy.birational import (
     s_action,
 )
 from krenergy.crystal import counts_to_grid, intrinsic_energy, ok
+from krenergy.identities import _point_evaluator
 from krenergy.lsym import loop_e, loop_family, loop_h, loop_schur_tableaux, sigma, tau
 from krenergy.tableaux import Shape, SkewShape, count_ssyt, partitions_between, staircase
 from krenergy.verify import random_tensor
@@ -184,16 +184,17 @@ def test_integer_point_families_match_the_rational_ring(n, m):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_eval_loop_schur_matches_tableau_sum(n):
-    """The strip DP's table for each inner shape of the 3 x 3 box against
-    the plain tableau sum on every nu between the inner shape and the box
-    (nu = inner included), every color and m = 1..5."""
+    """The point evaluator's strip-DP table for each inner shape of the
+    3 x 3 box against the plain tableau sum on every nu between the inner
+    shape and the box (nu = inner included), every color and m = 1..5."""
     box = (3, 3, 3)
     for m in range(1, 6):
         p = random_point(m, n, random.Random(f"loop-schur:{n}:{m}"))
+        ev = _point_evaluator(p)
         for inner in partitions_between(box):
             inner = Shape(inner).parts
             for r in range(n):
-                table = eval_loop_schurs(box, inner, r, p)
+                table = ev.schurs(box, inner, r)
                 assert sorted(table) == partitions_between(box, inner)
                 assert table[inner + (0,) * (3 - len(inner))] == 1
                 for nu, value in table.items():
@@ -203,19 +204,19 @@ def test_eval_loop_schur_matches_tableau_sum(n):
 
 
 def test_eval_loop_schur_edge_cases():
-    """The outer entry of a table on its own: the one-shape evaluations
-    the removed ``eval_loop_schur`` gave."""
+    """The outer entry of a table on its own: the one-shape evaluations."""
     p = random_point(2, 3, random.Random(11))
-    assert eval_loop_schurs((), (), 0, p) == {(): 1}
-    assert eval_loop_schurs((2, 1), (2, 1), 2, p)[(2, 1)] == 1
+    ev = _point_evaluator(p)
+    assert ev.schurs((), (), 0) == {(): 1}
+    assert ev.schurs((2, 1), (2, 1), 2)[(2, 1)] == 1
     # a column of three cells needs three distinct entries
-    assert eval_loop_schurs((1, 1, 1), (), 0, p)[(1, 1, 1)] == 0
-    assert eval_loop_schurs((2, 2, 2), (1,), 1, p)[(2, 2, 2)] == 0
+    assert ev.schurs((1, 1, 1), (), 0)[(1, 1, 1)] == 0
+    assert ev.schurs((2, 2, 2), (1,), 1)[(2, 2, 2)] == 0
     # the one cell (1, 1) has content 0, and color 4 is color 1 mod 3
-    assert eval_loop_schurs((1,), (), 4, p)[(1,)] == p.value(1, 1) + p.value(2, 1)
+    assert ev.schurs((1,), (), 4)[(1,)] == p.value(1, 1) + p.value(2, 1)
     # a skew shape whose table spans several sizes: each entry nu carries
     # its own power of the common denominator
-    table = eval_loop_schurs((2, 2), (1,), 1, p)
+    table = ev.schurs((2, 2), (1,), 1)
     for nu, value in table.items():
         want = loop_schur_tableaux(SkewShape(nu, (1,)), 1, 2, n=3).eval_rational(p.value)
         assert value == want, nu

@@ -160,6 +160,26 @@ def test_staircase_over_guard_refused_up_front(argv, capsys, monkeypatch):
     assert "KR_ENERGY_GUARD" in err
 
 
+@pytest.mark.parametrize("guard", ["abc", "0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy"],
+        ["verify", "--suites", "rmatrix", "--n", "2", "--m", "2"],
+        ["emit-formula", "--n", "2", "--m", "2"],
+    ],
+    ids=["energy", "verify", "emit-formula"],
+)
+def test_malformed_guard_is_a_config_error(argv, guard, capsys, monkeypatch):
+    """A KR_ENERGY_GUARD that is not a positive integer exits 2 with one
+    error line, not 1 (a failed property) with a traceback."""
+    monkeypatch.setenv("KR_ENERGY_GUARD", guard)
+    payload = json.dumps({"n": 3, "rows": ["12", "3"]})
+    code, out, err = run_cli(argv, payload, capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: KR_ENERGY_GUARD") and err.count("\n") == 1, err
+
+
 def test_tableau_sums_skip_the_ssyt_checks(capsys, monkeypatch):
     """The tableau sums and emit-formula read enumerate_ssyt's tableaux,
     which are semistandard by construction, without the checks of Ssyt."""

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from krenergy import birational, identities, verify
+from krenergy import identities, verify
 from krenergy.birational import (
     eval_loop_e,
     eval_loop_h,
@@ -25,8 +25,15 @@ from krenergy.identities import (
     classical_e_of_products,
     identity_suite,
 )
-from krenergy.lsym import ColoredPoly, poly_ring, sigma, staircase_b_indices
-from krenergy.tableaux import Shape, staircase
+from krenergy.lsym import (
+    ColoredPoly,
+    loop_family,
+    loop_schurs,
+    poly_ring,
+    sigma,
+    staircase_b_indices,
+)
+from krenergy.tableaux import Shape, partitions_between, staircase
 
 
 def failures(checks):
@@ -221,11 +228,13 @@ def test_memo_does_not_hide_a_failure(monkeypatch):
     """h off by one at a single (k, r mod n) is caught at every point: the
     memo serves the wrong value wherever h_2^(1) is used, it never masks it."""
 
-    def broken_h(k, r, indices, p):
-        value = eval_loop_h(k, r, indices, p)
-        return value + 1 if (k, r % p.n) == (2, 1) else value
+    real = identities.loop_family
 
-    monkeypatch.setattr(identities, "eval_loop_h", broken_h)
+    def broken_h(family, k, r, indices, ring):
+        value = real(family, k, r, indices, ring)
+        return value + 1 if (family, k, r % ring.n) == ("h", 2, 1) else value
+
+    monkeypatch.setattr(identities, "loop_family", broken_h)
     checks = identity_suite(3, 3, mode="randomized", seed=0, trials=2)
     bad = [c for c in checks if not c.passed and c.identity == "eh_alternating_sum"]
     assert bad
@@ -237,15 +246,15 @@ def test_schur_table_does_not_hide_a_failure(monkeypatch):
     """One wrong entry of the per-point strip-DP table, s_{(3,2)/(1)} at
     color 1, fails exactly that jacobi_trudi instance at every point, with
     a witness, and nothing else."""
-    real = identities.eval_loop_schurs
+    real = identities.loop_schurs
 
-    def broken(outer, inner, r, p):
-        table = real(outer, inner, r, p)
-        if (inner, r % p.n) == ((1,), 1):
+    def broken(outer, inner, r, ring):
+        table = real(outer, inner, r, ring)
+        if (inner, r % ring.n) == ((1,), 1):
             table[(3, 2, 0)] += 1
         return table
 
-    monkeypatch.setattr(identities, "eval_loop_schurs", broken)
+    monkeypatch.setattr(identities, "loop_schurs", broken)
     checks = identity_suite(3, 3, mode="randomized", seed=0, trials=3)
     bad = failures(checks)
     assert {c.identity for c in bad} == {"jacobi_trudi"}
@@ -264,18 +273,17 @@ def test_jacobi_trudi_walk_reads_one_table_per_inner_shape(monkeypatch, symbolic
     in symbolic mode once more per color for the staircase."""
     n, m = 3, 3
     calls = []
-    name = "loop_schurs" if symbolic else "eval_loop_schurs"
-    real = getattr(identities, name)
+    real = identities.loop_schurs
 
-    def counting(outer, inner, r, ring_or_point):
+    def counting(outer, inner, r, ring):
         calls.append((outer, inner, r % n))
-        return real(outer, inner, r, ring_or_point)
+        return real(outer, inner, r, ring)
 
-    monkeypatch.setattr(identities, name, counting)
+    monkeypatch.setattr(identities, "loop_schurs", counting)
     if symbolic:
-        ev = identities._PolyEvaluator(n, m)
+        ev = identities._poly_evaluator(n, m)
     else:
-        ev = identities._PointEvaluator(random_point(m, n, random.Random("walk")))
+        ev = identities._point_evaluator(random_point(m, n, random.Random("walk")))
     results = list(identities._instances(ev, n, m, symbolic=symbolic))
     assert all(passed for _, _, passed in results)
     seen = Counter(
@@ -300,23 +308,24 @@ def test_point_evaluator_computes_each_family_once(monkeypatch):
     p = random_point(m, n, random.Random(5))
     full = tuple(range(1, m + 1))
     calls = []
-    real = birational.loop_family
+    real = identities.loop_family
 
     def counting(family, k, r, indices, ring):
         if family in ("e", "h", "tau") and tuple(indices) == full:
             calls.append((family, k, r))
         return real(family, k, r, indices, ring)
 
-    monkeypatch.setattr(birational, "loop_family", counting)
+    monkeypatch.setattr(identities, "loop_family", counting)
     requested = set()
+    ev = identities._point_evaluator(p)
+    cached = ev._cached
 
-    class Recording(identities._PointEvaluator):
-        def _cached(self, family, k, r=0):
-            if family in ("e", "h", "tau"):
-                requested.add((family, k, r % self.n))
-            return super()._cached(family, k, r)
+    def recording(family, k, r=0):
+        if family in ("e", "h", "tau"):
+            requested.add((family, k, r % n))
+        return cached(family, k, r)
 
-    ev = Recording(p)
+    ev._cached = recording
     results = list(identities._instances(ev, n, m, symbolic=False))
     assert results and all(passed for _, _, passed in results)
     assert 0 < len(calls) <= len(requested)
@@ -329,6 +338,34 @@ def test_point_evaluator_computes_each_family_once(monkeypatch):
         assert h == h_shift == eval_loop_h(k, r, full, p)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_point_evaluator_matches_the_fraction_ring(n):
+    """Every value the point evaluator reads in the cleared integers, once
+    divided by its power of the common denominator, equals the same kernel
+    run over ``Fraction`` (``point_ring``): loop e, h, tau and sigma on
+    each suffix range, the classical e of the products, and every entry of
+    the loop Schur table of each inner shape of the box."""
+    for m in range(1, 5):
+        p = random_point(m, n, random.Random(f"oracle:{n}:{m}"))
+        ev, ring = identities._point_evaluator(p), point_ring(p)
+        full = tuple(range(1, m + 1))
+        for r in range(n):
+            for k in range(-1, (n - 1) * m + 2):
+                assert ev.e(k, r) == loop_family("e", k, r, full, ring), (m, r, k)
+                assert ev.h(k, r) == loop_family("h", k, r, full, ring), (m, r, k)
+                assert ev.tau(k, r) == loop_family("tau", k, r, full, ring), (m, r, k)
+                for i in range(1, m + 1):
+                    idx = range(i, m + 1)
+                    want = loop_family("sigma", k, r, idx, ring)
+                    assert ev.sigma(k, r, idx) == want, (m, r, k, i)
+            for nu in partitions_between(identities.JT_BOX):
+                inner = Shape(nu).parts
+                want = loop_schurs(identities.JT_BOX, inner, r, ring)
+                assert ev.schurs(identities.JT_BOX, inner, r) == want, (m, r, inner)
+        for i in range(-1, m + 2):
+            assert ev.classical_e(i) == classical_e_of_products(i, ring), (m, i)
+
+
 def test_point_minors_match_per_column_determinants():
     """One elimination gives the 16 maximal minors of the 15 x 16 matrix B
     that 16 separate determinants give, for every color at three n=4, m=5
@@ -336,7 +373,7 @@ def test_point_minors_match_per_column_determinants():
     n, m = 4, 5
     rng = random.Random("minors")
     for _ in range(3):
-        ev = identities._PointEvaluator(random_point(m, n, rng))
+        ev = identities._point_evaluator(random_point(m, n, rng))
         for r in range(n):
             mat_b = [[ev.e(k, c) for k, c in row] for row in staircase_b_indices(m, n=n, r=r)]
             per_column = [
@@ -351,11 +388,13 @@ def test_corrupted_b_entry_fails_at_every_point(monkeypatch):
     """e_16^(0) is zero and at n=4, m=5 only B uses it; set to 1, the B
     families fail at every point while the families without B pass."""
 
-    def broken_e(k, r, indices, p):
-        value = eval_loop_e(k, r, indices, p)
-        return value + 1 if (k, r % p.n) == (16, 0) else value
+    real = identities.loop_family
 
-    monkeypatch.setattr(identities, "eval_loop_e", broken_e)
+    def broken_e(family, k, r, indices, ring):
+        value = real(family, k, r, indices, ring)
+        return value + 1 if (family, k, r % ring.n) == ("e", 16, 0) else value
+
+    monkeypatch.setattr(identities, "loop_family", broken_e)
     checks = identity_suite(4, 5, mode="randomized", seed=0, trials=3)
     b_families = {"minor_tau_factorization", "tau_vector_annihilation"}
     bad = [c for c in checks if not c.passed]

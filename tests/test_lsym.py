@@ -93,6 +93,32 @@ def test_poly_rejects_out_of_range_variables():
         ColoredPoly(2, 2, {(((1, 2), 1),): 1})
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(((1, 0), 1),): 1.5},
+        {(((1, 0), 1),): True},
+        {(((1, 0), 1),): "1"},
+        {(((1, 0), 2.5),): 1},
+        {(((1, 0), True),): 1},
+        {(((1.0, 0), 1),): 1},
+        {(((1, False), 1),): 1},
+    ],
+    ids=["float-coef", "bool-coef", "str-coef", "float-exp", "bool-exp", "float-i", "bool-r"],
+)
+def test_poly_refuses_non_int_terms(terms):
+    """A coefficient, index, color or exponent that is not an int raises:
+    a coefficient 1.5 was kept as 1, an exponent 2.5 stored as given."""
+    with pytest.raises(TypeError):
+        ColoredPoly(1, 2, terms)
+
+
+@pytest.mark.parametrize("bad", [1.9, True, "1"], ids=["float", "bool", "str"])
+def test_family_indices_must_be_ints(bad):
+    with pytest.raises(TypeError):
+        loop_e(1, 0, n=2, m=2, indices=[bad, 2])
+
+
 def test_poly_json_round_trip():
     m, n = 3, 2
     p = 5 * var(1, 0, m, n) * var(1, 0, m, n) - 2 * var(3, 1, m, n) + ColoredPoly.one(m, n)

@@ -87,6 +87,16 @@ def test_shape_validation():
         Shape((2, -1))
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "1"], ids=["float", "bool", "str"])
+def test_shape_and_ssyt_refuse_non_int_values(bad):
+    """A part or an entry that is not an int raises, never truncated or
+    parsed: these were (2, 1) and ((1, 1),) once."""
+    with pytest.raises(TypeError):
+        Shape((2, bad))
+    with pytest.raises(TypeError):
+        Ssyt(Shape((2,)), [(1, bad)], 3)
+
+
 def test_shape_conjugate():
     assert Shape((6, 4, 2)).conjugate() == Shape((3, 3, 2, 2, 1, 1))
     assert Shape(()).conjugate() == Shape(())
