@@ -30,7 +30,7 @@ from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._strict import json_decimal, json_int
+from ._strict import ints, json_decimal, json_int
 from .lsym import Ring, loop_family, sigma_product_indices
 
 
@@ -179,13 +179,14 @@ def cleared_ring(p: RationalPoint) -> tuple[Ring, Callable[[int, int], Fraction]
     takes a value v homogeneous of degree d computed in this ring (D**d
     times its value at ``p``) to its value at ``p``."""
     scale = math.lcm(*(v.denominator for row in p.values for v in row))
-    ints = [[v.numerator * (scale // v.denominator) for v in row] for row in p.values]
-    ring = Ring(p.m, p.n, lambda i, c: ints[i - 1][c], 0, 1)
+    nums = [[v.numerator * (scale // v.denominator) for v in row] for row in p.values]
+    ring = Ring(p.m, p.n, lambda i, c: nums[i - 1][c], 0, 1)
     return ring, lambda v, d: Fraction(v, scale**d) if v else Fraction(0)
 
 
 def _eval_family(family: str, k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
     """``loop_family`` at ``p``, run in ints in ``cleared_ring(p)``."""
+    ints((k, r), "a loop family's degree and color")
     ring, value = cleared_ring(p)
     return value(loop_family(family, k, r, tuple(indices), ring), k)
 

@@ -29,7 +29,7 @@ from .crystal import (
     r_matrix,
     r_matrix_oracle,
 )
-from .lsym import tableau_monomials
+from .lsym import mono_factors, tableau_monomials
 from .tableaux import EnumerationGuardError, energy_staircase_shape, resolve_guard
 from .verify import ConfigError, SUITE_NAMES, VerifyConfig, run_verify
 
@@ -148,7 +148,10 @@ def _cmd_emit_formula(args) -> int:
         print(f"error: {exc}; raise KR_ENERGY_GUARD for very large sizes", file=sys.stderr)
         return EXIT_BAD_INPUT
     terms = [
-        {"tableau": [list(row) for row in t.rows], "monomial": [[i, r, e] for (i, r), e in mono]}
+        {
+            "tableau": [list(row) for row in t.rows],
+            "monomial": [list(f) for f in mono_factors(mono, n)],
+        }
         for t, mono in tableau_monomials(shape, 0, m, n=n)
     ]
     _emit({"n": n, "m": m, "shape": list(shape.parts), "terms": terms})

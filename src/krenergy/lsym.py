@@ -2,9 +2,12 @@
 
 Polynomials live in variables ``x_i^{(r)}`` with ``i`` in ``1..m`` and the
 color ``r`` in ``Z/nZ`` (stored 0-based).  Coefficients are arbitrary
-precision integers.  A monomial is a sorted tuple of ``((i, r), exponent)``
-pairs with positive exponents, so equality of polynomials is plain equality
-of term maps.
+precision integers.  A monomial is its exponent vector: a tuple of m * n
+non-negative ints with the exponent of ``x_i^{(r)}`` at index
+``(i - 1) * n + r``, the order of ``TropicalGrid.flat()``.  So a product
+is a vector sum, equality of polynomials is plain equality of term maps,
+and ``trop_eval``'s exponent matrix is the term keys stacked.
+``mono_factors`` lists a monomial's ``(i, r, exponent)`` factors for output.
 
 The generating families:
 
@@ -50,7 +53,8 @@ import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
+from operator import add
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -66,34 +70,25 @@ from .tableaux import (
     staircase,
 )
 
-Mono = tuple[tuple[tuple[int, int], int], ...]
+Mono = tuple[int, ...]
 
 # trop_eval multiplies in int64 while every grid value is below this bound,
 # so no sum of a polynomial of degree below 2^23 can overflow
 _NUMPY_VALUE_BOUND = 1 << 40
 
 
-def _mono_from_dict(d: dict[tuple[int, int], int]) -> Mono:
-    return tuple(sorted((k, e) for k, e in d.items() if e))
-
-
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    d = dict(a)
-    for k, e in b:
-        d[k] = d.get(k, 0) + e
-    return tuple(sorted(d.items()))
-
-
-def _mono_degree(mono: Mono) -> int:
-    return sum(e for _, e in mono)
+def mono_factors(mono: Mono, n: int) -> list[tuple[int, int, int]]:
+    """``(i, r, e)`` of each variable ``x_i^{(r)}`` with exponent e > 0 in
+    the exponent vector ``mono``, in index order."""
+    return [(k // n + 1, k % n, e) for k, e in enumerate(mono) if e]
 
 
 class ColoredPoly:
-    """Sparse integer polynomial in the colored variables of an m x n array."""
+    """Sparse integer polynomial in the colored variables of an m x n array.
+
+    Each term is keyed by its exponent vector: m * n non-negative ints, the
+    exponent of ``x_i^{(r)}`` at index ``(i - 1) * n + r``.
+    """
 
     __slots__ = ("m", "n", "terms", "_trop_matrix")
 
@@ -102,14 +97,14 @@ class ColoredPoly:
             raise ValueError(f"ambient sizes must satisfy m >= 1, n >= 2, got ({m}, {n})")
         clean: dict[Mono, int] = {}
         for mono, coef in (terms or {}).items():
-            values = (coef, *(v for (i, r), e in mono for v in (i, r, e)))
-            ints(values, "a term's coefficient, indices, colors and exponents")
-            if not coef:
-                continue
-            for (i, r), e in mono:
-                if not (1 <= i <= m and 0 <= r < n and e > 0):
-                    raise ValueError(f"bad variable ({i}, {r})^{e} for ambient ({m}, {n})")
-            clean[mono] = coef
+            ints((coef, *mono), "a term's coefficient and exponents")
+            if len(mono) != m * n or min(mono, default=0) < 0:
+                raise ValueError(
+                    f"a monomial must be {m * n} non-negative exponents for ambient ({m}, {n}),"
+                    f" got {mono!r}"
+                )
+            if coef:
+                clean[mono] = coef
         self.m = m
         self.n = n
         self.terms = clean
@@ -130,15 +125,16 @@ class ColoredPoly:
 
     @classmethod
     def one(cls, m: int, n: int) -> ColoredPoly:
-        return cls._raw(m, n, {(): 1})
-
-    @classmethod
-    def const(cls, m: int, n: int, value: int) -> ColoredPoly:
-        return cls._raw(m, n, {(): int(value)} if value else {})
+        return cls._raw(m, n, {(0,) * (m * n): 1})
 
     @classmethod
     def variable(cls, i: int, r: int, *, m: int, n: int) -> ColoredPoly:
-        return cls(m, n, {(((i, r % n), 1),): 1})
+        ints((i, r), "a variable's index and color")
+        if not 1 <= i <= m:
+            raise ValueError(f"variable index {i} out of range 1..{m}")
+        exps = [0] * (m * n)
+        exps[(i - 1) * n + r % n] = 1
+        return cls(m, n, {tuple(exps): 1})
 
     def _check_same(self, other: ColoredPoly) -> None:
         if self.m != other.m or self.n != other.n:
@@ -151,14 +147,15 @@ class ColoredPoly:
         return not self.terms
 
     def is_homogeneous(self, k: int) -> bool:
-        return all(_mono_degree(mono) == k for mono in self.terms)
+        return all(sum(mono) == k for mono in self.terms)
 
-    def sorted_terms(self) -> list[tuple[Mono, int]]:
-        return sorted(self.terms.items())
+    def sorted_terms(self) -> list[tuple[list[tuple[int, int, int]], int]]:
+        """``(mono_factors(mono), coef)`` of each term, ordered by the factors."""
+        return sorted((mono_factors(mono, self.n), coef) for mono, coef in self.terms.items())
 
-    def __add__(self, other: ColoredPoly | int) -> ColoredPoly:
-        if isinstance(other, int):
-            other = ColoredPoly.const(self.m, self.n, other)
+    def __add__(self, other: ColoredPoly) -> ColoredPoly:
+        if not isinstance(other, ColoredPoly):
+            return NotImplemented
         self._check_same(other)
         terms = dict(self.terms)
         for mono, coef in other.terms.items():
@@ -169,23 +166,23 @@ class ColoredPoly:
                 terms.pop(mono, None)
         return ColoredPoly._raw(self.m, self.n, terms)
 
-    __radd__ = __add__
-
     def __neg__(self) -> ColoredPoly:
         return ColoredPoly._raw(self.m, self.n, {mono: -c for mono, c in self.terms.items()})
 
-    def __sub__(self, other: ColoredPoly | int) -> ColoredPoly:
-        if isinstance(other, int):
-            other = ColoredPoly.const(self.m, self.n, other)
+    def __sub__(self, other: ColoredPoly) -> ColoredPoly:
+        if not isinstance(other, ColoredPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: ColoredPoly | int) -> ColoredPoly:
-        if isinstance(other, int):
+        if type(other) is int:
             if other == 0:
                 return ColoredPoly.zero(self.m, self.n)
             return ColoredPoly._raw(
                 self.m, self.n, {mono: c * other for mono, c in self.terms.items()}
             )
+        if not isinstance(other, ColoredPoly):
+            return NotImplemented
         self._check_same(other)
         if not self.terms or not other.terms:
             return ColoredPoly.zero(self.m, self.n)
@@ -195,7 +192,7 @@ class ColoredPoly:
         out: dict[Mono, int] = {}
         for mono_a, ca in small.items():
             for mono_b, cb in large.items():
-                mono = _mono_mul(mono_a, mono_b)
+                mono = tuple(map(add, mono_a, mono_b))
                 c = out.get(mono, 0) + ca * cb
                 if c:
                     out[mono] = c
@@ -217,17 +214,15 @@ class ColoredPoly:
         total = Fraction(0)
         for mono, coef in self.terms.items():
             prod = Fraction(coef)
-            for (i, r), e in mono:
+            for i, r, e in mono_factors(mono, self.n):
                 prod *= Fraction(value(i, r)) ** e
             total += prod
         return total
 
     def to_jsonable(self) -> dict:
         terms = []
-        for mono, coef in self.sorted_terms():
-            terms.append(
-                {"coef": str(coef), "exps": [[i, r, e] for (i, r), e in mono]}
-            )
+        for factors, coef in self.sorted_terms():
+            terms.append({"coef": str(coef), "exps": [list(f) for f in factors]})
         return {"m": self.m, "n": self.n, "terms": terms}
 
     @classmethod
@@ -237,15 +232,18 @@ class ColoredPoly:
         m, n = json_int(data["m"], "m"), json_int(data["n"], "n")
         terms: dict[Mono, int] = {}
         for item in data["terms"]:
-            exps: dict[tuple[int, int], int] = {}
+            exps = [0] * (m * n)
             for i, r, e in item["exps"]:
                 var = (json_int(i, "index"), json_int(r, "color"))
-                if var in exps:
+                if not (1 <= i <= m and 0 <= r < n):
+                    raise ValueError(f"bad variable {var} for ambient ({m}, {n})")
+                k = (i - 1) * n + r
+                if exps[k]:
                     raise ValueError(f"variable {var} listed twice in one monomial")
-                exps[var] = json_int(e, "exponent")
-                if exps[var] < 1:
-                    raise ValueError(f"exponent of {var} must be positive, got {exps[var]}")
-            mono = _mono_from_dict(exps)
+                exps[k] = json_int(e, "exponent")
+                if e < 1:
+                    raise ValueError(f"exponent of {var} must be positive, got {e}")
+            mono = tuple(exps)
             terms[mono] = terms.get(mono, 0) + json_decimal(item["coef"], "coefficient")
         return cls(m, n, terms)
 
@@ -253,10 +251,9 @@ class ColoredPoly:
         if not self.terms:
             return "0"
         parts = []
-        for mono, coef in self.sorted_terms():
-            factors = [f"x{i}^({r})" + (f"^{e}" if e > 1 else "") for (i, r), e in mono]
-            body = "*".join(factors) if factors else "1"
-            parts.append(f"{coef}*{body}" if body != "1" else str(coef))
+        for factors, coef in self.sorted_terms():
+            body = "*".join(f"x{i}^({r})" + (f"^{e}" if e > 1 else "") for i, r, e in factors)
+            parts.append(f"{coef}*{body}" if body else str(coef))
         return " + ".join(parts)
 
 
@@ -285,11 +282,9 @@ class Ring(NamedTuple):
 @lru_cache(maxsize=None)
 def poly_ring(m: int, n: int) -> Ring:
     """The colored variables as polynomials."""
-
-    def x(i: int, c: int) -> ColoredPoly:
-        return ColoredPoly._raw(m, n, {(((i, c), 1),): 1})
-
-    return Ring(m, n, x, ColoredPoly.zero(m, n), ColoredPoly.one(m, n))
+    xs = [ColoredPoly.variable(k // n + 1, k % n, m=m, n=n) for k in range(m * n)]
+    zero, one = ColoredPoly.zero(m, n), ColoredPoly.one(m, n)
+    return Ring(m, n, lambda i, c: xs[(i - 1) * n + c], zero, one)
 
 
 def loop_family(family: str, k: int, r: int, indices: Sequence[int], ring: Ring):
@@ -340,24 +335,30 @@ def loop_family(family: str, k: int, r: int, indices: Sequence[int], ring: Ring)
     return row[k]
 
 
+def _poly_family(family: str, k: int, r: int, n: int, m: int, indices) -> ColoredPoly:
+    """``loop_family`` over the polynomials, its arguments checked."""
+    ints((k, r), "a loop family's degree and color")
+    return loop_family(family, k, r, _normalize_indices(indices, m), poly_ring(m, n))
+
+
 def loop_e(k: int, r: int, *, n: int, m: int, indices: Sequence[int] | None = None) -> ColoredPoly:
     """Loop elementary symmetric function e_k^{(r)} on the given variables."""
-    return loop_family("e", k, r, _normalize_indices(indices, m), poly_ring(m, n))
+    return _poly_family("e", k, r, n, m, indices)
 
 
 def loop_h(k: int, r: int, *, n: int, m: int, indices: Sequence[int] | None = None) -> ColoredPoly:
     """Loop complete homogeneous symmetric function h_k^{(r)}."""
-    return loop_family("h", k, r, _normalize_indices(indices, m), poly_ring(m, n))
+    return _poly_family("h", k, r, n, m, indices)
 
 
 def tau(k: int, r: int, *, n: int, m: int, indices: Sequence[int] | None = None) -> ColoredPoly:
     """The tau family: loop_h restricted to multiplicities at most n - 1."""
-    return loop_family("tau", k, r, _normalize_indices(indices, m), poly_ring(m, n))
+    return _poly_family("tau", k, r, n, m, indices)
 
 
 def sigma(k: int, r: int, *, n: int, m: int, indices: Sequence[int] | None = None) -> ColoredPoly:
     """sigma_k^{(r)}: prefix powers of the first variable times tau of the rest."""
-    return loop_family("sigma", k, r, _normalize_indices(indices, m), poly_ring(m, n))
+    return _poly_family("sigma", k, r, n, m, indices)
 
 
 def sigma_product_indices(m: int, *, n: int, r: int = 0) -> list[tuple[int, int, range]]:
@@ -379,13 +380,12 @@ def tableau_monomials(
     skew = SkewShape.of(shape)
     # row-major, the order of Ssyt.row_word
     colors = [(i - j + r) % n for (i, j) in skew.cells()]
-    # one shared tuple per ((i, r), e) factor keeps large term maps small
-    factors: dict[tuple[tuple[int, int], int], tuple[tuple[int, int], int]] = {}
+    size = max_entry * n
     for t in enumerate_ssyt(skew, max_entry):
-        d: dict[tuple[int, int], int] = {}
-        for key in zip(t.row_word(), colors):
-            d[key] = d.get(key, 0) + 1
-        yield t, tuple(sorted(factors.setdefault(item, item) for item in d.items()))
+        exps = [0] * size
+        for v, c in zip(t.row_word(), colors):
+            exps[(v - 1) * n + c] += 1
+        yield t, tuple(exps)
 
 
 def loop_schur_tableaux(
@@ -660,11 +660,13 @@ def trop_eval(p: ColoredPoly, grid) -> int | float:
         if any(c < 0 for c in p.terms.values()):
             raise ValueError("tropical evaluation needs a subtraction-free polynomial")
         # an int64 sum stays exact while degree * value bound < 2^63
-        wide = max(map(_mono_degree, p.terms)) * _NUMPY_VALUE_BOUND >= 1 << 63
-        mat = np.zeros((len(p.terms), p.m * p.n), dtype=object if wide else np.int64)
-        for t, mono in enumerate(p.terms):
-            for (i, r), e in mono:
-                mat[t, (i - 1) * p.n + r] = e
+        wide = max(map(sum, p.terms)) * _NUMPY_VALUE_BOUND >= 1 << 63
+        # the term keys stacked; fromiter builds no temporary rows
+        mat = np.fromiter(
+            chain.from_iterable(p.terms),
+            dtype=object if wide else np.int64,
+            count=len(p.terms) * p.m * p.n,
+        ).reshape(len(p.terms), p.m * p.n)
         p._trop_matrix = mat
     flat = grid.flat()
     big = [c for c, v in enumerate(flat) if abs(v) >= _NUMPY_VALUE_BOUND]

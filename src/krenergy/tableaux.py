@@ -199,6 +199,7 @@ class Ssyt:
     ):
         shape = SkewShape.of(shape)
         rows = tuple(ints(row, "entries") for row in rows)
+        ints((max_entry,), "max_entry")
         if max_entry < 1:
             raise ValueError(f"max_entry must be positive, got {max_entry}")
         if len(rows) != len(shape.outer):
@@ -283,6 +284,7 @@ def _fillings(skew: SkewShape, max_entry: int) -> Iterator[list[int]]:
     filling, in lexicographic order of that word; raises
     :class:`EnumerationGuardError` at filling number ``guard + 1``.
     """
+    ints((max_entry,), "max_entry")
     if max_entry < 1:
         raise ValueError(f"max_entry must be positive, got {max_entry}")
     guard = resolve_guard()

@@ -276,21 +276,6 @@ def check_coenergy_pair(b1: CrystalElement, b2: CrystalElement) -> list[str]:
     return problems
 
 
-def check_energy_tensor(t: TensorElement) -> list[str]:
-    d_global = intrinsic_energy(t)
-    d_stair = energy_staircase(t)
-    if d_global != d_stair:
-        return [
-            _witness(
-                "energy-equivalence",
-                tensor=t.to_jsonable(),
-                intrinsic=d_global,
-                staircase=d_stair,
-            )
-        ]
-    return []
-
-
 @lru_cache(maxsize=None)
 def sigma_product_polys(n: int, m: int) -> tuple[ColoredPoly, ...]:
     """The sigma factors of the rational energy product at color offset 0."""
@@ -299,16 +284,23 @@ def sigma_product_polys(n: int, m: int) -> tuple[ColoredPoly, ...]:
     )
 
 
-def check_tropical_bridge_tensor(t: TensorElement) -> list[str]:
-    """The tropicalized sigma product equals the intrinsic energy.  (The
-    tropicalized staircase loop Schur is ``energy_staircase``, which
-    :func:`check_energy_tensor` compares.)"""
-    grid = counts_to_grid(t)
+def check_energy_tensor(t: TensorElement) -> list[str]:
+    """The intrinsic energy equals the tropicalized staircase loop Schur
+    function (``energy_staircase``) and the tropicalized sigma product."""
+    problems = []
     d = intrinsic_energy(t)
+    d_stair = energy_staircase(t)
+    if d_stair != d:
+        problems.append(
+            _witness("energy-equivalence", tensor=t.to_jsonable(), intrinsic=d, staircase=d_stair)
+        )
+    grid = counts_to_grid(t)
     sigma_trop = sum(trop_eval(p, grid) for p in sigma_product_polys(t.n, t.m))
     if sigma_trop != d:
-        return [_witness("trop-sigma-product", tensor=t.to_jsonable(), got=sigma_trop, want=d)]
-    return []
+        problems.append(
+            _witness("trop-sigma-product", tensor=t.to_jsonable(), got=sigma_trop, want=d)
+        )
+    return problems
 
 
 def check_braid_tensor(t: TensorElement) -> list[str]:
@@ -404,10 +396,6 @@ def _run_tensors(
             result.record(not problems, problems[0] if problems else None)
 
 
-def _check_energy_and_bridge(t: TensorElement) -> list[str]:
-    return check_energy_tensor(t) + check_tropical_bridge_tensor(t)
-
-
 # The families of the section4 suite; every other family of the identity
 # suite belongs to lsym-identities.  All of them need m >= 2.
 SECTION4_FAMILIES = frozenset(
@@ -451,7 +439,7 @@ SUITE_RUNNERS = {
     "rmatrix": partial(_run_pairs, check=check_rmatrix_pair, label="rmatrix"),
     "coenergy": partial(_run_pairs, check=check_coenergy_pair, label="coenergy"),
     "energy-equivalence": partial(
-        _run_tensors, check=_check_energy_and_bridge, label="energy", m_min=1
+        _run_tensors, check=check_energy_tensor, label="energy", m_min=1
     ),
     "braid": partial(_run_tensors, check=check_braid_tensor, label="braid", m_min=2),
     "birational": _run_birational,

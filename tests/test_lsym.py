@@ -19,7 +19,6 @@ from krenergy.crystal import TropicalGrid
 from krenergy.lsym import (
     ColoredPoly,
     PolyMatrix,
-    _mono_from_dict,
     build_A,
     build_B,
     jacobi_trudi_indices,
@@ -28,6 +27,7 @@ from krenergy.lsym import (
     loop_schur_jt,
     loop_schur_tableaux,
     loop_schurs,
+    mono_factors,
     poly_ring,
     sigma,
     sigma_product_indices,
@@ -87,36 +87,83 @@ def test_poly_ambient_mismatch():
 
 
 def test_poly_rejects_out_of_range_variables():
+    """An exponent vector of the wrong length or with a negative entry
+    raises, and so does a variable index or color out of range, in the
+    constructor and in the JSON reader; a dense index never aliases."""
     with pytest.raises(ValueError):
-        ColoredPoly(2, 2, {(((3, 0), 1),): 1})
+        ColoredPoly(2, 2, {(1, 0, 0): 1})
     with pytest.raises(ValueError):
-        ColoredPoly(2, 2, {(((1, 2), 1),): 1})
+        ColoredPoly(2, 2, {(1, 0, 0, 0, 0): 1})
+    with pytest.raises(ValueError):
+        ColoredPoly(2, 2, {(1, 0, -1, 0): 1})
+    for i, r in ((3, 0), (1, 2), (0, 1)):
+        with pytest.raises(ValueError):
+            ColoredPoly.from_jsonable(
+                {"m": 2, "n": 2, "terms": [{"coef": "1", "exps": [[i, r, 1]]}]}
+            )
+    with pytest.raises(ValueError):
+        ColoredPoly.variable(0, 1, m=2, n=2)
+    with pytest.raises(ValueError):
+        ColoredPoly.variable(3, 0, m=2, n=2)
 
 
 @pytest.mark.parametrize(
     "terms",
     [
-        {(((1, 0), 1),): 1.5},
-        {(((1, 0), 1),): True},
-        {(((1, 0), 1),): "1"},
-        {(((1, 0), 2.5),): 1},
-        {(((1, 0), True),): 1},
-        {(((1.0, 0), 1),): 1},
-        {(((1, False), 1),): 1},
+        {(1, 0): 1.5},
+        {(1, 0): True},
+        {(1, 0): "1"},
+        {(2.5, 0): 1},
+        {(0, True): 1},
+        {(1.0, 0): 1},
+        {(1, False): 1},
     ],
     ids=["float-coef", "bool-coef", "str-coef", "float-exp", "bool-exp", "float-i", "bool-r"],
 )
 def test_poly_refuses_non_int_terms(terms):
-    """A coefficient, index, color or exponent that is not an int raises:
-    a coefficient 1.5 was kept as 1, an exponent 2.5 stored as given."""
+    """A coefficient or an exponent that is not an int raises, a bool
+    included: a coefficient 1.5 was kept as 1, an exponent 2.5 stored as
+    given."""
     with pytest.raises(TypeError):
         ColoredPoly(1, 2, terms)
 
 
-@pytest.mark.parametrize("bad", [1.9, True, "1"], ids=["float", "bool", "str"])
-def test_family_indices_must_be_ints(bad):
+def test_poly_arithmetic_refuses_non_polys():
+    """+ and - take only a ColoredPoly, and * a ColoredPoly or an int."""
+    one = ColoredPoly.one(1, 2)
+    p = var(1, 0, 1, 2)
+    for bad in (lambda: one + True, lambda: one + 1, lambda: 1 + one, lambda: one - 1,
+                lambda: p * True, lambda: p * 1.5, lambda: True * p):
+        with pytest.raises(TypeError):
+            bad()
+    assert 3 * p == p * 3 == p + p + p
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: loop_e(1, 0, n=2, m=2, indices=[1.9, 2]),
+        lambda: loop_e(1, 0, n=2, m=2, indices=[True, 2]),
+        lambda: loop_e(1, 0, n=2, m=2, indices=["1", 2]),
+        lambda: loop_h(2, 0.5, n=2, m=2),
+        lambda: loop_e(True, 0, n=2, m=2),
+        lambda: tau(1, "0", n=2, m=2),
+        lambda: sigma(1.0, 0, n=2, m=2),
+        lambda: eval_loop_e(1, False, [1, 2], random_point(2, 2, random.Random(0))),
+        lambda: eval_loop_h(1, 0.5, [1, 2], random_point(2, 2, random.Random(0))),
+        lambda: eval_tau("1", 0, [1, 2], random_point(2, 2, random.Random(0))),
+        lambda: eval_sigma(2.0, 0, [1, 2], random_point(2, 2, random.Random(0))),
+    ],
+    ids=["float", "bool", "str", "h-float-color", "e-bool-degree", "tau-str-color",
+         "sigma-float-degree", "eval-e-bool-color", "eval-h-float-color",
+         "eval-tau-str-degree", "eval-sigma-float-degree"],
+)
+def test_family_indices_must_be_ints(call):
+    """Indices, degree and color of the loop families, as polynomials and
+    at a point, must be ints: ``loop_h(2, 0.5, ...)`` once returned a
+    polynomial with float colors."""
     with pytest.raises(TypeError):
-        loop_e(1, 0, n=2, m=2, indices=[bad, 2])
+        call()
 
 
 def test_poly_json_round_trip():
@@ -125,6 +172,28 @@ def test_poly_json_round_trip():
     data = p.to_jsonable()
     assert ColoredPoly.from_jsonable(data) == p
     assert all(isinstance(t["coef"], str) for t in data["terms"])
+    assert data == {
+        "m": 3,
+        "n": 2,
+        "terms": [
+            {"coef": "1", "exps": []},
+            {"coef": "5", "exps": [[1, 0, 2]]},
+            {"coef": "-2", "exps": [[3, 1, 1]]},
+        ],
+    }
+    assert repr(p) == "1 + 5*x1^(0)^2 + -2*x3^(1)"
+    # terms sort by their (i, r, e) factor lists, a prefix first
+    q = p + 7 * var(2, 1, m, n) * var(1, 1, m, n) * var(2, 0, m, n)
+    q = q - var(1, 0, m, n) * var(2, 1, m, n)
+    assert [t["exps"] for t in q.to_jsonable()["terms"]] == [
+        [],
+        [[1, 0, 1], [2, 1, 1]],
+        [[1, 0, 2]],
+        [[1, 1, 1], [2, 0, 1], [2, 1, 1]],
+        [[3, 1, 1]],
+    ]
+    assert repr(q) == "1 + -1*x1^(0)*x2^(1) + 5*x1^(0)^2 + 7*x1^(1)*x2^(0)*x2^(1) + -2*x3^(1)"
+    assert ColoredPoly.from_jsonable(q.to_jsonable()) == q
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +245,7 @@ def collapse_colors(p):
     out = {}
     for mono, coef in p.terms.items():
         flat = []
-        for (i, r), e in mono:
+        for i, r, e in mono_factors(mono, p.n):
             flat.extend([i] * e)
         key = tuple(sorted(flat))
         out[key] = out.get(key, 0) + coef
@@ -272,11 +341,10 @@ def enumerated_family(k, r, cap, step, n, m, indices):
     if k >= 0:
         for combo in itertools.combinations_with_replacement(indices, k):
             if all(combo.count(i) <= cap for i in combo):
-                exps = {}
+                exps = [0] * (m * n)
                 for t, i in enumerate(combo):
-                    key = (i, (r + step * t) % n)
-                    exps[key] = exps.get(key, 0) + 1
-                terms[_mono_from_dict(exps)] = 1
+                    exps[(i - 1) * n + (r + step * t) % n] += 1
+                terms[tuple(exps)] = 1
     return ColoredPoly(m, n, terms)
 
 
@@ -384,8 +452,10 @@ def test_loop_schur_zero_weight_of_displayed_tableau():
         (4, 0): 2,
     }
     schur = loop_schur_tableaux(t.shape, 0, 4, n=3)
-    mono = tuple(sorted(exps.items()))
-    assert schur.terms.get(mono, 0) >= 1
+    mono = [0] * 12
+    for (i, r), e in exps.items():
+        mono[(i - 1) * 3 + r] = e
+    assert schur.terms.get(tuple(mono), 0) >= 1
 
 
 def test_loop_schur_staircase_all_ones_counts_tableaux():
@@ -417,7 +487,7 @@ def test_loop_schur_coefficients_positive_and_color_pattern():
     want_colors = sorted((i - j + r) % n for (i, j) in skew.cells())
     for mono, coef in p.terms.items():
         assert coef > 0
-        got = sorted(c for (_, c), e in mono for _ in range(e))
+        got = sorted(c for _, c, e in mono_factors(mono, n) for _ in range(e))
         assert got == want_colors
 
 
@@ -677,7 +747,7 @@ def test_trop_eval_is_semiring_map():
 def test_trop_eval_is_exact_past_int64():
     """A degree of 2^23 or more, or a grid value of 2^40 or more, is
     multiplied in Python ints; int64 would wrap around on either."""
-    p = var(1, 1, 1, 2) + ColoredPoly(1, 2, {(((1, 0), 1 << 30),): 1})
+    p = var(1, 1, 1, 2) + ColoredPoly(1, 2, {(1 << 30, 0): 1})
     assert trop_eval(p, TropicalGrid(1, 2, [[-(1 << 39), 5]])) == -(1 << 69)
     q = var(1, 0, 1, 2) + 2 * var(1, 1, 1, 2)
     assert trop_eval(q, TropicalGrid(1, 2, [[1 << 62, 1 << 61]])) == 1 << 61
@@ -697,7 +767,9 @@ def test_trop_eval_big_columns_match_the_term_minimum(big):
             for c in range(m * n)
         ]
         g = TropicalGrid(m, n, [flat[i * n : (i + 1) * n] for i in range(m)])
-        slow = min(sum(e * g.value(i, r) for (i, r), e in mono) for mono in p.terms)
+        slow = min(
+            sum(e * g.value(i, r) for i, r, e in mono_factors(mono, n)) for mono in p.terms
+        )
         assert trop_eval(p, g) == slow
 
 
@@ -711,6 +783,6 @@ def test_trop_eval_matrix_path_matches_scalar_path():
         g = TropicalGrid(m, n, [[rng.randint(0, 9) for _ in range(n)] for _ in range(m)])
         fast = trop_eval(p, g)
         slow = min(
-            sum(e * g.value(i, r) for (i, r), e in mono) for mono in p.terms
+            sum(e * g.value(i, r) for i, r, e in mono_factors(mono, n)) for mono in p.terms
         )
         assert fast == slow

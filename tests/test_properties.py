@@ -1,11 +1,13 @@
 """Property tests of the enumeration path over random small skew shapes,
-and of the one-elimination maximal minors.
+of the one-elimination maximal minors, and of the polynomial JSON format.
 
 hypothesis draws a skew shape inside a 4 x 4 box and a max entry.  The
 oracles are the checking ``Ssyt`` constructor, ``count_ssyt``, the
 coefficient sum of ``loop_schur_tableaux`` and, for ``partitions_between``,
 a filter over every tuple in the box.  ``maximal_minors`` is checked
-against one ``fraction_det`` per deleted column.  The runs are
+against one ``fraction_det`` per deleted column.  Random term maps of
+exponent vectors go through ``to_jsonable`` and back, and ``mono_factors``
+is checked against the vector's nonzero entries.  The runs are
 derandomized, so a failure reproduces, and keep no example database.
 """
 
@@ -19,7 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from krenergy.birational import fraction_det, maximal_minors  # noqa: E402
-from krenergy.lsym import loop_schur_tableaux  # noqa: E402
+from krenergy.lsym import ColoredPoly, loop_schur_tableaux, mono_factors  # noqa: E402
 from krenergy.tableaux import (  # noqa: E402
     SkewShape,
     Ssyt,
@@ -106,3 +108,28 @@ def test_maximal_minors_match_per_column_determinants(rows):
         fraction_det([row[:j] + row[j + 1 :] for row in rows]) for j in range(len(rows) + 1)
     ]
     assert maximal_minors(rows) == per_column
+
+
+@st.composite
+def colored_polys(draw):
+    """A polynomial in an m x n ambient, m <= 3 and n <= 4, of up to 8
+    terms with exponents up to 3 and nonzero coefficients."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    mono = st.tuples(*[st.integers(0, 3)] * (m * n))
+    coef = st.integers(-(1 << 70), 1 << 70).filter(bool)
+    return ColoredPoly(m, n, draw(st.dictionaries(mono, coef, max_size=8)))
+
+
+@PROPERTY_SETTINGS
+@given(colored_polys())
+def test_poly_json_round_trip_and_factors(p):
+    data = p.to_jsonable()
+    assert ColoredPoly.from_jsonable(data) == p
+    exps = [t["exps"] for t in data["terms"]]
+    assert exps == sorted(exps) and len(exps) == len(p.terms)
+    for mono in p.terms:
+        factors = mono_factors(mono, p.n)
+        assert [((i - 1) * p.n + r, e) for i, r, e in factors] == [
+            (k, e) for k, e in enumerate(mono) if e
+        ]
+        assert all(1 <= i <= p.m and 0 <= r < p.n for i, r, _ in factors)

@@ -89,12 +89,19 @@ def test_shape_validation():
 
 @pytest.mark.parametrize("bad", [1.5, True, "1"], ids=["float", "bool", "str"])
 def test_shape_and_ssyt_refuse_non_int_values(bad):
-    """A part or an entry that is not an int raises, never truncated or
-    parsed: these were (2, 1) and ((1, 1),) once."""
+    """A part, an entry or a max entry that is not an int raises, never
+    truncated or parsed: these were (2, 1) and ((1, 1),) once, a max entry
+    2.5 was stored and a max entry True counted."""
     with pytest.raises(TypeError):
         Shape((2, bad))
     with pytest.raises(TypeError):
         Ssyt(Shape((2,)), [(1, bad)], 3)
+    with pytest.raises(TypeError):
+        Ssyt(Shape((1,)), [(1,)], bad)
+    with pytest.raises(TypeError):
+        count_ssyt(Shape((1,)), bad)
+    with pytest.raises(TypeError):
+        next(enumerate_ssyt(Shape((1,)), bad))
 
 
 def test_shape_conjugate():
