@@ -21,7 +21,9 @@ over semistandard tableaux of the dilated staircase shape, with entries in
 ``1..m``, of the sum of grid values ``x_{T(i,j)}^{(i-j)}``.  The grid is the
 change of variables ``x_i^{(r)} = z_i^{(r+1-i)}`` applied to letter counts.
 That minimum is ``lsym.trop_eval`` of the cached staircase loop Schur
-polynomial ``lsym.staircase_loop_schur``, the one tropical evaluation path.
+polynomial ``lsym.staircase_loop_schur``, the one tropical evaluation path;
+that polynomial comes from a horizontal-strip DP, so no tableau is
+enumerated.
 """
 
 from __future__ import annotations

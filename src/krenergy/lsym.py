@@ -40,9 +40,11 @@ of those matrices and of the tau vector as ``(degree, color)`` pairs, and
 ``sigma_product_indices`` the sigma factors of the energy's product, for
 the polynomials here and for point evaluation alike.
 
-``staircase_loop_schur`` caches the loop Schur polynomial of the energy's
-staircase per (n, m); ``trop_eval`` of it is the package's one tropical
-staircase energy (``crystal.energy_staircase``).  ``trop_eval`` caches the
+``staircase_loop_schur`` builds the loop Schur polynomial of the energy's
+staircase by one horizontal-strip DP over the exponent blocks of x_1, x_2,
+..., with no tableau enumerated, and caches it per (n, m); ``trop_eval`` of
+it is the package's one tropical staircase energy
+(``crystal.energy_staircase``).  ``trop_eval`` caches the
 exponent matrix on each polynomial and multiplies it by the grid, in exact
 Python ints when a grid value reaches 2^40.
 """
@@ -61,12 +63,14 @@ import numpy as np
 
 from ._strict import ints, json_decimal, json_int
 from .tableaux import (
+    GUARD_ENV_VAR,
     Shape,
     SkewShape,
     Ssyt,
     energy_staircase_shape,
     enumerate_ssyt,
     partitions_between,
+    resolve_guard,
     staircase,
 )
 
@@ -228,10 +232,19 @@ class ColoredPoly:
     @classmethod
     def from_jsonable(cls, data: dict) -> ColoredPoly:
         """Inverse of ``to_jsonable``; coefficients must be decimal strings,
-        and each monomial lists distinct variables with positive exponents."""
+        and each monomial lists distinct variables with positive exponents.
+        A document whose terms hold more than the guard's worth of exponent
+        slots (``KR_ENERGY_GUARD``) raises ``ValueError`` before any is built."""
         m, n = json_int(data["m"], "m"), json_int(data["n"], "n")
+        items = data["terms"]
+        guard = resolve_guard()
+        if len(items) * m * n > guard:
+            raise ValueError(
+                f"{len(items)} terms of {m} x {n} exponents exceed the guard {guard}"
+                f" ({GUARD_ENV_VAR})"
+            )
         terms: dict[Mono, int] = {}
-        for item in data["terms"]:
+        for item in items:
             exps = [0] * (m * n)
             for i, r, e in item["exps"]:
                 var = (json_int(i, "index"), json_int(r, "color"))
@@ -403,8 +416,9 @@ def loop_schur_tableaux(
     return ColoredPoly._raw(max_entry, n, terms)
 
 
-@lru_cache(maxsize=None)
-def _strip_chains(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
+def _build_strip_chains(
+    outer: tuple[int, ...], inner: tuple[int, ...]
+) -> tuple[tuple, tuple, tuple]:
     """The horizontal-strip steps of the skew shape ``outer / inner``.
 
     Returns the partitions nu with inner <= nu <= outer (``len(outer)``
@@ -431,6 +445,10 @@ def _strip_chains(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[tuple
             steps.append((index[kappa], contents.setdefault(cells, len(contents))))
         preds.append(tuple(steps))
     return tuple(parts), tuple(contents), tuple(preds)
+
+
+# the strip chains of the small shapes that loop_schurs reuses
+_strip_chains = lru_cache(maxsize=None)(_build_strip_chains)
 
 
 def loop_schurs(outer: tuple[int, ...], inner: tuple[int, ...], r: int, ring: Ring) -> dict:
@@ -460,14 +478,61 @@ def loop_schurs(outer: tuple[int, ...], inner: tuple[int, ...], r: int, ring: Ri
     return dict(zip(parts, f))
 
 
+def _append_block(out: dict[Mono, int], terms: dict[Mono, int], block: Mono) -> None:
+    """Add each term of ``terms``, its key extended by ``block``, into ``out``."""
+    for prefix, c in terms.items():
+        key = prefix + block
+        out[key] = out.get(key, 0) + c
+
+
 @lru_cache(maxsize=None)
 def staircase_loop_schur(n: int, m: int) -> ColoredPoly:
     """Loop Schur polynomial of the energy's staircase at color 0 in m
     variable rows; its tropicalization at the count grid of a tensor is the
     energy.  Cached per (n, m); raises ``EnumerationGuardError`` up front
     when the staircase has more tableaux than the guard allows.
+
+    The polynomial comes from one horizontal-strip DP, with no tableau
+    enumerated; it equals ``loop_schur_tableaux`` of the staircase.  Entry
+    i's strip fills only the n exponent slots of x_i, so the DP keeps, per
+    partition nu, a map from each prefix (the exponents of x_1..x_i) to its
+    coefficient, and entry i appends one block of n ints to every prefix:
+    the color counts of the strip's cells.  A nu that the entries left
+    cannot complete to the staircase is dropped (a column of the rest holds
+    at most one cell per entry left).  Each map of entry m - 1 is folded
+    into the result as soon as it is built, so that level is never held
+    whole.  The staircase's strip chains are built uncached: they are large
+    and used once.
     """
-    return loop_schur_tableaux(energy_staircase_shape(n, m), 0, m, n=n)
+    outer = energy_staircase_shape(n, m).parts
+    parts, strips, preds = _build_strip_chains(outer, ())
+    empty = (0,) * n
+    blocks = [tuple(map([c % n for c in cells].count, range(n))) for cells in strips]
+
+    def entry(level: dict, left: int) -> Iterator[tuple[int, dict[Mono, int]]]:
+        """``(nu, prefixes)`` after one more entry, for each nu that ``left``
+        more entries can complete to the staircase."""
+        for nu, shape in enumerate(parts):
+            if any(a < b for a, b in zip(shape, outer[left:])):
+                continue
+            terms: dict[Mono, int] = {}
+            _append_block(terms, level.get(nu, {}), empty)
+            for kappa, w in preds[nu]:
+                _append_block(terms, level.get(kappa, {}), blocks[w])
+            if terms:
+                yield nu, terms
+
+    level = {0: {(): 1}}  # the empty partition, before any entry
+    for i in range(1, m - 1):
+        level = dict(entry(level, m - i))
+    # entry m completes each partition of entry m - 1 to the staircase
+    top = len(parts) - 1
+    last = {kappa: blocks[w] for kappa, w in preds[top]}
+    last[top] = empty
+    out: dict[Mono, int] = {}
+    for kappa, terms in entry(level, 1) if m > 1 else level.items():
+        _append_block(out, terms, last[kappa])
+    return ColoredPoly._raw(m, n, out)
 
 
 def jacobi_trudi_indices(

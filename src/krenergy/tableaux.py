@@ -117,10 +117,11 @@ def energy_staircase_count(n: int, m: int) -> int:
 def energy_staircase_shape(n: int, m: int) -> Shape:
     """The energy's staircase ``(n-1) * staircase(m-1)``, empty when m = 1.
 
-    Raises :class:`EnumerationGuardError` before any enumeration when its
-    tableaux with entries in 1..m (see :func:`energy_staircase_count`)
-    outnumber the resolved guard (``KR_ENERGY_GUARD``), the condition under
-    which :func:`enumerate_ssyt` would fail after yielding ``guard`` of them.
+    Raises :class:`EnumerationGuardError` up front, before any work, when
+    its tableaux with entries in 1..m (see :func:`energy_staircase_count`)
+    outnumber the resolved guard (``KR_ENERGY_GUARD``): a size refusal that
+    bounds every staircase computation, whether it enumerates the tableaux
+    or not.
     """
     count = energy_staircase_count(n, m)
     guard = resolve_guard()

@@ -4,13 +4,16 @@ Independent oracles used here: a brute-force enumeration of the loop
 families (bounded multisets of indices, each its own monomial) for the
 ring-generic kernel in both of its rings, a brute-force classical e/h
 enumerator for the color-collapse checks, a Leibniz-formula determinant
-for PolyMatrix, and hand-expanded small cases frozen as literals.
+for PolyMatrix, the tableau sum ``loop_schur_tableaux`` for the strip DPs
+(``loop_schurs`` and the staircase's ``staircase_loop_schur``), and
+hand-expanded small cases frozen as literals.
 """
 
 import gc
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -19,6 +22,7 @@ from krenergy.crystal import TropicalGrid
 from krenergy.lsym import (
     ColoredPoly,
     PolyMatrix,
+    _strip_chains,
     build_A,
     build_B,
     jacobi_trudi_indices,
@@ -32,12 +36,22 @@ from krenergy.lsym import (
     sigma,
     sigma_product_indices,
     staircase_a_indices,
+    staircase_loop_schur,
     staircase_matrix_size,
     tau,
     tau_vector,
     trop_eval,
 )
-from krenergy.tableaux import Shape, SkewShape, Ssyt, partitions_between, staircase
+from krenergy.tableaux import (
+    EnumerationGuardError,
+    Shape,
+    SkewShape,
+    Ssyt,
+    energy_staircase_count,
+    energy_staircase_shape,
+    partitions_between,
+    staircase,
+)
 
 
 def var(i, r, m, n):
@@ -194,6 +208,23 @@ def test_poly_json_round_trip():
     ]
     assert repr(q) == "1 + -1*x1^(0)*x2^(1) + 5*x1^(0)^2 + 7*x1^(1)*x2^(0)*x2^(1) + -2*x3^(1)"
     assert ColoredPoly.from_jsonable(q.to_jsonable()) == q
+
+
+def test_poly_json_refused_over_the_guard_before_any_term(monkeypatch):
+    """A document is refused when its terms would hold more exponent slots
+    than the guard, before the first term's slots are allocated."""
+    monkeypatch.setenv("KR_ENERGY_GUARD", "1000")
+    huge = {"m": 10**6, "n": 2, "terms": [{"coef": "1", "exps": []}]}
+    with pytest.raises(ValueError, match="KR_ENERGY_GUARD"):
+        ColoredPoly.from_jsonable(huge)
+    # 2 terms of 250 x 2 slots reach the guard exactly and parse
+    terms = [{"coef": "1", "exps": []}, {"coef": "2", "exps": [[250, 1, 3]]}]
+    at_guard = {"m": 250, "n": 2, "terms": terms}
+    p = ColoredPoly.from_jsonable(at_guard)
+    assert len(p.terms) == 2 and ColoredPoly.from_jsonable(p.to_jsonable()) == p
+    terms.append({"coef": "3", "exps": [[1, 0, 1]]})
+    with pytest.raises(ValueError, match="guard 1000"):
+        ColoredPoly.from_jsonable(at_guard)
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +582,48 @@ def test_loop_schurs_match_tableaux_as_polynomials(n):
             for r in range(n):
                 want = loop_schur_tableaux(stair, r, m, n=n)
                 assert loop_schurs(stair, (), r, ring)[stair] == want, (m, r)
+
+
+STAIRCASE_SIZES = [
+    (n, m) for n in range(2, 6) for m in range(1, 6) if energy_staircase_count(n, m) <= 59_049
+]
+
+
+@pytest.mark.parametrize("n, m", STAIRCASE_SIZES)
+def test_staircase_strip_dp_matches_tableau_sum(n, m):
+    """The staircase's prefix DP against the sum over its tableaux, m = 1
+    and m = 2 and the benchmark's (5, 3), (4, 4) and (3, 5) included."""
+    staircase_loop_schur.cache_clear()
+    want = loop_schur_tableaux(energy_staircase_shape(n, m), 0, m, n=n)
+    assert staircase_loop_schur(n, m).terms == want.terms
+
+
+def test_staircase_enumerates_no_tableau(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the staircase polynomial enumerated a tableau")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("krenergy") and hasattr(module, "enumerate_ssyt"):
+            monkeypatch.setattr(module, "enumerate_ssyt", refuse)
+    staircase_loop_schur.cache_clear()
+    p = staircase_loop_schur(3, 4)
+    assert len(p.terms) == 368 and ones(p) == energy_staircase_count(3, 4)
+
+
+def test_staircase_leaves_the_strip_chain_cache_alone():
+    """The staircase's strip chains are built for one use and not cached."""
+    staircase_loop_schur.cache_clear()
+    before = _strip_chains.cache_info()
+    staircase_loop_schur(3, 5)
+    after = _strip_chains.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+
+def test_staircase_refused_over_the_guard(monkeypatch):
+    staircase_loop_schur.cache_clear()
+    monkeypatch.setenv("KR_ENERGY_GUARD", str(energy_staircase_count(3, 4) - 1))
+    with pytest.raises(EnumerationGuardError, match="729 tableaux"):
+        staircase_loop_schur(3, 4)
 
 
 def test_jt_matches_tableaux_on_box_shapes():

@@ -7,8 +7,12 @@ coefficient sum of ``loop_schur_tableaux`` and, for ``partitions_between``,
 a filter over every tuple in the box.  ``maximal_minors`` is checked
 against one ``fraction_det`` per deleted column.  Random term maps of
 exponent vectors go through ``to_jsonable`` and back, and ``mono_factors``
-is checked against the vector's nonzero entries.  The runs are
-derandomized, so a failure reproduces, and keep no example database.
+is checked against the vector's nonzero entries.  On random tensors of
+single-row crystals (n <= 4, at most 3 letters of each color per factor)
+the R-matrix is an involution, the actions ``s_1``, ``s_2`` satisfy the
+braid relation on three factors, and a tensor survives its JSON round
+trip.  The runs are derandomized, so a failure reproduces, and keep no
+example database.
 """
 
 import itertools
@@ -21,6 +25,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from krenergy.birational import fraction_det, maximal_minors  # noqa: E402
+from krenergy.crystal import TensorElement, apply_s, r_matrix  # noqa: E402
 from krenergy.lsym import ColoredPoly, loop_schur_tableaux, mono_factors  # noqa: E402
 from krenergy.tableaux import (  # noqa: E402
     SkewShape,
@@ -133,3 +138,31 @@ def test_poly_json_round_trip_and_factors(p):
             (k, e) for k, e in enumerate(mono) if e
         ]
         assert all(1 <= i <= p.m and 0 <= r < p.n for i, r, _ in factors)
+
+
+@st.composite
+def tensors(draw, factors):
+    """A tensor of ``factors`` single-row elements over 1..n, n <= 4, each
+    with at most 3 letters of each color."""
+    n = draw(st.integers(2, 4))
+    counts = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    return TensorElement.from_counts(n, [draw(counts) for _ in range(factors)])
+
+
+@PROPERTY_SETTINGS
+@given(tensors(2))
+def test_r_matrix_is_an_involution(t):
+    b1, b2 = t.factors
+    assert r_matrix(*r_matrix(b1, b2)) == (b1, b2)
+
+
+@PROPERTY_SETTINGS
+@given(tensors(3))
+def test_r_matrix_braid_relation(t):
+    assert apply_s(apply_s(apply_s(t, 1), 2), 1) == apply_s(apply_s(apply_s(t, 2), 1), 2)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 4).flatmap(tensors))
+def test_tensor_json_round_trip(t):
+    assert TensorElement.from_jsonable(t.to_jsonable()) == t
