@@ -11,6 +11,15 @@ is everywhere defined and lands on positive points again.  Composite
 actions like ``s_i s_{i+1} ... s_{j-2}`` are applied to the point left to
 right (s_i first), matching the combinatorial convention on tensors.
 
+The rules are written once, as three column kernels over a ``Semifield``
+(add, mul, div, one): ``kappas`` of two adjacent columns, ``move`` (s_j on
+them) and ``energy_walk`` (the global energy product).  ``kappa``,
+``s_action`` and ``rational_energy_global`` run them in ``RATIONAL``
+(Fractions) on a point's values; ``krenergy.crystal`` runs them in
+``MIN_PLUS`` (plain ints under min, + and -) on a tensor's count grid,
+where they are the combinatorial R-matrix and intrinsic energy: the
+energy is the tropicalization of the rational energy.
+
 ``cleared_ring`` is a point's values with their denominators cleared, a
 ring of plain ints, and the one power of the common denominator that
 restores each homogeneous value.  The evaluation helpers (eval_loop_e,
@@ -25,10 +34,12 @@ r x (r + 1) matrix) share one Bareiss elimination over the integers.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from typing import NamedTuple
+from functools import reduce
+from typing import Any, NamedTuple
 
 from ._strict import ints, json_decimal, json_int
 from .lsym import Ring, loop_family, sigma_product_indices
@@ -119,30 +130,82 @@ def random_point(m: int, n: int, rng: random.Random, bound: int = 1000) -> Ratio
     )
 
 
-def kappa(r: int, j: int, p: RationalPoint) -> Fraction:
-    """kappa_r on columns (j, j+1): the n-term sum of mixed color products."""
+class Semifield(NamedTuple):
+    """Values with ``add``, ``mul``, ``div`` and the unit ``one``: the
+    kernels below are written once over it."""
+
+    add: Callable[[Any, Any], Any]
+    mul: Callable[[Any, Any], Any]
+    div: Callable[[Any, Any], Any]
+    one: Any
+
+
+# exact positive rationals, and their tropicalization in plain ints
+RATIONAL = Semifield(operator.add, operator.mul, operator.truediv, Fraction(1))
+MIN_PLUS = Semifield(min, operator.add, operator.sub, 0)
+
+
+def kappas(sf: Semifield, a: Sequence, b: Sequence) -> list:
+    """kappa_r of the adjacent columns ``a = x_j``, ``b = x_{j+1}`` (values
+    by color) for r = 0..n-1: the sum over s of the products of b^(r+t),
+    t = 1..s, and a^(r+t), t = s+1..n-1.  Term s is term s - 1 times
+    b^(r+s) / a^(r+s), so each color takes n steps."""
+    n, add, mul = len(a), sf.add, sf.mul
+    full = reduce(mul, a)
+    ratios = list(map(sf.div, b, a)) * 2
+    out = []
+    for r in range(n):
+        term = total = sf.div(full, a[r])
+        for ratio in ratios[r + 1 : r + n]:
+            term = mul(term, ratio)
+            total = add(total, term)
+        out.append(total)
+    return out
+
+
+def _moved(sf: Semifield, col: Sequence, ks: list, d: int) -> list:
+    """``col^(r+d) kappa_{r+d} / kappa_r`` for each color r."""
+    return list(map(sf.mul, col[d:] + col[:d], map(sf.div, ks[d:] + ks[:d], ks)))
+
+
+def move(sf: Semifield, a: Sequence, b: Sequence) -> tuple[list, list]:
+    """s_j on the adjacent columns ``(a, b) = (x_j, x_{j+1})``: the new
+    columns ``x_{j+1}^(r+1) kappa_{r+1} / kappa_r`` and
+    ``x_j^(r-1) kappa_{r-1} / kappa_r``."""
+    ks = kappas(sf, a, b)
+    return _moved(sf, b, ks, 1), _moved(sf, a, ks, -1)
+
+
+def energy_walk(sf: Semifield, columns: Sequence[Sequence]) -> Any:
+    """The product over pairs i < j of kappa_{j-1} on columns (j-1, j) of
+    ``s_i ... s_{j-2}`` applied to ``columns`` (x_1, x_2, ...): column i
+    moves right, taking kappa_{j-1} with each later column j before it
+    moves past it.  The empty product is ``sf.one``."""
+    total = sf.one
+    for i, cur in enumerate(columns):
+        for j in range(i + 1, len(columns)):
+            ks = kappas(sf, cur, columns[j])
+            total = sf.mul(total, ks[j % len(ks)])
+            if j + 1 < len(columns):
+                cur = _moved(sf, cur, ks, -1)
+    return total
+
+
+def _check_column(j: int, p: RationalPoint) -> None:
     if not 1 <= j <= p.m - 1:
         raise ValueError(f"column index {j} out of range 1..{p.m - 1}")
-    n = p.n
-    total = Fraction(0)
-    for s in range(n):
-        term = Fraction(1)
-        for t in range(1, s + 1):
-            term *= p.value(j + 1, r + t)
-        for t in range(s + 1, n):
-            term *= p.value(j, r + t)
-        total += term
-    return total
+
+
+def kappa(r: int, j: int, p: RationalPoint) -> Fraction:
+    """kappa_r on columns (j, j+1) of ``p``."""
+    _check_column(j, p)
+    return kappas(RATIONAL, p.values[j - 1], p.values[j])[r % p.n]
 
 
 def s_action(j: int, p: RationalPoint) -> RationalPoint:
     """The birational R-matrix on columns (j, j+1); identity elsewhere."""
-    if not 1 <= j <= p.m - 1:
-        raise ValueError(f"column index {j} out of range 1..{p.m - 1}")
-    n = p.n
-    ks = [kappa(r, j, p) for r in range(n)]
-    new_j = [p.value(j + 1, r + 1) * ks[(r + 1) % n] / ks[r] for r in range(n)]
-    new_j1 = [p.value(j, r - 1) * ks[(r - 1) % n] / ks[r] for r in range(n)]
+    _check_column(j, p)
+    new_j, new_j1 = move(RATIONAL, p.values[j - 1], p.values[j])
     return p.with_columns({j: new_j, j + 1: new_j1})
 
 
@@ -156,16 +219,9 @@ def apply_chain(p: RationalPoint, js: Iterable[int]) -> RationalPoint:
 def rational_energy_global(p: RationalPoint) -> Fraction:
     """Rational intrinsic energy as the product over pairs i < j of
     kappa_{j-1} on columns (j-1, j) of ``s_i ... s_{j-2}`` applied to the
-    point.  The empty product gives 1 for m = 1."""
-    m = p.m
-    total = Fraction(1)
-    for i in range(1, m):
-        cur = p
-        for j in range(i + 1, m + 1):
-            total *= kappa(j - 1, j - 1, cur)
-            if j < m:
-                cur = s_action(j - 1, cur)
-    return total
+    point: ``energy_walk`` of its columns.  The empty product gives 1 for
+    m = 1."""
+    return energy_walk(RATIONAL, p.values)
 
 
 def point_ring(p: RationalPoint) -> Ring:

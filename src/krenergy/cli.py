@@ -58,8 +58,9 @@ def _cmd_energy(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        d_intrinsic = intrinsic_energy(tensor)
+        # the staircase refuses an over-guard tensor before any work
         d_staircase = energy_staircase(tensor)
+        d_intrinsic = intrinsic_energy(tensor)
     except EnumerationGuardError as exc:
         print(f"error: {exc}; raise KR_ENERGY_GUARD for very large inputs", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -12,9 +12,15 @@ linear quantity ``ok``:
     ok_r(b1, b2) = min over 0 <= s <= n-1 of
         sum_{t=1..s} y2^(r+t-1)  +  sum_{t=s+1..n-1} y1^(r+t)
 
-where ``y1, y2`` are the letter counts of ``b1, b2``.  Both also have slow
-tableau-based oracles (jeu de taquin for the R-matrix, row sliding for the
-coenergy) used as independent cross-checks.
+where ``y1, y2`` are the letter counts of ``b1, b2``.  This is the
+tropicalization of the birational kappa, and the crystal states none of
+these rules itself: on the grid columns of ``counts_to_grid``
+(``x_i^(r) = counts[(r - i) mod n]``), ``ok``, ``r_matrix`` and
+``intrinsic_energy`` are the kernels of ``krenergy.birational`` (kappa,
+the move s_j and the energy walk) run in its ``MIN_PLUS`` semifield of
+plain ints.  The R-matrix and the coenergy also have slow tableau-based
+oracles (jeu de taquin for the R-matrix, row sliding for the coenergy) used
+as independent cross-checks.
 
 ``energy_staircase`` evaluates the tropical staircase formula: the minimum
 over semistandard tableaux of the dilated staircase shape, with entries in
@@ -31,6 +37,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from ._strict import json_int
+from .birational import MIN_PLUS, energy_walk, kappas, move
 from .lsym import staircase_loop_schur, trop_eval
 from .tableaux import EnumerationGuardError, Shape, SkewShape, Ssyt, rectify
 
@@ -165,43 +172,44 @@ def _check_pair(b1: CrystalElement, b2: CrystalElement) -> int:
     return b1.n
 
 
+def _column(b: CrystalElement, i: int) -> tuple[int, ...]:
+    """``b`` as the grid column x_i of ``counts_to_grid``:
+    ``x_i^(r) = counts[(r - i) mod n]``."""
+    k = -i % b.n
+    return b.counts[k:] + b.counts[:k]
+
+
+def _grid_columns(t: TensorElement) -> list[tuple[int, ...]]:
+    """The factors as the grid columns x_1, ..., x_m."""
+    return [_column(b, i) for i, b in enumerate(t.factors, start=1)]
+
+
+def _columns(b1: CrystalElement, b2: CrystalElement) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pair as the grid columns x_0, x_1."""
+    _check_pair(b1, b2)
+    return _column(b1, 0), _column(b2, 1)
+
+
 def ok(r: int, b1: CrystalElement, b2: CrystalElement) -> int:
-    """The minimum defining the explicit R-matrix; ``r`` is a 1-based color."""
-    n = _check_pair(b1, b2)
-    base = (r - 1) % n
-    y1, y2 = b1.counts, b2.counts
-    best: int | None = None
-    for s in range(n):
-        total = 0
-        for t in range(s):
-            total += y2[(base + t) % n]
-        for t in range(s + 1, n):
-            total += y1[(base + t) % n]
-        if best is None or total < best:
-            best = total
-    assert best is not None
-    return best
+    """The minimum defining the explicit R-matrix; ``r`` is a 1-based color.
+    It is the min-plus kappa_{r-1} of the pair's grid columns."""
+    return kappas(MIN_PLUS, *_columns(b1, b2))[(r - 1) % b1.n]
 
 
 def r_matrix(b1: CrystalElement, b2: CrystalElement) -> tuple[CrystalElement, CrystalElement]:
-    """The combinatorial R-matrix via the explicit ok-formula.
+    """The combinatorial R-matrix: the min-plus move s_j of the pair's grid
+    columns, ``c1 = y2 + ok_{c+2} - ok_{c+1}`` and ``c2 = y1 - ok_{c+2} +
+    ok_{c+1}`` on 0-based colors c.
 
     Returns ``(c1, c2)`` with ``|c1| = |b2|`` and ``|c2| = |b1|``; the total
     number of letters of each color is preserved.
     """
-    n = _check_pair(b1, b2)
-    okv = [ok(r, b1, b2) for r in range(1, n + 1)]
-    c1 = [0] * n
-    c2 = [0] * n
-    for c in range(n):
-        delta = okv[(c + 1) % n] - okv[c]
-        c1[c] = b2.counts[c] + delta
-        c2[c] = b1.counts[c] - delta
-    if any(v < 0 for v in c1) or any(v < 0 for v in c2):
+    c1, x1 = move(MIN_PLUS, *_columns(b1, b2))  # c2 as the grid column x_1
+    if min(c1 + x1) < 0:
         raise RuntimeError(
             f"R-matrix produced a negative count on {b1!r} x {b2!r}; this is a bug"
         )
-    return CrystalElement(n, c1), CrystalElement(n, c2)
+    return CrystalElement(b1.n, c1), CrystalElement(b1.n, x1[1:] + x1[:1])
 
 
 def two_row_tableau(bottom: CrystalElement, top: CrystalElement) -> Ssyt:
@@ -313,17 +321,10 @@ def intrinsic_energy(t: TensorElement) -> int:
     """Intrinsic energy: the sum over pairs i < j of the local coenergy of
     (factor j-1 of ``s_i s_{i+1} ... s_{j-2}`` applied to the tensor) with
     the original factor ``b_j``.  The transpositions are applied to the
-    tensor left to right, ``s_i`` first.  Zero for a single factor.
+    tensor left to right, ``s_i`` first.  Zero for a single factor.  It is
+    the min-plus ``energy_walk`` of the tensor's grid columns.
     """
-    m = t.m
-    total = 0
-    for i in range(1, m):
-        cur = t
-        for j in range(i + 1, m + 1):
-            total += coenergy(cur.factors[j - 2], t.factors[j - 1])
-            if j < m:
-                cur = apply_s(cur, j - 1)
-    return total
+    return energy_walk(MIN_PLUS, _grid_columns(t))
 
 
 class TropicalGrid:
@@ -370,11 +371,7 @@ def counts_to_grid(t: TensorElement) -> TropicalGrid:
     ``z_i^{(c)}`` is the number of letters of color ``c`` in factor ``i``, so
     ``x_i^{(r)}`` counts the letters congruent to ``r - i + 1`` mod n.
     """
-    n = t.n
-    rows = []
-    for i, b in enumerate(t.factors, start=1):
-        rows.append(tuple(b.counts[(r - i) % n] for r in range(n)))
-    return TropicalGrid(t.m, n, rows)
+    return TropicalGrid(t.m, t.n, _grid_columns(t))
 
 
 def grid_to_counts(grid: TropicalGrid) -> TensorElement:

@@ -56,7 +56,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
-from operator import add
+from operator import add, sub
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -416,7 +416,8 @@ def loop_schur_tableaux(
     return ColoredPoly._raw(max_entry, n, terms)
 
 
-def _build_strip_chains(
+@lru_cache(maxsize=None)
+def _strip_chains(
     outer: tuple[int, ...], inner: tuple[int, ...]
 ) -> tuple[tuple, tuple, tuple]:
     """The horizontal-strip steps of the skew shape ``outer / inner``.
@@ -425,6 +426,7 @@ def _build_strip_chains(
     parts each) by size, so inner comes first and outer last; the distinct
     content tuples of the nonempty strips; and, per partition, its strip
     predecessors as ``(index of kappa, index of the contents of nu / kappa)``.
+    Cached for ``loop_schurs``, which reuses the chains of its small shapes.
     """
     parts = sorted(partitions_between(outer, inner), key=sum)
     inner = inner + (0,) * (len(outer) - len(inner))
@@ -445,10 +447,6 @@ def _build_strip_chains(
             steps.append((index[kappa], contents.setdefault(cells, len(contents))))
         preds.append(tuple(steps))
     return tuple(parts), tuple(contents), tuple(preds)
-
-
-# the strip chains of the small shapes that loop_schurs reuses
-_strip_chains = lru_cache(maxsize=None)(_build_strip_chains)
 
 
 def loop_schurs(outer: tuple[int, ...], inner: tuple[int, ...], r: int, ring: Ring) -> dict:
@@ -485,6 +483,16 @@ def _append_block(out: dict[Mono, int], terms: dict[Mono, int], block: Mono) -> 
         out[key] = out.get(key, 0) + c
 
 
+def _colors(kappa: tuple[int, ...], nu: tuple[int, ...], n: int) -> Mono:
+    """The color counts mod n of the cells of nu / kappa; cell (a, b) has
+    color a - b (the content convention of ``tableau_monomials``)."""
+    counts = [0] * n
+    for a, (start, end) in enumerate(zip(kappa, nu), start=1):
+        for b in range(start + 1, end + 1):
+            counts[(a - b) % n] += 1
+    return tuple(counts)
+
+
 @lru_cache(maxsize=None)
 def staircase_loop_schur(n: int, m: int) -> ColoredPoly:
     """Loop Schur polynomial of the energy's staircase at color 0 in m
@@ -495,43 +503,41 @@ def staircase_loop_schur(n: int, m: int) -> ColoredPoly:
     The polynomial comes from one horizontal-strip DP, with no tableau
     enumerated; it equals ``loop_schur_tableaux`` of the staircase.  Entry
     i's strip fills only the n exponent slots of x_i, so the DP keeps, per
-    partition nu, a map from each prefix (the exponents of x_1..x_i) to its
-    coefficient, and entry i appends one block of n ints to every prefix:
-    the color counts of the strip's cells.  A nu that the entries left
-    cannot complete to the staircase is dropped (a column of the rest holds
-    at most one cell per entry left).  Each map of entry m - 1 is folded
-    into the result as soon as it is built, so that level is never held
-    whole.  The staircase's strip chains are built uncached: they are large
-    and used once.
+    partition kappa, a map from each prefix (the exponents of x_1..x_i) to
+    its coefficient.  It walks forward from each kappa to the nu with
+    nu / kappa a horizontal strip that the entries left can still complete
+    to the staircase (nu_a >= outer_{a + left}: a column of the rest holds
+    at most one cell per entry left), and appends to every prefix one block
+    of n ints, the color counts of the strip's cells.  Entries m - 1 and m
+    are taken together, entry m filling what is left of the staircase, so
+    the maps of entry m - 1 are never held.
     """
     outer = energy_staircase_shape(n, m).parts
-    parts, strips, preds = _build_strip_chains(outer, ())
-    empty = (0,) * n
-    blocks = [tuple(map([c % n for c in cells].count, range(n))) for cells in strips]
+    if m == 1:
+        return ColoredPoly.one(1, n)
 
-    def entry(level: dict, left: int) -> Iterator[tuple[int, dict[Mono, int]]]:
-        """``(nu, prefixes)`` after one more entry, for each nu that ``left``
-        more entries can complete to the staircase."""
-        for nu, shape in enumerate(parts):
-            if any(a < b for a, b in zip(shape, outer[left:])):
-                continue
-            terms: dict[Mono, int] = {}
-            _append_block(terms, level.get(nu, {}), empty)
-            for kappa, w in preds[nu]:
-                _append_block(terms, level.get(kappa, {}), blocks[w])
-            if terms:
-                yield nu, terms
+    def strips(kappa: tuple[int, ...], left: int) -> Iterator[tuple[int, ...]]:
+        """Each nu inside the staircase with nu / kappa a horizontal strip
+        that ``left`` more entries can complete."""
+        floor = outer[left:] + (0,) * left
+        return product(
+            *(range(max(k, f), min(o, u) + 1)
+              for k, f, o, u in zip(kappa, floor, outer, outer[:1] + kappa))
+        )
 
-    level = {0: {(): 1}}  # the empty partition, before any entry
+    level = {(0,) * (m - 1): {(): 1}}  # the empty partition, before any entry
     for i in range(1, m - 1):
-        level = dict(entry(level, m - i))
-    # entry m completes each partition of entry m - 1 to the staircase
-    top = len(parts) - 1
-    last = {kappa: blocks[w] for kappa, w in preds[top]}
-    last[top] = empty
+        after: dict[tuple[int, ...], dict[Mono, int]] = {}
+        for kappa, terms in level.items():
+            for nu in strips(kappa, m - i):
+                _append_block(after.setdefault(nu, {}), terms, _colors(kappa, nu, n))
+        level = after
     out: dict[Mono, int] = {}
-    for kappa, terms in entry(level, 1) if m > 1 else level.items():
-        _append_block(out, terms, last[kappa])
+    for kappa, terms in level.items():
+        rest = _colors(kappa, outer, n)
+        for nu in strips(kappa, 1):
+            block = _colors(kappa, nu, n)
+            _append_block(out, terms, block + tuple(map(sub, rest, block)))
     return ColoredPoly._raw(m, n, out)
 
 

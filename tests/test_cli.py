@@ -145,6 +145,20 @@ def test_energy_over_guard_refused_up_front(capsys, monkeypatch):
     assert "KR_ENERGY_GUARD" in err
 
 
+def test_energy_over_guard_refused_before_intrinsic(capsys, monkeypatch):
+    # n=3, m=6 is over the guard: the refusal comes before any energy
+    payload = json.dumps({"n": 3, "rows": ["1", "2", "3", "12", "23", "11"]})
+    monkeypatch.delenv("KR_ENERGY_GUARD", raising=False)
+
+    def refuse(tensor):
+        raise AssertionError("intrinsic_energy ran on a tensor over the guard")
+
+    monkeypatch.setattr("krenergy.cli.intrinsic_energy", refuse)
+    code, out, err = run_cli(["energy"], payload, capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert "KR_ENERGY_GUARD" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -14,6 +14,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -611,12 +612,27 @@ def test_staircase_enumerates_no_tableau(monkeypatch):
 
 
 def test_staircase_leaves_the_strip_chain_cache_alone():
-    """The staircase's strip chains are built for one use and not cached."""
+    """The staircase DP builds no strip chains, so it leaves their cache,
+    kept for ``loop_schurs``, alone."""
     staircase_loop_schur.cache_clear()
     before = _strip_chains.cache_info()
     staircase_loop_schur(3, 5)
     after = _strip_chains.cache_info()
     assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+
+def test_staircase_wide_alphabet_is_small():
+    """At m = 2 the DP walks the 150 strips of the one row, not every strip
+    between two partitions of the staircase (about n^3 / 6 of them)."""
+    staircase_loop_schur.cache_clear()
+    tracemalloc.start()
+    try:
+        p = staircase_loop_schur(150, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert p == loop_schur_tableaux((149,), 0, 2, n=150)
 
 
 def test_staircase_refused_over_the_guard(monkeypatch):

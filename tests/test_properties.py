@@ -11,8 +11,12 @@ is checked against the vector's nonzero entries.  On random tensors of
 single-row crystals (n <= 4, at most 3 letters of each color per factor)
 the R-matrix is an involution, the actions ``s_1``, ``s_2`` satisfy the
 braid relation on three factors, and a tensor survives its JSON round
-trip.  The runs are derandomized, so a failure reproduces, and keep no
-example database.
+trip.  The explicit formulas written out directly, the minimum over s of
+``ok`` and the n-term product sum of ``kappa``, are the oracles of the
+shared semifield kernels: ``ok`` and ``r_matrix`` on random pairs (n <= 6,
+at most 6 letters a factor), and ``kappa``, ``s_action`` and
+``rational_energy_global`` at random positive points.  The runs are
+derandomized, so a failure reproduces, and keep no example database.
 """
 
 import itertools
@@ -24,8 +28,15 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from krenergy.birational import fraction_det, maximal_minors  # noqa: E402
-from krenergy.crystal import TensorElement, apply_s, r_matrix  # noqa: E402
+from krenergy.birational import (  # noqa: E402
+    RationalPoint,
+    fraction_det,
+    kappa,
+    maximal_minors,
+    rational_energy_global,
+    s_action,
+)
+from krenergy.crystal import CrystalElement, TensorElement, apply_s, ok, r_matrix  # noqa: E402
 from krenergy.lsym import ColoredPoly, loop_schur_tableaux, mono_factors  # noqa: E402
 from krenergy.tableaux import (  # noqa: E402
     SkewShape,
@@ -166,3 +177,102 @@ def test_r_matrix_braid_relation(t):
 @given(st.integers(1, 4).flatmap(tensors))
 def test_tensor_json_round_trip(t):
     assert TensorElement.from_jsonable(t.to_jsonable()) == t
+
+
+def ok_reference(r, b1, b2):
+    """ok_r(b1, b2): the minimum over 0 <= s <= n-1 of
+    sum_{t=1..s} y2^(r+t-1) + sum_{t=s+1..n-1} y1^(r+t), written out."""
+    n = b1.n
+    base = (r - 1) % n
+    y1, y2 = b1.counts, b2.counts
+    best = None
+    for s in range(n):
+        total = 0
+        for t in range(s):
+            total += y2[(base + t) % n]
+        for t in range(s + 1, n):
+            total += y1[(base + t) % n]
+        if best is None or total < best:
+            best = total
+    return best
+
+
+def r_matrix_reference(b1, b2):
+    """The explicit R-matrix: each color c moves by ok_{c+2} - ok_{c+1}."""
+    n = b1.n
+    okv = [ok_reference(r, b1, b2) for r in range(1, n + 1)]
+    delta = [okv[(c + 1) % n] - okv[c] for c in range(n)]
+    c1 = tuple(y + d for y, d in zip(b2.counts, delta))
+    c2 = tuple(y - d for y, d in zip(b1.counts, delta))
+    return c1, c2
+
+
+def kappa_reference(r, j, p):
+    """kappa_r on columns (j, j+1): the n-term sum of mixed color products."""
+    total = Fraction(0)
+    for s in range(p.n):
+        term = Fraction(1)
+        for t in range(1, s + 1):
+            term *= p.value(j + 1, r + t)
+        for t in range(s + 1, p.n):
+            term *= p.value(j, r + t)
+        total += term
+    return total
+
+
+def s_action_reference(j, p):
+    """s_j(x_j^(r)) = x_{j+1}^(r+1) kappa_{r+1} / kappa_r and
+    s_j(x_{j+1}^(r)) = x_j^(r-1) kappa_{r-1} / kappa_r."""
+    n = p.n
+    ks = [kappa_reference(r, j, p) for r in range(n)]
+    new_j = [p.value(j + 1, r + 1) * ks[(r + 1) % n] / ks[r] for r in range(n)]
+    new_j1 = [p.value(j, r - 1) * ks[(r - 1) % n] / ks[r] for r in range(n)]
+    return p.with_columns({j: new_j, j + 1: new_j1})
+
+
+def rational_energy_reference(p):
+    """The product over i < j of kappa_{j-1} on columns (j-1, j) of
+    s_i ... s_{j-2} applied to the point, one point per step."""
+    total = Fraction(1)
+    for i in range(1, p.m):
+        cur = p
+        for j in range(i + 1, p.m + 1):
+            total *= kappa_reference(j - 1, j - 1, cur)
+            if j < p.m:
+                cur = s_action_reference(j - 1, cur)
+    return total
+
+
+@st.composite
+def crystal_pairs(draw):
+    """Two single-row elements over 1..n, n in 2..6, of at most 6 letters."""
+    n = draw(st.integers(2, 6))
+    letters = st.lists(st.integers(1, n), max_size=6)
+    return CrystalElement.from_letters(n, draw(letters)), CrystalElement.from_letters(n, draw(letters))
+
+
+@PROPERTY_SETTINGS
+@given(crystal_pairs(), st.integers(-6, 12))
+def test_ok_and_r_matrix_match_the_explicit_minimum(pair, r):
+    b1, b2 = pair
+    assert ok(r, b1, b2) == ok_reference(r, b1, b2)
+    c1, c2 = r_matrix(b1, b2)
+    assert (c1.counts, c2.counts) == r_matrix_reference(b1, b2)
+
+
+@st.composite
+def rational_points(draw):
+    """A point with m in 2..4, n in 2..5 and values p / q, p and q in 1..50."""
+    m, n = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    value = st.builds(Fraction, st.integers(1, 50), st.integers(1, 50))
+    return RationalPoint(m, n, [[draw(value) for _ in range(n)] for _ in range(m)])
+
+
+@PROPERTY_SETTINGS
+@given(rational_points(), st.data())
+def test_kappa_s_action_and_energy_match_the_product_sum(p, data):
+    j = data.draw(st.integers(1, p.m - 1))
+    r = data.draw(st.integers(-5, 10))
+    assert kappa(r, j, p) == kappa_reference(r, j, p)
+    assert s_action(j, p) == s_action_reference(j, p)
+    assert rational_energy_global(p) == rational_energy_reference(p)
