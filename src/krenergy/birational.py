@@ -23,12 +23,16 @@ energy is the tropicalization of the rational energy.
 ``cleared_ring`` is a point's values with their denominators cleared, a
 ring of plain ints, and the one power of the common denominator that
 restores each homogeneous value.  The evaluation helpers (eval_loop_e,
-eval_loop_h, eval_tau, eval_sigma) and the identity suite's point
-evaluator run the polynomial families' code (``krenergy.lsym``) in it.
-Tests check them against the kernels in the ring of the point's values
-(``point_ring``), enumerations and the tableau sum.
-``fraction_det`` and ``maximal_minors`` (every maximal minor of an
-r x (r + 1) matrix) share one Bareiss elimination over the integers.
+eval_loop_h, eval_tau, eval_sigma) run the polynomial families' code
+(``krenergy.lsym``) in it.  Tests check them against the kernels in the
+ring of the point's values (``point_ring``), enumerations and the tableau
+sum.  ``int_det`` and ``int_minors`` (every maximal minor of an
+r x (r + 1) matrix) share one Bareiss elimination over the integers;
+``fraction_det`` and ``maximal_minors`` run it on rows cleared of their
+denominators.  The identity suite draws integral points (values in
+1..2^30, a Schwartz-Zippel bound of d / 2^30 against d / 1000 for
+``random_point``'s rationals) and evaluates them with the int kernels
+alone, no ``Fraction`` and no common denominator.
 """
 
 from __future__ import annotations
@@ -274,21 +278,27 @@ def rational_energy_product(p: RationalPoint) -> Fraction:
     return math.prod((eval_sigma(k, c, idx, p) for k, c, idx in factors), start=Fraction(1))
 
 
-def _eliminate(rows: Sequence[Sequence[Fraction | int]], width: int):
-    """Fraction-free Bareiss elimination (1968) with row pivoting, column
-    by column, of the rows each times the lcm of its denominators.  Entries
-    must be ints or Fractions: anything else, bools included, raises
-    ``TypeError``.  Returns the eliminated rows, the pivot columns, the
-    sign of the row swaps, the last pivot and the product of the row lcms;
-    stops once more than ``width - len(rows)`` columns lack a pivot.
-    """
-    size, scale, mat = len(rows), 1, []
+def _cleared(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, as ints, and the product
+    of the row lcms.  Entries must be ints or Fractions: anything else,
+    bools included, raises ``TypeError``."""
+    scale, mat = 1, []
     for row in rows:
         if not all(type(v) is int or type(v) is Fraction for v in row):
             raise TypeError(f"matrix entries must be ints or Fractions, got the row {row!r}")
         lcm = math.lcm(*(v.denominator for v in row))
         scale *= lcm
         mat.append([v.numerator * (lcm // v.denominator) for v in row])
+    return mat, scale
+
+
+def _eliminate(rows: Sequence[Sequence[int]], width: int):
+    """Fraction-free Bareiss elimination (1968) with row pivoting, column
+    by column, of a copy of the integer rows.  Returns the eliminated rows,
+    the pivot columns, the sign of the row swaps and the last pivot; stops
+    once more than ``width - len(rows)`` columns lack a pivot.
+    """
+    size, mat = len(rows), [list(row) for row in rows]
     if any(len(row) != width for row in mat):
         raise ValueError(f"expected a {size} x {width} matrix")
     pivots: list[int] = []
@@ -310,19 +320,19 @@ def _eliminate(rows: Sequence[Sequence[Fraction | int]], width: int):
                 row[col] = (row[col] * pivot - lead * top[col]) // prev
         prev = pivot
         pivots.append(c)
-    return mat, pivots, sign, prev, scale
+    return mat, pivots, sign, prev
 
 
-def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant: at full rank the last pivot of ``_eliminate``,
-    signed by the row swaps and divided by the row scales; 0 otherwise."""
-    _, pivots, sign, prev, scale = _eliminate(rows, len(rows))
-    return Fraction(sign * prev, scale) if len(pivots) == len(rows) else Fraction(0)
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix: at full rank the last pivot
+    of ``_eliminate``, signed by the row swaps; 0 otherwise."""
+    _, pivots, sign, prev = _eliminate(rows, len(rows))
+    return sign * prev if len(pivots) == len(rows) else 0
 
 
-def maximal_minors(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """The r + 1 maximal minors of an r x (r + 1) matrix, minor j deleting
-    column j, from one ``_eliminate``.
+def int_minors(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The r + 1 maximal minors of an r x (r + 1) integer matrix, minor j
+    deleting column j, from one ``_eliminate``.
 
     At rank r exactly one column f has no pivot (below r every minor is 0),
     and the eliminated rows hold the Bareiss elimination of the matrix
@@ -331,16 +341,30 @@ def maximal_minors(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
     so back substitution in integers gives every ``M_j = (-1)^(j+f) y_j``.
     """
     size = len(rows)
-    mat, pivots, sign, prev, scale = _eliminate(rows, size + 1)
+    mat, pivots, sign, prev = _eliminate(rows, size + 1)
     if len(pivots) < size:
-        return [Fraction(0)] * (size + 1)
+        return [0] * (size + 1)
     (free,) = set(range(size + 1)) - set(pivots)
     y = [0] * (size + 1)
     y[free] = sign * prev
     for t in range(size - 1, -1, -1):
         c, row = pivots[t], mat[t]
         y[c] = -sum(row[j] * y[j] for j in range(c + 1, size + 1)) // row[c]
-    return [Fraction(v if (j + free) % 2 == 0 else -v, scale) for j, v in enumerate(y)]
+    return [v if (j + free) % 2 == 0 else -v for j, v in enumerate(y)]
+
+
+def fraction_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Exact determinant: ``int_det`` of the cleared rows divided by the
+    row scales."""
+    mat, scale = _cleared(rows)
+    return Fraction(int_det(mat), scale)
+
+
+def maximal_minors(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+    """The r + 1 maximal minors of an r x (r + 1) matrix, minor j deleting
+    column j: ``int_minors`` of the cleared rows divided by the row scales."""
+    mat, scale = _cleared(rows)
+    return [Fraction(v, scale) for v in int_minors(mat)]
 
 
 class TactCheck(NamedTuple):

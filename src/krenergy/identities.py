@@ -9,25 +9,29 @@ picks the evaluator and little else:
   sides are expanded and compared term by term, every instance is
   recorded, and two polynomial-only families run as well
   (``staircase_jacobi_trudi`` and ``column_translation``);
-* *randomized* evaluates at seeded strictly positive rational points
-  (``krenergy.birational``): a nonzero polynomial vanishes at such a point
-  with negligible probability and the arithmetic is exact, so a pass at
-  many points is strong evidence while a fail is a counterexample.  Each
-  failure is recorded with its witness point, then one passing summary per
-  family that never failed.  The maximal minors of B all come from one
-  elimination (``maximal_minors``).  ``staircase_jacobi_trudi`` stays
-  symbolic-only, which keeps the set of randomized families fixed.
+* *randomized* evaluates at seeded points whose values are integers
+  uniform in 1..2^30: both sides are polynomials, so by the
+  Schwartz-Zippel lemma a nonzero difference of degree d vanishes at such
+  a point with probability at most d / 2^30 (the earlier rational points,
+  numerators and denominators in 1..1000, gave d / 1000), and the
+  arithmetic is exact, so a pass at many points is strong evidence while
+  a fail is a counterexample.  Each failure is recorded with its witness
+  point, then one passing summary per family that never failed.
+  ``staircase_jacobi_trudi`` stays symbolic-only, which keeps the set of
+  randomized families fixed.
 
 One evaluator runs the ring-generic kernels (``loop_family``,
-``loop_schurs``, ``classical_e_of_products``) in its ring and maps each
-result of degree d through ``value(v, d)``: the identity on polynomials,
-the point's ``birational.cleared_ring`` (built once per point) at a point.
-``det`` and ``minors`` (one ``det`` per deleted column for polynomials)
-are the only other difference.  Each loop e, h and tau, and each classical
-e, is computed once per ``(family, k, r mod n)``.  The loop Schur side of
-``jacobi_trudi`` walks the inner shapes of the 3 x 3 box and the colors,
-and reads every outer shape from one horizontal-strip DP table
-(``schurs``), dropped before the next; no tableau is enumerated.
+``loop_schurs``, ``classical_e_of_products``) in its ring, the
+polynomials or the plain ints of the point's values; ``det`` and
+``minors`` (one ``det`` per deleted column for polynomials, one Bareiss
+elimination, ``birational.int_minors``, for all the maximal minors of B
+at a point) are the only other difference.  No ``Fraction`` arises at a
+point.  Each loop e, h and tau, and each classical e, is computed once
+per ``(family, k, r mod n)``.  The loop Schur side of ``jacobi_trudi``
+walks the inner shapes of the 3 x 3 box and the colors, and reads every
+outer shape from one horizontal-strip DP table (``schurs``), dropped
+before the next; no tableau is enumerated.  The shapes and index matrices
+of the walk are built once per n (``_jacobi_trudi_plan``).
 
 Families covered (names as reported):
 
@@ -52,8 +56,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .birational import RationalPoint, cleared_ring, fraction_det, maximal_minors, random_point
+from .birational import RationalPoint, int_det, int_minors
 from .lsym import (
     PolyMatrix,
     Ring,
@@ -71,6 +76,7 @@ from .tableaux import Shape, SkewShape, partitions_between, staircase
 SYMBOLIC_N_MAX = 3
 SYMBOLIC_M_MAX = 4
 JT_BOX = (3, 3, 3)  # the outer shape bounding the skew shapes of jacobi_trudi
+POINT_BOUND = 2**30  # randomized points take values in 1..POINT_BOUND
 
 
 @dataclass
@@ -111,8 +117,7 @@ def classical_e_of_products(i: int, ring: Ring):
 
 
 class _Evaluator:
-    """The families in one ring, each homogeneous result of degree d
-    passed through ``value(v, d)``.  Loop e, h, tau and the classical e of
+    """The families in one ring.  Loop e, h, tau and the classical e of
     the products are computed once per ``(family, k, r mod n)``: every
     family is periodic in the color with period n, and the classical e has
     no color (it is cached under color 0).
@@ -123,14 +128,13 @@ class _Evaluator:
     globals at call time.
     """
 
-    def __init__(self, ring: Ring, value, det, minors=None):
+    def __init__(self, ring: Ring, det, minors=None):
         self.ring = ring
         self.n = ring.n
-        self.value = value
+        self.zero = ring.zero
         self.det = det
         if minors is not None:
             self.minors = minors
-        self.zero = value(ring.zero, 0)
         self.full = tuple(range(1, ring.m + 1))
         self._memo: dict[tuple[str, int, int], object] = {}
 
@@ -138,10 +142,9 @@ class _Evaluator:
         key = (family, k, r % self.n)
         if key not in self._memo:
             if family == "classical_e":
-                v, degree = classical_e_of_products(k, self.ring), self.n * k
+                self._memo[key] = classical_e_of_products(k, self.ring)
             else:
-                v, degree = loop_family(family, k, key[2], self.full, self.ring), k
-            self._memo[key] = self.value(v, degree)
+                self._memo[key] = loop_family(family, k, key[2], self.full, self.ring)
         return self._memo[key]
 
     def e(self, k: int, r: int):
@@ -157,15 +160,10 @@ class _Evaluator:
         return self._cached("classical_e", i)
 
     def sigma(self, k: int, r: int, indices: range):
-        return self.value(loop_family("sigma", k, r, indices, self.ring), k)
+        return loop_family("sigma", k, r, indices, self.ring)
 
     def schurs(self, outer: tuple, inner: tuple, r: int) -> dict:
-        """``loop_schurs``, entry nu of degree |nu| - |inner|."""
-        size = sum(inner)
-        return {
-            nu: self.value(v, sum(nu) - size)
-            for nu, v in loop_schurs(outer, inner, r, self.ring).items()
-        }
+        return loop_schurs(outer, inner, r, self.ring)
 
     def minors(self, rows: list[list]) -> list:
         return [self.det([row[:j] + row[j + 1 :] for row in rows]) for j in range(len(rows) + 1)]
@@ -173,12 +171,47 @@ class _Evaluator:
 
 def _poly_evaluator(n: int, m: int) -> _Evaluator:
     """The families as polynomials in the m x n colored variables."""
-    return _Evaluator(poly_ring(m, n), lambda v, _: v, lambda rows: PolyMatrix(m, n, rows).det())
+    return _Evaluator(poly_ring(m, n), lambda rows: PolyMatrix(m, n, rows).det())
 
 
 def _point_evaluator(p: RationalPoint) -> _Evaluator:
-    """The families evaluated exactly at one positive rational point."""
-    return _Evaluator(*cleared_ring(p), fraction_det, maximal_minors)
+    """The families evaluated exactly, in plain ints, at one positive
+    integral point; a point with a non-integral value raises ``ValueError``."""
+    if any(v.denominator != 1 for row in p.values for v in row):
+        raise ValueError(f"the point evaluator needs an integral point, got {p!r}")
+    nums = [[v.numerator for v in row] for row in p.values]
+    return _Evaluator(Ring(p.m, p.n, lambda i, c: nums[i - 1][c], 0, 1), int_det, int_minors)
+
+
+def integer_point(m: int, n: int, rng: random.Random) -> RationalPoint:
+    """A random point with values uniform in 1..POINT_BOUND."""
+    return RationalPoint(m, n, [[rng.randint(1, POINT_BOUND) for _ in range(n)] for _ in range(m)])
+
+
+@lru_cache(maxsize=16)
+def _jacobi_trudi_plan(n: int) -> tuple:
+    """The point-independent part of the jacobi_trudi instances at n, per
+    inner shape of the box (the box itself excepted) and color r: each nu
+    from inner to the box, in the order of ``loop_schurs`` (nu = inner
+    skipped unless inner is empty), with its outer shape and the index
+    matrix ``jacobi_trudi_indices(nu / inner, r)`` as a tuple of rows."""
+    plan, pairs = [], {}
+
+    def shared(indices):
+        # equal (degree, color) pairs share one tuple: the cached plan at
+        # n = 2 and 3 takes 0.27 MB instead of 0.65 MB
+        return tuple(tuple(pairs.setdefault(e, e) for e in row) for row in indices)
+
+    for inner in (Shape(nu).parts for nu in partitions_between(JT_BOX) if nu != JT_BOX):
+        nus = sorted(partitions_between(JT_BOX, inner), key=sum)
+        skews = [(nu, SkewShape(nu, inner)) for nu in nus]
+        skews = [(nu, skew) for nu, skew in skews if not inner or skew.size]
+        for r in range(n):
+            entries = tuple(
+                (nu, skew.outer.parts, shared(jacobi_trudi_indices(skew, r))) for nu, skew in skews
+            )
+            plan.append((inner, r, entries))
+    return tuple(plan)
 
 
 def _instances(ev, n: int, m: int, symbolic: bool):
@@ -232,17 +265,11 @@ def _instances(ev, n: int, m: int, symbolic: bool):
     # one loop Schur table per (inner shape, color) holds the tableau side
     # of every outer shape in the box; the box as the inner shape leaves
     # only the empty shape, which is checked once, at inner = ()
-    for inner in (Shape(nu).parts for nu in partitions_between(JT_BOX) if nu != JT_BOX):
-        skews = {nu: SkewShape(nu, inner) for nu in partitions_between(JT_BOX, inner)}
-        for r in range(n):
-            for nu, schur in ev.schurs(JT_BOX, inner, r).items():
-                skew = skews[nu]
-                if inner and not skew.size:
-                    continue
-                params = {"n": n, "m": m, "r": r, "outer": list(skew.outer.parts),
-                          "inner": list(inner)}
-                jt = ev.det(loop_e_values(jacobi_trudi_indices(skew, r)))
-                yield "jacobi_trudi", params, schur == jt
+    for inner, r, entries in _jacobi_trudi_plan(n):
+        schurs = ev.schurs(JT_BOX, inner, r)
+        for nu, outer, indices in entries:
+            params = {"n": n, "m": m, "r": r, "outer": list(outer), "inner": list(inner)}
+            yield "jacobi_trudi", params, schurs[nu] == ev.det(loop_e_values(indices))
 
     if m < 2:
         return
@@ -285,9 +312,9 @@ def identity_suite(
 
     ``mode="symbolic"`` expands both sides exactly (bounded to n <= 3,
     m <= 4) and records every instance; ``mode="randomized"`` compares
-    exact evaluations at ``trials`` seeded positive rational points and
-    records each failure with its point, then one passing summary per
-    family that never failed.
+    exact evaluations at ``trials`` seeded points with integer values in
+    1..POINT_BOUND and records each failure with its point, then one
+    passing summary per family that never failed.
     """
     for name, value in (("n", n), ("m", m), ("seed", seed), ("trials", trials)):
         if type(value) is not int:
@@ -308,7 +335,7 @@ def identity_suite(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     rng = random.Random(f"identities:{seed}:{n}:{m}")
-    points = [random_point(m, n, rng) for _ in range(trials)]
+    points = [integer_point(m, n, rng) for _ in range(trials)]
     checks: list[IdentityCheck] = []
     families: dict[str, None] = {}
     for pt_index, p in enumerate(points):

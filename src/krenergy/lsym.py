@@ -64,9 +64,11 @@ import numpy as np
 from ._strict import ints, json_decimal, json_int
 from .tableaux import (
     GUARD_ENV_VAR,
+    EnumerationGuardError,
     Shape,
     SkewShape,
     Ssyt,
+    energy_staircase_count,
     energy_staircase_shape,
     enumerate_ssyt,
     partitions_between,
@@ -498,7 +500,9 @@ def staircase_loop_schur(n: int, m: int) -> ColoredPoly:
     """Loop Schur polynomial of the energy's staircase at color 0 in m
     variable rows; its tropicalization at the count grid of a tensor is the
     energy.  Cached per (n, m); raises ``EnumerationGuardError`` up front
-    when the staircase has more tableaux than the guard allows.
+    when the staircase has more tableaux than the guard allows, or when
+    its tableaux times the m * n exponent slots of each term (the measure
+    of ``ColoredPoly.from_jsonable``) exceed it.
 
     The polynomial comes from one horizontal-strip DP, with no tableau
     enumerated; it equals ``loop_schur_tableaux`` of the staircase.  Entry
@@ -513,6 +517,12 @@ def staircase_loop_schur(n: int, m: int) -> ColoredPoly:
     the maps of entry m - 1 are never held.
     """
     outer = energy_staircase_shape(n, m).parts
+    slots, guard = energy_staircase_count(n, m) * m * n, resolve_guard()
+    if slots > guard:
+        raise EnumerationGuardError(
+            f"the energy staircase polynomial for n={n}, m={m} may hold {slots} exponent"
+            f" slots, over the guard {guard}"
+        )
     if m == 1:
         return ColoredPoly.one(1, n)
 

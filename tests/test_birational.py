@@ -31,7 +31,7 @@ from krenergy.birational import (
     s_action,
 )
 from krenergy.crystal import counts_to_grid, intrinsic_energy, ok
-from krenergy.identities import _point_evaluator
+from krenergy.identities import _point_evaluator, integer_point
 from krenergy.lsym import loop_e, loop_family, loop_h, loop_schur_tableaux, sigma, tau
 from krenergy.tableaux import Shape, SkewShape, count_ssyt, partitions_between, staircase
 from krenergy.verify import random_tensor
@@ -185,11 +185,11 @@ def test_integer_point_families_match_the_rational_ring(n, m):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_eval_loop_schur_matches_tableau_sum(n):
     """The point evaluator's strip-DP table for each inner shape of the
-    3 x 3 box against the plain tableau sum on every nu between the inner
+    3 x 3 box, at an integral point, against the plain tableau sum on every nu between the inner
     shape and the box (nu = inner included), every color and m = 1..5."""
     box = (3, 3, 3)
     for m in range(1, 6):
-        p = random_point(m, n, random.Random(f"loop-schur:{n}:{m}"))
+        p = integer_point(m, n, random.Random(f"loop-schur:{n}:{m}"))
         ev = _point_evaluator(p)
         for inner in partitions_between(box):
             inner = Shape(inner).parts
@@ -205,7 +205,7 @@ def test_eval_loop_schur_matches_tableau_sum(n):
 
 def test_eval_loop_schur_edge_cases():
     """The outer entry of a table on its own: the one-shape evaluations."""
-    p = random_point(2, 3, random.Random(11))
+    p = integer_point(2, 3, random.Random(11))
     ev = _point_evaluator(p)
     assert ev.schurs((), (), 0) == {(): 1}
     assert ev.schurs((2, 1), (2, 1), 2)[(2, 1)] == 1
@@ -214,8 +214,7 @@ def test_eval_loop_schur_edge_cases():
     assert ev.schurs((2, 2, 2), (1,), 1)[(2, 2, 2)] == 0
     # the one cell (1, 1) has content 0, and color 4 is color 1 mod 3
     assert ev.schurs((1,), (), 4)[(1,)] == p.value(1, 1) + p.value(2, 1)
-    # a skew shape whose table spans several sizes: each entry nu carries
-    # its own power of the common denominator
+    # a skew shape whose table spans several sizes
     table = ev.schurs((2, 2), (1,), 1)
     for nu, value in table.items():
         want = loop_schur_tableaux(SkewShape(nu, (1,)), 1, 2, n=3).eval_rational(p.value)

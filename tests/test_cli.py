@@ -159,6 +159,20 @@ def test_energy_over_guard_refused_before_intrinsic(capsys, monkeypatch):
     assert "KR_ENERGY_GUARD" in err
 
 
+def test_energy_over_the_slot_guard_refused_up_front(capsys, monkeypatch):
+    # n=200, m=3: 8 * 10^6 tableaux, under the guard, of 600 exponent slots each
+    payload = json.dumps({"n": 200, "factors": [[1] + [0] * 199] * 3})
+    monkeypatch.delenv("KR_ENERGY_GUARD", raising=False)
+
+    def refuse(*args):
+        raise AssertionError("the staircase DP ran over the guard")
+
+    monkeypatch.setattr("krenergy.lsym._colors", refuse)
+    code, out, err = run_cli(["energy"], payload, capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert "exponent slots" in err and "KR_ENERGY_GUARD" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

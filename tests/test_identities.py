@@ -1,8 +1,8 @@
 """The identity suite driver: clean passes, bounds, and sensitivity.
 
-The last test feeds the randomized machinery a deliberately corrupted
-identity and checks it is rejected at every point: randomized testing at
-positive rational points must not produce false passes.
+The mutation tests feed the randomized machinery a deliberately corrupted
+identity or value and check it is rejected at every point: randomized
+testing at positive points must not produce false passes.
 """
 
 import itertools
@@ -14,6 +14,7 @@ import pytest
 
 from krenergy import identities, verify
 from krenergy.birational import (
+    RationalPoint,
     eval_loop_e,
     eval_loop_h,
     fraction_det,
@@ -21,19 +22,22 @@ from krenergy.birational import (
     random_point,
 )
 from krenergy.identities import (
+    POINT_BOUND,
     box_skew_shapes,
     classical_e_of_products,
     identity_suite,
+    integer_point,
 )
 from krenergy.lsym import (
     ColoredPoly,
+    jacobi_trudi_indices,
     loop_family,
     loop_schurs,
     poly_ring,
     sigma,
     staircase_b_indices,
 )
-from krenergy.tableaux import Shape, partitions_between, staircase
+from krenergy.tableaux import Shape, SkewShape, partitions_between, staircase
 
 
 def failures(checks):
@@ -184,11 +188,11 @@ def test_classical_e_of_products_matches_combinations():
 
 def test_randomized_testing_has_no_false_passes():
     """A corrupted identity (eh_alternating_sum with a shifted color on h) must be
-    rejected at every sampled positive rational point."""
-    rng = random.Random(99)
+    rejected at every sampled positive point, rational or integral."""
     n, m = 3, 3
-    for _ in range(20):
-        p = random_point(m, n, rng)
+    rational, integral = random.Random(99), random.Random("integral")
+    points = [random_point(m, n, rational) for _ in range(20)]
+    for p in points + [integer_point(m, n, integral) for _ in range(20)]:
         idx = tuple(range(1, m + 1))
         for k in (1, 2, 3):
             wrong = Fraction(0)
@@ -283,7 +287,7 @@ def test_jacobi_trudi_walk_reads_one_table_per_inner_shape(monkeypatch, symbolic
     if symbolic:
         ev = identities._poly_evaluator(n, m)
     else:
-        ev = identities._point_evaluator(random_point(m, n, random.Random("walk")))
+        ev = identities._point_evaluator(integer_point(m, n, random.Random("walk")))
     results = list(identities._instances(ev, n, m, symbolic=symbolic))
     assert all(passed for _, _, passed in results)
     seen = Counter(
@@ -303,9 +307,10 @@ def test_jacobi_trudi_walk_reads_one_table_per_inner_shape(monkeypatch, symbolic
 
 
 def test_point_evaluator_computes_each_family_once(monkeypatch):
-    """At one point every (family, k, r mod n) reaches the DP at most once."""
+    """At one integral point every (family, k, r mod n) reaches the DP at
+    most once."""
     n, m = 3, 3
-    p = random_point(m, n, random.Random(5))
+    p = integer_point(m, n, random.Random(5))
     full = tuple(range(1, m + 1))
     calls = []
     real = identities.loop_family
@@ -340,40 +345,46 @@ def test_point_evaluator_computes_each_family_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_point_evaluator_matches_the_fraction_ring(n):
-    """Every value the point evaluator reads in the cleared integers, once
-    divided by its power of the common denominator, equals the same kernel
-    run over ``Fraction`` (``point_ring``): loop e, h, tau and sigma on
-    each suffix range, the classical e of the products, and every entry of
-    the loop Schur table of each inner shape of the box."""
+    """Every value the point evaluator reads at an integral point is a
+    plain ``int`` equal to the same kernel run over ``Fraction``
+    (``point_ring``): loop e, h, tau and sigma on each suffix range, the
+    classical e of the products, and every entry of the loop Schur table
+    of each inner shape of the box."""
+
+    def same(got, want):
+        return type(got) is int and got == want
+
     for m in range(1, 5):
-        p = random_point(m, n, random.Random(f"oracle:{n}:{m}"))
+        p = integer_point(m, n, random.Random(f"oracle:{n}:{m}"))
         ev, ring = identities._point_evaluator(p), point_ring(p)
         full = tuple(range(1, m + 1))
         for r in range(n):
             for k in range(-1, (n - 1) * m + 2):
-                assert ev.e(k, r) == loop_family("e", k, r, full, ring), (m, r, k)
-                assert ev.h(k, r) == loop_family("h", k, r, full, ring), (m, r, k)
-                assert ev.tau(k, r) == loop_family("tau", k, r, full, ring), (m, r, k)
+                assert same(ev.e(k, r), loop_family("e", k, r, full, ring)), (m, r, k)
+                assert same(ev.h(k, r), loop_family("h", k, r, full, ring)), (m, r, k)
+                assert same(ev.tau(k, r), loop_family("tau", k, r, full, ring)), (m, r, k)
                 for i in range(1, m + 1):
                     idx = range(i, m + 1)
                     want = loop_family("sigma", k, r, idx, ring)
-                    assert ev.sigma(k, r, idx) == want, (m, r, k, i)
+                    assert same(ev.sigma(k, r, idx), want), (m, r, k, i)
             for nu in partitions_between(identities.JT_BOX):
                 inner = Shape(nu).parts
                 want = loop_schurs(identities.JT_BOX, inner, r, ring)
-                assert ev.schurs(identities.JT_BOX, inner, r) == want, (m, r, inner)
+                got = ev.schurs(identities.JT_BOX, inner, r)
+                assert got.keys() == want.keys(), (m, r, inner)
+                assert all(same(got[nu], want[nu]) for nu in want), (m, r, inner)
         for i in range(-1, m + 2):
-            assert ev.classical_e(i) == classical_e_of_products(i, ring), (m, i)
+            assert same(ev.classical_e(i), classical_e_of_products(i, ring)), (m, i)
 
 
 def test_point_minors_match_per_column_determinants():
     """One elimination gives the 16 maximal minors of the 15 x 16 matrix B
-    that 16 separate determinants give, for every color at three n=4, m=5
-    points."""
+    that 16 separate determinants give, for every color at three integral
+    n=4, m=5 points."""
     n, m = 4, 5
     rng = random.Random("minors")
     for _ in range(3):
-        ev = identities._point_evaluator(random_point(m, n, rng))
+        ev = identities._point_evaluator(integer_point(m, n, rng))
         for r in range(n):
             mat_b = [[ev.e(k, c) for k, c in row] for row in staircase_b_indices(m, n=n, r=r)]
             per_column = [
@@ -381,6 +392,7 @@ def test_point_minors_match_per_column_determinants():
                 for j in range(len(mat_b) + 1)
             ]
             assert ev.minors(mat_b) == per_column
+            assert all(type(v) is int for v in ev.minors(mat_b))
             assert identities._Evaluator.minors(ev, mat_b) == per_column
 
 
@@ -400,3 +412,72 @@ def test_corrupted_b_entry_fails_at_every_point(monkeypatch):
     bad = [c for c in checks if not c.passed]
     assert {c.identity for c in bad} <= b_families
     assert {c.witness["point_index"] for c in bad} == {0, 1, 2}
+
+
+def test_witness_points_are_integral_and_seeded(monkeypatch):
+    """Each witness of a failing randomized run is an integral point with
+    values in 1..POINT_BOUND, drawn from the seeded stream: the same seed
+    gives the same witnesses."""
+    real = identities.loop_family
+
+    def broken_h(family, k, r, indices, ring):
+        value = real(family, k, r, indices, ring)
+        return value + 1 if (family, k, r % ring.n) == ("h", 2, 1) else value
+
+    monkeypatch.setattr(identities, "loop_family", broken_h)
+    n, m, seed = 3, 2, 6
+    runs = [[c.to_jsonable() for c in identity_suite(n, m, "randomized", seed, 3)]
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+    witnesses = {
+        c["witness"]["point_index"]: c["witness"]["point"] for c in runs[0] if "witness" in c
+    }
+    assert sorted(witnesses) == [0, 1, 2]
+    rng = random.Random(f"identities:{seed}:{n}:{m}")
+    for index in range(3):
+        point = RationalPoint.from_jsonable(witnesses[index])
+        assert point == integer_point(m, n, rng)
+        values = [v for row in point.values for v in row]
+        assert all(v.denominator == 1 and 1 <= v <= POINT_BOUND for v in values)
+
+
+def test_point_evaluator_refuses_a_rational_point():
+    p = RationalPoint(2, 2, [[1, 2], [Fraction(3, 2), 5]])
+    with pytest.raises(ValueError, match="integral point"):
+        identities._point_evaluator(p)
+    identities._point_evaluator(RationalPoint(2, 2, [[1, 2], [Fraction(6, 2), 5]]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_jacobi_trudi_plan_holds_the_index_matrices(n):
+    """Each entry of the plan at n is ``jacobi_trudi_indices`` of its skew
+    shape, and the plan covers every box skew shape at every color once."""
+    plan = identities._jacobi_trudi_plan(n)
+    seen = Counter()
+    for inner, r, entries in plan:
+        for nu, outer, indices in entries:
+            skew = SkewShape(nu, inner)
+            assert outer == skew.outer.parts
+            assert list(map(list, indices)) == jacobi_trudi_indices(skew, r), (nu, inner, r)
+            seen[(outer, inner, r)] += 1
+    shapes = box_skew_shapes(3, 3)
+    assert seen == Counter((s.outer.parts, s.inner.parts, r) for s in shapes for r in range(n))
+
+
+def test_second_point_builds_no_jacobi_trudi_matrix(monkeypatch):
+    """The first point at n builds the plan; a second point at the same n
+    reads it and builds no index matrix."""
+    identities._jacobi_trudi_plan.cache_clear()
+    calls = []
+    real = identities.jacobi_trudi_indices
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(identities, "jacobi_trudi_indices", counting)
+    assert not failures(identity_suite(2, 2, mode="randomized", seed=1, trials=1))
+    assert calls
+    calls.clear()
+    assert not failures(identity_suite(2, 2, mode="randomized", seed=2, trials=1))
+    assert calls == []

@@ -642,6 +642,30 @@ def test_staircase_refused_over_the_guard(monkeypatch):
         staircase_loop_schur(3, 4)
 
 
+@pytest.mark.parametrize("n, m", [(200, 3), (100, 3)])
+def test_staircase_refused_over_the_slot_guard(monkeypatch, n, m):
+    """Under the default guard in tableaux, but not in tableaux times the
+    m * n exponent slots of a term: refused before the DP takes a step."""
+    monkeypatch.delenv("KR_ENERGY_GUARD", raising=False)
+    staircase_loop_schur.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("the staircase DP ran over the guard")
+
+    monkeypatch.setattr("krenergy.lsym._colors", refuse)
+    assert energy_staircase_count(n, m) <= 10**7 < energy_staircase_count(n, m) * m * n
+    with pytest.raises(EnumerationGuardError, match="exponent slots"):
+        staircase_loop_schur(n, m)
+
+
+@pytest.mark.parametrize("n, m, slots", [(3, 5, 885_735), (4, 4, 65_536), (5, 3, 1_875),
+                                         (400, 2, 320_000)])
+def test_staircase_slot_guard_admits(monkeypatch, n, m, slots):
+    monkeypatch.delenv("KR_ENERGY_GUARD", raising=False)
+    assert energy_staircase_count(n, m) * m * n == slots
+    assert staircase_loop_schur(n, m).m == m
+
+
 def test_jt_matches_tableaux_on_box_shapes():
     from krenergy.identities import box_skew_shapes
 

@@ -15,11 +15,14 @@ trip.  The explicit formulas written out directly, the minimum over s of
 ``ok`` and the n-term product sum of ``kappa``, are the oracles of the
 shared semifield kernels: ``ok`` and ``r_matrix`` on random pairs (n <= 6,
 at most 6 letters a factor), and ``kappa``, ``s_action`` and
-``rational_energy_global`` at random positive points.  The runs are
+``rational_energy_global`` at random positive points.  A point, rational
+or integral as the randomized identity suite draws them, survives its
+JSON round trip.  The runs are
 derandomized, so a failure reproduces, and keep no example database.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -37,6 +40,7 @@ from krenergy.birational import (  # noqa: E402
     s_action,
 )
 from krenergy.crystal import CrystalElement, TensorElement, apply_s, ok, r_matrix  # noqa: E402
+from krenergy.identities import POINT_BOUND  # noqa: E402
 from krenergy.lsym import ColoredPoly, loop_schur_tableaux, mono_factors  # noqa: E402
 from krenergy.tableaux import (  # noqa: E402
     SkewShape,
@@ -276,3 +280,24 @@ def test_kappa_s_action_and_energy_match_the_product_sum(p, data):
     assert kappa(r, j, p) == kappa_reference(r, j, p)
     assert s_action(j, p) == s_action_reference(j, p)
     assert rational_energy_global(p) == rational_energy_reference(p)
+
+
+@st.composite
+def witness_points(draw):
+    """A point with m in 1..4 and n in 2..5, its values either all
+    rationals p / q with p and q in 1..10^6 or all integers in
+    1..POINT_BOUND (the randomized identity suite's points)."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    rational = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
+    value = draw(st.sampled_from([rational, st.integers(1, POINT_BOUND)]))
+    return RationalPoint(m, n, [[draw(value) for _ in range(n)] for _ in range(m)])
+
+
+@PROPERTY_SETTINGS
+@given(witness_points())
+def test_point_json_round_trip(p):
+    data = json.loads(json.dumps(p.to_jsonable()))
+    q = RationalPoint.from_jsonable(data)
+    assert q == p and q.to_jsonable() == data
+    integral = all(v.denominator == 1 for row in p.values for v in row)
+    assert integral == all(den == "1" for _, den in data["values"])
