@@ -18,7 +18,8 @@ these rules itself: on the grid columns of ``counts_to_grid``
 (``x_i^(r) = counts[(r - i) mod n]``), ``ok``, ``r_matrix`` and
 ``intrinsic_energy`` are the kernels of ``krenergy.birational`` (kappa,
 the move s_j and the energy walk) run in its ``MIN_PLUS`` semifield of
-plain ints.  The R-matrix and the coenergy also have slow tableau-based
+plain ints.  ``r_matrix`` is memoized per distinct pair, a bounded
+``lru_cache``.  The R-matrix and the coenergy also have slow tableau-based
 oracles (jeu de taquin for the R-matrix, row sliding for the coenergy) used
 as independent cross-checks.
 
@@ -35,6 +36,7 @@ enumerated.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 
 from ._strict import json_int
 from .birational import MIN_PLUS, energy_walk, kappas, move
@@ -196,13 +198,21 @@ def ok(r: int, b1: CrystalElement, b2: CrystalElement) -> int:
     return kappas(MIN_PLUS, *_columns(b1, b2))[(r - 1) % b1.n]
 
 
+# the most distinct pairs whose R-matrix image is kept; a verify run at
+# n 2:3 and capacity cap 2 meets 136
+R_MATRIX_MEMO = 4096
+
+
+@lru_cache(maxsize=R_MATRIX_MEMO)
 def r_matrix(b1: CrystalElement, b2: CrystalElement) -> tuple[CrystalElement, CrystalElement]:
     """The combinatorial R-matrix: the min-plus move s_j of the pair's grid
     columns, ``c1 = y2 + ok_{c+2} - ok_{c+1}`` and ``c2 = y1 - ok_{c+2} +
     ok_{c+1}`` on 0-based colors c.
 
     Returns ``(c1, c2)`` with ``|c1| = |b2|`` and ``|c2| = |b1|``; the total
-    number of letters of each color is preserved.
+    number of letters of each color is preserved.  The image of each pair
+    is memoized, the last ``R_MATRIX_MEMO`` distinct pairs: the braid
+    checks apply the same few pairs thousands of times.
     """
     c1, x1 = move(MIN_PLUS, *_columns(b1, b2))  # c2 as the grid column x_1
     if min(c1 + x1) < 0:

@@ -21,8 +21,8 @@ picks the evaluator and little else:
   randomized families fixed.
 
 One evaluator runs the ring-generic kernels (``loop_family``,
-``loop_schurs``, ``classical_e_of_products``) in its ring, the
-polynomials or the plain ints of the point's values; ``det`` and
+``loop_schurs``, ``classical_e_of_products``, ``laplace_dets``) in its
+ring, the polynomials or the plain ints of the point's values; ``det`` and
 ``minors`` (one ``det`` per deleted column for polynomials, one Bareiss
 elimination, ``birational.int_minors``, for all the maximal minors of B
 at a point) are the only other difference.  No ``Fraction`` arises at a
@@ -30,8 +30,11 @@ point.  Each loop e, h and tau, and each classical e, is computed once
 per ``(family, k, r mod n)``.  The loop Schur side of ``jacobi_trudi``
 walks the inner shapes of the 3 x 3 box and the colors, and reads every
 outer shape from one horizontal-strip DP table (``schurs``), dropped
-before the next; no tableau is enumerated.  The shapes and index matrices
-of the walk are built once per n (``_jacobi_trudi_plan``).
+before the next; no tableau is enumerated.  The determinant side of a
+table is one ``lsym.laplace_dets`` call, in both modes: its matrices,
+padded to the box width, are row selections from one pool of at most 6
+rows of loop e values.  The shapes, pools and selections of the walk are
+built once per n (``_jacobi_trudi_plan``).
 
 Families covered (names as reported):
 
@@ -63,6 +66,7 @@ from .lsym import (
     PolyMatrix,
     Ring,
     jacobi_trudi_indices,
+    laplace_dets,
     loop_family,
     loop_schurs,
     poly_ring,
@@ -191,26 +195,33 @@ def integer_point(m: int, n: int, rng: random.Random) -> RationalPoint:
 @lru_cache(maxsize=16)
 def _jacobi_trudi_plan(n: int) -> tuple:
     """The point-independent part of the jacobi_trudi instances at n, per
-    inner shape of the box (the box itself excepted) and color r: each nu
-    from inner to the box, in the order of ``loop_schurs`` (nu = inner
-    skipped unless inner is empty), with its outer shape and the index
-    matrix ``jacobi_trudi_indices(nu / inner, r)`` as a tuple of rows."""
-    plan, pairs = [], {}
+    inner shape of the box (the box itself excepted) and color r: the pool
+    of ``(degree, color)`` rows, and each nu from inner to the box, in the
+    order of ``loop_schurs`` (nu = inner skipped unless inner is empty),
+    with its outer shape and its selection of pool rows.
 
-    def shared(indices):
-        # equal (degree, color) pairs share one tuple: the cached plan at
-        # n = 2 and 3 takes 0.27 MB instead of 0.65 MB
-        return tuple(tuple(pairs.setdefault(e, e) for e in row) for row in indices)
-
+    The selected rows are ``jacobi_trudi_indices(nu / inner, r)`` padded
+    to the box width; the padding is unitriangular, so the determinant is
+    unchanged.  Row i of every matrix of the table depends on nu only
+    through ``nu'_i - i``, which takes the box's 6 values, so the table's
+    up to 20 determinants are maximal minors of one pool of at most 6 rows.
+    """
+    plan = []
     for inner in (Shape(nu).parts for nu in partitions_between(JT_BOX) if nu != JT_BOX):
         nus = sorted(partitions_between(JT_BOX, inner), key=sum)
         skews = [(nu, SkewShape(nu, inner)) for nu in nus]
         skews = [(nu, skew) for nu, skew in skews if not inner or skew.size]
         for r in range(n):
+            mats = [(nu, skew, jacobi_trudi_indices(skew, r, JT_BOX[0])) for nu, skew in skews]
+            # rows by decreasing degree, so that every selection increases
+            # and a set of rows is one memo entry of laplace_dets
+            pool = sorted({tuple(row) for _, _, mat in mats for row in mat}, reverse=True)
+            index = {row: p for p, row in enumerate(pool)}
             entries = tuple(
-                (nu, skew.outer.parts, shared(jacobi_trudi_indices(skew, r))) for nu, skew in skews
+                (nu, skew.outer.parts, tuple(index[tuple(row)] for row in mat))
+                for nu, skew, mat in mats
             )
-            plan.append((inner, r, entries))
+            plan.append((inner, r, tuple(pool), entries))
     return tuple(plan)
 
 
@@ -263,13 +274,15 @@ def _instances(ev, n: int, m: int, symbolic: bool):
                 yield "tau_recursion_residual", params, acc == expected
 
     # one loop Schur table per (inner shape, color) holds the tableau side
-    # of every outer shape in the box; the box as the inner shape leaves
-    # only the empty shape, which is checked once, at inner = ()
-    for inner, r, entries in _jacobi_trudi_plan(n):
+    # of every outer shape in the box, and one Laplace expansion of its pool
+    # the determinant side; the box as the inner shape leaves only the
+    # empty shape, which is checked once, at inner = ()
+    for inner, r, pool, entries in _jacobi_trudi_plan(n):
         schurs = ev.schurs(JT_BOX, inner, r)
-        for nu, outer, indices in entries:
+        dets = laplace_dets(loop_e_values(pool), [s for _, _, s in entries], ev.zero, ev.ring.one)
+        for (nu, outer, _), det in zip(entries, dets, strict=True):
             params = {"n": n, "m": m, "r": r, "outer": list(outer), "inner": list(inner)}
-            yield "jacobi_trudi", params, schurs[nu] == ev.det(loop_e_values(indices))
+            yield "jacobi_trudi", params, schurs[nu] == det
 
     if m < 2:
         return

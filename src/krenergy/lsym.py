@@ -34,7 +34,9 @@ polynomial as a determinant of loop elementary functions, and
 outer shape at once, over any ``Ring``, by one dynamic program over
 horizontal strips.  ``build_A`` and
 ``build_B`` assemble the banded dilated-staircase matrices used by the
-closing identities, and ``trop_eval`` is the (min, +) shadow of a
+closing identities, ``laplace_dets`` takes the determinants of many row
+selections from one pool over any ring (``PolyMatrix.det`` is its
+one-selection call), and ``trop_eval`` is the (min, +) shadow of a
 subtraction-free polynomial.  The ``*_indices`` functions give the entries
 of those matrices and of the tau vector as ``(degree, color)`` pairs, and
 ``sigma_product_indices`` the sigma factors of the energy's product, for
@@ -615,47 +617,51 @@ class PolyMatrix:
         return self.entries[k - 1][j - 1]
 
     def det(self) -> ColoredPoly:
-        """Division-free determinant by memoized Laplace expansion along rows.
+        """Division-free determinant: ``laplace_dets`` of the one selection
+        of every row, so a matrix that is not square raises ``ValueError``."""
+        zero, one = ColoredPoly.zero(self.m, self.n), ColoredPoly.one(self.m, self.n)
+        return laplace_dets(self.entries, [range(self.nrows)], zero, one)[0]
 
-        Blank-heavy banded matrices (the only large ones here) share minors
-        aggressively; a column that no remaining row can reach prunes to 0.
-        """
-        size = self.nrows
-        if size != self.ncols:
-            raise ValueError(f"determinant of a {self.nrows} x {self.ncols} matrix")
-        if size == 0:
-            return ColoredPoly.one(self.m, self.n)
-        rows = self.entries
-        nonzero = [frozenset(j for j in range(size) if not rows[k][j].is_zero) for k in range(size)]
-        reach = [size] * (size + 1)
-        for k in range(size - 1, -1, -1):
-            reach[k] = min(reach[k + 1], min(nonzero[k], default=size))
-        zero = ColoredPoly.zero(self.m, self.n)
-        one = ColoredPoly.one(self.m, self.n)
-        memo: dict[tuple[int, tuple[int, ...]], ColoredPoly] = {}
 
-        def minor(k: int, cols: tuple[int, ...]) -> ColoredPoly:
-            if k == size:
-                return one
-            if cols[0] < reach[k]:
-                return zero
-            key = (k, cols)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            acc = zero
-            for idx, j in enumerate(cols):
-                if j not in nonzero[k]:
+def laplace_dets(pool: Sequence[Sequence], selections: Iterable[Iterable[int]], zero, one) -> list:
+    """The determinant of each square matrix ``[pool[p] for p in selection]``,
+    in any commutative ring with ``zero`` and ``one``, by one division-free
+    Laplace expansion along columns.  The minor of some rows on the last as
+    many columns is memoized under those rows, so selections share it: the
+    up to 20 selections of a 6-row Jacobi-Trudi pool share its 15 two-row
+    minors.  Zero entries are skipped, and a row that is zero on the
+    columns left prunes to 0, which keeps banded matrices cheap.
+    """
+    width = len(pool[0]) if pool else 0
+    selections = [tuple(rows) for rows in selections]
+    if any(len(row) != width for row in chain(pool, selections)):
+        raise ValueError(f"need pool rows of one width, {width}, and selections of {width} rows")
+    nonzero = [frozenset(j for j, v in enumerate(row) if v != zero) for row in pool]
+    # dead[c]: the rows that are zero from column c on
+    dead = [{p for p, js in enumerate(nonzero) if max(js, default=-1) < c} for c in range(width)]
+    memo: dict[tuple[int, ...], Any] = {}
+
+    def minor(rows: tuple[int, ...]):
+        col = width - len(rows)
+        if col == width - 1:
+            return pool[rows[0]][col]
+        cached = memo.get(rows)
+        if cached is not None:
+            return cached
+        acc = zero
+        if dead[col].isdisjoint(rows):
+            for idx, p in enumerate(rows):
+                if col not in nonzero[p]:
                     continue
-                sub = minor(k + 1, cols[:idx] + cols[idx + 1 :])
-                if sub.is_zero:
+                sub = minor(rows[:idx] + rows[idx + 1 :])
+                if sub == zero:
                     continue
-                term = rows[k][j] * sub
+                term = pool[p][col] * sub
                 acc = acc + term if idx % 2 == 0 else acc - term
-            memo[key] = acc
-            return acc
+        memo[rows] = acc
+        return acc
 
-        return minor(0, tuple(range(size)))
+    return [minor(rows) if rows else one for rows in selections]
 
 
 def staircase_matrix_size(m: int, n: int) -> tuple[int, int]:

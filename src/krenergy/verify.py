@@ -67,6 +67,10 @@ MODES = ("exhaustive", "randomized", "both")
 # function of the seed alone).
 EXHAUSTIVE_CELL_LIMIT = 100_000
 
+# The largest factor capacity a config may ask for: ``random_element`` draws
+# one letter at a time, so a cap of 10^8 ran for minutes before any check.
+CAPACITY_CAP_MAX = 1000
+
 
 class ConfigError(ValueError):
     """Raised for invalid harness configuration."""
@@ -106,8 +110,10 @@ class VerifyConfig:
             raise ConfigError(f"m range must lie within [1, 6], got {self.m_range}")
         if self.trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.trials}")
-        if self.capacity_cap < 0:
-            raise ConfigError(f"capacity cap must be nonnegative, got {self.capacity_cap}")
+        if not 0 <= self.capacity_cap <= CAPACITY_CAP_MAX:
+            raise ConfigError(
+                f"capacity cap must lie within [0, {CAPACITY_CAP_MAX}], got {self.capacity_cap}"
+            )
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 

@@ -1,5 +1,6 @@
 """Command line interface: JSON contracts, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import sys
@@ -10,7 +11,8 @@ from krenergy.birational import RationalPoint
 from krenergy.cli import main
 from krenergy.crystal import TensorElement
 from krenergy.lsym import ColoredPoly
-from krenergy.verify import ConfigError, VerifyConfig
+from krenergy import verify
+from krenergy.verify import CAPACITY_CAP_MAX, ConfigError, VerifyConfig, run_verify
 
 
 def run_cli(argv, stdin_text="", capsys=None, monkeypatch=None):
@@ -261,6 +263,45 @@ def test_verify_human_summary_on_stderr(capsys):
     out, err = capsys.readouterr()
     assert code == 0
     assert "coenergy" in err
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (
+            VerifyConfig(seed=0, n_range=(2, 3), m_range=(1, 3), capacity_cap=2, trials=5,
+                         mode="exhaustive"),
+            "7f892b4133f78a6e9cf7f9a333b9b86cc8ebbfef038f6a451053fb53a92d5042",
+        ),
+        (VerifyConfig(seed=0), "601ef30cd98ceb62049a5180bf9bb853cff1d3b68e2342ff26442f22719238ef"),
+    ],
+    ids=["benchmark-config", "default"],
+)
+def test_verify_report_matches_its_golden_hash(config, digest):
+    """The canonical reports of the benchmark's config and of the default
+    config keep their SHA-256: a memo or a shared kernel that changed one
+    check, witness or count would change the digest."""
+    assert hashlib.sha256(run_verify(config).to_json().encode()).hexdigest() == digest
+
+
+def test_verify_refuses_a_capacity_cap_above_the_bound(capsys, monkeypatch):
+    """A capacity cap of 10^8 used to draw letters for minutes; now it is a
+    config error, exit 2, before any element is drawn."""
+
+    def refuse(*args):
+        raise AssertionError("an element was drawn")
+
+    monkeypatch.setattr(verify, "random_element", refuse)
+    code = main([
+        "verify", "--suites", "coenergy", "--n", "2", "--capacity-cap", "100000000",
+        "--mode", "randomized", "--trials", "1",
+    ])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert "capacity cap" in err and str(CAPACITY_CAP_MAX) in err
+    with pytest.raises(ConfigError):
+        VerifyConfig(capacity_cap=CAPACITY_CAP_MAX + 1)
+    VerifyConfig(capacity_cap=CAPACITY_CAP_MAX)
 
 
 def test_verify_rejects_zero_trials(capsys):

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from krenergy import crystal
 from krenergy.crystal import (
     CrystalElement,
     TensorElement,
@@ -27,7 +28,7 @@ from krenergy.crystal import (
     r_matrix_oracle,
 )
 from krenergy.tableaux import Shape, enumerate_ssyt, staircase
-from krenergy.verify import elements_up_to, iter_tensors, random_tensor
+from krenergy.verify import VerifyConfig, elements_up_to, iter_tensors, random_tensor, run_verify
 
 
 def row(n, word):
@@ -122,6 +123,42 @@ def test_r_matrix_matches_oracle_exhaustive_n2():
     elements = elements_up_to(2, 3)
     for b1, b2 in itertools.product(elements, repeat=2):
         assert r_matrix(b1, b2) == r_matrix_oracle(b1, b2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_memoized_r_matrix_matches_the_unmemoized_and_the_oracle(n):
+    """Every pair up to capacity 3, asked twice: the memo returns what the
+    min-plus move and the jeu-de-taquin oracle give."""
+    elements = elements_up_to(n, 3)
+    for b1, b2 in itertools.product(elements, repeat=2):
+        want = r_matrix.__wrapped__(b1, b2)
+        assert r_matrix(b1, b2) == want == r_matrix(b1, b2) == r_matrix_oracle(b1, b2)
+
+
+def test_r_matrix_memo_is_bounded_and_hit_by_braid_checks():
+    info = r_matrix.cache_info()
+    assert info.maxsize == crystal.R_MATRIX_MEMO  # bounded: an int, not None
+    r_matrix.cache_clear()
+    config = VerifyConfig(
+        suites=("braid",), n_range=(2, 3), m_range=(2, 3), capacity_cap=1, mode="exhaustive"
+    )
+    assert run_verify(config).total_failures == 0
+    info = r_matrix.cache_info()
+    assert 0 < info.currsize <= info.maxsize
+    assert info.hits > info.misses
+
+
+def test_r_matrix_memo_keeps_no_failed_call(monkeypatch):
+    """A pair whose move raises is not memoized: once the move is mended,
+    the same pair gets its R-matrix image."""
+    r_matrix.cache_clear()
+    monkeypatch.setattr(crystal, "move", lambda sf, x0, x1: ((-1,) * len(x0), x1))
+    with pytest.raises(RuntimeError, match="negative count"):
+        r_matrix(B1, B2)
+    assert r_matrix.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert r_matrix(B1, B2) == (row(4, "1123"), row(4, "24"))
+    assert r_matrix.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------------------

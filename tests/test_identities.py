@@ -18,6 +18,7 @@ from krenergy.birational import (
     eval_loop_e,
     eval_loop_h,
     fraction_det,
+    int_det,
     point_ring,
     random_point,
 )
@@ -269,21 +270,56 @@ def test_schur_table_does_not_hide_a_failure(monkeypatch):
     assert passed == RANDOMIZED_FAMILIES - {"jacobi_trudi"}
 
 
+def test_jacobi_trudi_pool_does_not_hide_a_failure(monkeypatch):
+    """One wrong e value in the pool of the (inner (1), color 1) table, at
+    the first column of its first row, fails exactly the jacobi_trudi
+    instances whose selection reads that row, at every point, with a
+    witness, and nothing else."""
+    n, target = 3, ((1,), 1)
+    plan, readers = [], []
+    for inner, r, pool, entries in identities._jacobi_trudi_plan(n):
+        if (inner, r) == target:
+            (k, c), *rest = pool[0]
+            pool = (((k + 1, c), *rest),) + pool[1:]
+            readers = sorted(list(outer) for _, outer, selection in entries if 0 in selection)
+            table_size = len(entries)
+        plan.append((inner, r, pool, entries))
+    assert 1 < len(readers) < table_size
+    monkeypatch.setattr(identities, "_jacobi_trudi_plan", lambda n: tuple(plan))
+    checks = identity_suite(n, 3, mode="randomized", seed=0, trials=3)
+    bad = failures(checks)
+    assert {c.identity for c in bad} == {"jacobi_trudi"}
+    assert all((c.params["inner"], c.params["r"]) == ([1], 1) for c in bad)
+    for point_index in range(3):
+        at_point = [c for c in bad if c.witness["point_index"] == point_index]
+        assert sorted(c.params["outer"] for c in at_point) == readers
+    assert all(c.witness["point"]["n"] == n for c in bad)
+    passed = {c.identity for c in checks if c.passed}
+    assert passed == RANDOMIZED_FAMILIES - {"jacobi_trudi"}
+
+
 @pytest.mark.parametrize("symbolic", [True, False], ids=["symbolic", "point"])
 def test_jacobi_trudi_walk_reads_one_table_per_inner_shape(monkeypatch, symbolic):
     """At (3, 3) the jacobi_trudi instances are exactly the box skew shapes
     times the colors, each once (the empty shape too), and the loop Schur
     table function runs once per (inner shape, color): for the box, and
-    in symbolic mode once more per color for the staircase."""
+    in symbolic mode once more per color for the staircase.  The
+    determinants of a table come from one ``laplace_dets`` call."""
     n, m = 3, 3
-    calls = []
+    calls, kernel_calls = [], []
     real = identities.loop_schurs
+    real_kernel = identities.laplace_dets
 
     def counting(outer, inner, r, ring):
         calls.append((outer, inner, r % n))
         return real(outer, inner, r, ring)
 
+    def counting_kernel(pool, selections, zero, one):
+        kernel_calls.append(len(selections))
+        return real_kernel(pool, selections, zero, one)
+
     monkeypatch.setattr(identities, "loop_schurs", counting)
+    monkeypatch.setattr(identities, "laplace_dets", counting_kernel)
     if symbolic:
         ev = identities._poly_evaluator(n, m)
     else:
@@ -304,6 +340,7 @@ def test_jacobi_trudi_walk_reads_one_table_per_inner_shape(monkeypatch, symbolic
     if symbolic:
         want.update((staircase(m - 1, n - 1).parts, (), r) for r in range(n))
     assert Counter(calls) == want
+    assert sorted(kernel_calls) == sorted(len(e) for *_, e in identities._jacobi_trudi_plan(n))
 
 
 def test_point_evaluator_computes_each_family_once(monkeypatch):
@@ -450,15 +487,27 @@ def test_point_evaluator_refuses_a_rational_point():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_jacobi_trudi_plan_holds_the_index_matrices(n):
-    """Each entry of the plan at n is ``jacobi_trudi_indices`` of its skew
-    shape, and the plan covers every box skew shape at every color once."""
+    """Each selection of the plan at n picks pool rows whose top-left block
+    is ``jacobi_trudi_indices`` of its skew shape, padded to the box width
+    with the same determinant at a point, and the plan covers every box
+    skew shape at every color once."""
     plan = identities._jacobi_trudi_plan(n)
+    ev = identities._point_evaluator(integer_point(3, n, random.Random(n)))
     seen = Counter()
-    for inner, r, entries in plan:
-        for nu, outer, indices in entries:
+    for inner, r, pool, entries in plan:
+        assert len(pool) <= 6 and len(set(pool)) == len(pool)
+        values = {row: [ev.e(k, c) for k, c in row] for row in pool}
+        for nu, outer, selection in entries:
             skew = SkewShape(nu, inner)
             assert outer == skew.outer.parts
-            assert list(map(list, indices)) == jacobi_trudi_indices(skew, r), (nu, inner, r)
+            assert list(selection) == sorted(set(selection))
+            rows = [pool[p] for p in selection]
+            indices = jacobi_trudi_indices(skew, r)
+            size = len(indices)
+            assert [list(row[:size]) for row in rows[:size]] == indices, (nu, inner, r)
+            assert list(map(list, rows)) == jacobi_trudi_indices(skew, r, 3)
+            unpadded = [[ev.e(k, c) for k, c in row] for row in indices]
+            assert int_det([values[row] for row in rows]) == int_det(unpadded)
             seen[(outer, inner, r)] += 1
     shapes = box_skew_shapes(3, 3)
     assert seen == Counter((s.outer.parts, s.inner.parts, r) for s in shapes for r in range(n))
@@ -468,6 +517,7 @@ def test_second_point_builds_no_jacobi_trudi_matrix(monkeypatch):
     """The first point at n builds the plan; a second point at the same n
     reads it and builds no index matrix."""
     identities._jacobi_trudi_plan.cache_clear()
+    assert identities._jacobi_trudi_plan.cache_info().currsize == 0
     calls = []
     real = identities.jacobi_trudi_indices
 
@@ -481,3 +531,4 @@ def test_second_point_builds_no_jacobi_trudi_matrix(monkeypatch):
     calls.clear()
     assert not failures(identity_suite(2, 2, mode="randomized", seed=2, trials=1))
     assert calls == []
+    assert identities._jacobi_trudi_plan.cache_info().currsize == 1

@@ -18,7 +18,14 @@ import tracemalloc
 
 import pytest
 
-from krenergy.birational import eval_loop_e, eval_loop_h, eval_sigma, eval_tau, random_point
+from krenergy.birational import (
+    eval_loop_e,
+    eval_loop_h,
+    eval_sigma,
+    eval_tau,
+    int_det,
+    random_point,
+)
 from krenergy.crystal import TropicalGrid
 from krenergy.lsym import (
     ColoredPoly,
@@ -27,6 +34,7 @@ from krenergy.lsym import (
     build_A,
     build_B,
     jacobi_trudi_indices,
+    laplace_dets,
     loop_e,
     loop_h,
     loop_schur_jt,
@@ -711,6 +719,76 @@ def test_poly_det_matches_leibniz():
             entries = [[rand_entry() for _ in range(size)] for _ in range(size)]
             mat = PolyMatrix(m, n, entries)
             assert mat.det() == leibniz_det(entries, m, n)
+
+
+def random_selections(rng, rows, width, count):
+    """``count`` selections of ``width`` pool rows, in any order, the first
+    one repeated at the end."""
+    sels = [rng.sample(range(rows), width) for _ in range(count)]
+    return sels + sels[:1]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_laplace_dets_match_bareiss_on_int_pools(width):
+    """One pooled expansion equals ``int_det`` of every selected matrix,
+    on sparse seeded int pools with zero rows and zero columns."""
+    rng = random.Random(width)
+    for trial in range(12):
+        rows = width + rng.randint(0, 3)
+        pool = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 7)) for _ in range(width)] for _ in range(rows)]
+        blank = rng.randrange(rows if trial % 3 == 1 else width)
+        if trial % 3 == 1:
+            pool[blank] = [0] * width
+        if trial % 3 == 2:
+            for row in pool:
+                row[blank] = 0
+        sels = random_selections(rng, rows, width, 8)
+        want = [int_det([pool[p] for p in sel]) for sel in sels]
+        assert laplace_dets(pool, sels, 0, 1) == want
+        if trial % 3 == 1:  # a zero row
+            assert all(v == 0 for v, sel in zip(want, sels) if blank in sel)
+        if trial % 3 == 2:  # a zero column
+            assert not any(want)
+
+
+def test_laplace_dets_match_leibniz_on_poly_pools():
+    """Over the polynomials, each pooled determinant equals the Leibniz sum
+    of its own matrix."""
+    m, n = 2, 2
+    rng = random.Random(17)
+    zero, one = ColoredPoly.zero(m, n), ColoredPoly.one(m, n)
+
+    def rand_entry():
+        p = zero
+        for _ in range(rng.randint(0, 2)):
+            p = p + rng.randint(-2, 2) * var(rng.randint(1, m), rng.randint(0, n - 1), m, n)
+        return p
+
+    for width in (1, 2, 3):
+        for _ in range(4):
+            rows = width + 2
+            pool = [[rand_entry() for _ in range(width)] for _ in range(rows)]
+            pool[0] = [zero] * width
+            sels = random_selections(rng, rows, width, 6)
+            want = [leibniz_det([pool[p] for p in sel], m, n) for sel in sels]
+            assert laplace_dets(pool, sels, zero, one) == want
+
+
+def test_laplace_dets_edge_cases():
+    zero, one = ColoredPoly.zero(2, 2), ColoredPoly.one(2, 2)
+    assert laplace_dets([], [()], zero, one) == [one]  # the 0 x 0 matrix
+    assert laplace_dets([[], []], [(), ()], 0, 1) == [1, 1]
+    assert laplace_dets([[1, 2], [3, 4]], [], 0, 1) == []
+    assert laplace_dets([[1, 2], [3, 4]], [(0, 1), (1, 0), (0, 1)], 0, 1) == [-2, 2, -2]
+    assert laplace_dets([[1, 2], [0, 0]], [(0, 1)], 0, 1) == [0]  # zero row
+    assert laplace_dets([[0, 2], [0, 4]], [(0, 1)], 0, 1) == [0]  # zero column
+    assert PolyMatrix(2, 2, []).det() == one
+    with pytest.raises(ValueError):
+        PolyMatrix(2, 2, [[zero, one]]).det()
+    with pytest.raises(ValueError):
+        laplace_dets([[1, 2], [3]], [(0, 1)], 0, 1)
+    with pytest.raises(ValueError):
+        laplace_dets([[1, 2], [3, 4]], [(0,)], 0, 1)
 
 
 GOLD_A4 = [
