@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 
+from ._strict import decimal
 from .crystal import (
     TensorElement,
     energy_staircase,
@@ -98,18 +99,22 @@ def _cmd_rmatrix(args) -> int:
     return EXIT_OK
 
 
+def _int_flag(text: str) -> int:
+    try:
+        return decimal(text, "the value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_range(text: str, name: str) -> tuple[int, int]:
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            lo = hi = int(parts[0])
-        elif len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-        else:
+        if len(parts) > 2:
             raise ValueError
+        values = [decimal(part, name) for part in parts]
     except ValueError:
         raise ConfigError(f"{name} must be N or LO:HI, got {text!r}")
-    return lo, hi
+    return values[0], values[-1]
 
 
 def _cmd_verify(args) -> int:
@@ -130,7 +135,8 @@ def _cmd_verify(args) -> int:
     try:
         report = run_verify(config)
     except EnumerationGuardError as exc:
-        print(f"config error: {exc}; narrow --n/--m or raise KR_ENERGY_GUARD", file=sys.stderr)
+        hint = "narrow --n/--m/--capacity-cap or raise KR_ENERGY_GUARD"
+        print(f"config error: {exc}; {hint}", file=sys.stderr)
         return EXIT_BAD_INPUT
     print(report.to_json())
     if not args.json:
@@ -192,9 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--n", default="2:3", help="alphabet size or range LO:HI (within 2..6)")
     p_verify.add_argument("--m", default="1:3", help="tensor length or range LO:HI (within 1..6)")
-    p_verify.add_argument("--capacity-cap", type=int, default=3, help="max factor capacity")
-    p_verify.add_argument("--trials", type=int, default=50, help="random trials per cell")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    p_verify.add_argument("--capacity-cap", type=_int_flag, default=3, help="max factor capacity")
+    p_verify.add_argument("--trials", type=_int_flag, default=50, help="random trials per cell")
+    p_verify.add_argument("--seed", type=_int_flag, default=0, help="seed for all randomness")
     p_verify.add_argument(
         "--mode", choices=("exhaustive", "randomized", "both"), default="both"
     )
@@ -207,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
         "emit-formula",
         help="print the tropical staircase objective as (tableau, monomial) pairs",
     )
-    p_emit.add_argument("--n", type=int, required=True, help="alphabet size")
-    p_emit.add_argument("--m", type=int, required=True, help="number of tensor factors")
+    p_emit.add_argument("--n", type=_int_flag, required=True, help="alphabet size")
+    p_emit.add_argument("--m", type=_int_flag, required=True, help="number of tensor factors")
     p_emit.set_defaults(func=_cmd_emit_formula)
 
     return parser

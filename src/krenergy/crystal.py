@@ -37,8 +37,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
+from itertools import accumulate
 
-from ._strict import json_int
+from ._strict import decimal, json_int
 from .birational import MIN_PLUS, energy_walk, kappas, move
 from .lsym import staircase_loop_schur, trop_eval
 from .tableaux import EnumerationGuardError, Shape, SkewShape, Ssyt, rectify
@@ -73,10 +74,11 @@ class CrystalElement:
 
     @classmethod
     def from_row(cls, n: int, word: str) -> CrystalElement:
-        """Parse a row word like ``"1224"``; digits only, so requires n <= 9."""
+        """Parse a row word like ``"1224"``; ASCII digits only, so requires
+        n <= 9."""
         if n > 9:
             raise ValueError("row-word input only supported for n <= 9")
-        return cls.from_letters(n, (int(ch) for ch in word))
+        return cls.from_letters(n, (decimal(ch, "a row letter", signed=False) for ch in word))
 
     def letters(self) -> tuple[int, ...]:
         """The weakly increasing row word."""
@@ -237,28 +239,33 @@ def rectified_pair(b1: CrystalElement, b2: CrystalElement) -> Ssyt:
     return rectify(two_row_tableau(b1, b2))
 
 
-# the most candidate pairs r_matrix_oracle searches
-ORACLE_GUARD = 1_000_000
+# the most work r_matrix_oracle takes on: its candidate pairs times the
+# squared number of letters, about what one jeu-de-taquin rectification of
+# a candidate costs (10**7 is up to about ten seconds)
+ORACLE_GUARD = 10**7
 
 
 def _compositions(total: list[int], size: int) -> Iterator[tuple[int, ...]]:
-    """All count vectors c with 0 <= c <= total componentwise and sum(c) == size."""
-    n = len(total)
+    """All count vectors c with 0 <= c <= total componentwise and sum(c) == size,
+    in lexicographic order."""
+    if not total:
+        if size == 0:
+            yield ()
+        return
+    rest = sum(total[1:])
+    for v in range(max(0, size - rest), min(total[0], size) + 1):
+        for tail in _compositions(total[1:], size - v):
+            yield (v, *tail)
 
-    def rec(pos: int, remaining: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if pos == n:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        tail = sum(total[pos + 1 :])
-        lo = max(0, remaining - tail)
-        hi = min(total[pos], remaining)
-        for v in range(lo, hi + 1):
-            acc.append(v)
-            yield from rec(pos + 1, remaining - v, acc)
-            acc.pop()
 
-    yield from rec(0, size, [])
+def _count_compositions(total: list[int], size: int) -> int:
+    """How many vectors ``_compositions(total, size)`` yields, by a DP over
+    the colors of the ways to reach each partial sum, without listing them."""
+    ways = [1] + [0] * size
+    for t in total:
+        prefix = list(accumulate(ways, initial=0))
+        ways = [prefix[s + 1] - prefix[max(0, s - t)] for s in range(size + 1)]
+    return ways[size]
 
 
 def r_matrix_oracle(
@@ -270,17 +277,22 @@ def r_matrix_oracle(
     total color content for the one whose two-row rectification matches that
     of ``(b1, b2)``.  Raises if the match is not unique (that would signal a
     bug, since the crystal isomorphism is unique), and raises
-    :class:`EnumerationGuardError` past ``ORACLE_GUARD`` candidates.
+    :class:`EnumerationGuardError` before any rectification when the
+    candidates times the squared number of letters exceed ``ORACLE_GUARD``.
     """
     n = _check_pair(b1, b2)
-    target = rectified_pair(b1, b2)
     total = [b1.counts[c] + b2.counts[c] for c in range(n)]
+    letters = b1.capacity + b2.capacity
+    # b2's own counts are a candidate: a pair too long is refused uncounted
+    too_long = letters**2 > ORACLE_GUARD
+    if too_long or _count_compositions(total, b2.capacity) * letters**2 > ORACLE_GUARD:
+        raise EnumerationGuardError(
+            f"the R-matrix oracle would rectify a pair of {letters} letters once per "
+            f"candidate, over its guard of {ORACLE_GUARD} (candidates x letters^2)"
+        )
+    target = rectified_pair(b1, b2)
     matches: list[tuple[CrystalElement, CrystalElement]] = []
-    seen = 0
     for c1_counts in _compositions(total, b2.capacity):
-        seen += 1
-        if seen > ORACLE_GUARD:
-            raise EnumerationGuardError(f"R-matrix oracle exceeded guard {ORACLE_GUARD}")
         c1 = CrystalElement(n, c1_counts)
         c2 = CrystalElement(n, tuple(t - v for t, v in zip(total, c1_counts)))
         if rectified_pair(c1, c2) == target:

@@ -12,29 +12,28 @@ picks the evaluator and little else:
 * *randomized* evaluates at seeded points whose values are integers
   uniform in 1..2^30: both sides are polynomials, so by the
   Schwartz-Zippel lemma a nonzero difference of degree d vanishes at such
-  a point with probability at most d / 2^30 (the earlier rational points,
-  numerators and denominators in 1..1000, gave d / 1000), and the
-  arithmetic is exact, so a pass at many points is strong evidence while
-  a fail is a counterexample.  Each failure is recorded with its witness
-  point, then one passing summary per family that never failed.
+  a point with probability at most d / 2^30, and the arithmetic is exact,
+  so a pass at many points is strong evidence while a fail is a
+  counterexample.  Each failure is recorded with its witness point,
+  then one passing summary per family that never failed.
   ``staircase_jacobi_trudi`` stays symbolic-only, which keeps the set of
   randomized families fixed.
 
 One evaluator runs the ring-generic kernels (``loop_family``,
 ``loop_schurs``, ``classical_e_of_products``, ``laplace_dets``) in its
-ring, the polynomials or the plain ints of the point's values; ``det`` and
-``minors`` (one ``det`` per deleted column for polynomials, one Bareiss
-elimination, ``birational.int_minors``, for all the maximal minors of B
-at a point) are the only other difference.  No ``Fraction`` arises at a
-point.  Each loop e, h and tau, and each classical e, is computed once
-per ``(family, k, r mod n)``.  The loop Schur side of ``jacobi_trudi``
-walks the inner shapes of the 3 x 3 box and the colors, and reads every
-outer shape from one horizontal-strip DP table (``schurs``), dropped
-before the next; no tableau is enumerated.  The determinant side of a
-table is one ``lsym.laplace_dets`` call, in both modes: its matrices,
-padded to the box width, are row selections from one pool of at most 6
-rows of loop e values.  The shapes, pools and selections of the walk are
-built once per n (``_jacobi_trudi_plan``).
+ring, the polynomials or the plain ints of an integral point, so no
+``Fraction`` arises.  Every determinant is a ``laplace_dets`` call but
+the maximal minors of B at a point: one Bareiss elimination,
+``birational.int_minors``, is twice as fast there.  Each loop e, h and
+tau, and each classical e, is computed once per ``(family, k, r mod n)``.
+The loop Schur side of ``jacobi_trudi`` walks the inner shapes of the
+3 x 3 box and the colors, and reads every outer shape from one
+horizontal-strip DP table (``schurs``), dropped before the next; no
+tableau is enumerated.  The determinant side of a table is one
+``laplace_dets`` call: its matrices, padded to the box width, are row
+selections from one pool of at most 6 rows of loop e values.  The
+shapes, pools and selections of the walk are built once per n
+(``_jacobi_trudi_plan``).
 
 Families covered (names as reported):
 
@@ -61,9 +60,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .birational import RationalPoint, int_det, int_minors
+from .birational import RationalPoint, cleared_ring, int_minors
 from .lsym import (
-    PolyMatrix,
     Ring,
     jacobi_trudi_indices,
     laplace_dets,
@@ -127,16 +125,15 @@ class _Evaluator:
     no color (it is cached under color 0).
 
     ``det`` takes a square matrix of values; ``minors`` the maximal minors
-    of an r x (r + 1) matrix, minor j deleting column j, by default one
-    ``det`` per deleted column.  The kernels are looked up as module
+    of an r x (r + 1) matrix, minor j deleting column j, by default from
+    one ``laplace_dets`` call.  The kernels are looked up as module
     globals at call time.
     """
 
-    def __init__(self, ring: Ring, det, minors=None):
+    def __init__(self, ring: Ring, minors=None):
         self.ring = ring
         self.n = ring.n
         self.zero = ring.zero
-        self.det = det
         if minors is not None:
             self.minors = minors
         self.full = tuple(range(1, ring.m + 1))
@@ -169,13 +166,21 @@ class _Evaluator:
     def schurs(self, outer: tuple, inner: tuple, r: int) -> dict:
         return loop_schurs(outer, inner, r, self.ring)
 
+    def det(self, rows: list[list]):
+        return laplace_dets(rows, [range(len(rows))], self.zero, self.ring.one)[0]
+
     def minors(self, rows: list[list]) -> list:
-        return [self.det([row[:j] + row[j + 1 :] for row in rows]) for j in range(len(rows) + 1)]
+        """Minor j is the determinant of every column but column j, read as
+        rows of the transpose: the selections of one ``laplace_dets`` call,
+        in increasing order, so that they share one memo."""
+        columns = list(zip(*rows, strict=True)) or [()]
+        skips = [[c for c in range(len(columns)) if c != j] for j in range(len(columns))]
+        return laplace_dets(columns, skips, self.zero, self.ring.one)
 
 
 def _poly_evaluator(n: int, m: int) -> _Evaluator:
     """The families as polynomials in the m x n colored variables."""
-    return _Evaluator(poly_ring(m, n), lambda rows: PolyMatrix(m, n, rows).det())
+    return _Evaluator(poly_ring(m, n))
 
 
 def _point_evaluator(p: RationalPoint) -> _Evaluator:
@@ -183,8 +188,8 @@ def _point_evaluator(p: RationalPoint) -> _Evaluator:
     integral point; a point with a non-integral value raises ``ValueError``."""
     if any(v.denominator != 1 for row in p.values for v in row):
         raise ValueError(f"the point evaluator needs an integral point, got {p!r}")
-    nums = [[v.numerator for v in row] for row in p.values]
-    return _Evaluator(Ring(p.m, p.n, lambda i, c: nums[i - 1][c], 0, 1), int_det, int_minors)
+    ring, _ = cleared_ring(p)  # at scale 1
+    return _Evaluator(ring, int_minors)
 
 
 def integer_point(m: int, n: int, rng: random.Random) -> RationalPoint:

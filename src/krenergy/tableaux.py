@@ -23,7 +23,7 @@ import os
 from collections.abc import Iterable, Iterator
 from itertools import product
 
-from ._strict import ints
+from ._strict import decimal, ints
 
 DEFAULT_GUARD = 10_000_000
 GUARD_ENV_VAR = "KR_ENERGY_GUARD"
@@ -37,9 +37,10 @@ def resolve_guard() -> int:
     """``KR_ENERGY_GUARD`` when set, else the default 10**7; a value that
     is not a positive decimal integer raises ``ValueError``."""
     env = os.environ.get(GUARD_ENV_VAR) or str(DEFAULT_GUARD)
-    if not env.isdecimal() or int(env) < 1:
+    guard = decimal(env, GUARD_ENV_VAR, signed=False)
+    if guard < 1:
         raise ValueError(f"{GUARD_ENV_VAR} must be a positive integer, got {env!r}")
-    return int(env)
+    return guard
 
 
 class Shape:

@@ -22,8 +22,8 @@ from krenergy.birational import (
     eval_sigma,
     eval_tau,
     fraction_det,
+    int_minors,
     kappa,
-    maximal_minors,
     point_ring,
     random_point,
     rational_energy_global,
@@ -236,31 +236,37 @@ def test_fraction_det_small_cases():
 def test_matrix_entries_may_mix_ints_and_fractions():
     half, third = Fraction(1, 2), Fraction(1, 3)
     assert fraction_det([[1, half], [Fraction(2, 3), 3]]) == Fraction(8, 3)
-    assert maximal_minors([[1, half, 0], [0, 2, third]]) == [Fraction(1, 6), third, 2]
+    # the minors of [[1, 1/2, 0], [0, 2, 1/3]]: its rows times 2 and 3, over 6
+    minors = [Fraction(v, 6) for v in int_minors([[2, 1, 0], [0, 6, 1]])]
+    assert minors == [Fraction(1, 6), third, 2]
 
 
 @pytest.mark.parametrize("bad", [0.5, "1/2", True], ids=["float", "string", "bool"])
 def test_matrix_entries_must_be_ints_or_fractions(bad):
     """Raised before any elimination: each matrix is singular in its first
-    column, which ends the elimination before the bad entry is read."""
+    column, which ends the elimination before the bad entry is read.
+    ``int_minors`` takes ints alone, so a ``Fraction`` is refused too."""
     with pytest.raises(TypeError):
         fraction_det([[0, 1], [0, bad]])
     with pytest.raises(TypeError):
-        maximal_minors([[0, 0, 1], [0, 0, bad]])
+        int_minors([[0, 0, 1], [0, 0, bad]])
+    with pytest.raises(TypeError):
+        int_minors([[0, 0, 1], [0, 0, Fraction(1, 2)]])
 
 
 def test_maximal_minors_small_cases():
     # minor j deletes column j
-    assert maximal_minors([[1, 2, 3], [4, 5, 6]]) == [-3, -6, -3]
-    assert maximal_minors([[Fraction(1, 2), 0]]) == [0, Fraction(1, 2)]
-    assert maximal_minors([[0, 0, 1], [0, 0, 2]]) == [0, 0, 0]
-    assert maximal_minors([[0, 1, 0], [0, 0, 1]]) == [1, 0, 0]
-    assert maximal_minors([[0, 1, 0], [1, 0, 0]]) == [0, 0, -1]  # a row swap
-    assert maximal_minors([]) == [1]
+    assert int_minors([[1, 2, 3], [4, 5, 6]]) == [-3, -6, -3]
+    # [[1/2, 0]] times 2, so its minors are these over 2: [0, 1/2]
+    assert int_minors([[1, 0]]) == [0, 1]
+    assert int_minors([[0, 0, 1], [0, 0, 2]]) == [0, 0, 0]
+    assert int_minors([[0, 1, 0], [0, 0, 1]]) == [1, 0, 0]
+    assert int_minors([[0, 1, 0], [1, 0, 0]]) == [0, 0, -1]  # a row swap
+    assert int_minors([]) == [1]
     with pytest.raises(ValueError):
-        maximal_minors([[1, 2]] * 2)
+        int_minors([[1, 2]] * 2)
     with pytest.raises(ValueError):
-        maximal_minors([[1, 2, 3], [1, 2]])
+        int_minors([[1, 2, 3], [1, 2]])
 
 
 def _sympy_det(rows):
@@ -272,9 +278,10 @@ def _sympy_det(rows):
 
 
 def test_fraction_det_matches_sympy():
-    """Bareiss elimination against sympy on seeded random rational matrices
-    of size 0..6, a third of them singular and a third with a zero first
-    pivot, plus a matrix whose second pivot vanishes during elimination."""
+    """``fraction_det`` (the Laplace expansion) against sympy on seeded
+    random rational matrices of size 0..6, a third of them singular and a
+    third with a zero first pivot, plus a matrix whose second pivot
+    vanishes during elimination."""
     rng = random.Random("fraction-det")
 
     def entry():

@@ -9,7 +9,7 @@ import pytest
 
 from krenergy.birational import RationalPoint
 from krenergy.cli import main
-from krenergy.crystal import TensorElement
+from krenergy.crystal import CrystalElement, TensorElement
 from krenergy.lsym import ColoredPoly
 from krenergy import verify
 from krenergy.verify import CAPACITY_CAP_MAX, ConfigError, VerifyConfig, run_verify
@@ -242,6 +242,31 @@ def test_verify_samples_large_pair_space(capsys):
     assert json.loads(out)["suites"]["rmatrix"]["checks"] == 3
 
 
+def test_verify_refuses_an_oracle_pair_over_the_guard(capsys, monkeypatch):
+    """At capacity cap 100 the seed-0 pair at n=4 has work 1.4 * 10^9 and
+    ran past 60 s; now it is refused, exit 2, after the 67 rectifications
+    of the smaller cells' pairs."""
+    from krenergy import crystal
+
+    calls = []
+    real = crystal.rectified_pair
+
+    def budgeted(*args):
+        calls.append(args)
+        if len(calls) > 500:
+            raise AssertionError("the oracle rectified past its guard")
+        return real(*args)
+
+    monkeypatch.setattr(crystal, "rectified_pair", budgeted)
+    code = main([
+        "verify", "--suites", "rmatrix", "--n", "2:6", "--m", "2:3", "--capacity-cap", "100",
+        "--mode", "randomized", "--trials", "1",
+    ])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "R-matrix oracle" in err and len(calls) == 67
+
+
 def test_verify_small_run_and_determinism(capsys):
     argv = [
         "verify", "--suites", "rmatrix,coenergy", "--n", "2", "--m", "2",
@@ -389,3 +414,78 @@ def test_json_input_is_strict(cls, doc, capsys, monkeypatch):
     if cls is TensorElement:
         code, out, _ = run_cli(["energy"], json.dumps(doc), capsys, monkeypatch)
         assert (code, out) == (2, "")
+
+
+# Strict decimal strings: int() alone would read spaces, underscores, a '+'
+# and the digits of other scripts ("١" is ARABIC-INDIC DIGIT ONE).
+
+
+@pytest.mark.parametrize(
+    "cls, doc",
+    [
+        (RationalPoint, {"m": 1, "n": 2, "values": [[" 3", "1_0"], ["1", "1"]]}),
+        (RationalPoint, {"m": 1, "n": 2, "values": [["+3", "1"], ["1", "1"]]}),
+        (RationalPoint, {"m": 1, "n": 2, "values": [["٣", "1"], ["1", "1"]]}),
+        (ColoredPoly, {"m": 1, "n": 2, "terms": [{"coef": "١", "exps": []}]}),
+        (ColoredPoly, {"m": 1, "n": 2, "terms": [{"coef": "1 ", "exps": []}]}),
+        (ColoredPoly, {"m": 1, "n": 2, "terms": [{"coef": "-1_0", "exps": []}]}),
+    ],
+)
+def test_json_decimals_are_ascii_digits(cls, doc):
+    with pytest.raises(ValueError, match="ASCII digits"):
+        cls.from_jsonable(doc)
+
+
+def test_json_decimals_keep_their_sign():
+    doc = {"m": 1, "n": 2, "terms": [{"coef": "-10", "exps": []}]}
+    assert ColoredPoly.from_jsonable(doc) == ColoredPoly.one(1, 2) * -10
+
+
+@pytest.mark.parametrize("word", ["١٢", "1²", "+1", " 1"])
+def test_row_words_are_ascii_digits(word, capsys, monkeypatch):
+    with pytest.raises(ValueError):
+        CrystalElement.from_row(3, word)
+    code, out, _ = run_cli(["energy"], json.dumps({"n": 3, "rows": [word]}), capsys, monkeypatch)
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("guard", ["١٠", " 10", "1_0", "+10"])
+def test_guard_is_ascii_digits(guard, capsys, monkeypatch):
+    monkeypatch.setenv("KR_ENERGY_GUARD", guard)
+    code, out, err = run_cli(["emit-formula", "--n", "2", "--m", "2"], "", capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: KR_ENERGY_GUARD") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("text", ["٢", "+2", " 2", "2:٣", "2: 3", "2_0"])
+def test_verify_ranges_are_ascii_digits(text, capsys):
+    code = main(["verify", "--suites", "rmatrix", "--n", text, "--m", "1", "--capacity-cap", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "--n must be N or LO:HI" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suites", "rmatrix", "--trials", "٣"],
+        ["verify", "--suites", "rmatrix", "--trials", "+3"],
+        ["verify", "--suites", "rmatrix", "--capacity-cap", " 1"],
+        ["verify", "--suites", "rmatrix", "--seed", "1_0"],
+        ["emit-formula", "--n", "٢", "--m", "2"],
+        ["emit-formula", "--n", "2", "--m", "2.0"],
+    ],
+)
+def test_integer_flags_are_ascii_digits(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "ASCII digits" in capsys.readouterr()[1]
+
+
+def test_integer_flags_keep_their_sign(capsys):
+    argv = ["verify", "--suites", "rmatrix", "--n", "2", "--m", "1", "--capacity-cap", "1"]
+    assert main(argv + ["--seed", "-3", "--json"]) == 0
+    capsys.readouterr()
+    assert main(["emit-formula", "--n", "-2", "--m", "2"]) == 2
+    assert "need n >= 2" in capsys.readouterr()[1]

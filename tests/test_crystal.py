@@ -27,7 +27,7 @@ from krenergy.crystal import (
     r_matrix,
     r_matrix_oracle,
 )
-from krenergy.tableaux import Shape, enumerate_ssyt, staircase
+from krenergy.tableaux import EnumerationGuardError, Shape, enumerate_ssyt, staircase
 from krenergy.verify import VerifyConfig, elements_up_to, iter_tensors, random_tensor, run_verify
 
 
@@ -111,6 +111,49 @@ def test_r_matrix_oracle_empty_factor():
     empty = CrystalElement(3, (0, 0, 0))
     assert r_matrix_oracle(empty, b) == (b, empty)
     assert r_matrix_oracle(b, empty) == (empty, b)
+
+
+def test_r_matrix_oracle_refuses_a_large_pair_before_any_rectification(monkeypatch):
+    """(20,20,20) x (20,20,20) at n=3 has 1,261 candidates of 120 letters,
+    work 1.8 * 10^7 over the guard; it took 10.7 s of rectifications and is
+    now refused before the first.  A pair longer than the square root of
+    the guard is refused before its candidates are counted."""
+
+    def refuse(*args):
+        raise AssertionError("a pair was rectified")
+
+    monkeypatch.setattr(crystal, "rectified_pair", refuse)
+    b = CrystalElement(3, (20, 20, 20))
+    assert crystal._count_compositions([40, 40, 40], 60) == 1261
+    with pytest.raises(EnumerationGuardError, match="guard of 10000000"):
+        r_matrix_oracle(b, b)
+
+    def uncountable(*args):
+        raise AssertionError("the candidates were counted")
+
+    monkeypatch.setattr(crystal, "_count_compositions", uncountable)
+    with pytest.raises(EnumerationGuardError):
+        r_matrix_oracle(CrystalElement(2, (10**12, 0)), CrystalElement(2, (0, 1)))
+
+
+def test_r_matrix_oracle_guard_bounds_candidates_times_squared_letters(monkeypatch):
+    """B1 x B2 has 8 candidates of 6 letters, work 288: run at a guard of
+    288, refused at 287."""
+    assert crystal._count_compositions([2, 2, 1, 1], 4) == 8
+    monkeypatch.setattr(crystal, "ORACLE_GUARD", 8 * 6**2)
+    assert r_matrix_oracle(B1, B2) == (row(4, "1123"), row(4, "24"))
+    monkeypatch.setattr(crystal, "ORACLE_GUARD", 8 * 6**2 - 1)
+    with pytest.raises(EnumerationGuardError):
+        r_matrix_oracle(B1, B2)
+
+
+def test_candidate_count_matches_the_listing():
+    rng = random.Random("compositions")
+    for _ in range(200):
+        total = [rng.randint(0, 4) for _ in range(rng.randint(1, 5))]
+        size = rng.randint(0, sum(total) + 2)
+        listed = sum(1 for _ in crystal._compositions(total, size))
+        assert crystal._count_compositions(total, size) == listed, (total, size)
 
 
 def test_r_matrix_matches_oracle_n3_example():

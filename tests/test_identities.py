@@ -11,6 +11,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from krenergy import identities, verify
 from krenergy.birational import (
@@ -18,7 +19,7 @@ from krenergy.birational import (
     eval_loop_e,
     eval_loop_h,
     fraction_det,
-    int_det,
+    int_minors,
     point_ring,
     random_point,
 )
@@ -31,11 +32,13 @@ from krenergy.identities import (
 )
 from krenergy.lsym import (
     ColoredPoly,
+    PolyMatrix,
     jacobi_trudi_indices,
     loop_family,
     loop_schurs,
     poly_ring,
     sigma,
+    staircase_a_indices,
     staircase_b_indices,
 )
 from krenergy.tableaux import Shape, SkewShape, partitions_between, staircase
@@ -304,7 +307,9 @@ def test_jacobi_trudi_walk_reads_one_table_per_inner_shape(monkeypatch, symbolic
     times the colors, each once (the empty shape too), and the loop Schur
     table function runs once per (inner shape, color): for the box, and
     in symbolic mode once more per color for the staircase.  The
-    determinants of a table come from one ``laplace_dets`` call."""
+    determinants of a table come from one ``laplace_dets`` call, det A
+    from one more per color, and in symbolic mode the maximal minors of
+    B from one more per color (at a point they are ``int_minors``)."""
     n, m = 3, 3
     calls, kernel_calls = [], []
     real = identities.loop_schurs
@@ -340,7 +345,10 @@ def test_jacobi_trudi_walk_reads_one_table_per_inner_shape(monkeypatch, symbolic
     if symbolic:
         want.update((staircase(m - 1, n - 1).parts, (), r) for r in range(n))
     assert Counter(calls) == want
-    assert sorted(kernel_calls) == sorted(len(e) for *_, e in identities._jacobi_trudi_plan(n))
+    want_kernel = [len(e) for *_, e in identities._jacobi_trudi_plan(n)] + [1] * n
+    if symbolic:
+        want_kernel += [len(staircase_b_indices(m, n=n)[0])] * n
+    assert sorted(kernel_calls) == sorted(want_kernel)
 
 
 def test_point_evaluator_computes_each_family_once(monkeypatch):
@@ -433,6 +441,47 @@ def test_point_minors_match_per_column_determinants():
             assert identities._Evaluator.minors(ev, mat_b) == per_column
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_pooled_minors_match_per_column_polynomial_determinants(n):
+    """Over the polynomials, the default ``minors`` (one ``laplace_dets``
+    call) equals one ``PolyMatrix.det`` per deleted column of B, for every
+    color at m = 2..4."""
+    for m in range(2, 5):
+        ev = identities._poly_evaluator(n, m)
+        for r in range(n):
+            mat_b = [[ev.e(k, c) for k, c in row] for row in staircase_b_indices(m, n=n, r=r)]
+            per_column = [
+                PolyMatrix(m, n, [row[:j] + row[j + 1 :] for row in mat_b]).det()
+                for j in range(len(mat_b) + 1)
+            ]
+            assert ev.minors(mat_b) == per_column, (m, r)
+
+
+@pytest.mark.parametrize("n, m", [(4, 5), (5, 5)])
+def test_pooled_minors_match_int_minors(n, m):
+    """At integral points the default ``minors`` equals ``int_minors`` for
+    every color of B."""
+    rng = random.Random(f"pooled-minors:{n}:{m}")
+    for _ in range(2):
+        ev = identities._point_evaluator(integer_point(m, n, rng))
+        for r in range(n):
+            mat_b = [[ev.e(k, c) for k, c in row] for row in staircase_b_indices(m, n=n, r=r)]
+            assert identities._Evaluator.minors(ev, mat_b) == int_minors(mat_b), r
+
+
+@pytest.mark.parametrize("n, m", [(4, 5), (5, 5), (6, 6)])
+def test_point_det_of_staircase_a_matches_sympy(n, m):
+    """``det`` of the staircase matrix A at an integral point equals
+    sympy's determinant, for every color; both are nonzero, the value of
+    the sigma product at a positive point."""
+    ev = identities._point_evaluator(integer_point(m, n, random.Random(f"det-a:{n}:{m}")))
+    for r in range(n):
+        mat_a = [[ev.e(k, c) for k, c in row] for row in staircase_a_indices(m, n=n, r=r)]
+        got = ev.det(mat_a)
+        assert type(got) is int
+        assert got == sympy.Matrix(mat_a).det() != 0, r
+
+
 def test_corrupted_b_entry_fails_at_every_point(monkeypatch):
     """e_16^(0) is zero and at n=4, m=5 only B uses it; set to 1, the B
     families fail at every point while the families without B pass."""
@@ -507,7 +556,9 @@ def test_jacobi_trudi_plan_holds_the_index_matrices(n):
             assert [list(row[:size]) for row in rows[:size]] == indices, (nu, inner, r)
             assert list(map(list, rows)) == jacobi_trudi_indices(skew, r, 3)
             unpadded = [[ev.e(k, c) for k, c in row] for row in indices]
-            assert int_det([values[row] for row in rows]) == int_det(unpadded)
+            assert sympy.Matrix([values[row] for row in rows]).det() == sympy.Matrix(
+                unpadded
+            ).det()
             seen[(outer, inner, r)] += 1
     shapes = box_skew_shapes(3, 3)
     assert seen == Counter((s.outer.parts, s.inner.parts, r) for s in shapes for r in range(n))

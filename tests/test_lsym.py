@@ -4,7 +4,8 @@ Independent oracles used here: a brute-force enumeration of the loop
 families (bounded multisets of indices, each its own monomial) for the
 ring-generic kernel in both of its rings, a brute-force classical e/h
 enumerator for the color-collapse checks, a Leibniz-formula determinant
-for PolyMatrix, the tableau sum ``loop_schur_tableaux`` for the strip DPs
+for PolyMatrix, sympy's determinant for ``laplace_dets`` over the
+integers, the tableau sum ``loop_schur_tableaux`` for the strip DPs
 (``loop_schurs`` and the staircase's ``staircase_loop_schur``), and
 hand-expanded small cases frozen as literals.
 """
@@ -17,13 +18,13 @@ import sys
 import tracemalloc
 
 import pytest
+import sympy
 
 from krenergy.birational import (
     eval_loop_e,
     eval_loop_h,
     eval_sigma,
     eval_tau,
-    int_det,
     random_point,
 )
 from krenergy.crystal import TropicalGrid
@@ -730,8 +731,9 @@ def random_selections(rng, rows, width, count):
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
 def test_laplace_dets_match_bareiss_on_int_pools(width):
-    """One pooled expansion equals ``int_det`` of every selected matrix,
-    on sparse seeded int pools with zero rows and zero columns."""
+    """One pooled expansion equals sympy's (Bareiss) determinant of every
+    selected matrix, on sparse seeded int pools with zero rows and zero
+    columns."""
     rng = random.Random(width)
     for trial in range(12):
         rows = width + rng.randint(0, 3)
@@ -743,7 +745,7 @@ def test_laplace_dets_match_bareiss_on_int_pools(width):
             for row in pool:
                 row[blank] = 0
         sels = random_selections(rng, rows, width, 8)
-        want = [int_det([pool[p] for p in sel]) for sel in sels]
+        want = [int(sympy.Matrix([pool[p] for p in sel]).det()) for sel in sels]
         assert laplace_dets(pool, sels, 0, 1) == want
         if trial % 3 == 1:  # a zero row
             assert all(v == 0 for v, sel in zip(want, sels) if blank in sel)

@@ -4,8 +4,9 @@ of the one-elimination maximal minors, and of the polynomial JSON format.
 hypothesis draws a skew shape inside a 4 x 4 box and a max entry.  The
 oracles are the checking ``Ssyt`` constructor, ``count_ssyt``, the
 coefficient sum of ``loop_schur_tableaux`` and, for ``partitions_between``,
-a filter over every tuple in the box.  ``maximal_minors`` is checked
-against one ``fraction_det`` per deleted column.  Random term maps of
+a filter over every tuple in the box.  ``int_minors`` of rational rows
+cleared of their denominators is checked against one ``fraction_det`` per
+deleted column.  Random term maps of
 exponent vectors go through ``to_jsonable`` and back, and ``mono_factors``
 is checked against the vector's nonzero entries.  On random tensors of
 single-row crystals (n <= 4, at most 3 letters of each color per factor)
@@ -23,6 +24,7 @@ derandomized, so a failure reproduces, and keep no example database.
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -34,8 +36,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from krenergy.birational import (  # noqa: E402
     RationalPoint,
     fraction_det,
+    int_minors,
     kappa,
-    maximal_minors,
     rational_energy_global,
     s_action,
 )
@@ -127,7 +129,11 @@ def test_maximal_minors_match_per_column_determinants(rows):
     per_column = [
         fraction_det([row[:j] + row[j + 1 :] for row in rows]) for j in range(len(rows) + 1)
     ]
-    assert maximal_minors(rows) == per_column
+    # each row times the lcm of its denominators multiplies every minor by it
+    scales = [math.lcm(*(v.denominator for v in row)) for row in rows]
+    cleared = [[int(v * s) for v in row] for row, s in zip(rows, scales)]
+    scale = math.prod(scales)
+    assert [Fraction(v, scale) for v in int_minors(cleared)] == per_column
 
 
 @st.composite
