@@ -19,17 +19,19 @@ picks the evaluator and little else:
   ``staircase_jacobi_trudi`` stays symbolic-only, which keeps the set of
   randomized families fixed.
 
-One evaluator runs the ring-generic kernels (``loop_family``,
-``loop_schurs``, ``classical_e_of_products``, ``laplace_dets``) in its
-ring, the polynomials or the plain ints of an integral point, so no
-``Fraction`` arises.  Every determinant is a ``laplace_dets`` call but
-the maximal minors of B at a point: one Bareiss elimination,
-``birational.int_minors``, is twice as fast there.  Each loop e, h and
-tau, and each classical e, is computed once per ``(family, k, r mod n)``.
+One evaluator runs the ring-generic kernels (``loop_table``,
+``loop_family``, ``loop_schurs``, ``classical_e_of_products``,
+``laplace_dets``) in its ring, the polynomials or the plain ints of an
+integral point, so no ``Fraction`` arises.  Every determinant is a
+``laplace_dets`` call but the maximal minors of B at a point: one Bareiss
+elimination, ``birational.int_minors``, is twice as fast there.  Every
+degree of a loop e, h or tau comes from one ``loop_table`` per
+``(family, r mod n)``, and each classical e is computed once per degree.
 The loop Schur side of ``jacobi_trudi`` walks the inner shapes of the
 3 x 3 box and the colors, and reads every outer shape from one
-horizontal-strip DP table (``schurs``), dropped before the next; no
-tableau is enumerated.  The determinant side of a table is one
+horizontal-strip DP table (``schurs``), dropped before the next; the
+tables of one color share their strip weights (``strip_weights``), and
+no tableau is enumerated.  The determinant side of a table is one
 ``laplace_dets`` call: its matrices, padded to the box width, are row
 selections from one pool of at most 6 rows of loop e values.  The
 shapes, pools and selections of the walk are built once per n
@@ -58,7 +60,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .birational import RationalPoint, cleared_ring, int_minors
 from .lsym import (
@@ -67,10 +69,12 @@ from .lsym import (
     laplace_dets,
     loop_family,
     loop_schurs,
+    loop_table,
     poly_ring,
     sigma_product_indices,
     staircase_a_indices,
     staircase_b_indices,
+    strip_weights,
     tau_vector_indices,
 )
 from .tableaux import Shape, SkewShape, partitions_between, staircase
@@ -119,10 +123,12 @@ def classical_e_of_products(i: int, ring: Ring):
 
 
 class _Evaluator:
-    """The families in one ring.  Loop e, h, tau and the classical e of
-    the products are computed once per ``(family, k, r mod n)``: every
-    family is periodic in the color with period n, and the classical e has
-    no color (it is cached under color 0).
+    """The families in one ring.  Loop e, h and tau are read from one
+    ``loop_table`` per ``(family, r mod n)``: every family is periodic in
+    the color with period n, and the color of a factor does not depend on
+    the degree.  sigma is ``loop_family``, the classical e of the products
+    is computed once per degree, and the loop Schur tables of a color
+    share its ``strip_weights``.
 
     ``det`` takes a square matrix of values; ``minors`` the maximal minors
     of an r x (r + 1) matrix, minor j deleting column j, by default from
@@ -132,39 +138,41 @@ class _Evaluator:
 
     def __init__(self, ring: Ring, minors=None):
         self.ring = ring
-        self.n = ring.n
+        self.n = n = ring.n
         self.zero = ring.zero
         if minors is not None:
             self.minors = minors
         self.full = tuple(range(1, ring.m + 1))
-        self._memo: dict[tuple[str, int, int], object] = {}
+        # e and tau vanish above these degrees; h is read up to 2(n-1)m
+        # (eh_alternating_sum) and (n-1)m + n (tau_via_products)
+        top = (n - 1) * ring.m
+        self._tops = {"e": ring.m, "tau": top, "h": top + max(top, n)}
+        self._tables: dict[tuple[str, int], list] = {}
+        self.classical_e = cache(lambda i: classical_e_of_products(i, ring))
+        self._weights = [strip_weights(c, ring) for c in range(n)]
 
-    def _cached(self, family: str, k: int, r: int = 0):
-        key = (family, k, r % self.n)
-        if key not in self._memo:
-            if family == "classical_e":
-                self._memo[key] = classical_e_of_products(k, self.ring)
-            else:
-                self._memo[key] = loop_family(family, k, key[2], self.full, self.ring)
-        return self._memo[key]
+    def _read(self, family: str, k: int, r: int):
+        key = (family, r % self.n)
+        table = self._tables.get(key)
+        if table is None or (family == "h" and k >= len(table)):
+            top = max(k, self._tops[family])
+            table = self._tables[key] = loop_table(family, top, key[1], self.full, self.ring)
+        return table[k] if 0 <= k < len(table) else self.zero
 
     def e(self, k: int, r: int):
-        return self._cached("e", k, r)
+        return self._read("e", k, r)
 
     def h(self, k: int, r: int):
-        return self._cached("h", k, r)
+        return self._read("h", k, r)
 
     def tau(self, k: int, r: int):
-        return self._cached("tau", k, r)
-
-    def classical_e(self, i: int):
-        return self._cached("classical_e", i)
+        return self._read("tau", k, r)
 
     def sigma(self, k: int, r: int, indices: range):
         return loop_family("sigma", k, r, indices, self.ring)
 
     def schurs(self, outer: tuple, inner: tuple, r: int) -> dict:
-        return loop_schurs(outer, inner, r, self.ring)
+        return loop_schurs(outer, inner, self._weights[r % self.n], self.ring)
 
     def det(self, rows: list[list]):
         return laplace_dets(rows, [range(len(rows))], self.zero, self.ring.one)[0]
@@ -352,11 +360,12 @@ def identity_suite(
         raise ValueError(f"unknown mode {mode!r}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    # each point is drawn just before it is checked, so memory stays flat in trials
     rng = random.Random(f"identities:{seed}:{n}:{m}")
-    points = [integer_point(m, n, rng) for _ in range(trials)]
     checks: list[IdentityCheck] = []
     families: dict[str, None] = {}
-    for pt_index, p in enumerate(points):
+    for pt_index in range(trials):
+        p = integer_point(m, n, rng)
         witness = {"point_index": pt_index, "point": p.to_jsonable()}
         for name, params, passed in _instances(_point_evaluator(p), n, m, symbolic=False):
             families[name] = None
@@ -365,5 +374,5 @@ def identity_suite(
     failed = {c.identity for c in checks}
     for name in families:
         if name not in failed:
-            checks.append(IdentityCheck(name, {"n": n, "m": m, "points": len(points)}, True))
+            checks.append(IdentityCheck(name, {"n": n, "m": m, "points": trials}, True))
     return checks

@@ -17,13 +17,16 @@ The generating families:
     sigma(k, r):   sum_i (prefix of the first variable, colors r, r-1, ...)
                    times tau(k-i, r-i) of the remaining variables
 
-All four are one function, ``loop_family``, over any commutative ``Ring``
-(the value of each variable, zero and one): loop_e, loop_h and tau are one
-bottom-up table over the indices, indexed by degree, of the sums over
-bounded multisets (multiplicity cap 1, k and n-1; color step +1, -1 and
--1), and sigma sums prefixes times tau.  ``loop_e``, ``loop_h``, ``tau``
-and ``sigma`` compute it over the polynomials (``poly_ring``);
-``krenergy.birational`` computes it at exact rational points.
+loop_e, loop_h and tau are one DP, ``loop_table``, over any commutative
+``Ring`` (the value of each variable, zero and one): one bottom-up table
+over the indices of the sums over bounded multisets (multiplicity cap 1,
+none and n-1; color step +1, -1 and -1), which holds every degree up to
+its top at once, since the color of a factor depends only on its place.
+``loop_family`` reads one degree from it, and its sigma sums prefixes
+times tau, read from one tau table per color mod n.  ``loop_e``,
+``loop_h``, ``tau`` and ``sigma`` compute it over the polynomials
+(``poly_ring``); ``krenergy.birational`` computes it at exact rational
+points.
 
 ``tableau_monomials`` yields each semistandard tableau of a skew shape
 with its color-shifted content monomial, the one statement of that rule
@@ -32,7 +35,8 @@ sums the monomials; ``loop_schur_jt`` computes the same
 polynomial as a determinant of loop elementary functions, and
 ``loop_schurs`` the loop skew Schur functions of every nu / inner up to an
 outer shape at once, over any ``Ring``, by one dynamic program over
-horizontal strips.  ``build_A`` and
+horizontal strips, whose weights (``strip_weights``) tables of one color
+can share.  ``build_A`` and
 ``build_B`` assemble the banded dilated-staircase matrices used by the
 closing identities, ``laplace_dets`` takes the determinants of many row
 selections from one pool over any ring (``PolyMatrix.det`` is its
@@ -56,7 +60,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain, product
 from operator import add, sub
 from typing import Any, NamedTuple
@@ -304,35 +308,23 @@ def poly_ring(m: int, n: int) -> Ring:
     return Ring(m, n, lambda i, c: xs[(i - 1) * n + c], zero, one)
 
 
-def loop_family(family: str, k: int, r: int, indices: Sequence[int], ring: Ring):
-    """Loop ``e``, ``h``, ``tau`` or ``sigma`` of degree k and color r on
-    the variables ``indices`` (strictly increasing), computed in ``ring``.
+def loop_table(family: str, k: int, r: int, indices: Sequence[int], ring: Ring) -> list:
+    """``[f_t^{(r)} for t in 0..k]`` for the loop family f = ``e``, ``h`` or
+    ``tau`` on the variables ``indices`` (strictly increasing), computed
+    in ``ring``; empty for k < 0.
 
-    e, h and tau sum ``prod_t x_{i_t}^{(r + step*(t-1))}`` over the weakly
-    increasing ``i_1 <= ... <= i_k`` from ``indices`` that take no index
-    more than ``cap`` times (cap 1, k, n - 1; step +1, -1, -1).  sigma sums
-    the prefixes ``x_f^{(r)} x_f^{(r-1)} ... x_f^{(r-i+1)}`` of the first
-    index f times ``tau_{k-i}^{(r-i)}`` of the remaining indices.
+    f_t sums ``prod_s x_{i_s}^{(r + step*(s-1))}`` over the weakly
+    increasing ``i_1 <= ... <= i_t`` from ``indices`` that take no index
+    more than ``cap`` times (cap 1, unbounded, n - 1; step +1, -1, -1).
+    The color of factor s depends on s alone, so one bottom-up DP over the
+    indices holds every degree: after each index, ``row[t]`` is the t-factor
+    sum over the indices seen so far.
     """
-    if family == "sigma":
-        if not indices:
-            raise ValueError("sigma needs a nonempty variable range")
-        total = ring.zero
-        if k < 0:
-            return total
-        first, rest = indices[0], indices[1:]
-        prefix = ring.one
-        for i in range(k + 1):
-            total = total + prefix * loop_family("tau", k - i, r - i, rest, ring)
-            prefix = prefix * ring.x(first, (r - i) % ring.n)
-        return total
-    cap, step = {"e": (1, 1), "h": (max(k, 0), -1), "tau": (ring.n - 1, -1)}[family]
-    end = len(indices)
-    if k < 0 or k > cap * end:
-        return ring.zero
+    cap, step = {"e": (1, 1), "h": (k, -1), "tau": (ring.n - 1, -1)}[family]
+    if k < 0:
+        return []
     n, x = ring.n, ring.x
     colors = [(r + step * t) % n for t in range(k)]  # the color of factor t + 1
-    # row[t]: the t-factor sum over the indices seen so far
     row = [ring.one] + [ring.zero] * k
     for pos, i in enumerate(indices):
         xs = [x(i, c) for c in colors]
@@ -341,15 +333,40 @@ def loop_family(family: str, k: int, r: int, indices: Sequence[int], ring: Ring)
             for t in range(1, k + 1):
                 row[t] = row[t] + row[t - 1] * xs[t - 1]
             continue
-        # descending over the t that the indices after pos can still
-        # complete to k, adding u <= cap copies of i as factors t-u+1..t
-        for t in range(min(k, cap * (pos + 1)), max(1, k - cap * (end - pos - 1)) - 1, -1):
+        # descending over the degrees the indices so far can reach, adding
+        # u <= cap copies of i as factors t-u+1..t
+        for t in range(min(k, cap * (pos + 1)), 0, -1):
             total, prod = row[t], ring.one
             for u in range(1, min(cap, t) + 1):
                 prod = prod * xs[t - u]
                 total = total + row[t - u] * prod
             row[t] = total
-    return row[k]
+    return row
+
+
+def loop_family(family: str, k: int, r: int, indices: Sequence[int], ring: Ring):
+    """Loop ``e``, ``h``, ``tau`` or ``sigma`` of degree k and color r on
+    the variables ``indices`` (strictly increasing), computed in ``ring``.
+
+    e, h and tau are entry k of ``loop_table``.  sigma sums the prefixes
+    ``x_f^{(r)} x_f^{(r-1)} ... x_f^{(r-i+1)}`` of the first index f times
+    ``tau_{k-i}^{(r-i)}`` of the remaining indices, read from one tau table
+    per color mod n.
+    """
+    if family != "sigma":
+        return loop_table(family, k, r, indices, ring)[k] if k >= 0 else ring.zero
+    if not indices:
+        raise ValueError("sigma needs a nonempty variable range")
+    if k < 0:
+        return ring.zero
+    n, first, rest = ring.n, indices[0], indices[1:]
+    # color (r - i) mod n is first read at degree k - i, the table's top
+    taus = {(r - i) % n: loop_table("tau", k - i, r - i, rest, ring) for i in range(min(n, k + 1))}
+    total, prefix = ring.zero, ring.one
+    for i in range(k + 1):
+        total = total + prefix * taus[(r - i) % n][k - i]
+        prefix = prefix * ring.x(first, (r - i) % n)
+    return total
 
 
 def _poly_family(family: str, k: int, r: int, n: int, m: int, indices) -> ColoredPoly:
@@ -453,10 +470,25 @@ def _strip_chains(
     return tuple(parts), tuple(contents), tuple(preds)
 
 
-def loop_schurs(outer: tuple[int, ...], inner: tuple[int, ...], r: int, ring: Ring) -> dict:
-    """Loop skew Schur functions of color ``r`` of every nu / inner with
-    inner <= nu <= outer (partitions as tuples), computed in ``ring`` and
-    keyed by nu with ``len(outer)`` parts.
+def strip_weights(r: int, ring: Ring) -> Callable[[tuple[int, ...]], list]:
+    """The strip weights of color r for ``loop_schurs``: for the contents
+    of a horizontal strip's cells, the list over the entries i = 1..m of
+    ``prod_c x_i^{(c + r)}``, memoized per content tuple, so that the
+    tables that share it compute each weight once."""
+
+    @cache
+    def weights(cells: tuple[int, ...]) -> list:
+        return [math.prod((ring.x(i, (c + r) % ring.n) for c in cells), start=ring.one)
+                for i in range(1, ring.m + 1)]
+
+    return weights
+
+
+def loop_schurs(outer: tuple, inner: tuple, weights: Callable[[tuple], list], ring: Ring) -> dict:
+    """Loop skew Schur functions of every nu / inner with inner <= nu <=
+    outer (partitions as tuples), computed in ``ring`` and keyed by nu with
+    ``len(outer)`` parts; their color is that of ``weights``, the
+    ``strip_weights`` of ``ring``.
 
     A semistandard tableau with entries 1..m is a chain of partitions from
     the inner to the outer shape in which entry i fills a horizontal strip;
@@ -466,16 +498,16 @@ def loop_schurs(outer: tuple[int, ...], inner: tuple[int, ...], r: int, ring: Ri
     the function of nu / inner.
     """
     parts, strips, preds = _strip_chains(outer, inner)
-    n, x, one = ring.n, ring.x, ring.one
-    f = [one] + [ring.zero] * (len(parts) - 1)
-    for i in range(1, ring.m + 1):
-        weights = [math.prod((x(i, (c + r) % n) for c in cells), start=one) for cells in strips]
+    columns = [weights(cells) for cells in strips]
+    f = [ring.one] + [ring.zero] * (len(parts) - 1)
+    for i in range(ring.m):
+        ws = [column[i] for column in columns]
         # strips only grow partitions, so a descending sweep reads the
         # previous entry's values
         for nu in range(len(preds) - 1, -1, -1):
             total = f[nu]
             for kappa, w in preds[nu]:
-                total = total + f[kappa] * weights[w]
+                total = total + f[kappa] * ws[w]
             f[nu] = total
     return dict(zip(parts, f))
 

@@ -282,8 +282,8 @@ class Ssyt:
 def _fillings(skew: SkewShape, max_entry: int) -> Iterator[list[int]]:
     """Row-major backtracking over the semistandard fillings of ``skew``.
 
-    Yields the one shared list of entries, in row-reading order, once per
-    filling, in lexicographic order of that word; raises
+    Yields the one shared list of entries, in row-reading order and then
+    one 0, once per filling, in lexicographic order of that word; raises
     :class:`EnumerationGuardError` at filling number ``guard + 1``.
     """
     ints((max_entry,), "max_entry")
@@ -299,22 +299,23 @@ def _fillings(skew: SkewShape, max_entry: int) -> Iterator[list[int]]:
 
     left = [-1] * ncells
     above = [-1] * ncells
-    below_count = [0] * ncells
-    nrows = len(skew.outer)
+    hi = [max_entry] * ncells
+    bottom = {j: i for i, j in cells}  # the last row of each column
     for pos, (i, j) in enumerate(cells):
         if j > skew.inner.part(i) + 1:
             left[pos] = pos - 1
         if i >= 2 and skew.inner.part(i - 1) < j <= skew.outer.part(i - 1):
             above[pos] = row_start[i - 1] + (j - skew.inner.part(i - 1) - 1)
-        below_count[pos] = sum(
-            1 for k in range(i + 1, nrows + 1) if skew.inner.part(k) < j <= skew.outer.part(k)
-        )
+        # a column of a skew shape has no gap: rows i+1..bottom[j] lie below
+        hi[pos] -= bottom[j] - i
 
-    entries = [0] * ncells
-    produced = 0
-
-    def rec(pos: int) -> Iterator[list[int]]:
-        nonlocal produced
+    # one cursor, not one recursion per cell, so deep shapes fit: a cell
+    # entered going forward takes its least value, one backtracked into its
+    # next value, and the cursor backs up from a cell past its largest;
+    # a missing neighbour reads the sentinel entries[ncells] = 0
+    entries = [0] * (ncells + 1)
+    produced, pos, forward = 0, 0, True
+    while pos >= 0:
         if pos == ncells:
             produced += 1
             if produced > guard:
@@ -322,18 +323,14 @@ def _fillings(skew: SkewShape, max_entry: int) -> Iterator[list[int]]:
                     f"enumeration of {skew} with max entry {max_entry} exceeded guard {guard}"
                 )
             yield entries
-            return
-        lo = 1
-        if left[pos] >= 0:
-            lo = max(lo, entries[left[pos]])
-        if above[pos] >= 0:
-            lo = max(lo, entries[above[pos]] + 1)
-        hi = max_entry - below_count[pos]
-        for v in range(lo, hi + 1):
-            entries[pos] = v
-            yield from rec(pos + 1)
-
-    yield from rec(0)
+            pos, forward = pos - 1, False
+            continue
+        if forward:
+            entries[pos] = max(entries[left[pos]], entries[above[pos]] + 1)
+        else:
+            entries[pos] += 1
+        forward = entries[pos] <= hi[pos]
+        pos += 1 if forward else -1
 
 
 def enumerate_ssyt(shape: SkewShape | Shape | Iterable[int], max_entry: int) -> Iterator[Ssyt]:

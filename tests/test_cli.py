@@ -117,6 +117,21 @@ def test_emit_formula_eight_terms(capsys):
     assert monomials == expected
 
 
+def test_emit_formula_thousand_cell_row(capsys):
+    """The one-row staircase of 1,000 cells (n = 1001, m = 2) is far under
+    the guard and is walked without one recursion per cell: 1,001 terms,
+    the i-th taking entry 2 in its last i cells."""
+    code = main(["emit-formula", "--n", "1001", "--m", "2"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["shape"] == [1000]
+    assert len(data["terms"]) == 1001
+    assert [sum(e for i, _, e in t["monomial"] if i == 2) for t in data["terms"]] == list(
+        range(1001)
+    )
+
+
 def test_emit_formula_single_factor(capsys):
     code = main(["emit-formula", "--n", "3", "--m", "1"])
     out, _ = capsys.readouterr()

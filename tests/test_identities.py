@@ -18,6 +18,7 @@ from krenergy.birational import (
     RationalPoint,
     eval_loop_e,
     eval_loop_h,
+    eval_tau,
     fraction_det,
     int_minors,
     point_ring,
@@ -40,6 +41,7 @@ from krenergy.lsym import (
     sigma,
     staircase_a_indices,
     staircase_b_indices,
+    strip_weights,
 )
 from krenergy.tableaux import Shape, SkewShape, partitions_between, staircase
 
@@ -232,17 +234,26 @@ def test_symbolic_and_randomized_agree_where_both_run():
         assert sym == [] and rand == []
 
 
+def corrupt_table(monkeypatch, family, degree, color):
+    """Patch the evaluator's table kernel so that ``family_degree^{(color)}``
+    on the full range reads one more than its value, the table padded
+    with zeros up to that degree if it stops short of it."""
+    real = identities.loop_table
+
+    def broken(fam, k, r, indices, ring):
+        table = real(fam, k, r, indices, ring)
+        if (fam, r % ring.n) == (family, color):
+            table += [ring.zero] * (degree + 1 - len(table))
+            table[degree] += 1
+        return table
+
+    monkeypatch.setattr(identities, "loop_table", broken)
+
+
 def test_memo_does_not_hide_a_failure(monkeypatch):
     """h off by one at a single (k, r mod n) is caught at every point: the
-    memo serves the wrong value wherever h_2^(1) is used, it never masks it."""
-
-    real = identities.loop_family
-
-    def broken_h(family, k, r, indices, ring):
-        value = real(family, k, r, indices, ring)
-        return value + 1 if (family, k, r % ring.n) == ("h", 2, 1) else value
-
-    monkeypatch.setattr(identities, "loop_family", broken_h)
+    table serves the wrong value wherever h_2^(1) is used, it never masks it."""
+    corrupt_table(monkeypatch, "h", 2, 1)
     checks = identity_suite(3, 3, mode="randomized", seed=0, trials=2)
     bad = [c for c in checks if not c.passed and c.identity == "eh_alternating_sum"]
     assert bad
@@ -254,15 +265,15 @@ def test_schur_table_does_not_hide_a_failure(monkeypatch):
     """One wrong entry of the per-point strip-DP table, s_{(3,2)/(1)} at
     color 1, fails exactly that jacobi_trudi instance at every point, with
     a witness, and nothing else."""
-    real = identities.loop_schurs
+    real = identities._Evaluator.schurs
 
-    def broken(outer, inner, r, ring):
-        table = real(outer, inner, r, ring)
-        if (inner, r % ring.n) == ((1,), 1):
+    def broken(self, outer, inner, r):
+        table = real(self, outer, inner, r)
+        if (inner, r % self.n) == ((1,), 1):
             table[(3, 2, 0)] += 1
         return table
 
-    monkeypatch.setattr(identities, "loop_schurs", broken)
+    monkeypatch.setattr(identities._Evaluator, "schurs", broken)
     checks = identity_suite(3, 3, mode="randomized", seed=0, trials=3)
     bad = failures(checks)
     assert {c.identity for c in bad} == {"jacobi_trudi"}
@@ -306,25 +317,34 @@ def test_jacobi_trudi_walk_reads_one_table_per_inner_shape(monkeypatch, symbolic
     """At (3, 3) the jacobi_trudi instances are exactly the box skew shapes
     times the colors, each once (the empty shape too), and the loop Schur
     table function runs once per (inner shape, color): for the box, and
-    in symbolic mode once more per color for the staircase.  The
-    determinants of a table come from one ``laplace_dets`` call, det A
-    from one more per color, and in symbolic mode the maximal minors of
-    B from one more per color (at a point they are ``int_minors``)."""
+    in symbolic mode once more per color for the staircase.  The tables
+    of one color share one ``strip_weights``.  The determinants of a
+    table come from one ``laplace_dets`` call, det A from one more per
+    color, and in symbolic mode the maximal minors of B from one more per
+    color (at a point they are ``int_minors``)."""
     n, m = 3, 3
-    calls, kernel_calls = [], []
+    calls, kernel_calls, weights, weight_calls = [], [], {}, []
     real = identities.loop_schurs
     real_kernel = identities.laplace_dets
+    real_weights = identities.strip_weights
 
-    def counting(outer, inner, r, ring):
-        calls.append((outer, inner, r % n))
-        return real(outer, inner, r, ring)
+    def counting(outer, inner, strip_weights, ring):
+        calls.append((outer, inner, weights[id(strip_weights)]))
+        return real(outer, inner, strip_weights, ring)
 
     def counting_kernel(pool, selections, zero, one):
         kernel_calls.append(len(selections))
         return real_kernel(pool, selections, zero, one)
 
+    def counting_weights(r, ring):
+        made = real_weights(r, ring)
+        weights[id(made)] = r
+        weight_calls.append(r)
+        return made
+
     monkeypatch.setattr(identities, "loop_schurs", counting)
     monkeypatch.setattr(identities, "laplace_dets", counting_kernel)
+    monkeypatch.setattr(identities, "strip_weights", counting_weights)
     if symbolic:
         ev = identities._poly_evaluator(n, m)
     else:
@@ -345,6 +365,7 @@ def test_jacobi_trudi_walk_reads_one_table_per_inner_shape(monkeypatch, symbolic
     if symbolic:
         want.update((staircase(m - 1, n - 1).parts, (), r) for r in range(n))
     assert Counter(calls) == want
+    assert sorted(weight_calls) == list(range(n))
     want_kernel = [len(e) for *_, e in identities._jacobi_trudi_plan(n)] + [1] * n
     if symbolic:
         want_kernel += [len(staircase_b_indices(m, n=n)[0])] * n
@@ -352,49 +373,46 @@ def test_jacobi_trudi_walk_reads_one_table_per_inner_shape(monkeypatch, symbolic
 
 
 def test_point_evaluator_computes_each_family_once(monkeypatch):
-    """At one integral point every (family, k, r mod n) reaches the DP at
-    most once."""
+    """At one integral point every (family, r mod n) table of loop e, h
+    and tau on the full range reaches the DP once, and every value read
+    later, at any degree and color, comes from those tables."""
     n, m = 3, 3
     p = integer_point(m, n, random.Random(5))
     full = tuple(range(1, m + 1))
-    calls = []
-    real = identities.loop_family
+    calls = Counter()
+    real = identities.loop_table
 
     def counting(family, k, r, indices, ring):
-        if family in ("e", "h", "tau") and tuple(indices) == full:
-            calls.append((family, k, r))
+        if tuple(indices) == full:
+            calls[(family, r % n)] += 1
         return real(family, k, r, indices, ring)
 
-    monkeypatch.setattr(identities, "loop_family", counting)
-    requested = set()
+    monkeypatch.setattr(identities, "loop_table", counting)
     ev = identities._point_evaluator(p)
-    cached = ev._cached
-
-    def recording(family, k, r=0):
-        if family in ("e", "h", "tau"):
-            requested.add((family, k, r % n))
-        return cached(family, k, r)
-
-    ev._cached = recording
     results = list(identities._instances(ev, n, m, symbolic=False))
     assert results and all(passed for _, _, passed in results)
-    assert 0 < len(calls) <= len(requested)
-    pairs = [(k, r) for k in range(0, 2 * m + 1) for r in range(-n, n)]
-    shifted = [(ev.e(k, r), ev.e(k, r + n), ev.h(k, r), ev.h(k, r + n)) for k, r in pairs]
-    assert len(calls) <= len(requested)
+    assert calls == Counter((family, r) for family in ("e", "h", "tau") for r in range(n))
+    pairs = [(k, r) for k in range(-1, 2 * m + 1) for r in range(-n, n)]
+    shifted = [
+        (ev.e(k, r), ev.e(k, r + n), ev.h(k, r), ev.h(k, r + n), ev.tau(k, r), ev.tau(k, r + n))
+        for k, r in pairs
+    ]
+    assert max(calls.values()) == 1
     monkeypatch.undo()
-    for (k, r), (e, e_shift, h, h_shift) in zip(pairs, shifted):
+    for (k, r), (e, e_shift, h, h_shift, t, t_shift) in zip(pairs, shifted):
         assert e == e_shift == eval_loop_e(k, r, full, p)
         assert h == h_shift == eval_loop_h(k, r, full, p)
+        assert t == t_shift == eval_tau(k, r, full, p)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_point_evaluator_matches_the_fraction_ring(n):
     """Every value the point evaluator reads at an integral point is a
     plain ``int`` equal to the same kernel run over ``Fraction``
-    (``point_ring``): loop e, h, tau and sigma on each suffix range, the
-    classical e of the products, and every entry of the loop Schur table
-    of each inner shape of the box."""
+    (``point_ring``): loop e, h, tau and sigma on each suffix range, h
+    past the degrees the identities read, the classical e of the
+    products, and every entry of the loop Schur table of each inner shape
+    of the box."""
 
     def same(got, want):
         return type(got) is int and got == want
@@ -414,12 +432,16 @@ def test_point_evaluator_matches_the_fraction_ring(n):
                     assert same(ev.sigma(k, r, idx), want), (m, r, k, i)
             for nu in partitions_between(identities.JT_BOX):
                 inner = Shape(nu).parts
-                want = loop_schurs(identities.JT_BOX, inner, r, ring)
+                want = loop_schurs(identities.JT_BOX, inner, strip_weights(r, ring), ring)
                 got = ev.schurs(identities.JT_BOX, inner, r)
                 assert got.keys() == want.keys(), (m, r, inner)
                 assert all(same(got[nu], want[nu]) for nu in want), (m, r, inner)
         for i in range(-1, m + 2):
             assert same(ev.classical_e(i), classical_e_of_products(i, ring)), (m, i)
+        # h past the top degree its table was built to, at every color
+        for k in range(2 * (n - 1) * m + n - 1, 2 * (n - 1) * m + n + 3):
+            for r in range(n):
+                assert same(ev.h(k, r), loop_family("h", k, r, full, ring)), (m, r, k)
 
 
 def test_point_minors_match_per_column_determinants():
@@ -485,14 +507,7 @@ def test_point_det_of_staircase_a_matches_sympy(n, m):
 def test_corrupted_b_entry_fails_at_every_point(monkeypatch):
     """e_16^(0) is zero and at n=4, m=5 only B uses it; set to 1, the B
     families fail at every point while the families without B pass."""
-
-    real = identities.loop_family
-
-    def broken_e(family, k, r, indices, ring):
-        value = real(family, k, r, indices, ring)
-        return value + 1 if (family, k, r % ring.n) == ("e", 16, 0) else value
-
-    monkeypatch.setattr(identities, "loop_family", broken_e)
+    corrupt_table(monkeypatch, "e", 16, 0)
     checks = identity_suite(4, 5, mode="randomized", seed=0, trials=3)
     b_families = {"minor_tau_factorization", "tau_vector_annihilation"}
     bad = [c for c in checks if not c.passed]
@@ -504,13 +519,7 @@ def test_witness_points_are_integral_and_seeded(monkeypatch):
     """Each witness of a failing randomized run is an integral point with
     values in 1..POINT_BOUND, drawn from the seeded stream: the same seed
     gives the same witnesses."""
-    real = identities.loop_family
-
-    def broken_h(family, k, r, indices, ring):
-        value = real(family, k, r, indices, ring)
-        return value + 1 if (family, k, r % ring.n) == ("h", 2, 1) else value
-
-    monkeypatch.setattr(identities, "loop_family", broken_h)
+    corrupt_table(monkeypatch, "h", 2, 1)
     n, m, seed = 3, 2, 6
     runs = [[c.to_jsonable() for c in identity_suite(n, m, "randomized", seed, 3)]
             for _ in range(2)]
@@ -525,6 +534,32 @@ def test_witness_points_are_integral_and_seeded(monkeypatch):
         assert point == integer_point(m, n, rng)
         values = [v for row in point.values for v in row]
         assert all(v.denominator == 1 and 1 <= v <= POINT_BOUND for v in values)
+
+
+def test_randomized_points_are_drawn_one_at_a_time(monkeypatch):
+    """Each point is drawn just before it is checked, so memory does not
+    grow with ``trials``: with 10^12 trials and an evaluator that fails at
+    the second point, exactly two points are drawn."""
+    drawn, evaluated = [], []
+    real_point, real_evaluator = identities.integer_point, identities._point_evaluator
+
+    def drawing(m, n, rng):
+        drawn.append((m, n))
+        if len(drawn) > 2:
+            raise AssertionError("a point was drawn ahead of its check")
+        return real_point(m, n, rng)
+
+    def evaluator(p):
+        evaluated.append(p)
+        if len(evaluated) == 2:
+            raise RuntimeError("the second point")
+        return real_evaluator(p)
+
+    monkeypatch.setattr(identities, "integer_point", drawing)
+    monkeypatch.setattr(identities, "_point_evaluator", evaluator)
+    with pytest.raises(RuntimeError, match="the second point"):
+        identity_suite(2, 2, mode="randomized", seed=1, trials=10**12)
+    assert len(drawn) == 2
 
 
 def test_point_evaluator_refuses_a_rational_point():

@@ -2,7 +2,9 @@
 
 Independent oracles used here: a brute-force enumeration of the loop
 families (bounded multisets of indices, each its own monomial) for the
-ring-generic kernel in both of its rings, a brute-force classical e/h
+ring-generic kernel in both of its rings and for every entry of its
+degree table (``loop_table``), sigma's prefix definition with each tau
+computed alone at its degree, a brute-force classical e/h
 enumerator for the color-collapse checks, a Leibniz-formula determinant
 for PolyMatrix, sympy's determinant for ``laplace_dets`` over the
 integers, the tableau sum ``loop_schur_tableaux`` for the strip DPs
@@ -31,16 +33,19 @@ from krenergy.crystal import TropicalGrid
 from krenergy.lsym import (
     ColoredPoly,
     PolyMatrix,
+    Ring,
     _strip_chains,
     build_A,
     build_B,
     jacobi_trudi_indices,
     laplace_dets,
     loop_e,
+    loop_family,
     loop_h,
     loop_schur_jt,
     loop_schur_tableaux,
     loop_schurs,
+    loop_table,
     mono_factors,
     poly_ring,
     sigma,
@@ -48,6 +53,7 @@ from krenergy.lsym import (
     staircase_a_indices,
     staircase_loop_schur,
     staircase_matrix_size,
+    strip_weights,
     tau,
     tau_vector,
     trop_eval,
@@ -431,6 +437,47 @@ def test_families_match_enumeration_in_both_rings(n):
                         assert eval_sigma(k, r, idx, p) == 0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_loop_table_entries_match_enumeration(n):
+    """Every entry t of one e, h or tau table over the polynomials equals
+    the sum over bounded multisets of t indices, for m <= 4, every r mod
+    n, on the full range and on the suffix ranges that sigma's tau reads,
+    up to one degree past the cap times the number of indices."""
+    for m in range(1, 5):
+        ring = poly_ring(m, n)
+        for start in (1, 2):
+            idx = tuple(range(start, m + 1))
+            top = (n - 1) * len(idx) + 1
+            for r in range(n):
+                for family, cap, step in (("e", 1, 1), ("h", top, -1), ("tau", n - 1, -1)):
+                    table = loop_table(family, top, r, idx, ring)
+                    assert len(table) == top + 1
+                    for t, value in enumerate(table):
+                        want = enumerated_family(t, r, cap, step, n, m, idx)
+                        assert value == want, (family, m, r, idx, t)
+    assert loop_table("e", -1, 0, (1, 2), poly_ring(2, 2)) == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sigma_matches_its_prefix_definition(n):
+    """sigma, read from one tau table per color, equals the sum of its
+    prefixes times tau_{k-i}^{(r-i)} of the rest, each tau computed alone
+    at its own degree, over the polynomials and at an integral point."""
+    for m in range(1, 5):
+        point = [[random.Random(f"sigma:{n}:{m}:{i}:{c}").randint(1, 2**30) for c in range(n)]
+                 for i in range(m)]
+        rings = (poly_ring(m, n), Ring(m, n, lambda i, c: point[i - 1][c], 0, 1))
+        for ring, start, r in itertools.product(rings, range(1, m + 1), range(n)):
+            first, rest = start, tuple(range(start + 1, m + 1))
+            for k in range(-1, (n - 1) * m + 2):
+                want, prefix = ring.zero, ring.one
+                for i in range(k + 1):
+                    want = want + prefix * loop_family("tau", k - i, r - i, rest, ring)
+                    prefix = prefix * ring.x(first, (r - i) % n)
+                got = loop_family("sigma", k, r, (first, *rest), ring)
+                assert got == want, (m, start, r, k)
+
+
 def test_sigma_needs_indices_in_both_rings():
     p = random_point(2, 2, random.Random(0))
     with pytest.raises(ValueError):
@@ -575,23 +622,49 @@ def test_jacobi_trudi_indices_match_the_shape_reference():
 @pytest.mark.parametrize("n", [2, 3])
 def test_loop_schurs_match_tableaux_as_polynomials(n):
     """The ring-generic strip DP over polynomials against the tableau sum:
-    every nu / inner in the 3 x 3 box, every color, m = 1..4; and the
-    energy's staircases up to (n, m) = (3, 4) at every color."""
+    every nu / inner in the 3 x 3 box, every color, m = 1..4, the tables
+    of one color sharing one ``strip_weights``; and the energy's
+    staircases up to (n, m) = (3, 4) at every color, with the same
+    weights."""
     box = (3, 3, 3)
     for m in range(1, 5):
         ring = poly_ring(m, n)
-        for inner in partitions_between(box):
-            inner = Shape(inner).parts
-            for r in range(n):
-                table = loop_schurs(box, inner, r, ring)
+        for r in range(n):
+            weights = strip_weights(r, ring)
+            for inner in partitions_between(box):
+                inner = Shape(inner).parts
+                table = loop_schurs(box, inner, weights, ring)
                 assert sorted(table) == partitions_between(box, inner)
                 for nu, value in table.items():
                     assert value == loop_schur_tableaux(SkewShape(nu, inner), r, m, n=n), (nu, inner)
-        if m >= 2:
-            stair = staircase(m - 1, n - 1).parts
-            for r in range(n):
+            if m >= 2:
+                stair = staircase(m - 1, n - 1).parts
                 want = loop_schur_tableaux(stair, r, m, n=n)
-                assert loop_schurs(stair, (), r, ring)[stair] == want, (m, r)
+                assert loop_schurs(stair, (), weights, ring)[stair] == want, (m, r)
+
+
+def test_strip_weights_compute_each_content_once():
+    """A ``strip_weights`` shared by the 19 inner shapes of the 3 x 3 box
+    computes the weights of each distinct content tuple once: one variable
+    read per (entry, cell) of the 25 distinct strips, not of the 213
+    strips the tables hold between them."""
+    m, n = 3, 3
+    base = poly_ring(m, n)
+    reads = []
+
+    def x(i, c):
+        reads.append((i, c))
+        return base.x(i, c)
+
+    ring = base._replace(x=x)
+    weights = strip_weights(1, ring)
+    inners = [Shape(nu).parts for nu in partitions_between((3, 3, 3))]
+    for inner in inners:
+        loop_schurs((3, 3, 3), inner, weights, ring)
+    contents = {cells for inner in inners for cells in _strip_chains((3, 3, 3), inner)[1]}
+    assert len(contents) == 25
+    assert sum(len(_strip_chains((3, 3, 3), inner)[1]) for inner in inners) == 213
+    assert len(reads) == m * sum(len(cells) for cells in contents)
 
 
 STAIRCASE_SIZES = [

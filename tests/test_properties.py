@@ -18,13 +18,16 @@ shared semifield kernels: ``ok`` and ``r_matrix`` on random pairs (n <= 6,
 at most 6 letters a factor), and ``kappa``, ``s_action`` and
 ``rational_energy_global`` at random positive points.  A point, rational
 or integral as the randomized identity suite draws them, survives its
-JSON round trip.  The runs are
+JSON round trip.  At random integral points every entry of a loop e, h or
+tau table equals the sum over bounded multisets of indices, and sigma
+equals its prefixes times tau of the rest, each tau computed alone.  The runs are
 derandomized, so a failure reproduces, and keep no example database.
 """
 
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -43,7 +46,14 @@ from krenergy.birational import (  # noqa: E402
 )
 from krenergy.crystal import CrystalElement, TensorElement, apply_s, ok, r_matrix  # noqa: E402
 from krenergy.identities import POINT_BOUND  # noqa: E402
-from krenergy.lsym import ColoredPoly, loop_schur_tableaux, mono_factors  # noqa: E402
+from krenergy.lsym import (  # noqa: E402
+    ColoredPoly,
+    Ring,
+    loop_family,
+    loop_schur_tableaux,
+    loop_table,
+    mono_factors,
+)
 from krenergy.tableaux import (  # noqa: E402
     SkewShape,
     Ssyt,
@@ -307,3 +317,36 @@ def test_point_json_round_trip(p):
     assert q == p and q.to_jsonable() == data
     integral = all(v.denominator == 1 for row in p.values for v in row)
     assert integral == all(den == "1" for _, den in data["values"])
+
+
+@st.composite
+def family_points(draw):
+    """``(n, values)``: n in 2..4 and a point of 1..4 rows of n values in
+    1..POINT_BOUND, as the randomized identity suite draws them."""
+    n = draw(st.integers(2, 4))
+    row = st.lists(st.integers(1, POINT_BOUND), min_size=n, max_size=n)
+    return n, draw(st.lists(row, min_size=1, max_size=4))
+
+
+@PROPERTY_SETTINGS
+@given(family_points(), st.integers(-4, 8), st.integers(1, 4))
+def test_loop_tables_and_sigma_match_their_definitions(point, r, start):
+    n, values = point
+    m = len(values)
+    ring = Ring(m, n, lambda i, c: values[i - 1][c], 0, 1)
+    idx = tuple(range(min(start, m), m + 1))
+    top = (n - 1) * len(idx) + 1
+    for family, cap, step in (("e", 1, 1), ("h", top, -1), ("tau", n - 1, -1)):
+        want = [0] * (top + 1)
+        for t in range(top + 1):
+            for combo in itertools.combinations_with_replacement(idx, t):
+                if max(map(combo.count, combo), default=0) <= cap:
+                    colors = ((r + step * s) % n for s in range(t))
+                    want[t] += math.prod(map(ring.x, combo, colors))
+        assert loop_table(family, top, r, idx, ring) == want, family
+    first, rest = idx[0], idx[1:]
+    for k in range(top + 1):
+        prefixes = [math.prod(ring.x(first, (r - s) % n) for s in range(i)) for i in range(k + 1)]
+        taus = [loop_family("tau", k - i, r - i, rest, ring) for i in range(k + 1)]
+        want = sum(map(operator.mul, prefixes, taus))
+        assert loop_family("sigma", k, r, idx, ring) == want, k

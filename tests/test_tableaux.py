@@ -3,9 +3,12 @@
 The brute-force filling generator below is an independent oracle: it tries
 every assignment of entries to cells and filters by the semistandard
 conditions, with no shared code with the package's backtracking search.
+The recursive walk below, one recursion per cell, is the oracle of the
+package's iterative one, in order as well as content.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -169,6 +172,61 @@ def test_enumerate_matches_brute_force():
         got = [t.rows for t in enumerate_ssyt(SkewShape(outer, inner), max_entry)]
         assert sorted(got) == want, (outer, inner, max_entry)
         assert len(set(got)) == len(got)
+
+
+def recursive_row_words(skew, max_entry):
+    """The row words of the semistandard fillings of ``skew``, by a
+    recursion over the cells in row-reading order: each cell takes, in
+    increasing order, every value from the least its left and upper
+    neighbours allow to ``max_entry`` less the cells below it."""
+    cells = list(skew.cells())
+    index = {cell: pos for pos, cell in enumerate(cells)}
+    entries, words = [0] * len(cells), []
+
+    def rec(pos):
+        if pos == len(cells):
+            words.append(tuple(entries))
+            return
+        i, j = cells[pos]
+        lo = max(entries[index[(i, j - 1)]] if (i, j - 1) in index else 1,
+                 entries[index[(i - 1, j)]] + 1 if (i - 1, j) in index else 1)
+        below = sum(1 for k in range(i + 1, len(skew.outer) + 1) if (k, j) in index)
+        for v in range(lo, max_entry - below + 1):
+            entries[pos] = v
+            rec(pos + 1)
+
+    rec(0)
+    return words
+
+
+def test_enumerate_matches_the_recursive_walk_in_order(monkeypatch):
+    """On 60 seeded skew shapes inside a 4 x 4 box with max entry <= 4,
+    the iterative walk yields exactly the recursive walk's fillings, in
+    its order, and a guard one below their count trips after that many."""
+    rng = random.Random("recursive-walk")
+    for _ in range(60):
+        outer = sorted((rng.randint(0, 4) for _ in range(4)), reverse=True)
+        inner = [rng.randint(0, part) for part in outer]
+        inner = [min(inner[: i + 1]) for i in range(len(inner))]
+        skew, max_entry = SkewShape(outer, inner), rng.randint(1, 4)
+        want = recursive_row_words(skew, max_entry)
+        assert [t.row_word() for t in enumerate_ssyt(skew, max_entry)] == want, (outer, inner)
+        if len(want) > 1:
+            monkeypatch.setenv("KR_ENERGY_GUARD", str(len(want) - 1))
+            walk = enumerate_ssyt(skew, max_entry)
+            assert [next(walk).row_word() for _ in want[:-1]] == want[:-1]
+            with pytest.raises(EnumerationGuardError):
+                next(walk)
+            monkeypatch.delenv("KR_ENERGY_GUARD")
+
+
+def test_enumerate_walks_a_thousand_cell_row_and_column():
+    """A shape of 1,000 cells needs no recursion per cell: the one row
+    with entries 1..2 has 1,001 fillings and the one column with entries
+    1..1,000 has one."""
+    assert count_ssyt(Shape((1000,)), 2) == 1001
+    (column,) = enumerate_ssyt(Shape((1,) * 1000), 1000)
+    assert column.row_word() == tuple(range(1, 1001))
 
 
 def test_enumerate_lex_order_of_row_words():
