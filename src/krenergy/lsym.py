@@ -2,12 +2,16 @@
 
 Polynomials live in variables ``x_i^{(r)}`` with ``i`` in ``1..m`` and the
 color ``r`` in ``Z/nZ`` (stored 0-based).  Coefficients are arbitrary
-precision integers.  A monomial is its exponent vector: a tuple of m * n
-non-negative ints with the exponent of ``x_i^{(r)}`` at index
-``(i - 1) * n + r``, the order of ``TropicalGrid.flat()``.  So a product
-is a vector sum, equality of polynomials is plain equality of term maps,
-and ``trop_eval``'s exponent matrix is the term keys stacked.
-``mono_factors`` lists a monomial's ``(i, r, exponent)`` factors for output.
+precision integers.  A monomial is its packed exponent vector (Monagan and
+Pearce, CASC 2007): one non-negative int whose ``FIELD_BITS``-bit field
+number ``(i - 1) * n + r``, the order of ``TropicalGrid.flat()``, holds the
+exponent of ``x_i^{(r)}``.  So a monomial product adds two ints, equality of
+polynomials is plain equality of term maps, and ``trop_eval``'s exponent
+matrix is the term keys' bytes.  No field carries: input exponents stay
+below ``2**FIELD_BITS``, and a product whose operands' total-degree bounds
+reach it raises ``OverflowError``.  ``mono_factors`` decodes a key into
+its ``(i, r, exponent)`` factors; the constructor and the JSON take
+exponent-vector tuples.
 
 The generating families:
 
@@ -62,7 +66,6 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import chain, product
-from operator import add, sub
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -82,71 +85,84 @@ from .tableaux import (
     staircase,
 )
 
-Mono = tuple[int, ...]
+Mono = int
+
+# Each exponent takes one FIELD_BITS-bit field of a term's key; a numpy
+# unsigned width, so that a key's bytes are the array of its exponents
+FIELD_BITS = 32
+_FIELD_LIMIT = 1 << FIELD_BITS
+_FIELD_DTYPE = np.dtype(f"<u{FIELD_BITS // 8}")
 
 # trop_eval multiplies in int64 while every grid value is below this bound,
 # so no sum of a polynomial of degree below 2^23 can overflow
 _NUMPY_VALUE_BOUND = 1 << 40
 
 
+def _pack(exps: Sequence[int]) -> Mono:
+    """The key of an exponent vector with entries below 2**FIELD_BITS."""
+    return int.from_bytes(np.asarray(exps, dtype=_FIELD_DTYPE).tobytes(), "little")
+
+
 def mono_factors(mono: Mono, n: int) -> list[tuple[int, int, int]]:
     """``(i, r, e)`` of each variable ``x_i^{(r)}`` with exponent e > 0 in
-    the exponent vector ``mono``, in index order."""
-    return [(k // n + 1, k % n, e) for k, e in enumerate(mono) if e]
+    the packed monomial ``mono``, in index order."""
+    size = (mono.bit_length() // FIELD_BITS + 1) * _FIELD_DTYPE.itemsize
+    fields = np.frombuffer(mono.to_bytes(size, "little"), dtype=_FIELD_DTYPE).tolist()
+    return [(k // n + 1, k % n, e) for k, e in enumerate(fields) if e]
 
 
 class ColoredPoly:
     """Sparse integer polynomial in the colored variables of an m x n array.
 
-    Each term is keyed by its exponent vector: m * n non-negative ints, the
-    exponent of ``x_i^{(r)}`` at index ``(i - 1) * n + r``.
+    ``terms`` maps each packed monomial (``x_i^{(r)}``'s exponent in the
+    ``FIELD_BITS``-bit field ``(i - 1) * n + r``) to its coefficient; ``deg``
+    bounds every term's total degree.  The constructor takes exponent-vector
+    tuples, refusing an entry of ``2**FIELD_BITS`` or more before any is packed.
     """
 
-    __slots__ = ("m", "n", "terms", "_trop_matrix")
+    __slots__ = ("m", "n", "terms", "deg", "_trop_matrix")
 
-    def __init__(self, m: int, n: int, terms: dict[Mono, int] | None = None):
+    def __init__(self, m: int, n: int, terms: dict[tuple[int, ...], int] | None = None):
         if m < 1 or n < 2:
             raise ValueError(f"ambient sizes must satisfy m >= 1, n >= 2, got ({m}, {n})")
-        clean: dict[Mono, int] = {}
-        for mono, coef in (terms or {}).items():
+        items = list((terms or {}).items())
+        for mono, coef in items:
             ints((coef, *mono), "a term's coefficient and exponents")
-            if len(mono) != m * n or min(mono, default=0) < 0:
+            if len(mono) != m * n or not 0 <= min(mono) <= max(mono) < _FIELD_LIMIT:
                 raise ValueError(
-                    f"a monomial must be {m * n} non-negative exponents for ambient ({m}, {n}),"
-                    f" got {mono!r}"
+                    f"a monomial must be {m * n} exponents in 0..{_FIELD_LIMIT - 1} for ambient"
+                    f" ({m}, {n}), got {mono!r}"
                 )
-            if coef:
-                clean[mono] = coef
         self.m = m
         self.n = n
-        self.terms = clean
+        self.terms = {_pack(mono): coef for mono, coef in items if coef}
+        self.deg = max((sum(mono) for mono, coef in items if coef), default=0)
         self._trop_matrix = None
 
     @classmethod
-    def _raw(cls, m: int, n: int, terms: dict[Mono, int]) -> ColoredPoly:
+    def _raw(cls, m: int, n: int, terms: dict[Mono, int], deg: int) -> ColoredPoly:
         self = object.__new__(cls)
         self.m = m
         self.n = n
         self.terms = terms
+        self.deg = deg
         self._trop_matrix = None
         return self
 
     @classmethod
     def zero(cls, m: int, n: int) -> ColoredPoly:
-        return cls._raw(m, n, {})
+        return cls._raw(m, n, {}, 0)
 
     @classmethod
     def one(cls, m: int, n: int) -> ColoredPoly:
-        return cls._raw(m, n, {(0,) * (m * n): 1})
+        return cls._raw(m, n, {0: 1}, 0)
 
     @classmethod
     def variable(cls, i: int, r: int, *, m: int, n: int) -> ColoredPoly:
         ints((i, r), "a variable's index and color")
         if not 1 <= i <= m:
             raise ValueError(f"variable index {i} out of range 1..{m}")
-        exps = [0] * (m * n)
-        exps[(i - 1) * n + r % n] = 1
-        return cls(m, n, {tuple(exps): 1})
+        return cls._raw(m, n, {1 << FIELD_BITS * ((i - 1) * n + r % n): 1}, 1)
 
     def _check_same(self, other: ColoredPoly) -> None:
         if self.m != other.m or self.n != other.n:
@@ -159,7 +175,7 @@ class ColoredPoly:
         return not self.terms
 
     def is_homogeneous(self, k: int) -> bool:
-        return all(sum(mono) == k for mono in self.terms)
+        return all(sum(e for *_, e in mono_factors(mono, self.n)) == k for mono in self.terms)
 
     def sorted_terms(self) -> list[tuple[list[tuple[int, int, int]], int]]:
         """``(mono_factors(mono), coef)`` of each term, ordered by the factors."""
@@ -169,6 +185,8 @@ class ColoredPoly:
         if not isinstance(other, ColoredPoly):
             return NotImplemented
         self._check_same(other)
+        if not (self.terms and other.terms):  # a zero summand: nothing to copy
+            return self if self.terms else other
         terms = dict(self.terms)
         for mono, coef in other.terms.items():
             c = terms.get(mono, 0) + coef
@@ -176,10 +194,10 @@ class ColoredPoly:
                 terms[mono] = c
             else:
                 terms.pop(mono, None)
-        return ColoredPoly._raw(self.m, self.n, terms)
+        return ColoredPoly._raw(self.m, self.n, terms, max(self.deg, other.deg))
 
     def __neg__(self) -> ColoredPoly:
-        return ColoredPoly._raw(self.m, self.n, {mono: -c for mono, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other: ColoredPoly) -> ColoredPoly:
         if not isinstance(other, ColoredPoly):
@@ -191,26 +209,31 @@ class ColoredPoly:
             if other == 0:
                 return ColoredPoly.zero(self.m, self.n)
             return ColoredPoly._raw(
-                self.m, self.n, {mono: c * other for mono, c in self.terms.items()}
+                self.m, self.n, {mono: c * other for mono, c in self.terms.items()}, self.deg
             )
         if not isinstance(other, ColoredPoly):
             return NotImplemented
         self._check_same(other)
-        if not self.terms or not other.terms:
-            return ColoredPoly.zero(self.m, self.n)
+        if not (self.terms and other.terms):
+            return other if self.terms else self
+        if (deg := self.deg + other.deg) >= _FIELD_LIMIT:
+            raise OverflowError(f"degree bound {deg} would carry out of a {FIELD_BITS}-bit field")
         small, large = (self.terms, other.terms)
         if len(small) > len(large):
             small, large = large, small
+        if len(small) == 1:
+            # a monomial times a polynomial: distinct keys, no cancellation
+            [(mono_a, ca)] = small.items()
+            return ColoredPoly._raw(
+                self.m, self.n, {mono_a + mono: ca * c for mono, c in large.items()}, deg
+            )
         out: dict[Mono, int] = {}
+        get = out.get
         for mono_a, ca in small.items():
             for mono_b, cb in large.items():
-                mono = tuple(map(add, mono_a, mono_b))
-                c = out.get(mono, 0) + ca * cb
-                if c:
-                    out[mono] = c
-                else:
-                    out.pop(mono, None)
-        return ColoredPoly._raw(self.m, self.n, out)
+                mono = mono_a + mono_b
+                out[mono] = get(mono, 0) + ca * cb
+        return ColoredPoly._raw(self.m, self.n, {k: c for k, c in out.items() if c}, deg)
 
     __rmul__ = __mul__
 
@@ -239,8 +262,8 @@ class ColoredPoly:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> ColoredPoly:
-        """Inverse of ``to_jsonable``; coefficients must be decimal strings,
-        and each monomial lists distinct variables with positive exponents.
+        """Inverse of ``to_jsonable``; coefficients must be decimal strings, and
+        each monomial lists distinct variables with exponents in 1..2**FIELD_BITS - 1.
         A document whose terms hold more than the guard's worth of exponent
         slots (``KR_ENERGY_GUARD``) raises ``ValueError`` before any is built."""
         m, n = json_int(data["m"], "m"), json_int(data["n"], "n")
@@ -251,7 +274,7 @@ class ColoredPoly:
                 f"{len(items)} terms of {m} x {n} exponents exceed the guard {guard}"
                 f" ({GUARD_ENV_VAR})"
             )
-        terms: dict[Mono, int] = {}
+        terms: dict[tuple[int, ...], int] = {}
         for item in items:
             exps = [0] * (m * n)
             for i, r, e in item["exps"]:
@@ -262,8 +285,8 @@ class ColoredPoly:
                 if exps[k]:
                     raise ValueError(f"variable {var} listed twice in one monomial")
                 exps[k] = json_int(e, "exponent")
-                if e < 1:
-                    raise ValueError(f"exponent of {var} must be positive, got {e}")
+                if not 1 <= e < _FIELD_LIMIT:
+                    raise ValueError(f"exponent of {var} must be in 1..{_FIELD_LIMIT - 1}, got {e}")
             mono = tuple(exps)
             terms[mono] = terms.get(mono, 0) + json_decimal(item["coef"], "coefficient")
         return cls(m, n, terms)
@@ -409,7 +432,7 @@ def tableau_monomials(
     n: int,
 ) -> Iterator[tuple[Ssyt, Mono]]:
     """Each semistandard tableau T of ``shape`` with entries in 1..max_entry,
-    in the order of ``enumerate_ssyt``, with its monomial: one factor
+    in the order of ``enumerate_ssyt``, with its packed monomial: one factor
     ``x_{T(i,j)}^{(i - j + r)}`` per cell."""
     skew = SkewShape.of(shape)
     # row-major, the order of Ssyt.row_word
@@ -419,7 +442,7 @@ def tableau_monomials(
         exps = [0] * size
         for v, c in zip(t.row_word(), colors):
             exps[(v - 1) * n + c] += 1
-        yield t, tuple(exps)
+        yield t, _pack(exps)
 
 
 def loop_schur_tableaux(
@@ -434,7 +457,7 @@ def loop_schur_tableaux(
     terms: dict[Mono, int] = {}
     for _, mono in tableau_monomials(shape, r, max_entry, n=n):
         terms[mono] = terms.get(mono, 0) + 1
-    return ColoredPoly._raw(max_entry, n, terms)
+    return ColoredPoly._raw(max_entry, n, terms, SkewShape.of(shape).size)
 
 
 @lru_cache(maxsize=None)
@@ -513,20 +536,21 @@ def loop_schurs(outer: tuple, inner: tuple, weights: Callable[[tuple], list], ri
 
 
 def _append_block(out: dict[Mono, int], terms: dict[Mono, int], block: Mono) -> None:
-    """Add each term of ``terms``, its key extended by ``block``, into ``out``."""
+    """Add each term of ``terms``, its key plus the packed ``block``, into ``out``."""
     for prefix, c in terms.items():
         key = prefix + block
         out[key] = out.get(key, 0) + c
 
 
 def _colors(kappa: tuple[int, ...], nu: tuple[int, ...], n: int) -> Mono:
-    """The color counts mod n of the cells of nu / kappa; cell (a, b) has
-    color a - b (the content convention of ``tableau_monomials``)."""
+    """The color counts mod n of the cells of nu / kappa, packed as the n
+    exponent fields of x_1; cell (a, b) has color a - b (the content
+    convention of ``tableau_monomials``)."""
     counts = [0] * n
     for a, (start, end) in enumerate(zip(kappa, nu), start=1):
         for b in range(start + 1, end + 1):
             counts[(a - b) % n] += 1
-    return tuple(counts)
+    return _pack(counts)
 
 
 @lru_cache(maxsize=None)
@@ -541,14 +565,15 @@ def staircase_loop_schur(n: int, m: int) -> ColoredPoly:
     The polynomial comes from one horizontal-strip DP, with no tableau
     enumerated; it equals ``loop_schur_tableaux`` of the staircase.  Entry
     i's strip fills only the n exponent slots of x_i, so the DP keeps, per
-    partition kappa, a map from each prefix (the exponents of x_1..x_i) to
-    its coefficient.  It walks forward from each kappa to the nu with
-    nu / kappa a horizontal strip that the entries left can still complete
-    to the staircase (nu_a >= outer_{a + left}: a column of the rest holds
-    at most one cell per entry left), and appends to every prefix one block
-    of n ints, the color counts of the strip's cells.  Entries m - 1 and m
-    are taken together, entry m filling what is left of the staircase, so
-    the maps of entry m - 1 are never held.
+    partition kappa, a map from each prefix (the packed exponents of
+    x_1..x_i) to its coefficient.  It walks forward from each kappa to the
+    nu with nu / kappa a horizontal strip that the entries left can still
+    complete to the staircase (nu_a >= outer_{a + left}: a column of the
+    rest holds at most one cell per entry left), and adds to every prefix
+    one block, the color counts of the strip's cells shifted to the fields
+    of x_{i + 1}.  Entries m - 1 and m are taken together, entry m filling
+    what is left of the staircase, so the maps of entry m - 1 are never
+    held.
     """
     outer = energy_staircase_shape(n, m).parts
     slots, guard = energy_staircase_count(n, m) * m * n, resolve_guard()
@@ -569,20 +594,22 @@ def staircase_loop_schur(n: int, m: int) -> ColoredPoly:
               for k, f, o, u in zip(kappa, floor, outer, outer[:1] + kappa))
         )
 
-    level = {(0,) * (m - 1): {(): 1}}  # the empty partition, before any entry
+    level = {(0,) * (m - 1): {0: 1}}  # the empty partition, before any entry
     for i in range(1, m - 1):
         after: dict[tuple[int, ...], dict[Mono, int]] = {}
+        shift = FIELD_BITS * n * (i - 1)  # the first field of x_i
         for kappa, terms in level.items():
             for nu in strips(kappa, m - i):
-                _append_block(after.setdefault(nu, {}), terms, _colors(kappa, nu, n))
+                _append_block(after.setdefault(nu, {}), terms, _colors(kappa, nu, n) << shift)
         level = after
     out: dict[Mono, int] = {}
+    shift = FIELD_BITS * n * (m - 2)
     for kappa, terms in level.items():
         rest = _colors(kappa, outer, n)
         for nu in strips(kappa, 1):
-            block = _colors(kappa, nu, n)
-            _append_block(out, terms, block + tuple(map(sub, rest, block)))
-    return ColoredPoly._raw(m, n, out)
+            block = _colors(kappa, nu, n)  # each field at most rest's: no borrow
+            _append_block(out, terms, (block + ((rest - block) << FIELD_BITS * n)) << shift)
+    return ColoredPoly._raw(m, n, out, sum(outer))
 
 
 def jacobi_trudi_indices(
@@ -778,15 +805,12 @@ def trop_eval(p: ColoredPoly, grid) -> int | float:
     if mat is None:
         if any(c < 0 for c in p.terms.values()):
             raise ValueError("tropical evaluation needs a subtraction-free polynomial")
+        size = p.m * p.n * _FIELD_DTYPE.itemsize
+        keys = b"".join(mono.to_bytes(size, "little") for mono in p.terms)
+        exps = np.frombuffer(keys, dtype=_FIELD_DTYPE).reshape(len(p.terms), p.m * p.n)
         # an int64 sum stays exact while degree * value bound < 2^63
-        wide = max(map(sum, p.terms)) * _NUMPY_VALUE_BOUND >= 1 << 63
-        # the term keys stacked; fromiter builds no temporary rows
-        mat = np.fromiter(
-            chain.from_iterable(p.terms),
-            dtype=object if wide else np.int64,
-            count=len(p.terms) * p.m * p.n,
-        ).reshape(len(p.terms), p.m * p.n)
-        p._trop_matrix = mat
+        wide = int(exps.sum(axis=1, dtype=np.uint64).max()) * _NUMPY_VALUE_BOUND >= 1 << 63
+        mat = p._trop_matrix = exps.astype(object if wide else np.int64)
     flat = grid.flat()
     big = [c for c, v in enumerate(flat) if abs(v) >= _NUMPY_VALUE_BOUND]
     if not big or mat.dtype == object:

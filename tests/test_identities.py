@@ -6,6 +6,7 @@ testing at positive points must not produce false passes.
 """
 
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -259,6 +260,29 @@ def test_memo_does_not_hide_a_failure(monkeypatch):
     assert bad
     assert {c.witness["point_index"] for c in bad} == {0, 1}
     assert all(c.witness["point"]["n"] == 3 for c in bad)
+
+
+def test_verify_serializes_only_failing_identity_witnesses(monkeypatch):
+    """``run_verify`` keeps no witness of a passing identity check, so it
+    serializes none; a corrupted family still records its witnesses."""
+    real = identities.IdentityCheck.to_jsonable
+
+    def failing_only(self):
+        if self.passed:
+            raise AssertionError(f"serialized a passing {self.identity} check")
+        return real(self)
+
+    monkeypatch.setattr(identities.IdentityCheck, "to_jsonable", failing_only)
+    settings = dict(suites=("lsym-identities", "section4"), n_range=(2, 3), m_range=(1, 3))
+    report = verify.run_verify(verify.VerifyConfig(trials=2, mode="both", **settings))
+    assert report.total_failures == 0 and report.total_checks > 0
+    corrupt_table(monkeypatch, "h", 2, 1)
+    report = verify.run_verify(verify.VerifyConfig(trials=2, mode="randomized", **settings))
+    result = report.suites["lsym-identities"]
+    assert result.failures > 0 and len(result.witnesses) == min(result.failures, 32)
+    for witness in map(json.loads, result.witnesses):
+        assert not witness["passed"]
+        assert witness["witness"]["point"]["n"] == witness["params"]["n"]
 
 
 def test_schur_table_does_not_hide_a_failure(monkeypatch):

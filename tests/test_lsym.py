@@ -8,8 +8,9 @@ computed alone at its degree, a brute-force classical e/h
 enumerator for the color-collapse checks, a Leibniz-formula determinant
 for PolyMatrix, sympy's determinant for ``laplace_dets`` over the
 integers, the tableau sum ``loop_schur_tableaux`` for the strip DPs
-(``loop_schurs`` and the staircase's ``staircase_loop_schur``), and
-hand-expanded small cases frozen as literals.
+(``loop_schurs`` and the staircase's ``staircase_loop_schur``), exponent
+vectors decoded by ``mono_factors`` for products at the packed field
+limit, and hand-expanded small cases frozen as literals.
 """
 
 import gc
@@ -22,6 +23,7 @@ import tracemalloc
 import pytest
 import sympy
 
+from krenergy import lsym
 from krenergy.birational import (
     eval_loop_e,
     eval_loop_h,
@@ -241,6 +243,67 @@ def test_poly_json_refused_over_the_guard_before_any_term(monkeypatch):
     terms.append({"coef": "3", "exps": [[1, 0, 1]]})
     with pytest.raises(ValueError, match="guard 1000"):
         ColoredPoly.from_jsonable(at_guard)
+
+
+LIMIT = 1 << lsym.FIELD_BITS
+
+
+def vectors(p):
+    """``p``'s terms keyed by exponent-vector tuples, decoded by ``mono_factors``."""
+    out = {}
+    for mono, coef in p.terms.items():
+        exps = [0] * (p.m * p.n)
+        for i, r, e in mono_factors(mono, p.n):
+            exps[(i - 1) * p.n + r] = e
+        out[tuple(exps)] = coef
+    return out
+
+
+def test_poly_refuses_an_exponent_at_the_field_limit_before_any_term(monkeypatch):
+    """An exponent of 2**FIELD_BITS would carry into the next field: the
+    constructor and the JSON reader refuse it before packing any term, and
+    take one below it."""
+    calls, pack = [], lsym._pack
+    monkeypatch.setattr(lsym, "_pack", lambda exps: calls.append(exps) or pack(exps))
+    with pytest.raises(ValueError, match="exponents in 0..4294967295"):
+        ColoredPoly(1, 2, {(1, 0): 1, (0, LIMIT): 1})
+    terms = [{"coef": "1", "exps": [[1, 0, 1]]}, {"coef": "1", "exps": [[1, 1, LIMIT]]}]
+    with pytest.raises(ValueError, match="must be in 1..4294967295"):
+        ColoredPoly.from_jsonable({"m": 1, "n": 2, "terms": terms})
+    assert calls == []
+    terms[1]["exps"][0][2] = LIMIT - 1
+    assert vectors(ColoredPoly.from_jsonable({"m": 1, "n": 2, "terms": terms})) == {
+        (1, 0): 1,
+        (0, LIMIT - 1): 1,
+    }
+    assert len(calls) == 2
+
+
+def test_poly_product_raises_when_the_degree_bounds_reach_the_field_limit():
+    """The guard is on the degree bounds, so it raises even where the
+    actual fields would stay apart."""
+    half = ColoredPoly(1, 2, {(LIMIT // 2, 0): 1})
+    with pytest.raises(OverflowError, match="32-bit field"):
+        half * half
+    top = ColoredPoly(1, 2, {(LIMIT - 1, 0): 1})
+    with pytest.raises(OverflowError):
+        top * var(1, 1, 1, 2)
+    degs = [top.deg, half.deg, (top * 2).deg, (half - top).deg]
+    assert degs == [LIMIT - 1, LIMIT // 2, LIMIT - 1, LIMIT - 1]
+    # a zero factor has no term to carry
+    assert (top * ColoredPoly.zero(1, 2)).is_zero
+
+
+def test_largest_allowed_product_is_exact():
+    """Degree bounds summing to 2**FIELD_BITS - 1 are allowed: a field
+    filled to its top carries nothing into its neighbour."""
+    p = ColoredPoly(1, 2, {(LIMIT - 2, 0): 1, (0, 1): 3})
+    q = var(1, 0, 1, 2) + var(1, 1, 1, 2)
+    assert (p.deg, q.deg) == (LIMIT - 2, 1)
+    prod = p * q
+    assert prod.deg == LIMIT - 1
+    assert vectors(prod) == {(LIMIT - 1, 0): 1, (LIMIT - 2, 1): 1, (1, 1): 3, (0, 2): 3}
+    assert mono_factors(max(prod.terms), 2) == [(1, 1, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +603,12 @@ def test_loop_schur_zero_weight_of_displayed_tableau():
         (4, 0): 2,
     }
     schur = loop_schur_tableaux(t.shape, 0, 4, n=3)
-    mono = [0] * 12
-    for (i, r), e in exps.items():
-        mono[(i - 1) * 3 + r] = e
-    assert schur.terms.get(tuple(mono), 0) >= 1
+    coefs = [
+        c
+        for mono, c in schur.terms.items()
+        if {(i, r): e for i, r, e in mono_factors(mono, 3)} == exps
+    ]
+    assert sum(coefs) >= 1
 
 
 def test_loop_schur_staircase_all_ones_counts_tableaux():

@@ -8,7 +8,9 @@ a filter over every tuple in the box.  ``int_minors`` of rational rows
 cleared of their denominators is checked against one ``fraction_det`` per
 deleted column.  Random term maps of
 exponent vectors go through ``to_jsonable`` and back, and ``mono_factors``
-is checked against the vector's nonzero entries.  On random tensors of
+is checked against the vector's nonzero entries.  The packed ``*``, ``+``,
+``-`` and ``==`` are checked against a dict convolution and sum of
+exponent-vector tuples, with exponents up to just under the field limit.  On random tensors of
 single-row crystals (n <= 4, at most 3 letters of each color per factor)
 the R-matrix is an involution, the actions ``s_1``, ``s_2`` satisfy the
 braid relation on three factors, and a tensor survives its JSON round
@@ -61,6 +63,7 @@ from krenergy.tableaux import (  # noqa: E402
     enumerate_ssyt,
     partitions_between,
 )
+from test_lsym import LIMIT, vectors  # noqa: E402
 
 BOX = 4
 
@@ -147,28 +150,99 @@ def test_maximal_minors_match_per_column_determinants(rows):
 
 
 @st.composite
-def colored_polys(draw):
-    """A polynomial in an m x n ambient, m <= 3 and n <= 4, of up to 8
-    terms with exponents up to 3 and nonzero coefficients."""
+def term_maps(draw):
+    """``(m, n, terms)``: up to 8 exponent vectors of an m x n ambient,
+    m <= 3 and n <= 4, with exponents up to 3 and nonzero coefficients."""
     m, n = draw(st.integers(1, 3)), draw(st.integers(2, 4))
     mono = st.tuples(*[st.integers(0, 3)] * (m * n))
     coef = st.integers(-(1 << 70), 1 << 70).filter(bool)
-    return ColoredPoly(m, n, draw(st.dictionaries(mono, coef, max_size=8)))
+    return m, n, draw(st.dictionaries(mono, coef, max_size=8))
 
 
 @PROPERTY_SETTINGS
-@given(colored_polys())
-def test_poly_json_round_trip_and_factors(p):
+@given(term_maps())
+def test_poly_json_round_trip_and_factors(drawn):
+    m, n, terms = drawn
+    p = ColoredPoly(m, n, terms)
     data = p.to_jsonable()
     assert ColoredPoly.from_jsonable(data) == p
     exps = [t["exps"] for t in data["terms"]]
     assert exps == sorted(exps) and len(exps) == len(p.terms)
-    for mono in p.terms:
+    for vector in terms:
+        [mono] = ColoredPoly(m, n, {vector: 1}).terms
+        assert mono in p.terms
         factors = mono_factors(mono, p.n)
         assert [((i - 1) * p.n + r, e) for i, r, e in factors] == [
-            (k, e) for k, e in enumerate(mono) if e
+            (k, e) for k, e in enumerate(vector) if e
         ]
         assert all(1 <= i <= p.m and 0 <= r < p.n for i, r, _ in factors)
+
+
+def tuple_product(a: dict, b: dict) -> dict:
+    """The product of two term maps keyed by exponent-vector tuples: a dict
+    convolution, each monomial product a vector sum."""
+    out: dict = {}
+    for mono_a, ca in a.items():
+        for mono_b, cb in b.items():
+            mono = tuple(map(operator.add, mono_a, mono_b))
+            out[mono] = out.get(mono, 0) + ca * cb
+    return {mono: c for mono, c in out.items() if c}
+
+
+def tuple_sum(a: dict, b: dict, sign: int) -> dict:
+    out = {mono: c for mono, c in a.items() if c}
+    for mono, c in b.items():
+        out[mono] = out.get(mono, 0) + sign * c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def upto(top: int):
+    """Ints anywhere in 0..top, and often at its top."""
+    return st.one_of(st.integers(0, top), st.integers(max(top - 3, 0), top))
+
+
+@st.composite
+def packed_operands(draw):
+    """``(m, n, a, b)``: two term maps of up to 6 exponent vectors each in
+    an m x n ambient, m <= 3 and n <= 4.  Each vector has small entries
+    plus one heavy entry; the total degrees of a and of b stay within
+    budgets that sum to 2**FIELD_BITS - 1, or, unbounded, to twice that."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    size = m * n
+    split = draw(st.one_of(upto(LIMIT - 1), st.integers(LIMIT // 2 - 3, LIMIT // 2 + 3)))
+    budgets = (split, LIMIT - 1 - split) if draw(st.booleans()) else (LIMIT - 1, LIMIT - 1)
+    coef = st.integers(-(1 << 70), 1 << 70)
+
+    def terms(budget):
+        light = st.tuples(*[st.integers(0, min(3, budget // size))] * size)
+        heavy = st.tuples(st.integers(0, size - 1), upto(max(budget - 3 * size, 0)))
+        mono = st.builds(
+            lambda v, h: tuple(e + h[1] * (k == h[0]) for k, e in enumerate(v)), light, heavy
+        )
+        return draw(st.dictionaries(mono, coef, max_size=6))
+
+    return m, n, terms(budgets[0]), terms(budgets[1])
+
+
+@PROPERTY_SETTINGS
+@given(packed_operands())
+def test_packed_arithmetic_matches_the_tuple_key_oracle(operands):
+    m, n, a, b = operands
+    p, q = ColoredPoly(m, n, a), ColoredPoly(m, n, b)
+    assert vectors(p) == tuple_sum(a, {}, 1) and vectors(q) == tuple_sum(b, {}, 1)
+    assert vectors(p + q) == tuple_sum(a, b, 1)
+    assert vectors(p - q) == tuple_sum(a, b, -1)
+    assert p == ColoredPoly(m, n, dict(reversed(a.items())))
+    assert (p == q) == (tuple_sum(a, {}, 1) == tuple_sum(b, {}, 1))
+    assert (p - p).is_zero and p + q - q == p
+    if p.terms and q.terms and p.deg + q.deg >= LIMIT:
+        with pytest.raises(OverflowError):
+            p * q
+        return
+    want = tuple_product(a, b)
+    assert vectors(p * q) == vectors(q * p) == want
+    assert p * q == ColoredPoly(m, n, want)
+    assert all(sum(vector) <= (p * q).deg < LIMIT for vector in want)
 
 
 @st.composite
