@@ -11,34 +11,33 @@ is everywhere defined and lands on positive points again.  Composite
 actions like ``s_i s_{i+1} ... s_{j-2}`` are applied to the point left to
 right (s_i first), matching the combinatorial convention on tensors.
 
-The rules are written once, as three column kernels over a ``Semifield``
-(add, mul, div, one): ``kappas`` of two adjacent columns, ``move`` (s_j on
-them) and ``energy_walk`` (the global energy product).  ``kappa``,
-``s_action`` and ``rational_energy_global`` run them in ``RATIONAL``
-(Fractions) on a point's values; ``krenergy.crystal`` runs them in
-``MIN_PLUS`` (plain ints under min, + and -) on a tensor's count grid,
-where they are the combinatorial R-matrix and intrinsic energy: the
-energy is the tropicalization of the rational energy.
+The rules are written once, as three column kernels over the one algebra
+type, ``lsym.Semiring`` with its ``div``: ``kappas`` of two adjacent
+columns, ``move`` (s_j on them) and ``energy_walk`` (the global energy
+product).  ``kappa``, ``s_action`` and ``rational_energy_global`` run them
+in ``RATIONAL`` on a point's values; ``krenergy.crystal`` runs them in
+``MIN_PLUS`` on a tensor's count grid, where they are the combinatorial
+R-matrix and intrinsic energy: the energy is the tropicalization of the
+rational energy.
 
-``cleared_ring`` is a point's values with their denominators cleared, a
-ring of plain ints, and the one power of the common denominator that
-restores each homogeneous value.  The evaluation helpers (eval_loop_e,
+``cleared_values`` is a point's values with their denominators cleared,
+plain ints, and the one power of the common denominator that restores
+each homogeneous value.  The evaluation helpers (eval_loop_e,
 eval_loop_h, eval_tau, eval_sigma) run the polynomial families' code
-(``krenergy.lsym``) in it.  Tests check them against the kernels in the
-ring of the point's values (``point_ring``), enumerations and the tableau
-sum.  Determinants are ``lsym.laplace_dets`` in every ring, and
+(``krenergy.lsym``) on them in ``INTEGERS``.  Tests check them against
+the kernels in ``RATIONAL`` at the point's values, enumerations and the
+tableau sum.  Determinants are ``lsym.laplace_dets`` in every ring, and
 ``fraction_det`` is its one selection over ``Fraction``.  The one other
 kernel, ``int_minors``, gives every maximal minor of an r x (r + 1)
 integer matrix from one Bareiss elimination: it needs exact integer
 division, and on the identity suite's matrix B at a point it is twice as
 fast as the pooled expansion.  The identity suite evaluates its integral
-points in ``cleared_ring`` at scale 1, in plain ints.
+points in ``cleared_values`` at scale 1, in plain ints.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
@@ -46,7 +45,7 @@ from functools import reduce
 from typing import Any, NamedTuple
 
 from ._strict import ints, json_decimal, json_int
-from .lsym import Ring, laplace_dets, loop_family, sigma_product_indices
+from .lsym import INTEGERS, RATIONAL, Semiring, laplace_dets, loop_family, sigma_product_indices
 
 
 class RationalPoint:
@@ -134,32 +133,17 @@ def random_point(m: int, n: int, rng: random.Random, bound: int = 1000) -> Ratio
     )
 
 
-class Semifield(NamedTuple):
-    """Values with ``add``, ``mul``, ``div`` and the unit ``one``: the
-    kernels below are written once over it."""
-
-    add: Callable[[Any, Any], Any]
-    mul: Callable[[Any, Any], Any]
-    div: Callable[[Any, Any], Any]
-    one: Any
-
-
-# exact positive rationals, and their tropicalization in plain ints
-RATIONAL = Semifield(operator.add, operator.mul, operator.truediv, Fraction(1))
-MIN_PLUS = Semifield(min, operator.add, operator.sub, 0)
-
-
-def kappas(sf: Semifield, a: Sequence, b: Sequence) -> list:
+def kappas(sr: Semiring, a: Sequence, b: Sequence) -> list:
     """kappa_r of the adjacent columns ``a = x_j``, ``b = x_{j+1}`` (values
     by color) for r = 0..n-1: the sum over s of the products of b^(r+t),
     t = 1..s, and a^(r+t), t = s+1..n-1.  Term s is term s - 1 times
     b^(r+s) / a^(r+s), so each color takes n steps."""
-    n, add, mul = len(a), sf.add, sf.mul
+    n, add, mul = len(a), sr.add, sr.mul
     full = reduce(mul, a)
-    ratios = list(map(sf.div, b, a)) * 2
+    ratios = list(map(sr.div, b, a)) * 2
     out = []
     for r in range(n):
-        term = total = sf.div(full, a[r])
+        term = total = sr.div(full, a[r])
         for ratio in ratios[r + 1 : r + n]:
             term = mul(term, ratio)
             total = add(total, term)
@@ -167,31 +151,31 @@ def kappas(sf: Semifield, a: Sequence, b: Sequence) -> list:
     return out
 
 
-def _moved(sf: Semifield, col: Sequence, ks: list, d: int) -> list:
+def _moved(sr: Semiring, col: Sequence, ks: list, d: int) -> list:
     """``col^(r+d) kappa_{r+d} / kappa_r`` for each color r."""
-    return list(map(sf.mul, col[d:] + col[:d], map(sf.div, ks[d:] + ks[:d], ks)))
+    return list(map(sr.mul, col[d:] + col[:d], map(sr.div, ks[d:] + ks[:d], ks)))
 
 
-def move(sf: Semifield, a: Sequence, b: Sequence) -> tuple[list, list]:
+def move(sr: Semiring, a: Sequence, b: Sequence) -> tuple[list, list]:
     """s_j on the adjacent columns ``(a, b) = (x_j, x_{j+1})``: the new
     columns ``x_{j+1}^(r+1) kappa_{r+1} / kappa_r`` and
     ``x_j^(r-1) kappa_{r-1} / kappa_r``."""
-    ks = kappas(sf, a, b)
-    return _moved(sf, b, ks, 1), _moved(sf, a, ks, -1)
+    ks = kappas(sr, a, b)
+    return _moved(sr, b, ks, 1), _moved(sr, a, ks, -1)
 
 
-def energy_walk(sf: Semifield, columns: Sequence[Sequence]) -> Any:
+def energy_walk(sr: Semiring, columns: Sequence[Sequence]) -> Any:
     """The product over pairs i < j of kappa_{j-1} on columns (j-1, j) of
     ``s_i ... s_{j-2}`` applied to ``columns`` (x_1, x_2, ...): column i
     moves right, taking kappa_{j-1} with each later column j before it
-    moves past it.  The empty product is ``sf.one``."""
-    total = sf.one
+    moves past it.  The empty product is ``sr.one``."""
+    total = sr.one
     for i, cur in enumerate(columns):
         for j in range(i + 1, len(columns)):
-            ks = kappas(sf, cur, columns[j])
-            total = sf.mul(total, ks[j % len(ks)])
+            ks = kappas(sr, cur, columns[j])
+            total = sr.mul(total, ks[j % len(ks)])
             if j + 1 < len(columns):
-                cur = _moved(sf, cur, ks, -1)
+                cur = _moved(sr, cur, ks, -1)
     return total
 
 
@@ -228,27 +212,21 @@ def rational_energy_global(p: RationalPoint) -> Fraction:
     return energy_walk(RATIONAL, p.values)
 
 
-def point_ring(p: RationalPoint) -> Ring:
-    """The colored variables as their exact values at ``p``."""
-    return Ring(p.m, p.n, p.value, Fraction(0), Fraction(1))
-
-
-def cleared_ring(p: RationalPoint) -> tuple[Ring, Callable[[int, int], Fraction]]:
-    """The colored variables as the integers ``D * p_i^(c)``, with D the
-    lcm of all the denominators of ``p``, and the map ``value(v, d)`` that
-    takes a value v homogeneous of degree d computed in this ring (D**d
+def cleared_values(p: RationalPoint) -> tuple[list[list[int]], Callable[[int, int], Fraction]]:
+    """The value table of the integers ``D * p_i^(c)``, with D the lcm of
+    all the denominators of ``p``, and the map ``value(v, d)`` that takes a
+    value v homogeneous of degree d computed on them in ``INTEGERS`` (D**d
     times its value at ``p``) to its value at ``p``."""
     scale = math.lcm(*(v.denominator for row in p.values for v in row))
     nums = [[v.numerator * (scale // v.denominator) for v in row] for row in p.values]
-    ring = Ring(p.m, p.n, lambda i, c: nums[i - 1][c], 0, 1)
-    return ring, lambda v, d: Fraction(v, scale**d) if v else Fraction(0)
+    return nums, lambda v, d: Fraction(v, scale**d) if v else Fraction(0)
 
 
 def _eval_family(family: str, k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
-    """``loop_family`` at ``p``, run in ints in ``cleared_ring(p)``."""
+    """``loop_family`` at ``p``, run in ``INTEGERS`` on ``cleared_values(p)``."""
     ints((k, r), "a loop family's degree and color")
-    ring, value = cleared_ring(p)
-    return value(loop_family(family, k, r, tuple(indices), ring), k)
+    nums, value = cleared_values(p)
+    return value(loop_family(family, k, r, tuple(indices), INTEGERS, nums), k)
 
 
 def eval_loop_e(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
@@ -328,7 +306,7 @@ def fraction_det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
     raises ``TypeError``."""
     if not all(type(v) is int or type(v) is Fraction for row in rows for v in row):
         raise TypeError(f"matrix entries must be ints or Fractions, got {rows!r}")
-    return Fraction(laplace_dets(rows, [range(len(rows))], Fraction(0), Fraction(1))[0])
+    return Fraction(laplace_dets(rows, [range(len(rows))], RATIONAL)[0])
 
 
 class TactCheck(NamedTuple):

@@ -17,11 +17,11 @@ tropicalization of the birational kappa, and the crystal states none of
 these rules itself: on the grid columns of ``counts_to_grid``
 (``x_i^(r) = counts[(r - i) mod n]``), ``ok``, ``r_matrix`` and
 ``intrinsic_energy`` are the kernels of ``krenergy.birational`` (kappa,
-the move s_j and the energy walk) run in its ``MIN_PLUS`` semifield of
-plain ints.  ``r_matrix`` is memoized per distinct pair, a bounded
-``lru_cache``.  The R-matrix and the coenergy also have slow tableau-based
-oracles (jeu de taquin for the R-matrix, row sliding for the coenergy) used
-as independent cross-checks.
+the move s_j and the energy walk) run in ``lsym.MIN_PLUS``, the one
+algebra type's min-plus instance on plain ints.  ``r_matrix`` is memoized
+per distinct pair, a bounded ``lru_cache``.  The R-matrix and the coenergy
+also have slow tableau-based oracles (jeu de taquin for the R-matrix, row
+sliding for the coenergy) used as independent cross-checks.
 
 ``energy_staircase`` evaluates the tropical staircase formula: the minimum
 over semistandard tableaux of the dilated staircase shape, with entries in
@@ -40,8 +40,8 @@ from functools import lru_cache
 from itertools import accumulate
 
 from ._strict import decimal, json_int
-from .birational import MIN_PLUS, energy_walk, kappas, move
-from .lsym import staircase_loop_schur, trop_eval
+from .birational import energy_walk, kappas, move
+from .lsym import MIN_PLUS, staircase_loop_schur, trop_eval
 from .tableaux import EnumerationGuardError, Shape, SkewShape, Ssyt, rectify
 
 

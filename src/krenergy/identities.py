@@ -19,22 +19,22 @@ picks the evaluator and little else:
   ``staircase_jacobi_trudi`` stays symbolic-only, which keeps the set of
   randomized families fixed.
 
-One evaluator runs the ring-generic kernels (``loop_table``,
-``loop_family``, ``loop_schurs``, ``classical_e_of_products``,
-``laplace_dets``) in its ring, the polynomials or the plain ints of an
-integral point, so no ``Fraction`` arises.  Every determinant is a
-``laplace_dets`` call but the maximal minors of B at a point: one Bareiss
-elimination, ``birational.int_minors``, is twice as fast there.  Every
-degree of a loop e, h or tau comes from one ``loop_table`` per
-``(family, r mod n)``, and each classical e is computed once per degree.
-The loop Schur side of ``jacobi_trudi`` walks the inner shapes of the
-3 x 3 box and the colors, and reads every outer shape from one
-horizontal-strip DP table (``schurs``), dropped before the next; the
-tables of one color share their strip weights (``strip_weights``), and
-no tableau is enumerated.  The determinant side of a table is one
+One evaluator runs the kernels (``loop_table``, ``loop_family``,
+``loop_schurs``, ``classical_e_of_products``, ``laplace_dets``), written
+once over ``lsym.Semiring``, in its ring and value table: the polynomials,
+or an integral point in ``INTEGERS``, so no ``Fraction`` arises.  Every
+determinant is a ``laplace_dets`` call but the maximal minors of B at a
+point: one Bareiss elimination, ``birational.int_minors``, is twice as
+fast there.  Every degree of a loop e, h or tau comes from one
+``loop_table`` per ``(family, r mod n)``, and each classical e is computed
+once per degree.  The loop Schur side of ``jacobi_trudi`` walks the inner
+shapes of the 3 x 3 box and the colors, and reads every outer shape from
+one horizontal-strip DP table (``schurs``), dropped before the next; the
+tables of one color share their strip weights (``strip_weights``), and no
+tableau is enumerated.  The determinant side of a table is one
 ``laplace_dets`` call: its matrices, padded to the box width, are row
-selections from one pool of at most 6 rows of loop e values.  The
-shapes, pools and selections of the walk are built once per n
+selections from one pool of at most 6 rows of loop e values.  The shapes,
+pools and selections of the walk are built once per n
 (``_jacobi_trudi_plan``).
 
 Families covered (names as reported):
@@ -60,11 +60,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 
-from .birational import RationalPoint, cleared_ring, int_minors
+from .birational import RationalPoint, cleared_values, int_minors
 from .lsym import (
-    Ring,
+    INTEGERS,
+    Semiring,
     jacobi_trudi_indices,
     laplace_dets,
     loop_family,
@@ -111,22 +112,23 @@ def box_skew_shapes(rows: int, cols: int) -> list[SkewShape]:
     ]
 
 
-def classical_e_of_products(i: int, ring: Ring):
+def classical_e_of_products(i: int, sr: Semiring, values):
     """The ordinary elementary symmetric e_i in the m full-color products
-    ``prod_r x_j^{(r)}``, computed in ``ring``."""
-    es = [ring.one] + [ring.zero] * ring.m
-    for j in range(1, ring.m + 1):
-        value = math.prod((ring.x(j, c) for c in range(ring.n)), start=ring.one)
-        for t in range(ring.m, 0, -1):
-            es[t] = es[t] + es[t - 1] * value
-    return es[i] if 0 <= i <= ring.m else ring.zero
+    ``prod_r x_j^{(r)}``, computed in ``sr`` at ``values``."""
+    m = len(values)
+    es = [sr.one] + [sr.zero] * m
+    for row in values:
+        value = reduce(sr.mul, row, sr.one)
+        for t in range(m, 0, -1):
+            es[t] = sr.add(es[t], sr.mul(es[t - 1], value))
+    return es[i] if 0 <= i <= m else sr.zero
 
 
 class _Evaluator:
-    """The families in one ring.  Loop e, h and tau are read from one
-    ``loop_table`` per ``(family, r mod n)``: every family is periodic in
-    the color with period n, and the color of a factor does not depend on
-    the degree.  sigma is ``loop_family``, the classical e of the products
+    """The families in one ring ``sr`` at one value table.  Loop e, h and
+    tau are read from one ``loop_table`` per ``(family, r mod n)``: every
+    family is periodic in the color with period n, and the color of a
+    factor does not depend on the degree.  sigma is ``loop_family``, the classical e of the products
     is computed once per degree, and the loop Schur tables of a color
     share its ``strip_weights``.
 
@@ -136,27 +138,28 @@ class _Evaluator:
     globals at call time.
     """
 
-    def __init__(self, ring: Ring, minors=None):
-        self.ring = ring
-        self.n = n = ring.n
-        self.zero = ring.zero
+    def __init__(self, sr: Semiring, values, minors=None):
+        self.sr, self.values, self.zero = sr, values, sr.zero
+        m, n = len(values), len(values[0])
+        self.n = n
         if minors is not None:
             self.minors = minors
-        self.full = tuple(range(1, ring.m + 1))
+        self.full = tuple(range(1, m + 1))
         # e and tau vanish above these degrees; h is read up to 2(n-1)m
         # (eh_alternating_sum) and (n-1)m + n (tau_via_products)
-        top = (n - 1) * ring.m
-        self._tops = {"e": ring.m, "tau": top, "h": top + max(top, n)}
+        top = (n - 1) * m
+        self._tops = {"e": m, "tau": top, "h": top + max(top, n)}
         self._tables: dict[tuple[str, int], list] = {}
-        self.classical_e = cache(lambda i: classical_e_of_products(i, ring))
-        self._weights = [strip_weights(c, ring) for c in range(n)]
+        self.classical_e = cache(lambda i: classical_e_of_products(i, sr, values))
+        self._weights = [strip_weights(c, sr, values) for c in range(n)]
 
     def _read(self, family: str, k: int, r: int):
         key = (family, r % self.n)
         table = self._tables.get(key)
         if table is None or (family == "h" and k >= len(table)):
             top = max(k, self._tops[family])
-            table = self._tables[key] = loop_table(family, top, key[1], self.full, self.ring)
+            table = loop_table(family, top, key[1], self.full, self.sr, self.values)
+            self._tables[key] = table
         return table[k] if 0 <= k < len(table) else self.zero
 
     def e(self, k: int, r: int):
@@ -169,13 +172,13 @@ class _Evaluator:
         return self._read("tau", k, r)
 
     def sigma(self, k: int, r: int, indices: range):
-        return loop_family("sigma", k, r, indices, self.ring)
+        return loop_family("sigma", k, r, indices, self.sr, self.values)
 
     def schurs(self, outer: tuple, inner: tuple, r: int) -> dict:
-        return loop_schurs(outer, inner, self._weights[r % self.n], self.ring)
+        return loop_schurs(outer, inner, self._weights[r % self.n], self.sr)
 
     def det(self, rows: list[list]):
-        return laplace_dets(rows, [range(len(rows))], self.zero, self.ring.one)[0]
+        return laplace_dets(rows, [range(len(rows))], self.sr)[0]
 
     def minors(self, rows: list[list]) -> list:
         """Minor j is the determinant of every column but column j, read as
@@ -183,12 +186,12 @@ class _Evaluator:
         in increasing order, so that they share one memo."""
         columns = list(zip(*rows, strict=True)) or [()]
         skips = [[c for c in range(len(columns)) if c != j] for j in range(len(columns))]
-        return laplace_dets(columns, skips, self.zero, self.ring.one)
+        return laplace_dets(columns, skips, self.sr)
 
 
 def _poly_evaluator(n: int, m: int) -> _Evaluator:
     """The families as polynomials in the m x n colored variables."""
-    return _Evaluator(poly_ring(m, n))
+    return _Evaluator(*poly_ring(m, n))
 
 
 def _point_evaluator(p: RationalPoint) -> _Evaluator:
@@ -196,8 +199,7 @@ def _point_evaluator(p: RationalPoint) -> _Evaluator:
     integral point; a point with a non-integral value raises ``ValueError``."""
     if any(v.denominator != 1 for row in p.values for v in row):
         raise ValueError(f"the point evaluator needs an integral point, got {p!r}")
-    ring, _ = cleared_ring(p)  # at scale 1
-    return _Evaluator(ring, int_minors)
+    return _Evaluator(INTEGERS, cleared_values(p)[0], int_minors)  # at scale 1
 
 
 def integer_point(m: int, n: int, rng: random.Random) -> RationalPoint:
@@ -292,7 +294,7 @@ def _instances(ev, n: int, m: int, symbolic: bool):
     # empty shape, which is checked once, at inner = ()
     for inner, r, pool, entries in _jacobi_trudi_plan(n):
         schurs = ev.schurs(JT_BOX, inner, r)
-        dets = laplace_dets(loop_e_values(pool), [s for _, _, s in entries], ev.zero, ev.ring.one)
+        dets = laplace_dets(loop_e_values(pool), [s for _, _, s in entries], ev.sr)
         for (nu, outer, _), det in zip(entries, dets, strict=True):
             params = {"n": n, "m": m, "r": r, "outer": list(outer), "inner": list(inner)}
             yield "jacobi_trudi", params, schurs[nu] == det

@@ -21,34 +21,40 @@ The generating families:
     sigma(k, r):   sum_i (prefix of the first variable, colors r, r-1, ...)
                    times tau(k-i, r-i) of the remaining variables
 
-loop_e, loop_h and tau are one DP, ``loop_table``, over any commutative
-``Ring`` (the value of each variable, zero and one): one bottom-up table
+One algebra type, ``Semiring`` (add, mul, zero, one, and div in a
+semifield), carries every kernel of the package; ``INTEGERS``,
+``RATIONAL`` and ``MIN_PLUS`` are defined here once.  A subtraction-free
+kernel takes the type and the variables as a value table,
+``values[i - 1][c]`` = x_i^(c), and runs unchanged over the polynomials
+(``poly_ring``), at a point, and in min-plus, where it is its own
+tropicalization.  ``laplace_dets`` subtracts, so it runs only in a ring,
+by its operators, with zero and one from the type.
+
+loop_e, loop_h and tau are one DP, ``loop_table``: one bottom-up table
 over the indices of the sums over bounded multisets (multiplicity cap 1,
 none and n-1; color step +1, -1 and -1), which holds every degree up to
 its top at once, since the color of a factor depends only on its place.
 ``loop_family`` reads one degree from it, and its sigma sums prefixes
 times tau, read from one tau table per color mod n.  ``loop_e``,
-``loop_h``, ``tau`` and ``sigma`` compute it over the polynomials
-(``poly_ring``); ``krenergy.birational`` computes it at exact rational
-points.
+``loop_h``, ``tau`` and ``sigma`` compute it over the polynomials;
+``krenergy.birational`` computes it at exact rational points.
 
 ``tableau_monomials`` yields each semistandard tableau of a skew shape
 with its color-shifted content monomial, the one statement of that rule
 (``krenergy emit-formula`` prints its pairs), and ``loop_schur_tableaux``
-sums the monomials; ``loop_schur_jt`` computes the same
-polynomial as a determinant of loop elementary functions, and
-``loop_schurs`` the loop skew Schur functions of every nu / inner up to an
-outer shape at once, over any ``Ring``, by one dynamic program over
-horizontal strips, whose weights (``strip_weights``) tables of one color
-can share.  ``build_A`` and
+sums the monomials; ``loop_schur_jt`` computes the same polynomial as a
+determinant of loop elementary functions, and ``loop_schurs`` the loop
+skew Schur functions of every nu / inner up to an outer shape at once, by
+one dynamic program over horizontal strips, whose weights
+(``strip_weights``) tables of one color can share.  ``build_A`` and
 ``build_B`` assemble the banded dilated-staircase matrices used by the
 closing identities, ``laplace_dets`` takes the determinants of many row
-selections from one pool over any ring (``PolyMatrix.det`` is its
-one-selection call), and ``trop_eval`` is the (min, +) shadow of a
-subtraction-free polynomial.  The ``*_indices`` functions give the entries
-of those matrices and of the tau vector as ``(degree, color)`` pairs, and
-``sigma_product_indices`` the sigma factors of the energy's product, for
-the polynomials here and for point evaluation alike.
+selections from one pool (``PolyMatrix.det`` is its one-selection call),
+and ``trop_eval`` is the (min, +) shadow of a subtraction-free polynomial.
+The ``*_indices`` functions give the entries of those matrices and of the
+tau vector as ``(degree, color)`` pairs, and ``sigma_product_indices`` the
+sigma factors of the energy's product, for the polynomials here and for
+point evaluation alike.
 
 ``staircase_loop_schur`` builds the loop Schur polynomial of the energy's
 staircase by one horizontal-strip DP over the exponent blocks of x_1, x_2,
@@ -62,9 +68,10 @@ Python ints when a grid value reaches 2^40.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from itertools import chain, product
 from typing import Any, NamedTuple
 
@@ -181,28 +188,30 @@ class ColoredPoly:
         """``(mono_factors(mono), coef)`` of each term, ordered by the factors."""
         return sorted((mono_factors(mono, self.n), coef) for mono, coef in self.terms.items())
 
-    def __add__(self, other: ColoredPoly) -> ColoredPoly:
+    def _merge(self, other: ColoredPoly, sign: int) -> ColoredPoly:
+        """``self + sign * other``, sign +1 or -1, in one copy of the terms."""
         if not isinstance(other, ColoredPoly):
             return NotImplemented
         self._check_same(other)
-        if not (self.terms and other.terms):  # a zero summand: nothing to copy
-            return self if self.terms else other
+        if not (self.terms and other.terms):  # a zero operand: nothing to merge
+            return self if self.terms else other if sign > 0 else other * -1
         terms = dict(self.terms)
         for mono, coef in other.terms.items():
-            c = terms.get(mono, 0) + coef
+            c = terms.get(mono, 0) + sign * coef
             if c:
                 terms[mono] = c
             else:
                 terms.pop(mono, None)
         return ColoredPoly._raw(self.m, self.n, terms, max(self.deg, other.deg))
 
+    def __add__(self, other: ColoredPoly) -> ColoredPoly:
+        return self._merge(other, 1)
+
     def __neg__(self) -> ColoredPoly:
         return self * -1
 
     def __sub__(self, other: ColoredPoly) -> ColoredPoly:
-        if not isinstance(other, ColoredPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._merge(other, -1)
 
     def __mul__(self, other: ColoredPoly | int) -> ColoredPoly:
         if type(other) is int:
@@ -312,29 +321,37 @@ def _normalize_indices(indices: Sequence[int] | None, m: int) -> tuple[int, ...]
     return out
 
 
-class Ring(NamedTuple):
-    """The m x n colored variables in a commutative ring: ``x(i, c)`` is
-    the value of ``x_i^{(c)}`` for 1 <= i <= m and 0 <= c < n."""
+class Semiring(NamedTuple):
+    """A commutative semiring: ``add`` and ``mul`` with their units
+    ``zero`` and ``one``, and ``div`` where it is a semifield."""
 
-    m: int
-    n: int
-    x: Callable[[int, int], Any]
+    add: Callable[[Any, Any], Any]
+    mul: Callable[[Any, Any], Any]
     zero: Any
     one: Any
+    div: Callable[[Any, Any], Any] | None = None
+
+
+# plain ints, exact positive rationals, and their tropicalization in plain
+# ints, whose zero is the empty minimum, as trop_eval gives for 0
+INTEGERS = Semiring(operator.add, operator.mul, 0, 1)
+RATIONAL = Semiring(operator.add, operator.mul, Fraction(0), Fraction(1), operator.truediv)
+MIN_PLUS = Semiring(min, operator.add, math.inf, 0, operator.sub)
 
 
 @lru_cache(maxsize=None)
-def poly_ring(m: int, n: int) -> Ring:
-    """The colored variables as polynomials."""
-    xs = [ColoredPoly.variable(k // n + 1, k % n, m=m, n=n) for k in range(m * n)]
+def poly_ring(m: int, n: int) -> tuple[Semiring, tuple[tuple[ColoredPoly, ...], ...]]:
+    """The polynomials as a ``Semiring``, and the colored variables' value table."""
     zero, one = ColoredPoly.zero(m, n), ColoredPoly.one(m, n)
-    return Ring(m, n, lambda i, c: xs[(i - 1) * n + c], zero, one)
+    xs = tuple(tuple(ColoredPoly.variable(i, c, m=m, n=n) for c in range(n))
+               for i in range(1, m + 1))
+    return Semiring(operator.add, operator.mul, zero, one), xs
 
 
-def loop_table(family: str, k: int, r: int, indices: Sequence[int], ring: Ring) -> list:
+def loop_table(family: str, k: int, r: int, indices: Sequence[int], sr: Semiring, values) -> list:
     """``[f_t^{(r)} for t in 0..k]`` for the loop family f = ``e``, ``h`` or
     ``tau`` on the variables ``indices`` (strictly increasing), computed
-    in ``ring``; empty for k < 0.
+    in ``sr`` at ``values``; empty for k < 0.
 
     f_t sums ``prod_s x_{i_s}^{(r + step*(s-1))}`` over the weakly
     increasing ``i_1 <= ... <= i_t`` from ``indices`` that take no index
@@ -343,33 +360,34 @@ def loop_table(family: str, k: int, r: int, indices: Sequence[int], ring: Ring) 
     indices holds every degree: after each index, ``row[t]`` is the t-factor
     sum over the indices seen so far.
     """
-    cap, step = {"e": (1, 1), "h": (k, -1), "tau": (ring.n - 1, -1)}[family]
+    n, add, mul = len(values[0]), sr.add, sr.mul
+    cap, step = {"e": (1, 1), "h": (k, -1), "tau": (n - 1, -1)}[family]
     if k < 0:
         return []
-    n, x = ring.n, ring.x
     colors = [(r + step * t) % n for t in range(k)]  # the color of factor t + 1
-    row = [ring.one] + [ring.zero] * k
+    row = [sr.one] + [sr.zero] * k
     for pos, i in enumerate(indices):
-        xs = [x(i, c) for c in colors]
+        xs = [values[i - 1][c] for c in colors]
         if family == "h":
             # ascending, so row[t - 1] already holds copies of i
             for t in range(1, k + 1):
-                row[t] = row[t] + row[t - 1] * xs[t - 1]
+                row[t] = add(row[t], mul(row[t - 1], xs[t - 1]))
             continue
         # descending over the degrees the indices so far can reach, adding
         # u <= cap copies of i as factors t-u+1..t
         for t in range(min(k, cap * (pos + 1)), 0, -1):
-            total, prod = row[t], ring.one
+            total, prod = row[t], sr.one
             for u in range(1, min(cap, t) + 1):
-                prod = prod * xs[t - u]
-                total = total + row[t - u] * prod
+                prod = mul(prod, xs[t - u])
+                total = add(total, mul(row[t - u], prod))
             row[t] = total
     return row
 
 
-def loop_family(family: str, k: int, r: int, indices: Sequence[int], ring: Ring):
+def loop_family(family: str, k: int, r: int, indices: Sequence[int], sr: Semiring, values):
     """Loop ``e``, ``h``, ``tau`` or ``sigma`` of degree k and color r on
-    the variables ``indices`` (strictly increasing), computed in ``ring``.
+    the variables ``indices`` (strictly increasing), computed in ``sr`` at
+    ``values``.
 
     e, h and tau are entry k of ``loop_table``.  sigma sums the prefixes
     ``x_f^{(r)} x_f^{(r-1)} ... x_f^{(r-i+1)}`` of the first index f times
@@ -377,25 +395,26 @@ def loop_family(family: str, k: int, r: int, indices: Sequence[int], ring: Ring)
     per color mod n.
     """
     if family != "sigma":
-        return loop_table(family, k, r, indices, ring)[k] if k >= 0 else ring.zero
+        return loop_table(family, k, r, indices, sr, values)[k] if k >= 0 else sr.zero
     if not indices:
         raise ValueError("sigma needs a nonempty variable range")
     if k < 0:
-        return ring.zero
-    n, first, rest = ring.n, indices[0], indices[1:]
+        return sr.zero
+    n, first, rest = len(values[0]), values[indices[0] - 1], indices[1:]
     # color (r - i) mod n is first read at degree k - i, the table's top
-    taus = {(r - i) % n: loop_table("tau", k - i, r - i, rest, ring) for i in range(min(n, k + 1))}
-    total, prefix = ring.zero, ring.one
+    taus = {(r - i) % n: loop_table("tau", k - i, r - i, rest, sr, values)
+            for i in range(min(n, k + 1))}
+    total, prefix = sr.zero, sr.one
     for i in range(k + 1):
-        total = total + prefix * taus[(r - i) % n][k - i]
-        prefix = prefix * ring.x(first, (r - i) % n)
+        total = sr.add(total, sr.mul(prefix, taus[(r - i) % n][k - i]))
+        prefix = sr.mul(prefix, first[(r - i) % n])
     return total
 
 
 def _poly_family(family: str, k: int, r: int, n: int, m: int, indices) -> ColoredPoly:
     """``loop_family`` over the polynomials, its arguments checked."""
     ints((k, r), "a loop family's degree and color")
-    return loop_family(family, k, r, _normalize_indices(indices, m), poly_ring(m, n))
+    return loop_family(family, k, r, _normalize_indices(indices, m), *poly_ring(m, n))
 
 
 def loop_e(k: int, r: int, *, n: int, m: int, indices: Sequence[int] | None = None) -> ColoredPoly:
@@ -493,25 +512,26 @@ def _strip_chains(
     return tuple(parts), tuple(contents), tuple(preds)
 
 
-def strip_weights(r: int, ring: Ring) -> Callable[[tuple[int, ...]], list]:
-    """The strip weights of color r for ``loop_schurs``: for the contents
-    of a horizontal strip's cells, the list over the entries i = 1..m of
-    ``prod_c x_i^{(c + r)}``, memoized per content tuple, so that the
-    tables that share it compute each weight once."""
+def strip_weights(r: int, sr: Semiring, values) -> Callable[[tuple[int, ...]], list]:
+    """The strip weights of color r for ``loop_schurs``, in ``sr`` at
+    ``values``: for the contents of a horizontal strip's cells, the list
+    over the entries i = 1..m of ``prod_c x_i^{(c + r)}``, memoized per
+    content tuple, so that the tables that share it compute each weight
+    once."""
+    n = len(values[0])
 
     @cache
     def weights(cells: tuple[int, ...]) -> list:
-        return [math.prod((ring.x(i, (c + r) % ring.n) for c in cells), start=ring.one)
-                for i in range(1, ring.m + 1)]
+        return [reduce(sr.mul, (row[(c + r) % n] for c in cells), sr.one) for row in values]
 
     return weights
 
 
-def loop_schurs(outer: tuple, inner: tuple, weights: Callable[[tuple], list], ring: Ring) -> dict:
+def loop_schurs(outer: tuple, inner: tuple, weights: Callable[[tuple], list], sr: Semiring) -> dict:
     """Loop skew Schur functions of every nu / inner with inner <= nu <=
-    outer (partitions as tuples), computed in ``ring`` and keyed by nu with
-    ``len(outer)`` parts; their color is that of ``weights``, the
-    ``strip_weights`` of ``ring``.
+    outer (partitions as tuples), computed in ``sr`` and keyed by nu with
+    ``len(outer)`` parts; their color and values are those of ``weights``,
+    a ``strip_weights`` in ``sr``.
 
     A semistandard tableau with entries 1..m is a chain of partitions from
     the inner to the outer shape in which entry i fills a horizontal strip;
@@ -521,16 +541,16 @@ def loop_schurs(outer: tuple, inner: tuple, weights: Callable[[tuple], list], ri
     the function of nu / inner.
     """
     parts, strips, preds = _strip_chains(outer, inner)
-    columns = [weights(cells) for cells in strips]
-    f = [ring.one] + [ring.zero] * (len(parts) - 1)
-    for i in range(ring.m):
-        ws = [column[i] for column in columns]
+    add, mul = sr.add, sr.mul
+    f = [sr.one] + [sr.zero] * (len(parts) - 1)
+    # the strip weights of each entry i in turn (none without a strip)
+    for ws in zip(*(weights(cells) for cells in strips)):
         # strips only grow partitions, so a descending sweep reads the
         # previous entry's values
         for nu in range(len(preds) - 1, -1, -1):
             total = f[nu]
             for kappa, w in preds[nu]:
-                total = total + f[kappa] * ws[w]
+                total = add(total, mul(f[kappa], ws[w]))
             f[nu] = total
     return dict(zip(parts, f))
 
@@ -678,20 +698,19 @@ class PolyMatrix:
     def det(self) -> ColoredPoly:
         """Division-free determinant: ``laplace_dets`` of the one selection
         of every row, so a matrix that is not square raises ``ValueError``."""
-        zero, one = ColoredPoly.zero(self.m, self.n), ColoredPoly.one(self.m, self.n)
-        return laplace_dets(self.entries, [range(self.nrows)], zero, one)[0]
+        return laplace_dets(self.entries, [range(self.nrows)], poly_ring(self.m, self.n)[0])[0]
 
 
-def laplace_dets(pool: Sequence[Sequence], selections: Iterable[Iterable[int]], zero, one) -> list:
+def laplace_dets(pool: Sequence[Sequence], selections: Iterable[Iterable[int]], sr: Semiring):
     """The determinant of each square matrix ``[pool[p] for p in selection]``,
-    in any commutative ring with ``zero`` and ``one``, by one division-free
+    in the ring ``sr`` (its operators, zero and one), by one division-free
     Laplace expansion along columns.  The minor of some rows on the last as
     many columns is memoized under those rows, so selections share it: the
     up to 20 selections of a 6-row Jacobi-Trudi pool share its 15 two-row
     minors.  Zero entries are skipped, and a row that is zero on the
     columns left prunes to 0, which keeps banded matrices cheap.
     """
-    width = len(pool[0]) if pool else 0
+    width, zero = len(pool[0]) if pool else 0, sr.zero
     selections = [tuple(rows) for rows in selections]
     if any(len(row) != width for row in chain(pool, selections)):
         raise ValueError(f"need pool rows of one width, {width}, and selections of {width} rows")
@@ -720,7 +739,7 @@ def laplace_dets(pool: Sequence[Sequence], selections: Iterable[Iterable[int]], 
         memo[rows] = acc
         return acc
 
-    return [minor(rows) if rows else one for rows in selections]
+    return [minor(rows) if rows else sr.one for rows in selections]
 
 
 def staircase_matrix_size(m: int, n: int) -> tuple[int, int]:

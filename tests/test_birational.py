@@ -24,7 +24,6 @@ from krenergy.birational import (
     fraction_det,
     int_minors,
     kappa,
-    point_ring,
     random_point,
     rational_energy_global,
     rational_energy_product,
@@ -32,7 +31,7 @@ from krenergy.birational import (
 )
 from krenergy.crystal import counts_to_grid, intrinsic_energy, ok
 from krenergy.identities import _point_evaluator, integer_point
-from krenergy.lsym import loop_e, loop_family, loop_h, loop_schur_tableaux, sigma, tau
+from krenergy.lsym import RATIONAL, loop_e, loop_family, loop_h, loop_schur_tableaux, sigma, tau
 from krenergy.tableaux import Shape, SkewShape, count_ssyt, partitions_between, staircase
 from krenergy.verify import random_tensor
 
@@ -167,7 +166,7 @@ def test_evaluators_on_subranges():
 @pytest.mark.parametrize("n, m", [(2, 3), (3, 4), (4, 5)])
 def test_integer_point_families_match_the_rational_ring(n, m):
     """The families computed in ints at the cleared-denominator point equal
-    the kernel run over ``Fraction`` (``point_ring``), for every degree
+    the kernel run in ``RATIONAL`` at the point's values, for every degree
     from -1 to one past the cap on every index range (a contiguous range
     and the odd indices)."""
     p = random_point(m, n, random.Random(f"int-point:{n}:{m}"))
@@ -178,7 +177,7 @@ def test_integer_point_families_match_the_rational_ring(n, m):
         for family, fn in evals.items():
             for k in range(-1, (n - 1) * len(idx) + 2):
                 for r in (-1, 0, n):
-                    want = loop_family(family, k, r, idx, point_ring(p))
+                    want = loop_family(family, k, r, idx, RATIONAL, p.values)
                     assert fn(k, r, idx, p) == want, (family, k, r, idx)
 
 

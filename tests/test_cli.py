@@ -3,7 +3,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,38 @@ def test_energy_worked_example(capsys, monkeypatch):
     code, out, err = run_cli(["energy"], payload, capsys, monkeypatch)
     assert code == 0
     assert json.loads(out) == {"intrinsic": 5, "staircase": 5, "equal": True}
+
+
+# the CLI in a fresh interpreter in which the test dependencies cannot be imported
+RUNTIME_ONLY = """
+import sys
+for name in ("sympy", "hypothesis", "pytest"):
+    sys.modules[name] = None
+from krenergy.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["energy"], '{"n":4,"rows":["13","1224","123"]}'),
+        (["verify", "--n", "2", "--m", "1:2", "--capacity-cap", "1", "--json"], ""),
+    ],
+    ids=["energy", "verify"],
+)
+def test_cli_imports_no_test_dependency(argv, stdin):
+    """``krenergy energy`` and a small ``krenergy verify`` run with sympy,
+    hypothesis and pytest unimportable, as on an install without the
+    ``test`` extra."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNTIME_ONLY, *argv],
+        input=stdin, capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    json.loads(proc.stdout)
 
 
 def test_energy_single_factor(capsys, monkeypatch):

@@ -8,6 +8,7 @@ has coenergy 3; and the triple (13, 1224, 123) has intrinsic energy
 
 import itertools
 import random
+from functools import reduce
 
 import pytest
 
@@ -27,6 +28,7 @@ from krenergy.crystal import (
     r_matrix,
     r_matrix_oracle,
 )
+from krenergy.lsym import MIN_PLUS, loop_family, sigma_product_indices
 from krenergy.tableaux import EnumerationGuardError, Shape, enumerate_ssyt, staircase
 from krenergy.verify import VerifyConfig, elements_up_to, iter_tensors, random_tensor, run_verify
 
@@ -383,6 +385,30 @@ def test_energy_staircase_big_counts_take_exact_path(n, m):
 def test_energy_equivalence_exhaustive_n2_m2():
     for t in iter_tensors(2, 2, 3):
         assert intrinsic_energy(t) == energy_staircase(t)
+
+
+def min_plus_sigma_product(t, shift=0):
+    """The sigma product of the rational energy, each factor
+    ``loop_family("sigma", ...)`` run in ``MIN_PLUS`` on the count grid;
+    ``shift`` moves every factor's color, a deliberate mutation."""
+    values = counts_to_grid(t).values
+    factors = sigma_product_indices(t.m, n=t.n)
+    return reduce(
+        MIN_PLUS.mul,
+        (loop_family("sigma", k, c + shift, idx, MIN_PLUS, values) for k, c, idx in factors),
+        MIN_PLUS.one,
+    )
+
+
+def test_min_plus_sigma_product_with_a_shifted_color_is_caught():
+    """The min-plus sigma product with every color shifted by one is not
+    the energy on seeded (3, 3) tensors, so the comparison of the unshifted
+    product with ``intrinsic_energy`` in test_properties can fail."""
+    rng = random.Random("sigma-shift")
+    tensors = [random_tensor(3, 3, 5, rng) for _ in range(50)]
+    assert all(min_plus_sigma_product(t) == intrinsic_energy(t) for t in tensors)
+    caught = sum(min_plus_sigma_product(t, shift=1) != intrinsic_energy(t) for t in tensors)
+    assert caught >= len(tensors) // 2, caught
 
 
 # ---------------------------------------------------------------------------

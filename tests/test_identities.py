@@ -22,7 +22,6 @@ from krenergy.birational import (
     eval_tau,
     fraction_det,
     int_minors,
-    point_ring,
     random_point,
 )
 from krenergy.identities import (
@@ -33,6 +32,7 @@ from krenergy.identities import (
     integer_point,
 )
 from krenergy.lsym import (
+    RATIONAL,
     ColoredPoly,
     PolyMatrix,
     jacobi_trudi_indices,
@@ -189,8 +189,9 @@ def test_classical_e_of_products_matches_combinations():
                     for r in range(n):
                         mono = mono * ColoredPoly.variable(j, r, m=m, n=n)
                 want = want + mono
-            assert classical_e_of_products(i, poly_ring(m, n)) == want, (n, m, i)
-            assert classical_e_of_products(i, point_ring(p)) == want.eval_rational(p.value)
+            assert classical_e_of_products(i, *poly_ring(m, n)) == want, (n, m, i)
+            got = classical_e_of_products(i, RATIONAL, p.values)
+            assert got == want.eval_rational(p.value)
 
 
 def test_randomized_testing_has_no_false_passes():
@@ -241,10 +242,10 @@ def corrupt_table(monkeypatch, family, degree, color):
     with zeros up to that degree if it stops short of it."""
     real = identities.loop_table
 
-    def broken(fam, k, r, indices, ring):
-        table = real(fam, k, r, indices, ring)
-        if (fam, r % ring.n) == (family, color):
-            table += [ring.zero] * (degree + 1 - len(table))
+    def broken(fam, k, r, indices, sr, values):
+        table = real(fam, k, r, indices, sr, values)
+        if (fam, r % len(values[0])) == (family, color):
+            table += [sr.zero] * (degree + 1 - len(table))
             table[degree] += 1
         return table
 
@@ -352,16 +353,16 @@ def test_jacobi_trudi_walk_reads_one_table_per_inner_shape(monkeypatch, symbolic
     real_kernel = identities.laplace_dets
     real_weights = identities.strip_weights
 
-    def counting(outer, inner, strip_weights, ring):
+    def counting(outer, inner, strip_weights, sr):
         calls.append((outer, inner, weights[id(strip_weights)]))
-        return real(outer, inner, strip_weights, ring)
+        return real(outer, inner, strip_weights, sr)
 
-    def counting_kernel(pool, selections, zero, one):
+    def counting_kernel(pool, selections, sr):
         kernel_calls.append(len(selections))
-        return real_kernel(pool, selections, zero, one)
+        return real_kernel(pool, selections, sr)
 
-    def counting_weights(r, ring):
-        made = real_weights(r, ring)
+    def counting_weights(r, sr, values):
+        made = real_weights(r, sr, values)
         weights[id(made)] = r
         weight_calls.append(r)
         return made
@@ -406,10 +407,10 @@ def test_point_evaluator_computes_each_family_once(monkeypatch):
     calls = Counter()
     real = identities.loop_table
 
-    def counting(family, k, r, indices, ring):
+    def counting(family, k, r, indices, sr, values):
         if tuple(indices) == full:
             calls[(family, r % n)] += 1
-        return real(family, k, r, indices, ring)
+        return real(family, k, r, indices, sr, values)
 
     monkeypatch.setattr(identities, "loop_table", counting)
     ev = identities._point_evaluator(p)
@@ -433,39 +434,39 @@ def test_point_evaluator_computes_each_family_once(monkeypatch):
 def test_point_evaluator_matches_the_fraction_ring(n):
     """Every value the point evaluator reads at an integral point is a
     plain ``int`` equal to the same kernel run over ``Fraction``
-    (``point_ring``): loop e, h, tau and sigma on each suffix range, h
-    past the degrees the identities read, the classical e of the
-    products, and every entry of the loop Schur table of each inner shape
-    of the box."""
+    (``RATIONAL`` at the point's values): loop e, h, tau and sigma on each
+    suffix range, h past the degrees the identities read, the classical e
+    of the products, and every entry of the loop Schur table of each inner
+    shape of the box."""
 
     def same(got, want):
         return type(got) is int and got == want
 
     for m in range(1, 5):
         p = integer_point(m, n, random.Random(f"oracle:{n}:{m}"))
-        ev, ring = identities._point_evaluator(p), point_ring(p)
+        ev, ring = identities._point_evaluator(p), (RATIONAL, p.values)
         full = tuple(range(1, m + 1))
         for r in range(n):
             for k in range(-1, (n - 1) * m + 2):
-                assert same(ev.e(k, r), loop_family("e", k, r, full, ring)), (m, r, k)
-                assert same(ev.h(k, r), loop_family("h", k, r, full, ring)), (m, r, k)
-                assert same(ev.tau(k, r), loop_family("tau", k, r, full, ring)), (m, r, k)
+                assert same(ev.e(k, r), loop_family("e", k, r, full, *ring)), (m, r, k)
+                assert same(ev.h(k, r), loop_family("h", k, r, full, *ring)), (m, r, k)
+                assert same(ev.tau(k, r), loop_family("tau", k, r, full, *ring)), (m, r, k)
                 for i in range(1, m + 1):
                     idx = range(i, m + 1)
-                    want = loop_family("sigma", k, r, idx, ring)
+                    want = loop_family("sigma", k, r, idx, *ring)
                     assert same(ev.sigma(k, r, idx), want), (m, r, k, i)
             for nu in partitions_between(identities.JT_BOX):
                 inner = Shape(nu).parts
-                want = loop_schurs(identities.JT_BOX, inner, strip_weights(r, ring), ring)
+                want = loop_schurs(identities.JT_BOX, inner, strip_weights(r, *ring), RATIONAL)
                 got = ev.schurs(identities.JT_BOX, inner, r)
                 assert got.keys() == want.keys(), (m, r, inner)
                 assert all(same(got[nu], want[nu]) for nu in want), (m, r, inner)
         for i in range(-1, m + 2):
-            assert same(ev.classical_e(i), classical_e_of_products(i, ring)), (m, i)
+            assert same(ev.classical_e(i), classical_e_of_products(i, *ring)), (m, i)
         # h past the top degree its table was built to, at every color
         for k in range(2 * (n - 1) * m + n - 1, 2 * (n - 1) * m + n + 3):
             for r in range(n):
-                assert same(ev.h(k, r), loop_family("h", k, r, full, ring)), (m, r, k)
+                assert same(ev.h(k, r), loop_family("h", k, r, full, *ring)), (m, r, k)
 
 
 def test_point_minors_match_per_column_determinants():

@@ -10,7 +10,8 @@ for PolyMatrix, sympy's determinant for ``laplace_dets`` over the
 integers, the tableau sum ``loop_schur_tableaux`` for the strip DPs
 (``loop_schurs`` and the staircase's ``staircase_loop_schur``), exponent
 vectors decoded by ``mono_factors`` for products at the packed field
-limit, and hand-expanded small cases frozen as literals.
+limit, ``trop_eval`` of each kernel's polynomial for the same kernel run
+in ``MIN_PLUS``, and hand-expanded small cases frozen as literals.
 """
 
 import gc
@@ -33,9 +34,10 @@ from krenergy.birational import (
 )
 from krenergy.crystal import TropicalGrid
 from krenergy.lsym import (
+    INTEGERS,
+    MIN_PLUS,
     ColoredPoly,
     PolyMatrix,
-    Ring,
     _strip_chains,
     build_A,
     build_B,
@@ -513,12 +515,12 @@ def test_loop_table_entries_match_enumeration(n):
             top = (n - 1) * len(idx) + 1
             for r in range(n):
                 for family, cap, step in (("e", 1, 1), ("h", top, -1), ("tau", n - 1, -1)):
-                    table = loop_table(family, top, r, idx, ring)
+                    table = loop_table(family, top, r, idx, *ring)
                     assert len(table) == top + 1
                     for t, value in enumerate(table):
                         want = enumerated_family(t, r, cap, step, n, m, idx)
                         assert value == want, (family, m, r, idx, t)
-    assert loop_table("e", -1, 0, (1, 2), poly_ring(2, 2)) == []
+    assert loop_table("e", -1, 0, (1, 2), *poly_ring(2, 2)) == []
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -529,15 +531,15 @@ def test_sigma_matches_its_prefix_definition(n):
     for m in range(1, 5):
         point = [[random.Random(f"sigma:{n}:{m}:{i}:{c}").randint(1, 2**30) for c in range(n)]
                  for i in range(m)]
-        rings = (poly_ring(m, n), Ring(m, n, lambda i, c: point[i - 1][c], 0, 1))
-        for ring, start, r in itertools.product(rings, range(1, m + 1), range(n)):
+        rings = (poly_ring(m, n), (INTEGERS, point))
+        for (sr, values), start, r in itertools.product(rings, range(1, m + 1), range(n)):
             first, rest = start, tuple(range(start + 1, m + 1))
             for k in range(-1, (n - 1) * m + 2):
-                want, prefix = ring.zero, ring.one
+                want, prefix = sr.zero, sr.one
                 for i in range(k + 1):
-                    want = want + prefix * loop_family("tau", k - i, r - i, rest, ring)
-                    prefix = prefix * ring.x(first, (r - i) % n)
-                got = loop_family("sigma", k, r, (first, *rest), ring)
+                    want = want + prefix * loop_family("tau", k - i, r - i, rest, sr, values)
+                    prefix = prefix * values[first - 1][(r - i) % n]
+                got = loop_family("sigma", k, r, (first, *rest), sr, values)
                 assert got == want, (m, start, r, k)
 
 
@@ -693,19 +695,62 @@ def test_loop_schurs_match_tableaux_as_polynomials(n):
     weights."""
     box = (3, 3, 3)
     for m in range(1, 5):
-        ring = poly_ring(m, n)
+        sr, values = poly_ring(m, n)
         for r in range(n):
-            weights = strip_weights(r, ring)
+            weights = strip_weights(r, sr, values)
             for inner in partitions_between(box):
                 inner = Shape(inner).parts
-                table = loop_schurs(box, inner, weights, ring)
+                table = loop_schurs(box, inner, weights, sr)
                 assert sorted(table) == partitions_between(box, inner)
                 for nu, value in table.items():
                     assert value == loop_schur_tableaux(SkewShape(nu, inner), r, m, n=n), (nu, inner)
             if m >= 2:
                 stair = staircase(m - 1, n - 1).parts
                 want = loop_schur_tableaux(stair, r, m, n=n)
-                assert loop_schurs(stair, (), weights, ring)[stair] == want, (m, r)
+                assert loop_schurs(stair, (), weights, sr)[stair] == want, (m, r)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_min_plus_kernels_are_the_tropicalization_of_their_polynomials(n):
+    """Each kernel run in ``MIN_PLUS`` at a count grid equals ``trop_eval``
+    of the same kernel's polynomial at that grid: every entry of the e, h
+    and tau tables and sigma up to one degree past the cap on each suffix
+    range, and the loop Schur table of each inner shape of the 2 x 2 and
+    3 x 3 boxes, at every color, m = 1..3.  A nonempty family's value is a
+    plain int, and an empty family's is the zero, ``math.inf``, the value
+    of ``trop_eval`` on the zero polynomial."""
+    rng = random.Random(f"min-plus:{n}")
+    kinds = set()
+
+    def same(got, poly):
+        kinds.add(poly.is_zero)
+        want = trop_eval(poly, grid)
+        if poly.is_zero:
+            return got == MIN_PLUS.zero == want == math.inf
+        return type(got) is int and got == want
+
+    for m in range(1, 4):
+        sr, xs = poly_ring(m, n)
+        values = [[rng.randint(0, 5) for _ in range(n)] for _ in range(m)]
+        grid = TropicalGrid(m, n, values)
+        for start, r in itertools.product(range(1, m + 1), range(n)):
+            idx = tuple(range(start, m + 1))
+            top = (n - 1) * len(idx) + 1
+            for family in ("e", "h", "tau"):
+                tropical = loop_table(family, top, r, idx, MIN_PLUS, values)
+                polys = loop_table(family, top, r, idx, sr, xs)
+                assert all(map(same, tropical, polys)), (family, m, r, idx)
+            for k in range(-1, top + 1):
+                tropical = loop_family("sigma", k, r, idx, MIN_PLUS, values)
+                assert same(tropical, loop_family("sigma", k, r, idx, sr, xs)), (m, r, idx, k)
+        for box, r in itertools.product([(2, 2), (3, 3, 3)], range(n)):
+            for inner in partitions_between(box):
+                inner = Shape(inner).parts
+                tropical = loop_schurs(box, inner, strip_weights(r, MIN_PLUS, values), MIN_PLUS)
+                polys = loop_schurs(box, inner, strip_weights(r, sr, xs), sr)
+                assert tropical.keys() == polys.keys()
+                assert all(same(tropical[nu], polys[nu]) for nu in polys), (box, inner, m, r)
+    assert kinds == {True, False}
 
 
 def test_strip_weights_compute_each_content_once():
@@ -714,18 +759,20 @@ def test_strip_weights_compute_each_content_once():
     read per (entry, cell) of the 25 distinct strips, not of the 213
     strips the tables hold between them."""
     m, n = 3, 3
-    base = poly_ring(m, n)
+    sr, base = poly_ring(m, n)
     reads = []
 
-    def x(i, c):
-        reads.append((i, c))
-        return base.x(i, c)
+    class Row(tuple):
+        """A row of the value table that records each read."""
 
-    ring = base._replace(x=x)
-    weights = strip_weights(1, ring)
+        def __getitem__(self, c):
+            reads.append(c)
+            return super().__getitem__(c)
+
+    weights = strip_weights(1, sr, [Row(row) for row in base])
     inners = [Shape(nu).parts for nu in partitions_between((3, 3, 3))]
     for inner in inners:
-        loop_schurs((3, 3, 3), inner, weights, ring)
+        loop_schurs((3, 3, 3), inner, weights, sr)
     contents = {cells for inner in inners for cells in _strip_chains((3, 3, 3), inner)[1]}
     assert len(contents) == 25
     assert sum(len(_strip_chains((3, 3, 3), inner)[1]) for inner in inners) == 213
@@ -884,7 +931,7 @@ def test_laplace_dets_match_bareiss_on_int_pools(width):
                 row[blank] = 0
         sels = random_selections(rng, rows, width, 8)
         want = [int(sympy.Matrix([pool[p] for p in sel]).det()) for sel in sels]
-        assert laplace_dets(pool, sels, 0, 1) == want
+        assert laplace_dets(pool, sels, INTEGERS) == want
         if trial % 3 == 1:  # a zero row
             assert all(v == 0 for v, sel in zip(want, sels) if blank in sel)
         if trial % 3 == 2:  # a zero column
@@ -896,7 +943,8 @@ def test_laplace_dets_match_leibniz_on_poly_pools():
     of its own matrix."""
     m, n = 2, 2
     rng = random.Random(17)
-    zero, one = ColoredPoly.zero(m, n), ColoredPoly.one(m, n)
+    sr = poly_ring(m, n)[0]
+    zero = sr.zero
 
     def rand_entry():
         p = zero
@@ -911,24 +959,25 @@ def test_laplace_dets_match_leibniz_on_poly_pools():
             pool[0] = [zero] * width
             sels = random_selections(rng, rows, width, 6)
             want = [leibniz_det([pool[p] for p in sel], m, n) for sel in sels]
-            assert laplace_dets(pool, sels, zero, one) == want
+            assert laplace_dets(pool, sels, sr) == want
 
 
 def test_laplace_dets_edge_cases():
-    zero, one = ColoredPoly.zero(2, 2), ColoredPoly.one(2, 2)
-    assert laplace_dets([], [()], zero, one) == [one]  # the 0 x 0 matrix
-    assert laplace_dets([[], []], [(), ()], 0, 1) == [1, 1]
-    assert laplace_dets([[1, 2], [3, 4]], [], 0, 1) == []
-    assert laplace_dets([[1, 2], [3, 4]], [(0, 1), (1, 0), (0, 1)], 0, 1) == [-2, 2, -2]
-    assert laplace_dets([[1, 2], [0, 0]], [(0, 1)], 0, 1) == [0]  # zero row
-    assert laplace_dets([[0, 2], [0, 4]], [(0, 1)], 0, 1) == [0]  # zero column
+    sr = poly_ring(2, 2)[0]
+    zero, one = sr.zero, sr.one
+    assert laplace_dets([], [()], sr) == [one]  # the 0 x 0 matrix
+    assert laplace_dets([[], []], [(), ()], INTEGERS) == [1, 1]
+    assert laplace_dets([[1, 2], [3, 4]], [], INTEGERS) == []
+    assert laplace_dets([[1, 2], [3, 4]], [(0, 1), (1, 0), (0, 1)], INTEGERS) == [-2, 2, -2]
+    assert laplace_dets([[1, 2], [0, 0]], [(0, 1)], INTEGERS) == [0]  # zero row
+    assert laplace_dets([[0, 2], [0, 4]], [(0, 1)], INTEGERS) == [0]  # zero column
     assert PolyMatrix(2, 2, []).det() == one
     with pytest.raises(ValueError):
         PolyMatrix(2, 2, [[zero, one]]).det()
     with pytest.raises(ValueError):
-        laplace_dets([[1, 2], [3]], [(0, 1)], 0, 1)
+        laplace_dets([[1, 2], [3]], [(0, 1)], INTEGERS)
     with pytest.raises(ValueError):
-        laplace_dets([[1, 2], [3, 4]], [(0,)], 0, 1)
+        laplace_dets([[1, 2], [3, 4]], [(0,)], INTEGERS)
 
 
 GOLD_A4 = [

@@ -22,8 +22,11 @@ at most 6 letters a factor), and ``kappa``, ``s_action`` and
 or integral as the randomized identity suite draws them, survives its
 JSON round trip.  At random integral points every entry of a loop e, h or
 tau table equals the sum over bounded multisets of indices, and sigma
-equals its prefixes times tau of the rest, each tau computed alone.  The runs are
-derandomized, so a failure reproduces, and keep no example database.
+equals its prefixes times tau of the rest, each tau computed alone.  On
+random tensors (n <= 4, m <= 5, at most 5 letters a factor) the sigma
+product run in ``MIN_PLUS`` equals the intrinsic and the staircase
+energy.  The runs are derandomized, so a failure reproduces, and keep no
+example database.
 """
 
 import itertools
@@ -46,11 +49,19 @@ from krenergy.birational import (  # noqa: E402
     rational_energy_global,
     s_action,
 )
-from krenergy.crystal import CrystalElement, TensorElement, apply_s, ok, r_matrix  # noqa: E402
+from krenergy.crystal import (  # noqa: E402
+    CrystalElement,
+    TensorElement,
+    apply_s,
+    energy_staircase,
+    intrinsic_energy,
+    ok,
+    r_matrix,
+)
 from krenergy.identities import POINT_BOUND  # noqa: E402
 from krenergy.lsym import (  # noqa: E402
+    INTEGERS,
     ColoredPoly,
-    Ring,
     loop_family,
     loop_schur_tableaux,
     loop_table,
@@ -60,9 +71,12 @@ from krenergy.tableaux import (  # noqa: E402
     SkewShape,
     Ssyt,
     count_ssyt,
+    energy_staircase_count,
     enumerate_ssyt,
     partitions_between,
+    resolve_guard,
 )
+from test_crystal import min_plus_sigma_product  # noqa: E402
 from test_lsym import LIMIT, vectors  # noqa: E402
 
 BOX = 4
@@ -273,6 +287,28 @@ def test_tensor_json_round_trip(t):
     assert TensorElement.from_jsonable(t.to_jsonable()) == t
 
 
+@st.composite
+def capped_tensors(draw):
+    """A tensor of 1..5 single-row elements over 1..n, n <= 4, each of at
+    most 5 letters."""
+    n, m = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+    letters = st.lists(st.integers(0, n - 1), max_size=5)
+    factors = [draw(letters) for _ in range(m)]
+    return TensorElement.from_counts(n, [[f.count(c) for c in range(n)] for f in factors])
+
+
+@PROPERTY_SETTINGS
+@given(capped_tensors())
+def test_min_plus_sigma_product_is_the_energy(t):
+    """The sigma product run in ``MIN_PLUS`` on the count grid is a plain
+    int equal to ``intrinsic_energy`` and, where the guard admits the
+    staircase polynomial (all sizes but (4, 5)), to ``energy_staircase``."""
+    got = min_plus_sigma_product(t)
+    assert type(got) is int and got == intrinsic_energy(t)
+    if energy_staircase_count(t.n, t.m) * t.m * t.n <= resolve_guard():
+        assert got == energy_staircase(t)
+
+
 def ok_reference(r, b1, b2):
     """ok_r(b1, b2): the minimum over 0 <= s <= n-1 of
     sum_{t=1..s} y2^(r+t-1) + sum_{t=s+1..n-1} y1^(r+t), written out."""
@@ -407,7 +443,6 @@ def family_points(draw):
 def test_loop_tables_and_sigma_match_their_definitions(point, r, start):
     n, values = point
     m = len(values)
-    ring = Ring(m, n, lambda i, c: values[i - 1][c], 0, 1)
     idx = tuple(range(min(start, m), m + 1))
     top = (n - 1) * len(idx) + 1
     for family, cap, step in (("e", 1, 1), ("h", top, -1), ("tau", n - 1, -1)):
@@ -416,11 +451,11 @@ def test_loop_tables_and_sigma_match_their_definitions(point, r, start):
             for combo in itertools.combinations_with_replacement(idx, t):
                 if max(map(combo.count, combo), default=0) <= cap:
                     colors = ((r + step * s) % n for s in range(t))
-                    want[t] += math.prod(map(ring.x, combo, colors))
-        assert loop_table(family, top, r, idx, ring) == want, family
-    first, rest = idx[0], idx[1:]
+                    want[t] += math.prod(values[i - 1][c] for i, c in zip(combo, colors))
+        assert loop_table(family, top, r, idx, INTEGERS, values) == want, family
+    row, rest = values[idx[0] - 1], idx[1:]
     for k in range(top + 1):
-        prefixes = [math.prod(ring.x(first, (r - s) % n) for s in range(i)) for i in range(k + 1)]
-        taus = [loop_family("tau", k - i, r - i, rest, ring) for i in range(k + 1)]
+        prefixes = [math.prod(row[(r - s) % n] for s in range(i)) for i in range(k + 1)]
+        taus = [loop_family("tau", k - i, r - i, rest, INTEGERS, values) for i in range(k + 1)]
         want = sum(map(operator.mul, prefixes, taus))
-        assert loop_family("sigma", k, r, idx, ring) == want, k
+        assert loop_family("sigma", k, r, idx, INTEGERS, values) == want, k
