@@ -7,15 +7,15 @@ The package has five layers:
                 tropical staircase energy
     lsym        colored polynomials: loop e/h/tau/sigma, loop Schur
                 functions, banded staircase matrices, tropical evaluation
-    birational  exact rational kappa, the birational R-action, and the
-                product formula for rational energy
+    birational  exact rational kappa, the birational R-action, rational
+                energy, and the R-action identities over any semifield
     verify/cli  identity suites and the command line front end
 """
 
 from .birational import (
     RationalPoint,
-    check_lem_tact,
     kappa,
+    r_action_identities,
     random_point,
     rational_energy_global,
     rational_energy_product,
@@ -83,7 +83,6 @@ __all__ = [
     "apply_s",
     "build_A",
     "build_B",
-    "check_lem_tact",
     "coenergy",
     "coenergy_sliding_oracle",
     "count_ssyt",
@@ -100,6 +99,7 @@ __all__ = [
     "loop_schur_jt",
     "loop_schur_tableaux",
     "ok",
+    "r_action_identities",
     "r_matrix",
     "r_matrix_oracle",
     "random_point",

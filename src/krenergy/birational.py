@@ -18,34 +18,36 @@ product).  ``kappa``, ``s_action`` and ``rational_energy_global`` run them
 in ``RATIONAL`` on a point's values; ``krenergy.crystal`` runs them in
 ``MIN_PLUS`` on a tensor's count grid, where they are the combinatorial
 R-matrix and intrinsic energy: the energy is the tropicalization of the
-rational energy.
+rational energy.  So the R-action's identities hold in both semifields,
+and ``r_action_identities`` states them once, over the type.
 
 ``cleared_values`` is a point's values with their denominators cleared,
 plain ints, and the one power of the common denominator that restores
 each homogeneous value.  The evaluation helpers (eval_loop_e,
 eval_loop_h, eval_tau, eval_sigma) run the polynomial families' code
-(``krenergy.lsym``) on them in ``INTEGERS``.  Tests check them against
-the kernels in ``RATIONAL`` at the point's values, enumerations and the
-tableau sum.  Determinants are ``lsym.laplace_dets`` in every ring, and
-``fraction_det`` is its one selection over ``Fraction``.  The one other
-kernel, ``int_minors``, gives every maximal minor of an r x (r + 1)
-integer matrix from one Bareiss elimination: it needs exact integer
-division, and on the identity suite's matrix B at a point it is twice as
-fast as the pooled expansion.  The identity suite evaluates its integral
-points in ``cleared_values`` at scale 1, in plain ints.
+(``krenergy.lsym``) on them in ``RATIONAL``, where they stay ints.  Tests
+check them against the kernels in ``RATIONAL`` at the point's values,
+enumerations and the tableau sum.  Determinants are
+``lsym.laplace_dets`` in every ring, and ``fraction_det`` is its one
+selection over ``Fraction``.  The one other kernel, ``int_minors``, gives
+every maximal minor of an r x (r + 1) integer matrix from one Bareiss
+elimination: it needs exact integer division, and on the identity
+suite's matrix B at a point it is twice as fast as the pooled expansion.
+The identity suite evaluates its integral points in ``cleared_values`` at
+scale 1, in plain ints.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import reduce
-from typing import Any, NamedTuple
+from typing import Any
 
 from ._strict import ints, json_decimal, json_int
-from .lsym import INTEGERS, RATIONAL, Semiring, laplace_dets, loop_family, sigma_product_indices
+from .lsym import RATIONAL, Semiring, laplace_dets, loop_family, sigma_product_indices
 
 
 class RationalPoint:
@@ -209,13 +211,13 @@ def rational_energy_global(p: RationalPoint) -> Fraction:
     kappa_{j-1} on columns (j-1, j) of ``s_i ... s_{j-2}`` applied to the
     point: ``energy_walk`` of its columns.  The empty product gives 1 for
     m = 1."""
-    return energy_walk(RATIONAL, p.values)
+    return Fraction(energy_walk(RATIONAL, p.values))
 
 
 def cleared_values(p: RationalPoint) -> tuple[list[list[int]], Callable[[int, int], Fraction]]:
     """The value table of the integers ``D * p_i^(c)``, with D the lcm of
     all the denominators of ``p``, and the map ``value(v, d)`` that takes a
-    value v homogeneous of degree d computed on them in ``INTEGERS`` (D**d
+    value v homogeneous of degree d computed on them in ``RATIONAL`` (D**d
     times its value at ``p``) to its value at ``p``."""
     scale = math.lcm(*(v.denominator for row in p.values for v in row))
     nums = [[v.numerator * (scale // v.denominator) for v in row] for row in p.values]
@@ -223,10 +225,10 @@ def cleared_values(p: RationalPoint) -> tuple[list[list[int]], Callable[[int, in
 
 
 def _eval_family(family: str, k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
-    """``loop_family`` at ``p``, run in ``INTEGERS`` on ``cleared_values(p)``."""
+    """``loop_family`` at ``p``, run in ``RATIONAL`` on ``cleared_values(p)``."""
     ints((k, r), "a loop family's degree and color")
     nums, value = cleared_values(p)
-    return value(loop_family(family, k, r, tuple(indices), INTEGERS, nums), k)
+    return value(loop_family(family, k, r, tuple(indices), RATIONAL, nums), k)
 
 
 def eval_loop_e(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Fraction:
@@ -309,49 +311,56 @@ def fraction_det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
     return Fraction(laplace_dets(rows, [range(len(rows))], RATIONAL)[0])
 
 
-class TactCheck(NamedTuple):
-    """Outcome of the three displayed identities relating kappa, the chain
-    action, and sigma ratios for a pair 1 <= i < j <= m."""
-
-    i: int
-    j: int
-    r: int
-    kappa_ratio: bool
-    chain_first_form: bool
-    chain_second_form: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.kappa_ratio and self.chain_first_form and self.chain_second_form
+def _chain(sr: Semiring, columns: list, js: Iterable[int]) -> list:
+    """A copy of ``columns`` with ``move`` applied at each 0-based position
+    j of ``js`` in order, to the columns j and j + 1."""
+    cols = list(columns)
+    for j in js:
+        cols[j : j + 2] = move(sr, cols[j], cols[j + 1])
+    return cols
 
 
-def check_lem_tact(i: int, j: int, r: int, p: RationalPoint) -> TactCheck:
-    """Exactly evaluate both sides of the three transported-kappa identities.
-
-    (1) kappa_r on columns (j-1, j) after the chain s_i ... s_{j-2} equals
-        sigma_{(n-1)(j-i)}^{(r-j+i)}(x_i..x_j) / sigma_{(n-1)(j-i-1)}^{(r-j+i)}(x_i..x_{j-1});
-    (2) the chain s_i ... s_{j-1} applied to x_j^{(r)} equals
-        x_i^{(r-j+i)} sigma^{(r-j+i-1)} / sigma^{(r-j+i)} of degree (n-1)(j-i);
-    (3) the same value equals the degree-((n-1)(j-i)+1 over (n-1)(j-i))
-        sigma ratio with color r-j+i.
-    """
-    if not 1 <= i < j <= p.m:
-        raise ValueError(f"need 1 <= i < j <= m, got i={i}, j={j}, m={p.m}")
-    n = p.n
-    d = j - i
-    span = tuple(range(i, j + 1))
-    span_short = tuple(range(i, j))
-
-    q = apply_chain(p, range(i, j - 1))
-    lhs1 = kappa(r, j - 1, q)
-    rhs1 = eval_sigma((n - 1) * d, r - j + i, span, p) / eval_sigma(
-        (n - 1) * (d - 1), r - j + i, span_short, p
-    )
-
-    q2 = apply_chain(q, [j - 1])
-    lhs2 = q2.value(j, r)
-    denom = eval_sigma((n - 1) * d, r - j + i, span, p)
-    rhs2 = p.value(i, r - j + i) * eval_sigma((n - 1) * d, r - j + i - 1, span, p) / denom
-    rhs3 = eval_sigma((n - 1) * d + 1, r - j + i, span, p) / denom
-
-    return TactCheck(i, j, r, lhs1 == rhs1, lhs2 == rhs2, lhs2 == rhs3)
+def r_action_identities(sr: Semiring, columns: Sequence[Sequence]) -> Iterator[tuple]:
+    """Yield ``(identity, params, passed)`` for the R-action identities on
+    the columns x_1..x_m (values by color) in the semifield ``sr``:
+    ``involution`` and ``energy-invariance`` (of ``energy_walk``) of each
+    s_j, ``braid``, the ``energy-product`` of the sigma factors, and for
+    each pair i < j and color r, with d = (n-1)(j-i), c = r-j+i and sigma
+    on x_i..x_j: ``kappa-ratio``, kappa_r on columns (j-1, j) after
+    s_i ... s_{j-2} is sigma_d^(c) / sigma_{d-n+1}^(c)(x_i..x_{j-1}); and
+    ``chain-first-form`` and ``chain-second-form``, s_i ... s_{j-1} takes
+    x_j^(r) to x_i^(c) sigma_d^(c-1) / sigma_d^(c) and to
+    sigma_{d+1}^(c) / sigma_d^(c).  The pairs walk the chain as
+    ``energy_walk`` does, one ``kappas`` call each.  Every identity is
+    homogeneous, so on a point's cleared values the verdicts are those at
+    the point."""
+    cols = [list(col) for col in columns]
+    m, n = len(cols), len(cols[0])
+    energy = energy_walk(sr, cols)
+    for j in range(1, m):
+        yield "involution", {"j": j}, _chain(sr, cols, (j - 1, j - 1)) == cols
+        yield "energy-invariance", {"j": j}, energy_walk(sr, _chain(sr, cols, (j - 1,))) == energy
+    for j in range(1, m - 1):
+        braid = _chain(sr, cols, (j - 1, j, j - 1)) == _chain(sr, cols, (j, j - 1, j))
+        yield "braid", {"j": j}, braid
+    # sigma_k^(c) on x_i..x_j, each once, at k = (n - 1)(j - i) and one more
+    sig = {
+        (k, c, i, j): loop_family("sigma", k, c, range(i, j + 1), sr, cols)
+        for i in range(1, m) for j in range(i, m + 1) for c in range(n)
+        for k in ((n - 1) * (j - i), (n - 1) * (j - i) + 1)
+    }
+    factors = (sig[k, c % n, idx[0], idx[-1]] for k, c, idx in sigma_product_indices(m, n=n))
+    yield "energy-product", {}, reduce(sr.mul, factors, sr.one) == energy
+    for i in range(1, m):
+        cur = cols[i - 1]  # x_i, which the chain moves right
+        for j in range(i + 1, m + 1):
+            ks = kappas(sr, cur, cols[j - 1])
+            cur = _moved(sr, cur, ks, -1)  # column j after s_i ... s_{j-1}
+            d = (n - 1) * (j - i)
+            for r in range(n):
+                c, params = (r - j + i) % n, {"i": i, "j": j, "r": r}
+                top = sig[d, c, i, j]
+                yield "kappa-ratio", params, ks[r] == sr.div(top, sig[d - n + 1, c, i, j - 1])
+                first = sr.mul(cols[i - 1][c], sig[d, (c - 1) % n, i, j])
+                yield "chain-first-form", params, cur[r] == sr.div(first, top)
+                yield "chain-second-form", params, cur[r] == sr.div(sig[d + 1, c, i, j], top)

@@ -22,7 +22,7 @@ picks the evaluator and little else:
 One evaluator runs the kernels (``loop_table``, ``loop_family``,
 ``loop_schurs``, ``classical_e_of_products``, ``laplace_dets``), written
 once over ``lsym.Semiring``, in its ring and value table: the polynomials,
-or an integral point in ``INTEGERS``, so no ``Fraction`` arises.  Every
+or an integral point in ``RATIONAL``, so no ``Fraction`` arises.  Every
 determinant is a ``laplace_dets`` call but the maximal minors of B at a
 point: one Bareiss elimination, ``birational.int_minors``, is twice as
 fast there.  Every degree of a loop e, h or tau comes from one
@@ -64,7 +64,7 @@ from functools import cache, lru_cache, reduce
 
 from .birational import RationalPoint, cleared_values, int_minors
 from .lsym import (
-    INTEGERS,
+    RATIONAL,
     Semiring,
     jacobi_trudi_indices,
     laplace_dets,
@@ -199,7 +199,7 @@ def _point_evaluator(p: RationalPoint) -> _Evaluator:
     integral point; a point with a non-integral value raises ``ValueError``."""
     if any(v.denominator != 1 for row in p.values for v in row):
         raise ValueError(f"the point evaluator needs an integral point, got {p!r}")
-    return _Evaluator(INTEGERS, cleared_values(p)[0], int_minors)  # at scale 1
+    return _Evaluator(RATIONAL, cleared_values(p)[0], int_minors)  # at scale 1
 
 
 def integer_point(m: int, n: int, rng: random.Random) -> RationalPoint:

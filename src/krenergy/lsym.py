@@ -22,8 +22,8 @@ The generating families:
                    times tau(k-i, r-i) of the remaining variables
 
 One algebra type, ``Semiring`` (add, mul, zero, one, and div in a
-semifield), carries every kernel of the package; ``INTEGERS``,
-``RATIONAL`` and ``MIN_PLUS`` are defined here once.  A subtraction-free
+semifield), carries every kernel of the package; exact ``RATIONAL`` and
+``MIN_PLUS`` are defined here once.  A subtraction-free
 kernel takes the type and the variables as a value table,
 ``values[i - 1][c]`` = x_i^(c), and runs unchanged over the polynomials
 (``poly_ring``), at a point, and in min-plus, where it is its own
@@ -332,10 +332,9 @@ class Semiring(NamedTuple):
     div: Callable[[Any, Any], Any] | None = None
 
 
-# plain ints, exact positive rationals, and their tropicalization in plain
-# ints, whose zero is the empty minimum, as trop_eval gives for 0
-INTEGERS = Semiring(operator.add, operator.mul, 0, 1)
-RATIONAL = Semiring(operator.add, operator.mul, Fraction(0), Fraction(1), operator.truediv)
+# exact rationals, ints until a division makes an exact Fraction, and their
+# tropicalization in plain ints, whose zero is the empty minimum (trop_eval of 0)
+RATIONAL = Semiring(operator.add, operator.mul, 0, 1, Fraction)
 MIN_PLUS = Semiring(min, operator.add, math.inf, 0, operator.sub)
 
 

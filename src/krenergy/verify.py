@@ -11,7 +11,9 @@ The crystal suites share two runners, one over pairs of elements and one
 over tensors; pairs are drawn as two-factor tensors, so both obey the same
 cell limit.  The identity suites ``lsym-identities`` and ``section4``
 share one ``identity_suite`` run per (n, m, mode) cell and split its checks
-by family.
+by family.  The ``birational`` suite runs ``birational.r_action_identities``
+in two semifields: in ``RATIONAL`` at seeded points, beside the positivity
+of each s_j, and in ``MIN_PLUS`` at the count grids of seeded tensors.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, partial
 
 from .birational import (
     RationalPoint,
-    check_lem_tact,
+    cleared_values,
+    r_action_identities,
     random_point,
-    rational_energy_global,
     rational_energy_product,
     s_action,
 )
@@ -47,8 +48,8 @@ from .crystal import (
     r_matrix_oracle,
 )
 from .identities import SYMBOLIC_M_MAX, SYMBOLIC_N_MAX, identity_suite
-from .lsym import ColoredPoly, sigma, sigma_product_indices, trop_eval
-from .tableaux import count_ssyt, energy_staircase_shape
+from .lsym import MIN_PLUS, RATIONAL, ColoredPoly, Semiring, sigma, sigma_product_indices, trop_eval
+from .tableaux import energy_staircase_count
 
 SUITE_NAMES = (
     "rmatrix",
@@ -142,6 +143,10 @@ class SuiteResult:
             self.failures += 1
             if witness is not None and len(self.witnesses) < 32:
                 self.witnesses.append(witness)
+
+    def record_problems(self, problems: list[str]):
+        """One check, failed with its first witness if there are problems."""
+        self.record(not problems, problems[0] if problems else None)
 
 
 @dataclass
@@ -328,46 +333,28 @@ def check_braid_tensor(t: TensorElement) -> list[str]:
     return problems
 
 
+def check_r_action(sr: Semiring, columns, **where) -> list[str]:
+    """A witness, located by ``where``, for each R-action identity that
+    fails on ``columns`` in ``sr``."""
+    return [_witness(identity, **where, **params)
+            for identity, params, passed in r_action_identities(sr, columns) if not passed]
+
+
 def check_birational_point(p: RationalPoint) -> list[str]:
-    """Involution, braid, energy invariance, the product formula, and the
-    transported-kappa identities, all at one exact point."""
-    problems = []
-    m, n = p.m, p.n
-    glob = rational_energy_global(p)
-    prod = rational_energy_product(p)
+    """Positivity of each s_j at one exact point, and the R-action
+    identities in ``RATIONAL`` on its cleared values, whose verdicts are
+    those at the point."""
     point = p.to_jsonable()
-    if glob != prod:
-        problems.append(_witness("energyprod", point=point))
-    for j in range(1, m):
-        pj = s_action(j, p)
-        if any(v <= 0 for row in pj.values for v in row):
-            problems.append(_witness("positivity", point=point, j=j))
-        if s_action(j, pj) != p:
-            problems.append(_witness("birational-involution", point=point, j=j))
-        if rational_energy_global(pj) != glob:
-            problems.append(_witness("rational-energy-invariance", point=point, j=j))
-    for j in range(1, m - 1):
-        lhs = s_action(j, s_action(j + 1, s_action(j, p)))
-        rhs = s_action(j + 1, s_action(j, s_action(j + 1, p)))
-        if lhs != rhs:
-            problems.append(_witness("birational-braid", point=point, j=j))
-    for i in range(1, m):
-        for j in range(i + 1, m + 1):
-            tact = check_lem_tact(i, j, (i + j) % n, p)
-            if not tact.passed:
-                problems.append(_witness("lem-tact", point=point, i=i, j=j))
-    return problems
+    problems = [_witness("positivity", point=point, j=j) for j in range(1, p.m)
+                if any(v <= 0 for row in s_action(j, p).values for v in row)]
+    return problems + check_r_action(RATIONAL, cleared_values(p)[0], point=point)
 
 
 def check_all_ones_count(n: int, m: int) -> list[str]:
-    """The rational energy at the all-ones point counts staircase tableaux."""
-    if m < 2:
-        return []
-    expected = count_ssyt(energy_staircase_shape(n, m), m)
-    value = rational_energy_product(RationalPoint.all_ones(m, n))
-    if value != Fraction(expected):
-        return [_witness("all-ones-count", n=n, m=m, got=str(value), want=expected)]
-    return []
+    """The rational energy at the all-ones point counts the staircase
+    tableaux, by their closed-form count, so no size is refused."""
+    got, want = rational_energy_product(RationalPoint.all_ones(m, n)), energy_staircase_count(n, m)
+    return [] if got == want else [_witness("all-ones-count", n=n, m=m, got=str(got), want=want)]
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +375,7 @@ def _run_pairs(config: VerifyConfig, result: SuiteResult, check, label: str) -> 
     for n in range(config.n_range[0], config.n_range[1] + 1):
         rng = _cfg_rng(config, label, n, 2)
         for t in _tensor_stream(n, 2, config.capacity_cap, config.trials, rng, config.mode):
-            problems = check(*t.factors)
-            result.record(not problems, problems[0] if problems else None)
+            result.record_problems(check(*t.factors))
 
 
 def _run_tensors(
@@ -398,8 +384,7 @@ def _run_tensors(
     for n, m in _cells(config, m_min):
         rng = _cfg_rng(config, label, n, m)
         for t in _tensor_stream(n, m, config.capacity_cap, config.trials, rng, config.mode):
-            problems = check(t)
-            result.record(not problems, problems[0] if problems else None)
+            result.record_problems(check(t))
 
 
 # The families of the section4 suite; every other family of the identity
@@ -430,14 +415,18 @@ def _run_identities(config: VerifyConfig, results: dict[str, SuiteResult]) -> No
 
 
 def _run_birational(config: VerifyConfig, result: SuiteResult) -> None:
+    """Per cell, the all-ones count, then ``trials`` seeded points and
+    ``trials`` seeded tensors, each from its own stream."""
     for n, m in _cells(config, 2):
         rng = _cfg_rng(config, "birational", n, m)
-        ones_problems = check_all_ones_count(n, m)
-        result.record(not ones_problems, ones_problems[0] if ones_problems else None)
+        result.record_problems(check_all_ones_count(n, m))
         for _ in range(config.trials):
-            p = random_point(m, n, rng)
-            problems = check_birational_point(p)
-            result.record(not problems, problems[0] if problems else None)
+            result.record_problems(check_birational_point(random_point(m, n, rng)))
+        rng = _cfg_rng(config, "birational-min-plus", n, m)
+        for _ in range(config.trials):
+            t = random_tensor(n, m, config.capacity_cap, rng)
+            grid = counts_to_grid(t).values
+            result.record_problems(check_r_action(MIN_PLUS, grid, tensor=t.to_jsonable()))
 
 
 # Each crystal suite walks its own stream; the label seeds its RNG.

@@ -4,19 +4,26 @@ The point evaluators run the same ring-generic kernel as the polynomial
 families; both rings are checked against a brute-force enumeration in
 test_lsym.  The product formula for rational energy is checked against the
 independent global formula, and the identity suite's point evaluator's
-loop Schur tables against the tableau sum.
+loop Schur tables against the tableau sum.  The R-action identities of
+``r_action_identities`` hold in ``RATIONAL`` and ``MIN_PLUS``, give the
+same verdicts on a point's cleared values as at the point, and catch a
+shifted sigma colour in both semifields.
 """
 
+import json
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 import sympy
 
+from krenergy import birational
 from krenergy.birational import (
     RationalPoint,
     apply_chain,
-    check_lem_tact,
+    cleared_values,
     eval_loop_e,
     eval_loop_h,
     eval_sigma,
@@ -24,6 +31,9 @@ from krenergy.birational import (
     fraction_det,
     int_minors,
     kappa,
+    kappas,
+    move,
+    r_action_identities,
     random_point,
     rational_energy_global,
     rational_energy_product,
@@ -31,9 +41,18 @@ from krenergy.birational import (
 )
 from krenergy.crystal import counts_to_grid, intrinsic_energy, ok
 from krenergy.identities import _point_evaluator, integer_point
-from krenergy.lsym import RATIONAL, loop_e, loop_family, loop_h, loop_schur_tableaux, sigma, tau
+from krenergy.lsym import (
+    MIN_PLUS,
+    RATIONAL,
+    loop_e,
+    loop_family,
+    loop_h,
+    loop_schur_tableaux,
+    sigma,
+    tau,
+)
 from krenergy.tableaux import Shape, SkewShape, count_ssyt, partitions_between, staircase
-from krenergy.verify import random_tensor
+from krenergy.verify import VerifyConfig, random_tensor, run_verify
 
 
 def test_point_validation():
@@ -364,36 +383,144 @@ def test_energy_tropicalizes_to_intrinsic():
 
 
 # ---------------------------------------------------------------------------
-# the transported-kappa identities
+# the R-action identities
+
+TACT = ("kappa-ratio", "chain-first-form", "chain-second-form")
+
+
+def tact_verdicts(p):
+    """The verdict of the three transported-kappa identities at ``p`` for
+    each (i, j, r), from ``r_action_identities`` run in ``RATIONAL`` on its
+    cleared values."""
+    verdicts = {}
+    for identity, params, passed in r_action_identities(RATIONAL, cleared_values(p)[0]):
+        if identity in TACT:
+            verdicts.setdefault((params["i"], params["j"], params["r"]), []).append(passed)
+    assert all(len(v) == len(TACT) for v in verdicts.values())
+    return {key: all(v) for key, v in verdicts.items()}
 
 
 def test_lem_tact_base_case():
     rng = random.Random(12)
     for n in (2, 3):
         p = random_point(2, n, rng, bound=30)
-        for r in range(n):
-            assert check_lem_tact(1, 2, r, p).passed
+        verdicts = tact_verdicts(p)
+        assert verdicts == {(1, 2, r): True for r in range(n)}
 
 
 def test_lem_tact_spec_cases():
     rng = random.Random(13)
     p = random_point(3, 2, rng, bound=30)
-    assert check_lem_tact(1, 3, 1, p).passed
+    assert tact_verdicts(p)[(1, 3, 1)]
     q = random_point(4, 3, rng, bound=30)
-    assert check_lem_tact(2, 4, 0, q).passed
+    assert tact_verdicts(q)[(2, 4, 0)]
 
 
 def test_lem_tact_sweep():
     rng = random.Random(14)
     for n, m in [(2, 4), (3, 4), (4, 3)]:
         p = random_point(m, n, rng, bound=30)
+        verdicts = tact_verdicts(p)
         for i in range(1, m):
             for j in range(i + 1, m + 1):
                 for r in range(n):
-                    assert check_lem_tact(i, j, r, p).passed, (n, m, i, j, r)
+                    assert verdicts.pop((i, j, r)), (n, m, i, j, r)
+        assert not verdicts
 
 
-def test_lem_tact_index_validation():
-    p = RationalPoint.all_ones(3, 2)
-    with pytest.raises(ValueError):
-        check_lem_tact(2, 2, 0, p)
+def shift_sigma_colour(monkeypatch):
+    """Make every sigma of ``r_action_identities`` read the colour one
+    higher: a deliberate mutation."""
+    real = birational.loop_family
+
+    def shifted(family, k, r, *args):
+        return real(family, k, r + (family == "sigma"), *args)
+
+    monkeypatch.setattr(birational, "loop_family", shifted)
+
+
+def failures(sr, columns):
+    return [(identity, params) for identity, params, passed in r_action_identities(sr, columns)
+            if not passed]
+
+
+def test_r_action_identities_on_cleared_values_give_the_verdicts_at_the_point(monkeypatch):
+    """Every identity is homogeneous, so the failures on a point's cleared
+    values are those on its Fraction values: none as written, and the same
+    set under a shifted sigma colour, which fails at most points."""
+    rng = random.Random("cleared-verdicts")
+    points = [random_point(m, n, rng) for n in (2, 3, 4) for m in (2, 3, 4) for _ in range(6)]
+    for p in points:
+        assert failures(RATIONAL, cleared_values(p)[0]) == failures(RATIONAL, p.values) == []
+    shift_sigma_colour(monkeypatch)
+    caught = 0
+    for p in points:
+        found = failures(RATIONAL, cleared_values(p)[0])
+        assert found == failures(RATIONAL, p.values)
+        caught += bool(found)
+    assert caught >= len(points) * 3 // 4, caught
+
+
+def test_r_action_identities_catch_a_shifted_sigma_colour_in_min_plus(monkeypatch):
+    """On seeded tensors every identity holds in ``MIN_PLUS`` on the count
+    grid; with the sigma colour shifted by one, most tensors fail."""
+    rng = random.Random("min-plus-shift")
+    grids = [counts_to_grid(random_tensor(n, m, 4, rng)).values
+             for n in (2, 3, 4) for m in (2, 3, 4) for _ in range(20)]
+    assert all(failures(MIN_PLUS, g) == [] for g in grids)
+    shift_sigma_colour(monkeypatch)
+    caught = sum(bool(failures(MIN_PLUS, g)) for g in grids)
+    assert caught >= len(grids) * 3 // 4, caught
+
+
+def test_r_action_identities_names_and_counts():
+    """At (n, m) the generator yields m - 1 involution and invariance
+    checks, m - 2 braids, one energy product, and three transported-kappa
+    identities per pair i < j and colour r."""
+    for n, m in [(2, 2), (3, 4), (4, 3)]:
+        p = RationalPoint.all_ones(m, n)
+        names = Counter(identity for identity, _, passed in
+                        r_action_identities(RATIONAL, cleared_values(p)[0]) if passed)
+        pairs = m * (m - 1) // 2 * n
+        want = {"involution": m - 1, "energy-invariance": m - 1, "braid": m - 2,
+                "energy-product": 1, **{name: pairs for name in TACT}}
+        assert names == {name: count for name, count in want.items() if count}
+
+
+def test_rational_kernels_stay_exact_on_int_columns():
+    """``kappas`` and ``move`` in ``RATIONAL`` on int columns give exact
+    Fractions equal to their values on the same point as Fractions: a
+    division of two ints is a Fraction, never a float."""
+    rng = random.Random(15)
+    for n in (2, 3, 4):
+        p = integer_point(2, n, rng)
+        cols = [[v.numerator for v in row] for row in p.values]
+        assert all(type(v) is int for col in cols for v in col)
+        for kernel in (kappas, move):
+            got, want = kernel(RATIONAL, *cols), kernel(RATIONAL, *p.values)
+            flat = list(chain.from_iterable(got)) if kernel is move else got
+            assert all(type(v) is Fraction for v in flat) and got == want
+
+
+def test_public_rational_functions_return_fractions():
+    """The public rational functions return Fractions, the empty energy
+    product at m = 1 included."""
+    p, q = random_point(1, 3, random.Random(16)), RationalPoint.all_ones(2, 3)
+    values = [
+        rational_energy_global(p), rational_energy_product(p), rational_energy_global(q),
+        kappa(0, 1, q), eval_sigma(0, 0, (1,), p), fraction_det([[1]]), fraction_det([]),
+    ]
+    assert all(type(v) is Fraction for v in values), values
+
+
+def test_birational_suite_reports_a_mutated_identity_in_both_semifields(monkeypatch):
+    """With the sigma colour shifted, the birational suite records failures
+    at rational points and at tensors, each witness naming its identity."""
+    shift_sigma_colour(monkeypatch)
+    config = VerifyConfig(suites=("birational",), n_range=(3, 3), m_range=(3, 3), trials=4)
+    result = run_verify(config).suites["birational"]
+    witnesses = [json.loads(w) for w in result.witnesses]
+    assert result.checks == 9 and result.failures == len(witnesses) > 0
+    kinds = {"energy-product", "all-ones-count", *TACT}
+    assert all(w["kind"] in kinds for w in witnesses), witnesses
+    assert {"point", "tensor"} <= {key for w in witnesses for key in w}

@@ -225,13 +225,7 @@ def test_energy_over_the_slot_guard_refused_up_front(capsys, monkeypatch):
     assert "exponent slots" in err and "KR_ENERGY_GUARD" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["emit-formula", "--n", "3", "--m", "6"],
-        ["verify", "--suites", "birational", "--n", "3", "--m", "6", "--trials", "1"],
-    ],
-)
+@pytest.mark.parametrize("argv", [["emit-formula", "--n", "3", "--m", "6"]])
 def test_staircase_over_guard_refused_up_front(argv, capsys, monkeypatch):
     _forbid_enumeration(monkeypatch)
     code = main(argv)
@@ -346,9 +340,9 @@ def test_verify_human_summary_on_stderr(capsys):
         (
             VerifyConfig(seed=0, n_range=(2, 3), m_range=(1, 3), capacity_cap=2, trials=5,
                          mode="exhaustive"),
-            "7f892b4133f78a6e9cf7f9a333b9b86cc8ebbfef038f6a451053fb53a92d5042",
+            "151d4f11fc81a6b5fb3b288a0dbf269f21f8a14e06b05f536349a11e6f4dd1de",
         ),
-        (VerifyConfig(seed=0), "601ef30cd98ceb62049a5180bf9bb853cff1d3b68e2342ff26442f22719238ef"),
+        (VerifyConfig(seed=0), "30b25908d437669097289b6bb778d6c7bfed0863f8fd4b47556ac06c4f895a7a"),
     ],
     ids=["benchmark-config", "default"],
 )
@@ -357,6 +351,18 @@ def test_verify_report_matches_its_golden_hash(config, digest):
     config keep their SHA-256: a memo or a shared kernel that changed one
     check, witness or count would change the digest."""
     assert hashlib.sha256(run_verify(config).to_json().encode()).hexdigest() == digest
+
+
+def test_verify_birational_runs_where_the_staircase_is_over_the_guard(capsys, monkeypatch):
+    """At n = 3, m = 6 the staircase has 3^15 tableaux, over the guard; the
+    all-ones check compares with their closed-form count, enumerates
+    nothing, and the suite runs and passes."""
+    _forbid_enumeration(monkeypatch)
+    code = main(["verify", "--suites", "birational", "--n", "3", "--m", "6", "--trials", "2",
+                 "--json"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)["suites"]["birational"] == {"checks": 5, "failures": 0, "witnesses": []}
 
 
 def test_verify_refuses_a_capacity_cap_above_the_bound(capsys, monkeypatch):

@@ -34,8 +34,8 @@ from krenergy.birational import (
 )
 from krenergy.crystal import TropicalGrid
 from krenergy.lsym import (
-    INTEGERS,
     MIN_PLUS,
+    RATIONAL,
     ColoredPoly,
     PolyMatrix,
     _strip_chains,
@@ -531,7 +531,7 @@ def test_sigma_matches_its_prefix_definition(n):
     for m in range(1, 5):
         point = [[random.Random(f"sigma:{n}:{m}:{i}:{c}").randint(1, 2**30) for c in range(n)]
                  for i in range(m)]
-        rings = (poly_ring(m, n), (INTEGERS, point))
+        rings = (poly_ring(m, n), (RATIONAL, point))
         for (sr, values), start, r in itertools.product(rings, range(1, m + 1), range(n)):
             first, rest = start, tuple(range(start + 1, m + 1))
             for k in range(-1, (n - 1) * m + 2):
@@ -931,7 +931,7 @@ def test_laplace_dets_match_bareiss_on_int_pools(width):
                 row[blank] = 0
         sels = random_selections(rng, rows, width, 8)
         want = [int(sympy.Matrix([pool[p] for p in sel]).det()) for sel in sels]
-        assert laplace_dets(pool, sels, INTEGERS) == want
+        assert laplace_dets(pool, sels, RATIONAL) == want
         if trial % 3 == 1:  # a zero row
             assert all(v == 0 for v, sel in zip(want, sels) if blank in sel)
         if trial % 3 == 2:  # a zero column
@@ -966,18 +966,18 @@ def test_laplace_dets_edge_cases():
     sr = poly_ring(2, 2)[0]
     zero, one = sr.zero, sr.one
     assert laplace_dets([], [()], sr) == [one]  # the 0 x 0 matrix
-    assert laplace_dets([[], []], [(), ()], INTEGERS) == [1, 1]
-    assert laplace_dets([[1, 2], [3, 4]], [], INTEGERS) == []
-    assert laplace_dets([[1, 2], [3, 4]], [(0, 1), (1, 0), (0, 1)], INTEGERS) == [-2, 2, -2]
-    assert laplace_dets([[1, 2], [0, 0]], [(0, 1)], INTEGERS) == [0]  # zero row
-    assert laplace_dets([[0, 2], [0, 4]], [(0, 1)], INTEGERS) == [0]  # zero column
+    assert laplace_dets([[], []], [(), ()], RATIONAL) == [1, 1]
+    assert laplace_dets([[1, 2], [3, 4]], [], RATIONAL) == []
+    assert laplace_dets([[1, 2], [3, 4]], [(0, 1), (1, 0), (0, 1)], RATIONAL) == [-2, 2, -2]
+    assert laplace_dets([[1, 2], [0, 0]], [(0, 1)], RATIONAL) == [0]  # zero row
+    assert laplace_dets([[0, 2], [0, 4]], [(0, 1)], RATIONAL) == [0]  # zero column
     assert PolyMatrix(2, 2, []).det() == one
     with pytest.raises(ValueError):
         PolyMatrix(2, 2, [[zero, one]]).det()
     with pytest.raises(ValueError):
-        laplace_dets([[1, 2], [3]], [(0, 1)], INTEGERS)
+        laplace_dets([[1, 2], [3]], [(0, 1)], RATIONAL)
     with pytest.raises(ValueError):
-        laplace_dets([[1, 2], [3, 4]], [(0,)], INTEGERS)
+        laplace_dets([[1, 2], [3, 4]], [(0,)], RATIONAL)
 
 
 GOLD_A4 = [

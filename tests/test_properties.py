@@ -25,8 +25,10 @@ tau table equals the sum over bounded multisets of indices, and sigma
 equals its prefixes times tau of the rest, each tau computed alone.  On
 random tensors (n <= 4, m <= 5, at most 5 letters a factor) the sigma
 product run in ``MIN_PLUS`` equals the intrinsic and the staircase
-energy.  The runs are derandomized, so a failure reproduces, and keep no
-example database.
+energy, and on random tensors (n, m in 2..4, at most 4 letters a factor)
+every R-action identity holds in ``MIN_PLUS`` on the count grid.  The
+runs are derandomized, so a failure reproduces, and keep no example
+database.
 """
 
 import itertools
@@ -46,6 +48,7 @@ from krenergy.birational import (  # noqa: E402
     fraction_det,
     int_minors,
     kappa,
+    r_action_identities,
     rational_energy_global,
     s_action,
 )
@@ -53,6 +56,7 @@ from krenergy.crystal import (  # noqa: E402
     CrystalElement,
     TensorElement,
     apply_s,
+    counts_to_grid,
     energy_staircase,
     intrinsic_energy,
     ok,
@@ -60,7 +64,8 @@ from krenergy.crystal import (  # noqa: E402
 )
 from krenergy.identities import POINT_BOUND  # noqa: E402
 from krenergy.lsym import (  # noqa: E402
-    INTEGERS,
+    MIN_PLUS,
+    RATIONAL,
     ColoredPoly,
     loop_family,
     loop_schur_tableaux,
@@ -309,6 +314,26 @@ def test_min_plus_sigma_product_is_the_energy(t):
         assert got == energy_staircase(t)
 
 
+@st.composite
+def identity_tensors(draw):
+    """A tensor of 2..4 single-row elements over 1..n, n <= 4, each of at
+    most 4 letters."""
+    n, m = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    letters = st.lists(st.integers(0, n - 1), max_size=4)
+    factors = [draw(letters) for _ in range(m)]
+    return TensorElement.from_counts(n, [[f.count(c) for c in range(n)] for f in factors])
+
+
+@PROPERTY_SETTINGS
+@given(identity_tensors())
+def test_r_action_identities_hold_in_min_plus(t):
+    """Every R-action identity holds in ``MIN_PLUS`` on the count grid,
+    the transported-kappa ones at every pair and colour included."""
+    checks = list(r_action_identities(MIN_PLUS, counts_to_grid(t).values))
+    assert len(checks) == 3 * (t.m - 1) + 3 * t.m * (t.m - 1) // 2 * t.n
+    assert [c for c in checks if not c[2]] == []
+
+
 def ok_reference(r, b1, b2):
     """ok_r(b1, b2): the minimum over 0 <= s <= n-1 of
     sum_{t=1..s} y2^(r+t-1) + sum_{t=s+1..n-1} y1^(r+t), written out."""
@@ -452,10 +477,10 @@ def test_loop_tables_and_sigma_match_their_definitions(point, r, start):
                 if max(map(combo.count, combo), default=0) <= cap:
                     colors = ((r + step * s) % n for s in range(t))
                     want[t] += math.prod(values[i - 1][c] for i, c in zip(combo, colors))
-        assert loop_table(family, top, r, idx, INTEGERS, values) == want, family
+        assert loop_table(family, top, r, idx, RATIONAL, values) == want, family
     row, rest = values[idx[0] - 1], idx[1:]
     for k in range(top + 1):
         prefixes = [math.prod(row[(r - s) % n] for s in range(i)) for i in range(k + 1)]
-        taus = [loop_family("tau", k - i, r - i, rest, INTEGERS, values) for i in range(k + 1)]
+        taus = [loop_family("tau", k - i, r - i, rest, RATIONAL, values) for i in range(k + 1)]
         want = sum(map(operator.mul, prefixes, taus))
-        assert loop_family("sigma", k, r, idx, INTEGERS, values) == want, k
+        assert loop_family("sigma", k, r, idx, RATIONAL, values) == want, k
