@@ -47,7 +47,14 @@ from functools import reduce
 from typing import Any
 
 from ._strict import ints, json_decimal, json_int
-from .lsym import RATIONAL, Semiring, laplace_dets, loop_family, sigma_product_indices
+from .lsym import (
+    RATIONAL,
+    Semiring,
+    laplace_dets,
+    loop_family,
+    sigma_product_indices,
+    tau_tables,
+)
 
 
 class RationalPoint:
@@ -343,9 +350,11 @@ def r_action_identities(sr: Semiring, columns: Sequence[Sequence]) -> Iterator[t
     for j in range(1, m - 1):
         braid = _chain(sr, cols, (j - 1, j, j - 1)) == _chain(sr, cols, (j, j - 1, j))
         yield "braid", {"j": j}, braid
-    # sigma_k^(c) on x_i..x_j, each once, at k = (n - 1)(j - i) and one more
+    # sigma_k^(c) on x_i..x_j, each once, at k = (n - 1)(j - i) and one more,
+    # from one tau table per (suffix, color mod n)
+    taus = tau_tables(sr, cols)
     sig = {
-        (k, c, i, j): loop_family("sigma", k, c, range(i, j + 1), sr, cols)
+        (k, c, i, j): loop_family("sigma", k, c, range(i, j + 1), sr, cols, taus)
         for i in range(1, m) for j in range(i, m + 1) for c in range(n)
         for k in ((n - 1) * (j - i), (n - 1) * (j - i) + 1)
     }

@@ -26,8 +26,9 @@ or an integral point in ``RATIONAL``, so no ``Fraction`` arises.  Every
 determinant is a ``laplace_dets`` call but the maximal minors of B at a
 point: one Bareiss elimination, ``birational.int_minors``, is twice as
 fast there.  Every degree of a loop e, h or tau comes from one
-``loop_table`` per ``(family, r mod n)``, and each classical e is computed
-once per degree.  The loop Schur side of ``jacobi_trudi`` walks the inner
+``loop_table`` per ``(family, r mod n)``, the tau tables of sigma one per
+(suffix, r mod n) (``tau_tables``), and each classical e is computed once
+per degree.  The loop Schur side of ``jacobi_trudi`` walks the inner
 shapes of the 3 x 3 box and the colors, and reads every outer shape from
 one horizontal-strip DP table (``schurs``), dropped before the next; the
 tables of one color share their strip weights (``strip_weights``), and no
@@ -76,6 +77,7 @@ from .lsym import (
     staircase_a_indices,
     staircase_b_indices,
     strip_weights,
+    tau_tables,
     tau_vector_indices,
 )
 from .tableaux import Shape, SkewShape, partitions_between, staircase
@@ -128,9 +130,11 @@ class _Evaluator:
     """The families in one ring ``sr`` at one value table.  Loop e, h and
     tau are read from one ``loop_table`` per ``(family, r mod n)``: every
     family is periodic in the color with period n, and the color of a
-    factor does not depend on the degree.  sigma is ``loop_family``, the classical e of the products
-    is computed once per degree, and the loop Schur tables of a color
-    share its ``strip_weights``.
+    factor does not depend on the degree.  sigma reads the tau tables of
+    its suffixes from one ``tau_tables``, so each is built once, at its
+    top degree.  The classical e of the products is computed once per
+    degree, and the loop Schur tables of a color share its
+    ``strip_weights``.
 
     ``det`` takes a square matrix of values; ``minors`` the maximal minors
     of an r x (r + 1) matrix, minor j deleting column j, by default from
@@ -150,6 +154,7 @@ class _Evaluator:
         top = (n - 1) * m
         self._tops = {"e": m, "tau": top, "h": top + max(top, n)}
         self._tables: dict[tuple[str, int], list] = {}
+        self._taus = tau_tables(sr, values)
         self.classical_e = cache(lambda i: classical_e_of_products(i, sr, values))
         self._weights = [strip_weights(c, sr, values) for c in range(n)]
 
@@ -172,7 +177,7 @@ class _Evaluator:
         return self._read("tau", k, r)
 
     def sigma(self, k: int, r: int, indices: range):
-        return loop_family("sigma", k, r, indices, self.sr, self.values)
+        return loop_family("sigma", k, r, indices, self.sr, self.values, self._taus)
 
     def schurs(self, outer: tuple, inner: tuple, r: int) -> dict:
         return loop_schurs(outer, inner, self._weights[r % self.n], self.sr)

@@ -35,7 +35,8 @@ over the indices of the sums over bounded multisets (multiplicity cap 1,
 none and n-1; color step +1, -1 and -1), which holds every degree up to
 its top at once, since the color of a factor depends only on its place.
 ``loop_family`` reads one degree from it, and its sigma sums prefixes
-times tau, read from one tau table per color mod n.  ``loop_e``,
+times tau, read from ``tau_tables``: one tau table per (suffix, color mod
+n) at its top degree, which the sigmas of one evaluation share.  ``loop_e``,
 ``loop_h``, ``tau`` and ``sigma`` compute it over the polynomials;
 ``krenergy.birational`` computes it at exact rational points.
 
@@ -60,9 +61,10 @@ point evaluation alike.
 staircase by one horizontal-strip DP over the exponent blocks of x_1, x_2,
 ..., with no tableau enumerated, and caches it per (n, m); ``trop_eval`` of
 it is the package's one tropical staircase energy
-(``crystal.energy_staircase``).  ``trop_eval`` caches the
-exponent matrix on each polynomial and multiplies it by the grid, in exact
-Python ints when a grid value reaches 2^40.
+(``crystal.energy_staircase``).  ``trop_evals`` is the one tropical
+kernel: it caches the exponent matrix on each polynomial and multiplies it
+by a batch of stacked grids in one int64 product, in exact Python ints for
+a grid with a value of 2^40 or more; ``trop_eval`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -100,9 +102,13 @@ FIELD_BITS = 32
 _FIELD_LIMIT = 1 << FIELD_BITS
 _FIELD_DTYPE = np.dtype(f"<u{FIELD_BITS // 8}")
 
-# trop_eval multiplies in int64 while every grid value is below this bound,
+# trop_evals multiplies in int64 while every grid value is below this bound,
 # so no sum of a polynomial of degree below 2^23 can overflow
 _NUMPY_VALUE_BOUND = 1 << 40
+
+# trop_evals multiplies at most this many (term, grid) pairs at once, a
+# 2 MiB int64 product, however many grids a batch holds
+_BATCH_ENTRIES = 1 << 18
 
 
 def _pack(exps: Sequence[int]) -> Mono:
@@ -383,29 +389,43 @@ def loop_table(family: str, k: int, r: int, indices: Sequence[int], sr: Semiring
     return row
 
 
-def loop_family(family: str, k: int, r: int, indices: Sequence[int], sr: Semiring, values):
+def tau_tables(sr: Semiring, values) -> Callable[[tuple[int, ...], int], list]:
+    """The tau tables that sigma reads, in ``sr`` at ``values``:
+    ``taus(indices, c)``, c in 0..n-1, is the ``loop_table`` of tau of
+    color c on ``indices`` at its top degree ``(n - 1) * len(indices)``,
+    above which tau vanishes.  Each is built once, so that every sigma
+    given the same ``taus`` shares it."""
+    n = len(values[0])
+
+    @cache
+    def taus(indices: tuple[int, ...], c: int) -> list:
+        return loop_table("tau", (n - 1) * len(indices), c, indices, sr, values)
+
+    return taus
+
+
+def loop_family(family: str, k: int, r: int, indices: Sequence[int], sr: Semiring, values,
+                taus: Callable[[tuple[int, ...], int], list] | None = None):
     """Loop ``e``, ``h``, ``tau`` or ``sigma`` of degree k and color r on
     the variables ``indices`` (strictly increasing), computed in ``sr`` at
     ``values``.
 
     e, h and tau are entry k of ``loop_table``.  sigma sums the prefixes
     ``x_f^{(r)} x_f^{(r-1)} ... x_f^{(r-i+1)}`` of the first index f times
-    ``tau_{k-i}^{(r-i)}`` of the remaining indices, read from one tau table
-    per color mod n.
+    ``tau_{k-i}^{(r-i)}`` of the remaining indices, read from ``taus``, a
+    ``tau_tables`` at ``values`` that callers share, or a fresh one.
     """
     if family != "sigma":
         return loop_table(family, k, r, indices, sr, values)[k] if k >= 0 else sr.zero
     if not indices:
         raise ValueError("sigma needs a nonempty variable range")
-    if k < 0:
-        return sr.zero
-    n, first, rest = len(values[0]), values[indices[0] - 1], indices[1:]
-    # color (r - i) mod n is first read at degree k - i, the table's top
-    taus = {(r - i) % n: loop_table("tau", k - i, r - i, rest, sr, values)
-            for i in range(min(n, k + 1))}
+    n, first, rest = len(values[0]), values[indices[0] - 1], tuple(indices[1:])
+    taus = taus or tau_tables(sr, values)
     total, prefix = sr.zero, sr.one
     for i in range(k + 1):
-        total = sr.add(total, sr.mul(prefix, taus[(r - i) % n][k - i]))
+        table = taus(rest, (r - i) % n)
+        if k - i < len(table):  # tau of a higher degree is zero
+            total = sr.add(total, sr.mul(prefix, table[k - i]))
         prefix = sr.mul(prefix, first[(r - i) % n])
     return total
 
@@ -803,22 +823,22 @@ def tau_vector(m: int, *, n: int, r: int = 0) -> list[ColoredPoly]:
 
 
 def trop_eval(p: ColoredPoly, grid) -> int | float:
-    """Tropical (min, +) evaluation of a subtraction-free polynomial.
+    """Tropical (min, +) evaluation of a subtraction-free polynomial at one
+    grid: ``trop_evals`` of the batch of one.
 
     ``grid`` must expose ``m``, ``n`` and ``flat()`` like
     :class:`krenergy.crystal.TropicalGrid`.  Returns ``math.inf`` for the
     zero polynomial and rejects polynomials with a negative coefficient.
-    The value is the least entry of the polynomial's exponent matrix times
-    the grid; the matrix is checked and built once and cached on the
-    polynomial.  The product runs in int64 while every grid value is below
-    ``_NUMPY_VALUE_BOUND``.  Otherwise the columns below the bound still
-    run in int64, and the others add their exact Python-int part once per
-    distinct exponent pattern on them.
     """
     if (grid.m, grid.n) != (p.m, p.n):
         raise ValueError(f"grid ({grid.m}, {grid.n}) does not match poly ({p.m}, {p.n})")
-    if not p.terms:
-        return math.inf
+    return trop_evals(p, [grid.flat()])[0]
+
+
+def _exponent_matrix(p: ColoredPoly) -> np.ndarray:
+    """The terms' exponent vectors as rows, checked and built once and
+    cached on the polynomial: int64, or Python ints when a term's degree
+    times ``_NUMPY_VALUE_BOUND`` could overflow int64."""
     mat = p._trop_matrix
     if mat is None:
         if any(c < 0 for c in p.terms.values()):
@@ -829,13 +849,18 @@ def trop_eval(p: ColoredPoly, grid) -> int | float:
         # an int64 sum stays exact while degree * value bound < 2^63
         wide = int(exps.sum(axis=1, dtype=np.uint64).max()) * _NUMPY_VALUE_BOUND >= 1 << 63
         mat = p._trop_matrix = exps.astype(object if wide else np.int64)
-    flat = grid.flat()
-    big = [c for c, v in enumerate(flat) if abs(v) >= _NUMPY_VALUE_BOUND]
-    if not big or mat.dtype == object:
-        return int((mat @ np.asarray(flat, dtype=object if big else np.int64)).min())
+    return mat
+
+
+def _trop_exact(mat: np.ndarray, flat: Sequence[int]) -> int:
+    """The least entry of ``mat`` times ``flat`` in exact Python ints, for
+    a grid with a value of ``_NUMPY_VALUE_BOUND`` or more or a wide matrix."""
+    if mat.dtype == object:
+        return int((mat @ np.asarray(flat, dtype=object)).min())
     # The small columns' part stays exact in int64.  Terms with the same
     # exponents on the big columns share their exact big part, so each
     # group of them, adjacent once sorted, needs only its least small part.
+    big = [c for c, v in enumerate(flat) if abs(v) >= _NUMPY_VALUE_BOUND]
     small = [c for c, v in enumerate(flat) if abs(v) < _NUMPY_VALUE_BOUND]
     low = mat[:, small] @ np.asarray([flat[c] for c in small], dtype=np.int64)
     exps = mat[:, big]
@@ -848,3 +873,37 @@ def trop_eval(p: ColoredPoly, grid) -> int | float:
         lo + sum(e * v for e, v in zip(row, values))
         for lo, row in zip(least.tolist(), exps[starts].tolist())
     )
+
+
+def trop_evals(p: ColoredPoly, flats: Sequence[Sequence[int]]) -> list[int | float]:
+    """Tropical (min, +) evaluation of a subtraction-free polynomial at a
+    batch of grids, each given flat (``TropicalGrid.flat()``, m * n ints):
+    the package's one tropical kernel, which ``trop_eval`` calls with a
+    batch of one.
+
+    Each value is the least entry of the polynomial's exponent matrix times
+    the grid.  The grids whose values all lie below ``_NUMPY_VALUE_BOUND``
+    are stacked and multiplied in int64, one matrix product per
+    ``_BATCH_ENTRIES`` (term, grid) pairs; any other grid, and every grid
+    of a polynomial of degree 2^23 or more, takes the exact path of
+    ``_trop_exact``.  The zero polynomial gives ``math.inf`` at every grid.
+    """
+    size, bound = p.m * p.n, _NUMPY_VALUE_BOUND
+    if any(len(flat) != size for flat in flats):
+        raise ValueError(f"every grid must hold {size} values for poly ({p.m}, {p.n})")
+    if not p.terms:
+        return [math.inf] * len(flats)
+    mat = _exponent_matrix(p)
+    wide = mat.dtype == object
+    exact = {}
+    for g, flat in enumerate(flats):
+        if wide or not -bound < min(flat) <= max(flat) < bound:
+            exact[g] = _trop_exact(mat, flat)
+    fast = [flat for g, flat in enumerate(flats) if g not in exact] if exact else flats
+    step = max(1, _BATCH_ENTRIES // len(mat))
+    mins: list[int | float] = []
+    for lo in range(0, len(fast), step):
+        mins += (np.array(fast[lo : lo + step], dtype=np.int64) @ mat.T).min(axis=1).tolist()
+    for g in sorted(exact):  # each exact value back in its place
+        mins.insert(g, exact[g])
+    return mins

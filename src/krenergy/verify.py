@@ -7,11 +7,21 @@ so a fixed seed reproduces the exact same report; the canonical JSON report
 carries no timing data (timings go to the human summary) and is therefore
 byte-identical across runs.
 
-The crystal suites share two runners, one over pairs of elements and one
-over tensors; pairs are drawn as two-factor tensors, so both obey the same
-cell limit.  The identity suites ``lsym-identities`` and ``section4``
-share one ``identity_suite`` run per (n, m, mode) cell and split its checks
-by family.  The ``birational`` suite runs ``birational.r_action_identities``
+The pair suites ``rmatrix`` and ``coenergy`` share one runner; pairs are
+drawn as two-factor tensors, so they obey the tensor suites' cell limit.
+``run_verify`` builds one ``RunTables`` per call, a ``functools.cache`` of
+``intrinsic_energy`` and one of ``apply_s``, and hands it to the
+``energy-equivalence`` and ``braid`` runners, so that each distinct
+tensor's energy and each ``(t, j)`` image is computed once per run: braid
+re-reads the energies of an exhaustive cell, whose R-images lie in the
+cell.  The tables are dropped when the call returns; nothing is cached
+across calls.  ``energy-equivalence`` collects each (n, m) cell's stream
+in order and evaluates the staircase and each sigma factor over the
+cell's stacked count grids, one ``lsym.trop_evals`` batch each.
+
+The identity suites ``lsym-identities`` and ``section4`` share one
+``identity_suite`` run per (n, m, mode) cell and split its checks by
+family.  The ``birational`` suite runs ``birational.r_action_identities``
 in two semifields: in ``RATIONAL`` at seeded points, beside the positivity
 of each s_j, and in ``MIN_PLUS`` at the count grids of seeded tensors.
 """
@@ -21,34 +31,46 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
+from typing import NamedTuple
 
 from .birational import (
     RationalPoint,
     cleared_values,
+    move,
     r_action_identities,
     random_point,
     rational_energy_product,
-    s_action,
 )
 from .crystal import (
     CrystalElement,
     TensorElement,
     _compositions,
+    _grid_columns,
     apply_s,
     coenergy,
     coenergy_sliding_oracle,
     counts_to_grid,
-    energy_staircase,
     intrinsic_energy,
     r_matrix,
     r_matrix_oracle,
 )
 from .identities import SYMBOLIC_M_MAX, SYMBOLIC_N_MAX, identity_suite
-from .lsym import MIN_PLUS, RATIONAL, ColoredPoly, Semiring, sigma, sigma_product_indices, trop_eval
+from .lsym import (
+    MIN_PLUS,
+    RATIONAL,
+    ColoredPoly,
+    Semiring,
+    sigma,
+    sigma_product_indices,
+    staircase_loop_schur,
+    trop_evals,
+)
 from .tableaux import energy_staircase_count
 
 SUITE_NAMES = (
@@ -194,6 +216,16 @@ class RunReport:
         return "\n".join(lines)
 
 
+class RunTables(NamedTuple):
+    """The memo of one ``run_verify`` call, shared by its crystal suites:
+    ``energy(t)`` is ``intrinsic_energy(t)`` and ``step(t, j)`` is
+    ``apply_s(t, j)``, each computed once per distinct argument.  A new
+    call builds new tables, so nothing is kept across calls."""
+
+    energy: Callable[[TensorElement], int]
+    step: Callable[[TensorElement, int], TensorElement]
+
+
 def _witness(kind: str, **data) -> str:
     return json.dumps({"kind": kind, **data}, sort_keys=True, separators=(",", ":"))
 
@@ -295,39 +327,58 @@ def sigma_product_polys(n: int, m: int) -> tuple[ColoredPoly, ...]:
     )
 
 
-def check_energy_tensor(t: TensorElement) -> list[str]:
-    """The intrinsic energy equals the tropicalized staircase loop Schur
-    function (``energy_staircase``) and the tropicalized sigma product."""
-    problems = []
-    d = intrinsic_energy(t)
-    d_stair = energy_staircase(t)
-    if d_stair != d:
-        problems.append(
-            _witness("energy-equivalence", tensor=t.to_jsonable(), intrinsic=d, staircase=d_stair)
-        )
-    grid = counts_to_grid(t)
-    sigma_trop = sum(trop_eval(p, grid) for p in sigma_product_polys(t.n, t.m))
-    if sigma_trop != d:
-        problems.append(
-            _witness("trop-sigma-product", tensor=t.to_jsonable(), got=sigma_trop, want=d)
-        )
-    return problems
+def check_energy_cell(
+    tensors: list[TensorElement], energy: Callable[[TensorElement], int]
+) -> list[list[str]]:
+    """Per tensor of one (n, m) cell, in order, the problems of: the
+    intrinsic energy (``energy``, ``intrinsic_energy`` or the run's memo of
+    it) equals the tropicalized staircase loop Schur function
+    (``energy_staircase``) and the tropicalized sigma product.  Both sides
+    come from one ``trop_evals`` batch per polynomial over the cell's
+    stacked count grids."""
+    if not tensors:
+        return []
+    n, m = tensors[0].n, tensors[0].m
+    flats = [tuple(itertools.chain.from_iterable(_grid_columns(t))) for t in tensors]
+    stairs = trop_evals(staircase_loop_schur(n, m), flats)
+    sigmas = [0] * len(tensors)
+    for p in sigma_product_polys(n, m):
+        sigmas = list(map(operator.add, sigmas, trop_evals(p, flats)))
+    out = []
+    for t, d_stair, sigma_trop in zip(tensors, stairs, sigmas):
+        d, problems = energy(t), []
+        if d_stair != d:
+            problems.append(_witness(
+                "energy-equivalence", tensor=t.to_jsonable(), intrinsic=d, staircase=d_stair
+            ))
+        if sigma_trop != d:
+            problems.append(
+                _witness("trop-sigma-product", tensor=t.to_jsonable(), got=sigma_trop, want=d)
+            )
+        out.append(problems)
+    return out
 
 
-def check_braid_tensor(t: TensorElement) -> list[str]:
-    """Involution, braid, and intrinsic-energy invariance of the R-action."""
+def check_braid_tensor(
+    t: TensorElement,
+    energy: Callable[[TensorElement], int],
+    step: Callable[[TensorElement, int], TensorElement],
+) -> list[str]:
+    """Involution, braid, and intrinsic-energy invariance of the R-action;
+    ``energy`` and ``step`` are ``intrinsic_energy`` and ``apply_s``, or
+    the run's memo of them."""
     problems = []
     m = t.m
-    d = intrinsic_energy(t)
+    d = energy(t)
     for j in range(1, m):
-        tj = apply_s(t, j)
-        if apply_s(tj, j) != t:
+        tj = step(t, j)
+        if step(tj, j) != t:
             problems.append(_witness("involution", tensor=t.to_jsonable(), j=j))
-        if intrinsic_energy(tj) != d:
+        if energy(tj) != d:
             problems.append(_witness("energy-r-invariance", tensor=t.to_jsonable(), j=j))
     for j in range(1, m - 1):
-        lhs = apply_s(apply_s(apply_s(t, j), j + 1), j)
-        rhs = apply_s(apply_s(apply_s(t, j + 1), j), j + 1)
+        lhs = step(step(step(t, j), j + 1), j)
+        rhs = step(step(step(t, j + 1), j), j + 1)
         if lhs != rhs:
             problems.append(_witness("braid", tensor=t.to_jsonable(), j=j))
     return problems
@@ -341,12 +392,14 @@ def check_r_action(sr: Semiring, columns, **where) -> list[str]:
 
 
 def check_birational_point(p: RationalPoint) -> list[str]:
-    """Positivity of each s_j at one exact point, and the R-action
-    identities in ``RATIONAL`` on its cleared values, whose verdicts are
-    those at the point."""
+    """Positivity of each s_j at one exact point, read from the two columns
+    that ``move`` gives, so that a non-positive value is a failed check and
+    not an error, and the R-action identities in ``RATIONAL`` on its
+    cleared values, whose verdicts are those at the point."""
     point = p.to_jsonable()
-    problems = [_witness("positivity", point=point, j=j) for j in range(1, p.m)
-                if any(v <= 0 for row in s_action(j, p).values for v in row)]
+    moved = (move(RATIONAL, a, b) for a, b in zip(p.values, p.values[1:]))
+    problems = [_witness("positivity", point=point, j=j) for j, cols in enumerate(moved, start=1)
+                if min(map(min, cols)) <= 0]
     return problems + check_r_action(RATIONAL, cleared_values(p)[0], point=point)
 
 
@@ -371,20 +424,32 @@ def _cells(config: VerifyConfig, m_min: int) -> list[tuple[int, int]]:
     return [(n, m) for n in range(n_lo, n_hi + 1) for m in range(max(m_min, m_lo), m_hi + 1)]
 
 
-def _run_pairs(config: VerifyConfig, result: SuiteResult, check, label: str) -> None:
+def _run_pairs(config: VerifyConfig, result: SuiteResult, tables: RunTables, check,
+               label: str) -> None:
     for n in range(config.n_range[0], config.n_range[1] + 1):
         rng = _cfg_rng(config, label, n, 2)
         for t in _tensor_stream(n, 2, config.capacity_cap, config.trials, rng, config.mode):
             result.record_problems(check(*t.factors))
 
 
-def _run_tensors(
-    config: VerifyConfig, result: SuiteResult, check, label: str, m_min: int
-) -> None:
+def _cell_streams(config: VerifyConfig, label: str, m_min: int):
+    """The seeded tensor stream of each (n, m) cell with m >= m_min."""
     for n, m in _cells(config, m_min):
         rng = _cfg_rng(config, label, n, m)
-        for t in _tensor_stream(n, m, config.capacity_cap, config.trials, rng, config.mode):
-            result.record_problems(check(t))
+        yield _tensor_stream(n, m, config.capacity_cap, config.trials, rng, config.mode)
+
+
+def _run_energy(config: VerifyConfig, result: SuiteResult, tables: RunTables) -> None:
+    """Each cell's stream, collected in order and checked as one batch."""
+    for stream in _cell_streams(config, "energy", 1):
+        for problems in check_energy_cell(list(stream), tables.energy):
+            result.record_problems(problems)
+
+
+def _run_braid(config: VerifyConfig, result: SuiteResult, tables: RunTables) -> None:
+    for stream in _cell_streams(config, "braid", 2):
+        for t in stream:
+            result.record_problems(check_braid_tensor(t, tables.energy, tables.step))
 
 
 # The families of the section4 suite; every other family of the identity
@@ -414,7 +479,7 @@ def _run_identities(config: VerifyConfig, results: dict[str, SuiteResult]) -> No
                     results[suite].record(check.passed, witness)
 
 
-def _run_birational(config: VerifyConfig, result: SuiteResult) -> None:
+def _run_birational(config: VerifyConfig, result: SuiteResult, tables: RunTables) -> None:
     """Per cell, the all-ones count, then ``trials`` seeded points and
     ``trials`` seeded tensors, each from its own stream."""
     for n, m in _cells(config, 2):
@@ -433,10 +498,8 @@ def _run_birational(config: VerifyConfig, result: SuiteResult) -> None:
 SUITE_RUNNERS = {
     "rmatrix": partial(_run_pairs, check=check_rmatrix_pair, label="rmatrix"),
     "coenergy": partial(_run_pairs, check=check_coenergy_pair, label="coenergy"),
-    "energy-equivalence": partial(
-        _run_tensors, check=check_energy_tensor, label="energy", m_min=1
-    ),
-    "braid": partial(_run_tensors, check=check_braid_tensor, label="braid", m_min=2),
+    "energy-equivalence": _run_energy,
+    "braid": _run_braid,
     "birational": _run_birational,
 }
 
@@ -444,14 +507,16 @@ SUITE_RUNNERS = {
 def run_verify(config: VerifyConfig) -> RunReport:
     """Run the selected suites and return the aggregated report.
 
+    The runners share one ``RunTables``, built here and dropped on return.
     lsym-identities and section4 are filled by one shared run, whose time
     each of them reports.
     """
+    tables = RunTables(cache(intrinsic_energy), cache(apply_s))
     suites = {name: SuiteResult() for name in config.suites}
     for name, result in suites.items():
         if name in SUITE_RUNNERS:
             start = time.perf_counter()
-            SUITE_RUNNERS[name](config, result)
+            SUITE_RUNNERS[name](config, result, tables)
             result.seconds = time.perf_counter() - start
     identity = {name: res for name, res in suites.items() if name in IDENTITY_SUITES}
     if identity:

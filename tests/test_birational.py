@@ -19,7 +19,7 @@ from itertools import chain
 import pytest
 import sympy
 
-from krenergy import birational
+from krenergy import birational, lsym, verify
 from krenergy.birational import (
     RationalPoint,
     apply_chain,
@@ -524,3 +524,44 @@ def test_birational_suite_reports_a_mutated_identity_in_both_semifields(monkeypa
     kinds = {"energy-product", "all-ones-count", *TACT}
     assert all(w["kind"] in kinds for w in witnesses), witnesses
     assert {"point", "tensor"} <= {key for w in witnesses for key in w}
+
+
+def test_r_action_identities_build_each_tau_table_once(monkeypatch):
+    """The sigmas of one ``r_action_identities`` call read one tau table per
+    (suffix, colour mod n), built once at its top degree: 4 suffixes of
+    x_1..x_3 (the empty one included) times 3 colours at (3, 3), and 7
+    times 4 at (4, 4)."""
+    calls = Counter()
+    real = lsym.loop_table
+
+    def counting(family, k, r, indices, sr, values):
+        calls[family, tuple(indices), r % len(values[0])] += 1
+        return real(family, k, r, indices, sr, values)
+
+    monkeypatch.setattr(lsym, "loop_table", counting)
+    for (n, m), distinct in {(3, 3): 12, (4, 4): 28}.items():
+        calls.clear()
+        p = random_point(m, n, random.Random(f"tau-tables:{n}:{m}"))
+        assert failures(RATIONAL, cleared_values(p)[0]) == []
+        assert sum(calls.values()) == len(calls) == distinct
+        assert {family for family, *_ in calls} == {"tau"}
+
+
+def test_birational_suite_records_a_non_positive_move(monkeypatch):
+    """A move that negates its first column is a failed ``positivity`` check
+    with its witness point, at every point, and not an exception out of
+    ``run_verify``."""
+    real = birational.move
+
+    def negated(sr, a, b):
+        first, second = real(sr, a, b)
+        return [-v for v in first], second
+
+    monkeypatch.setattr(birational, "move", negated)
+    monkeypatch.setattr(verify, "move", negated)
+    config = VerifyConfig(suites=("birational",), n_range=(2, 3), m_range=(2, 3), trials=3)
+    result = run_verify(config).suites["birational"]
+    witnesses = [json.loads(w) for w in result.witnesses]
+    positivity = [w for w in witnesses if w["kind"] == "positivity"]
+    assert result.failures == len(witnesses) > 0
+    assert len(positivity) == 4 * 3 and all("point" in w for w in positivity)

@@ -7,12 +7,13 @@ has coenergy 3; and the triple (13, 1224, 123) has intrinsic energy
 """
 
 import itertools
+import json
 import random
-from functools import reduce
+from functools import cache, reduce
 
 import pytest
 
-from krenergy import crystal
+from krenergy import crystal, verify
 from krenergy.crystal import (
     CrystalElement,
     TensorElement,
@@ -466,3 +467,57 @@ def test_tropical_grid_validation():
         TropicalGrid(2, 2, [[1, 2]])
     g = TropicalGrid(1, 2, [[3, 5]])
     assert g.value(1, -1) == g.value(1, 1) == 5
+
+
+# ---------------------------------------------------------------------------
+# the per-run memo of run_verify
+
+MEMO_CONFIG = VerifyConfig(
+    suites=("energy-equivalence", "braid"), n_range=(2, 3), m_range=(1, 4), capacity_cap=1,
+    trials=4, mode="both",
+)
+
+
+def test_run_verify_computes_each_energy_once_per_run(monkeypatch):
+    """In one run the energy kernel sees each distinct tensor once: the
+    exhaustive cells, the randomized tensors of mode both, and the
+    sampled (3, 4) cell, whose R-images lie outside its stream.  A second
+    run keeps nothing of the first and makes as many calls."""
+    monkeypatch.setattr(verify, "EXHAUSTIVE_CELL_LIMIT", 100)  # (3, 4) has 256
+    seen = []
+    monkeypatch.setattr(
+        verify, "intrinsic_energy", lambda t: seen.append(t) or intrinsic_energy(t)
+    )
+    first = run_verify(MEMO_CONFIG)
+    calls = len(seen)
+    assert calls == len(set(seen)) > 0
+    seen.clear()
+    second = run_verify(MEMO_CONFIG)
+    assert len(seen) == calls and second.to_json() == first.to_json()
+    assert first.total_failures == 0
+
+
+def test_braid_suite_catches_a_shifted_r_matrix_through_the_memo(monkeypatch):
+    """An R-matrix whose images are shifted by one colour fails the braid
+    suite: with the per-run memo, each tensor has the problems it has
+    without it, and they name the involution, energy-invariance and braid
+    checks."""
+    real = crystal.r_matrix
+
+    def shifted(b1, b2):
+        c1, c2 = real(b1, b2)
+        return (CrystalElement(b1.n, c1.counts[1:] + c1.counts[:1]),
+                CrystalElement(b1.n, c2.counts[1:] + c2.counts[:1]))
+
+    monkeypatch.setattr(crystal, "r_matrix", shifted)
+    config = VerifyConfig(suites=("braid",), n_range=(3, 3), m_range=(3, 3), capacity_cap=2,
+                          mode="exhaustive")
+    result = run_verify(config).suites["braid"]
+    tables = verify.RunTables(cache(intrinsic_energy), cache(apply_s))
+    memoized = [verify.check_braid_tensor(t, *tables) for t in iter_tensors(3, 3, 2)]
+    unmemoized = [verify.check_braid_tensor(t, intrinsic_energy, apply_s)
+                  for t in iter_tensors(3, 3, 2)]
+    assert memoized == unmemoized
+    assert result.failures == sum(map(bool, unmemoized)) > 0
+    kinds = {json.loads(w)["kind"] for problems in unmemoized for w in problems}
+    assert kinds == {"involution", "energy-r-invariance", "braid"}, kinds

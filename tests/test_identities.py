@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from krenergy import identities, verify
+from krenergy import identities, lsym, verify
 from krenergy.birational import (
     RationalPoint,
     eval_loop_e,
@@ -40,6 +40,7 @@ from krenergy.lsym import (
     loop_schurs,
     poly_ring,
     sigma,
+    sigma_product_indices,
     staircase_a_indices,
     staircase_b_indices,
     strip_weights,
@@ -643,3 +644,26 @@ def test_second_point_builds_no_jacobi_trudi_matrix(monkeypatch):
     assert not failures(identity_suite(2, 2, mode="randomized", seed=2, trials=1))
     assert calls == []
     assert identities._jacobi_trudi_plan.cache_info().currsize == 1
+
+
+def test_point_evaluator_sigma_builds_each_tau_table_once(monkeypatch):
+    """The sigma products of every colour at one (4, 5) point read one tau
+    table per (suffix, colour mod n), built once at its top degree: the 4
+    suffixes x_{i+1}..x_5 times 4 colours."""
+    n, m = 4, 5
+    ev = identities._point_evaluator(integer_point(m, n, random.Random(9)))
+    calls = Counter()
+    real = lsym.loop_table
+
+    def counting(family, k, r, indices, sr, values):
+        calls[family, tuple(indices), r % n] += 1
+        return real(family, k, r, indices, sr, values)
+
+    monkeypatch.setattr(lsym, "loop_table", counting)
+    for r in range(n):
+        for k, c, idx in sigma_product_indices(m, n=n, r=r):
+            ev.sigma(k, c, idx)
+    assert sum(calls.values()) == len(calls) == 16
+    assert {(family, indices) for family, indices, _ in calls} == {
+        ("tau", tuple(range(i + 1, m + 1))) for i in range(1, m)
+    }

@@ -11,7 +11,8 @@ integers, the tableau sum ``loop_schur_tableaux`` for the strip DPs
 (``loop_schurs`` and the staircase's ``staircase_loop_schur``), exponent
 vectors decoded by ``mono_factors`` for products at the packed field
 limit, ``trop_eval`` of each kernel's polynomial for the same kernel run
-in ``MIN_PLUS``, and hand-expanded small cases frozen as literals.
+in ``MIN_PLUS``, a pure-Python minimum over the terms for each grid of a
+``trop_evals`` batch, and hand-expanded small cases frozen as literals.
 """
 
 import gc
@@ -61,6 +62,7 @@ from krenergy.lsym import (
     tau,
     tau_vector,
     trop_eval,
+    trop_evals,
 )
 from krenergy.tableaux import (
     EnumerationGuardError,
@@ -1166,3 +1168,37 @@ def test_trop_eval_matrix_path_matches_scalar_path():
             sum(e * g.value(i, r) for i, r, e in mono_factors(mono, n)) for mono in p.terms
         )
         assert fast == slow
+
+
+def term_minimum(p, flat):
+    """The min-plus value of ``p`` at a flat grid, term by term in Python
+    ints: the oracle of ``trop_evals``."""
+    if not p.terms:
+        return math.inf
+    return min(sum(e * flat[(i - 1) * p.n + r] for i, r, e in mono_factors(mono, p.n))
+               for mono in p.terms)
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (2, 3), (3, 4)])
+def test_trop_evals_batch_matches_each_grid(n, m, monkeypatch):
+    """A batch of random grids, one of them with a value above 2^40 and so
+    on the exact path, gives what ``trop_eval`` gives grid by grid and what
+    the term minimum gives, for the staircase polynomial, a sigma factor
+    and the zero polynomial (``inf`` at every grid), in one product and in
+    chunks of two grids."""
+    rng = random.Random(f"trop-batch:{n}:{m}")
+    flats = [tuple(rng.randint(-9, 9) for _ in range(m * n)) for _ in range(9)]
+    flats[4] = flats[4][:-1] + ((1 << 40) + rng.randint(0, 99),)
+    grids = [TropicalGrid(m, n, [flat[i * n : (i + 1) * n] for i in range(m)]) for flat in flats]
+    polys = [staircase_loop_schur(n, m), sigma((n - 1) * m, 0, n=n, m=m), ColoredPoly.zero(m, n)]
+    for p in polys:
+        want = [term_minimum(p, flat) for flat in flats]
+        assert [trop_eval(p, g) for g in grids] == want
+        assert trop_evals(p, flats) == want
+        assert trop_evals(p, []) == []
+        with monkeypatch.context() as patch:
+            patch.setattr(lsym, "_BATCH_ENTRIES", 2 * len(p.terms))
+            assert trop_evals(p, flats) == want
+    assert all(type(v) is int for v in trop_evals(polys[0], flats))
+    with pytest.raises(ValueError):
+        trop_evals(polys[0], [flats[0][1:]])
