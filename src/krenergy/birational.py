@@ -27,14 +27,10 @@ each homogeneous value.  The evaluation helpers (eval_loop_e,
 eval_loop_h, eval_tau, eval_sigma) run the polynomial families' code
 (``krenergy.lsym``) on them in ``RATIONAL``, where they stay ints.  Tests
 check them against the kernels in ``RATIONAL`` at the point's values,
-enumerations and the tableau sum.  Determinants are
-``lsym.laplace_dets`` in every ring, and ``fraction_det`` is its one
-selection over ``Fraction``.  The one other kernel, ``int_minors``, gives
-every maximal minor of an r x (r + 1) integer matrix from one Bareiss
-elimination: it needs exact integer division, and on the identity
-suite's matrix B at a point it is twice as fast as the pooled expansion.
-The identity suite evaluates its integral points in ``cleared_values`` at
-scale 1, in plain ints.
+enumerations and the tableau sum.  Every determinant of the package is
+``lsym.laplace_dets``, in any ring, and ``fraction_det`` is its one
+selection over ``Fraction``.  The identity suite evaluates its integral
+points in ``cleared_values`` at scale 1, in plain ints.
 """
 
 from __future__ import annotations
@@ -63,7 +59,8 @@ class RationalPoint:
     __slots__ = ("m", "n", "values")
 
     def __init__(self, m: int, n: int, values: Iterable[Iterable[Fraction | int]]):
-        values = tuple(tuple(row) for row in values)
+        # tuples from lists: see lsym.laplace_dets on CPython's tuple free lists
+        values = tuple([tuple(row) for row in values])
         if len(values) != m or any(len(row) != n for row in values):
             raise ValueError(f"expected a {m} x {n} array of values")
         for row in values:
@@ -74,7 +71,7 @@ class RationalPoint:
                     raise ValueError(f"point values must be strictly positive, got {v}")
         self.m = m
         self.n = n
-        self.values = tuple(tuple(map(Fraction, row)) for row in values)
+        self.values = tuple([tuple([Fraction(v) for v in row]) for row in values])
 
     def value(self, i: int, r: int) -> Fraction:
         """Value of ``x_i^{(r)}``; the color is reduced mod n."""
@@ -263,50 +260,6 @@ def rational_energy_product(p: RationalPoint) -> Fraction:
     the product over i of sigma_{(n-1)(m-i)}^{(i-1)} on variables i..m."""
     factors = sigma_product_indices(p.m, n=p.n)
     return math.prod((eval_sigma(k, c, idx, p) for k, c, idx in factors), start=Fraction(1))
-
-
-def int_minors(rows: Sequence[Sequence[int]]) -> list[int]:
-    """The r + 1 maximal minors of an r x (r + 1) integer matrix, minor j
-    deleting column j, from one fraction-free Bareiss elimination (1968)
-    with row pivoting.  Entries must be ints: anything else, bools
-    included, raises ``TypeError``.
-
-    At rank r exactly one column f has no pivot (below r every minor is 0),
-    and the eliminated rows hold the Bareiss elimination of the matrix
-    without column f, so the last pivot is +-M_f.  The kernel vector
-    ``((-1)^j M_j)_j`` (Cramer's rule) scaled to ``y_f = M_f`` is integral,
-    so back substitution in integers gives every ``M_j = (-1)^(j+f) y_j``.
-    """
-    size, width = len(rows), len(rows) + 1
-    mat = [list(ints(row, "matrix entries")) for row in rows]
-    if any(len(row) != width for row in mat):
-        raise ValueError(f"expected a {size} x {width} matrix")
-    pivots: list[int] = []
-    sign, prev = 1, 1
-    for c in range(width):
-        t = len(pivots)
-        piv = next((k for k in range(t, size) if mat[k][c]), None)
-        if piv is None:
-            if c > t:  # a second column without a pivot: rank below r
-                return [0] * width
-            continue
-        if piv != t:
-            mat[t], mat[piv] = mat[piv], mat[t]
-            sign = -sign
-        pivot, top = mat[t][c], mat[t]
-        for k in range(t + 1, size):
-            row, lead = mat[k], mat[k][c]
-            for col in range(c + 1, width):
-                row[col] = (row[col] * pivot - lead * top[col]) // prev
-        prev = pivot
-        pivots.append(c)
-    (free,) = set(range(width)) - set(pivots)
-    y = [0] * width
-    y[free] = sign * prev
-    for t in range(size - 1, -1, -1):
-        c, row = pivots[t], mat[t]
-        y[c] = -sum(row[j] * y[j] for j in range(c + 1, width)) // row[c]
-    return [v if (j + free) % 2 == 0 else -v for j, v in enumerate(y)]
 
 
 def fraction_det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:

@@ -23,19 +23,25 @@ One evaluator runs the kernels (``loop_table``, ``loop_family``,
 ``loop_schurs``, ``classical_e_of_products``, ``laplace_dets``), written
 once over ``lsym.Semiring``, in its ring and value table: the polynomials,
 or an integral point in ``RATIONAL``, so no ``Fraction`` arises.  Every
-determinant is a ``laplace_dets`` call but the maximal minors of B at a
-point: one Bareiss elimination, ``birational.int_minors``, is twice as
-fast there.  Every degree of a loop e, h or tau comes from one
-``loop_table`` per ``(family, r mod n)``, the tau tables of sigma one per
-(suffix, r mod n) (``tau_tables``), and each classical e is computed once
-per degree.  The loop Schur side of ``jacobi_trudi`` walks the inner
+degree of a loop e, h or tau comes from one ``loop_table`` per ``(family,
+r mod n)``, which the evaluator holds as a list, the tau tables of sigma
+one per (suffix, r mod n) (``tau_tables``), and each classical e is
+computed once per degree.
+
+The determinant side is three identities: Jacobi-Trudi for loop Schur
+functions (Lam and Pylyavskyy, arXiv:0812.0840), det A = the sigma
+product, and the maximal minors of B = tau * det A.  Each is a
+``laplace_dets`` call, in either mode: the Jacobi-Trudi table of an inner
+shape and a color, det A, and all the maximal minors of B, as the row
+selections of B's transpose.  The expansion of a call is planned once
+per zero pattern and selections and then kept, so a point runs only its
+flat arithmetic.  The loop Schur side of ``jacobi_trudi`` walks the inner
 shapes of the 3 x 3 box and the colors, and reads every outer shape from
 one horizontal-strip DP table (``schurs``), dropped before the next; the
 tables of one color share their strip weights (``strip_weights``), and no
-tableau is enumerated.  The determinant side of a table is one
-``laplace_dets`` call: its matrices, padded to the box width, are row
-selections from one pool of at most 6 rows of loop e values.  The shapes,
-pools and selections of the walk are built once per n
+tableau is enumerated.  A table's matrices, padded to the box width, are
+row selections from one pool of at most 6 rows of loop e values.  The
+shapes, pools and selections of the walk are built once per n
 (``_jacobi_trudi_plan``).
 
 Families covered (names as reported):
@@ -63,7 +69,7 @@ import random
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 
-from .birational import RationalPoint, cleared_values, int_minors
+from .birational import RationalPoint, cleared_values
 from .lsym import (
     RATIONAL,
     Semiring,
@@ -128,43 +134,45 @@ def classical_e_of_products(i: int, sr: Semiring, values):
 
 class _Evaluator:
     """The families in one ring ``sr`` at one value table.  Loop e, h and
-    tau are read from one ``loop_table`` per ``(family, r mod n)``: every
-    family is periodic in the color with period n, and the color of a
-    factor does not depend on the degree.  sigma reads the tau tables of
-    its suffixes from one ``tau_tables``, so each is built once, at its
-    top degree.  The classical e of the products is computed once per
-    degree, and the loop Schur tables of a color share its
-    ``strip_weights``.
-
-    ``det`` takes a square matrix of values; ``minors`` the maximal minors
-    of an r x (r + 1) matrix, minor j deleting column j, by default from
-    one ``laplace_dets`` call.  The kernels are looked up as module
+    tau are read from one ``loop_table`` per ``(family, r mod n)``, held in
+    ``tables[family][r % n]``: every family is periodic in the color with
+    period n, and the color of a factor does not depend on the degree.
+    sigma reads the tau tables of its suffixes from one ``tau_tables``, so
+    each is built once, at its top degree.  The classical e of the
+    products is computed once per degree, and the loop Schur tables of a
+    color share its ``strip_weights``.  Determinants and the maximal minors
+    of B are ``laplace_dets`` calls.  The kernels are looked up as module
     globals at call time.
     """
 
-    def __init__(self, sr: Semiring, values, minors=None):
+    def __init__(self, sr: Semiring, values):
         self.sr, self.values, self.zero = sr, values, sr.zero
         m, n = len(values), len(values[0])
         self.n = n
-        if minors is not None:
-            self.minors = minors
         self.full = tuple(range(1, m + 1))
         # e and tau vanish above these degrees; h is read up to 2(n-1)m
         # (eh_alternating_sum) and (n-1)m + n (tau_via_products)
         top = (n - 1) * m
         self._tops = {"e": m, "tau": top, "h": top + max(top, n)}
-        self._tables: dict[tuple[str, int], list] = {}
+        self.tables = {family: [None] * n for family in self._tops}
         self._taus = tau_tables(sr, values)
         self.classical_e = cache(lambda i: classical_e_of_products(i, sr, values))
         self._weights = [strip_weights(c, sr, values) for c in range(n)]
 
-    def _read(self, family: str, k: int, r: int):
-        key = (family, r % self.n)
-        table = self._tables.get(key)
+    def table(self, family: str, r: int, k: int = 0) -> list:
+        """The table of ``family`` at color r mod n, built on first read and
+        again for an h of degree k past its top."""
+        tables, c = self.tables[family], r % self.n
+        table = tables[c]
         if table is None or (family == "h" and k >= len(table)):
             top = max(k, self._tops[family])
-            table = loop_table(family, top, key[1], self.full, self.sr, self.values)
-            self._tables[key] = table
+            table = tables[c] = loop_table(family, top, c, self.full, self.sr, self.values)
+        return table
+
+    def _read(self, family: str, k: int, r: int):
+        table = self.tables[family][r % self.n]
+        if table is None or k >= len(table):
+            table = self.table(family, r, k)
         return table[k] if 0 <= k < len(table) else self.zero
 
     def e(self, k: int, r: int):
@@ -186,9 +194,10 @@ class _Evaluator:
         return laplace_dets(rows, [range(len(rows))], self.sr)[0]
 
     def minors(self, rows: list[list]) -> list:
-        """Minor j is the determinant of every column but column j, read as
-        rows of the transpose: the selections of one ``laplace_dets`` call,
-        in increasing order, so that they share one memo."""
+        """The maximal minors of an r x (r + 1) matrix, minor j the
+        determinant of every column but column j, read as rows of the
+        transpose: the selections of one ``laplace_dets`` call, so that
+        they share one plan."""
         columns = list(zip(*rows, strict=True)) or [()]
         skips = [[c for c in range(len(columns)) if c != j] for j in range(len(columns))]
         return laplace_dets(columns, skips, self.sr)
@@ -204,7 +213,7 @@ def _point_evaluator(p: RationalPoint) -> _Evaluator:
     integral point; a point with a non-integral value raises ``ValueError``."""
     if any(v.denominator != 1 for row in p.values for v in row):
         raise ValueError(f"the point evaluator needs an integral point, got {p!r}")
-    return _Evaluator(RATIONAL, cleared_values(p)[0], int_minors)  # at scale 1
+    return _Evaluator(RATIONAL, cleared_values(p)[0])  # at scale 1
 
 
 def integer_point(m: int, n: int, rng: random.Random) -> RationalPoint:
@@ -261,8 +270,12 @@ def _instances(ev, n: int, m: int, symbolic: bool):
             acc = acc + term if i % 2 == 0 else acc - term
         return acc
 
+    e_tables = [ev.table("e", c) for c in range(n)]
+
     def loop_e_values(indices):
-        return [[ev.e(k, c) for k, c in row] for row in indices]
+        # each value straight from its color's table; e vanishes past it
+        return [[e_tables[c % n][k] if 0 <= k < len(e_tables[c % n]) else ev.zero
+                 for k, c in row] for row in indices]
 
     for r in range(n):
         for k in range(1, 2 * (n - 1) * m + 1):

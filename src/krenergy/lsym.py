@@ -50,8 +50,9 @@ one dynamic program over horizontal strips, whose weights
 (``strip_weights``) tables of one color can share.  ``build_A`` and
 ``build_B`` assemble the banded dilated-staircase matrices used by the
 closing identities, ``laplace_dets`` takes the determinants of many row
-selections from one pool (``PolyMatrix.det`` is its one-selection call),
-and ``trop_eval`` is the (min, +) shadow of a subtraction-free polynomial.
+selections from one pool by an expansion planned once per zero pattern
+(``PolyMatrix.det`` is its one-selection call), and ``trop_eval`` is the
+(min, +) shadow of a subtraction-free polynomial.
 The ``*_indices`` functions give the entries of those matrices and of the
 tau vector as ``(degree, color)`` pairs, and ``sigma_product_indices`` the
 sigma factors of the energy's product, for the polynomials here and for
@@ -363,7 +364,9 @@ def loop_table(family: str, k: int, r: int, indices: Sequence[int], sr: Semiring
     more than ``cap`` times (cap 1, unbounded, n - 1; step +1, -1, -1).
     The color of factor s depends on s alone, so one bottom-up DP over the
     indices holds every degree: after each index, ``row[t]`` is the t-factor
-    sum over the indices seen so far.
+    sum over the indices seen so far.  A cap of k or more cannot bind, so
+    then (h, and tau up to degree n - 1) each index takes one ascending
+    sweep instead of up to ``cap`` products per degree.
     """
     n, add, mul = len(values[0]), sr.add, sr.mul
     cap, step = {"e": (1, 1), "h": (k, -1), "tau": (n - 1, -1)}[family]
@@ -373,7 +376,7 @@ def loop_table(family: str, k: int, r: int, indices: Sequence[int], sr: Semiring
     row = [sr.one] + [sr.zero] * k
     for pos, i in enumerate(indices):
         xs = [values[i - 1][c] for c in colors]
-        if family == "h":
+        if cap >= k:  # h, or a cap that k factors cannot reach
             # ascending, so row[t - 1] already holds copies of i
             for t in range(1, k + 1):
                 row[t] = add(row[t], mul(row[t - 1], xs[t - 1]))
@@ -563,7 +566,7 @@ def loop_schurs(outer: tuple, inner: tuple, weights: Callable[[tuple], list], sr
     add, mul = sr.add, sr.mul
     f = [sr.one] + [sr.zero] * (len(parts) - 1)
     # the strip weights of each entry i in turn (none without a strip)
-    for ws in zip(*(weights(cells) for cells in strips)):
+    for ws in zip(*[weights(cells) for cells in strips]):
         # strips only grow partitions, so a descending sweep reads the
         # previous entry's values
         for nu in range(len(preds) - 1, -1, -1):
@@ -720,45 +723,92 @@ class PolyMatrix:
         return laplace_dets(self.entries, [range(self.nrows)], poly_ring(self.m, self.n)[0])[0]
 
 
+# laplace_dets keeps at most this many plans: a randomized identity point
+# at (4, 5) builds 21, the default ``krenergy verify`` 65
+LAPLACE_PLANS = 512
+
+
 def laplace_dets(pool: Sequence[Sequence], selections: Iterable[Iterable[int]], sr: Semiring):
     """The determinant of each square matrix ``[pool[p] for p in selection]``,
     in the ring ``sr`` (its operators, zero and one), by one division-free
-    Laplace expansion along columns.  The minor of some rows on the last as
-    many columns is memoized under those rows, so selections share it: the
-    up to 20 selections of a 6-row Jacobi-Trudi pool share its 15 two-row
-    minors.  Zero entries are skipped, and a row that is zero on the
-    columns left prunes to 0, which keeps banded matrices cheap.
+    Laplace expansion along columns.
+
+    The expansion depends only on the width, the pool's zero pattern and
+    the selections, so ``_laplace_plan`` lays it out once per such key (at
+    most ``LAPLACE_PLANS`` kept) as a flat list of steps.  A call reads the
+    zero pattern of its entries and runs the steps in order, each appending
+    one minor to a list that starts with zero, one and the entries.
     """
     width, zero = len(pool[0]) if pool else 0, sr.zero
-    selections = [tuple(rows) for rows in selections]
+    # lists first: a tuple built from a generator is resized, which
+    # bypasses CPython's tuple free lists on the way in but not out
+    selections = tuple([tuple(rows) for rows in selections])
     if any(len(row) != width for row in chain(pool, selections)):
         raise ValueError(f"need pool rows of one width, {width}, and selections of {width} rows")
-    nonzero = [frozenset(j for j, v in enumerate(row) if v != zero) for row in pool]
-    # dead[c]: the rows that are zero from column c on
-    dead = [{p for p, js in enumerate(nonzero) if max(js, default=-1) < c} for c in range(width)]
-    memo: dict[tuple[int, ...], Any] = {}
-
-    def minor(rows: tuple[int, ...]):
-        col = width - len(rows)
-        if col == width - 1:
-            return pool[rows[0]][col]
-        cached = memo.get(rows)
-        if cached is not None:
-            return cached
+    values = [zero, sr.one]
+    for row in pool:
+        values += row
+    pattern = tuple([v != zero for v in values[2:]])
+    steps, outputs = _laplace_plan(width, pattern, selections)
+    append = values.append
+    for plus, minus in steps:
         acc = zero
-        if dead[col].isdisjoint(rows):
-            for idx, p in enumerate(rows):
-                if col not in nonzero[p]:
-                    continue
-                sub = minor(rows[:idx] + rows[idx + 1 :])
-                if sub == zero:
-                    continue
-                term = pool[p][col] * sub
-                acc = acc + term if idx % 2 == 0 else acc - term
-        memo[rows] = acc
-        return acc
+        for entry, sub in plus:
+            acc = acc + values[entry] * values[sub]
+        for entry, sub in minus:
+            acc = acc - values[entry] * values[sub]
+        append(acc)
+    return [values[k] for k in outputs]
 
-    return [minor(rows) if rows else sr.one for rows in selections]
+
+@lru_cache(maxsize=LAPLACE_PLANS)
+def _laplace_plan(width: int, pattern: tuple[bool, ...], selections: tuple[tuple[int, ...], ...]):
+    """The steps and outputs of ``laplace_dets`` on a pool whose entry
+    (p, c) is nonzero just when ``pattern[p * width + c]``.
+
+    The values list holds zero, one, then entry (p, c) at ``2 + p * width
+    + c``, then one minor per step.  The minor of some rows on the last as
+    many columns expands along its first column into signed ``(entry,
+    sub-minor)`` terms; a step is the position pairs of its terms of even
+    row index, to add, then of odd row index, to subtract.  A zero entry or
+    a zero sub-minor drops its term, and a minor with a row zero on every
+    column left has none; a minor with no term is 0 and takes no step.
+    Selections share the minors of equal row tuples: the up to 20
+    selections of a 6-row Jacobi-Trudi pool share its 15 two-row minors.
+    ``outputs`` holds each selection's position.
+    """
+    slots: dict[tuple[int, ...], int] = {}
+    steps: list[tuple] = []
+    outputs = tuple([_plan_minor(rows, width, pattern, slots, steps) if rows else 1
+                     for rows in selections])
+    return tuple(steps), outputs
+
+
+def _plan_minor(rows: tuple[int, ...], width: int, pattern: tuple[bool, ...],
+                slots: dict[tuple[int, ...], int], steps: list[tuple]) -> int:
+    """The position of the minor of ``rows`` on the last ``len(rows)``
+    columns in ``laplace_dets``' values (0 for a zero minor), planning its
+    step and those of its sub-minors on first sight."""
+    col = width - len(rows)
+    if col == width - 1:
+        return 2 + rows[0] * width + col if pattern[rows[0] * width + col] else 0
+    slot = slots.get(rows)
+    if slot is not None:
+        return slot
+    terms: tuple[list[tuple[int, int]], ...] = ([], [])
+    if all(any(pattern[p * width + col : (p + 1) * width]) for p in rows):
+        for idx, p in enumerate(rows):
+            if not pattern[p * width + col]:
+                continue
+            sub = _plan_minor(rows[:idx] + rows[idx + 1 :], width, pattern, slots, steps)
+            if sub:
+                terms[idx % 2].append((2 + p * width + col, sub))
+    slot = 0
+    if terms[0] or terms[1]:
+        steps.append((tuple(terms[0]), tuple(terms[1])))
+        slot = 2 + len(pattern) + len(steps) - 1
+    slots[rows] = slot
+    return slot
 
 
 def staircase_matrix_size(m: int, n: int) -> tuple[int, int]:

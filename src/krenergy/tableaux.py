@@ -79,7 +79,9 @@ class Shape:
         if not self.parts:
             return Shape()
         width = self.parts[0]
-        return Shape(sum(1 for p in self.parts if p > c) for c in range(width))
+        # parts from a list, here and in staircase: the identity suite builds
+        # these shapes at every point (see lsym.laplace_dets on tuple free lists)
+        return Shape([sum(1 for p in self.parts if p > c) for c in range(width)])
 
     def contains(self, other: Shape) -> bool:
         return all(other.part(i) <= self.part(i) for i in range(1, len(other.parts) + 1))
@@ -106,7 +108,7 @@ def staircase(t: int, scale: int = 1) -> Shape:
         raise ValueError(f"staircase side length must be >= 1, got {t}")
     if scale < 1:
         raise ValueError(f"staircase scale must be >= 1, got {scale}")
-    return Shape(scale * k for k in range(t, 0, -1))
+    return Shape([scale * k for k in range(t, 0, -1)])
 
 
 def energy_staircase_count(n: int, m: int) -> int:

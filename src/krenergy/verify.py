@@ -10,12 +10,14 @@ byte-identical across runs.
 The pair suites ``rmatrix`` and ``coenergy`` share one runner; pairs are
 drawn as two-factor tensors, so they obey the tensor suites' cell limit.
 ``run_verify`` builds one ``RunTables`` per call, a ``functools.cache`` of
-``intrinsic_energy`` and one of ``apply_s``, and hands it to the
+``intrinsic_energy`` and ``apply_s`` itself, and hands it to the
 ``energy-equivalence`` and ``braid`` runners, so that each distinct
-tensor's energy and each ``(t, j)`` image is computed once per run: braid
-re-reads the energies of an exhaustive cell, whose R-images lie in the
-cell.  The tables are dropped when the call returns; nothing is cached
-across calls.  ``energy-equivalence`` collects each (n, m) cell's stream
+tensor's energy is computed once per run: braid re-reads the energies of
+an exhaustive cell, whose R-images lie in the cell.  The R-images are not
+memoized: ``crystal.r_matrix`` already is, per pair of factors, and a memo
+of them would hold every tensor's images until the call returns.  The
+tables are dropped when the call returns; nothing is cached across
+calls.  ``energy-equivalence`` collects each (n, m) cell's stream
 in order and evaluates the staircase and each sigma factor over the
 cell's stacked count grids, one ``lsym.trop_evals`` batch each.
 
@@ -217,10 +219,10 @@ class RunReport:
 
 
 class RunTables(NamedTuple):
-    """The memo of one ``run_verify`` call, shared by its crystal suites:
-    ``energy(t)`` is ``intrinsic_energy(t)`` and ``step(t, j)`` is
-    ``apply_s(t, j)``, each computed once per distinct argument.  A new
-    call builds new tables, so nothing is kept across calls."""
+    """The tables of one ``run_verify`` call, shared by its crystal suites:
+    ``energy(t)`` is ``intrinsic_energy(t)``, computed once per distinct
+    tensor, and ``step(t, j)`` is ``apply_s(t, j)``.  A new call builds new
+    tables, so nothing is kept across calls."""
 
     energy: Callable[[TensorElement], int]
     step: Callable[[TensorElement, int], TensorElement]
@@ -511,7 +513,7 @@ def run_verify(config: VerifyConfig) -> RunReport:
     lsym-identities and section4 are filled by one shared run, whose time
     each of them reports.
     """
-    tables = RunTables(cache(intrinsic_energy), cache(apply_s))
+    tables = RunTables(cache(intrinsic_energy), apply_s)
     suites = {name: SuiteResult() for name in config.suites}
     for name, result in suites.items():
         if name in SUITE_RUNNERS:

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from krenergy import identities, lsym, verify
 from krenergy.birational import (
@@ -21,7 +23,6 @@ from krenergy.birational import (
     eval_loop_h,
     eval_tau,
     fraction_det,
-    int_minors,
     random_point,
 )
 from krenergy.identities import (
@@ -346,8 +347,7 @@ def test_jacobi_trudi_walk_reads_one_table_per_inner_shape(monkeypatch, symbolic
     in symbolic mode once more per color for the staircase.  The tables
     of one color share one ``strip_weights``.  The determinants of a
     table come from one ``laplace_dets`` call, det A from one more per
-    color, and in symbolic mode the maximal minors of B from one more per
-    color (at a point they are ``int_minors``)."""
+    color, and the maximal minors of B from one more per color."""
     n, m = 3, 3
     calls, kernel_calls, weights, weight_calls = [], [], {}, []
     real = identities.loop_schurs
@@ -393,8 +393,7 @@ def test_jacobi_trudi_walk_reads_one_table_per_inner_shape(monkeypatch, symbolic
     assert Counter(calls) == want
     assert sorted(weight_calls) == list(range(n))
     want_kernel = [len(e) for *_, e in identities._jacobi_trudi_plan(n)] + [1] * n
-    if symbolic:
-        want_kernel += [len(staircase_b_indices(m, n=n)[0])] * n
+    want_kernel += [len(staircase_b_indices(m, n=n)[0])] * n
     assert sorted(kernel_calls) == sorted(want_kernel)
 
 
@@ -471,9 +470,9 @@ def test_point_evaluator_matches_the_fraction_ring(n):
 
 
 def test_point_minors_match_per_column_determinants():
-    """One elimination gives the 16 maximal minors of the 15 x 16 matrix B
-    that 16 separate determinants give, for every color at three integral
-    n=4, m=5 points."""
+    """One planned expansion gives the 16 maximal minors of the 15 x 16
+    matrix B that 16 separate determinants give, for every color at three
+    integral n=4, m=5 points."""
     n, m = 4, 5
     rng = random.Random("minors")
     for _ in range(3):
@@ -486,7 +485,6 @@ def test_point_minors_match_per_column_determinants():
             ]
             assert ev.minors(mat_b) == per_column
             assert all(type(v) is int for v in ev.minors(mat_b))
-            assert identities._Evaluator.minors(ev, mat_b) == per_column
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -505,16 +503,21 @@ def test_pooled_minors_match_per_column_polynomial_determinants(n):
             assert ev.minors(mat_b) == per_column, (m, r)
 
 
-@pytest.mark.parametrize("n, m", [(4, 5), (5, 5)])
-def test_pooled_minors_match_int_minors(n, m):
-    """At integral points the default ``minors`` equals ``int_minors`` for
-    every color of B."""
-    rng = random.Random(f"pooled-minors:{n}:{m}")
-    for _ in range(2):
-        ev = identities._point_evaluator(integer_point(m, n, rng))
-        for r in range(n):
-            mat_b = [[ev.e(k, c) for k, c in row] for row in staircase_b_indices(m, n=n, r=r)]
-            assert identities._Evaluator.minors(ev, mat_b) == int_minors(mat_b), r
+@pytest.mark.parametrize("n, m", [(4, 5), (5, 5), (3, 8)])
+def test_pooled_minors_match_sympy(n, m):
+    """At an integral point the default ``minors`` (one planned
+    ``laplace_dets`` call) equals sympy's integer determinant of B without
+    each column, for every color of B."""
+    ev = identities._point_evaluator(integer_point(m, n, random.Random(f"pooled-minors:{n}:{m}")))
+    for r in range(n):
+        mat_b = [[ev.e(k, c) for k, c in row] for row in staircase_b_indices(m, n=n, r=r)]
+        size = len(mat_b)
+        per_column = [
+            int(DomainMatrix([[ZZ(v) for c, v in enumerate(row) if c != j] for row in mat_b],
+                             (size, size), ZZ).det())
+            for j in range(size + 1)
+        ]
+        assert ev.minors(mat_b) == per_column, r
 
 
 @pytest.mark.parametrize("n, m", [(4, 5), (5, 5), (6, 6)])

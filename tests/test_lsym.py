@@ -525,6 +525,25 @@ def test_loop_table_entries_match_enumeration(n):
     assert loop_table("e", -1, 0, (1, 2), *poly_ring(2, 2)) == []
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_tau_table_is_the_unbounded_table_below_the_cap(n):
+    """A tau table of top degree k <= n - 1, where the cap cannot bind,
+    equals the unbounded (h) table; one of top degree k >= n agrees with
+    the h table below degree n, and every entry equals the bounded
+    enumeration."""
+    m = 3
+    idx = (1, 2, 3)
+    ring = poly_ring(m, n)
+    for r in range(n):
+        for k in range(n):
+            assert loop_table("tau", k, r, idx, *ring) == loop_table("h", k, r, idx, *ring)
+        for k in (n, n + 1, (n - 1) * m):
+            table = loop_table("tau", k, r, idx, *ring)
+            assert table[:n] == loop_table("h", k, r, idx, *ring)[:n]
+            for t, value in enumerate(table):
+                assert value == enumerated_family(t, r, n - 1, -1, n, m, idx), (r, k, t)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_sigma_matches_its_prefix_definition(n):
     """sigma, read from one tau table per color, equals the sum of its
@@ -980,6 +999,56 @@ def test_laplace_dets_edge_cases():
         laplace_dets([[1, 2], [3]], [(0, 1)], RATIONAL)
     with pytest.raises(ValueError):
         laplace_dets([[1, 2], [3, 4]], [(0,)], RATIONAL)
+
+
+def sympy_dets(pool, sels):
+    return [int(sympy.Matrix([pool[p] for p in sel]).det()) for sel in sels]
+
+
+def test_planned_laplace_dets_match_sympy():
+    """The planned expansion equals sympy's determinant: on two pools of
+    one shape called in turn, whose zero patterns differ, so that each
+    runs its own plan; on selections out of order; and on selections that
+    repeat a row."""
+    rng = random.Random("planned")
+    width, rows = 4, 7
+    sels = [sorted(rng.sample(range(rows), width)) for _ in range(10)]
+    dense = [[rng.randint(-9, 9) or 1 for _ in range(width)] for _ in range(rows)]
+    banded = [[v if abs(p - 2 * j) <= 2 else 0 for j, v in enumerate(row)]
+              for p, row in enumerate(dense)]
+    for pool in (dense, banded, dense):
+        assert laplace_dets(pool, sels, RATIONAL) == sympy_dets(pool, sels)
+    shuffled = [rng.sample(sel, width) for sel in sels]
+    for pool in (dense, banded):
+        assert laplace_dets(pool, shuffled, RATIONAL) == sympy_dets(pool, shuffled)
+    repeated = [sel[:1] + sel[:width - 1] for sel in sels] + [(3, 1, 3, 0)]
+    for pool in (dense, banded):
+        assert laplace_dets(pool, repeated, RATIONAL) == [0] * len(repeated)
+        mixed = shuffled + repeated + sels
+        assert laplace_dets(pool, mixed, RATIONAL) == sympy_dets(pool, mixed)
+
+
+def test_laplace_dets_leaves_no_garbage():
+    """A call, cold (its plan built) or warm, makes no reference cycle, in
+    the integers and over the polynomials: run with the cyclic collector
+    off, it leaves nothing for ``gc.collect()``."""
+    rng = random.Random("garbage")
+    x = var(1, 0, 2, 2)
+    pools = [
+        ([[rng.randint(-3, 3) for _ in range(5)] for _ in range(6)], RATIONAL),
+        ([[x * rng.randint(-2, 2) for _ in range(3)] for _ in range(4)], poly_ring(2, 2)[0]),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for pool, sr in pools:
+            width = len(pool[0])
+            sels = list(itertools.combinations(range(len(pool)), width))
+            for _ in range(2):
+                laplace_dets(pool, sels, sr)
+                assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 GOLD_A4 = [

@@ -4,9 +4,10 @@ of the one-elimination maximal minors, and of the polynomial JSON format.
 hypothesis draws a skew shape inside a 4 x 4 box and a max entry.  The
 oracles are the checking ``Ssyt`` constructor, ``count_ssyt``, the
 coefficient sum of ``loop_schur_tableaux`` and, for ``partitions_between``,
-a filter over every tuple in the box.  ``int_minors`` of rational rows
-cleared of their denominators is checked against one ``fraction_det`` per
-deleted column.  Random term maps of
+a filter over every tuple in the box.  The maximal minors of a rational
+r x (r + 1) matrix from one ``laplace_dets`` call, as the identity suite
+takes them, are checked against sympy's determinant of each matrix
+without one column.  Random term maps of
 exponent vectors go through ``to_jsonable`` and back, and ``mono_factors``
 is checked against the vector's nonzero entries.  The packed ``*``, ``+``,
 ``-`` and ``==`` are checked against a dict convolution and sum of
@@ -38,6 +39,7 @@ import operator
 from fractions import Fraction
 
 import pytest
+import sympy
 
 pytest.importorskip("hypothesis")
 
@@ -45,8 +47,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from krenergy.birational import (  # noqa: E402
     RationalPoint,
-    fraction_det,
-    int_minors,
     kappa,
     r_action_identities,
     rational_energy_global,
@@ -62,7 +62,7 @@ from krenergy.crystal import (  # noqa: E402
     ok,
     r_matrix,
 )
-from krenergy.identities import POINT_BOUND  # noqa: E402
+from krenergy.identities import POINT_BOUND, _point_evaluator  # noqa: E402
 from krenergy.lsym import (  # noqa: E402
     MIN_PLUS,
     RATIONAL,
@@ -158,14 +158,15 @@ def wide_matrices(draw):
 @PROPERTY_SETTINGS
 @given(wide_matrices())
 def test_maximal_minors_match_per_column_determinants(rows):
-    per_column = [
-        fraction_det([row[:j] + row[j + 1 :] for row in rows]) for j in range(len(rows) + 1)
-    ]
-    # each row times the lcm of its denominators multiplies every minor by it
-    scales = [math.lcm(*(v.denominator for v in row)) for row in rows]
-    cleared = [[int(v * s) for v in row] for row, s in zip(rows, scales)]
-    scale = math.prod(scales)
-    assert [Fraction(v, scale) for v in int_minors(cleared)] == per_column
+    size = len(rows)
+    per_column = []
+    for j in range(size + 1):
+        entries = [sympy.Rational(v.numerator, v.denominator)
+                   for row in rows for c, v in enumerate(row) if c != j]
+        det = sympy.Matrix(size, size, entries).det()
+        per_column.append(Fraction(int(det.p), int(det.q)))
+    minors = _point_evaluator(RationalPoint.all_ones(1, 2)).minors
+    assert minors(rows) == per_column
 
 
 @st.composite
