@@ -18,10 +18,11 @@ these rules itself: on the grid columns of ``counts_to_grid``
 (``x_i^(r) = counts[(r - i) mod n]``), ``ok``, ``r_matrix`` and
 ``intrinsic_energy`` are the kernels of ``krenergy.birational`` (kappa,
 the move s_j and the energy walk) run in ``lsym.MIN_PLUS``, the one
-algebra type's min-plus instance on plain ints.  ``r_matrix`` is memoized
-per distinct pair, a bounded ``lru_cache``.  The R-matrix and the coenergy
-also have slow tableau-based oracles (jeu de taquin for the R-matrix, row
-sliding for the coenergy) used as independent cross-checks.
+algebra type's min-plus instance on plain ints; ``krenergy.verify`` runs
+the same kernels in ``lsym.MIN_PLUS_ARRAY`` over many tensors at once.
+The R-matrix and the coenergy also have slow tableau-based oracles (jeu
+de taquin for the R-matrix, row sliding for the coenergy) used as
+independent cross-checks.
 
 ``energy_staircase`` evaluates the tropical staircase formula: the minimum
 over semistandard tableaux of the dilated staircase shape, with entries in
@@ -35,8 +36,7 @@ enumerated.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from functools import lru_cache
+from collections.abc import Callable, Iterable, Iterator
 from itertools import accumulate
 
 from ._strict import decimal, json_int
@@ -200,21 +200,16 @@ def ok(r: int, b1: CrystalElement, b2: CrystalElement) -> int:
     return kappas(MIN_PLUS, *_columns(b1, b2))[(r - 1) % b1.n]
 
 
-# the most distinct pairs whose R-matrix image is kept; a verify run at
-# n 2:3 and capacity cap 2 meets 136
-R_MATRIX_MEMO = 4096
-
-
-@lru_cache(maxsize=R_MATRIX_MEMO)
 def r_matrix(b1: CrystalElement, b2: CrystalElement) -> tuple[CrystalElement, CrystalElement]:
     """The combinatorial R-matrix: the min-plus move s_j of the pair's grid
     columns, ``c1 = y2 + ok_{c+2} - ok_{c+1}`` and ``c2 = y1 - ok_{c+2} +
     ok_{c+1}`` on 0-based colors c.
 
     Returns ``(c1, c2)`` with ``|c1| = |b2|`` and ``|c2| = |b1|``; the total
-    number of letters of each color is preserved.  The image of each pair
-    is memoized, the last ``R_MATRIX_MEMO`` distinct pairs: the braid
-    checks apply the same few pairs thousands of times.
+    number of letters of each color is preserved.  Nothing is memoized:
+    ``verify``'s braid suite runs the move over whole chunks of tensors,
+    and every other caller meets a pair once or twice.  A negative count
+    is a bug and raises ``RuntimeError``.
     """
     c1, x1 = move(MIN_PLUS, *_columns(b1, b2))  # c2 as the grid column x_1
     if min(c1 + x1) < 0:
@@ -269,7 +264,9 @@ def _count_compositions(total: list[int], size: int) -> int:
 
 
 def r_matrix_oracle(
-    b1: CrystalElement, b2: CrystalElement
+    b1: CrystalElement,
+    b2: CrystalElement,
+    rectified: Callable[[CrystalElement, CrystalElement], Ssyt] | None = None,
 ) -> tuple[CrystalElement, CrystalElement]:
     """The R-matrix by brute force over jeu-de-taquin rectifications.
 
@@ -279,6 +276,8 @@ def r_matrix_oracle(
     bug, since the crystal isomorphism is unique), and raises
     :class:`EnumerationGuardError` before any rectification when the
     candidates times the squared number of letters exceed ``ORACLE_GUARD``.
+    ``rectified`` stands for :func:`rectified_pair`: a caller that meets a
+    pair again, as a target or a candidate, may pass a memo of it.
     """
     n = _check_pair(b1, b2)
     total = [b1.counts[c] + b2.counts[c] for c in range(n)]
@@ -290,12 +289,13 @@ def r_matrix_oracle(
             f"the R-matrix oracle would rectify a pair of {letters} letters once per "
             f"candidate, over its guard of {ORACLE_GUARD} (candidates x letters^2)"
         )
-    target = rectified_pair(b1, b2)
+    rectified = rectified or rectified_pair
+    target = rectified(b1, b2)
     matches: list[tuple[CrystalElement, CrystalElement]] = []
     for c1_counts in _compositions(total, b2.capacity):
         c1 = CrystalElement(n, c1_counts)
         c2 = CrystalElement(n, tuple(t - v for t, v in zip(total, c1_counts)))
-        if rectified_pair(c1, c2) == target:
+        if rectified(c1, c2) == target:
             matches.append((c1, c2))
     if len(matches) != 1:
         raise RuntimeError(

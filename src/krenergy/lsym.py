@@ -23,7 +23,8 @@ The generating families:
 
 One algebra type, ``Semiring`` (add, mul, zero, one, and div in a
 semifield), carries every kernel of the package; exact ``RATIONAL`` and
-``MIN_PLUS`` are defined here once.  A subtraction-free
+``MIN_PLUS`` are defined here once, and ``MIN_PLUS_ARRAY``, min-plus over
+int64 arrays that hold one instance per entry.  A subtraction-free
 kernel takes the type and the variables as a value table,
 ``values[i - 1][c]`` = x_i^(c), and runs unchanged over the polynomials
 (``poly_ring``), at a point, and in min-plus, where it is its own
@@ -343,6 +344,9 @@ class Semiring(NamedTuple):
 # tropicalization in plain ints, whose zero is the empty minimum (trop_eval of 0)
 RATIONAL = Semiring(operator.add, operator.mul, 0, 1, Fraction)
 MIN_PLUS = Semiring(min, operator.add, math.inf, 0, operator.sub)
+# MIN_PLUS entry by entry on int64 arrays, one entry per instance, so one
+# kernel call serves a batch; its one is an int64, so an empty product is too
+MIN_PLUS_ARRAY = Semiring(np.minimum, np.add, math.inf, np.int64(0), np.subtract)
 
 
 @lru_cache(maxsize=None)

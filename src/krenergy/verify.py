@@ -9,17 +9,21 @@ byte-identical across runs.
 
 The pair suites ``rmatrix`` and ``coenergy`` share one runner; pairs are
 drawn as two-factor tensors, so they obey the tensor suites' cell limit.
-``run_verify`` builds one ``RunTables`` per call, a ``functools.cache`` of
-``intrinsic_energy`` and ``apply_s`` itself, and hands it to the
-``energy-equivalence`` and ``braid`` runners, so that each distinct
-tensor's energy is computed once per run: braid re-reads the energies of
-an exhaustive cell, whose R-images lie in the cell.  The R-images are not
-memoized: ``crystal.r_matrix`` already is, per pair of factors, and a memo
-of them would hold every tensor's images until the call returns.  The
-tables are dropped when the call returns; nothing is cached across
-calls.  ``energy-equivalence`` collects each (n, m) cell's stream
-in order and evaluates the staircase and each sigma factor over the
-cell's stacked count grids, one ``lsym.trop_evals`` batch each.
+The ``rmatrix`` runner hands the jeu-de-taquin oracle one bounded memo of
+``crystal.rectified_pair`` per run, since an exhaustive cell meets each
+pair as a target and again as a candidate of the pairs of its class.
+
+``energy-equivalence`` and ``braid`` take each (n, m) cell's stream in
+order, ``CHUNK_TENSORS`` tensors at a time, so a cell is never held whole.
+A chunk's count grids are stacked once: flat, for one ``lsym.trop_evals``
+batch per polynomial (the staircase and each sigma factor), and as grid
+columns, m lists of n int64 arrays with one entry per tensor, on which the
+unchanged ``birational`` kernels run once in ``lsym.MIN_PLUS_ARRAY``:
+``energy_walk`` gives every intrinsic energy of the chunk, and ``_chain``
+each s_j, its involution and both sides of each braid relation.  These
+are ``crystal.intrinsic_energy`` and ``crystal.apply_s`` tensor by tensor,
+so each tensor has the problems, in the order and with the witnesses,
+that those give.  Nothing is cached across calls.
 
 The identity suites ``lsym-identities`` and ``section4`` share one
 ``identity_suite`` run per (n, m, mode) cell and split its checks by
@@ -36,14 +40,17 @@ import math
 import operator
 import random
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial
-from typing import NamedTuple
+from functools import lru_cache, partial
 
+import numpy as np
+
+from . import crystal
 from .birational import (
     RationalPoint,
+    _chain,
     cleared_values,
+    energy_walk,
     move,
     r_action_identities,
     random_point,
@@ -54,17 +61,16 @@ from .crystal import (
     TensorElement,
     _compositions,
     _grid_columns,
-    apply_s,
     coenergy,
     coenergy_sliding_oracle,
     counts_to_grid,
-    intrinsic_energy,
     r_matrix,
     r_matrix_oracle,
 )
 from .identities import SYMBOLIC_M_MAX, SYMBOLIC_N_MAX, identity_suite
 from .lsym import (
     MIN_PLUS,
+    MIN_PLUS_ARRAY,
     RATIONAL,
     ColoredPoly,
     Semiring,
@@ -91,6 +97,16 @@ MODES = ("exhaustive", "randomized", "both")
 # instead of fully enumerated (the report notes nothing; sampling is a
 # function of the seed alone).
 EXHAUSTIVE_CELL_LIMIT = 100_000
+
+# energy-equivalence and braid check a cell's stream this many tensors at a
+# time: the exhaustive (3, 4) cell at cap 2 peaked at 29, 33 and 38 MiB with
+# chunks of 256, 4096 and 16384, and took 0.30, 0.24 and 0.18 s CPU
+CHUNK_TENSORS = 4096
+
+# the most pairs whose two-row rectification one rmatrix run keeps: a run at
+# n 2:3 and capacity cap 2 meets 136, and a sampled cell at a large cap,
+# whose candidates seldom repeat, holds no more than this many
+RECTIFIED_MEMO = 4096
 
 # The largest factor capacity a config may ask for: ``random_element`` draws
 # one letter at a time, so a cap of 10^8 ran for minutes before any check.
@@ -218,16 +234,6 @@ class RunReport:
         return "\n".join(lines)
 
 
-class RunTables(NamedTuple):
-    """The tables of one ``run_verify`` call, shared by its crystal suites:
-    ``energy(t)`` is ``intrinsic_energy(t)``, computed once per distinct
-    tensor, and ``step(t, j)`` is ``apply_s(t, j)``.  A new call builds new
-    tables, so nothing is kept across calls."""
-
-    energy: Callable[[TensorElement], int]
-    step: Callable[[TensorElement, int], TensorElement]
-
-
 def _witness(kind: str, **data) -> str:
     return json.dumps({"kind": kind, **data}, sort_keys=True, separators=(",", ":"))
 
@@ -283,8 +289,9 @@ def _tensor_stream(n: int, m: int, cap: int, trials: int, rng: random.Random, mo
 # per-instance checks
 
 
-def check_rmatrix_pair(b1: CrystalElement, b2: CrystalElement) -> list[str]:
-    """Formula vs jeu-de-taquin oracle, capacity swap, content conservation."""
+def check_rmatrix_pair(b1: CrystalElement, b2: CrystalElement, rectified=None) -> list[str]:
+    """Formula vs jeu-de-taquin oracle, capacity swap, content conservation;
+    ``rectified`` is handed to ``r_matrix_oracle``."""
     problems = []
     c1, c2 = r_matrix(b1, b2)
     pair = {"n": b1.n, "b1": list(b1.counts), "b2": list(b2.counts)}
@@ -294,7 +301,7 @@ def check_rmatrix_pair(b1: CrystalElement, b2: CrystalElement) -> list[str]:
         b1.counts[c] + b2.counts[c] != c1.counts[c] + c2.counts[c] for c in range(b1.n)
     ):
         problems.append(_witness("content-conservation", **pair))
-    o1, o2 = r_matrix_oracle(b1, b2)
+    o1, o2 = r_matrix_oracle(b1, b2, rectified)
     if (c1, c2) != (o1, o2):
         problems.append(
             _witness(
@@ -329,26 +336,33 @@ def sigma_product_polys(n: int, m: int) -> tuple[ColoredPoly, ...]:
     )
 
 
-def check_energy_cell(
-    tensors: list[TensorElement], energy: Callable[[TensorElement], int]
-) -> list[list[str]]:
-    """Per tensor of one (n, m) cell, in order, the problems of: the
-    intrinsic energy (``energy``, ``intrinsic_energy`` or the run's memo of
-    it) equals the tropicalized staircase loop Schur function
-    (``energy_staircase``) and the tropicalized sigma product.  Both sides
-    come from one ``trop_evals`` batch per polynomial over the cell's
-    stacked count grids."""
-    if not tensors:
-        return []
-    n, m = tensors[0].n, tensors[0].m
+def _chunk_grids(tensors: list[TensorElement]) -> tuple[list[tuple[int, ...]], list[list]]:
+    """The count grids of a chunk of one (n, m) cell: flat, for
+    ``trop_evals``, and as the grid columns x_1..x_m, m lists of n int64
+    arrays whose entry k belongs to tensor k, for ``MIN_PLUS_ARRAY``.  A
+    count is at most ``CAPACITY_CAP_MAX``, so no kernel sum nears 2^63."""
+    n = tensors[0].n
     flats = [tuple(itertools.chain.from_iterable(_grid_columns(t))) for t in tensors]
+    rows = np.array(flats, dtype=np.int64).T.copy()  # one contiguous row per (i, r)
+    return flats, [list(rows[i : i + n]) for i in range(0, len(rows), n)]
+
+
+def check_energy_chunk(tensors: list[TensorElement]) -> list[list[str]]:
+    """Per tensor of a chunk of one (n, m) cell, in order, the problems of:
+    the intrinsic energy equals the tropicalized staircase loop Schur
+    function (``energy_staircase``) and the tropicalized sigma product.
+    The energies come from one ``energy_walk`` over the chunk's grid
+    columns, and each polynomial's side from one ``trop_evals`` batch."""
+    n, m = tensors[0].n, tensors[0].m
+    flats, columns = _chunk_grids(tensors)
+    energies = np.broadcast_to(energy_walk(MIN_PLUS_ARRAY, columns), len(tensors)).tolist()
     stairs = trop_evals(staircase_loop_schur(n, m), flats)
     sigmas = [0] * len(tensors)
     for p in sigma_product_polys(n, m):
         sigmas = list(map(operator.add, sigmas, trop_evals(p, flats)))
     out = []
-    for t, d_stair, sigma_trop in zip(tensors, stairs, sigmas):
-        d, problems = energy(t), []
+    for t, d, d_stair, sigma_trop in zip(tensors, energies, stairs, sigmas):
+        problems = []
         if d_stair != d:
             problems.append(_witness(
                 "energy-equivalence", tensor=t.to_jsonable(), intrinsic=d, staircase=d_stair
@@ -361,29 +375,46 @@ def check_energy_cell(
     return out
 
 
-def check_braid_tensor(
-    t: TensorElement,
-    energy: Callable[[TensorElement], int],
-    step: Callable[[TensorElement, int], TensorElement],
-) -> list[str]:
-    """Involution, braid, and intrinsic-energy invariance of the R-action;
-    ``energy`` and ``step`` are ``intrinsic_energy`` and ``apply_s``, or
-    the run's memo of them."""
-    problems = []
-    m = t.m
-    d = energy(t)
+def _step(tensors: list[TensorElement], columns: list, j: int) -> list:
+    """s_j, 1-based, on a chunk's grid columns: ``apply_s(t, j)`` of each
+    tensor.  Like ``r_matrix``, a negative count raises ``RuntimeError``."""
+    moved = _chain(MIN_PLUS_ARRAY, columns, (j - 1,))
+    if np.min(moved[j - 1 : j + 1]) < 0:
+        k = int(np.argmax(np.min(moved[j - 1 : j + 1], axis=(0, 1)) < 0))
+        raise RuntimeError(f"R-matrix produced a negative count at s_{j} of {tensors[k]!r}; "
+                           "this is a bug")
+    return moved
+
+
+def _differ(a: list, b: list) -> np.ndarray:
+    """Per tensor of a chunk, whether the grid columns ``a`` and ``b``
+    differ anywhere."""
+    return np.logical_or.reduce([x != y for xs, ys in zip(a, b) for x, y in zip(xs, ys)])
+
+
+def check_braid_chunk(tensors: list[TensorElement]) -> list[list[str]]:
+    """Per tensor of a chunk of one (n, m) cell, in order, the problems of
+    the R-action: for each j, s_j is an involution and keeps the intrinsic
+    energy, then each braid relation s_j s_{j+1} s_j = s_{j+1} s_j s_{j+1}.
+    Each move and energy is one kernel call over the chunk's grid
+    columns."""
+    columns = _chunk_grids(tensors)[1]
+    m = len(columns)
+    energy = energy_walk(MIN_PLUS_ARRAY, columns)
+    moved = {j: _step(tensors, columns, j) for j in range(1, m)}
+    failed = []  # (kind, j, per-tensor mask), in each tensor's check order
     for j in range(1, m):
-        tj = step(t, j)
-        if step(tj, j) != t:
-            problems.append(_witness("involution", tensor=t.to_jsonable(), j=j))
-        if energy(tj) != d:
-            problems.append(_witness("energy-r-invariance", tensor=t.to_jsonable(), j=j))
+        failed.append(("involution", j, _differ(_step(tensors, moved[j], j), columns)))
+        failed.append(("energy-r-invariance", j, energy_walk(MIN_PLUS_ARRAY, moved[j]) != energy))
     for j in range(1, m - 1):
-        lhs = step(step(step(t, j), j + 1), j)
-        rhs = step(step(step(t, j + 1), j), j + 1)
-        if lhs != rhs:
-            problems.append(_witness("braid", tensor=t.to_jsonable(), j=j))
-    return problems
+        lhs = _step(tensors, _step(tensors, moved[j], j + 1), j)
+        rhs = _step(tensors, _step(tensors, moved[j + 1], j), j + 1)
+        failed.append(("braid", j, _differ(lhs, rhs)))
+    out = [[] for _ in tensors]
+    for kind, j, mask in failed:
+        for k in np.flatnonzero(mask).tolist():
+            out[k].append(_witness(kind, tensor=tensors[k].to_jsonable(), j=j))
+    return out
 
 
 def check_r_action(sr: Semiring, columns, **where) -> list[str]:
@@ -426,32 +457,30 @@ def _cells(config: VerifyConfig, m_min: int) -> list[tuple[int, int]]:
     return [(n, m) for n in range(n_lo, n_hi + 1) for m in range(max(m_min, m_lo), m_hi + 1)]
 
 
-def _run_pairs(config: VerifyConfig, result: SuiteResult, tables: RunTables, check,
-               label: str) -> None:
+def _run_pairs(config: VerifyConfig, result: SuiteResult, check, label: str) -> None:
     for n in range(config.n_range[0], config.n_range[1] + 1):
         rng = _cfg_rng(config, label, n, 2)
         for t in _tensor_stream(n, 2, config.capacity_cap, config.trials, rng, config.mode):
             result.record_problems(check(*t.factors))
 
 
-def _cell_streams(config: VerifyConfig, label: str, m_min: int):
-    """The seeded tensor stream of each (n, m) cell with m >= m_min."""
+def _run_rmatrix(config: VerifyConfig, result: SuiteResult) -> None:
+    """The pair runner with one memo of ``crystal.rectified_pair`` for the
+    run, read from the module at the start of each run."""
+    rectified = lru_cache(maxsize=RECTIFIED_MEMO)(crystal.rectified_pair)
+    _run_pairs(config, result, partial(check_rmatrix_pair, rectified=rectified), "rmatrix")
+
+
+def _run_chunks(config: VerifyConfig, result: SuiteResult, check, label: str,
+                m_min: int) -> None:
+    """The seeded stream of each (n, m) cell with m >= m_min, checked in
+    order ``CHUNK_TENSORS`` tensors at a time."""
     for n, m in _cells(config, m_min):
         rng = _cfg_rng(config, label, n, m)
-        yield _tensor_stream(n, m, config.capacity_cap, config.trials, rng, config.mode)
-
-
-def _run_energy(config: VerifyConfig, result: SuiteResult, tables: RunTables) -> None:
-    """Each cell's stream, collected in order and checked as one batch."""
-    for stream in _cell_streams(config, "energy", 1):
-        for problems in check_energy_cell(list(stream), tables.energy):
-            result.record_problems(problems)
-
-
-def _run_braid(config: VerifyConfig, result: SuiteResult, tables: RunTables) -> None:
-    for stream in _cell_streams(config, "braid", 2):
-        for t in stream:
-            result.record_problems(check_braid_tensor(t, tables.energy, tables.step))
+        stream = _tensor_stream(n, m, config.capacity_cap, config.trials, rng, config.mode)
+        while chunk := list(itertools.islice(stream, CHUNK_TENSORS)):
+            for problems in check(chunk):
+                result.record_problems(problems)
 
 
 # The families of the section4 suite; every other family of the identity
@@ -481,7 +510,7 @@ def _run_identities(config: VerifyConfig, results: dict[str, SuiteResult]) -> No
                     results[suite].record(check.passed, witness)
 
 
-def _run_birational(config: VerifyConfig, result: SuiteResult, tables: RunTables) -> None:
+def _run_birational(config: VerifyConfig, result: SuiteResult) -> None:
     """Per cell, the all-ones count, then ``trials`` seeded points and
     ``trials`` seeded tensors, each from its own stream."""
     for n, m in _cells(config, 2):
@@ -498,10 +527,11 @@ def _run_birational(config: VerifyConfig, result: SuiteResult, tables: RunTables
 
 # Each crystal suite walks its own stream; the label seeds its RNG.
 SUITE_RUNNERS = {
-    "rmatrix": partial(_run_pairs, check=check_rmatrix_pair, label="rmatrix"),
+    "rmatrix": _run_rmatrix,
     "coenergy": partial(_run_pairs, check=check_coenergy_pair, label="coenergy"),
-    "energy-equivalence": _run_energy,
-    "braid": _run_braid,
+    "energy-equivalence": partial(_run_chunks, check=check_energy_chunk, label="energy",
+                                  m_min=1),
+    "braid": partial(_run_chunks, check=check_braid_chunk, label="braid", m_min=2),
     "birational": _run_birational,
 }
 
@@ -509,16 +539,14 @@ SUITE_RUNNERS = {
 def run_verify(config: VerifyConfig) -> RunReport:
     """Run the selected suites and return the aggregated report.
 
-    The runners share one ``RunTables``, built here and dropped on return.
     lsym-identities and section4 are filled by one shared run, whose time
     each of them reports.
     """
-    tables = RunTables(cache(intrinsic_energy), apply_s)
     suites = {name: SuiteResult() for name in config.suites}
     for name, result in suites.items():
         if name in SUITE_RUNNERS:
             start = time.perf_counter()
-            SUITE_RUNNERS[name](config, result, tables)
+            SUITE_RUNNERS[name](config, result)
             result.seconds = time.perf_counter() - start
     identity = {name: res for name, res in suites.items() if name in IDENTITY_SUITES}
     if identity:

@@ -13,7 +13,7 @@ from functools import cache, reduce
 
 import pytest
 
-from krenergy import crystal, verify
+from krenergy import birational, crystal, verify
 from krenergy.crystal import (
     CrystalElement,
     TensorElement,
@@ -29,7 +29,7 @@ from krenergy.crystal import (
     r_matrix,
     r_matrix_oracle,
 )
-from krenergy.lsym import MIN_PLUS, loop_family, sigma_product_indices
+from krenergy.lsym import MIN_PLUS, loop_family, sigma_product_indices, trop_eval
 from krenergy.tableaux import EnumerationGuardError, Shape, enumerate_ssyt, staircase
 from krenergy.verify import VerifyConfig, elements_up_to, iter_tensors, random_tensor, run_verify
 
@@ -172,39 +172,52 @@ def test_r_matrix_matches_oracle_exhaustive_n2():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_memoized_r_matrix_matches_the_unmemoized_and_the_oracle(n):
-    """Every pair up to capacity 3, asked twice: the memo returns what the
-    min-plus move and the jeu-de-taquin oracle give."""
+def test_r_matrix_matches_the_oracle_up_to_capacity_3(n):
+    """Every pair up to capacity 3: the min-plus move gives what the
+    jeu-de-taquin oracle gives, with and without one memo of
+    ``rectified_pair`` shared by all the pairs, as the rmatrix suite runs
+    it."""
     elements = elements_up_to(n, 3)
+    rectified = cache(crystal.rectified_pair)
     for b1, b2 in itertools.product(elements, repeat=2):
-        want = r_matrix.__wrapped__(b1, b2)
-        assert r_matrix(b1, b2) == want == r_matrix(b1, b2) == r_matrix_oracle(b1, b2)
+        assert r_matrix(b1, b2) == r_matrix_oracle(b1, b2) == r_matrix_oracle(b1, b2, rectified)
 
 
-def test_r_matrix_memo_is_bounded_and_hit_by_braid_checks():
-    info = r_matrix.cache_info()
-    assert info.maxsize == crystal.R_MATRIX_MEMO  # bounded: an int, not None
-    r_matrix.cache_clear()
-    config = VerifyConfig(
-        suites=("braid",), n_range=(2, 3), m_range=(2, 3), capacity_cap=1, mode="exhaustive"
-    )
-    assert run_verify(config).total_failures == 0
-    info = r_matrix.cache_info()
-    assert 0 < info.currsize <= info.maxsize
-    assert info.hits > info.misses
+def test_r_matrix_raises_on_a_negative_count(monkeypatch):
+    """A move that gives a negative count is a bug: ``r_matrix`` raises, and
+    so does the braid suite, whose chunks run the same move."""
+    real = birational.move
 
+    def negative(sr, a, b):
+        x, y = real(sr, a, b)
+        return [sr.mul(v, -1_000) for v in x], y
 
-def test_r_matrix_memo_keeps_no_failed_call(monkeypatch):
-    """A pair whose move raises is not memoized: once the move is mended,
-    the same pair gets its R-matrix image."""
-    r_matrix.cache_clear()
-    monkeypatch.setattr(crystal, "move", lambda sf, x0, x1: ((-1,) * len(x0), x1))
+    monkeypatch.setattr(crystal, "move", negative)
     with pytest.raises(RuntimeError, match="negative count"):
         r_matrix(B1, B2)
-    assert r_matrix.cache_info().currsize == 0
+    monkeypatch.setattr(birational, "move", negative)
+    config = VerifyConfig(suites=("braid",), n_range=(2, 2), m_range=(2, 2), capacity_cap=1)
+    with pytest.raises(RuntimeError, match="negative count at s_1 of TensorElement"):
+        run_verify(config)
     monkeypatch.undo()
     assert r_matrix(B1, B2) == (row(4, "1123"), row(4, "24"))
-    assert r_matrix.cache_info().currsize == 1
+
+
+def test_rmatrix_suite_rectifies_each_pair_once_per_run(monkeypatch):
+    """One rmatrix run rectifies each pair at most once, where the oracle
+    alone rectified 400 times for 136 distinct pairs; a second run keeps
+    nothing of the first and rectifies the same pairs again."""
+    seen = []
+    real = crystal.rectified_pair
+    monkeypatch.setattr(crystal, "rectified_pair", lambda *pair: seen.append(pair) or real(*pair))
+    config = VerifyConfig(suites=("rmatrix",), n_range=(2, 3), m_range=(1, 3), capacity_cap=2,
+                          mode="exhaustive")
+    first = run_verify(config)
+    calls = list(seen)
+    assert len(calls) == len(set(calls)) == 136
+    seen.clear()
+    assert run_verify(config).to_json() == first.to_json() and seen == calls
+    assert first.total_failures == 0
 
 
 # ---------------------------------------------------------------------------
@@ -470,54 +483,134 @@ def test_tropical_grid_validation():
 
 
 # ---------------------------------------------------------------------------
-# the per-run memo of run_verify
+# the chunked crystal suites of run_verify
 
-MEMO_CONFIG = VerifyConfig(
+CHUNK_CONFIG = VerifyConfig(
     suites=("energy-equivalence", "braid"), n_range=(2, 3), m_range=(1, 4), capacity_cap=1,
     trials=4, mode="both",
 )
 
 
-def test_run_verify_computes_each_energy_once_per_run(monkeypatch):
-    """In one run the energy kernel sees each distinct tensor once: the
-    exhaustive cells, the randomized tensors of mode both, and the
-    sampled (3, 4) cell, whose R-images lie outside its stream.  A second
-    run keeps nothing of the first and makes as many calls."""
-    monkeypatch.setattr(verify, "EXHAUSTIVE_CELL_LIMIT", 100)  # (3, 4) has 256
-    seen = []
-    monkeypatch.setattr(
-        verify, "intrinsic_energy", lambda t: seen.append(t) or intrinsic_energy(t)
-    )
-    first = run_verify(MEMO_CONFIG)
-    calls = len(seen)
-    assert calls == len(set(seen)) > 0
-    seen.clear()
-    second = run_verify(MEMO_CONFIG)
-    assert len(seen) == calls and second.to_json() == first.to_json()
-    assert first.total_failures == 0
+def _witness(kind, t, **data):
+    return json.dumps({"kind": kind, "tensor": t.to_jsonable(), **data}, sort_keys=True,
+                      separators=(",", ":"))
 
 
-def test_braid_suite_catches_a_shifted_r_matrix_through_the_memo(monkeypatch):
-    """An R-matrix whose images are shifted by one colour fails the braid
-    suite: with the per-run memo, each tensor has the problems it has
-    without it, and they name the involution, energy-invariance and braid
-    checks."""
-    real = crystal.r_matrix
+def braid_reference(t):
+    """The braid suite's problems of one tensor, in order, from the public
+    ``apply_s`` and ``intrinsic_energy``, one tensor at a time."""
+    problems, d = [], intrinsic_energy(t)
+    for j in range(1, t.m):
+        tj = apply_s(t, j)
+        if apply_s(tj, j) != t:
+            problems.append(_witness("involution", t, j=j))
+        if intrinsic_energy(tj) != d:
+            problems.append(_witness("energy-r-invariance", t, j=j))
+    for j in range(1, t.m - 1):
+        lhs = apply_s(apply_s(apply_s(t, j), j + 1), j)
+        if lhs != apply_s(apply_s(apply_s(t, j + 1), j), j + 1):
+            problems.append(_witness("braid", t, j=j))
+    return problems
 
-    def shifted(b1, b2):
-        c1, c2 = real(b1, b2)
-        return (CrystalElement(b1.n, c1.counts[1:] + c1.counts[:1]),
-                CrystalElement(b1.n, c2.counts[1:] + c2.counts[:1]))
 
-    monkeypatch.setattr(crystal, "r_matrix", shifted)
+def energy_reference(t):
+    """The energy-equivalence suite's problems of one tensor, in order,
+    from ``intrinsic_energy``, ``energy_staircase`` and the sigma
+    product's polynomials tropicalized one at a time."""
+    d, stair = intrinsic_energy(t), energy_staircase(t)
+    sigmas = sum(trop_eval(p, counts_to_grid(t)) for p in verify.sigma_product_polys(t.n, t.m))
+    problems = []
+    if stair != d:
+        problems.append(_witness("energy-equivalence", t, intrinsic=d, staircase=stair))
+    if sigmas != d:
+        problems.append(_witness("trop-sigma-product", t, got=sigmas, want=d))
+    return problems
+
+
+def shift_move(monkeypatch):
+    """Shift by one colour both columns that ``move`` gives, in every module
+    that runs it: the R-matrix images then have their counts rotated."""
+    real = birational.move
+
+    def shifted(sr, a, b):
+        x, y = real(sr, a, b)
+        return x[1:] + x[:1], y[1:] + y[:1]
+
+    monkeypatch.setattr(birational, "move", shifted)
+    monkeypatch.setattr(crystal, "move", shifted)
+
+
+def raise_energy(monkeypatch):
+    """An ``energy_walk`` off by one, in every module that runs it."""
+    real = birational.energy_walk
+
+    def off_by_one(sr, columns):
+        return sr.mul(real(sr, columns), 1)
+
+    monkeypatch.setattr(crystal, "energy_walk", off_by_one)
+    monkeypatch.setattr(verify, "energy_walk", off_by_one)
+
+
+def oracle_chunks():
+    """The exhaustive (3, 3) cell at capacity cap 2 and a sampled (3, 4)
+    cell at cap 3, each as one chunk."""
+    rng = random.Random("chunk-oracle")
+    return [list(iter_tensors(3, 3, 2)), [random_tensor(3, 4, 3, rng) for _ in range(80)]]
+
+
+@pytest.mark.parametrize("mutate", [None, shift_move], ids=["correct", "shifted-move"])
+def test_batched_braid_problems_match_the_per_tensor_reference(mutate, monkeypatch):
+    if mutate:
+        mutate(monkeypatch)
+    for tensors in oracle_chunks():
+        want = [braid_reference(t) for t in tensors]
+        assert verify.check_braid_chunk(tensors) == want
+        assert any(want) == (mutate is not None)
+
+
+@pytest.mark.parametrize("mutate", [None, raise_energy], ids=["correct", "energy-off-by-one"])
+def test_batched_energy_problems_match_the_per_tensor_reference(mutate, monkeypatch):
+    if mutate:
+        mutate(monkeypatch)
+    for tensors in oracle_chunks():
+        want = [energy_reference(t) for t in tensors]
+        assert verify.check_energy_chunk(tensors) == want
+        assert all(want) == (mutate is not None) and any(want) == all(want)
+
+
+def test_braid_suite_catches_a_shifted_move(monkeypatch):
+    """A move whose images are shifted by one colour fails the braid suite
+    on the tensors where the per-tensor reference fails, and the witnesses
+    name the involution, energy-invariance and braid checks."""
+    shift_move(monkeypatch)
     config = VerifyConfig(suites=("braid",), n_range=(3, 3), m_range=(3, 3), capacity_cap=2,
                           mode="exhaustive")
     result = run_verify(config).suites["braid"]
-    tables = verify.RunTables(cache(intrinsic_energy), cache(apply_s))
-    memoized = [verify.check_braid_tensor(t, *tables) for t in iter_tensors(3, 3, 2)]
-    unmemoized = [verify.check_braid_tensor(t, intrinsic_energy, apply_s)
-                  for t in iter_tensors(3, 3, 2)]
-    assert memoized == unmemoized
-    assert result.failures == sum(map(bool, unmemoized)) > 0
-    kinds = {json.loads(w)["kind"] for problems in unmemoized for w in problems}
+    want = [braid_reference(t) for t in iter_tensors(3, 3, 2)]
+    assert result.failures == sum(map(bool, want)) > 0
+    assert result.witnesses == [problems[0] for problems in want if problems][:32]
+    kinds = {json.loads(w)["kind"] for problems in want for w in problems}
     assert kinds == {"involution", "energy-r-invariance", "braid"}, kinds
+
+
+def test_energy_suite_catches_an_energy_walk_off_by_one(monkeypatch):
+    raise_energy(monkeypatch)
+    config = VerifyConfig(suites=("energy-equivalence",), n_range=(2, 3), m_range=(1, 3),
+                          capacity_cap=1, mode="exhaustive")
+    result = run_verify(config).suites["energy-equivalence"]
+    assert result.failures == result.checks > 0
+    assert {json.loads(w)["kind"] for w in result.witnesses} == {"energy-equivalence"}
+
+
+@pytest.mark.parametrize("mutate", [None, shift_move], ids=["correct", "shifted-move"])
+def test_chunk_boundaries_leave_the_report_unchanged(mutate, monkeypatch):
+    """Chunks of 7 tensors, which split every cell, the mixed streams of
+    mode both and the sampled (3, 4) cell, give the report of the default
+    chunks, failures and witnesses included."""
+    if mutate:
+        mutate(monkeypatch)
+    monkeypatch.setattr(verify, "EXHAUSTIVE_CELL_LIMIT", 100)  # (3, 4) has 256
+    default = run_verify(CHUNK_CONFIG)
+    monkeypatch.setattr(verify, "CHUNK_TENSORS", 7)
+    assert run_verify(CHUNK_CONFIG).to_json() == default.to_json()
+    assert (default.total_failures > 0) == (mutate is not None)

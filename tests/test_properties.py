@@ -27,8 +27,10 @@ equals its prefixes times tau of the rest, each tau computed alone.  On
 random tensors (n <= 4, m <= 5, at most 5 letters a factor) the sigma
 product run in ``MIN_PLUS`` equals the intrinsic and the staircase
 energy, and on random tensors (n, m in 2..4, at most 4 letters a factor)
-every R-action identity holds in ``MIN_PLUS`` on the count grid.  The
-runs are derandomized, so a failure reproduces, and keep no example
+every R-action identity holds in ``MIN_PLUS`` on the count grid.  On
+random batches of value tables (values up to the capacity cap's maximum)
+``energy_walk`` and ``move`` in ``MIN_PLUS_ARRAY`` equal, entry by entry,
+their ``MIN_PLUS`` values on each table.  The runs are derandomized, so a failure reproduces, and keep no example
 database.
 """
 
@@ -38,6 +40,7 @@ import math
 import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -47,7 +50,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from krenergy.birational import (  # noqa: E402
     RationalPoint,
+    energy_walk,
     kappa,
+    move,
     r_action_identities,
     rational_energy_global,
     s_action,
@@ -65,6 +70,7 @@ from krenergy.crystal import (  # noqa: E402
 from krenergy.identities import POINT_BOUND, _point_evaluator  # noqa: E402
 from krenergy.lsym import (  # noqa: E402
     MIN_PLUS,
+    MIN_PLUS_ARRAY,
     RATIONAL,
     ColoredPoly,
     loop_family,
@@ -81,6 +87,7 @@ from krenergy.tableaux import (  # noqa: E402
     partitions_between,
     resolve_guard,
 )
+from krenergy.verify import CAPACITY_CAP_MAX  # noqa: E402
 from test_crystal import min_plus_sigma_product  # noqa: E402
 from test_lsym import LIMIT, vectors  # noqa: E402
 
@@ -333,6 +340,37 @@ def test_r_action_identities_hold_in_min_plus(t):
     checks = list(r_action_identities(MIN_PLUS, counts_to_grid(t).values))
     assert len(checks) == 3 * (t.m - 1) + 3 * t.m * (t.m - 1) // 2 * t.n
     assert [c for c in checks if not c[2]] == []
+
+
+@st.composite
+def value_batches(draw):
+    """1..6 value tables x_1..x_m (n in 2..5, m in 1..4) with every value
+    in 0..CAPACITY_CAP_MAX, and the same batch as m lists of n int64
+    arrays, one entry per table."""
+    n, m, size = draw(st.integers(2, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    value = st.integers(0, CAPACITY_CAP_MAX)
+    tables = [[[draw(value) for _ in range(n)] for _ in range(m)] for _ in range(size)]
+    arrays = [[np.array([table[i][r] for table in tables], dtype=np.int64) for r in range(n)]
+              for i in range(m)]
+    return tables, arrays
+
+
+@PROPERTY_SETTINGS
+@given(value_batches())
+def test_min_plus_array_kernels_match_min_plus_entry_by_entry(batch):
+    """``energy_walk`` and ``move`` run in ``MIN_PLUS_ARRAY`` give, entry by
+    entry, what they give in ``MIN_PLUS`` on each table, as int64: the
+    empty energy of m = 1 too."""
+    tables, arrays = batch
+    energy = energy_walk(MIN_PLUS_ARRAY, arrays)
+    assert np.asarray(energy).dtype == np.int64
+    want = [energy_walk(MIN_PLUS, table) for table in tables]
+    assert np.broadcast_to(energy, len(tables)).tolist() == want
+    for j in range(len(arrays) - 1):
+        moved = move(MIN_PLUS_ARRAY, arrays[j], arrays[j + 1])
+        assert all(v.dtype == np.int64 for col in moved for v in col)
+        got = [[[int(v[k]) for v in col] for col in moved] for k in range(len(tables))]
+        assert got == [list(map(list, move(MIN_PLUS, t[j], t[j + 1]))) for t in tables]
 
 
 def ok_reference(r, b1, b2):
