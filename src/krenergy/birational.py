@@ -223,7 +223,7 @@ def cleared_values(p: RationalPoint) -> tuple[list[list[int]], Callable[[int, in
     all the denominators of ``p``, and the map ``value(v, d)`` that takes a
     value v homogeneous of degree d computed on them in ``RATIONAL`` (D**d
     times its value at ``p``) to its value at ``p``."""
-    scale = math.lcm(*(v.denominator for row in p.values for v in row))
+    scale = reduce(math.lcm, (v.denominator for row in p.values for v in row), 1)
     nums = [[v.numerator * (scale // v.denominator) for v in row] for row in p.values]
     return nums, lambda v, d: Fraction(v, scale**d) if v else Fraction(0)
 

@@ -170,9 +170,7 @@ class _Evaluator:
         return table
 
     def _read(self, family: str, k: int, r: int):
-        table = self.tables[family][r % self.n]
-        if table is None or k >= len(table):
-            table = self.table(family, r, k)
+        table = self.table(family, r, k)
         return table[k] if 0 <= k < len(table) else self.zero
 
     def e(self, k: int, r: int):
@@ -191,7 +189,8 @@ class _Evaluator:
         return loop_schurs(outer, inner, self._weights[r % self.n], self.sr)
 
     def det(self, rows: list[list]):
-        return laplace_dets(rows, [range(len(rows))], self.sr)[0]
+        # every row: the selection that skips the one past the last
+        return laplace_dets(rows, _skip_one(len(rows) + 1)[-1:], self.sr)[0]
 
     def minors(self, rows: list[list]) -> list:
         """The maximal minors of an r x (r + 1) matrix, minor j the
@@ -199,8 +198,15 @@ class _Evaluator:
         transpose: the selections of one ``laplace_dets`` call, so that
         they share one plan."""
         columns = list(zip(*rows, strict=True)) or [()]
-        skips = [[c for c in range(len(columns)) if c != j] for j in range(len(columns))]
-        return laplace_dets(columns, skips, self.sr)
+        return laplace_dets(columns, _skip_one(len(columns)), self.sr)
+
+
+@lru_cache(maxsize=64)
+def _skip_one(width: int) -> tuple[tuple[int, ...], ...]:
+    """Per j below ``width``, every index below it but j: the row
+    selections of the maximal minors of a transposed matrix, built once
+    per width and handed to ``laplace_dets`` as built."""
+    return tuple(tuple(c for c in range(width) if c != j) for j in range(width))
 
 
 def _poly_evaluator(n: int, m: int) -> _Evaluator:
@@ -225,9 +231,10 @@ def integer_point(m: int, n: int, rng: random.Random) -> RationalPoint:
 def _jacobi_trudi_plan(n: int) -> tuple:
     """The point-independent part of the jacobi_trudi instances at n, per
     inner shape of the box (the box itself excepted) and color r: the pool
-    of ``(degree, color)`` rows, and each nu from inner to the box, in the
+    of ``(degree, color)`` rows; each nu from inner to the box, in the
     order of ``loop_schurs`` (nu = inner skipped unless inner is empty),
-    with its outer shape and its selection of pool rows.
+    with its outer shape; and their selections of pool rows, one tuple that
+    ``laplace_dets`` takes as built.
 
     The selected rows are ``jacobi_trudi_indices(nu / inner, r)`` padded
     to the box width; the padding is unitriangular, so the determinant is
@@ -246,11 +253,37 @@ def _jacobi_trudi_plan(n: int) -> tuple:
             # and a set of rows is one memo entry of laplace_dets
             pool = sorted({tuple(row) for _, _, mat in mats for row in mat}, reverse=True)
             index = {row: p for p, row in enumerate(pool)}
-            entries = tuple(
-                (nu, skew.outer.parts, tuple(index[tuple(row)] for row in mat))
-                for nu, skew, mat in mats
-            )
-            plan.append((inner, r, tuple(pool), entries))
+            shapes = tuple((nu, skew.outer.parts) for nu, skew, _ in mats)
+            selections = tuple(tuple(index[tuple(row)] for row in mat) for _, _, mat in mats)
+            plan.append((inner, r, tuple(pool), shapes, selections))
+    return tuple(plan)
+
+
+@lru_cache(maxsize=16)
+def _staircase_plan(n: int, m: int) -> tuple:
+    """The point-independent part of the staircase instances at (n, m),
+    m >= 2, per color r: the ``(degree, color)`` rows of A and of B
+    (``staircase_a_indices``, ``staircase_b_indices``), the ``(degree,
+    color)`` components of the tau vector and their signs
+    (``tau_vector_indices``), and the ``(degree, color, indices)`` sigma
+    factors of the energy product (``sigma_product_indices``).  Colors are
+    reduced mod n, and each distinct pair is one tuple that every entry
+    holding it shares."""
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def shared(row):
+        return tuple([pairs.setdefault((k, c % n), (k, c % n)) for k, c in row])
+
+    plan = []
+    for r in range(n):
+        taus = tau_vector_indices(m, n=n, r=r)
+        plan.append((
+            tuple(map(shared, staircase_a_indices(m, n=n, r=r))),
+            tuple(map(shared, staircase_b_indices(m, n=n, r=r))),
+            shared((k, c) for _, k, c in taus),
+            tuple(sign for sign, _, _ in taus),
+            tuple(sigma_product_indices(m, n=n, r=r)),
+        ))
     return tuple(plan)
 
 
@@ -264,67 +297,71 @@ def _instances(ev, n: int, m: int, symbolic: bool):
     family set stays fixed.
     """
 
-    def alternating(terms):
-        acc = ev.zero
-        for i, term in enumerate(terms):
-            acc = acc + term if i % 2 == 0 else acc - term
+    zero = ev.zero
+    e_by_color = [ev.table("e", c) for c in range(n)]
+    tau_by_color = [ev.table("tau", c) for c in range(n)]
+
+    def read(tables, pairs):
+        # each value straight from its color's table; the family vanishes past it
+        return [tables[c % n][k] if 0 <= k < len(tables[c % n]) else zero for k, c in pairs]
+
+    def convolution(coefs, rows, size, step=1):
+        # [sum_i coefs[i] * rows[i][k - step * i] for k < size], a row read
+        # as zero past its end
+        acc = [zero] * size
+        for i, (coef, row) in enumerate(zip(coefs, rows)):
+            for k, value in enumerate(row[: max(size - step * i, 0)], start=step * i):
+                acc[k] = acc[k] + coef * value
         return acc
 
-    e_tables = [ev.table("e", c) for c in range(n)]
-
-    def loop_e_values(indices):
-        # each value straight from its color's table; e vanishes past it
-        return [[e_tables[c % n][k] if 0 <= k < len(e_tables[c % n]) else ev.zero
-                 for k, c in row] for row in indices]
-
+    # the alternating e * h and e * tau convolutions share their signed e
+    signed_e = [[e_by_color[(r - i) % n][i] * (-1) ** i for i in range(m + 1)] for r in range(n)]
     for r in range(n):
+        h_rows = [ev.table("h", r - i - 1) for i in range(m + 1)]
+        sums = convolution(signed_e[r], h_rows, 2 * (n - 1) * m + 1)
         for k in range(1, 2 * (n - 1) * m + 1):
-            acc = alternating(
-                ev.e(i, r - i) * ev.h(k - i, r - i - 1) for i in range(min(m, k) + 1)
-            )
-            yield "eh_alternating_sum", {"n": n, "m": m, "r": r, "k": k}, acc == ev.zero
+            yield "eh_alternating_sum", {"n": n, "m": m, "r": r, "k": k}, sums[k] == zero
 
+    top = (n - 1) * m + n  # the degrees of tau_via_products and tau_recursion
+    signed_ce = [ev.classical_e(i) * (-1) ** i for i in range(m + 1)]
     for r in range(n):
-        for k in range(0, (n - 1) * m + n + 1):
-            rhs = alternating(
-                ev.h(k - i * n, r) * ev.classical_e(i) for i in range(min(m, k // n) + 1)
-            )
-            yield "tau_via_products", {"n": n, "m": m, "r": r, "k": k}, ev.tau(k, r) == rhs
+        sums = convolution(signed_ce, [ev.table("h", r)] * (m + 1), top + 1, step=n)
+        taus = read(tau_by_color, [(k, r) for k in range(top + 1)])
+        for k in range(0, top + 1):
+            yield "tau_via_products", {"n": n, "m": m, "r": r, "k": k}, taus[k] == sums[k]
 
     # The alternating e * tau convolution vanishes for n not dividing k;
     # for n | k it telescopes (through the eh and tau-via-products sums
     # above) to the signed classical e_{k/n} of the full-color products.
     for r in range(n):
-        for k in range(1, (n - 1) * m + n + 1):
-            acc = alternating(
-                ev.e(i, r - i) * ev.tau(k - i, r - i - 1) for i in range(min(m, k) + 1)
-            )
+        tau_rows = [tau_by_color[(r - i - 1) % n] for i in range(m + 1)]
+        sums = convolution(signed_e[r], tau_rows, top + 1)
+        for k in range(1, top + 1):
             params = {"n": n, "m": m, "r": r, "k": k}
             if k % n:
-                yield "tau_recursion", params, acc == ev.zero
+                yield "tau_recursion", params, sums[k] == zero
             else:
                 expected = (-1) ** (k // n) * ev.classical_e(k // n)
-                yield "tau_recursion_residual", params, acc == expected
+                yield "tau_recursion_residual", params, sums[k] == expected
 
     # one loop Schur table per (inner shape, color) holds the tableau side
     # of every outer shape in the box, and one Laplace expansion of its pool
     # the determinant side; the box as the inner shape leaves only the
     # empty shape, which is checked once, at inner = ()
-    for inner, r, pool, entries in _jacobi_trudi_plan(n):
+    for inner, r, pool, shapes, selections in _jacobi_trudi_plan(n):
         schurs = ev.schurs(JT_BOX, inner, r)
-        dets = laplace_dets(loop_e_values(pool), [s for _, _, s in entries], ev.sr)
-        for (nu, outer, _), det in zip(entries, dets, strict=True):
+        dets = laplace_dets([read(e_by_color, row) for row in pool], selections, ev.sr)
+        for (nu, outer), det in zip(shapes, dets, strict=True):
             params = {"n": n, "m": m, "r": r, "outer": list(outer), "inner": list(inner)}
             yield "jacobi_trudi", params, schurs[nu] == det
 
     if m < 2:
         return
-    for r in range(n):
+    for r, (a_rows, b_rows, tau_pairs, signs, factors) in enumerate(_staircase_plan(n, m)):
         params = {"n": n, "m": m, "r": r}
-        mat_a = loop_e_values(staircase_a_indices(m, n=n, r=r))
-        mat_b = loop_e_values(staircase_b_indices(m, n=n, r=r))
+        mat_a = [read(e_by_color, row) for row in a_rows]
+        mat_b = [read(e_by_color, row) for row in b_rows]
         det_a = ev.det(mat_a)
-        factors = sigma_product_indices(m, n=n, r=r)
         product = math.prod(ev.sigma(k, c, idx) for k, c, idx in factors)
         yield "staircase_factorization", params, det_a == product
         if symbolic:
@@ -332,17 +369,16 @@ def _instances(ev, n: int, m: int, symbolic: bool):
             yield "staircase_jacobi_trudi", params, det_a == ev.schurs(stair, (), r)[stair]
             for mat, name in ((mat_a, "A"), (mat_b, "B")):
                 passed = all(
-                    mat[k][j] == (mat[k - (n - 1)][j - n] if k >= n - 1 else ev.zero)
+                    mat[k][j] == (mat[k - (n - 1)][j - n] if k >= n - 1 else zero)
                     for j in range(n, len(mat[0]))
                     for k in range(len(mat))
                 )
                 yield "column_translation", {**params, "matrix": name}, passed
 
-        spec = tau_vector_indices(m, n=n, r=r)
-        taus = [ev.tau(k, c) for _, k, c in spec]
-        vec = [sign * t for (sign, _, _), t in zip(spec, taus)]
-        products = [sum((b * t for b, t in zip(row, vec)), ev.zero) for row in mat_b]
-        yield "tau_vector_annihilation", params, all(v == ev.zero for v in products)
+        taus = read(tau_by_color, tau_pairs)
+        vec = [sign * t for sign, t in zip(signs, taus)]
+        products = [sum((b * t for b, t in zip(row, vec)), zero) for row in mat_b]
+        yield "tau_vector_annihilation", params, all(v == zero for v in products)
         for i, (minor, t) in enumerate(zip(ev.minors(mat_b), taus, strict=True), start=1):
             yield "minor_tau_factorization", {**params, "i": i}, minor == t * det_a
 

@@ -48,7 +48,9 @@ sums the monomials; ``loop_schur_jt`` computes the same polynomial as a
 determinant of loop elementary functions, and ``loop_schurs`` the loop
 skew Schur functions of every nu / inner up to an outer shape at once, by
 one dynamic program over horizontal strips, whose weights
-(``strip_weights``) tables of one color can share.  ``build_A`` and
+(``strip_weights``) tables of one color can share; each entry runs a sweep
+cached per shape and entry (``_strip_sweep``) that starts only from the
+partitions the entries before it can reach.  ``build_A`` and
 ``build_B`` assemble the banded dilated-staircase matrices used by the
 closing identities, ``laplace_dets`` takes the determinants of many row
 selections from one pool by an expansion planned once per zero pattern
@@ -66,7 +68,8 @@ it is the package's one tropical staircase energy
 (``crystal.energy_staircase``).  ``trop_evals`` is the one tropical
 kernel: it caches the exponent matrix on each polynomial and multiplies it
 by a batch of stacked grids in one int64 product, in exact Python ints for
-a grid with a value of 2^40 or more; ``trop_eval`` is its batch of one.
+a grid with a value of 2^40 or more; ``trop_eval`` is its batch of one,
+and ``stack_grids`` stacks and checks a batch once for many polynomials.
 """
 
 from __future__ import annotations
@@ -515,7 +518,8 @@ def _strip_chains(
     parts each) by size, so inner comes first and outer last; the distinct
     content tuples of the nonempty strips; and, per partition, its strip
     predecessors as ``(index of kappa, index of the contents of nu / kappa)``.
-    Cached for ``loop_schurs``, which reuses the chains of its small shapes.
+    Cached for ``loop_schurs`` and its ``_strip_sweep``, which reuse the
+    chains of their small shapes.
     """
     parts = sorted(partitions_between(outer, inner), key=sum)
     inner = inner + (0,) * (len(outer) - len(inner))
@@ -553,6 +557,31 @@ def strip_weights(r: int, sr: Semiring, values) -> Callable[[tuple[int, ...]], l
     return weights
 
 
+@lru_cache(maxsize=None)
+def _strip_sweep(outer: tuple[int, ...], inner: tuple[int, ...], i: int) -> tuple:
+    """One entry's sweep of ``loop_schurs`` after i entries, as ``(nu,
+    steps)`` pairs by descending nu, each step a strip predecessor ``(kappa,
+    contents)`` of ``_strip_chains(outer, inner)``.
+
+    After i entries a partition kappa holds zero unless every column of
+    kappa / inner has height at most i, that is kappa_{a+i} <= inner_a for
+    every a.  So a step keeps only such a kappa, and a nu that none of its
+    predecessors reaches is left out, its value unchanged.  From i =
+    ``len(outer)`` on every partition is reachable and the sweep is full,
+    so ``loop_schurs`` asks for at most ``len(outer) + 1`` sweeps.
+    """
+    parts, _, preds = _strip_chains(outer, inner)
+    inner = inner + (0,) * (len(outer) - len(inner))
+    reached = [all(k <= lo for k, lo in zip(kappa[i:], inner)) for kappa in parts]
+    sweep = []
+    for nu in range(len(parts) - 1, -1, -1):
+        # the chains' own step tuples, shared by every sweep of the shape
+        steps = tuple([step for step in preds[nu] if reached[step[0]]])
+        if steps:
+            sweep.append((nu, preds[nu] if len(steps) == len(preds[nu]) else steps))
+    return tuple(sweep)
+
+
 def loop_schurs(outer: tuple, inner: tuple, weights: Callable[[tuple], list], sr: Semiring) -> dict:
     """Loop skew Schur functions of every nu / inner with inner <= nu <=
     outer (partitions as tuples), computed in ``sr`` and keyed by nu with
@@ -564,18 +593,21 @@ def loop_schurs(outer: tuple, inner: tuple, weights: Callable[[tuple], list], sr
     a cell (a, b) with entry i contributes ``x_i^{(a - b + r)}`` (the
     content convention of ``tableau_monomials``).  The DP adds the strips
     of one entry at a time to one value per partition nu, which ends as
-    the function of nu / inner.
+    the function of nu / inner.  Entry i + 1 runs the cached sweep
+    ``_strip_sweep(outer, inner, min(i, len(outer)))``, whose steps start
+    only from the partitions that i entries can reach, so the early entries
+    of a tall shape multiply by no value known to be zero.
     """
-    parts, strips, preds = _strip_chains(outer, inner)
-    add, mul = sr.add, sr.mul
+    parts, strips, _ = _strip_chains(outer, inner)
+    add, mul, height = sr.add, sr.mul, len(outer)
     f = [sr.one] + [sr.zero] * (len(parts) - 1)
     # the strip weights of each entry i in turn (none without a strip)
-    for ws in zip(*[weights(cells) for cells in strips]):
+    for i, ws in enumerate(zip(*[weights(cells) for cells in strips])):
         # strips only grow partitions, so a descending sweep reads the
         # previous entry's values
-        for nu in range(len(preds) - 1, -1, -1):
+        for nu, steps in _strip_sweep(outer, inner, min(i, height)):
             total = f[nu]
-            for kappa, w in preds[nu]:
+            for kappa, w in steps:
                 total = add(total, mul(f[kappa], ws[w]))
             f[nu] = total
     return dict(zip(parts, f))
@@ -728,7 +760,9 @@ class PolyMatrix:
 
 
 # laplace_dets keeps at most this many plans: a randomized identity point
-# at (4, 5) builds 21, the default ``krenergy verify`` 65
+# at (4, 5) builds 21 (one per Jacobi-Trudi inner shape, which its colors
+# share, one for det A and one for B's minors), the default ``krenergy
+# verify`` 65; a second point at the same (n, m) builds none
 LAPLACE_PLANS = 512
 
 
@@ -744,9 +778,13 @@ def laplace_dets(pool: Sequence[Sequence], selections: Iterable[Iterable[int]], 
     one minor to a list that starts with zero, one and the entries.
     """
     width, zero = len(pool[0]) if pool else 0, sr.zero
-    # lists first: a tuple built from a generator is resized, which
-    # bypasses CPython's tuple free lists on the way in but not out
-    selections = tuple([tuple(rows) for rows in selections])
+    # A tuple of tuples, as a plan holds it, is the key as it is: CPython
+    # 3.11 keeps a freed 20-tuple on its tuple free list for good, so a
+    # fresh one per call would pile up.  Otherwise lists first: a tuple
+    # built from a generator is resized, which bypasses the free lists on
+    # the way in but not out.
+    if type(selections) is not tuple or not all(type(rows) is tuple for rows in selections):
+        selections = tuple([tuple(rows) for rows in selections])
     if any(len(row) != width for row in chain(pool, selections)):
         raise ValueError(f"need pool rows of one width, {width}, and selections of {width} rows")
     values = [zero, sr.one]
@@ -929,11 +967,24 @@ def _trop_exact(mat: np.ndarray, flat: Sequence[int]) -> int:
     )
 
 
-def trop_evals(p: ColoredPoly, flats: Sequence[Sequence[int]]) -> list[int | float]:
+def stack_grids(flats: Sequence[Sequence[int]]) -> np.ndarray:
+    """A batch of flat grids as one int64 array, one row per grid, each
+    value checked once to lie below ``_NUMPY_VALUE_BOUND`` in absolute
+    value (``ValueError`` otherwise), so that ``trop_evals`` reads it at
+    every polynomial of the batch with no check or copy of its own."""
+    bound = _NUMPY_VALUE_BOUND
+    if not flats or any(not -bound < min(flat) <= max(flat) < bound for flat in flats):
+        raise ValueError("need a nonempty batch of grids, every value below 2^40 in absolute value")
+    return np.array(flats, dtype=np.int64)
+
+
+def trop_evals(p: ColoredPoly, flats: Sequence[Sequence[int]] | np.ndarray) -> list[int | float]:
     """Tropical (min, +) evaluation of a subtraction-free polynomial at a
     batch of grids, each given flat (``TropicalGrid.flat()``, m * n ints):
     the package's one tropical kernel, which ``trop_eval`` calls with a
-    batch of one.
+    batch of one.  ``flats`` may also be a batch stacked by ``stack_grids``,
+    which a caller that evaluates several polynomials at one batch builds
+    once.
 
     Each value is the least entry of the polynomial's exponent matrix times
     the grid.  The grids whose values all lie below ``_NUMPY_VALUE_BOUND``
@@ -943,21 +994,29 @@ def trop_evals(p: ColoredPoly, flats: Sequence[Sequence[int]]) -> list[int | flo
     ``_trop_exact``.  The zero polynomial gives ``math.inf`` at every grid.
     """
     size, bound = p.m * p.n, _NUMPY_VALUE_BOUND
-    if any(len(flat) != size for flat in flats):
+    stacked = isinstance(flats, np.ndarray)
+    if stacked:
+        ragged = flats.ndim != 2 or flats.shape[1] != size
+    else:
+        ragged = any(len(flat) != size for flat in flats)
+    if ragged:
         raise ValueError(f"every grid must hold {size} values for poly ({p.m}, {p.n})")
     if not p.terms:
         return [math.inf] * len(flats)
     mat = _exponent_matrix(p)
     wide = mat.dtype == object
+    if stacked and wide:
+        flats, stacked = flats.tolist(), False
     exact = {}
-    for g, flat in enumerate(flats):
-        if wide or not -bound < min(flat) <= max(flat) < bound:
-            exact[g] = _trop_exact(mat, flat)
+    if not stacked:  # stack_grids has checked every value of a stacked batch
+        for g, flat in enumerate(flats):
+            if wide or not -bound < min(flat) <= max(flat) < bound:
+                exact[g] = _trop_exact(mat, flat)
     fast = [flat for g, flat in enumerate(flats) if g not in exact] if exact else flats
     step = max(1, _BATCH_ENTRIES // len(mat))
     mins: list[int | float] = []
     for lo in range(0, len(fast), step):
-        mins += (np.array(fast[lo : lo + step], dtype=np.int64) @ mat.T).min(axis=1).tolist()
+        mins += (np.asarray(fast[lo : lo + step], dtype=np.int64) @ mat.T).min(axis=1).tolist()
     for g in sorted(exact):  # each exact value back in its place
         mins.insert(g, exact[g])
     return mins

@@ -15,10 +15,10 @@ pair as a target and again as a candidate of the pairs of its class.
 
 ``energy-equivalence`` and ``braid`` take each (n, m) cell's stream in
 order, ``CHUNK_TENSORS`` tensors at a time, so a cell is never held whole.
-A chunk's count grids are stacked once: flat, for one ``lsym.trop_evals``
-batch per polynomial (the staircase and each sigma factor), and as grid
-columns, m lists of n int64 arrays with one entry per tensor, on which the
-unchanged ``birational`` kernels run once in ``lsym.MIN_PLUS_ARRAY``:
+A chunk's count grids are stacked once: as one int64 array of flat grids
+(``lsym.stack_grids``), which one ``lsym.trop_evals`` per polynomial (the
+staircase and each sigma factor) reads, and as grid columns, m lists of
+n int64 arrays with one entry per tensor, on which the unchanged ``birational`` kernels run once in ``lsym.MIN_PLUS_ARRAY``:
 ``energy_walk`` gives every intrinsic energy of the chunk, and ``_chain``
 each s_j, its involution and both sides of each braid relation.  These
 are ``crystal.intrinsic_energy`` and ``crystal.apply_s`` tensor by tensor,
@@ -76,6 +76,7 @@ from .lsym import (
     Semiring,
     sigma,
     sigma_product_indices,
+    stack_grids,
     staircase_loop_schur,
     trop_evals,
 )
@@ -336,15 +337,16 @@ def sigma_product_polys(n: int, m: int) -> tuple[ColoredPoly, ...]:
     )
 
 
-def _chunk_grids(tensors: list[TensorElement]) -> tuple[list[tuple[int, ...]], list[list]]:
-    """The count grids of a chunk of one (n, m) cell: flat, for
-    ``trop_evals``, and as the grid columns x_1..x_m, m lists of n int64
-    arrays whose entry k belongs to tensor k, for ``MIN_PLUS_ARRAY``.  A
-    count is at most ``CAPACITY_CAP_MAX``, so no kernel sum nears 2^63."""
+def _chunk_grids(tensors: list[TensorElement]) -> tuple[np.ndarray, list[list]]:
+    """The count grids of a chunk of one (n, m) cell, stacked once: one
+    flat grid per row (``stack_grids``), which every ``trop_evals`` of the
+    chunk reads, and the grid columns x_1..x_m, m lists of n int64 arrays
+    whose entry k belongs to tensor k, for ``MIN_PLUS_ARRAY``.  A count is
+    at most ``CAPACITY_CAP_MAX``, so no kernel sum nears 2^63."""
     n = tensors[0].n
-    flats = [tuple(itertools.chain.from_iterable(_grid_columns(t))) for t in tensors]
-    rows = np.array(flats, dtype=np.int64).T.copy()  # one contiguous row per (i, r)
-    return flats, [list(rows[i : i + n]) for i in range(0, len(rows), n)]
+    grids = stack_grids([tuple(itertools.chain.from_iterable(_grid_columns(t))) for t in tensors])
+    rows = grids.T.copy()  # one contiguous row per (i, r)
+    return grids, [list(rows[i : i + n]) for i in range(0, len(rows), n)]
 
 
 def check_energy_chunk(tensors: list[TensorElement]) -> list[list[str]]:
@@ -352,14 +354,15 @@ def check_energy_chunk(tensors: list[TensorElement]) -> list[list[str]]:
     the intrinsic energy equals the tropicalized staircase loop Schur
     function (``energy_staircase``) and the tropicalized sigma product.
     The energies come from one ``energy_walk`` over the chunk's grid
-    columns, and each polynomial's side from one ``trop_evals`` batch."""
+    columns, and each polynomial's side from one ``trop_evals`` of the
+    chunk's one stack of grids."""
     n, m = tensors[0].n, tensors[0].m
-    flats, columns = _chunk_grids(tensors)
+    grids, columns = _chunk_grids(tensors)
     energies = np.broadcast_to(energy_walk(MIN_PLUS_ARRAY, columns), len(tensors)).tolist()
-    stairs = trop_evals(staircase_loop_schur(n, m), flats)
+    stairs = trop_evals(staircase_loop_schur(n, m), grids)
     sigmas = [0] * len(tensors)
     for p in sigma_product_polys(n, m):
-        sigmas = list(map(operator.add, sigmas, trop_evals(p, flats)))
+        sigmas = list(map(operator.add, sigmas, trop_evals(p, grids)))
     out = []
     for t, d, d_stair, sigma_trop in zip(tensors, energies, stairs, sigmas):
         problems = []

@@ -5,6 +5,7 @@ identity or value and check it is rejected at every point: randomized
 testing at positive points must not produce false passes.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -318,13 +319,14 @@ def test_jacobi_trudi_pool_does_not_hide_a_failure(monkeypatch):
     witness, and nothing else."""
     n, target = 3, ((1,), 1)
     plan, readers = [], []
-    for inner, r, pool, entries in identities._jacobi_trudi_plan(n):
+    for inner, r, pool, shapes, selections in identities._jacobi_trudi_plan(n):
         if (inner, r) == target:
             (k, c), *rest = pool[0]
             pool = (((k + 1, c), *rest),) + pool[1:]
-            readers = sorted(list(outer) for _, outer, selection in entries if 0 in selection)
-            table_size = len(entries)
-        plan.append((inner, r, pool, entries))
+            readers = sorted(list(outer) for (_, outer), selection in zip(shapes, selections)
+                             if 0 in selection)
+            table_size = len(shapes)
+        plan.append((inner, r, pool, shapes, selections))
     assert 1 < len(readers) < table_size
     monkeypatch.setattr(identities, "_jacobi_trudi_plan", lambda n: tuple(plan))
     checks = identity_suite(n, 3, mode="randomized", seed=0, trials=3)
@@ -607,10 +609,10 @@ def test_jacobi_trudi_plan_holds_the_index_matrices(n):
     plan = identities._jacobi_trudi_plan(n)
     ev = identities._point_evaluator(integer_point(3, n, random.Random(n)))
     seen = Counter()
-    for inner, r, pool, entries in plan:
+    for inner, r, pool, shapes, selections in plan:
         assert len(pool) <= 6 and len(set(pool)) == len(pool)
         values = {row: [ev.e(k, c) for k, c in row] for row in pool}
-        for nu, outer, selection in entries:
+        for (nu, outer), selection in zip(shapes, selections, strict=True):
             skew = SkewShape(nu, inner)
             assert outer == skew.outer.parts
             assert list(selection) == sorted(set(selection))
@@ -629,24 +631,82 @@ def test_jacobi_trudi_plan_holds_the_index_matrices(n):
 
 
 def test_second_point_builds_no_jacobi_trudi_matrix(monkeypatch):
-    """The first point at n builds the plan; a second point at the same n
-    reads it and builds no index matrix."""
+    """The first (4, 5) point builds the plans; a second point at the same
+    (n, m) reads them and builds no index matrix, tau vector or sigma
+    factor list, no strip chain or sweep, no row selection and no Laplace
+    expansion."""
     identities._jacobi_trudi_plan.cache_clear()
-    assert identities._jacobi_trudi_plan.cache_info().currsize == 0
+    identities._staircase_plan.cache_clear()
     calls = []
-    real = identities.jacobi_trudi_indices
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(real):
+        def count(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return count
 
-    monkeypatch.setattr(identities, "jacobi_trudi_indices", counting)
-    assert not failures(identity_suite(2, 2, mode="randomized", seed=1, trials=1))
+    for name in ("jacobi_trudi_indices", "staircase_a_indices", "staircase_b_indices",
+                 "tau_vector_indices", "sigma_product_indices"):
+        monkeypatch.setattr(identities, name, counting(getattr(identities, name)))
+    caches = [lsym._strip_chains, lsym._strip_sweep, lsym._laplace_plan, identities._skip_one,
+              identities._jacobi_trudi_plan, identities._staircase_plan]
+    assert not failures(identity_suite(4, 5, mode="randomized", seed=1, trials=1))
     assert calls
     calls.clear()
-    assert not failures(identity_suite(2, 2, mode="randomized", seed=2, trials=1))
+    built = [cache.cache_info().misses for cache in caches]
+    assert not failures(identity_suite(4, 5, mode="randomized", seed=2, trials=1))
     assert calls == []
+    assert [cache.cache_info().misses for cache in caches] == built
     assert identities._jacobi_trudi_plan.cache_info().currsize == 1
+    assert identities._staircase_plan.cache_info().currsize == 1
+
+
+def test_sweep_missing_a_reachable_predecessor_fails_jacobi_trudi(monkeypatch):
+    """One strip predecessor dropped from the sweep after one entry of the
+    (inner (1), 3 x 3 box) tables, a partition that one entry reaches,
+    fails jacobi_trudi instances of that inner shape at every point and no
+    other family."""
+    real = lsym._strip_sweep
+    dropped = []
+
+    def broken(outer, inner, i):
+        sweep = real(outer, inner, i)
+        if (outer, inner, i) != (identities.JT_BOX, (1,), 1):
+            return sweep
+        k = next(k for k, (_, steps) in enumerate(sweep) if len(steps) > 1)
+        nu, (step, *rest) = sweep[k]
+        dropped.append(step)
+        return sweep[:k] + ((nu, tuple(rest)),) + sweep[k + 1 :]
+
+    monkeypatch.setattr(lsym, "_strip_sweep", broken)
+    checks = identity_suite(3, 3, mode="randomized", seed=0, trials=3)
+    assert dropped
+    bad = failures(checks)
+    assert {c.identity for c in bad} == {"jacobi_trudi"}
+    assert all(c.params["inner"] == [1] for c in bad)
+    assert sorted({c.witness["point_index"] for c in bad}) == [0, 1, 2]
+    passed = {c.identity for c in checks if c.passed}
+    assert passed == RANDOMIZED_FAMILIES - {"jacobi_trudi"}
+
+
+# SHA-256 of the canonical JSON of identity_suite(4, 5, "randomized",
+# seed=2024, trials=3) with one table entry one too large, taken before the
+# convolution families read their tables directly: their verdicts, order,
+# params and witnesses are unchanged
+CORRUPTED_REPORT_DIGESTS = [
+    ("h", 2, 1, "538cb7ed6382aa39ede53b7afc2964018e826e132772906e6442e6ff6d9bf406"),
+    ("tau", 3, 1, "0bb333f4ccd74902597b834b74fa6b1375fad90bd1a36d475d9ad125939336ba"),
+    ("e", 1, 0, "c3f5f81b9cd69f71717f8bbb6a978e29eee936182f76c185b107413f8328834b"),
+]
+
+
+@pytest.mark.parametrize("family, degree, color, digest", CORRUPTED_REPORT_DIGESTS)
+def test_corrupted_report_is_pinned(monkeypatch, family, degree, color, digest):
+    corrupt_table(monkeypatch, family, degree, color)
+    checks = identity_suite(4, 5, mode="randomized", seed=2024, trials=3)
+    assert failures(checks)
+    report = json.dumps([c.to_jsonable() for c in checks], sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
 def test_point_evaluator_sigma_builds_each_tau_table_once(monkeypatch):

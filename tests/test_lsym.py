@@ -55,6 +55,7 @@ from krenergy.lsym import (
     poly_ring,
     sigma,
     sigma_product_indices,
+    stack_grids,
     staircase_a_indices,
     staircase_loop_schur,
     staircase_matrix_size,
@@ -774,6 +775,41 @@ def test_min_plus_kernels_are_the_tropicalization_of_their_polynomials(n):
     assert kinds == {True, False}
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_pruned_loop_schurs_match_tableaux_in_every_semiring(n, m):
+    """Entry i + 1 of ``loop_schurs`` sweeps only from the partitions that
+    i entries reach (``_strip_sweep``), so m = 1, 2 and 3 run pruned sweeps
+    alone and m = 5 runs past the height of the staircase (4, 3, 2, 1) and
+    of the 3 x 3 box onto full ones.  Every table of every inner shape of
+    the box, and the staircase's, at every color, equals the tableau sum:
+    over the polynomials, in ``RATIONAL`` at an integer point, and in
+    ``MIN_PLUS`` at a count grid."""
+    rng = random.Random(f"pruned:{n}:{m}")
+    ring = poly_ring(m, n)
+    point = [[rng.randint(1, 2**30) for _ in range(n)] for _ in range(m)]
+    counts = [[rng.randint(0, 5) for _ in range(n)] for _ in range(m)]
+    flat = [v for row in counts for v in row]
+
+    def at_point(p):
+        return sum(coef * math.prod(point[i - 1][r] ** e for i, r, e in mono_factors(mono, n))
+                   for mono, coef in p.terms.items())
+
+    tables = [((3, 3, 3), Shape(inner).parts) for inner in partitions_between((3, 3, 3))]
+    tables.append(((4, 3, 2, 1), ()))
+    for (outer, inner), r in itertools.product(tables, range(n)):
+        polys = loop_schurs(outer, inner, strip_weights(r, *ring), ring[0])
+        values = loop_schurs(outer, inner, strip_weights(r, RATIONAL, point), RATIONAL)
+        tropical = loop_schurs(outer, inner, strip_weights(r, MIN_PLUS, counts), MIN_PLUS)
+        assert polys.keys() == values.keys() == tropical.keys() == set(
+            partitions_between(outer, inner))
+        for nu, poly in polys.items():
+            want = loop_schur_tableaux(SkewShape(nu, inner), r, m, n=n)
+            assert poly == want, (outer, inner, nu, r)
+            assert values[nu] == at_point(want), (outer, inner, nu, r)
+            assert tropical[nu] == term_minimum(want, flat), (outer, inner, nu, r)
+
+
 def test_strip_weights_compute_each_content_once():
     """A ``strip_weights`` shared by the 19 inner shapes of the 3 x 3 box
     computes the weights of each distinct content tuple once: one variable
@@ -1252,22 +1288,37 @@ def term_minimum(p, flat):
 def test_trop_evals_batch_matches_each_grid(n, m, monkeypatch):
     """A batch of random grids, one of them with a value above 2^40 and so
     on the exact path, gives what ``trop_eval`` gives grid by grid and what
-    the term minimum gives, for the staircase polynomial, a sigma factor
-    and the zero polynomial (``inf`` at every grid), in one product and in
-    chunks of two grids."""
+    the term minimum gives, for the staircase polynomial, a sigma factor,
+    the zero polynomial (``inf`` at every grid) and a polynomial of degree
+    2^23, in one product and in chunks of two grids; so do the other grids
+    stacked once by ``stack_grids``, which refuses the whole batch, an
+    empty one and a value of -2^40."""
     rng = random.Random(f"trop-batch:{n}:{m}")
     flats = [tuple(rng.randint(-9, 9) for _ in range(m * n)) for _ in range(9)]
     flats[4] = flats[4][:-1] + ((1 << 40) + rng.randint(0, 99),)
     grids = [TropicalGrid(m, n, [flat[i * n : (i + 1) * n] for i in range(m)]) for flat in flats]
-    polys = [staircase_loop_schur(n, m), sigma((n - 1) * m, 0, n=n, m=m), ColoredPoly.zero(m, n)]
+    # a degree of 2^23 or more puts every grid on the exact path
+    wide = ColoredPoly(m, n, {(1 << 23,) + (0,) * (m * n - 1): 1, (1,) * (m * n): 1})
+    polys = [staircase_loop_schur(n, m), sigma((n - 1) * m, 0, n=n, m=m), ColoredPoly.zero(m, n),
+             wide]
+    small = flats[:4] + flats[5:]
+    stacked = stack_grids(small)
     for p in polys:
         want = [term_minimum(p, flat) for flat in flats]
         assert [trop_eval(p, g) for g in grids] == want
         assert trop_evals(p, flats) == want
+        assert trop_evals(p, stacked) == want[:4] + want[5:]
         assert trop_evals(p, []) == []
         with monkeypatch.context() as patch:
             patch.setattr(lsym, "_BATCH_ENTRIES", 2 * len(p.terms))
             assert trop_evals(p, flats) == want
+            assert trop_evals(p, stacked) == want[:4] + want[5:]
     assert all(type(v) is int for v in trop_evals(polys[0], flats))
+    assert all(type(v) is int for v in trop_evals(polys[0], stacked))
     with pytest.raises(ValueError):
         trop_evals(polys[0], [flats[0][1:]])
+    with pytest.raises(ValueError):
+        trop_evals(polys[0], stacked[:, 1:])
+    for bad in (flats, [], [flats[0][:-1] + (-(1 << 40),)]):
+        with pytest.raises(ValueError):
+            stack_grids(bad)
