@@ -291,17 +291,19 @@ def r_action_identities(sr: Semiring, columns: Sequence[Sequence]) -> Iterator[t
     ``chain-first-form`` and ``chain-second-form``, s_i ... s_{j-1} takes
     x_j^(r) to x_i^(c) sigma_d^(c-1) / sigma_d^(c) and to
     sigma_{d+1}^(c) / sigma_d^(c).  The pairs walk the chain as
-    ``energy_walk`` does, one ``kappas`` call each.  Every identity is
-    homogeneous, so on a point's cleared values the verdicts are those at
-    the point."""
+    ``energy_walk`` does, one ``kappas`` call each, and the columns after
+    each s_j are computed once, for the involution, energy invariance and
+    braid identities that start with it.  Every identity is homogeneous,
+    so on a point's cleared values the verdicts are those at the point."""
     cols = [list(col) for col in columns]
     m, n = len(cols), len(cols[0])
     energy = energy_walk(sr, cols)
+    once = [None] + [_chain(sr, cols, (j - 1,)) for j in range(1, m)]  # s_j applied
     for j in range(1, m):
-        yield "involution", {"j": j}, _chain(sr, cols, (j - 1, j - 1)) == cols
-        yield "energy-invariance", {"j": j}, energy_walk(sr, _chain(sr, cols, (j - 1,))) == energy
+        yield "involution", {"j": j}, _chain(sr, once[j], (j - 1,)) == cols
+        yield "energy-invariance", {"j": j}, energy_walk(sr, once[j]) == energy
     for j in range(1, m - 1):
-        braid = _chain(sr, cols, (j - 1, j, j - 1)) == _chain(sr, cols, (j, j - 1, j))
+        braid = _chain(sr, once[j], (j, j - 1)) == _chain(sr, once[j + 1], (j - 1, j))
         yield "braid", {"j": j}, braid
     # sigma_k^(c) on x_i..x_j, each once, at k = (n - 1)(j - i) and one more,
     # from one tau table per (suffix, color mod n)

@@ -169,19 +169,6 @@ class _Evaluator:
             table = tables[c] = loop_table(family, top, c, self.full, self.sr, self.values)
         return table
 
-    def _read(self, family: str, k: int, r: int):
-        table = self.table(family, r, k)
-        return table[k] if 0 <= k < len(table) else self.zero
-
-    def e(self, k: int, r: int):
-        return self._read("e", k, r)
-
-    def h(self, k: int, r: int):
-        return self._read("h", k, r)
-
-    def tau(self, k: int, r: int):
-        return self._read("tau", k, r)
-
     def sigma(self, k: int, r: int, indices: range):
         return loop_family("sigma", k, r, indices, self.sr, self.values, self._taus)
 
@@ -287,17 +274,46 @@ def _staircase_plan(n: int, m: int) -> tuple:
     return tuple(plan)
 
 
+# The params of each family's instances after n and m, in report order.
+# An instance carries their values as a tuple; ``_params`` makes the dict
+# only for a check that is recorded.
+PARAM_FIELDS = {
+    "eh_alternating_sum": ("r", "k"),
+    "tau_via_products": ("r", "k"),
+    "tau_recursion": ("r", "k"),
+    "tau_recursion_residual": ("r", "k"),
+    "jacobi_trudi": ("r", "outer", "inner"),
+    "staircase_factorization": ("r",),
+    "staircase_jacobi_trudi": ("r",),
+    "column_translation": ("r", "matrix"),
+    "tau_vector_annihilation": ("r",),
+    "minor_tau_factorization": ("r", "i"),
+}
+
+
+def _params(identity: str, n: int, m: int, values: tuple) -> dict:
+    """The params of an instance of ``identity`` at (n, m) whose
+    ``PARAM_FIELDS`` take ``values``, a shape tuple as a list."""
+    params = {"n": n, "m": m}
+    for name, value in zip(PARAM_FIELDS[identity], values, strict=True):
+        params[name] = list(value) if type(value) is tuple else value
+    return params
+
+
 def _instances(ev, n: int, m: int, symbolic: bool):
-    """Yield ``(identity, params, passed)`` for every instance at (n, m).
+    """Yield ``(identity, values, passed)`` for every instance at (n, m),
+    with ``values`` the instance's ``PARAM_FIELDS`` as a tuple.
 
     ``ev`` evaluates the families either as polynomials or at a point.
     ``symbolic`` adds the two polynomial-only families: column translation
     is a property of the matrix entries as polynomials, and
     ``staircase_jacobi_trudi`` is kept out of randomized mode so that its
-    family set stays fixed.
+    family set stays fixed.  Over a ring with ``sum_products`` the
+    convolutions and the products of B with the tau vector sum each entry
+    in one accumulator.
     """
 
-    zero = ev.zero
+    zero, fused = ev.zero, ev.sr.sum_products
     e_by_color = [ev.table("e", c) for c in range(n)]
     tau_by_color = [ev.table("tau", c) for c in range(n)]
 
@@ -308,6 +324,11 @@ def _instances(ev, n: int, m: int, symbolic: bool):
     def convolution(coefs, rows, size, step=1):
         # [sum_i coefs[i] * rows[i][k - step * i] for k < size], a row read
         # as zero past its end
+        if fused:
+            return [fused(zero, [(coef, row[k - step * i])
+                                 for i, (coef, row) in enumerate(zip(coefs, rows))
+                                 if 0 <= k - step * i < len(row)])
+                    for k in range(size)]
         acc = [zero] * size
         for i, (coef, row) in enumerate(zip(coefs, rows)):
             for k, value in enumerate(row[: max(size - step * i, 0)], start=step * i):
@@ -320,7 +341,7 @@ def _instances(ev, n: int, m: int, symbolic: bool):
         h_rows = [ev.table("h", r - i - 1) for i in range(m + 1)]
         sums = convolution(signed_e[r], h_rows, 2 * (n - 1) * m + 1)
         for k in range(1, 2 * (n - 1) * m + 1):
-            yield "eh_alternating_sum", {"n": n, "m": m, "r": r, "k": k}, sums[k] == zero
+            yield "eh_alternating_sum", (r, k), sums[k] == zero
 
     top = (n - 1) * m + n  # the degrees of tau_via_products and tau_recursion
     signed_ce = [ev.classical_e(i) * (-1) ** i for i in range(m + 1)]
@@ -328,7 +349,7 @@ def _instances(ev, n: int, m: int, symbolic: bool):
         sums = convolution(signed_ce, [ev.table("h", r)] * (m + 1), top + 1, step=n)
         taus = read(tau_by_color, [(k, r) for k in range(top + 1)])
         for k in range(0, top + 1):
-            yield "tau_via_products", {"n": n, "m": m, "r": r, "k": k}, taus[k] == sums[k]
+            yield "tau_via_products", (r, k), taus[k] == sums[k]
 
     # The alternating e * tau convolution vanishes for n not dividing k;
     # for n | k it telescopes (through the eh and tau-via-products sums
@@ -337,12 +358,11 @@ def _instances(ev, n: int, m: int, symbolic: bool):
         tau_rows = [tau_by_color[(r - i - 1) % n] for i in range(m + 1)]
         sums = convolution(signed_e[r], tau_rows, top + 1)
         for k in range(1, top + 1):
-            params = {"n": n, "m": m, "r": r, "k": k}
             if k % n:
-                yield "tau_recursion", params, sums[k] == zero
+                yield "tau_recursion", (r, k), sums[k] == zero
             else:
                 expected = (-1) ** (k // n) * ev.classical_e(k // n)
-                yield "tau_recursion_residual", params, sums[k] == expected
+                yield "tau_recursion_residual", (r, k), sums[k] == expected
 
     # one loop Schur table per (inner shape, color) holds the tableau side
     # of every outer shape in the box, and one Laplace expansion of its pool
@@ -352,35 +372,36 @@ def _instances(ev, n: int, m: int, symbolic: bool):
         schurs = ev.schurs(JT_BOX, inner, r)
         dets = laplace_dets([read(e_by_color, row) for row in pool], selections, ev.sr)
         for (nu, outer), det in zip(shapes, dets, strict=True):
-            params = {"n": n, "m": m, "r": r, "outer": list(outer), "inner": list(inner)}
-            yield "jacobi_trudi", params, schurs[nu] == det
+            yield "jacobi_trudi", (r, outer, inner), schurs[nu] == det
 
     if m < 2:
         return
     for r, (a_rows, b_rows, tau_pairs, signs, factors) in enumerate(_staircase_plan(n, m)):
-        params = {"n": n, "m": m, "r": r}
         mat_a = [read(e_by_color, row) for row in a_rows]
         mat_b = [read(e_by_color, row) for row in b_rows]
         det_a = ev.det(mat_a)
         product = math.prod(ev.sigma(k, c, idx) for k, c, idx in factors)
-        yield "staircase_factorization", params, det_a == product
+        yield "staircase_factorization", (r,), det_a == product
         if symbolic:
             stair = staircase(m - 1, n - 1).parts
-            yield "staircase_jacobi_trudi", params, det_a == ev.schurs(stair, (), r)[stair]
+            yield "staircase_jacobi_trudi", (r,), det_a == ev.schurs(stair, (), r)[stair]
             for mat, name in ((mat_a, "A"), (mat_b, "B")):
                 passed = all(
                     mat[k][j] == (mat[k - (n - 1)][j - n] if k >= n - 1 else zero)
                     for j in range(n, len(mat[0]))
                     for k in range(len(mat))
                 )
-                yield "column_translation", {**params, "matrix": name}, passed
+                yield "column_translation", (r, name), passed
 
         taus = read(tau_by_color, tau_pairs)
         vec = [sign * t for sign, t in zip(signs, taus)]
-        products = [sum((b * t for b, t in zip(row, vec)), zero) for row in mat_b]
-        yield "tau_vector_annihilation", params, all(v == zero for v in products)
+        if fused:
+            products = [fused(zero, zip(row, vec)) for row in mat_b]
+        else:
+            products = [sum((b * t for b, t in zip(row, vec)), zero) for row in mat_b]
+        yield "tau_vector_annihilation", (r,), all(v == zero for v in products)
         for i, (minor, t) in enumerate(zip(ev.minors(mat_b), taus, strict=True), start=1):
-            yield "minor_tau_factorization", {**params, "i": i}, minor == t * det_a
+            yield "minor_tau_factorization", (r, i), minor == t * det_a
 
 
 def identity_suite(
@@ -409,8 +430,8 @@ def identity_suite(
                 f"symbolic mode is bounded to n <= {SYMBOLIC_N_MAX}, m <= {SYMBOLIC_M_MAX}"
             )
         return [
-            IdentityCheck(name, params, bool(passed))
-            for name, params, passed in _instances(_poly_evaluator(n, m), n, m, symbolic=True)
+            IdentityCheck(name, _params(name, n, m, values), bool(passed))
+            for name, values, passed in _instances(_poly_evaluator(n, m), n, m, symbolic=True)
         ]
     if mode != "randomized":
         raise ValueError(f"unknown mode {mode!r}")
@@ -422,11 +443,12 @@ def identity_suite(
     families: dict[str, None] = {}
     for pt_index in range(trials):
         p = integer_point(m, n, rng)
-        witness = {"point_index": pt_index, "point": p.to_jsonable()}
-        for name, params, passed in _instances(_point_evaluator(p), n, m, symbolic=False):
+        witness = None  # the point's, made at its first failure
+        for name, values, passed in _instances(_point_evaluator(p), n, m, symbolic=False):
             families[name] = None
             if not passed:
-                checks.append(IdentityCheck(name, params, False, witness))
+                witness = witness or {"point_index": pt_index, "point": p.to_jsonable()}
+                checks.append(IdentityCheck(name, _params(name, n, m, values), False, witness))
     failed = {c.identity for c in checks}
     for name in families:
         if name not in failed:

@@ -29,7 +29,11 @@ kernel takes the type and the variables as a value table,
 ``values[i - 1][c]`` = x_i^(c), and runs unchanged over the polynomials
 (``poly_ring``), at a point, and in min-plus, where it is its own
 tropicalization.  ``laplace_dets`` subtracts, so it runs only in a ring,
-by its operators, with zero and one from the type.
+by its operators, with zero and one from the type.  The polynomial ring
+alone sets ``sum_products``, a fused ``start + sum a*b - sum c*d`` that
+adds every term product into one accumulator; the kernels that sum many
+products (``loop_schurs``, ``laplace_dets``) take it where it is set, and
+their inline loops of add and mul elsewhere.
 
 loop_e, loop_h and tau are one DP, ``loop_table``: one bottom-up table
 over the indices of the sums over bounded multisets (multiplicity cap 1,
@@ -253,7 +257,48 @@ class ColoredPoly:
             for mono_b, cb in large.items():
                 mono = mono_a + mono_b
                 out[mono] = get(mono, 0) + ca * cb
-        return ColoredPoly._raw(self.m, self.n, {k: c for k, c in out.items() if c}, deg)
+        if 0 in out.values():  # a coefficient cancelled
+            out = {k: c for k, c in out.items() if c}
+        return ColoredPoly._raw(self.m, self.n, out, deg)
+
+    def sum_products(
+        self,
+        plus: Iterable[tuple[ColoredPoly, ColoredPoly]],
+        minus: Iterable[tuple[ColoredPoly, ColoredPoly]] = (),
+    ) -> ColoredPoly:
+        """``self + sum(a * b for a, b in plus) - sum(c * d for c, d in
+        minus)``, every term product added into one copy of ``self``'s
+        terms, with the zero coefficients dropped once, at the end.  The
+        degree bound is the largest of ``self``'s and the nonzero products';
+        a product whose bounds reach ``2**FIELD_BITS`` raises
+        ``OverflowError``, as ``*`` does."""
+        m, n = self.m, self.n
+        out = dict(self.terms)
+        get, deg = out.get, self.deg
+        for pairs, sign in ((plus, 1), (minus, -1)):
+            for a, b in pairs:
+                if a.m != m or a.n != n or b.m != m or b.n != n:
+                    raise ValueError(
+                        f"ambient mismatch: ({m}, {n}) vs ({a.m}, {a.n}) and ({b.m}, {b.n})"
+                    )
+                small, large = a.terms, b.terms
+                if not (small and large):
+                    continue
+                if (bound := a.deg + b.deg) >= _FIELD_LIMIT:
+                    raise OverflowError(
+                        f"degree bound {bound} would carry out of a {FIELD_BITS}-bit field"
+                    )
+                deg = max(deg, bound)
+                if len(small) > len(large):
+                    small, large = large, small
+                for mono_a, ca in small.items():
+                    ca *= sign
+                    for mono_b, cb in large.items():
+                        mono = mono_a + mono_b
+                        out[mono] = get(mono, 0) + ca * cb
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        return ColoredPoly._raw(m, n, out, deg)
 
     __rmul__ = __mul__
 
@@ -334,13 +379,21 @@ def _normalize_indices(indices: Sequence[int] | None, m: int) -> tuple[int, ...]
 
 class Semiring(NamedTuple):
     """A commutative semiring: ``add`` and ``mul`` with their units
-    ``zero`` and ``one``, and ``div`` where it is a semifield."""
+    ``zero`` and ``one``, and ``div`` where it is a semifield.
+
+    ``sum_products(start, plus, minus=())``, where set, is ``start + sum(a
+    * b for a, b in plus) - sum(c * d for c, d in minus)`` in one
+    accumulator: ``poly_ring`` sets it to ``ColoredPoly.sum_products``, so
+    that a kernel adding many products copies no intermediate sum, and a
+    kernel over a semiring without it keeps its inline loop of ``add`` and
+    ``mul``."""
 
     add: Callable[[Any, Any], Any]
     mul: Callable[[Any, Any], Any]
     zero: Any
     one: Any
     div: Callable[[Any, Any], Any] | None = None
+    sum_products: Callable[..., Any] | None = None
 
 
 # exact rationals, ints until a division makes an exact Fraction, and their
@@ -358,7 +411,8 @@ def poly_ring(m: int, n: int) -> tuple[Semiring, tuple[tuple[ColoredPoly, ...], 
     zero, one = ColoredPoly.zero(m, n), ColoredPoly.one(m, n)
     xs = tuple(tuple(ColoredPoly.variable(i, c, m=m, n=n) for c in range(n))
                for i in range(1, m + 1))
-    return Semiring(operator.add, operator.mul, zero, one), xs
+    ring = Semiring(operator.add, operator.mul, zero, one, sum_products=ColoredPoly.sum_products)
+    return ring, xs
 
 
 def loop_table(family: str, k: int, r: int, indices: Sequence[int], sr: Semiring, values) -> list:
@@ -596,16 +650,20 @@ def loop_schurs(outer: tuple, inner: tuple, weights: Callable[[tuple], list], sr
     the function of nu / inner.  Entry i + 1 runs the cached sweep
     ``_strip_sweep(outer, inner, min(i, len(outer)))``, whose steps start
     only from the partitions that i entries can reach, so the early entries
-    of a tall shape multiply by no value known to be zero.
+    of a tall shape multiply by no value known to be zero.  A partition's
+    strips are summed in one ``sr.sum_products`` where the ring has it.
     """
     parts, strips, _ = _strip_chains(outer, inner)
-    add, mul, height = sr.add, sr.mul, len(outer)
+    add, mul, fused, height = sr.add, sr.mul, sr.sum_products, len(outer)
     f = [sr.one] + [sr.zero] * (len(parts) - 1)
     # the strip weights of each entry i in turn (none without a strip)
     for i, ws in enumerate(zip(*[weights(cells) for cells in strips])):
         # strips only grow partitions, so a descending sweep reads the
         # previous entry's values
         for nu, steps in _strip_sweep(outer, inner, min(i, height)):
+            if fused:
+                f[nu] = fused(f[nu], [(f[kappa], ws[w]) for kappa, w in steps])
+                continue
             total = f[nu]
             for kappa, w in steps:
                 total = add(total, mul(f[kappa], ws[w]))
@@ -775,7 +833,8 @@ def laplace_dets(pool: Sequence[Sequence], selections: Iterable[Iterable[int]], 
     the selections, so ``_laplace_plan`` lays it out once per such key (at
     most ``LAPLACE_PLANS`` kept) as a flat list of steps.  A call reads the
     zero pattern of its entries and runs the steps in order, each appending
-    one minor to a list that starts with zero, one and the entries.
+    one minor to a list that starts with zero, one and the entries, in
+    ``sr.sum_products`` where the ring has it.
     """
     width, zero = len(pool[0]) if pool else 0, sr.zero
     # A tuple of tuples, as a plan holds it, is the key as it is: CPython
@@ -792,8 +851,16 @@ def laplace_dets(pool: Sequence[Sequence], selections: Iterable[Iterable[int]], 
         values += row
     pattern = tuple([v != zero for v in values[2:]])
     steps, outputs = _laplace_plan(width, pattern, selections)
-    append = values.append
+    append, fused = values.append, sr.sum_products
     for plus, minus in steps:
+        if fused:
+            if len(plus) == 1 and not minus:  # one term: just its product
+                [(entry, sub)] = plus
+                append(values[entry] * values[sub])
+            else:
+                append(fused(zero, [(values[e], values[s]) for e, s in plus],
+                             [(values[e], values[s]) for e, s in minus]))
+            continue
         acc = zero
         for entry, sub in plus:
             acc = acc + values[entry] * values[sub]

@@ -484,6 +484,22 @@ def test_r_action_identities_names_and_counts():
         assert names == {name: count for name, count in want.items() if count}
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_r_action_identities_move_each_first_pair_once(monkeypatch, m):
+    """The columns after each s_j are computed once and shared by its
+    involution, energy invariance and braid checks, so the ``kappas``
+    calls are: the energy walk's m(m-1)/2, one s_j per j, the second move
+    of each involution, a walk per invariance check, two moves per side of
+    each braid, and one per pair of the transported-kappa walk."""
+    calls = []
+    real = birational.kappas
+    monkeypatch.setattr(birational, "kappas", lambda *args: calls.append(1) or real(*args))
+    cols = [[(3 * i + c) % 7 + 1 for c in range(3)] for i in range(m)]
+    assert failures(MIN_PLUS, cols) == []
+    pairs = m * (m - 1) // 2
+    assert len(calls) == pairs + 2 * (m - 1) + (m - 1) * pairs + 4 * (m - 2) + pairs
+
+
 def test_rational_kernels_stay_exact_on_int_columns():
     """``kappas`` and ``move`` in ``RATIONAL`` on int columns give exact
     Fractions equal to their values on the same point as Fractions: a

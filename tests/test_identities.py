@@ -54,6 +54,12 @@ def failures(checks):
     return [c for c in checks if not c.passed]
 
 
+def read(ev, family, k, r):
+    """``family_k^{(r)}`` from the evaluator's table, zero past its end."""
+    table = ev.table(family, r, k)
+    return table[k] if 0 <= k < len(table) else ev.zero
+
+
 def test_symbolic_suite_small_sizes():
     for n, m in [(2, 1), (2, 2), (2, 3), (3, 2)]:
         assert not failures(identity_suite(n, m, mode="symbolic"))
@@ -379,11 +385,9 @@ def test_jacobi_trudi_walk_reads_one_table_per_inner_shape(monkeypatch, symbolic
         ev = identities._point_evaluator(integer_point(m, n, random.Random("walk")))
     results = list(identities._instances(ev, n, m, symbolic=symbolic))
     assert all(passed for _, _, passed in results)
-    seen = Counter(
-        (tuple(params["outer"]), tuple(params["inner"]), params["r"])
-        for family, params, _ in results
-        if family == "jacobi_trudi"
-    )
+    params = [identities._params(family, n, m, values)
+              for family, values, _ in results if family == "jacobi_trudi"]
+    seen = Counter((tuple(p["outer"]), tuple(p["inner"]), p["r"]) for p in params)
     shapes = box_skew_shapes(3, 3)
     assert seen == Counter(
         (s.outer.parts, s.inner.parts, r) for s in shapes for r in range(n)
@@ -421,7 +425,7 @@ def test_point_evaluator_computes_each_family_once(monkeypatch):
     assert calls == Counter((family, r) for family in ("e", "h", "tau") for r in range(n))
     pairs = [(k, r) for k in range(-1, 2 * m + 1) for r in range(-n, n)]
     shifted = [
-        (ev.e(k, r), ev.e(k, r + n), ev.h(k, r), ev.h(k, r + n), ev.tau(k, r), ev.tau(k, r + n))
+        [read(ev, family, k, c) for family in ("e", "h", "tau") for c in (r, r + n)]
         for k, r in pairs
     ]
     assert max(calls.values()) == 1
@@ -450,9 +454,9 @@ def test_point_evaluator_matches_the_fraction_ring(n):
         full = tuple(range(1, m + 1))
         for r in range(n):
             for k in range(-1, (n - 1) * m + 2):
-                assert same(ev.e(k, r), loop_family("e", k, r, full, *ring)), (m, r, k)
-                assert same(ev.h(k, r), loop_family("h", k, r, full, *ring)), (m, r, k)
-                assert same(ev.tau(k, r), loop_family("tau", k, r, full, *ring)), (m, r, k)
+                assert same(read(ev, "e", k, r), loop_family("e", k, r, full, *ring)), (m, r, k)
+                assert same(read(ev, "h", k, r), loop_family("h", k, r, full, *ring)), (m, r, k)
+                assert same(read(ev, "tau", k, r), loop_family("tau", k, r, full, *ring)), (m, r, k)
                 for i in range(1, m + 1):
                     idx = range(i, m + 1)
                     want = loop_family("sigma", k, r, idx, *ring)
@@ -468,7 +472,7 @@ def test_point_evaluator_matches_the_fraction_ring(n):
         # h past the top degree its table was built to, at every color
         for k in range(2 * (n - 1) * m + n - 1, 2 * (n - 1) * m + n + 3):
             for r in range(n):
-                assert same(ev.h(k, r), loop_family("h", k, r, full, *ring)), (m, r, k)
+                assert same(read(ev, "h", k, r), loop_family("h", k, r, full, *ring)), (m, r, k)
 
 
 def test_point_minors_match_per_column_determinants():
@@ -480,7 +484,8 @@ def test_point_minors_match_per_column_determinants():
     for _ in range(3):
         ev = identities._point_evaluator(integer_point(m, n, rng))
         for r in range(n):
-            mat_b = [[ev.e(k, c) for k, c in row] for row in staircase_b_indices(m, n=n, r=r)]
+            mat_b = [[read(ev, "e", k, c) for k, c in row]
+                     for row in staircase_b_indices(m, n=n, r=r)]
             per_column = [
                 fraction_det([row[:j] + row[j + 1 :] for row in mat_b])
                 for j in range(len(mat_b) + 1)
@@ -497,7 +502,8 @@ def test_pooled_minors_match_per_column_polynomial_determinants(n):
     for m in range(2, 5):
         ev = identities._poly_evaluator(n, m)
         for r in range(n):
-            mat_b = [[ev.e(k, c) for k, c in row] for row in staircase_b_indices(m, n=n, r=r)]
+            mat_b = [[read(ev, "e", k, c) for k, c in row]
+                     for row in staircase_b_indices(m, n=n, r=r)]
             per_column = [
                 PolyMatrix(m, n, [row[:j] + row[j + 1 :] for row in mat_b]).det()
                 for j in range(len(mat_b) + 1)
@@ -512,7 +518,8 @@ def test_pooled_minors_match_sympy(n, m):
     each column, for every color of B."""
     ev = identities._point_evaluator(integer_point(m, n, random.Random(f"pooled-minors:{n}:{m}")))
     for r in range(n):
-        mat_b = [[ev.e(k, c) for k, c in row] for row in staircase_b_indices(m, n=n, r=r)]
+        mat_b = [[read(ev, "e", k, c) for k, c in row]
+                 for row in staircase_b_indices(m, n=n, r=r)]
         size = len(mat_b)
         per_column = [
             int(DomainMatrix([[ZZ(v) for c, v in enumerate(row) if c != j] for row in mat_b],
@@ -529,7 +536,8 @@ def test_point_det_of_staircase_a_matches_sympy(n, m):
     the sigma product at a positive point."""
     ev = identities._point_evaluator(integer_point(m, n, random.Random(f"det-a:{n}:{m}")))
     for r in range(n):
-        mat_a = [[ev.e(k, c) for k, c in row] for row in staircase_a_indices(m, n=n, r=r)]
+        mat_a = [[read(ev, "e", k, c) for k, c in row]
+                 for row in staircase_a_indices(m, n=n, r=r)]
         got = ev.det(mat_a)
         assert type(got) is int
         assert got == sympy.Matrix(mat_a).det() != 0, r
@@ -611,7 +619,7 @@ def test_jacobi_trudi_plan_holds_the_index_matrices(n):
     seen = Counter()
     for inner, r, pool, shapes, selections in plan:
         assert len(pool) <= 6 and len(set(pool)) == len(pool)
-        values = {row: [ev.e(k, c) for k, c in row] for row in pool}
+        values = {row: [read(ev, "e", k, c) for k, c in row] for row in pool}
         for (nu, outer), selection in zip(shapes, selections, strict=True):
             skew = SkewShape(nu, inner)
             assert outer == skew.outer.parts
@@ -621,7 +629,7 @@ def test_jacobi_trudi_plan_holds_the_index_matrices(n):
             size = len(indices)
             assert [list(row[:size]) for row in rows[:size]] == indices, (nu, inner, r)
             assert list(map(list, rows)) == jacobi_trudi_indices(skew, r, 3)
-            unpadded = [[ev.e(k, c) for k, c in row] for row in indices]
+            unpadded = [[read(ev, "e", k, c) for k, c in row] for row in indices]
             assert sympy.Matrix([values[row] for row in rows]).det() == sympy.Matrix(
                 unpadded
             ).det()
@@ -730,3 +738,49 @@ def test_point_evaluator_sigma_builds_each_tau_table_once(monkeypatch):
     assert {(family, indices) for family, indices, _ in calls} == {
         ("tau", tuple(range(i + 1, m + 1))) for i in range(1, m)
     }
+
+
+# SHA-256 of the canonical JSON of identity_suite(n, m, "symbolic"), taken
+# when the polynomial kernels still added each product by ``+`` and ``*``:
+# summing the products in one accumulator keeps every verdict, its order
+# and its params
+SYMBOLIC_REPORT_DIGESTS = [
+    (2, 1, "dd251bfe11f307ccf4d904f411866ab1da9763b6aa2370deb70c5d7934bf3e6d"),
+    (2, 2, "4c51f76d13e537b987607f65b660bf164a3a31c6d2f6373c107bef9fd16475b1"),
+    (2, 3, "01cca1c43b91b78386d251ff9c4a3678b4c2bd8dc59f9939d5467befdb216a4b"),
+    (2, 4, "fe0d5b8001736d096bafed41a2d0f74bf3f5e17c0f65cf2adfa618e888912650"),
+    (3, 1, "736f72a2c22ee1773b1b0b069e6defecd3bc3f24f0e7a2ddf0b41f11bf42b9be"),
+    (3, 2, "98fa22fb25c423ba82fc443ed171a2b3367a3804f984a1b68c20a9cd3a2993ac"),
+    (3, 3, "34eb7f2f10779ea8d730f3ae78f9d41265e1d90794f5c57b01aa33d1df6b8225"),
+    (3, 4, "2300ab3d71cc7c9eb908a5941df62d2d30ac6a0a0436b30de8362b7e387c96a0"),
+]
+
+
+@pytest.mark.parametrize("n, m, digest", SYMBOLIC_REPORT_DIGESTS)
+def test_symbolic_report_is_pinned(n, m, digest):
+    assert (n, m) <= (identities.SYMBOLIC_N_MAX, identities.SYMBOLIC_M_MAX)
+    checks = identity_suite(n, m, "symbolic")
+    assert not failures(checks)
+    report = json.dumps([c.to_jsonable() for c in checks], sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+def test_sum_products_without_its_minus_side_fails_the_symbolic_suite(monkeypatch):
+    """A polynomial ring whose ``sum_products`` drops the products it should
+    subtract breaks every determinant the suite expands, so the symbolic
+    (3, 3) cell reports those families as failed and the rest as passed."""
+    real = identities.poly_ring
+
+    def dropping(start, plus, minus=()):
+        return ColoredPoly.sum_products(start, plus)
+
+    def ring(m, n):
+        sr, xs = real(m, n)
+        return sr._replace(sum_products=dropping), xs
+
+    monkeypatch.setattr(identities, "poly_ring", ring)
+    checks = identity_suite(3, 3, "symbolic")
+    determinants = {"jacobi_trudi", "staircase_factorization", "staircase_jacobi_trudi",
+                    "minor_tau_factorization"}
+    assert {c.identity for c in failures(checks)} == determinants
+    assert {c.identity for c in checks if c.passed} >= {"eh_alternating_sum", "tau_recursion"}

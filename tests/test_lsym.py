@@ -311,6 +311,86 @@ def test_largest_allowed_product_is_exact():
     assert mono_factors(max(prod.terms), 2) == [(1, 1, 2)]
 
 
+def random_poly(rng, m, n, zero_share=0.2):
+    """A seeded polynomial of up to 4 terms with coefficients in -3..3 and
+    exponents in 0..2, the zero polynomial at rate ``zero_share``."""
+    if rng.random() < zero_share:
+        return ColoredPoly.zero(m, n)
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        mono = tuple(rng.randint(0, 2) for _ in range(m * n))
+        terms[mono] = terms.get(mono, 0) + rng.randint(-3, 3)
+    return ColoredPoly(m, n, terms)
+
+
+def fold(start, plus, minus=()):
+    """``start + sum(a * b) - sum(c * d)`` by the binary operators."""
+    for a, b in plus:
+        start = start + a * b
+    for c, d in minus:
+        start = start - c * d
+    return start
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 2), (2, 3)])
+def test_sum_products_equals_the_fold(m, n):
+    """The fused sum equals the fold of ``+``, ``-`` and ``*`` on seeded
+    random polynomials, zero operands among them; it stores no zero
+    coefficient, leaves ``start`` as it was, and bounds every term's
+    degree by ``deg``."""
+    rng = random.Random(f"sum-products:{m}:{n}")
+    fused = poly_ring(m, n)[0].sum_products
+    for _ in range(200):
+        start = random_poly(rng, m, n)
+        plus = [(random_poly(rng, m, n), random_poly(rng, m, n)) for _ in range(rng.randint(0, 4))]
+        minus = [(random_poly(rng, m, n), random_poly(rng, m, n)) for _ in range(rng.randint(0, 3))]
+        before = dict(start.terms)
+        got = fused(start, plus, minus)
+        assert got == fold(start, plus, minus)
+        assert 0 not in got.terms.values()
+        assert start.terms == before
+        assert all(sum(e for *_, e in mono_factors(k, n)) <= got.deg for k in got.terms)
+        assert fused(start, iter(plus)) == fold(start, plus)
+
+
+def test_sum_products_cancels_to_zero():
+    """Products that cancel leave the zero polynomial, which stores no zero
+    coefficient; so does a start that the products cancel."""
+    m, n = 2, 2
+    rng = random.Random("sum-products-cancel")
+    zero = ColoredPoly.zero(m, n)
+    for _ in range(50):
+        a, b = random_poly(rng, m, n, 0), random_poly(rng, m, n, 0)
+        for got in (
+            ColoredPoly.sum_products(zero, [(a, b)], [(b, a)]),
+            ColoredPoly.sum_products(a * b, [], [(a, b)]),
+            ColoredPoly.sum_products(zero, [(a, b), (a, -1 * b)]),
+        ):
+            assert got == zero and got.terms == {} and got.is_zero
+
+
+def test_sum_products_degree_bound_and_field_limit():
+    """``deg`` is the largest of the start's and the nonzero products'
+    bounds, a product whose bounds reach 2**FIELD_BITS raises
+    ``OverflowError`` as ``*`` does, on either side, and a zero operand
+    has no term to carry; an operand of another ambient is refused."""
+    x, y = var(1, 0, 1, 2), var(1, 1, 1, 2)
+    zero = ColoredPoly.zero(1, 2)
+    cube = x * x * x
+    assert ColoredPoly.sum_products(x, [(x, y)]).deg == 2
+    assert ColoredPoly.sum_products(cube, [(x, y)], [(y, y)]).deg == 3
+    assert ColoredPoly.sum_products(x, [(cube, zero)]).deg == 1
+    half = ColoredPoly(1, 2, {(LIMIT // 2, 0): 1})
+    for plus, minus in (([(half, half)], []), ([], [(half, half)]), ([(x, y), (half, half)], [])):
+        with pytest.raises(OverflowError, match="32-bit field"):
+            ColoredPoly.sum_products(zero, plus, minus)
+    assert ColoredPoly.sum_products(x, [(half, zero)], [(zero, half)]) == x
+    top = ColoredPoly(1, 2, {(LIMIT - 2, 0): 1})
+    assert ColoredPoly.sum_products(zero, [(top, y)]) == top * y
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        ColoredPoly.sum_products(zero, [(x, var(1, 0, 1, 3))])
+
+
 # ---------------------------------------------------------------------------
 # loop e / h
 
