@@ -50,6 +50,7 @@ from .lsym import (
     loop_family,
     sigma_product_indices,
     tau_tables,
+    verdict,
 )
 
 
@@ -294,16 +295,18 @@ def r_action_identities(sr: Semiring, columns: Sequence[Sequence]) -> Iterator[t
     ``energy_walk`` does, one ``kappas`` call each, and the columns after
     each s_j are computed once, for the involution, energy invariance and
     braid identities that start with it.  Every identity is homogeneous,
-    so on a point's cleared values the verdicts are those at the point."""
+    so on a point's cleared values the verdicts are those at the point.
+    Each ``passed`` is an ``lsym.verdict``: a bool, or over
+    ``MIN_PLUS_ARRAY`` one mask entry per instance."""
     cols = [list(col) for col in columns]
     m, n = len(cols), len(cols[0])
     energy = energy_walk(sr, cols)
     once = [None] + [_chain(sr, cols, (j - 1,)) for j in range(1, m)]  # s_j applied
     for j in range(1, m):
-        yield "involution", {"j": j}, _chain(sr, once[j], (j - 1,)) == cols
-        yield "energy-invariance", {"j": j}, energy_walk(sr, once[j]) == energy
+        yield "involution", {"j": j}, verdict(_chain(sr, once[j], (j - 1,)), cols)
+        yield "energy-invariance", {"j": j}, verdict(energy_walk(sr, once[j]), energy)
     for j in range(1, m - 1):
-        braid = _chain(sr, once[j], (j, j - 1)) == _chain(sr, once[j + 1], (j - 1, j))
+        braid = verdict(_chain(sr, once[j], (j, j - 1)), _chain(sr, once[j + 1], (j - 1, j)))
         yield "braid", {"j": j}, braid
     # sigma_k^(c) on x_i..x_j, each once, at k = (n - 1)(j - i) and one more,
     # from one tau table per (suffix, color mod n)
@@ -314,7 +317,7 @@ def r_action_identities(sr: Semiring, columns: Sequence[Sequence]) -> Iterator[t
         for k in ((n - 1) * (j - i), (n - 1) * (j - i) + 1)
     }
     factors = (sig[k, c % n, idx[0], idx[-1]] for k, c, idx in sigma_product_indices(m, n=n))
-    yield "energy-product", {}, reduce(sr.mul, factors, sr.one) == energy
+    yield "energy-product", {}, verdict(reduce(sr.mul, factors, sr.one), energy)
     for i in range(1, m):
         cur = cols[i - 1]  # x_i, which the chain moves right
         for j in range(i + 1, m + 1):
@@ -324,7 +327,9 @@ def r_action_identities(sr: Semiring, columns: Sequence[Sequence]) -> Iterator[t
             for r in range(n):
                 c, params = (r - j + i) % n, {"i": i, "j": j, "r": r}
                 top = sig[d, c, i, j]
-                yield "kappa-ratio", params, ks[r] == sr.div(top, sig[d - n + 1, c, i, j - 1])
+                ratio = sr.div(top, sig[d - n + 1, c, i, j - 1])
+                yield "kappa-ratio", params, verdict(ks[r], ratio)
                 first = sr.mul(cols[i - 1][c], sig[d, (c - 1) % n, i, j])
-                yield "chain-first-form", params, cur[r] == sr.div(first, top)
-                yield "chain-second-form", params, cur[r] == sr.div(sig[d + 1, c, i, j], top)
+                yield "chain-first-form", params, verdict(cur[r], sr.div(first, top))
+                second = sr.div(sig[d + 1, c, i, j], top)
+                yield "chain-second-form", params, verdict(cur[r], second)

@@ -24,7 +24,8 @@ The generating families:
 One algebra type, ``Semiring`` (add, mul, zero, one, and div in a
 semifield), carries every kernel of the package; exact ``RATIONAL`` and
 ``MIN_PLUS`` are defined here once, and ``MIN_PLUS_ARRAY``, min-plus over
-int64 arrays that hold one instance per entry.  A subtraction-free
+int64 arrays that hold one instance per entry, whose ``verdict``s are
+masks with one entry per instance.  A subtraction-free
 kernel takes the type and the variables as a value table,
 ``values[i - 1][c]`` = x_i^(c), and runs unchanged over the polynomials
 (``poly_ring``), at a point, and in min-plus, where it is its own
@@ -67,13 +68,13 @@ point evaluation alike.
 
 ``staircase_loop_schur`` builds the loop Schur polynomial of the energy's
 staircase by one horizontal-strip DP over the exponent blocks of x_1, x_2,
-..., with no tableau enumerated, and caches it per (n, m); ``trop_eval`` of
+..., with no tableau enumerated, and caches it per (n, m), after
+``staircase_guard`` admits its size; ``trop_eval`` of
 it is the package's one tropical staircase energy
 (``crystal.energy_staircase``).  ``trop_evals`` is the one tropical
 kernel: it caches the exponent matrix on each polynomial and multiplies it
 by a batch of stacked grids in one int64 product, in exact Python ints for
-a grid with a value of 2^40 or more; ``trop_eval`` is its batch of one,
-and ``stack_grids`` stacks and checks a batch once for many polynomials.
+a grid with a value of 2^40 or more; ``trop_eval`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -401,8 +402,20 @@ class Semiring(NamedTuple):
 RATIONAL = Semiring(operator.add, operator.mul, 0, 1, Fraction)
 MIN_PLUS = Semiring(min, operator.add, math.inf, 0, operator.sub)
 # MIN_PLUS entry by entry on int64 arrays, one entry per instance, so one
-# kernel call serves a batch; its one is an int64, so an empty product is too
+# kernel call serves a batch; its one is an int64, so an empty product is
+# too, but its zero is a float, so a result that the zero enters (a loop
+# table, and so each sigma) is float64, exact while its values stay below 2^53
 MIN_PLUS_ARRAY = Semiring(np.minimum, np.add, math.inf, np.int64(0), np.subtract)
+
+
+def verdict(x, y):
+    """``x == y`` for the values of one kernel, or lists of them, in any
+    ``Semiring``: a bool for scalars, and over ``MIN_PLUS_ARRAY`` a mask
+    with one entry per instance, the lists reduced with ``&`` (and false
+    where their lengths differ)."""
+    if isinstance(x, list):
+        return reduce(operator.and_, map(verdict, x, y), len(x) == len(y))
+    return x == y
 
 
 @lru_cache(maxsize=None)
@@ -689,14 +702,24 @@ def _colors(kappa: tuple[int, ...], nu: tuple[int, ...], n: int) -> Mono:
     return _pack(counts)
 
 
+def staircase_guard(n: int, m: int) -> None:
+    """Raise ``EnumerationGuardError`` when the staircase polynomial of the
+    energy at (n, m) may hold more exponent slots, its tableaux times the
+    m * n slots of each term (the measure of ``ColoredPoly.from_jsonable``),
+    than the guard allows."""
+    slots, guard = energy_staircase_count(n, m) * m * n, resolve_guard()
+    if slots > guard:
+        raise EnumerationGuardError(
+            f"the energy staircase polynomial for n={n}, m={m} may hold {slots} exponent"
+            f" slots, over the guard {guard}"
+        )
+
+
 @lru_cache(maxsize=None)
 def staircase_loop_schur(n: int, m: int) -> ColoredPoly:
     """Loop Schur polynomial of the energy's staircase at color 0 in m
     variable rows; its tropicalization at the count grid of a tensor is the
-    energy.  Cached per (n, m); raises ``EnumerationGuardError`` up front
-    when the staircase has more tableaux than the guard allows, or when
-    its tableaux times the m * n exponent slots of each term (the measure
-    of ``ColoredPoly.from_jsonable``) exceed it.
+    energy.  Cached per (n, m); ``staircase_guard`` refuses a size up front.
 
     The polynomial comes from one horizontal-strip DP, with no tableau
     enumerated; it equals ``loop_schur_tableaux`` of the staircase.  Entry
@@ -712,12 +735,7 @@ def staircase_loop_schur(n: int, m: int) -> ColoredPoly:
     held.
     """
     outer = energy_staircase_shape(n, m).parts
-    slots, guard = energy_staircase_count(n, m) * m * n, resolve_guard()
-    if slots > guard:
-        raise EnumerationGuardError(
-            f"the energy staircase polynomial for n={n}, m={m} may hold {slots} exponent"
-            f" slots, over the guard {guard}"
-        )
+    staircase_guard(n, m)
     if m == 1:
         return ColoredPoly.one(1, n)
 
@@ -1034,24 +1052,12 @@ def _trop_exact(mat: np.ndarray, flat: Sequence[int]) -> int:
     )
 
 
-def stack_grids(flats: Sequence[Sequence[int]]) -> np.ndarray:
-    """A batch of flat grids as one int64 array, one row per grid, each
-    value checked once to lie below ``_NUMPY_VALUE_BOUND`` in absolute
-    value (``ValueError`` otherwise), so that ``trop_evals`` reads it at
-    every polynomial of the batch with no check or copy of its own."""
-    bound = _NUMPY_VALUE_BOUND
-    if not flats or any(not -bound < min(flat) <= max(flat) < bound for flat in flats):
-        raise ValueError("need a nonempty batch of grids, every value below 2^40 in absolute value")
-    return np.array(flats, dtype=np.int64)
-
-
 def trop_evals(p: ColoredPoly, flats: Sequence[Sequence[int]] | np.ndarray) -> list[int | float]:
     """Tropical (min, +) evaluation of a subtraction-free polynomial at a
     batch of grids, each given flat (``TropicalGrid.flat()``, m * n ints):
     the package's one tropical kernel, which ``trop_eval`` calls with a
-    batch of one.  ``flats`` may also be a batch stacked by ``stack_grids``,
-    which a caller that evaluates several polynomials at one batch builds
-    once.
+    batch of one.  ``flats`` may also be an int64 array with one grid per
+    row, whose values are then checked at once.
 
     Each value is the least entry of the polynomial's exponent matrix times
     the grid.  The grids whose values all lie below ``_NUMPY_VALUE_BOUND``
@@ -1072,10 +1078,10 @@ def trop_evals(p: ColoredPoly, flats: Sequence[Sequence[int]] | np.ndarray) -> l
         return [math.inf] * len(flats)
     mat = _exponent_matrix(p)
     wide = mat.dtype == object
-    if stacked and wide:
+    if stacked and (wide or not -bound < flats.min(initial=0) <= flats.max(initial=0) < bound):
         flats, stacked = flats.tolist(), False
     exact = {}
-    if not stacked:  # stack_grids has checked every value of a stacked batch
+    if not stacked:  # each grid checked alone
         for g, flat in enumerate(flats):
             if wide or not -bound < min(flat) <= max(flat) < bound:
                 exact[g] = _trop_exact(mat, flat)

@@ -1,11 +1,11 @@
 """Verification harness: exhaustive and randomized suites over all modules.
 
-Every suite walks a family of instances, re-derives both sides of an
-identity, and records a JSON witness string for each failure.  All
-randomness is drawn from ``random.Random`` seeded per (suite, n, m) cell,
-so a fixed seed reproduces the exact same report; the canonical JSON report
-carries no timing data (timings go to the human summary) and is therefore
-byte-identical across runs.
+Every suite walks a family of instances, re-derives both sides of each
+identity, and records one check per instance, with the JSON witness of its
+first failing identity.  All randomness is drawn from ``random.Random``
+seeded per (suite, n, m) cell, so a fixed seed reproduces the exact same
+report; the canonical JSON report carries no timing data (timings go to
+the human summary) and is therefore byte-identical across runs.
 
 The pair suites ``rmatrix`` and ``coenergy`` share one runner; pairs are
 drawn as two-factor tensors, so they obey the tensor suites' cell limit.
@@ -15,21 +15,24 @@ pair as a target and again as a candidate of the pairs of its class.
 
 ``energy-equivalence`` and ``braid`` take each (n, m) cell's stream in
 order, ``CHUNK_TENSORS`` tensors at a time, so a cell is never held whole.
-A chunk's count grids are stacked once: as one int64 array of flat grids
-(``lsym.stack_grids``), which one ``lsym.trop_evals`` per polynomial (the
-staircase and each sigma factor) reads, and as grid columns, m lists of
-n int64 arrays with one entry per tensor, on which the unchanged ``birational`` kernels run once in ``lsym.MIN_PLUS_ARRAY``:
-``energy_walk`` gives every intrinsic energy of the chunk, and ``_chain``
-each s_j, its involution and both sides of each braid relation.  These
-are ``crystal.intrinsic_energy`` and ``crystal.apply_s`` tensor by tensor,
-so each tensor has the problems, in the order and with the witnesses,
-that those give.  Nothing is cached across calls.
+A chunk's count grids are stacked once: as an int64 array of flat grids,
+which ``lsym.trop_evals`` of the staircase reads, and as grid columns, m
+lists of n int64 arrays with one entry per tensor, on which the kernels
+run once in ``lsym.MIN_PLUS_ARRAY``: ``energy_walk`` and the sigma
+product's ``lsym.loop_family`` for ``energy-equivalence``, and
+``birational.r_action_identities``, the one statement of the R-action
+identities, for ``braid``.  ``first_failures`` reads each tensor's first
+failing identity off the per-entry verdicts, as it does for one rational
+point.  Values that the semiring's zero enters are float64; a count is at
+most ``CAPACITY_CAP_MAX``, so each is an exact integer.  A config with an
+energy-equivalence cell over the enumeration guard is refused before any
+suite runs.  Nothing is cached across calls.
 
 The identity suites ``lsym-identities`` and ``section4`` share one
 ``identity_suite`` run per (n, m, mode) cell and split its checks by
 family.  The ``birational`` suite runs ``birational.r_action_identities``
-in two semifields: in ``RATIONAL`` at seeded points, beside the positivity
-of each s_j, and in ``MIN_PLUS`` at the count grids of seeded tensors.
+in two semifields: in ``RATIONAL`` at seeded points, after the positivity
+of each s_j, and in ``MIN_PLUS_ARRAY`` on seeded tensors, in chunks.
 """
 
 from __future__ import annotations
@@ -37,11 +40,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import random
 import time
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -63,21 +66,18 @@ from .crystal import (
     _grid_columns,
     coenergy,
     coenergy_sliding_oracle,
-    counts_to_grid,
     r_matrix,
     r_matrix_oracle,
 )
 from .identities import SYMBOLIC_M_MAX, SYMBOLIC_N_MAX, identity_suite
 from .lsym import (
-    MIN_PLUS,
     MIN_PLUS_ARRAY,
     RATIONAL,
-    ColoredPoly,
-    Semiring,
-    sigma,
+    loop_family,
     sigma_product_indices,
-    stack_grids,
+    staircase_guard,
     staircase_loop_schur,
+    tau_tables,
     trop_evals,
 )
 from .tableaux import energy_staircase_count
@@ -178,16 +178,13 @@ class SuiteResult:
     witnesses: list[str] = field(default_factory=list)
     seconds: float = 0.0
 
-    def record(self, passed: bool, witness: str | None = None):
+    def record(self, witness: str | None):
+        """One check, failed with its first witness unless that is None."""
         self.checks += 1
-        if not passed:
+        if witness is not None:
             self.failures += 1
-            if witness is not None and len(self.witnesses) < 32:
+            if len(self.witnesses) < 32:
                 self.witnesses.append(witness)
-
-    def record_problems(self, problems: list[str]):
-        """One check, failed with its first witness if there are problems."""
-        self.record(not problems, problems[0] if problems else None)
 
 
 @dataclass
@@ -290,160 +287,141 @@ def _tensor_stream(n: int, m: int, cap: int, trials: int, rng: random.Random, mo
 # per-instance checks
 
 
-def check_rmatrix_pair(b1: CrystalElement, b2: CrystalElement, rectified=None) -> list[str]:
-    """Formula vs jeu-de-taquin oracle, capacity swap, content conservation;
-    ``rectified`` is handed to ``r_matrix_oracle``."""
-    problems = []
+def check_rmatrix_pair(b1: CrystalElement, b2: CrystalElement, rectified=None) -> str | None:
+    """The witness of the first failing check, or None: capacity swap,
+    content conservation, formula vs jeu-de-taquin oracle; ``rectified``
+    is handed to ``r_matrix_oracle``."""
     c1, c2 = r_matrix(b1, b2)
     pair = {"n": b1.n, "b1": list(b1.counts), "b2": list(b2.counts)}
     if (c1.capacity, c2.capacity) != (b2.capacity, b1.capacity):
-        problems.append(_witness("capacity-swap", **pair))
+        return _witness("capacity-swap", **pair)
     if any(
         b1.counts[c] + b2.counts[c] != c1.counts[c] + c2.counts[c] for c in range(b1.n)
     ):
-        problems.append(_witness("content-conservation", **pair))
+        return _witness("content-conservation", **pair)
     o1, o2 = r_matrix_oracle(b1, b2, rectified)
     if (c1, c2) != (o1, o2):
-        problems.append(
-            _witness(
-                "rmatrix-vs-oracle",
-                **pair,
-                formula=[list(c1.counts), list(c2.counts)],
-                oracle=[list(o1.counts), list(o2.counts)],
-            )
+        return _witness(
+            "rmatrix-vs-oracle",
+            **pair,
+            formula=[list(c1.counts), list(c2.counts)],
+            oracle=[list(o1.counts), list(o2.counts)],
         )
-    return problems
+    return None
 
 
-def check_coenergy_pair(b1: CrystalElement, b2: CrystalElement) -> list[str]:
-    """ok_1 vs sliding oracle, and invariance of coenergy under R."""
-    problems = []
+def check_coenergy_pair(b1: CrystalElement, b2: CrystalElement) -> str | None:
+    """The witness of the first failing check, or None: ok_1 vs sliding
+    oracle, and invariance of coenergy under R."""
     pair = {"n": b1.n, "b1": list(b1.counts), "b2": list(b2.counts)}
     h = coenergy(b1, b2)
     slide = coenergy_sliding_oracle(b1, b2)
     if h != slide:
-        problems.append(_witness("coenergy-vs-slide", **pair, formula=h, slide=slide))
+        return _witness("coenergy-vs-slide", **pair, formula=h, slide=slide)
     c1, c2 = r_matrix(b1, b2)
     if coenergy(c1, c2) != h:
-        problems.append(_witness("coenergy-r-invariance", **pair))
-    return problems
-
-
-@lru_cache(maxsize=None)
-def sigma_product_polys(n: int, m: int) -> tuple[ColoredPoly, ...]:
-    """The sigma factors of the rational energy product at color offset 0."""
-    return tuple(
-        sigma(k, c, n=n, m=m, indices=idx) for k, c, idx in sigma_product_indices(m, n=n)
-    )
+        return _witness("coenergy-r-invariance", **pair)
+    return None
 
 
 def _chunk_grids(tensors: list[TensorElement]) -> tuple[np.ndarray, list[list]]:
     """The count grids of a chunk of one (n, m) cell, stacked once: one
-    flat grid per row (``stack_grids``), which every ``trop_evals`` of the
-    chunk reads, and the grid columns x_1..x_m, m lists of n int64 arrays
-    whose entry k belongs to tensor k, for ``MIN_PLUS_ARRAY``.  A count is
-    at most ``CAPACITY_CAP_MAX``, so no kernel sum nears 2^63."""
+    flat grid per row of an int64 array, which ``trop_evals`` reads, and
+    the grid columns x_1..x_m, m lists of n int64 arrays whose entry k
+    belongs to tensor k, for ``MIN_PLUS_ARRAY``.  A count is at most
+    ``CAPACITY_CAP_MAX``, so no kernel sum nears 2^63."""
     n = tensors[0].n
-    grids = stack_grids([tuple(itertools.chain.from_iterable(_grid_columns(t))) for t in tensors])
+    flats = [tuple(itertools.chain.from_iterable(_grid_columns(t))) for t in tensors]
+    grids = np.array(flats, dtype=np.int64)
     rows = grids.T.copy()  # one contiguous row per (i, r)
     return grids, [list(rows[i : i + n]) for i in range(0, len(rows), n)]
 
 
-def check_energy_chunk(tensors: list[TensorElement]) -> list[list[str]]:
-    """Per tensor of a chunk of one (n, m) cell, in order, the problems of:
-    the intrinsic energy equals the tropicalized staircase loop Schur
-    function (``energy_staircase``) and the tropicalized sigma product.
-    The energies come from one ``energy_walk`` over the chunk's grid
-    columns, and each polynomial's side from one ``trop_evals`` of the
-    chunk's one stack of grids."""
-    n, m = tensors[0].n, tensors[0].m
+def check_energy_chunk(tensors: list[TensorElement]) -> list[str | None]:
+    """Per tensor of a chunk of one (n, m) cell, in order, the witness of
+    its first failing check, or None: the intrinsic energy equals the
+    tropicalized staircase loop Schur function (``energy_staircase``), then
+    the min-plus sigma product.  The energies and the sigmas come from one
+    kernel call each over the chunk's grid columns, and the staircase side
+    from one ``trop_evals`` of the chunk's stack of grids."""
+    n, m, count = tensors[0].n, tensors[0].m, len(tensors)
     grids, columns = _chunk_grids(tensors)
-    energies = np.broadcast_to(energy_walk(MIN_PLUS_ARRAY, columns), len(tensors)).tolist()
+    energies = np.broadcast_to(energy_walk(MIN_PLUS_ARRAY, columns), count).tolist()
     stairs = trop_evals(staircase_loop_schur(n, m), grids)
-    sigmas = [0] * len(tensors)
-    for p in sigma_product_polys(n, m):
-        sigmas = list(map(operator.add, sigmas, trop_evals(p, grids)))
-    out = []
-    for t, d, d_stair, sigma_trop in zip(tensors, energies, stairs, sigmas):
-        problems = []
-        if d_stair != d:
-            problems.append(_witness(
-                "energy-equivalence", tensor=t.to_jsonable(), intrinsic=d, staircase=d_stair
-            ))
-        if sigma_trop != d:
-            problems.append(
-                _witness("trop-sigma-product", tensor=t.to_jsonable(), got=sigma_trop, want=d)
-            )
-        out.append(problems)
+    taus = tau_tables(MIN_PLUS_ARRAY, columns)
+    factors = (loop_family("sigma", k, c, idx, MIN_PLUS_ARRAY, columns, taus)
+               for k, c, idx in sigma_product_indices(m, n=n))
+    product = reduce(MIN_PLUS_ARRAY.mul, factors, MIN_PLUS_ARRAY.one)
+    # float64 where the zero entered, so ints for a witness
+    sigmas = np.broadcast_to(product, count).astype(np.int64).tolist()
+    return [
+        _witness("energy-equivalence", tensor=t.to_jsonable(), intrinsic=d, staircase=stair)
+        if stair != d else
+        _witness("trop-sigma-product", tensor=t.to_jsonable(), got=sigma_trop, want=d)
+        if sigma_trop != d else None
+        for t, d, stair, sigma_trop in zip(tensors, energies, stairs, sigmas)
+    ]
+
+
+def first_failures(verdicts: Iterable[tuple], count: int,
+                   where: Callable[[int], dict]) -> list[str | None]:
+    """Per entry k < ``count``, the witness of the first identity of
+    ``verdicts`` (``(identity, params, passed)``, as
+    ``r_action_identities`` yields them) that entry k fails, located by
+    ``where(k)``, or None if it fails none.  A bool verdict covers one
+    entry, and a ``MIN_PLUS_ARRAY`` mask one entry per tensor."""
+    out = [None] * count
+    for identity, params, passed in verdicts:
+        if passed is True:  # a scalar pass, the common case at a point
+            continue
+        for k in np.flatnonzero(np.logical_not(np.broadcast_to(passed, count))).tolist():
+            if out[k] is None:
+                out[k] = _witness(identity, **where(k), **params)
     return out
 
 
-def _step(tensors: list[TensorElement], columns: list, j: int) -> list:
-    """s_j, 1-based, on a chunk's grid columns: ``apply_s(t, j)`` of each
-    tensor.  Like ``r_matrix``, a negative count raises ``RuntimeError``."""
-    moved = _chain(MIN_PLUS_ARRAY, columns, (j - 1,))
-    if np.min(moved[j - 1 : j + 1]) < 0:
-        k = int(np.argmax(np.min(moved[j - 1 : j + 1], axis=(0, 1)) < 0))
-        raise RuntimeError(f"R-matrix produced a negative count at s_{j} of {tensors[k]!r}; "
-                           "this is a bug")
-    return moved
-
-
-def _differ(a: list, b: list) -> np.ndarray:
-    """Per tensor of a chunk, whether the grid columns ``a`` and ``b``
-    differ anywhere."""
-    return np.logical_or.reduce([x != y for xs, ys in zip(a, b) for x, y in zip(xs, ys)])
-
-
-def check_braid_chunk(tensors: list[TensorElement]) -> list[list[str]]:
-    """Per tensor of a chunk of one (n, m) cell, in order, the problems of
-    the R-action: for each j, s_j is an involution and keeps the intrinsic
-    energy, then each braid relation s_j s_{j+1} s_j = s_{j+1} s_j s_{j+1}.
-    Each move and energy is one kernel call over the chunk's grid
+def check_r_action_chunk(tensors: list[TensorElement]) -> list[str | None]:
+    """Per tensor of a chunk of one (n, m) cell, in order, the witness of
+    its first failing R-action identity, or None: one
+    ``r_action_identities`` run in ``MIN_PLUS_ARRAY`` on the chunk's grid
     columns."""
+    verdicts = r_action_identities(MIN_PLUS_ARRAY, _chunk_grids(tensors)[1])
+    return first_failures(verdicts, len(tensors), lambda k: {"tensor": tensors[k].to_jsonable()})
+
+
+def check_r_action_moves(tensors: list[TensorElement]) -> list[str | None]:
+    """``check_r_action_chunk``, for the braid suite: like ``r_matrix``, an
+    s_j that gives a negative count raises ``RuntimeError``, tested once
+    per s_j over the chunk."""
     columns = _chunk_grids(tensors)[1]
-    m = len(columns)
-    energy = energy_walk(MIN_PLUS_ARRAY, columns)
-    moved = {j: _step(tensors, columns, j) for j in range(1, m)}
-    failed = []  # (kind, j, per-tensor mask), in each tensor's check order
-    for j in range(1, m):
-        failed.append(("involution", j, _differ(_step(tensors, moved[j], j), columns)))
-        failed.append(("energy-r-invariance", j, energy_walk(MIN_PLUS_ARRAY, moved[j]) != energy))
-    for j in range(1, m - 1):
-        lhs = _step(tensors, _step(tensors, moved[j], j + 1), j)
-        rhs = _step(tensors, _step(tensors, moved[j + 1], j), j + 1)
-        failed.append(("braid", j, _differ(lhs, rhs)))
-    out = [[] for _ in tensors]
-    for kind, j, mask in failed:
-        for k in np.flatnonzero(mask).tolist():
-            out[k].append(_witness(kind, tensor=tensors[k].to_jsonable(), j=j))
-    return out
+    for j in range(1, len(columns)):
+        moved = _chain(MIN_PLUS_ARRAY, columns, (j - 1,))[j - 1 : j + 1]
+        if np.min(moved) < 0:
+            k = int(np.argmax(np.min(moved, axis=(0, 1)) < 0))
+            raise RuntimeError(f"R-matrix produced a negative count at s_{j} of "
+                               f"{tensors[k]!r}; this is a bug")
+    verdicts = r_action_identities(MIN_PLUS_ARRAY, columns)
+    return first_failures(verdicts, len(tensors), lambda k: {"tensor": tensors[k].to_jsonable()})
 
 
-def check_r_action(sr: Semiring, columns, **where) -> list[str]:
-    """A witness, located by ``where``, for each R-action identity that
-    fails on ``columns`` in ``sr``."""
-    return [_witness(identity, **where, **params)
-            for identity, params, passed in r_action_identities(sr, columns) if not passed]
-
-
-def check_birational_point(p: RationalPoint) -> list[str]:
-    """Positivity of each s_j at one exact point, read from the two columns
-    that ``move`` gives, so that a non-positive value is a failed check and
-    not an error, and the R-action identities in ``RATIONAL`` on its
-    cleared values, whose verdicts are those at the point."""
+def check_birational_point(p: RationalPoint) -> str | None:
+    """The witness of the first failing check at one exact point, or None:
+    the positivity of each s_j, read from the two columns that ``move``
+    gives, so that a non-positive value is a failed check and not an
+    error, then the R-action identities in ``RATIONAL`` on its cleared
+    values, whose verdicts are those at the point."""
     point = p.to_jsonable()
-    moved = (move(RATIONAL, a, b) for a, b in zip(p.values, p.values[1:]))
-    problems = [_witness("positivity", point=point, j=j) for j, cols in enumerate(moved, start=1)
-                if min(map(min, cols)) <= 0]
-    return problems + check_r_action(RATIONAL, cleared_values(p)[0], point=point)
+    positive = (("positivity", {"j": j}, min(map(min, move(RATIONAL, a, b))) > 0)
+                for j, (a, b) in enumerate(zip(p.values, p.values[1:]), start=1))
+    verdicts = itertools.chain(positive, r_action_identities(RATIONAL, cleared_values(p)[0]))
+    return first_failures(verdicts, 1, lambda k: {"point": point})[0]
 
 
-def check_all_ones_count(n: int, m: int) -> list[str]:
+def check_all_ones_count(n: int, m: int) -> str | None:
     """The rational energy at the all-ones point counts the staircase
     tableaux, by their closed-form count, so no size is refused."""
     got, want = rational_energy_product(RationalPoint.all_ones(m, n)), energy_staircase_count(n, m)
-    return [] if got == want else [_witness("all-ones-count", n=n, m=m, got=str(got), want=want)]
+    return None if got == want else _witness("all-ones-count", n=n, m=m, got=str(got), want=want)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +442,7 @@ def _run_pairs(config: VerifyConfig, result: SuiteResult, check, label: str) -> 
     for n in range(config.n_range[0], config.n_range[1] + 1):
         rng = _cfg_rng(config, label, n, 2)
         for t in _tensor_stream(n, 2, config.capacity_cap, config.trials, rng, config.mode):
-            result.record_problems(check(*t.factors))
+            result.record(check(*t.factors))
 
 
 def _run_rmatrix(config: VerifyConfig, result: SuiteResult) -> None:
@@ -474,16 +452,22 @@ def _run_rmatrix(config: VerifyConfig, result: SuiteResult) -> None:
     _run_pairs(config, result, partial(check_rmatrix_pair, rectified=rectified), "rmatrix")
 
 
+def _record_chunks(result: SuiteResult, stream: Iterator[TensorElement], check) -> None:
+    """``check`` each ``CHUNK_TENSORS`` tensors of ``stream`` in order, and
+    record one check per tensor with its first witness."""
+    while chunk := list(itertools.islice(stream, CHUNK_TENSORS)):
+        for witness in check(chunk):
+            result.record(witness)
+
+
 def _run_chunks(config: VerifyConfig, result: SuiteResult, check, label: str,
                 m_min: int) -> None:
     """The seeded stream of each (n, m) cell with m >= m_min, checked in
-    order ``CHUNK_TENSORS`` tensors at a time."""
+    chunks."""
     for n, m in _cells(config, m_min):
         rng = _cfg_rng(config, label, n, m)
         stream = _tensor_stream(n, m, config.capacity_cap, config.trials, rng, config.mode)
-        while chunk := list(itertools.islice(stream, CHUNK_TENSORS)):
-            for problems in check(chunk):
-                result.record_problems(problems)
+        _record_chunks(result, stream, check)
 
 
 # The families of the section4 suite; every other family of the identity
@@ -507,25 +491,22 @@ def _run_identities(config: VerifyConfig, results: dict[str, SuiteResult]) -> No
             for check in identity_suite(n, m, mode=mode, seed=config.seed, trials=config.trials):
                 suite = "section4" if check.identity in SECTION4_FAMILIES else "lsym-identities"
                 if suite in results:
-                    witness = None if check.passed else json.dumps(
+                    results[suite].record(None if check.passed else json.dumps(
                         check.to_jsonable(), sort_keys=True, separators=(",", ":")
-                    )
-                    results[suite].record(check.passed, witness)
+                    ))
 
 
 def _run_birational(config: VerifyConfig, result: SuiteResult) -> None:
     """Per cell, the all-ones count, then ``trials`` seeded points and
-    ``trials`` seeded tensors, each from its own stream."""
+    ``trials`` seeded tensors, in chunks, each from its own stream."""
     for n, m in _cells(config, 2):
         rng = _cfg_rng(config, "birational", n, m)
-        result.record_problems(check_all_ones_count(n, m))
+        result.record(check_all_ones_count(n, m))
         for _ in range(config.trials):
-            result.record_problems(check_birational_point(random_point(m, n, rng)))
+            result.record(check_birational_point(random_point(m, n, rng)))
         rng = _cfg_rng(config, "birational-min-plus", n, m)
-        for _ in range(config.trials):
-            t = random_tensor(n, m, config.capacity_cap, rng)
-            grid = counts_to_grid(t).values
-            result.record_problems(check_r_action(MIN_PLUS, grid, tensor=t.to_jsonable()))
+        stream = (random_tensor(n, m, config.capacity_cap, rng) for _ in range(config.trials))
+        _record_chunks(result, stream, check_r_action_chunk)
 
 
 # Each crystal suite walks its own stream; the label seeds its RNG.
@@ -534,7 +515,7 @@ SUITE_RUNNERS = {
     "coenergy": partial(_run_pairs, check=check_coenergy_pair, label="coenergy"),
     "energy-equivalence": partial(_run_chunks, check=check_energy_chunk, label="energy",
                                   m_min=1),
-    "braid": partial(_run_chunks, check=check_braid_chunk, label="braid", m_min=2),
+    "braid": partial(_run_chunks, check=check_r_action_moves, label="braid", m_min=2),
     "birational": _run_birational,
 }
 
@@ -543,8 +524,12 @@ def run_verify(config: VerifyConfig) -> RunReport:
     """Run the selected suites and return the aggregated report.
 
     lsym-identities and section4 are filled by one shared run, whose time
-    each of them reports.
+    each of them reports.  ``EnumerationGuardError`` refuses a staircase of
+    an energy-equivalence cell over the guard before any suite runs.
     """
+    if "energy-equivalence" in config.suites:
+        for n, m in _cells(config, 1):
+            staircase_guard(n, m)
     suites = {name: SuiteResult() for name in config.suites}
     for name, result in suites.items():
         if name in SUITE_RUNNERS:

@@ -545,3 +545,21 @@ def test_integer_flags_keep_their_sign(capsys):
     capsys.readouterr()
     assert main(["emit-formula", "--n", "-2", "--m", "2"]) == 2
     assert "need n >= 2" in capsys.readouterr()[1]
+
+
+def test_verify_refuses_an_over_guard_energy_cell_before_any_suite(capsys, monkeypatch):
+    """The (4, 5) staircase is over the guard, so a config with that
+    energy-equivalence cell exits 2 before the braid suite, or any energy
+    cell before it, runs."""
+    monkeypatch.delenv("KR_ENERGY_GUARD", raising=False)
+
+    def never(config, result):
+        raise AssertionError("a suite ran before the guard refused the config")
+
+    for name in ("braid", "energy-equivalence"):
+        monkeypatch.setitem(verify.SUITE_RUNNERS, name, never)
+    args = ["--suites", "braid,energy-equivalence", "--n", "2:4", "--m", "1:5",
+            "--capacity-cap", "2"]
+    code = main(["verify", *args])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and "n=4, m=5" in err, err

@@ -11,9 +11,11 @@ import json
 import random
 from functools import cache, reduce
 
+import numpy as np
 import pytest
 
 from krenergy import birational, crystal, verify
+from krenergy.birational import r_action_identities
 from krenergy.crystal import (
     CrystalElement,
     TensorElement,
@@ -29,9 +31,25 @@ from krenergy.crystal import (
     r_matrix,
     r_matrix_oracle,
 )
-from krenergy.lsym import MIN_PLUS, loop_family, sigma_product_indices, trop_eval
+from krenergy.lsym import (
+    MIN_PLUS,
+    MIN_PLUS_ARRAY,
+    loop_family,
+    sigma,
+    sigma_product_indices,
+    trop_eval,
+)
 from krenergy.tableaux import EnumerationGuardError, Shape, enumerate_ssyt, staircase
-from krenergy.verify import VerifyConfig, elements_up_to, iter_tensors, random_tensor, run_verify
+from krenergy.verify import (
+    CAPACITY_CAP_MAX,
+    VerifyConfig,
+    elements_up_to,
+    iter_tensors,
+    random_tensor,
+    run_verify,
+)
+
+from test_birational import shift_sigma_colour
 
 
 def row(n, word):
@@ -497,34 +515,32 @@ def _witness(kind, t, **data):
 
 
 def braid_reference(t):
-    """The braid suite's problems of one tensor, in order, from the public
-    ``apply_s`` and ``intrinsic_energy``, one tensor at a time."""
-    problems, d = [], intrinsic_energy(t)
-    for j in range(1, t.m):
-        tj = apply_s(t, j)
-        if apply_s(tj, j) != t:
-            problems.append(_witness("involution", t, j=j))
-        if intrinsic_energy(tj) != d:
-            problems.append(_witness("energy-r-invariance", t, j=j))
-    for j in range(1, t.m - 1):
-        lhs = apply_s(apply_s(apply_s(t, j), j + 1), j)
-        if lhs != apply_s(apply_s(apply_s(t, j + 1), j), j + 1):
-            problems.append(_witness("braid", t, j=j))
-    return problems
+    """The braid suite's witness of one tensor: its first failing identity
+    of ``r_action_identities`` in ``MIN_PLUS`` on its count grid alone, or
+    None."""
+    for identity, params, passed in r_action_identities(MIN_PLUS, counts_to_grid(t).values):
+        if not passed:
+            return _witness(identity, t, **params)
+    return None
+
+
+@cache
+def sigma_factors(n, m):
+    """The sigma factors of the energy product, expanded as polynomials."""
+    return [sigma(k, c, n=n, m=m, indices=idx) for k, c, idx in sigma_product_indices(m, n=n)]
 
 
 def energy_reference(t):
-    """The energy-equivalence suite's problems of one tensor, in order,
-    from ``intrinsic_energy``, ``energy_staircase`` and the sigma
-    product's polynomials tropicalized one at a time."""
+    """The energy-equivalence suite's witness of one tensor, its first
+    failing check or None, from ``intrinsic_energy``, ``energy_staircase``
+    and the sigma product's polynomials tropicalized one at a time."""
     d, stair = intrinsic_energy(t), energy_staircase(t)
-    sigmas = sum(trop_eval(p, counts_to_grid(t)) for p in verify.sigma_product_polys(t.n, t.m))
-    problems = []
+    sigmas = sum(trop_eval(p, counts_to_grid(t)) for p in sigma_factors(t.n, t.m))
     if stair != d:
-        problems.append(_witness("energy-equivalence", t, intrinsic=d, staircase=stair))
+        return _witness("energy-equivalence", t, intrinsic=d, staircase=stair)
     if sigmas != d:
-        problems.append(_witness("trop-sigma-product", t, got=sigmas, want=d))
-    return problems
+        return _witness("trop-sigma-product", t, got=sigmas, want=d)
+    return None
 
 
 def shift_move(monkeypatch):
@@ -558,13 +574,18 @@ def oracle_chunks():
     return [list(iter_tensors(3, 3, 2)), [random_tensor(3, 4, 3, rng) for _ in range(80)]]
 
 
-@pytest.mark.parametrize("mutate", [None, shift_move], ids=["correct", "shifted-move"])
+MUTATIONS = pytest.mark.parametrize(
+    "mutate", [None, shift_move, shift_sigma_colour], ids=["correct", "shifted-move", "shifted-sigma"]
+)
+
+
+@MUTATIONS
 def test_batched_braid_problems_match_the_per_tensor_reference(mutate, monkeypatch):
     if mutate:
         mutate(monkeypatch)
     for tensors in oracle_chunks():
         want = [braid_reference(t) for t in tensors]
-        assert verify.check_braid_chunk(tensors) == want
+        assert verify.check_r_action_moves(tensors) == want
         assert any(want) == (mutate is not None)
 
 
@@ -578,19 +599,67 @@ def test_batched_energy_problems_match_the_per_tensor_reference(mutate, monkeypa
         assert all(want) == (mutate is not None) and any(want) == all(want)
 
 
+@pytest.mark.parametrize("mutate", [None, shift_sigma_colour], ids=["correct", "shifted-sigma"])
+def test_sampled_6x6_chunk_gives_each_tensors_verdicts_up_to_the_largest_cap(mutate, monkeypatch):
+    """On a sampled (6, 6) chunk with capacities up to ``CAPACITY_CAP_MAX``,
+    and a tensor of six factors of that capacity, the float64 sigmas of
+    ``MIN_PLUS_ARRAY`` stay exact: every verdict of ``r_action_identities``
+    on the chunk equals the tensor's own ``MIN_PLUS`` verdict, as written
+    and with the sigma colour shifted."""
+    rng = random.Random("6x6-chunk")
+    tensors = [random_tensor(6, 6, CAPACITY_CAP_MAX, rng) for _ in range(11)]
+    tensors.append(TensorElement.from_counts(
+        6, [[CAPACITY_CAP_MAX * (c == i) for c in range(6)] for i in range(6)]))
+    if mutate:
+        mutate(monkeypatch)
+    columns = verify._chunk_grids(tensors)[1]
+    chunk = [np.broadcast_to(passed, len(tensors)).tolist()
+             for *_, passed in r_action_identities(MIN_PLUS_ARRAY, columns)]
+    alone = [[passed for *_, passed in r_action_identities(MIN_PLUS, counts_to_grid(t).values)]
+             for t in tensors]
+    assert [list(v) for v in zip(*chunk)] == alone
+    assert [all(v) for v in alone] == [mutate is None] * len(tensors)
+
+
+def test_energy_chunk_witnesses_carry_int_sigmas(monkeypatch):
+    """The array sigmas are float64, but a failing energy check reports
+    its sigma product as an int, the per-tensor ``MIN_PLUS`` product's."""
+    real = verify.loop_family
+    monkeypatch.setattr(verify, "loop_family",
+                        lambda family, k, r, *args: real(family, k, r + 1, *args))
+    tensors = oracle_chunks()[0]
+    witnesses = [json.loads(w) for w in verify.check_energy_chunk(tensors) if w]
+    assert len(witnesses) > len(tensors) // 2
+    for w in witnesses:
+        t = TensorElement.from_jsonable(w["tensor"])
+        assert type(w["got"]) is int and w["got"] == min_plus_sigma_product(t, shift=1)
+
+
 def test_braid_suite_catches_a_shifted_move(monkeypatch):
     """A move whose images are shifted by one colour fails the braid suite
-    on the tensors where the per-tensor reference fails, and the witnesses
-    name the involution, energy-invariance and braid checks."""
+    on the tensors where the per-tensor reference fails, each witnessed by
+    its first failing identity."""
     shift_move(monkeypatch)
     config = VerifyConfig(suites=("braid",), n_range=(3, 3), m_range=(3, 3), capacity_cap=2,
                           mode="exhaustive")
     result = run_verify(config).suites["braid"]
     want = [braid_reference(t) for t in iter_tensors(3, 3, 2)]
     assert result.failures == sum(map(bool, want)) > 0
-    assert result.witnesses == [problems[0] for problems in want if problems][:32]
-    kinds = {json.loads(w)["kind"] for problems in want for w in problems}
-    assert kinds == {"involution", "energy-r-invariance", "braid"}, kinds
+    assert result.witnesses == [w for w in want if w][:32]
+    assert {json.loads(w)["kind"] for w in want if w} == {"involution"}
+
+
+def test_braid_suite_catches_a_shifted_sigma_colour(monkeypatch):
+    """The braid suite checks the energy product and the transported-kappa
+    identities of every tensor: the exhaustive (3, 3) cell at cap 2 passes
+    all 1,000, and most fail with the sigma colour shifted."""
+    config = VerifyConfig(suites=("braid",), n_range=(3, 3), m_range=(3, 3), capacity_cap=2,
+                          mode="exhaustive")
+    result = run_verify(config).suites["braid"]
+    assert (result.checks, result.failures) == (1000, 0)
+    shift_sigma_colour(monkeypatch)
+    result = run_verify(config).suites["braid"]
+    assert result.checks == 1000 and result.failures >= 900, result.failures
 
 
 def test_energy_suite_catches_an_energy_walk_off_by_one(monkeypatch):
@@ -602,7 +671,7 @@ def test_energy_suite_catches_an_energy_walk_off_by_one(monkeypatch):
     assert {json.loads(w)["kind"] for w in result.witnesses} == {"energy-equivalence"}
 
 
-@pytest.mark.parametrize("mutate", [None, shift_move], ids=["correct", "shifted-move"])
+@MUTATIONS
 def test_chunk_boundaries_leave_the_report_unchanged(mutate, monkeypatch):
     """Chunks of 7 tensors, which split every cell, the mixed streams of
     mode both and the sampled (3, 4) cell, give the report of the default

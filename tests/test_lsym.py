@@ -22,6 +22,7 @@ import random
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 import sympy
 
@@ -55,7 +56,6 @@ from krenergy.lsym import (
     poly_ring,
     sigma,
     sigma_product_indices,
-    stack_grids,
     staircase_a_indices,
     staircase_loop_schur,
     staircase_matrix_size,
@@ -64,6 +64,7 @@ from krenergy.lsym import (
     tau_vector,
     trop_eval,
     trop_evals,
+    verdict,
 )
 from krenergy.tableaux import (
     EnumerationGuardError,
@@ -163,6 +164,17 @@ def test_poly_refuses_non_int_terms(terms):
     given."""
     with pytest.raises(TypeError):
         ColoredPoly(1, 2, terms)
+
+
+def test_verdict_is_a_bool_or_one_mask_entry_per_instance():
+    """Scalars and lists of them compare as ``==``; arrays compare entry by
+    entry, nested lists reduced with ``&``; lists of other lengths fail."""
+    a, b = np.array([1, 2, 3]), np.array([1, 5, 3])
+    assert verdict([[1, 2], [3]], [[1, 2], [3]]) is True
+    assert verdict([[1, 2]], [[1, 3]]) is False and verdict([1, 2], [1]) is False
+    assert verdict(2, 2) is True
+    assert verdict([[a, b], [a]], [[a, a], [a]]).tolist() == [True, False, True]
+    assert verdict([a, a], [a]).tolist() == [False] * 3
 
 
 def test_poly_arithmetic_refuses_non_polys():
@@ -1370,9 +1382,9 @@ def test_trop_evals_batch_matches_each_grid(n, m, monkeypatch):
     on the exact path, gives what ``trop_eval`` gives grid by grid and what
     the term minimum gives, for the staircase polynomial, a sigma factor,
     the zero polynomial (``inf`` at every grid) and a polynomial of degree
-    2^23, in one product and in chunks of two grids; so do the other grids
-    stacked once by ``stack_grids``, which refuses the whole batch, an
-    empty one and a value of -2^40."""
+    2^23, in one product and in chunks of two grids; so does the batch
+    stacked as one int64 array, whose values are checked at once, the one
+    of 2^40 included, and the array of the other grids."""
     rng = random.Random(f"trop-batch:{n}:{m}")
     flats = [tuple(rng.randint(-9, 9) for _ in range(m * n)) for _ in range(9)]
     flats[4] = flats[4][:-1] + ((1 << 40) + rng.randint(0, 99),)
@@ -1381,24 +1393,22 @@ def test_trop_evals_batch_matches_each_grid(n, m, monkeypatch):
     wide = ColoredPoly(m, n, {(1 << 23,) + (0,) * (m * n - 1): 1, (1,) * (m * n): 1})
     polys = [staircase_loop_schur(n, m), sigma((n - 1) * m, 0, n=n, m=m), ColoredPoly.zero(m, n),
              wide]
-    small = flats[:4] + flats[5:]
-    stacked = stack_grids(small)
+    whole, stacked = (np.array(batch, dtype=np.int64) for batch in (flats, flats[:4] + flats[5:]))
     for p in polys:
         want = [term_minimum(p, flat) for flat in flats]
         assert [trop_eval(p, g) for g in grids] == want
-        assert trop_evals(p, flats) == want
+        assert trop_evals(p, flats) == trop_evals(p, whole) == want
         assert trop_evals(p, stacked) == want[:4] + want[5:]
-        assert trop_evals(p, []) == []
+        assert trop_evals(p, []) == trop_evals(p, whole[:0]) == []
         with monkeypatch.context() as patch:
             patch.setattr(lsym, "_BATCH_ENTRIES", 2 * len(p.terms))
-            assert trop_evals(p, flats) == want
+            assert trop_evals(p, flats) == trop_evals(p, whole) == want
             assert trop_evals(p, stacked) == want[:4] + want[5:]
     assert all(type(v) is int for v in trop_evals(polys[0], flats))
-    assert all(type(v) is int for v in trop_evals(polys[0], stacked))
+    assert all(type(v) is int for v in trop_evals(polys[0], whole))
     with pytest.raises(ValueError):
         trop_evals(polys[0], [flats[0][1:]])
     with pytest.raises(ValueError):
         trop_evals(polys[0], stacked[:, 1:])
-    for bad in (flats, [], [flats[0][:-1] + (-(1 << 40),)]):
-        with pytest.raises(ValueError):
-            stack_grids(bad)
+    low = np.array([flats[0][:-1] + (-(1 << 40),)])
+    assert trop_evals(polys[0], low) == [term_minimum(polys[0], low[0].tolist())]

@@ -29,9 +29,10 @@ product run in ``MIN_PLUS`` equals the intrinsic and the staircase
 energy, and on random tensors (n, m in 2..4, at most 4 letters a factor)
 every R-action identity holds in ``MIN_PLUS`` on the count grid.  On
 random batches of value tables (values up to the capacity cap's maximum)
-``energy_walk`` and ``move`` in ``MIN_PLUS_ARRAY`` equal, entry by entry,
-their ``MIN_PLUS`` values on each table.  The runs are derandomized, so a failure reproduces, and keep no example
-database.
+``energy_walk``, ``move`` and the verdicts of ``r_action_identities`` in
+``MIN_PLUS_ARRAY`` equal, entry by entry, their ``MIN_PLUS`` values on
+each table.  The runs are derandomized, so a failure reproduces, and keep
+no example database.
 """
 
 import itertools
@@ -360,7 +361,8 @@ def value_batches(draw):
 def test_min_plus_array_kernels_match_min_plus_entry_by_entry(batch):
     """``energy_walk`` and ``move`` run in ``MIN_PLUS_ARRAY`` give, entry by
     entry, what they give in ``MIN_PLUS`` on each table, as int64: the
-    empty energy of m = 1 too."""
+    empty energy of m = 1 too; and each verdict of ``r_action_identities``
+    is, entry by entry, the table's own ``MIN_PLUS`` verdict."""
     tables, arrays = batch
     energy = energy_walk(MIN_PLUS_ARRAY, arrays)
     assert np.asarray(energy).dtype == np.int64
@@ -371,6 +373,10 @@ def test_min_plus_array_kernels_match_min_plus_entry_by_entry(batch):
         assert all(v.dtype == np.int64 for col in moved for v in col)
         got = [[[int(v[k]) for v in col] for col in moved] for k in range(len(tables))]
         assert got == [list(map(list, move(MIN_PLUS, t[j], t[j + 1]))) for t in tables]
+    verdicts = [np.broadcast_to(passed, len(tables)).tolist()
+                for *_, passed in r_action_identities(MIN_PLUS_ARRAY, arrays)]
+    alone = [[passed for *_, passed in r_action_identities(MIN_PLUS, t)] for t in tables]
+    assert [list(v) for v in zip(*verdicts)] == alone
 
 
 def ok_reference(r, b1, b2):
