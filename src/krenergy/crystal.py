@@ -28,10 +28,10 @@ independent cross-checks.
 over semistandard tableaux of the dilated staircase shape, with entries in
 ``1..m``, of the sum of grid values ``x_{T(i,j)}^{(i-j)}``.  The grid is the
 change of variables ``x_i^{(r)} = z_i^{(r+1-i)}`` applied to letter counts.
-That minimum is ``lsym.trop_eval`` of the cached staircase loop Schur
-polynomial ``lsym.staircase_loop_schur``, the one tropical evaluation path;
-that polynomial comes from a horizontal-strip DP, so no tableau is
-enumerated.
+That minimum is ``lsym.trop_eval`` of ``lsym.staircase_form``, the
+exponent matrix of the staircase loop Schur polynomial, cached per (n, m)
+without the polynomial, on the one tropical evaluation path; that
+polynomial comes from a horizontal-strip DP, so no tableau is enumerated.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from itertools import accumulate
 
 from ._strict import decimal, json_int
 from .birational import energy_walk, kappas, move
-from .lsym import MIN_PLUS, staircase_loop_schur, trop_eval
+from .lsym import MIN_PLUS, staircase_form, trop_eval
 from .tableaux import EnumerationGuardError, Shape, SkewShape, Ssyt, rectify
 
 
@@ -413,4 +413,4 @@ def energy_staircase(t: TensorElement) -> int:
     ``EnumerationGuardError`` before any work when the staircase has more
     tableaux than the guard allows.
     """
-    return trop_eval(staircase_loop_schur(t.n, t.m), counts_to_grid(t))
+    return trop_eval(staircase_form(t.n, t.m), counts_to_grid(t))

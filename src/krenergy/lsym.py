@@ -68,13 +68,14 @@ point evaluation alike.
 
 ``staircase_loop_schur`` builds the loop Schur polynomial of the energy's
 staircase by one horizontal-strip DP over the exponent blocks of x_1, x_2,
-..., with no tableau enumerated, and caches it per (n, m), after
-``staircase_guard`` admits its size; ``trop_eval`` of
-it is the package's one tropical staircase energy
+..., with no tableau enumerated, after ``staircase_guard`` admits its size.
+``staircase_form`` caches per (n, m) only its ``TropicalForm``, the float64
+exponent matrix and its degree, not the polynomial; ``trop_eval`` of that
+form is the package's one tropical staircase energy
 (``crystal.energy_staircase``).  ``trop_evals`` is the one tropical
-kernel: it caches the exponent matrix on each polynomial and multiplies it
-by a batch of stacked grids in one int64 product, in exact Python ints for
-a grid with a value of 2^40 or more; ``trop_eval`` is its batch of one.
+kernel: it multiplies the exponent matrix by a batch of stacked grids in
+one float64 product, exact while max|v| * max(deg, 1) < 2^53, and in exact
+Python ints for a grid over that bound; ``trop_eval`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -112,12 +113,13 @@ FIELD_BITS = 32
 _FIELD_LIMIT = 1 << FIELD_BITS
 _FIELD_DTYPE = np.dtype(f"<u{FIELD_BITS // 8}")
 
-# trop_evals multiplies in int64 while every grid value is below this bound,
-# so no sum of a polynomial of degree below 2^23 can overflow
-_NUMPY_VALUE_BOUND = 1 << 40
+# trop_evals multiplies a grid in float64 while max|v| * max(deg, 1) is below
+# this bound, deg the largest total degree of a term: every product and
+# partial sum is then an integer below 2^53, exact in any order of addition
+_FLOAT_EXACT = 1 << 53
 
 # trop_evals multiplies at most this many (term, grid) pairs at once, a
-# 2 MiB int64 product, however many grids a batch holds
+# 2 MiB float64 product, however many grids a batch holds
 _BATCH_ENTRIES = 1 << 18
 
 
@@ -143,7 +145,7 @@ class ColoredPoly:
     tuples, refusing an entry of ``2**FIELD_BITS`` or more before any is packed.
     """
 
-    __slots__ = ("m", "n", "terms", "deg", "_trop_matrix")
+    __slots__ = ("m", "n", "terms", "deg")
 
     def __init__(self, m: int, n: int, terms: dict[tuple[int, ...], int] | None = None):
         if m < 1 or n < 2:
@@ -160,7 +162,6 @@ class ColoredPoly:
         self.n = n
         self.terms = {_pack(mono): coef for mono, coef in items if coef}
         self.deg = max((sum(mono) for mono, coef in items if coef), default=0)
-        self._trop_matrix = None
 
     @classmethod
     def _raw(cls, m: int, n: int, terms: dict[Mono, int], deg: int) -> ColoredPoly:
@@ -169,7 +170,6 @@ class ColoredPoly:
         self.n = n
         self.terms = terms
         self.deg = deg
-        self._trop_matrix = None
         return self
 
     @classmethod
@@ -715,11 +715,11 @@ def staircase_guard(n: int, m: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
 def staircase_loop_schur(n: int, m: int) -> ColoredPoly:
     """Loop Schur polynomial of the energy's staircase at color 0 in m
     variable rows; its tropicalization at the count grid of a tensor is the
-    energy.  Cached per (n, m); ``staircase_guard`` refuses a size up front.
+    energy.  Not cached: ``staircase_form`` keeps its exponent matrix
+    alone.  ``staircase_guard`` refuses a size up front.
 
     The polynomial comes from one horizontal-strip DP, with no tableau
     enumerated; it equals ``loop_schur_tableaux`` of the staircase.  Entry
@@ -999,9 +999,39 @@ def tau_vector(m: int, *, n: int, r: int = 0) -> list[ColoredPoly]:
     return [sign * tau(k, c, n=n, m=m) for sign, k, c in tau_vector_indices(m, n=n, r=r)]
 
 
-def trop_eval(p: ColoredPoly, grid) -> int | float:
-    """Tropical (min, +) evaluation of a subtraction-free polynomial at one
-    grid: ``trop_evals`` of the batch of one.
+class TropicalForm(NamedTuple):
+    """A subtraction-free polynomial as ``trop_evals`` reads it: its terms'
+    exponent vectors as the rows of a float64 matrix (exact, as each
+    exponent is below 2^32), and ``deg``, the largest row sum."""
+
+    m: int
+    n: int
+    matrix: np.ndarray
+    deg: int
+
+
+def tropical_form(p: ColoredPoly) -> TropicalForm:
+    """The exponent matrix of ``p``, the term keys' bytes, checked for a
+    negative coefficient as it is built."""
+    if any(c < 0 for c in p.terms.values()):
+        raise ValueError("tropical evaluation needs a subtraction-free polynomial")
+    size = p.m * p.n * _FIELD_DTYPE.itemsize
+    keys = b"".join(mono.to_bytes(size, "little") for mono in p.terms)
+    exps = np.frombuffer(keys, dtype=_FIELD_DTYPE).reshape(len(p.terms), p.m * p.n)
+    deg = int(exps.sum(axis=1, dtype=np.uint64).max(initial=0))
+    return TropicalForm(p.m, p.n, exps.astype(np.float64), deg)
+
+
+@lru_cache(maxsize=None)
+def staircase_form(n: int, m: int) -> TropicalForm:
+    """``tropical_form`` of ``staircase_loop_schur(n, m)``, cached per
+    (n, m); the polynomial itself is not kept."""
+    return tropical_form(staircase_loop_schur(n, m))
+
+
+def trop_eval(p: ColoredPoly | TropicalForm, grid) -> int | float:
+    """Tropical (min, +) evaluation of a subtraction-free polynomial, or of
+    its ``TropicalForm``, at one grid: ``trop_evals`` of the batch of one.
 
     ``grid`` must expose ``m``, ``n`` and ``flat()`` like
     :class:`krenergy.crystal.TropicalGrid`.  Returns ``math.inf`` for the
@@ -1012,84 +1042,70 @@ def trop_eval(p: ColoredPoly, grid) -> int | float:
     return trop_evals(p, [grid.flat()])[0]
 
 
-def _exponent_matrix(p: ColoredPoly) -> np.ndarray:
-    """The terms' exponent vectors as rows, checked and built once and
-    cached on the polynomial: int64, or Python ints when a term's degree
-    times ``_NUMPY_VALUE_BOUND`` could overflow int64."""
-    mat = p._trop_matrix
-    if mat is None:
-        if any(c < 0 for c in p.terms.values()):
-            raise ValueError("tropical evaluation needs a subtraction-free polynomial")
-        size = p.m * p.n * _FIELD_DTYPE.itemsize
-        keys = b"".join(mono.to_bytes(size, "little") for mono in p.terms)
-        exps = np.frombuffer(keys, dtype=_FIELD_DTYPE).reshape(len(p.terms), p.m * p.n)
-        # an int64 sum stays exact while degree * value bound < 2^63
-        wide = int(exps.sum(axis=1, dtype=np.uint64).max()) * _NUMPY_VALUE_BOUND >= 1 << 63
-        mat = p._trop_matrix = exps.astype(object if wide else np.int64)
-    return mat
-
-
-def _trop_exact(mat: np.ndarray, flat: Sequence[int]) -> int:
-    """The least entry of ``mat`` times ``flat`` in exact Python ints, for
-    a grid with a value of ``_NUMPY_VALUE_BOUND`` or more or a wide matrix."""
-    if mat.dtype == object:
-        return int((mat @ np.asarray(flat, dtype=object)).min())
-    # The small columns' part stays exact in int64.  Terms with the same
-    # exponents on the big columns share their exact big part, so each
-    # group of them, adjacent once sorted, needs only its least small part.
-    big = [c for c, v in enumerate(flat) if abs(v) >= _NUMPY_VALUE_BOUND]
-    small = [c for c, v in enumerate(flat) if abs(v) < _NUMPY_VALUE_BOUND]
-    low = mat[:, small] @ np.asarray([flat[c] for c in small], dtype=np.int64)
-    exps = mat[:, big]
+def _trop_exact(form: TropicalForm, flat: Sequence[int]) -> int:
+    """The least entry of the exponent matrix times ``flat`` in exact
+    ints, for a grid over the float64 bound of ``trop_evals``."""
+    # The columns under the bound give a float64 part that stays exact.
+    # Terms with the same exponents on the other columns share their
+    # Python-int part, so each group of them, adjacent once sorted, needs
+    # only its least float64 part.
+    mat, scale = form.matrix, max(form.deg, 1)
+    small = [abs(v) * scale < _FLOAT_EXACT for v in flat]
+    low = mat[:, small] @ np.asarray([v for v, s in zip(flat, small) if s], dtype=np.float64)
+    exps = mat[:, np.logical_not(small)].astype(np.int64)
     order = np.lexsort(exps.T)
     exps = exps[order]
     starts = np.flatnonzero(np.r_[True, (exps[1:] != exps[:-1]).any(axis=1)])
-    least = np.minimum.reduceat(low[order], starts)
-    values = [flat[c] for c in big]
+    least = np.minimum.reduceat(low[order], starts).astype(np.int64)
+    values = [v for v, s in zip(flat, small) if not s]
     return min(
         lo + sum(e * v for e, v in zip(row, values))
         for lo, row in zip(least.tolist(), exps[starts].tolist())
     )
 
 
-def trop_evals(p: ColoredPoly, flats: Sequence[Sequence[int]] | np.ndarray) -> list[int | float]:
-    """Tropical (min, +) evaluation of a subtraction-free polynomial at a
-    batch of grids, each given flat (``TropicalGrid.flat()``, m * n ints):
-    the package's one tropical kernel, which ``trop_eval`` calls with a
-    batch of one.  ``flats`` may also be an int64 array with one grid per
-    row, whose values are then checked at once.
+def trop_evals(p: ColoredPoly | TropicalForm,
+               flats: Sequence[Sequence[int]] | np.ndarray) -> list[int | float]:
+    """Tropical (min, +) evaluation of a subtraction-free polynomial, or of
+    its ``TropicalForm``, at a batch of grids, each given flat
+    (``TropicalGrid.flat()``, m * n ints): the package's one tropical
+    kernel, which ``trop_eval`` calls with a batch of one.  ``flats`` may
+    also be an int64 array with one grid per row, whose values are then
+    checked at once.
 
-    Each value is the least entry of the polynomial's exponent matrix times
-    the grid.  The grids whose values all lie below ``_NUMPY_VALUE_BOUND``
-    are stacked and multiplied in int64, one matrix product per
-    ``_BATCH_ENTRIES`` (term, grid) pairs; any other grid, and every grid
-    of a polynomial of degree 2^23 or more, takes the exact path of
-    ``_trop_exact``.  The zero polynomial gives ``math.inf`` at every grid.
+    Each value is the least entry of the exponent matrix times the grid, a
+    Python int.  The grids with max|v| * max(deg, 1) below 2^53 are stacked
+    and multiplied in float64, exact under that bound, one matrix product
+    per ``_BATCH_ENTRIES`` (term, grid) pairs; any other grid takes the
+    exact path of ``_trop_exact``.  The zero polynomial gives ``math.inf``
+    at every grid.
     """
-    size, bound = p.m * p.n, _NUMPY_VALUE_BOUND
+    form = p if isinstance(p, TropicalForm) else tropical_form(p)
+    size, mat, scale = form.m * form.n, form.matrix, max(form.deg, 1)
     stacked = isinstance(flats, np.ndarray)
     if stacked:
         ragged = flats.ndim != 2 or flats.shape[1] != size
     else:
         ragged = any(len(flat) != size for flat in flats)
     if ragged:
-        raise ValueError(f"every grid must hold {size} values for poly ({p.m}, {p.n})")
-    if not p.terms:
+        raise ValueError(f"every grid must hold {size} values for poly ({form.m}, {form.n})")
+    if not len(mat):
         return [math.inf] * len(flats)
-    mat = _exponent_matrix(p)
-    wide = mat.dtype == object
-    if stacked and (wide or not -bound < flats.min(initial=0) <= flats.max(initial=0) < bound):
-        flats, stacked = flats.tolist(), False
+    if stacked:  # Python ints, as |v| * deg may pass 2^63
+        top = max(-int(flats.min(initial=0)), int(flats.max(initial=0)))
+        if top * scale >= _FLOAT_EXACT:
+            flats, stacked = flats.tolist(), False
     exact = {}
     if not stacked:  # each grid checked alone
         for g, flat in enumerate(flats):
-            if wide or not -bound < min(flat) <= max(flat) < bound:
-                exact[g] = _trop_exact(mat, flat)
+            if max(map(abs, flat)) * scale >= _FLOAT_EXACT:
+                exact[g] = _trop_exact(form, flat)
     fast = [flat for g, flat in enumerate(flats) if g not in exact] if exact else flats
     step = max(1, _BATCH_ENTRIES // len(mat))
     mins: list[int | float] = []
     for lo in range(0, len(fast), step):
-        mins += (np.asarray(fast[lo : lo + step], dtype=np.int64) @ mat.T).min(axis=1).tolist()
+        batch = np.asarray(fast[lo : lo + step], dtype=np.float64)
+        mins += (batch @ mat.T).min(axis=1).astype(np.int64).tolist()
     for g in sorted(exact):  # each exact value back in its place
         mins.insert(g, exact[g])
     return mins

@@ -15,11 +15,12 @@ pair as a target and again as a candidate of the pairs of its class.
 
 ``energy-equivalence`` and ``braid`` take each (n, m) cell's stream in
 order, ``CHUNK_TENSORS`` tensors at a time, so a cell is never held whole.
-A chunk's count grids are stacked once: as an int64 array of flat grids,
-which ``lsym.trop_evals`` of the staircase reads, and as grid columns, m
-lists of n int64 arrays with one entry per tensor, on which the kernels
-run once in ``lsym.MIN_PLUS_ARRAY``: ``energy_walk`` and the sigma
-product's ``lsym.loop_family`` for ``energy-equivalence``, and
+A chunk's counts are read once into an int64 array, and its count grids
+gathered from it by one index array: as an int64 array of flat grids,
+which ``lsym.trop_evals`` of the cached ``lsym.staircase_form`` reads, and
+as grid columns, m lists of n int64 arrays with one entry per tensor, on
+which the kernels run once in ``lsym.MIN_PLUS_ARRAY``: ``energy_walk``
+and the sigma product's ``lsym.loop_family`` for ``energy-equivalence``, and
 ``birational.r_action_identities``, the one statement of the R-action
 identities, for ``braid``.  ``first_failures`` reads each tensor's first
 failing identity off the per-entry verdicts, as it does for one rational
@@ -63,7 +64,6 @@ from .crystal import (
     CrystalElement,
     TensorElement,
     _compositions,
-    _grid_columns,
     coenergy,
     coenergy_sliding_oracle,
     r_matrix,
@@ -75,8 +75,8 @@ from .lsym import (
     RATIONAL,
     loop_family,
     sigma_product_indices,
+    staircase_form,
     staircase_guard,
-    staircase_loop_schur,
     tau_tables,
     trop_evals,
 )
@@ -328,11 +328,15 @@ def _chunk_grids(tensors: list[TensorElement]) -> tuple[np.ndarray, list[list]]:
     """The count grids of a chunk of one (n, m) cell, stacked once: one
     flat grid per row of an int64 array, which ``trop_evals`` reads, and
     the grid columns x_1..x_m, m lists of n int64 arrays whose entry k
-    belongs to tensor k, for ``MIN_PLUS_ARRAY``.  A count is at most
+    belongs to tensor k, for ``MIN_PLUS_ARRAY``.  The counts are read once
+    into a (k, m, n) array, and one index array gathers its flat grids,
+    ``x_i^(r) = counts[i][(r - i) mod n]``.  A count is at most
     ``CAPACITY_CAP_MAX``, so no kernel sum nears 2^63."""
-    n = tensors[0].n
-    flats = [tuple(itertools.chain.from_iterable(_grid_columns(t))) for t in tensors]
-    grids = np.array(flats, dtype=np.int64)
+    n, m = tensors[0].n, tensors[0].m
+    counts = itertools.chain.from_iterable(b.counts for t in tensors for b in t.factors)
+    counts = np.fromiter(counts, dtype=np.int64, count=len(tensors) * m * n)
+    i = np.arange(m)[:, None]  # the factor x_{i + 1}
+    grids = counts.reshape(-1, m * n)[:, (i * n + (np.arange(n) - i - 1) % n).ravel()]
     rows = grids.T.copy()  # one contiguous row per (i, r)
     return grids, [list(rows[i : i + n]) for i in range(0, len(rows), n)]
 
@@ -347,7 +351,7 @@ def check_energy_chunk(tensors: list[TensorElement]) -> list[str | None]:
     n, m, count = tensors[0].n, tensors[0].m, len(tensors)
     grids, columns = _chunk_grids(tensors)
     energies = np.broadcast_to(energy_walk(MIN_PLUS_ARRAY, columns), count).tolist()
-    stairs = trop_evals(staircase_loop_schur(n, m), grids)
+    stairs = trop_evals(staircase_form(n, m), grids)
     taus = tau_tables(MIN_PLUS_ARRAY, columns)
     factors = (loop_family("sigma", k, c, idx, MIN_PLUS_ARRAY, columns, taus)
                for k, c, idx in sigma_product_indices(m, n=n))

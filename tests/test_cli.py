@@ -268,7 +268,6 @@ def test_tableau_sums_skip_the_ssyt_checks(capsys, monkeypatch):
         raise AssertionError("an enumerated tableau was checked again")
 
     monkeypatch.setattr(tableaux.Ssyt, "__init__", refuse)
-    lsym.staircase_loop_schur.cache_clear()
     assert lsym.loop_schur_tableaux((3, 3), 1, 4, n=3) == box
     assert lsym.staircase_loop_schur(3, 3) == stair
     assert main(["emit-formula", "--n", "2", "--m", "3"]) == 0

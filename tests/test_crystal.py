@@ -6,6 +6,7 @@ has coenergy 3; and the triple (13, 1224, 123) has intrinsic energy
 1 + 2 + 2 = 5.
 """
 
+import gc
 import itertools
 import json
 import random
@@ -34,9 +35,11 @@ from krenergy.crystal import (
 from krenergy.lsym import (
     MIN_PLUS,
     MIN_PLUS_ARRAY,
+    ColoredPoly,
     loop_family,
     sigma,
     sigma_product_indices,
+    staircase_form,
     trop_eval,
 )
 from krenergy.tableaux import EnumerationGuardError, Shape, enumerate_ssyt, staircase
@@ -380,6 +383,27 @@ def test_energy_staircase_single_factor():
 def test_energy_staircase_worked_example():
     t = TensorElement.from_rows(4, ["13", "1224", "123"])
     assert energy_staircase(t) == 5
+
+
+def test_energy_staircase_keeps_no_staircase_polynomial():
+    """The energy caches the staircase's exponent matrix alone: after a
+    (3, 5) energy no polynomial of the staircase's 12,666 terms is left."""
+    t = TensorElement.from_counts(3, [[1, 0, 2], [0, 1, 1], [2, 2, 0], [1, 1, 1], [0, 0, 3]])
+    assert energy_staircase(t) == intrinsic_energy(t)
+    assert staircase_form(3, 5).matrix.shape == (12_666, 15)
+    gc.collect()
+    polys = [p for p in gc.get_objects() if isinstance(p, ColoredPoly)]
+    assert not [p for p in polys if len(p.terms) == 12_666]
+
+
+@pytest.mark.parametrize("c, want", [(1501199875790165, 9007199254740987),
+                                     (1501199875790166, (1 << 53) + 1)])
+def test_energy_staircase_at_the_float64_bound(c, want):
+    """The (3, 3) staircase has degree 6, so a largest count of c keeps
+    6 * c under 2^53 (the float64 product) or not (the exact path); on the
+    second tensor float64 would give 2^53."""
+    t = TensorElement.from_counts(3, [[c - 1, c, c], [c, c, c], [c - 1, c, 0]])
+    assert energy_staircase(t) == intrinsic_energy(t) == want
 
 
 def _staircase_minimum_oracle(t):

@@ -41,6 +41,7 @@ from krenergy.lsym import (
     ColoredPoly,
     PolyMatrix,
     _strip_chains,
+    _trop_exact,
     build_A,
     build_B,
     jacobi_trudi_indices,
@@ -57,6 +58,7 @@ from krenergy.lsym import (
     sigma,
     sigma_product_indices,
     staircase_a_indices,
+    staircase_form,
     staircase_loop_schur,
     staircase_matrix_size,
     strip_weights,
@@ -64,6 +66,7 @@ from krenergy.lsym import (
     tau_vector,
     trop_eval,
     trop_evals,
+    tropical_form,
     verdict,
 )
 from krenergy.tableaux import (
@@ -937,7 +940,6 @@ STAIRCASE_SIZES = [
 def test_staircase_strip_dp_matches_tableau_sum(n, m):
     """The staircase's prefix DP against the sum over its tableaux, m = 1
     and m = 2 and the benchmark's (5, 3), (4, 4) and (3, 5) included."""
-    staircase_loop_schur.cache_clear()
     want = loop_schur_tableaux(energy_staircase_shape(n, m), 0, m, n=n)
     assert staircase_loop_schur(n, m).terms == want.terms
 
@@ -949,7 +951,6 @@ def test_staircase_enumerates_no_tableau(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("krenergy") and hasattr(module, "enumerate_ssyt"):
             monkeypatch.setattr(module, "enumerate_ssyt", refuse)
-    staircase_loop_schur.cache_clear()
     p = staircase_loop_schur(3, 4)
     assert len(p.terms) == 368 and ones(p) == energy_staircase_count(3, 4)
 
@@ -957,7 +958,6 @@ def test_staircase_enumerates_no_tableau(monkeypatch):
 def test_staircase_leaves_the_strip_chain_cache_alone():
     """The staircase DP builds no strip chains, so it leaves their cache,
     kept for ``loop_schurs``, alone."""
-    staircase_loop_schur.cache_clear()
     before = _strip_chains.cache_info()
     staircase_loop_schur(3, 5)
     after = _strip_chains.cache_info()
@@ -967,7 +967,6 @@ def test_staircase_leaves_the_strip_chain_cache_alone():
 def test_staircase_wide_alphabet_is_small():
     """At m = 2 the DP walks the 150 strips of the one row, not every strip
     between two partitions of the staircase (about n^3 / 6 of them)."""
-    staircase_loop_schur.cache_clear()
     tracemalloc.start()
     try:
         p = staircase_loop_schur(150, 2)
@@ -979,7 +978,6 @@ def test_staircase_wide_alphabet_is_small():
 
 
 def test_staircase_refused_over_the_guard(monkeypatch):
-    staircase_loop_schur.cache_clear()
     monkeypatch.setenv("KR_ENERGY_GUARD", str(energy_staircase_count(3, 4) - 1))
     with pytest.raises(EnumerationGuardError, match="729 tableaux"):
         staircase_loop_schur(3, 4)
@@ -990,7 +988,6 @@ def test_staircase_refused_over_the_slot_guard(monkeypatch, n, m):
     """Under the default guard in tableaux, but not in tableaux times the
     m * n exponent slots of a term: refused before the DP takes a step."""
     monkeypatch.delenv("KR_ENERGY_GUARD", raising=False)
-    staircase_loop_schur.cache_clear()
 
     def refuse(*args):
         raise AssertionError("the staircase DP ran over the guard")
@@ -1324,8 +1321,8 @@ def test_trop_eval_is_semiring_map():
 
 
 def test_trop_eval_is_exact_past_int64():
-    """A degree of 2^23 or more, or a grid value of 2^40 or more, is
-    multiplied in Python ints; int64 would wrap around on either."""
+    """A grid value times the degree at 2^53 or more is multiplied in
+    Python ints; float64 would round, and int64 would wrap around."""
     p = var(1, 1, 1, 2) + ColoredPoly(1, 2, {(1 << 30, 0): 1})
     assert trop_eval(p, TropicalGrid(1, 2, [[-(1 << 39), 5]])) == -(1 << 69)
     q = var(1, 0, 1, 2) + 2 * var(1, 1, 1, 2)
@@ -1378,37 +1375,93 @@ def term_minimum(p, flat):
 
 @pytest.mark.parametrize("n, m", [(3, 1), (2, 3), (3, 4)])
 def test_trop_evals_batch_matches_each_grid(n, m, monkeypatch):
-    """A batch of random grids, one of them with a value above 2^40 and so
-    on the exact path, gives what ``trop_eval`` gives grid by grid and what
-    the term minimum gives, for the staircase polynomial, a sigma factor,
-    the zero polynomial (``inf`` at every grid) and a polynomial of degree
-    2^23, in one product and in chunks of two grids; so does the batch
-    stacked as one int64 array, whose values are checked at once, the one
-    of 2^40 included, and the array of the other grids."""
+    """A batch of random grids, one with a value of 2^40 (on the float64
+    path unless the degree is 2^13 or more) and one with a value above
+    2^53 (on the exact path), gives what ``trop_eval`` gives grid by grid
+    and what the term minimum gives, for the staircase polynomial, a sigma
+    factor, the zero polynomial (``inf`` at every grid) and a polynomial of
+    degree 2^23, in one product and in chunks of two grids; so does the
+    batch stacked as one int64 array, whose values are checked at once,
+    and the array of the grids under 2^53."""
     rng = random.Random(f"trop-batch:{n}:{m}")
-    flats = [tuple(rng.randint(-9, 9) for _ in range(m * n)) for _ in range(9)]
+    flats = [tuple(rng.randint(-9, 9) for _ in range(m * n)) for _ in range(10)]
     flats[4] = flats[4][:-1] + ((1 << 40) + rng.randint(0, 99),)
+    flats[9] = flats[9][:-1] + ((1 << 53) + rng.randint(0, 99),)
     grids = [TropicalGrid(m, n, [flat[i * n : (i + 1) * n] for i in range(m)]) for flat in flats]
-    # a degree of 2^23 or more puts every grid on the exact path
+    # a degree of 2^23 puts the grid of 2^40 on the exact path too
     wide = ColoredPoly(m, n, {(1 << 23,) + (0,) * (m * n - 1): 1, (1,) * (m * n): 1})
     polys = [staircase_loop_schur(n, m), sigma((n - 1) * m, 0, n=n, m=m), ColoredPoly.zero(m, n),
              wide]
-    whole, stacked = (np.array(batch, dtype=np.int64) for batch in (flats, flats[:4] + flats[5:]))
+    whole, stacked = (np.array(batch, dtype=np.int64) for batch in (flats, flats[:9]))
     for p in polys:
         want = [term_minimum(p, flat) for flat in flats]
         assert [trop_eval(p, g) for g in grids] == want
         assert trop_evals(p, flats) == trop_evals(p, whole) == want
-        assert trop_evals(p, stacked) == want[:4] + want[5:]
+        assert trop_evals(p, stacked) == want[:9]
         assert trop_evals(p, []) == trop_evals(p, whole[:0]) == []
         with monkeypatch.context() as patch:
             patch.setattr(lsym, "_BATCH_ENTRIES", 2 * len(p.terms))
             assert trop_evals(p, flats) == trop_evals(p, whole) == want
-            assert trop_evals(p, stacked) == want[:4] + want[5:]
+            assert trop_evals(p, stacked) == want[:9]
+    assert trop_evals(staircase_form(n, m), flats) == trop_evals(polys[0], flats)
     assert all(type(v) is int for v in trop_evals(polys[0], flats))
     assert all(type(v) is int for v in trop_evals(polys[0], whole))
     with pytest.raises(ValueError):
         trop_evals(polys[0], [flats[0][1:]])
     with pytest.raises(ValueError):
         trop_evals(polys[0], stacked[:, 1:])
-    low = np.array([flats[0][:-1] + (-(1 << 40),)])
-    assert trop_evals(polys[0], low) == [term_minimum(polys[0], low[0].tolist())]
+    for value in (-(1 << 40), -(1 << 53), -(1 << 63)):
+        low = np.array([flats[0][:-1] + (value,)])
+        assert trop_evals(polys[0], low) == [term_minimum(polys[0], low[0].tolist())]
+
+
+def test_trop_evals_float64_bound(monkeypatch):
+    """Grids with max|v| * deg just under 2^53 take the float64 product,
+    and those just over it the exact path, both at the term minimum and
+    in Python ints, with positive and negative values alike."""
+    p = staircase_loop_schur(3, 4)
+    deg = tropical_form(p).deg
+    assert deg == 12 == p.deg
+    under = ((1 << 53) - 1) // deg
+    assert under * deg < 1 << 53 <= (under + 1) * deg
+    rng = random.Random("trop-bound")
+    cases = []
+    for value in (under, under + 1, -under, -under - 1):
+        for _ in range(3):
+            flat = [rng.randint(-9, 9) for _ in range(12)]
+            flat[rng.randrange(12)] = value
+            cases.append((abs(value) == under, flat))
+    exact = []
+
+    def counted(form, flat):
+        exact.append(flat)
+        return _trop_exact(form, flat)
+
+    monkeypatch.setattr(lsym, "_trop_exact", counted)
+    for fast, flat in cases:
+        exact.clear()
+        got = trop_evals(p, [flat]) + trop_evals(p, np.array([flat]))
+        assert got == [term_minimum(p, flat)] * 2, flat
+        assert all(type(v) is int for v in got)
+        assert exact == ([] if fast else [flat, flat])
+
+
+def test_trop_evals_rounding_past_2_53():
+    """Two terms worth 2^53 + 1 and 2^53 + 2: float64 rounds the first to
+    2^53, so only the exact path gives the least of them."""
+    p = var(1, 0, 1, 2) + var(1, 1, 1, 2)
+    flat = ((1 << 53) + 2, (1 << 53) + 1)
+    assert trop_evals(p, [flat]) == trop_evals(p, np.array([flat])) == [(1 << 53) + 1]
+    assert float((1 << 53) + 1) == 1 << 53
+
+
+@pytest.mark.parametrize("value", [1 << 100, -(1 << 100), 1 << 53, -(1 << 53) + 1])
+def test_trop_evals_degree_zero_and_negative_values(value):
+    """A constant (degree 0, taken as 1 in the bound) at huge values, and
+    a staircase at negative ones, give the term minimum."""
+    one = ColoredPoly.one(2, 2) + ColoredPoly.one(2, 2)
+    assert trop_evals(one, [(value, value, 1, value)]) == [0]
+    p = staircase_loop_schur(2, 3)
+    flat = (value, -3, -(1 << 60), 7, value, -1)
+    got = trop_evals(p, [flat])
+    assert got == [term_minimum(p, flat)] and type(got[0]) is int
