@@ -27,13 +27,23 @@ failing identity off the per-entry verdicts, as it does for one rational
 point.  Values that the semiring's zero enters are float64; a count is at
 most ``CAPACITY_CAP_MAX``, so each is an exact integer.  A config with an
 energy-equivalence cell over the enumeration guard is refused before any
-suite runs.  Nothing is cached across calls.
+suite runs.
 
 The identity suites ``lsym-identities`` and ``section4`` share one
 ``identity_suite`` run per (n, m, mode) cell and split its checks by
 family.  The ``birational`` suite runs ``birational.r_action_identities``
 in two semifields: in ``RATIONAL`` at seeded points, after the positivity
 of each s_j, and in ``MIN_PLUS_ARRAY`` on seeded tensors, in chunks.
+
+The suites fall in two halves, each on its own seeded streams: the
+``SUITE_RUNNERS`` half and the identity half.  When a config selects both,
+and the platform has ``os.fork`` and the process may run on two or more
+CPUs (``os.sched_getaffinity``, else ``os.cpu_count``), the first half runs
+in one forked child, which pickles its results back through a pipe, while
+the calling process runs the identity half; otherwise both run here, one
+after the other.  The report is the same; per-suite times overlap.  Only
+pure caches outlive a call, in the calling process: the identity half's
+plans and the energy cells' staircase forms, built before the fork.
 """
 
 from __future__ import annotations
@@ -41,8 +51,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import pickle
 import random
+import signal
 import time
+import traceback
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
@@ -191,6 +205,7 @@ class SuiteResult:
 class RunReport:
     config: VerifyConfig
     suites: dict[str, SuiteResult]
+    seconds: float = 0.0  # wall time of the run; per-suite times may overlap
 
     @property
     def total_checks(self) -> int:
@@ -228,6 +243,7 @@ class RunReport:
         lines.append(
             f"{'total':<20} {self.total_checks:>8} checks  "
             f"{'ok' if self.total_failures == 0 else f'{self.total_failures} FAILURES'}"
+            f"  ({self.seconds:.2f}s)"
         )
         return "\n".join(lines)
 
@@ -484,7 +500,9 @@ IDENTITY_SUITES = ("lsym-identities", "section4")
 
 def _run_identities(config: VerifyConfig, results: dict[str, SuiteResult]) -> None:
     """Fill the selected identity suites from one identity_suite run per
-    (n, m, mode) cell, routing each check to its family's suite."""
+    (n, m, mode) cell, routing each check to its family's suite; each of
+    them reports the time of the whole run."""
+    start = time.perf_counter()
     for n, m in _cells(config, 1 if "lsym-identities" in results else 2):
         modes = []
         if config.mode in ("exhaustive", "both") and n <= SYMBOLIC_N_MAX and m <= SYMBOLIC_M_MAX:
@@ -498,6 +516,8 @@ def _run_identities(config: VerifyConfig, results: dict[str, SuiteResult]) -> No
                     results[suite].record(None if check.passed else json.dumps(
                         check.to_jsonable(), sort_keys=True, separators=(",", ":")
                     ))
+    for result in results.values():
+        result.seconds = time.perf_counter() - start
 
 
 def _run_birational(config: VerifyConfig, result: SuiteResult) -> None:
@@ -524,26 +544,88 @@ SUITE_RUNNERS = {
 }
 
 
+def _run_crystal(config: VerifyConfig, results: dict[str, SuiteResult]) -> dict[str, SuiteResult]:
+    """Run each selected suite of ``SUITE_RUNNERS`` in turn, timing each."""
+    for name, result in results.items():
+        start = time.perf_counter()
+        SUITE_RUNNERS[name](config, result)
+        result.seconds = time.perf_counter() - start
+    return results
+
+
+def _two_cpus() -> bool:
+    """Whether this process can fork and may run on two or more CPUs."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return hasattr(os, "fork") and cpus >= 2
+
+
+def _overlap(child: Callable[[], object], parent: Callable[[], object]) -> object:
+    """Run ``child`` in a forked process while this one runs ``parent``,
+    and return what ``child`` returned, or raise what it raised (as a
+    ``RuntimeError`` with its traceback if that does not pickle).  The
+    child is always reaped, and killed first if ``parent`` raised.
+    ``os.fork``, since ``multiprocessing`` gives a daemonic worker no child."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                message = ("ok", child())
+            except BaseException as exc:
+                message = ("error", exc)
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:
+                    message = ("error", RuntimeError("".join(traceback.format_exception(exc))))
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(message, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            parent()
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise RuntimeError(f"the child process of run_verify exited with status {code} "
+                           "before it sent a result")
+    kind, value = pickle.loads(data)
+    if kind == "error":
+        raise value
+    return value
+
+
 def run_verify(config: VerifyConfig) -> RunReport:
     """Run the selected suites and return the aggregated report.
 
-    lsym-identities and section4 are filled by one shared run, whose time
-    each of them reports.  ``EnumerationGuardError`` refuses a staircase of
-    an energy-equivalence cell over the guard before any suite runs.
+    ``EnumerationGuardError`` refuses a staircase of an energy-equivalence
+    cell over the guard before any suite runs; the staircase forms of those
+    cells are then built here, where the next call finds them cached.
     """
+    start = time.perf_counter()
     if "energy-equivalence" in config.suites:
-        for n, m in _cells(config, 1):
+        cells = _cells(config, 1)
+        for n, m in cells:
             staircase_guard(n, m)
+        for n, m in cells:
+            staircase_form(n, m)
     suites = {name: SuiteResult() for name in config.suites}
-    for name, result in suites.items():
-        if name in SUITE_RUNNERS:
-            start = time.perf_counter()
-            SUITE_RUNNERS[name](config, result)
-            result.seconds = time.perf_counter() - start
+    crystal = {name: res for name, res in suites.items() if name in SUITE_RUNNERS}
     identity = {name: res for name, res in suites.items() if name in IDENTITY_SUITES}
-    if identity:
-        start = time.perf_counter()
-        _run_identities(config, identity)
-        for result in identity.values():
-            result.seconds = time.perf_counter() - start
-    return RunReport(config, suites)
+    if crystal and identity and _two_cpus():
+        suites.update(_overlap(partial(_run_crystal, config, crystal),
+                               partial(_run_identities, config, identity)))
+    else:
+        _run_crystal(config, crystal)
+        if identity:
+            _run_identities(config, identity)
+    return RunReport(config, suites, time.perf_counter() - start)
