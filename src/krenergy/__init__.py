@@ -6,7 +6,7 @@ The package has five layers:
     crystal     single-row crystals, R-matrix, coenergy, intrinsic and
                 tropical staircase energy
     lsym        colored polynomials: loop e/h/tau/sigma, loop Schur
-                functions, banded staircase matrices, tropical evaluation
+                functions, banded staircase matrix indices, tropical evaluation
     birational  exact rational kappa, the birational R-action, rational
                 energy, and the R-action identities over any semifield
     verify/cli  identity suites and the command line front end
@@ -30,7 +30,6 @@ from .crystal import (
     coenergy_sliding_oracle,
     counts_to_grid,
     energy_staircase,
-    grid_to_counts,
     intrinsic_energy,
     ok,
     r_matrix,
@@ -40,15 +39,12 @@ from .identities import IdentityCheck, identity_suite
 from .lsym import (
     ColoredPoly,
     PolyMatrix,
-    build_A,
-    build_B,
     loop_e,
     loop_h,
     loop_schur_jt,
     loop_schur_tableaux,
     sigma,
     tau,
-    tau_vector,
     trop_eval,
 )
 from .tableaux import (
@@ -81,15 +77,12 @@ __all__ = [
     "TropicalGrid",
     "VerifyConfig",
     "apply_s",
-    "build_A",
-    "build_B",
     "coenergy",
     "coenergy_sliding_oracle",
     "count_ssyt",
     "counts_to_grid",
     "energy_staircase",
     "enumerate_ssyt",
-    "grid_to_counts",
     "identity_suite",
     "intrinsic_energy",
     "jdt_slide",
@@ -111,6 +104,5 @@ __all__ = [
     "sigma",
     "staircase",
     "tau",
-    "tau_vector",
     "trop_eval",
 ]

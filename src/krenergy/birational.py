@@ -48,7 +48,7 @@ from .lsym import (
     Semiring,
     laplace_dets,
     loop_family,
-    sigma_product_indices,
+    sigma_product,
     tau_tables,
     verdict,
 )
@@ -101,12 +101,14 @@ class RationalPoint:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> RationalPoint:
-        """Inverse of ``to_jsonable``; values must be decimal strings with a
-        nonzero denominator."""
+        """Inverse of ``to_jsonable``; each value must be a JSON list of two
+        decimal strings, the numerator and a nonzero denominator."""
         m, n = json_int(data["m"], "m"), json_int(data["n"], "n")
         flat = []
-        for num, den in data["values"]:
-            den = json_decimal(den, "denominator")
+        for pair in data["values"]:
+            if type(pair) is not list or len(pair) != 2:
+                raise ValueError(f"a value must be a list [numerator, denominator], got {pair!r}")
+            num, den = pair[0], json_decimal(pair[1], "denominator")
             if den == 0:
                 raise ValueError("denominator must be nonzero")
             flat.append(Fraction(json_decimal(num, "numerator"), den))
@@ -204,13 +206,6 @@ def s_action(j: int, p: RationalPoint) -> RationalPoint:
     return p.with_columns({j: new_j, j + 1: new_j1})
 
 
-def apply_chain(p: RationalPoint, js: Iterable[int]) -> RationalPoint:
-    """Apply ``s_j`` for each j in order (leftmost first)."""
-    for j in js:
-        p = s_action(j, p)
-    return p
-
-
 def rational_energy_global(p: RationalPoint) -> Fraction:
     """Rational intrinsic energy as the product over pairs i < j of
     kappa_{j-1} on columns (j-1, j) of ``s_i ... s_{j-2}`` applied to the
@@ -257,10 +252,11 @@ def eval_sigma(k: int, r: int, indices: Sequence[int], p: RationalPoint) -> Frac
 
 
 def rational_energy_product(p: RationalPoint) -> Fraction:
-    """Rational intrinsic energy by the sigma product formula:
-    the product over i of sigma_{(n-1)(m-i)}^{(i-1)} on variables i..m."""
-    factors = sigma_product_indices(p.m, n=p.n)
-    return math.prod((eval_sigma(k, c, idx, p) for k, c, idx in factors), start=Fraction(1))
+    """Rational intrinsic energy by the sigma product formula: the product
+    over i of sigma_{(n-1)(m-i)}^{(i-1)} on variables i..m, ``sigma_product``
+    on ``cleared_values(p)``, homogeneous of degree (n-1) m (m-1) / 2."""
+    nums, value = cleared_values(p)
+    return value(sigma_product(RATIONAL, nums), (p.n - 1) * p.m * (p.m - 1) // 2)
 
 
 def fraction_det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
@@ -316,8 +312,7 @@ def r_action_identities(sr: Semiring, columns: Sequence[Sequence]) -> Iterator[t
         for i in range(1, m) for j in range(i, m + 1) for c in range(n)
         for k in ((n - 1) * (j - i), (n - 1) * (j - i) + 1)
     }
-    factors = (sig[k, c % n, idx[0], idx[-1]] for k, c, idx in sigma_product_indices(m, n=n))
-    yield "energy-product", {}, verdict(reduce(sr.mul, factors, sr.one), energy)
+    yield "energy-product", {}, verdict(sigma_product(sr, cols, taus=taus), energy)
     for i in range(1, m):
         cur = cols[i - 1]  # x_i, which the chain moves right
         for j in range(i + 1, m + 1):

@@ -176,22 +176,23 @@ def _check_pair(b1: CrystalElement, b2: CrystalElement) -> int:
     return b1.n
 
 
-def _column(b: CrystalElement, i: int) -> tuple[int, ...]:
-    """``b`` as the grid column x_i of ``counts_to_grid``:
-    ``x_i^(r) = counts[(r - i) mod n]``."""
-    k = -i % b.n
-    return b.counts[k:] + b.counts[:k]
+def _column(counts: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The letter counts of a factor as the grid column x_i of
+    ``counts_to_grid``, ``x_i^(r) = counts[(r - i) mod n]``: the one
+    statement of that change of variables."""
+    k = -i % len(counts)
+    return counts[k:] + counts[:k]
 
 
 def _grid_columns(t: TensorElement) -> list[tuple[int, ...]]:
     """The factors as the grid columns x_1, ..., x_m."""
-    return [_column(b, i) for i, b in enumerate(t.factors, start=1)]
+    return [_column(b.counts, i) for i, b in enumerate(t.factors, start=1)]
 
 
 def _columns(b1: CrystalElement, b2: CrystalElement) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The pair as the grid columns x_0, x_1."""
     _check_pair(b1, b2)
-    return _column(b1, 0), _column(b2, 1)
+    return _column(b1.counts, 0), _column(b2.counts, 1)
 
 
 def ok(r: int, b1: CrystalElement, b2: CrystalElement) -> int:
@@ -394,14 +395,6 @@ def counts_to_grid(t: TensorElement) -> TropicalGrid:
     ``x_i^{(r)}`` counts the letters congruent to ``r - i + 1`` mod n.
     """
     return TropicalGrid(t.m, t.n, _grid_columns(t))
-
-
-def grid_to_counts(grid: TropicalGrid) -> TensorElement:
-    """Inverse of :func:`counts_to_grid`."""
-    factors = []
-    for i in range(1, grid.m + 1):
-        factors.append(CrystalElement(grid.n, (grid.value(i, c + i) for c in range(grid.n))))
-    return TensorElement(grid.n, factors)
 
 
 def energy_staircase(t: TensorElement) -> int:

@@ -19,14 +19,15 @@ picks the evaluator and little else:
   ``staircase_jacobi_trudi`` stays symbolic-only, which keeps the set of
   randomized families fixed.
 
-One evaluator runs the kernels (``loop_table``, ``loop_family``,
+One evaluator runs the kernels (``loop_table``, ``sigma_product``,
 ``loop_schurs``, ``classical_e_of_products``, ``laplace_dets``), written
 once over ``lsym.Semiring``, in its ring and value table: the polynomials,
 or an integral point in ``RATIONAL``, so no ``Fraction`` arises.  Every
 degree of a loop e, h or tau comes from one ``loop_table`` per ``(family,
-r mod n)``, which the evaluator holds as a list, the tau tables of sigma
-one per (suffix, r mod n) (``tau_tables``), and each classical e is
-computed once per degree.
+r mod n)``, which the evaluator holds as a list, the tau tables of the
+sigmas one per (suffix, r mod n) (``tau_tables``), and every classical e
+from one more loop e table, of the full-color products taken as one
+color.
 
 The determinant side is three identities: Jacobi-Trudi for loop Schur
 functions (Lam and Pylyavskyy, arXiv:0812.0840), det A = the sigma
@@ -64,10 +65,9 @@ Families covered (names as reported):
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
+from functools import lru_cache, reduce
 
 from .birational import RationalPoint, cleared_values
 from .lsym import (
@@ -75,11 +75,10 @@ from .lsym import (
     Semiring,
     jacobi_trudi_indices,
     laplace_dets,
-    loop_family,
     loop_schurs,
     loop_table,
     poly_ring,
-    sigma_product_indices,
+    sigma_product,
     staircase_a_indices,
     staircase_b_indices,
     strip_weights,
@@ -120,16 +119,12 @@ def box_skew_shapes(rows: int, cols: int) -> list[SkewShape]:
     ]
 
 
-def classical_e_of_products(i: int, sr: Semiring, values):
-    """The ordinary elementary symmetric e_i in the m full-color products
-    ``prod_r x_j^{(r)}``, computed in ``sr`` at ``values``."""
-    m = len(values)
-    es = [sr.one] + [sr.zero] * m
-    for row in values:
-        value = reduce(sr.mul, row, sr.one)
-        for t in range(m, 0, -1):
-            es[t] = sr.add(es[t], sr.mul(es[t - 1], value))
-    return es[i] if 0 <= i <= m else sr.zero
+def classical_e_of_products(sr: Semiring, values) -> list:
+    """``[e_0, ..., e_m]``, the ordinary elementary symmetric functions of
+    the m full-color products ``prod_r x_j^{(r)}``, computed in ``sr`` at
+    ``values``: the loop e table of the products taken as one color."""
+    products = [[reduce(sr.mul, row, sr.one)] for row in values]
+    return loop_table("e", len(values), 0, range(1, len(values) + 1), sr, products)
 
 
 class _Evaluator:
@@ -137,9 +132,9 @@ class _Evaluator:
     tau are read from one ``loop_table`` per ``(family, r mod n)``, held in
     ``tables[family][r % n]``: every family is periodic in the color with
     period n, and the color of a factor does not depend on the degree.
-    sigma reads the tau tables of its suffixes from one ``tau_tables``, so
-    each is built once, at its top degree.  The classical e of the
-    products is computed once per degree, and the loop Schur tables of a
+    The sigma product reads the tau tables of its suffixes from one
+    ``tau_tables``, so each is built once, at its top degree.  The classical
+    e of the products is one loop e table, and the loop Schur tables of a
     color share its ``strip_weights``.  Determinants and the maximal minors
     of B are ``laplace_dets`` calls.  The kernels are looked up as module
     globals at call time.
@@ -156,7 +151,7 @@ class _Evaluator:
         self._tops = {"e": m, "tau": top, "h": top + max(top, n)}
         self.tables = {family: [None] * n for family in self._tops}
         self._taus = tau_tables(sr, values)
-        self.classical_e = cache(lambda i: classical_e_of_products(i, sr, values))
+        self._classical_e = classical_e_of_products(sr, values)
         self._weights = [strip_weights(c, sr, values) for c in range(n)]
 
     def table(self, family: str, r: int, k: int = 0) -> list:
@@ -169,8 +164,12 @@ class _Evaluator:
             table = tables[c] = loop_table(family, top, c, self.full, self.sr, self.values)
         return table
 
-    def sigma(self, k: int, r: int, indices: range):
-        return loop_family("sigma", k, r, indices, self.sr, self.values, self._taus)
+    def classical_e(self, i: int):
+        """The classical e_i of the full-color products, zero past 0..m."""
+        return self._classical_e[i] if 0 <= i < len(self._classical_e) else self.zero
+
+    def sigma_product(self, r: int):
+        return sigma_product(self.sr, self.values, r, self._taus)
 
     def schurs(self, outer: tuple, inner: tuple, r: int) -> dict:
         return loop_schurs(outer, inner, self._weights[r % self.n], self.sr)
@@ -252,10 +251,8 @@ def _staircase_plan(n: int, m: int) -> tuple:
     m >= 2, per color r: the ``(degree, color)`` rows of A and of B
     (``staircase_a_indices``, ``staircase_b_indices``), the ``(degree,
     color)`` components of the tau vector and their signs
-    (``tau_vector_indices``), and the ``(degree, color, indices)`` sigma
-    factors of the energy product (``sigma_product_indices``).  Colors are
-    reduced mod n, and each distinct pair is one tuple that every entry
-    holding it shares."""
+    (``tau_vector_indices``).  Colors are reduced mod n, and each distinct
+    pair is one tuple that every entry holding it shares."""
     pairs: dict[tuple[int, int], tuple[int, int]] = {}
 
     def shared(row):
@@ -269,7 +266,6 @@ def _staircase_plan(n: int, m: int) -> tuple:
             tuple(map(shared, staircase_b_indices(m, n=n, r=r))),
             shared((k, c) for _, k, c in taus),
             tuple(sign for sign, _, _ in taus),
-            tuple(sigma_product_indices(m, n=n, r=r)),
         ))
     return tuple(plan)
 
@@ -376,12 +372,11 @@ def _instances(ev, n: int, m: int, symbolic: bool):
 
     if m < 2:
         return
-    for r, (a_rows, b_rows, tau_pairs, signs, factors) in enumerate(_staircase_plan(n, m)):
+    for r, (a_rows, b_rows, tau_pairs, signs) in enumerate(_staircase_plan(n, m)):
         mat_a = [read(e_by_color, row) for row in a_rows]
         mat_b = [read(e_by_color, row) for row in b_rows]
         det_a = ev.det(mat_a)
-        product = math.prod(ev.sigma(k, c, idx) for k, c, idx in factors)
-        yield "staircase_factorization", (r,), det_a == product
+        yield "staircase_factorization", (r,), det_a == ev.sigma_product(r)
         if symbolic:
             stair = staircase(m - 1, n - 1).parts
             yield "staircase_jacobi_trudi", (r,), det_a == ev.schurs(stair, (), r)[stair]

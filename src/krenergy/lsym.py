@@ -40,7 +40,8 @@ loop_e, loop_h and tau are one DP, ``loop_table``: one bottom-up table
 over the indices of the sums over bounded multisets (multiplicity cap 1,
 none and n-1; color step +1, -1 and -1), which holds every degree up to
 its top at once, since the color of a factor depends only on its place.
-``loop_family`` reads one degree from it, and its sigma sums prefixes
+``loop_family`` reads one degree from it (an e or tau past its top degree
+is zero, with no table built), and its sigma sums prefixes
 times tau, read from ``tau_tables``: one tau table per (suffix, color mod
 n) at its top degree, which the sigmas of one evaluation share.  ``loop_e``,
 ``loop_h``, ``tau`` and ``sigma`` compute it over the polynomials;
@@ -55,16 +56,16 @@ skew Schur functions of every nu / inner up to an outer shape at once, by
 one dynamic program over horizontal strips, whose weights
 (``strip_weights``) tables of one color can share; each entry runs a sweep
 cached per shape and entry (``_strip_sweep``) that starts only from the
-partitions the entries before it can reach.  ``build_A`` and
-``build_B`` assemble the banded dilated-staircase matrices used by the
-closing identities, ``laplace_dets`` takes the determinants of many row
-selections from one pool by an expansion planned once per zero pattern
-(``PolyMatrix.det`` is its one-selection call), and ``trop_eval`` is the
-(min, +) shadow of a subtraction-free polynomial.
-The ``*_indices`` functions give the entries of those matrices and of the
-tau vector as ``(degree, color)`` pairs, and ``sigma_product_indices`` the
-sigma factors of the energy's product, for the polynomials here and for
-point evaluation alike.
+partitions the entries before it can reach.  ``laplace_dets`` takes the
+determinants of many row selections from one pool by an expansion planned
+once per zero pattern (``PolyMatrix.det`` is its one-selection call), and
+``trop_eval`` is the (min, +) shadow of a subtraction-free polynomial.
+The banded dilated-staircase matrices A and B of the closing identities
+and their tau vector exist only as index functions: the ``*_indices``
+functions give their entries as ``(degree, color)`` pairs, for the
+polynomials here and for point evaluation alike.  ``sigma_product_indices``
+gives the sigma factors of the energy's product, and ``sigma_product``,
+the one statement of that product, multiplies them in any ``Semiring``.
 
 ``staircase_loop_schur`` builds the loop Schur polynomial of the energy's
 staircase by one horizontal-strip DP over the exponent blocks of x_1, x_2,
@@ -487,13 +488,16 @@ def loop_family(family: str, k: int, r: int, indices: Sequence[int], sr: Semirin
     the variables ``indices`` (strictly increasing), computed in ``sr`` at
     ``values``.
 
-    e, h and tau are entry k of ``loop_table``.  sigma sums the prefixes
+    e, h and tau are entry k of ``loop_table``; an e of degree over
+    ``len(indices)`` and a tau over ``(n - 1) * len(indices)`` vanish and
+    build no table.  sigma sums the prefixes
     ``x_f^{(r)} x_f^{(r-1)} ... x_f^{(r-i+1)}`` of the first index f times
     ``tau_{k-i}^{(r-i)}`` of the remaining indices, read from ``taus``, a
     ``tau_tables`` at ``values`` that callers share, or a fresh one.
     """
     if family != "sigma":
-        return loop_table(family, k, r, indices, sr, values)[k] if k >= 0 else sr.zero
+        top = {"e": len(indices), "tau": (len(values[0]) - 1) * len(indices)}.get(family, k)
+        return loop_table(family, k, r, indices, sr, values)[k] if 0 <= k <= top else sr.zero
     if not indices:
         raise ValueError("sigma needs a nonempty variable range")
     n, first, rest = len(values[0]), values[indices[0] - 1], tuple(indices[1:])
@@ -537,6 +541,17 @@ def sigma_product_indices(m: int, *, n: int, r: int = 0) -> list[tuple[int, int,
     """``(degree, color, indices)`` of each sigma factor of the energy's
     product: ``sigma_{(n-1)(m-i)}^{(r+i-1)}`` on variables i..m, i < m."""
     return [((n - 1) * (m - i), r + i - 1, range(i, m + 1)) for i in range(1, m)]
+
+
+def sigma_product(sr: Semiring, values, r: int = 0,
+                  taus: Callable[[tuple[int, ...], int], list] | None = None):
+    """The energy's sigma product, the product of the ``sigma_product_indices``
+    factors at color r, computed in ``sr`` at ``values`` (m rows); ``taus``
+    as for ``loop_family``.  For m = 1 it is the empty product, ``sr.one``."""
+    taus = taus or tau_tables(sr, values)
+    factors = (loop_family("sigma", k, c, idx, sr, values, taus)
+               for k, c, idx in sigma_product_indices(len(values), n=len(values[0]), r=r))
+    return reduce(sr.mul, factors, sr.one)
 
 
 def tableau_monomials(
@@ -783,11 +798,6 @@ def jacobi_trudi_indices(
     return [[(lam[i] - mu[j] - i + j, r - j + mu[j]) for j in range(size)] for i in range(size)]
 
 
-def _loop_e_matrix(indices: list[list[tuple[int, int]]], *, n: int, m: int) -> PolyMatrix:
-    """The matrix of loop e functions at the given ``(degree, color)`` pairs."""
-    return PolyMatrix(m, n, [[loop_e(k, c, n=n, m=m) for k, c in row] for row in indices])
-
-
 def loop_schur_jt(
     shape: SkewShape | Shape | Iterable[int],
     r: int,
@@ -796,7 +806,8 @@ def loop_schur_jt(
     m: int,
 ) -> ColoredPoly:
     """Loop Schur function of ``shape`` by the Jacobi-Trudi determinant."""
-    return _loop_e_matrix(jacobi_trudi_indices(shape, r), n=n, m=m).det()
+    rows = [[loop_e(k, c, n=n, m=m) for k, c in row] for row in jacobi_trudi_indices(shape, r)]
+    return PolyMatrix(m, n, rows).det()
 
 
 class PolyMatrix:
@@ -817,22 +828,11 @@ class PolyMatrix:
         self.n = n
         self.entries = entries
 
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def entry(self, k: int, j: int) -> ColoredPoly:
-        """Entry at row k, column j (1-based)."""
-        return self.entries[k - 1][j - 1]
-
     def det(self) -> ColoredPoly:
         """Division-free determinant: ``laplace_dets`` of the one selection
         of every row, so a matrix that is not square raises ``ValueError``."""
-        return laplace_dets(self.entries, [range(self.nrows)], poly_ring(self.m, self.n)[0])[0]
+        ring = poly_ring(self.m, self.n)[0]
+        return laplace_dets(self.entries, [range(len(self.entries))], ring)[0]
 
 
 # laplace_dets keeps at most this many plans: a randomized identity point
@@ -984,21 +984,6 @@ def tau_vector_indices(m: int, *, n: int, r: int = 0) -> list[tuple[int, int, in
     return [(1 if j % 2 else -1, (n - 1) * m - j + 1, r - j) for j in range(1, n * (a + 1) + 1)]
 
 
-def build_A(m: int, *, n: int, r: int = 0) -> PolyMatrix:
-    """The na x na Jacobi-Trudi matrix of the dilated staircase, zero-padded."""
-    return _loop_e_matrix(staircase_a_indices(m, n=n, r=r), n=n, m=m)
-
-
-def build_B(m: int, *, n: int, r: int = 0) -> PolyMatrix:
-    """The extension of build_A by n extra columns, as in staircase_b_indices."""
-    return _loop_e_matrix(staircase_b_indices(m, n=n, r=r), n=n, m=m)
-
-
-def tau_vector(m: int, *, n: int, r: int = 0) -> list[ColoredPoly]:
-    """The alternating tau column vector annihilated by build_B."""
-    return [sign * tau(k, c, n=n, m=m) for sign, k, c in tau_vector_indices(m, n=n, r=r)]
-
-
 class TropicalForm(NamedTuple):
     """A subtraction-free polynomial as ``trop_evals`` reads it: its terms'
     exponent vectors as the rows of a float64 matrix (exact, as each
@@ -1071,7 +1056,8 @@ def trop_evals(p: ColoredPoly | TropicalForm,
     (``TropicalGrid.flat()``, m * n ints): the package's one tropical
     kernel, which ``trop_eval`` calls with a batch of one.  ``flats`` may
     also be an int64 array with one grid per row, whose values are then
-    checked at once.
+    checked at once.  A grid value that is not an int, and an array whose
+    dtype is not a (non-bool) integer type, raise ``TypeError``.
 
     Each value is the least entry of the exponent matrix times the grid, a
     Python int.  The grids with max|v| * max(deg, 1) below 2^53 are stacked
@@ -1084,9 +1070,11 @@ def trop_evals(p: ColoredPoly | TropicalForm,
     size, mat, scale = form.m * form.n, form.matrix, max(form.deg, 1)
     stacked = isinstance(flats, np.ndarray)
     if stacked:
+        if flats.dtype.kind not in "iu":  # a bool array is kind "b"
+            raise TypeError(f"stacked grids must have an integer dtype, got {flats.dtype}")
         ragged = flats.ndim != 2 or flats.shape[1] != size
-    else:
-        ragged = any(len(flat) != size for flat in flats)
+    else:  # never a float or a bool truncated to an int
+        ragged = any(len(ints(flat, "a grid's values")) != size for flat in flats)
     if ragged:
         raise ValueError(f"every grid must hold {size} values for poly ({form.m}, {form.n})")
     if not len(mat):

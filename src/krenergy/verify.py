@@ -20,7 +20,7 @@ gathered from it by one index array: as an int64 array of flat grids,
 which ``lsym.trop_evals`` of the cached ``lsym.staircase_form`` reads, and
 as grid columns, m lists of n int64 arrays with one entry per tensor, on
 which the kernels run once in ``lsym.MIN_PLUS_ARRAY``: ``energy_walk``
-and the sigma product's ``lsym.loop_family`` for ``energy-equivalence``, and
+and ``lsym.sigma_product`` for ``energy-equivalence``, and
 ``birational.r_action_identities``, the one statement of the R-action
 identities, for ``braid``.  ``first_failures`` reads each tensor's first
 failing identity off the per-entry verdicts, as it does for one rational
@@ -59,7 +59,7 @@ import time
 import traceback
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -87,11 +87,9 @@ from .identities import SYMBOLIC_M_MAX, SYMBOLIC_N_MAX, identity_suite
 from .lsym import (
     MIN_PLUS_ARRAY,
     RATIONAL,
-    loop_family,
-    sigma_product_indices,
+    sigma_product,
     staircase_form,
     staircase_guard,
-    tau_tables,
     trop_evals,
 )
 from .tableaux import energy_staircase_count
@@ -345,14 +343,15 @@ def _chunk_grids(tensors: list[TensorElement]) -> tuple[np.ndarray, list[list]]:
     flat grid per row of an int64 array, which ``trop_evals`` reads, and
     the grid columns x_1..x_m, m lists of n int64 arrays whose entry k
     belongs to tensor k, for ``MIN_PLUS_ARRAY``.  The counts are read once
-    into a (k, m, n) array, and one index array gathers its flat grids,
-    ``x_i^(r) = counts[i][(r - i) mod n]``.  A count is at most
-    ``CAPACITY_CAP_MAX``, so no kernel sum nears 2^63."""
+    into a (k, m, n) array, and one index array gathers its flat grids: the
+    positions of factor i's counts, ``range(n)`` rotated by
+    ``crystal._column``.  A count is at most ``CAPACITY_CAP_MAX``, so no
+    kernel sum nears 2^63."""
     n, m = tensors[0].n, tensors[0].m
     counts = itertools.chain.from_iterable(b.counts for t in tensors for b in t.factors)
     counts = np.fromiter(counts, dtype=np.int64, count=len(tensors) * m * n)
-    i = np.arange(m)[:, None]  # the factor x_{i + 1}
-    grids = counts.reshape(-1, m * n)[:, (i * n + (np.arange(n) - i - 1) % n).ravel()]
+    index = [(i - 1) * n + c for i in range(1, m + 1) for c in crystal._column(tuple(range(n)), i)]
+    grids = counts.reshape(-1, m * n)[:, index]
     rows = grids.T.copy()  # one contiguous row per (i, r)
     return grids, [list(rows[i : i + n]) for i in range(0, len(rows), n)]
 
@@ -368,10 +367,7 @@ def check_energy_chunk(tensors: list[TensorElement]) -> list[str | None]:
     grids, columns = _chunk_grids(tensors)
     energies = np.broadcast_to(energy_walk(MIN_PLUS_ARRAY, columns), count).tolist()
     stairs = trop_evals(staircase_form(n, m), grids)
-    taus = tau_tables(MIN_PLUS_ARRAY, columns)
-    factors = (loop_family("sigma", k, c, idx, MIN_PLUS_ARRAY, columns, taus)
-               for k, c, idx in sigma_product_indices(m, n=n))
-    product = reduce(MIN_PLUS_ARRAY.mul, factors, MIN_PLUS_ARRAY.one)
+    product = sigma_product(MIN_PLUS_ARRAY, columns)
     # float64 where the zero entered, so ints for a witness
     sigmas = np.broadcast_to(product, count).astype(np.int64).tolist()
     return [

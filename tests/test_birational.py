@@ -22,7 +22,6 @@ import sympy
 from krenergy import birational, lsym, verify
 from krenergy.birational import (
     RationalPoint,
-    apply_chain,
     cleared_values,
     eval_loop_e,
     eval_loop_h,
@@ -39,7 +38,7 @@ from krenergy.birational import (
     s_action,
 )
 from krenergy.crystal import counts_to_grid, intrinsic_energy, ok
-from krenergy.identities import _point_evaluator, integer_point
+from krenergy.identities import _point_evaluator, identity_suite, integer_point
 from krenergy.lsym import (
     MIN_PLUS,
     RATIONAL,
@@ -77,6 +76,19 @@ def test_point_json_round_trip():
     rng = random.Random(0)
     p = random_point(3, 4, rng)
     assert RationalPoint.from_jsonable(p.to_jsonable()) == p
+
+
+@pytest.mark.parametrize(
+    "values",
+    [["12", "34"], [{"1": "a", "2": "b"}, {"3": "c", "4": "d"}], [["1", "2", "3"], ["1", "1"]]],
+    ids=["string", "object", "three-elements"],
+)
+def test_point_json_values_are_pairs(values):
+    """Each value is a JSON list of exactly two decimal strings: a string
+    of two digits or a two-key object, which unpacking would read as a
+    numerator and a denominator, and a list of three raise ``ValueError``."""
+    with pytest.raises(ValueError, match=r"\[numerator, denominator\]"):
+        RationalPoint.from_jsonable({"m": 1, "n": 2, "values": values})
 
 
 def test_kappa_two_colors_formula():
@@ -134,7 +146,8 @@ def test_s_action_braid():
     for n in (2, 3):
         for _ in range(10):
             p = random_point(3, n, rng, bound=50)
-            assert apply_chain(p, [1, 2, 1]) == apply_chain(p, [2, 1, 2])
+            lhs = s_action(1, s_action(2, s_action(1, p)))
+            assert lhs == s_action(2, s_action(1, s_action(2, p)))
 
 
 def test_s_action_positivity_closure():
@@ -426,13 +439,50 @@ def test_lem_tact_sweep():
 
 def shift_sigma_colour(monkeypatch):
     """Make every sigma of ``r_action_identities`` read the colour one
-    higher: a deliberate mutation."""
+    higher, the factors of its energy product included: a deliberate
+    mutation."""
     real = birational.loop_family
 
     def shifted(family, k, r, *args):
         return real(family, k, r + (family == "sigma"), *args)
 
     monkeypatch.setattr(birational, "loop_family", shifted)
+    shift_sigma_product(monkeypatch, colour=1)
+
+
+def shift_sigma_product(monkeypatch, colour=0, degree=0):
+    """Shift the colour or the degree of every factor that
+    ``lsym.sigma_product`` multiplies, as it reads them from
+    ``sigma_product_indices`` at each call: a deliberate mutation."""
+    real = lsym.sigma_product_indices
+
+    def shifted(m, *, n, r=0):
+        return [(k + degree, c + colour, idx) for k, c, idx in real(m, n=n, r=r)]
+
+    monkeypatch.setattr(lsym, "sigma_product_indices", shifted)
+
+
+@pytest.mark.parametrize("shift", [{"colour": 1}, {"degree": -1}], ids=["colour", "degree"])
+def test_a_shifted_sigma_product_fails_each_reader(monkeypatch, shift):
+    """A factor shifted inside ``lsym.sigma_product`` fails each of its
+    readers, and nothing else: the identity suite's
+    staircase_factorization, the braid suite's energy-product,
+    energy-equivalence's trop-sigma-product and the birational suite's
+    all-ones count.  At the all-ones point every colour takes the value 1,
+    so that count cannot see a colour shift; a degree one lower fails it."""
+    shift_sigma_product(monkeypatch, **shift)
+    checks = identity_suite(3, 3, mode="randomized", seed=0, trials=3)
+    assert {c.identity for c in checks if not c.passed} == {"staircase_factorization"}
+    cell = dict(n_range=(3, 3), m_range=(3, 3), capacity_cap=2, mode="exhaustive")
+    for suite, kind in (("braid", "energy-product"), ("energy-equivalence", "trop-sigma-product")):
+        result = run_verify(VerifyConfig(suites=(suite,), **cell)).suites[suite]
+        assert result.failures > 0, suite
+        assert {json.loads(w)["kind"] for w in result.witnesses} == {kind}
+    counts = [verify.check_all_ones_count(n, m) for n in (2, 3) for m in (2, 3)]
+    if "colour" in shift:
+        assert counts == [None] * 4
+    else:
+        assert all(json.loads(w)["kind"] == "all-ones-count" for w in counts)
 
 
 def failures(sr, columns):

@@ -26,6 +26,17 @@ def run_cli(argv, stdin_text="", capsys=None, monkeypatch=None):
     return code, out, err
 
 
+def test_public_names_resolve():
+    """Every name in ``krenergy.__all__`` resolves, and ``from krenergy
+    import *`` binds them all."""
+    import krenergy
+
+    assert [name for name in krenergy.__all__ if not hasattr(krenergy, name)] == []
+    namespace = {}
+    exec("from krenergy import *", namespace)
+    assert set(krenergy.__all__) <= set(namespace)
+
+
 def test_energy_worked_example(capsys, monkeypatch):
     payload = json.dumps({"n": 4, "rows": ["13", "1224", "123"]})
     code, out, err = run_cli(["energy"], payload, capsys, monkeypatch)

@@ -15,7 +15,7 @@ from functools import cache, reduce
 import numpy as np
 import pytest
 
-from krenergy import birational, crystal, verify
+from krenergy import birational, crystal, lsym, verify
 from krenergy.birational import r_action_identities
 from krenergy.crystal import (
     CrystalElement,
@@ -26,7 +26,6 @@ from krenergy.crystal import (
     coenergy_sliding_oracle,
     counts_to_grid,
     energy_staircase,
-    grid_to_counts,
     intrinsic_energy,
     ok,
     r_matrix,
@@ -368,7 +367,11 @@ def test_grid_round_trip():
         n = rng.choice([2, 3, 4])
         m = rng.choice([1, 2, 3])
         t = random_tensor(n, m, 5, rng)
-        assert grid_to_counts(counts_to_grid(t)) == t
+        # the inverse change of variables: factor i's count of letter c + 1
+        # is x_i^(c + i)
+        g = counts_to_grid(t)
+        counts = [[g.value(i, c + i) for c in range(n)] for i in range(1, m + 1)]
+        assert TensorElement.from_counts(n, counts) == t
 
 
 def test_energy_staircase_zero_counts():
@@ -648,9 +651,9 @@ def test_sampled_6x6_chunk_gives_each_tensors_verdicts_up_to_the_largest_cap(mut
 def test_energy_chunk_witnesses_carry_int_sigmas(monkeypatch):
     """The array sigmas are float64, but a failing energy check reports
     its sigma product as an int, the per-tensor ``MIN_PLUS`` product's."""
-    real = verify.loop_family
-    monkeypatch.setattr(verify, "loop_family",
-                        lambda family, k, r, *args: real(family, k, r + 1, *args))
+    real = lsym.sigma_product_indices
+    monkeypatch.setattr(lsym, "sigma_product_indices",
+                        lambda m, *, n, r=0: real(m, n=n, r=r + 1))
     tensors = oracle_chunks()[0]
     witnesses = [json.loads(w) for w in verify.check_energy_chunk(tensors) if w]
     assert len(witnesses) > len(tensors) // 2

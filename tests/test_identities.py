@@ -8,9 +8,11 @@ testing at positive points must not produce false passes.
 import hashlib
 import itertools
 import json
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 import sympy
@@ -185,22 +187,24 @@ def test_box_skew_shapes_contains_skews():
 
 
 def test_classical_e_of_products_matches_combinations():
-    """The classical e of the full-color products, over polynomials and at
-    a point, against the direct sum over index subsets."""
+    """``[e_0, ..., e_m]`` of the full-color products, over polynomials and
+    at a point, against the direct sum over index subsets."""
     rng = random.Random(1)
     for n, m in [(2, 1), (2, 3), (3, 2), (4, 4)]:
         p = random_point(m, n, rng, bound=10)
-        for i in range(-1, m + 2):
+        polys = classical_e_of_products(*poly_ring(m, n))
+        values = classical_e_of_products(RATIONAL, p.values)
+        assert len(polys) == len(values) == m + 1
+        for i in range(m + 1):
             want = ColoredPoly.zero(m, n)
-            for combo in itertools.combinations(range(1, m + 1), i) if i >= 0 else ():
+            for combo in itertools.combinations(range(1, m + 1), i):
                 mono = ColoredPoly.one(m, n)
                 for j in combo:
                     for r in range(n):
                         mono = mono * ColoredPoly.variable(j, r, m=m, n=n)
                 want = want + mono
-            assert classical_e_of_products(i, *poly_ring(m, n)) == want, (n, m, i)
-            got = classical_e_of_products(i, RATIONAL, p.values)
-            assert got == want.eval_rational(p.value)
+            assert polys[i] == want, (n, m, i)
+            assert values[i] == want.eval_rational(p.value)
 
 
 def test_randomized_testing_has_no_false_passes():
@@ -248,12 +252,13 @@ def test_symbolic_and_randomized_agree_where_both_run():
 def corrupt_table(monkeypatch, family, degree, color):
     """Patch the evaluator's table kernel so that ``family_degree^{(color)}``
     on the full range reads one more than its value, the table padded
-    with zeros up to that degree if it stops short of it."""
+    with zeros up to that degree if it stops short of it; the classical e
+    table of the products, a loop e table of one color, is left alone."""
     real = identities.loop_table
 
     def broken(fam, k, r, indices, sr, values):
         table = real(fam, k, r, indices, sr, values)
-        if (fam, r % len(values[0])) == (family, color):
+        if len(values[0]) >= 2 and (fam, r % len(values[0])) == (family, color):
             table += [sr.zero] * (degree + 1 - len(table))
             table[degree] += 1
         return table
@@ -405,8 +410,9 @@ def test_jacobi_trudi_walk_reads_one_table_per_inner_shape(monkeypatch, symbolic
 
 def test_point_evaluator_computes_each_family_once(monkeypatch):
     """At one integral point every (family, r mod n) table of loop e, h
-    and tau on the full range reaches the DP once, and every value read
-    later, at any degree and color, comes from those tables."""
+    and tau on the full range reaches the DP once, as does the one-color
+    e table of the full-color products, and every value read later, at
+    any degree and color, comes from those tables."""
     n, m = 3, 3
     p = integer_point(m, n, random.Random(5))
     full = tuple(range(1, m + 1))
@@ -415,14 +421,15 @@ def test_point_evaluator_computes_each_family_once(monkeypatch):
 
     def counting(family, k, r, indices, sr, values):
         if tuple(indices) == full:
-            calls[(family, r % n)] += 1
+            calls[(family, r % n, len(values[0]))] += 1
         return real(family, k, r, indices, sr, values)
 
     monkeypatch.setattr(identities, "loop_table", counting)
     ev = identities._point_evaluator(p)
     results = list(identities._instances(ev, n, m, symbolic=False))
     assert results and all(passed for _, _, passed in results)
-    assert calls == Counter((family, r) for family in ("e", "h", "tau") for r in range(n))
+    want = Counter((family, r, n) for family in ("e", "h", "tau") for r in range(n))
+    assert calls == want + Counter([("e", 0, 1)])
     pairs = [(k, r) for k in range(-1, 2 * m + 1) for r in range(-n, n)]
     shifted = [
         [read(ev, family, k, c) for family in ("e", "h", "tau") for c in (r, r + n)]
@@ -441,7 +448,8 @@ def test_point_evaluator_matches_the_fraction_ring(n):
     """Every value the point evaluator reads at an integral point is a
     plain ``int`` equal to the same kernel run over ``Fraction``
     (``RATIONAL`` at the point's values): loop e, h, tau and sigma on each
-    suffix range, h past the degrees the identities read, the classical e
+    suffix range (sigma from the evaluator's tau tables), the sigma product
+    of each color, h past the degrees the identities read, the classical e
     of the products, and every entry of the loop Schur table of each inner
     shape of the box."""
 
@@ -460,15 +468,20 @@ def test_point_evaluator_matches_the_fraction_ring(n):
                 for i in range(1, m + 1):
                     idx = range(i, m + 1)
                     want = loop_family("sigma", k, r, idx, *ring)
-                    assert same(ev.sigma(k, r, idx), want), (m, r, k, i)
+                    got = loop_family("sigma", k, r, idx, ev.sr, ev.values, ev._taus)
+                    assert same(got, want), (m, r, k, i)
             for nu in partitions_between(identities.JT_BOX):
                 inner = Shape(nu).parts
                 want = loop_schurs(identities.JT_BOX, inner, strip_weights(r, *ring), RATIONAL)
                 got = ev.schurs(identities.JT_BOX, inner, r)
                 assert got.keys() == want.keys(), (m, r, inner)
                 assert all(same(got[nu], want[nu]) for nu in want), (m, r, inner)
+            want = reduce(operator.mul, (loop_family("sigma", k, c, idx, *ring)
+                                         for k, c, idx in sigma_product_indices(m, n=n, r=r)), 1)
+            assert same(ev.sigma_product(r), want), (m, r)
+        classical = classical_e_of_products(*ring)
         for i in range(-1, m + 2):
-            assert same(ev.classical_e(i), classical_e_of_products(i, *ring)), (m, i)
+            assert same(ev.classical_e(i), classical[i] if 0 <= i <= m else 0), (m, i)
         # h past the top degree its table was built to, at every color
         for k in range(2 * (n - 1) * m + n - 1, 2 * (n - 1) * m + n + 3):
             for r in range(n):
@@ -640,9 +653,9 @@ def test_jacobi_trudi_plan_holds_the_index_matrices(n):
 
 def test_second_point_builds_no_jacobi_trudi_matrix(monkeypatch):
     """The first (4, 5) point builds the plans; a second point at the same
-    (n, m) reads them and builds no index matrix, tau vector or sigma
-    factor list, no strip chain or sweep, no row selection and no Laplace
-    expansion."""
+    (n, m) reads them and builds no index matrix or tau vector, no strip
+    chain or sweep, no row selection and no Laplace expansion.  (The sigma
+    factors' short index list is read per point, by ``lsym.sigma_product``.)"""
     identities._jacobi_trudi_plan.cache_clear()
     identities._staircase_plan.cache_clear()
     calls = []
@@ -654,7 +667,7 @@ def test_second_point_builds_no_jacobi_trudi_matrix(monkeypatch):
         return count
 
     for name in ("jacobi_trudi_indices", "staircase_a_indices", "staircase_b_indices",
-                 "tau_vector_indices", "sigma_product_indices"):
+                 "tau_vector_indices"):
         monkeypatch.setattr(identities, name, counting(getattr(identities, name)))
     caches = [lsym._strip_chains, lsym._strip_sweep, lsym._laplace_plan, identities._skip_one,
               identities._jacobi_trudi_plan, identities._staircase_plan]
@@ -732,8 +745,7 @@ def test_point_evaluator_sigma_builds_each_tau_table_once(monkeypatch):
 
     monkeypatch.setattr(lsym, "loop_table", counting)
     for r in range(n):
-        for k, c, idx in sigma_product_indices(m, n=n, r=r):
-            ev.sigma(k, c, idx)
+        ev.sigma_product(r)
     assert sum(calls.values()) == len(calls) == 16
     assert {(family, indices) for family, indices, _ in calls} == {
         ("tau", tuple(range(i + 1, m + 1))) for i in range(1, m)

@@ -42,8 +42,6 @@ from krenergy.lsym import (
     PolyMatrix,
     _strip_chains,
     _trop_exact,
-    build_A,
-    build_B,
     jacobi_trudi_indices,
     laplace_dets,
     loop_e,
@@ -58,12 +56,13 @@ from krenergy.lsym import (
     sigma,
     sigma_product_indices,
     staircase_a_indices,
+    staircase_b_indices,
     staircase_form,
     staircase_loop_schur,
     staircase_matrix_size,
     strip_weights,
     tau,
-    tau_vector,
+    tau_vector_indices,
     trop_eval,
     trop_evals,
     tropical_form,
@@ -495,6 +494,26 @@ def test_tau_vanishes_past_bound():
 def test_tau_zero_and_negative_k():
     assert tau(0, 2, n=3, m=2) == ColoredPoly.one(2, 3)
     assert tau(-1, 0, n=3, m=2).is_zero
+
+
+def test_vanishing_families_build_no_table_at_a_huge_degree(monkeypatch):
+    """e past the number of variables and tau past n - 1 times it are zero
+    at once, over the polynomials and at a point: k = 10**12 builds no
+    table of k + 1 entries (a table that long fails here, before it is
+    allocated)."""
+    real = lsym.loop_table
+
+    def bounded(family, k, *args):
+        assert k < 10**6, f"a table of {k} + 1 entries for {family}"
+        return real(family, k, *args)
+
+    monkeypatch.setattr(lsym, "loop_table", bounded)
+    assert not loop_e(3, 0, n=2, m=3).is_zero and loop_e(4, 0, n=2, m=3).is_zero
+    assert not tau(6, 0, n=3, m=3).is_zero and tau(7, 0, n=3, m=3).is_zero
+    assert loop_e(10**12, 0, n=2, m=3) == ColoredPoly.zero(3, 2)
+    assert tau(10**12, 1, n=2, m=3) == ColoredPoly.zero(3, 2)
+    p = random_point(3, 2, random.Random(3))
+    assert eval_tau(10**12, 0, (1, 2, 3), p) == eval_loop_e(10**12, 0, (1, 2, 3), p) == 0
 
 
 def test_tau_equals_h_minus_high_multiplicities():
@@ -1197,10 +1216,17 @@ GOLD_B4 = [
 ]
 
 
+def loop_e_matrix(indices, *, n, m):
+    """The loop e polynomials at a matrix of ``(degree, color)`` entries."""
+    return [[loop_e(k, c, n=n, m=m) for k, c in row] for row in indices]
+
+
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_build_a4_matches_display(r):
-    mat = build_A(4, n=3, r=r)
-    assert (mat.nrows, mat.ncols) == (6, 6)
+    """The entries of A at (n, m) = (3, 4), ``staircase_a_indices``, are
+    the loop e polynomials of the displayed matrix."""
+    mat = loop_e_matrix(staircase_a_indices(4, n=3, r=r), n=3, m=4)
+    assert (len(mat), len(mat[0])) == (6, 6)
     for k in range(1, 7):
         for j in range(1, 7):
             cell = GOLD_A4[k - 1][j - 1]
@@ -1209,13 +1235,15 @@ def test_build_a4_matches_display(r):
                 if cell
                 else ColoredPoly.zero(4, 3)
             )
-            assert mat.entry(k, j) == want, (k, j)
+            assert mat[k - 1][j - 1] == want, (k, j)
 
 
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_build_b4_matches_display(r):
-    mat = build_B(4, n=3, r=r)
-    assert (mat.nrows, mat.ncols) == (8, 9)
+    """The entries of B at (n, m) = (3, 4), ``staircase_b_indices``, are
+    the loop e polynomials of the displayed matrix."""
+    mat = loop_e_matrix(staircase_b_indices(4, n=3, r=r), n=3, m=4)
+    assert (len(mat), len(mat[0])) == (8, 9)
     for k in range(1, 9):
         for j in range(1, 10):
             cell = GOLD_B4[k - 1][j - 1]
@@ -1224,7 +1252,7 @@ def test_build_b4_matches_display(r):
                 if cell
                 else ColoredPoly.zero(4, 3)
             )
-            assert mat.entry(k, j) == want, (k, j)
+            assert mat[k - 1][j - 1] == want, (k, j)
 
 
 def test_matrix_sizes():
@@ -1236,20 +1264,20 @@ def test_matrix_sizes():
 
 def test_column_translation_property():
     for n, m in [(2, 3), (3, 2), (3, 4)]:
-        for mat in (build_A(m, n=n, r=0), build_B(m, n=n, r=0)):
-            for j in range(n + 1, mat.ncols + 1):
-                for k in range(1, mat.nrows + 1):
-                    shifted = (
-                        mat.entry(k - (n - 1), j - n)
-                        if k - (n - 1) >= 1
-                        else ColoredPoly.zero(m, n)
-                    )
-                    assert mat.entry(k, j) == shifted
+        for indices in (staircase_a_indices(m, n=n), staircase_b_indices(m, n=n)):
+            mat = loop_e_matrix(indices, n=n, m=m)
+            for j in range(n, len(mat[0])):
+                for k in range(len(mat)):
+                    shifted = mat[k - (n - 1)][j - n] if k >= n - 1 else ColoredPoly.zero(m, n)
+                    assert mat[k][j] == shifted
 
 
 def test_tau_vector_shape_and_signs():
+    def tau_vector(m, n):
+        return [sign * tau(k, c, n=n, m=m) for sign, k, c in tau_vector_indices(m, n=n)]
+
     n, m = 3, 4
-    vec = tau_vector(m, n=n, r=0)
+    vec = tau_vector(m, n)
     a, _ = staircase_matrix_size(m, n)
     assert len(vec) == n * (a + 1)
     assert vec[0] == tau((n - 1) * m, -1, n=n, m=m)
@@ -1257,7 +1285,7 @@ def test_tau_vector_shape_and_signs():
     # here the subscripts run 8..0, so the last component is +tau_0 = 1
     assert vec[-1] == ColoredPoly.one(m, n)
     # for (n, m) = (3, 3) the vector overshoots into negative subscripts
-    vec33 = tau_vector(3, n=3, r=0)
+    vec33 = tau_vector(3, 3)
     assert len(vec33) == 9
     assert vec33[-1].is_zero and vec33[-2].is_zero
     assert not vec33[-3].is_zero
@@ -1453,6 +1481,28 @@ def test_trop_evals_rounding_past_2_53():
     flat = ((1 << 53) + 2, (1 << 53) + 1)
     assert trop_evals(p, [flat]) == trop_evals(p, np.array([flat])) == [(1 << 53) + 1]
     assert float((1 << 53) + 1) == 1 << 53
+
+
+@pytest.mark.parametrize(
+    "flats",
+    [[[0.5, 0.7]], [[True, 3]], [(1, 2.0)], np.array([[0.5, 0.7]]), np.array([[True, False]]),
+     np.array([[1, 2]], dtype=object)],
+    ids=["floats", "bool", "float-tuple", "float64-array", "bool-array", "object-array"],
+)
+def test_trop_evals_refuses_a_non_integer_grid(flats):
+    """A grid in a list must hold ints, and stacked grids need a non-bool
+    integer dtype: a float or a bool is refused, never truncated (x^(0) +
+    x^(1) at [[0.5, 0.7]] would read 0, and at [[True, 3]] 1)."""
+    p = var(1, 0, 1, 2) + var(1, 1, 1, 2)
+    for poly in (p, ColoredPoly.zero(1, 2)):
+        with pytest.raises(TypeError):
+            trop_evals(poly, flats)
+
+
+def test_trop_evals_takes_any_integer_dtype():
+    p = var(1, 0, 1, 2) + var(1, 1, 1, 2)
+    for dtype in (np.int8, np.uint8, np.int32, np.uint64, np.int64):
+        assert trop_evals(p, np.array([[5, 3], [2, 9]], dtype=dtype)) == [3, 2], dtype
 
 
 @pytest.mark.parametrize("value", [1 << 100, -(1 << 100), 1 << 53, -(1 << 53) + 1])
