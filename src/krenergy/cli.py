@@ -12,8 +12,11 @@ fails (which would indicate a bug, since the verified theorems are exact),
 
 The KR_ENERGY_GUARD environment variable overrides the default tableau
 enumeration guard (10**7); a value that is not a positive integer is
-refused with exit code 2.  A staircase over the guard is refused up
-front, from its closed-form tableau count, with exit code 2.
+refused with exit code 2.  A command over the guard exits 2 with one
+``error:`` line before it prints anything; ``energy``, ``emit-formula`` and
+``verify`` refuse a staircase up front by the one rule of
+``tableaux.energy_staircase_shape``: its closed-form tableau count times
+the m * n exponent slots of a term.
 """
 
 from __future__ import annotations
@@ -58,13 +61,9 @@ def _cmd_energy(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    try:
-        # the staircase refuses an over-guard tensor before any work
-        d_staircase = energy_staircase(tensor)
-        d_intrinsic = intrinsic_energy(tensor)
-    except EnumerationGuardError as exc:
-        print(f"error: {exc}; raise KR_ENERGY_GUARD for very large inputs", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    # the staircase refuses an over-guard tensor before any work
+    d_staircase = energy_staircase(tensor)
+    d_intrinsic = intrinsic_energy(tensor)
     equal = d_intrinsic == d_staircase
     _emit({"intrinsic": d_intrinsic, "staircase": d_staircase, "equal": equal})
     if not equal:
@@ -83,11 +82,7 @@ def _cmd_rmatrix(args) -> int:
         return EXIT_BAD_INPUT
     b1, b2 = tensor.factors
     formula = r_matrix(b1, b2)
-    try:
-        oracle = r_matrix_oracle(b1, b2) if (args.oracle or args.check) else None
-    except EnumerationGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    oracle = r_matrix_oracle(b1, b2) if (args.oracle or args.check) else None
     c1, c2 = oracle if args.oracle else formula
     out = {"n": tensor.n, "factors": [list(c1.counts), list(c2.counts)]}
     if tensor.n <= 9:
@@ -132,12 +127,7 @@ def _cmd_verify(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    try:
-        report = run_verify(config)
-    except EnumerationGuardError as exc:
-        hint = "narrow --n/--m/--capacity-cap or raise KR_ENERGY_GUARD"
-        print(f"config error: {exc}; {hint}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    report = run_verify(config)
     print(report.to_json())
     if not args.json:
         print(report.human_summary(), file=sys.stderr)
@@ -149,11 +139,7 @@ def _cmd_emit_formula(args) -> int:
     if n < 2 or m < 1:
         print(f"error: need n >= 2 and m >= 1, got n={n}, m={m}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    try:
-        shape = energy_staircase_shape(n, m)
-    except EnumerationGuardError as exc:
-        print(f"error: {exc}; raise KR_ENERGY_GUARD for very large sizes", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    shape = energy_staircase_shape(n, m)
     terms = [
         {
             "tableau": [list(row) for row in t.rows],
@@ -227,7 +213,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    return args.func(args)
+    try:
+        return args.func(args)
+    except EnumerationGuardError as exc:
+        # every guard refusal comes before the command prints anything
+        print(f"error: {exc}; use a smaller input or raise KR_ENERGY_GUARD", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

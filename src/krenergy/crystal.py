@@ -403,7 +403,8 @@ def energy_staircase(t: TensorElement) -> int:
     ``x_{T(i,j)}^{(i-j)}`` over cells, evaluated on :func:`counts_to_grid`.
 
     Returns 0 for a single factor (empty shape, empty sum).  Raises
-    ``EnumerationGuardError`` before any work when the staircase has more
-    tableaux than the guard allows.
+    ``EnumerationGuardError`` before any work when the staircase's
+    tableaux times the m * n exponent slots of a term exceed the guard
+    (``tableaux.energy_staircase_shape``, the one size rule).
     """
     return trop_eval(staircase_form(t.n, t.m), counts_to_grid(t))

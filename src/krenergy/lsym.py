@@ -69,7 +69,9 @@ the one statement of that product, multiplies them in any ``Semiring``.
 
 ``staircase_loop_schur`` builds the loop Schur polynomial of the energy's
 staircase by one horizontal-strip DP over the exponent blocks of x_1, x_2,
-..., with no tableau enumerated, after ``staircase_guard`` admits its size.
+..., with no tableau enumerated, after ``tableaux.energy_staircase_shape``,
+the one size rule of every staircase computation, admits its size: its
+tableaux times the m * n exponent slots of a term within the guard.
 ``staircase_form`` caches per (n, m) only its ``TropicalForm``, the float64
 exponent matrix and its degree, not the polynomial; ``trop_eval`` of that
 form is the package's one tropical staircase energy
@@ -94,11 +96,9 @@ import numpy as np
 from ._strict import ints, json_decimal, json_int
 from .tableaux import (
     GUARD_ENV_VAR,
-    EnumerationGuardError,
     Shape,
     SkewShape,
     Ssyt,
-    energy_staircase_count,
     energy_staircase_shape,
     enumerate_ssyt,
     partitions_between,
@@ -717,24 +717,13 @@ def _colors(kappa: tuple[int, ...], nu: tuple[int, ...], n: int) -> Mono:
     return _pack(counts)
 
 
-def staircase_guard(n: int, m: int) -> None:
-    """Raise ``EnumerationGuardError`` when the staircase polynomial of the
-    energy at (n, m) may hold more exponent slots, its tableaux times the
-    m * n slots of each term (the measure of ``ColoredPoly.from_jsonable``),
-    than the guard allows."""
-    slots, guard = energy_staircase_count(n, m) * m * n, resolve_guard()
-    if slots > guard:
-        raise EnumerationGuardError(
-            f"the energy staircase polynomial for n={n}, m={m} may hold {slots} exponent"
-            f" slots, over the guard {guard}"
-        )
-
-
 def staircase_loop_schur(n: int, m: int) -> ColoredPoly:
     """Loop Schur polynomial of the energy's staircase at color 0 in m
     variable rows; its tropicalization at the count grid of a tensor is the
     energy.  Not cached: ``staircase_form`` keeps its exponent matrix
-    alone.  ``staircase_guard`` refuses a size up front.
+    alone.  ``tableaux.energy_staircase_shape``, the one size rule of the
+    staircase, refuses a size up front, when its tableaux times the m * n
+    exponent slots of a term exceed the guard.
 
     The polynomial comes from one horizontal-strip DP, with no tableau
     enumerated; it equals ``loop_schur_tableaux`` of the staircase.  Entry
@@ -750,7 +739,6 @@ def staircase_loop_schur(n: int, m: int) -> ColoredPoly:
     held.
     """
     outer = energy_staircase_shape(n, m).parts
-    staircase_guard(n, m)
     if m == 1:
         return ColoredPoly.one(1, n)
 
@@ -1007,10 +995,12 @@ def tropical_form(p: ColoredPoly) -> TropicalForm:
     return TropicalForm(p.m, p.n, exps.astype(np.float64), deg)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def staircase_form(n: int, m: int) -> TropicalForm:
-    """``tropical_form`` of ``staircase_loop_schur(n, m)``, cached per
-    (n, m); the polynomial itself is not kept."""
+    """``tropical_form`` of ``staircase_loop_schur(n, m)``, cached for the
+    last 32 sizes (n, m), more than the 20 energy cells of the widest config
+    ``run_verify`` admits (n 2:6, m 1:4), whose forms it builds before its
+    fork; the polynomial itself is not kept."""
     return tropical_form(staircase_loop_schur(n, m))
 
 

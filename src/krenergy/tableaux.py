@@ -14,7 +14,9 @@ the partitions between two nested shapes.  ``jdt_slide`` performs a single
 jeu-de-taquin slide and ``rectify`` iterates slides until the shape is
 straight.
 ``energy_staircase_shape`` gives the staircase of the energy formula and
-refuses it up front when its closed-form tableau count exceeds the guard.
+is the one size rule of every staircase computation: it refuses the
+staircase up front when its exponent slots, its closed-form tableau count
+times the m * n slots of a term, exceed the guard.
 """
 
 from __future__ import annotations
@@ -120,17 +122,26 @@ def energy_staircase_count(n: int, m: int) -> int:
 def energy_staircase_shape(n: int, m: int) -> Shape:
     """The energy's staircase ``(n-1) * staircase(m-1)``, empty when m = 1.
 
-    Raises :class:`EnumerationGuardError` up front, before any work, when
-    its tableaux with entries in 1..m (see :func:`energy_staircase_count`)
-    outnumber the resolved guard (``KR_ENERGY_GUARD``): a size refusal that
-    bounds every staircase computation, whether it enumerates the tableaux
-    or not.
+    The one size rule of every staircase computation, whether it
+    enumerates the tableaux or not: ``emit-formula``, the staircase
+    polynomial and its cached tropical form, the energy, and ``verify``'s
+    energy cells.  Raises :class:`EnumerationGuardError` up front, before
+    any work, when the staircase's exponent slots, its n^e tableaux with
+    entries in 1..m, e = m(m-1)/2 (see :func:`energy_staircase_count`),
+    times the m * n slots of each term (the measure of
+    ``ColoredPoly.from_jsonable``), exceed the resolved guard
+    (``KR_ENERGY_GUARD``); this is never looser than the tableau count.
+    For n >= 2, every caller's precondition, n^e >= 2^e is over the guard
+    once e reaches the guard's bit length, so such a size is refused
+    without computing n^e; the message names the count as ``n^e``, never
+    in digits.
     """
-    count = energy_staircase_count(n, m)
+    e = m * (m - 1) // 2
     guard = resolve_guard()
-    if count > guard:
+    if (n >= 2 and e >= guard.bit_length()) or energy_staircase_count(n, m) * m * n > guard:
         raise EnumerationGuardError(
-            f"the energy staircase for n={n}, m={m} has {count} tableaux, over the guard {guard}"
+            f"the energy staircase for n={n}, m={m} has {n}^{e} tableaux of {m * n}"
+            f" exponent slots each, over the guard {guard}"
         )
     return Shape(()) if m == 1 else staircase(m - 1, n - 1)
 

@@ -26,8 +26,8 @@ identities, for ``braid``.  ``first_failures`` reads each tensor's first
 failing identity off the per-entry verdicts, as it does for one rational
 point.  Values that the semiring's zero enters are float64; a count is at
 most ``CAPACITY_CAP_MAX``, so each is an exact integer.  A config with an
-energy-equivalence cell over the enumeration guard is refused before any
-suite runs.
+energy-equivalence cell over the enumeration guard, by the one size rule
+of ``tableaux.energy_staircase_shape``, is refused before any suite runs.
 
 The identity suites ``lsym-identities`` and ``section4`` share one
 ``identity_suite`` run per (n, m, mode) cell and split its checks by
@@ -89,10 +89,9 @@ from .lsym import (
     RATIONAL,
     sigma_product,
     staircase_form,
-    staircase_guard,
     trop_evals,
 )
-from .tableaux import energy_staircase_count
+from .tableaux import energy_staircase_count, energy_staircase_shape
 
 SUITE_NAMES = (
     "rmatrix",
@@ -234,15 +233,17 @@ class RunReport:
         return json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
 
     def human_summary(self) -> str:
+        """One line per suite, then the total: its checks and its failures,
+        ``ok``, or, with no check at all, that the configured cells held
+        no instance of it (section4 needs m >= 2, for one)."""
+        rows = [(name, res.checks, res.failures, res.seconds)
+                for name, res in sorted(self.suites.items())]
+        rows.append(("total", self.total_checks, self.total_failures, self.seconds))
         lines = []
-        for name, res in sorted(self.suites.items()):
-            status = "ok" if res.failures == 0 else f"{res.failures} FAILURES"
-            lines.append(f"{name:<20} {res.checks:>8} checks  {status}  ({res.seconds:.2f}s)")
-        lines.append(
-            f"{'total':<20} {self.total_checks:>8} checks  "
-            f"{'ok' if self.total_failures == 0 else f'{self.total_failures} FAILURES'}"
-            f"  ({self.seconds:.2f}s)"
-        )
+        for name, checks, failures, seconds in rows:
+            status = (f"{failures} FAILURES" if failures
+                      else "ok" if checks else "no instance in the configured cells")
+            lines.append(f"{name:<20} {checks:>8} checks  {status}  ({seconds:.2f}s)")
         return "\n".join(lines)
 
 
@@ -604,14 +605,16 @@ def run_verify(config: VerifyConfig) -> RunReport:
     """Run the selected suites and return the aggregated report.
 
     ``EnumerationGuardError`` refuses a staircase of an energy-equivalence
-    cell over the guard before any suite runs; the staircase forms of those
-    cells are then built here, where the next call finds them cached.
+    cell over the guard before any suite runs, by the one size rule of
+    ``tableaux.energy_staircase_shape`` (its tableaux times the m * n
+    exponent slots of a term); the staircase forms of those cells are then
+    built here, where the next call finds them cached.
     """
     start = time.perf_counter()
     if "energy-equivalence" in config.suites:
         cells = _cells(config, 1)
         for n, m in cells:
-            staircase_guard(n, m)
+            energy_staircase_shape(n, m)
         for n, m in cells:
             staircase_form(n, m)
     suites = {name: SuiteResult() for name in config.suites}

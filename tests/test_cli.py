@@ -236,13 +236,38 @@ def test_energy_over_the_slot_guard_refused_up_front(capsys, monkeypatch):
     assert "exponent slots" in err and "KR_ENERGY_GUARD" in err
 
 
-@pytest.mark.parametrize("argv", [["emit-formula", "--n", "3", "--m", "6"]])
+# (3, 6) is over the guard in tableaux; the others only in tableaux times
+# the m * n exponent slots of a term
+@pytest.mark.parametrize(
+    "argv",
+    [["emit-formula", "--n", str(n), "--m", str(m)]
+     for n, m in [(3, 6), (4, 5), (2, 7), (43, 3), (9, 4), (2237, 2)]],
+)
 def test_staircase_over_guard_refused_up_front(argv, capsys, monkeypatch):
     _forbid_enumeration(monkeypatch)
     code = main(argv)
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert "KR_ENERGY_GUARD" in err
+    assert "exponent slots" in err and "KR_ENERGY_GUARD" in err
+
+
+@pytest.mark.parametrize("n, m", [(3, 5), (2, 6)])
+def test_emit_formula_admits_the_staircases_within_the_guard(n, m, capsys, monkeypatch):
+    monkeypatch.delenv("KR_ENERGY_GUARD", raising=False)
+    monkeypatch.setattr("krenergy.cli.tableau_monomials", lambda *args, **kwargs: ())
+    assert main(["emit-formula", "--n", str(n), "--m", str(m)]) == 0
+    out, _ = capsys.readouterr()
+    assert json.loads(out)["shape"] == [(n - 1) * k for k in range(m - 1, 0, -1)]
+
+
+def test_energy_of_two_hundred_factors_refused_without_the_count(capsys, monkeypatch):
+    """2^19900 tableaux: the refusal exits 2 without printing the count's
+    5,991 digits, past Python's limit on int-to-string conversion."""
+    payload = json.dumps({"n": 2, "factors": [[1, 0]] * 200})
+    monkeypatch.delenv("KR_ENERGY_GUARD", raising=False)
+    code, out, err = run_cli(["energy"], payload, capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert "2^19900 tableaux" in err and "KR_ENERGY_GUARD" in err
 
 
 @pytest.mark.parametrize("guard", ["abc", "0", "-5"])
@@ -342,6 +367,27 @@ def test_verify_human_summary_on_stderr(capsys):
     out, err = capsys.readouterr()
     assert code == 0
     assert "coenergy" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suites", "section4", "--n", "2", "--m", "1"],
+        ["--suites", "lsym-identities", "--n", "4:6", "--m", "5:6", "--mode", "exhaustive"],
+    ],
+    ids=["section4-needs-m2", "no-symbolic-cell"],
+)
+def test_verify_human_summary_names_a_suite_that_checked_nothing(argv, capsys):
+    """section4 has no instance at m = 1, and exhaustive identity cells
+    outside n <= 3, m <= 4 get no symbolic run: the summary says so, not
+    ok, while the report and the exit code are unchanged."""
+    code = main(["verify", *argv])
+    out, err = capsys.readouterr()
+    assert code == 0 and json.loads(out)["total"] == {"checks": 0, "failures": 0}
+    suite, total = err.splitlines()
+    assert suite.startswith(argv[1]) and total.startswith("total")
+    for line in (suite, total):
+        assert " 0 checks  no instance in the configured cells  (" in line, line
 
 
 @pytest.mark.parametrize(

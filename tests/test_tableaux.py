@@ -9,6 +9,7 @@ package's iterative one, in order as well as content.
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -310,12 +311,34 @@ def test_energy_staircase_count_is_closed_form():
 
 
 def test_energy_staircase_shape_refuses_over_guard(monkeypatch):
-    # 2^3 = 8 tableaux at n=2, m=3: refused at guard 7, as enumerate_ssyt would be
-    monkeypatch.setenv("KR_ENERGY_GUARD", "7")
-    with pytest.raises(EnumerationGuardError):
+    # 2^3 = 8 tableaux of 6 exponent slots at n=2, m=3: refused at guard 47
+    monkeypatch.setenv("KR_ENERGY_GUARD", "47")
+    with pytest.raises(EnumerationGuardError, match="2\\^3 tableaux of 6 exponent slots"):
         energy_staircase_shape(2, 3)
-    monkeypatch.setenv("KR_ENERGY_GUARD", "8")
+    monkeypatch.setenv("KR_ENERGY_GUARD", "48")
     assert energy_staircase_shape(2, 3) == Shape((2, 1))
+
+
+@pytest.mark.parametrize("n, m, admitted", [(2236, 2, True), (2237, 2, False)])
+def test_energy_staircase_shape_bounds_slots_at_the_default_guard(monkeypatch, n, m, admitted):
+    """2236 tableaux of 2 * 2236 slots are within 10^7, 2237 of 2 * 2237 are not."""
+    monkeypatch.delenv("KR_ENERGY_GUARD", raising=False)
+    if admitted:
+        assert energy_staircase_shape(n, m) == Shape((n - 1,))
+    else:
+        with pytest.raises(EnumerationGuardError, match=f"{n}\\^1 tableaux"):
+            energy_staircase_shape(n, m)
+
+
+@pytest.mark.parametrize("m", [200_000, 10**6])
+def test_energy_staircase_shape_refuses_a_huge_exponent_at_once(monkeypatch, m):
+    """2^(m(m-1)/2) has billions of bits: the refusal neither computes nor
+    prints it, so it raises no MemoryError or ValueError and takes no time."""
+    monkeypatch.delenv("KR_ENERGY_GUARD", raising=False)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationGuardError, match=f"has 2\\^{m * (m - 1) // 2} tableaux"):
+        energy_staircase_shape(2, m)
+    assert time.perf_counter() - start < 0.01
 
 
 # ---------------------------------------------------------------------------
