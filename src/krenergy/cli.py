@@ -42,8 +42,8 @@ EXIT_PROPERTY_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 
-def _emit(data) -> None:
-    print(json.dumps(data, sort_keys=True, separators=(",", ":")))
+# the one JSON form of every document printed
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _read_tensor(path: str | None) -> TensorElement:
@@ -65,7 +65,7 @@ def _cmd_energy(args) -> int:
     d_staircase = energy_staircase(tensor)
     d_intrinsic = intrinsic_energy(tensor)
     equal = d_intrinsic == d_staircase
-    _emit({"intrinsic": d_intrinsic, "staircase": d_staircase, "equal": equal})
+    print(_encode({"intrinsic": d_intrinsic, "staircase": d_staircase, "equal": equal}))
     if not equal:
         print("error: intrinsic and staircase energies differ (bug)", file=sys.stderr)
         return EXIT_PROPERTY_FAILED
@@ -87,7 +87,7 @@ def _cmd_rmatrix(args) -> int:
     out = {"n": tensor.n, "factors": [list(c1.counts), list(c2.counts)]}
     if tensor.n <= 9:
         out["rows"] = ["".join(map(str, c1.letters())), "".join(map(str, c2.letters()))]
-    _emit(out)
+    print(_encode(out))
     if args.check and oracle != formula:
         print("error: formula and jeu-de-taquin oracle disagree (bug)", file=sys.stderr)
         return EXIT_PROPERTY_FAILED
@@ -140,14 +140,17 @@ def _cmd_emit_formula(args) -> int:
         print(f"error: need n >= 2 and m >= 1, got n={n}, m={m}", file=sys.stderr)
         return EXIT_BAD_INPUT
     shape = energy_staircase_shape(n, m)
-    terms = [
-        {
+    # "terms" sorts last, so the document is streamed: its head up to the
+    # terms' "[", each term as it is enumerated, then "]}", the bytes of
+    # the one document without holding the terms
+    write = sys.stdout.write
+    write(_encode({"n": n, "m": m, "shape": list(shape.parts), "terms": []})[:-2])
+    for k, (t, mono) in enumerate(tableau_monomials(shape, 0, m, n=n)):
+        write(("," if k else "") + _encode({
             "tableau": [list(row) for row in t.rows],
             "monomial": [list(f) for f in mono_factors(mono, n)],
-        }
-        for t, mono in tableau_monomials(shape, 0, m, n=n)
-    ]
-    _emit({"n": n, "m": m, "shape": list(shape.parts), "terms": terms})
+        }))
+    write("]}\n")
     return EXIT_OK
 
 

@@ -42,7 +42,7 @@ from itertools import accumulate
 from ._strict import decimal, json_int
 from .birational import energy_walk, kappas, move
 from .lsym import MIN_PLUS, staircase_form, trop_eval
-from .tableaux import EnumerationGuardError, Shape, SkewShape, Ssyt, rectify
+from .tableaux import EnumerationGuardError, Shape, SkewShape, Ssyt, rectify, resolve_guard
 
 
 class CrystalElement:
@@ -235,12 +235,6 @@ def rectified_pair(b1: CrystalElement, b2: CrystalElement) -> Ssyt:
     return rectify(two_row_tableau(b1, b2))
 
 
-# the most work r_matrix_oracle takes on: its candidate pairs times the
-# squared number of letters, about what one jeu-de-taquin rectification of
-# a candidate costs (10**7 is up to about ten seconds)
-ORACLE_GUARD = 10**7
-
-
 def _compositions(total: list[int], size: int) -> Iterator[tuple[int, ...]]:
     """All count vectors c with 0 <= c <= total componentwise and sum(c) == size,
     in lexicographic order."""
@@ -276,19 +270,21 @@ def r_matrix_oracle(
     of ``(b1, b2)``.  Raises if the match is not unique (that would signal a
     bug, since the crystal isomorphism is unique), and raises
     :class:`EnumerationGuardError` before any rectification when the
-    candidates times the squared number of letters exceed ``ORACLE_GUARD``.
+    candidates times the squared number of letters, about what one
+    jeu-de-taquin rectification of a candidate costs, exceed the guard
+    (``KR_ENERGY_GUARD``, read once per call; the default 10**7 is up to
+    about ten seconds).
     ``rectified`` stands for :func:`rectified_pair`: a caller that meets a
     pair again, as a target or a candidate, may pass a memo of it.
     """
     n = _check_pair(b1, b2)
     total = [b1.counts[c] + b2.counts[c] for c in range(n)]
-    letters = b1.capacity + b2.capacity
+    letters, guard = b1.capacity + b2.capacity, resolve_guard()
     # b2's own counts are a candidate: a pair too long is refused uncounted
-    too_long = letters**2 > ORACLE_GUARD
-    if too_long or _count_compositions(total, b2.capacity) * letters**2 > ORACLE_GUARD:
+    if letters**2 > guard or _count_compositions(total, b2.capacity) * letters**2 > guard:
         raise EnumerationGuardError(
             f"the R-matrix oracle would rectify a pair of {letters} letters once per "
-            f"candidate, over its guard of {ORACLE_GUARD} (candidates x letters^2)"
+            f"candidate, over its guard of {guard} (candidates x letters^2)"
         )
     rectified = rectified or rectified_pair
     target = rectified(b1, b2)

@@ -76,9 +76,10 @@ tableaux times the m * n exponent slots of a term within the guard.
 exponent matrix and its degree, not the polynomial; ``trop_eval`` of that
 form is the package's one tropical staircase energy
 (``crystal.energy_staircase``).  ``trop_evals`` is the one tropical
-kernel: it multiplies the exponent matrix by a batch of stacked grids in
-one float64 product, exact while max|v| * max(deg, 1) < 2^53, and in exact
-Python ints for a grid over that bound; ``trop_eval`` is its batch of one.
+kernel: one rule sends each grid to the float64 product of the exponent
+matrix, exact while max|v| * max(deg, 1) < 2^53, or over that bound to its
+product in Python ints, by an object-dtype cast; ``trop_eval`` is its
+batch of one.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import cache, lru_cache, reduce
+from functools import cache, lru_cache, reduce, wraps
 from itertools import chain, product
 from typing import Any, NamedTuple
 
@@ -253,15 +254,7 @@ class ColoredPoly:
             return ColoredPoly._raw(
                 self.m, self.n, {mono_a + mono: ca * c for mono, c in large.items()}, deg
             )
-        out: dict[Mono, int] = {}
-        get = out.get
-        for mono_a, ca in small.items():
-            for mono_b, cb in large.items():
-                mono = mono_a + mono_b
-                out[mono] = get(mono, 0) + ca * cb
-        if 0 in out.values():  # a coefficient cancelled
-            out = {k: c for k, c in out.items() if c}
-        return ColoredPoly._raw(self.m, self.n, out, deg)
+        return ColoredPoly.zero(self.m, self.n).sum_products(((self, other),))
 
     def sum_products(
         self,
@@ -995,12 +988,49 @@ def tropical_form(p: ColoredPoly) -> TropicalForm:
     return TropicalForm(p.m, p.n, exps.astype(np.float64), deg)
 
 
-@lru_cache(maxsize=32)
+# staircase_form.cache_info(): hits and misses, as functools.lru_cache
+# counts them, then the forms kept and their exponent slots
+FormCacheInfo = NamedTuple("FormCacheInfo",
+                           [("hits", int), ("misses", int), ("currsize", int), ("slots", int)])
+
+
+def _slot_bound_cache(build: Callable[[int, int], TropicalForm]):
+    """``build`` cached per size (n, m), bounded by the bytes it holds, not
+    by a count of forms: after a miss the least recently used forms go
+    until the exponent slots (rows x m * n) of those kept and the new one
+    total at most the guard (``KR_ENERGY_GUARD``), which a staircase's form
+    alone is within by ``energy_staircase_shape``.  ``cache_info`` and
+    ``cache_clear`` as for ``functools.lru_cache``."""
+    forms: dict[tuple[int, int], TropicalForm] = {}
+    counts = [0, 0]  # hits, misses
+
+    @wraps(build)
+    def cached(n: int, m: int) -> TropicalForm:
+        form = forms.pop((n, m), None)  # put back last, as the most recent
+        counts[form is None] += 1
+        if form is None:
+            form, guard = build(n, m), resolve_guard()
+            while forms and sum(f.matrix.size for f in forms.values()) + form.matrix.size > guard:
+                del forms[next(iter(forms))]
+        forms[n, m] = form
+        return form
+
+    def cache_clear() -> None:
+        forms.clear()
+        counts[:] = [0, 0]
+
+    cached.cache_clear = cache_clear
+    cached.cache_info = lambda: FormCacheInfo(
+        *counts, len(forms), sum(f.matrix.size for f in forms.values()))
+    return cached
+
+
+@_slot_bound_cache
 def staircase_form(n: int, m: int) -> TropicalForm:
-    """``tropical_form`` of ``staircase_loop_schur(n, m)``, cached for the
-    last 32 sizes (n, m), more than the 20 energy cells of the widest config
-    ``run_verify`` admits (n 2:6, m 1:4), whose forms it builds before its
-    fork; the polynomial itself is not kept."""
+    """``tropical_form`` of ``staircase_loop_schur(n, m)``, cached within the
+    guard's exponent slots, which hold the 20 energy cells of the widest
+    config ``run_verify`` admits (n 2:6, m 1:4), whose forms it builds
+    before its fork; the polynomial itself is not kept."""
     return tropical_form(staircase_loop_schur(n, m))
 
 
@@ -1017,26 +1047,13 @@ def trop_eval(p: ColoredPoly | TropicalForm, grid) -> int | float:
     return trop_evals(p, [grid.flat()])[0]
 
 
-def _trop_exact(form: TropicalForm, flat: Sequence[int]) -> int:
-    """The least entry of the exponent matrix times ``flat`` in exact
-    ints, for a grid over the float64 bound of ``trop_evals``."""
-    # The columns under the bound give a float64 part that stays exact.
-    # Terms with the same exponents on the other columns share their
-    # Python-int part, so each group of them, adjacent once sorted, needs
-    # only its least float64 part.
-    mat, scale = form.matrix, max(form.deg, 1)
-    small = [abs(v) * scale < _FLOAT_EXACT for v in flat]
-    low = mat[:, small] @ np.asarray([v for v, s in zip(flat, small) if s], dtype=np.float64)
-    exps = mat[:, np.logical_not(small)].astype(np.int64)
-    order = np.lexsort(exps.T)
-    exps = exps[order]
-    starts = np.flatnonzero(np.r_[True, (exps[1:] != exps[:-1]).any(axis=1)])
-    least = np.minimum.reduceat(low[order], starts).astype(np.int64)
-    values = [v for v, s in zip(flat, small) if not s]
-    return min(
-        lo + sum(e * v for e, v in zip(row, values))
-        for lo, row in zip(least.tolist(), exps[starts].tolist())
-    )
+def _trop_ints(form: TropicalForm, flat: list[int]) -> int:
+    """The least entry of the exponent matrix times ``flat`` in Python ints,
+    for a grid over the float64 bound of ``trop_evals``: one object-dtype
+    product over the matrix cast to int64, exact as every exponent is below
+    2^32."""
+    exps = form.matrix.astype(np.int64).astype(object)
+    return min((exps @ np.array(flat, dtype=object)).tolist())
 
 
 def trop_evals(p: ColoredPoly | TropicalForm,
@@ -1045,19 +1062,20 @@ def trop_evals(p: ColoredPoly | TropicalForm,
     its ``TropicalForm``, at a batch of grids, each given flat
     (``TropicalGrid.flat()``, m * n ints): the package's one tropical
     kernel, which ``trop_eval`` calls with a batch of one.  ``flats`` may
-    also be an int64 array with one grid per row, whose values are then
+    also be an integer array with one grid per row, whose values are then
     checked at once.  A grid value that is not an int, and an array whose
     dtype is not a (non-bool) integer type, raise ``TypeError``.
 
     Each value is the least entry of the exponent matrix times the grid, a
-    Python int.  The grids with max|v| * max(deg, 1) below 2^53 are stacked
-    and multiplied in float64, exact under that bound, one matrix product
-    per ``_BATCH_ENTRIES`` (term, grid) pairs; any other grid takes the
-    exact path of ``_trop_exact``.  The zero polynomial gives ``math.inf``
-    at every grid.
+    Python int.  One rule routes each grid, listed or stacked: with
+    max|v| * max(deg, 1) below 2^53 it joins the float64 product, exact
+    under that bound, one matrix product per ``_BATCH_ENTRIES`` (term, grid)
+    pairs; any other grid takes the exact product of ``_trop_ints``.  The
+    zero polynomial gives ``math.inf`` at every grid.
     """
     form = p if isinstance(p, TropicalForm) else tropical_form(p)
-    size, mat, scale = form.m * form.n, form.matrix, max(form.deg, 1)
+    size, mat = form.m * form.n, form.matrix
+    limit = (_FLOAT_EXACT - 1) // max(form.deg, 1)  # the largest |v| of the float64 product
     stacked = isinstance(flats, np.ndarray)
     if stacked:
         if flats.dtype.kind not in "iu":  # a bool array is kind "b"
@@ -1069,21 +1087,18 @@ def trop_evals(p: ColoredPoly | TropicalForm,
         raise ValueError(f"every grid must hold {size} values for poly ({form.m}, {form.n})")
     if not len(mat):
         return [math.inf] * len(flats)
-    if stacked:  # Python ints, as |v| * deg may pass 2^63
-        top = max(-int(flats.min(initial=0)), int(flats.max(initial=0)))
-        if top * scale >= _FLOAT_EXACT:
-            flats, stacked = flats.tolist(), False
-    exact = {}
-    if not stacked:  # each grid checked alone
-        for g, flat in enumerate(flats):
-            if max(map(abs, flat)) * scale >= _FLOAT_EXACT:
-                exact[g] = _trop_exact(form, flat)
-    fast = [flat for g, flat in enumerate(flats) if g not in exact] if exact else flats
+    if stacked:  # compared in the array's own dtype, so no |v| wraps past 2^63
+        small = ((flats >= -limit) & (flats <= limit)).all(axis=1).tolist()
+    else:
+        small = [max(map(abs, flat)) <= limit for flat in flats]
+    fast = flats if all(small) else [flat for flat, ok in zip(flats, small) if ok]
     step = max(1, _BATCH_ENTRIES // len(mat))
     mins: list[int | float] = []
     for lo in range(0, len(fast), step):
         batch = np.asarray(fast[lo : lo + step], dtype=np.float64)
         mins += (batch @ mat.T).min(axis=1).astype(np.int64).tolist()
-    for g in sorted(exact):  # each exact value back in its place
-        mins.insert(g, exact[g])
-    return mins
+    if fast is flats:
+        return mins
+    floats = iter(mins)
+    return [next(floats) if ok else _trop_ints(form, [int(v) for v in flat])
+            for flat, ok in zip(flats, small)]

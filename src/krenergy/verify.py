@@ -397,21 +397,18 @@ def first_failures(verdicts: Iterable[tuple], count: int,
     return out
 
 
-def check_r_action_chunk(tensors: list[TensorElement]) -> list[str | None]:
+def check_r_action_chunk(tensors: list[TensorElement], *,
+                         moves: bool = False) -> list[str | None]:
     """Per tensor of a chunk of one (n, m) cell, in order, the witness of
     its first failing R-action identity, or None: one
     ``r_action_identities`` run in ``MIN_PLUS_ARRAY`` on the chunk's grid
-    columns."""
-    verdicts = r_action_identities(MIN_PLUS_ARRAY, _chunk_grids(tensors)[1])
-    return first_failures(verdicts, len(tensors), lambda k: {"tensor": tensors[k].to_jsonable()})
-
-
-def check_r_action_moves(tensors: list[TensorElement]) -> list[str | None]:
-    """``check_r_action_chunk``, for the braid suite: like ``r_matrix``, an
-    s_j that gives a negative count raises ``RuntimeError``, tested once
-    per s_j over the chunk."""
+    columns.  With ``moves``, as the braid suite runs it, an s_j that gives
+    a negative count first raises ``RuntimeError``, like ``r_matrix``,
+    tested once per s_j over the chunk; the ``birational`` suite records
+    such a move as failing identities, as it records a non-positive move
+    at a rational point."""
     columns = _chunk_grids(tensors)[1]
-    for j in range(1, len(columns)):
+    for j in range(1, len(columns)) if moves else ():
         moved = _chain(MIN_PLUS_ARRAY, columns, (j - 1,))[j - 1 : j + 1]
         if np.min(moved) < 0:
             k = int(np.argmax(np.min(moved, axis=(0, 1)) < 0))
@@ -536,7 +533,8 @@ SUITE_RUNNERS = {
     "coenergy": partial(_run_pairs, check=check_coenergy_pair, label="coenergy"),
     "energy-equivalence": partial(_run_chunks, check=check_energy_chunk, label="energy",
                                   m_min=1),
-    "braid": partial(_run_chunks, check=check_r_action_moves, label="braid", m_min=2),
+    "braid": partial(_run_chunks, check=partial(check_r_action_chunk, moves=True),
+                     label="braid", m_min=2),
     "birational": _run_birational,
 }
 

@@ -13,7 +13,8 @@ import pytest
 from krenergy.birational import RationalPoint
 from krenergy.cli import main
 from krenergy.crystal import CrystalElement, TensorElement
-from krenergy.lsym import ColoredPoly
+from krenergy.lsym import ColoredPoly, mono_factors, tableau_monomials
+from krenergy.tableaux import energy_staircase_shape
 from krenergy import verify
 from krenergy.verify import CAPACITY_CAP_MAX, ConfigError, VerifyConfig, run_verify
 
@@ -176,6 +177,20 @@ def test_emit_formula_thousand_cell_row(capsys):
     assert [sum(e for i, _, e in t["monomial"] if i == 2) for t in data["terms"]] == list(
         range(1001)
     )
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 3), (2, 4), (5, 2), (3, 1)])
+def test_emit_formula_streams_the_whole_documents_bytes(n, m, capsys):
+    """The terms are written as they are enumerated, and the output is
+    byte for byte the one ``json.dumps`` of the whole document."""
+    shape = energy_staircase_shape(n, m)
+    terms = [{"tableau": [list(row) for row in t.rows],
+              "monomial": [list(f) for f in mono_factors(mono, n)]}
+             for t, mono in tableau_monomials(shape, 0, m, n=n)]
+    doc = {"n": n, "m": m, "shape": list(shape.parts), "terms": terms}
+    assert main(["emit-formula", "--n", str(n), "--m", str(m)]) == 0
+    out, _ = capsys.readouterr()
+    assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_emit_formula_single_factor(capsys):

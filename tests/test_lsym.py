@@ -41,7 +41,7 @@ from krenergy.lsym import (
     ColoredPoly,
     PolyMatrix,
     _strip_chains,
-    _trop_exact,
+    _trop_ints,
     jacobi_trudi_indices,
     laplace_dets,
     loop_e,
@@ -1025,13 +1025,26 @@ def test_staircase_slot_guard_admits(monkeypatch, n, m, slots):
     assert staircase_loop_schur(n, m).m == m
 
 
-def test_staircase_forms_keep_at_most_32_sizes():
+def test_staircase_forms_keep_at_most_the_guards_slots(monkeypatch):
     """Each cached form holds a float64 matrix of its staircase's terms, so
-    a process that meets 40 sizes keeps the forms of only 32."""
+    the forms kept hold at most the guard's worth of exponent slots: a
+    miss drops the least recently used forms first, and keeps the newest
+    alone when it needs the whole guard.  At m = 2 the staircase of n has
+    n terms of 2n slots each."""
+    monkeypatch.setenv("KR_ENERGY_GUARD", "1000")
     staircase_form.cache_clear()
-    for n in range(2, 42):
+    for n in (10, 12, 14, 10):  # 200, 288 and 392 slots; then 10 is the most recent
         staircase_form(n, 2)
-    assert staircase_form.cache_info().currsize == 32
+    assert staircase_form.cache_info() == (1, 3, 3, 880)
+    staircase_form(8, 2)  # 128 more slots: 12, the least recently used, goes
+    assert staircase_form.cache_info() == (1, 4, 3, 720)
+    for n in (10, 14, 8):
+        staircase_form(n, 2)
+    assert staircase_form.cache_info()[:2] == (4, 4)
+    staircase_form(22, 2)  # 968 slots: every other form goes
+    assert staircase_form.cache_info() == (4, 5, 1, 968)
+    staircase_form(10, 2)
+    assert staircase_form.cache_info() == (4, 6, 1, 200)
 
 
 def test_jt_matches_tableaux_on_box_shapes():
@@ -1472,9 +1485,9 @@ def test_trop_evals_float64_bound(monkeypatch):
 
     def counted(form, flat):
         exact.append(flat)
-        return _trop_exact(form, flat)
+        return _trop_ints(form, flat)
 
-    monkeypatch.setattr(lsym, "_trop_exact", counted)
+    monkeypatch.setattr(lsym, "_trop_ints", counted)
     for fast, flat in cases:
         exact.clear()
         got = trop_evals(p, [flat]) + trop_evals(p, np.array([flat]))
